@@ -31,14 +31,14 @@ print(" ", macdonald_dim(lam))
 # At q = t the evaluation product collapses onto the hook-content product
 # (up to the monomial q^n_stat).
 md = macdonald_dim(lam)
-num = md.numerator().substitute("t", LaurentPoly.var("q"))
+num = md.numerator.substitute("t", LaurentPoly.var("q"))
 den = md.denominator().substitute("t", LaurentPoly.var("q"))
 u = unknot_homfly(lam)
 shift = LaurentPoly.var("q", lam.n_stat())
-assert num * u.denominator() == shift * u.numerator() * den
+assert num * u.denominator() == shift * u.numerator * den
 print(f"\nq = t degeneration checked (monomial shift q^{lam.n_stat()})")
 
 print("\nsuperpolynomial series, expanded to q^8 (all coefficients positive):")
 series = unknot_super(lam)
 print(" ", series)
-print("  =", series.expand("q", 8))
+print("  =", series.expand(8))

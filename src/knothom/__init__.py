@@ -42,7 +42,6 @@ from .partitions import (
 )
 from .symmetric import SymFunc, chen_remmel, mn_character, plethysm_pn, zee
 from .invariants import (
-    FactoredRational,
     NormalizationReport,
     hirota_check,
     macdonald_dim,
@@ -89,6 +88,7 @@ from .checks import (
     colored_regrade,
     from_tilde,
     mirror_swap,
+    rank_collapse_input,
     sl_cancel,
     to_tilde,
     unreduced_from_reduced,

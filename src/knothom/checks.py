@@ -324,13 +324,28 @@ def unreduced_from_reduced(reduced: LaurentPoly, lam,
     the model generators, normalized to leading term ``(a^-1 q)^|lam|``.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    model = unknot_model(lam)
-    num = reduced * LaurentPoly.monomial(
-        1, Multidegree(a=-lam.size(), q=lam.size()))
-    for g in model.odds():
-        num = num * (LaurentPoly.one() + LaurentPoly.monomial(1, g.degree))
-    dens = tuple(g.degree for g in model.evens())
-    return RationalSeries(num, dens, "q", order)
+    shift = LaurentPoly.monomial(1, Multidegree(a=-lam.size(), q=lam.size()))
+    return unknot_model(lam).hilbert_series(order) * (reduced * shift)
+
+
+def rank_collapse_input(key: str, lam, order=30) -> RationalSeries:
+    """Unreduced series in ``(a, q, t)`` with ``t`` the column grading.
+
+    ``key`` names a fixture, or ``unknot:*`` for the unknot itself.
+    """
+    from .fixtures import load_fixture  # fixtures imports this module
+
+    if key.startswith("unknot:"):
+        reduced = LaurentPoly.one()
+    else:
+        reduced = load_fixture(key).standard()
+    series = unreduced_from_reduced(reduced, lam, order)
+
+    def to_aqt(md):
+        return Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
+
+    return RationalSeries(series.numerator.map_exponents(to_aqt),
+                          tuple(map(to_aqt, series.denominators)), "q", order)
 
 
 def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,

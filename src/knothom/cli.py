@@ -22,16 +22,17 @@ import json
 import sys
 from fractions import Fraction
 
-from .laurent import LaurentPoly, Multidegree
+from .laurent import LaurentPoly, Multidegree, RationalSeries
 from .partitions import Partition, catalan_count
 from .invariants import torus_homfly, unknot_homfly, unknot_super, hirota_check
 from .models import (
+    DegreeCeilingError,
     macaulay_basis,
     potential_antisym,
     scheme_presentation,
     torus_potential,
 )
-from .checks import sl_cancel
+from .checks import rank_collapse_input, sl_cancel
 from .fixtures import load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
 from . import suite
@@ -65,7 +66,7 @@ def parse_knot(text: str):
         return ("torus", (int(p), int(q)))
     if text in ("3_1", "4_1", "T3_4"):
         return ("fixture", text)
-    if text == "T3_4" or text == "8_19":
+    if text == "8_19":
         return ("fixture", "T3_4")
     raise UsageError(f"unknown knot {text!r}")
 
@@ -77,18 +78,21 @@ def emit_poly(p: LaurentPoly, fmt: str, variables=None):
         print(p)
 
 
+def emit_rational(s: RationalSeries, fmt: str):
+    if fmt == "json":
+        print(json.dumps({
+            "numerator": s.numerator.to_json(),
+            "denominator": s.denominator().to_json(),
+        }))
+    else:
+        print(s)
+
+
 def cmd_homfly(args):
     color = parse_color(args.color)
     kind, data = parse_knot(args.knot)
     if kind == "unknot":
-        u = unknot_homfly(color)
-        if args.format == "json":
-            print(json.dumps({
-                "numerator": u.numerator().to_json(),
-                "denominator": u.denominator().to_json(),
-            }))
-        else:
-            print(u)
+        emit_rational(unknot_homfly(color), args.format)
         return 0
     if kind == "fixture":
         fix = load_fixture(f"{data}:1" if color.size() == 1 else
@@ -105,7 +109,7 @@ def cmd_homfly(args):
                   f"checks = {report.checks}", file=sys.stderr)
     else:
         fr, _ = torus_homfly(color, p, q, reduced=False)
-        emit_poly(fr.expand("q", args.cutoff), args.format)
+        emit_poly(fr.expand(args.cutoff), args.format)
     return 0
 
 
@@ -113,14 +117,9 @@ def cmd_super(args):
     color = parse_color(args.color)
     s = unknot_super(color)
     if args.expand:
-        emit_poly(s.expand("q", args.cutoff), args.format)
-    elif args.format == "json":
-        print(json.dumps({
-            "numerator": s.numerator().to_json(),
-            "denominator": s.denominator().to_json(),
-        }))
+        emit_poly(s.expand(args.cutoff), args.format)
     else:
-        print(s)
+        emit_rational(s, args.format)
     return 0
 
 
@@ -150,7 +149,10 @@ def cmd_check(args):
 def cmd_scheme(args):
     pres = scheme_presentation(args.p, args.q, args.r, reduced=args.reduced,
                                with_forms=args.forms)
-    mb = macaulay_basis(pres, with_forms=args.forms, ceiling=args.ceiling)
+    try:
+        mb = macaulay_basis(pres, with_forms=args.forms, ceiling=args.ceiling)
+    except DegreeCeilingError as exc:
+        raise UsageError(f"{exc}; raise --ceiling") from exc
     if args.format == "json":
         print(json.dumps({
             "dimension": mb.dimension(),
@@ -181,6 +183,8 @@ def cmd_bottom(args):
         else:
             print(series)
         return 0
+    if args.p is None or args.q is None:
+        raise UsageError("bottom needs --p and --q, or --vortex")
     if args.count:
         print(catalan_count(args.p, args.q) ** args.r)
         return 0
@@ -197,6 +201,8 @@ def cmd_potential(args):
     if args.antisym:
         k, N = (int(x) for x in args.antisym.split(","))
         pot = potential_antisym(k, N)
+    elif args.p is None or args.q is None:
+        raise UsageError("potential needs --p and --q, or --antisym")
     else:
         pot = torus_potential(args.p, args.q, args.r)
     if args.format == "json":
@@ -214,17 +220,7 @@ def cmd_potential(args):
 def cmd_cancel(args):
     color = parse_color(args.color)
     key = f"{args.knot}:{args.color}" if color.size() > 1 else f"{args.knot}:1"
-    if args.knot == "unknot":
-        reduced = LaurentPoly.one()
-    else:
-        reduced = load_fixture(key).standard()
-    from .checks import unreduced_from_reduced
-
-    series = unreduced_from_reduced(reduced, color, args.cutoff + 4)
-    to_aqt = lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
-    series = type(series)(
-        series.numerator.map_exponents(to_aqt),
-        tuple(to_aqt(md) for md in series.denominators), "q", series.order)
+    series = rank_collapse_input(key, color, args.cutoff + 4)
     degree = Multidegree(a=-2, q=2 * args.n, t=-1)
     survivors, window = sl_cancel(series, degree, args.n, cutoff=args.cutoff)
     emit_poly(survivors, args.format)

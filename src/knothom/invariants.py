@@ -38,101 +38,47 @@ from .partitions import Partition
 from .symmetric import plethysm_pn
 
 
-class FactoredRational:
-    """A product of polynomial factors over a product of ``1 - monomial`` factors."""
-
-    __slots__ = ("numerator_factors", "denominator_monomials")
-
-    def __init__(self, numerator_factors=(), denominator_monomials=()):
-        self.numerator_factors = tuple(
-            LaurentPoly._coerce(f) for f in numerator_factors)
-        self.denominator_monomials = tuple(denominator_monomials)
-
-    def numerator(self) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for f in self.numerator_factors:
-            out = out * f
-        return out
-
-    def denominator(self) -> LaurentPoly:
-        out = LaurentPoly.one()
-        for md in self.denominator_monomials:
-            out = out * (LaurentPoly.one() - LaurentPoly.monomial(1, md))
-        return out
-
-    def series(self, var="q", order=30) -> RationalSeries:
-        return RationalSeries(
-            self.numerator(), self.denominator_monomials, var, order)
-
-    def expand(self, var="q", order=30) -> LaurentPoly:
-        return self.series(var, order).expand()
-
-    def __mul__(self, other):
-        if isinstance(other, FactoredRational):
-            return FactoredRational(
-                self.numerator_factors + other.numerator_factors,
-                self.denominator_monomials + other.denominator_monomials,
-            )
-        return FactoredRational(
-            self.numerator_factors + (LaurentPoly._coerce(other),),
-            self.denominator_monomials,
-        )
-
-    __rmul__ = __mul__
-
-    def __str__(self):
-        num = " * ".join(f"({f})" for f in self.numerator_factors) or "1"
-        den = " * ".join(
-            f"(1 - {LaurentPoly.monomial(1, md)})"
-            for md in self.denominator_monomials)
-        return f"{num} / {den}" if den else num
-
-
-def unknot_homfly(lam) -> FactoredRational:
+def unknot_homfly(lam) -> RationalSeries:
     """Hook-content product for the colored unknot, in variables ``a, q``."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if lam.is_empty():
-        return FactoredRational()
-    nums, dens = [], []
+    num, dens = LaurentPoly.one(), []
     for cell in lam.cells():
-        nums.append(LaurentPoly.one()
-                    - LaurentPoly.monomial(1, Multidegree(a=1, q=lam.content(cell))))
+        num = num * (LaurentPoly.one() - LaurentPoly.monomial(
+            1, Multidegree(a=1, q=lam.content(cell))))
         dens.append(Multidegree(q=lam.hook(cell)))
-    return FactoredRational(nums, dens)
+    return RationalSeries(num, dens)
 
 
-def macdonald_dim(lam) -> FactoredRational:
+def macdonald_dim(lam) -> RationalSeries:
     """Evaluation product ``prod (t^coleg - a*q^coarm)/(1 - q^arm t^(leg+1))``.
 
     At ``q = t`` it degenerates to ``q^n_stat(lam)`` times the hook-content
-    product :func:`unknot_homfly`.
+    product :func:`unknot_homfly`.  Arms can vanish, so the series is in ``t``.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    if lam.is_empty():
-        return FactoredRational()
-    nums, dens = [], []
+    num, dens = LaurentPoly.one(), []
     for cell in lam.cells():
-        nums.append(
+        num = num * (
             LaurentPoly.monomial(1, Multidegree(t=lam.coleg(cell)))
             - LaurentPoly.monomial(1, Multidegree(a=1, q=lam.coarm(cell))))
         dens.append(Multidegree(q=lam.arm(cell), t=lam.leg(cell) + 1))
-    return FactoredRational(nums, dens)
+    return RationalSeries(num, dens, "t")
 
 
-def unknot_super(lam) -> FactoredRational:
+def unknot_super(lam) -> RationalSeries:
     """Positive-coefficient unknot superpolynomial product in ``a, q, t``.
 
-    ``prod_x (1 + a^2 q^(2c) t^(2*coarm+1)) / (1 - q^(2h) t^(2*arm))``;
-    expand with :meth:`FactoredRational.series` in ``q``.
+    ``prod_x (1 + a^2 q^(2c) t^(2*coarm+1)) / (1 - q^(2h) t^(2*arm))``,
+    expanded in ``q``.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    nums, dens = [], []
+    num, dens = LaurentPoly.one(), []
     for cell in lam.cells():
-        nums.append(LaurentPoly.one() + LaurentPoly.monomial(
+        num = num * (LaurentPoly.one() + LaurentPoly.monomial(
             1,
             Multidegree(a=2, q=2 * lam.content(cell), t=2 * lam.coarm(cell) + 1)))
         dens.append(Multidegree(q=2 * lam.hook(cell), t=2 * lam.arm(cell)))
-    return FactoredRational(nums, dens)
+    return RationalSeries(num, dens)
 
 
 @dataclass
@@ -170,7 +116,7 @@ def _torus_sum(lam: Partition, n: int, m: int):
     for mu, c, hooks in items:
         weight = LaurentPoly.monomial(
             c, Multidegree(q=-Fraction(m, n) * mu.kappa() + mu.n_stat()))
-        num = unknot_homfly(mu).numerator()
+        num = unknot_homfly(mu).numerator
         comp = LaurentPoly.one()
         for k, e in (common - hooks).items():
             comp = comp * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
@@ -206,7 +152,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     Reduced output is a Laurent polynomial in ``a, q`` canonicalized so that
     ``P(a=q, q) == 1``; the applied monomial shift and sign live in the
     returned :class:`NormalizationReport`.  Unreduced output is a
-    :class:`FactoredRational` (the invariant is an infinite series).
+    :class:`RationalSeries` in ``q`` (the invariant is an infinite series).
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
@@ -217,12 +163,12 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         dens = []
         for k, e in sorted(common.items()):
             dens.extend([Multidegree(q=k)] * e)
-        return FactoredRational((total,), tuple(dens)), report
+        return RationalSeries(total, dens), report
     lam_hooks = _hook_multiset(lam)
     dividend = total
     for k, e in lam_hooks.items():
         dividend = dividend * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
-    divisor = unknot_homfly(lam).numerator()
+    divisor = unknot_homfly(lam).numerator
     for k, e in common.items():
         divisor = divisor * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
     try:
@@ -276,13 +222,13 @@ def stable_limit_check(lam, n: int, m_list, order=10):
     must be nondecreasing in ``m`` (the stable-limit property).
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    target = unknot_homfly(lam.scale(n)).expand("q", order + 1)
+    target = unknot_homfly(lam.scale(n)).expand(order + 1)
     rows = []
     for m in m_list:
         if gcd(n, m) != 1:
             raise ValueError(f"({n},{m}) not coprime")
         fr, _ = torus_homfly(lam, n, m, reduced=False)
-        approx = fr.expand("q", order + 1 + _alignment_pad(fr))
+        approx = fr.expand(order + 1 + _alignment_pad(fr))
         shifted = _align_lowest(approx, target)
         agree = -1
         if shifted is not None:
@@ -306,8 +252,8 @@ def stable_limit_check(lam, n: int, m_list, order=10):
     }
 
 
-def _alignment_pad(fr: FactoredRational) -> int:
-    num = fr.numerator_factors[0]
+def _alignment_pad(fr: RationalSeries) -> int:
+    num = fr.numerator
     return max(0, -int(num.min_degree("q"))) if not num.is_zero() else 0
 
 

@@ -584,10 +584,12 @@ def parse_poly(text: str) -> LaurentPoly:
 class RationalSeries:
     """``numerator / prod(1 - monomial(m))`` expanded in one variable.
 
-    Each denominator multidegree must have strictly positive degree in the
-    expansion variable, so the geometric expansion of every factor is a
-    well-defined series.  Comparisons below ``order`` are exact; beyond it the
-    expansion is undefined.
+    This one shape carries the hook-content and evaluation products, the
+    unknot superpolynomial, free-model Hilbert series and every unreduced
+    invariant.  Each denominator multidegree must have strictly positive
+    degree in the expansion variable, so the geometric expansion of every
+    factor is a well-defined series.  Comparisons below ``order`` are exact;
+    beyond it the expansion is undefined.
     """
 
     __slots__ = ("numerator", "denominators", "var", "order")
@@ -603,8 +605,12 @@ class RationalSeries:
         self.var = var
         self.order = _frac(order)
 
-    def with_order(self, order):
-        return RationalSeries(self.numerator, self.denominators, self.var, order)
+    def denominator(self) -> LaurentPoly:
+        """The polynomial ``prod(1 - monomial(m))``."""
+        out = LaurentPoly.one()
+        for md in self.denominators:
+            out = out * (LaurentPoly.one() - LaurentPoly.monomial(1, md))
+        return out
 
     def __mul__(self, other):
         if isinstance(other, RationalSeries):
@@ -673,7 +679,7 @@ def _unit_series_base(base: LaurentPoly, var: str):
     return rest
 
 
-def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> RationalSeries:
+def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> LaurentPoly:
     """Binomial-series expansion of ``base**exponent`` for rational exponents.
 
     ``base`` must have constant term 1 in ``var``; the coefficient of each
@@ -693,10 +699,10 @@ def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> Rational
             break
         result = result + _binom(exponent, k) * power
         k += 1
-    return RationalSeries(result.truncate(var, order), (), var, order)
+    return result.truncate(var, order)
 
 
-def series_log(base: LaurentPoly, order, var="z") -> RationalSeries:
+def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``ln`` of a series with constant term 1."""
     u = _unit_series_base(base, var)
     result = LaurentPoly.zero()
@@ -708,10 +714,10 @@ def series_log(base: LaurentPoly, order, var="z") -> RationalSeries:
             break
         result = result + Fraction((-1) ** (k + 1), k) * power
         k += 1
-    return RationalSeries(result.truncate(var, order), (), var, order)
+    return result.truncate(var, order)
 
 
-def series_exp(base: LaurentPoly, order, var="z") -> RationalSeries:
+def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``exp`` of a series with zero constant term."""
     if not base.is_zero() and base.min_degree(var) <= 0:
         raise ValueError("exp argument must have positive order")
@@ -726,7 +732,7 @@ def series_exp(base: LaurentPoly, order, var="z") -> RationalSeries:
         fact /= k
         result = result + fact * power
         k += 1
-    return RationalSeries(result.truncate(var, order), (), var, order)
+    return result.truncate(var, order)
 
 
 # -- ray decomposition, witness division, maximal cancellation -------------------
@@ -840,16 +846,12 @@ def clear_fractional(p: LaurentPoly, var=FRACTIONAL_VAR):
     """
     if p.is_zero():
         return p, Fraction(0)
-    offsets = {md.e(var) - (md.e(var).numerator // md.e(var).denominator)
-               if md.e(var).denominator != 1 else Fraction(0)
-               for md in p.terms}
     fracs = {md.e(var) % 1 for md in p.terms}
     if len(fracs) != 1:
         raise ValueError(
             f"terms carry distinct fractional {var!r}-offsets: {sorted(fracs)}"
         )
     offset = fracs.pop()
-    del offsets
     if offset == 0:
         return p, Fraction(0)
     shift = Multidegree({var: -offset})

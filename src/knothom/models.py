@@ -14,7 +14,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .laurent import LaurentPoly, Multidegree, series_log, series_pow_rational
+from .laurent import (
+    LaurentPoly,
+    Multidegree,
+    RationalSeries,
+    series_log,
+    series_pow_rational,
+)
 from .partitions import Partition
 
 EVEN, ODD = "even", "odd"
@@ -78,14 +84,12 @@ class GradedPresentation:
                 return None
         return seen
 
-    def hilbert_series(self, variables=("a", "q", "tr", "tc")):
-        """Free-algebra Hilbert series ``prod(1+odd)/prod(1-even)``."""
-        from .invariants import FactoredRational
-
-        nums = [LaurentPoly.one() + LaurentPoly.monomial(1, g.degree)
-                for g in self.odds()]
-        dens = [g.degree for g in self.evens()]
-        return FactoredRational(nums, dens)
+    def hilbert_series(self, order=30) -> RationalSeries:
+        """Free-algebra Hilbert series ``prod(1+odd)/prod(1-even)`` in ``q``."""
+        num = LaurentPoly.one()
+        for g in self.odds():
+            num = num * (LaurentPoly.one() + LaurentPoly.monomial(1, g.degree))
+        return RationalSeries(num, [g.degree for g in self.evens()], "q", order)
 
     def to_json(self):
         return {
@@ -321,7 +325,7 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     base = LaurentPoly.one()
     for i in range(lo, r * p + 1):
         base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    series = series_pow_rational(base, Fraction(q, p), (p + q) * r).expand()
+    series = series_pow_rational(base, Fraction(q, p), (p + q) * r)
     rels = []
     for d in range(q * r + 1, (p + q) * r + 1):
         rel = series.coefficient_of("z", d)
@@ -484,6 +488,10 @@ class MacaulayBasis:
         return names
 
 
+class DegreeCeilingError(ArithmeticError):
+    """The quotient did not close below the caller's degree ceiling."""
+
+
 def macaulay_basis(pres: GradedPresentation, with_forms=True,
                    ceiling=200) -> MacaulayBasis:
     """Monomial basis of the quotient by degreewise exact elimination.
@@ -492,7 +500,8 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
     that degree is row-reduced and the non-pivot monomials survive into the
     basis.  Terminates once the quotient vanishes on a window of consecutive
     degrees as wide as the largest generator degree (the quotient is then
-    zero forever); raises if the ceiling is hit first.
+    zero forever); raises :class:`DegreeCeilingError` if the ceiling is hit
+    first.
     """
     even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
     odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()} if with_forms else {}
@@ -574,7 +583,7 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
         else:
             zero_run = 0
         degree += 1
-    raise ArithmeticError(f"degree ceiling {ceiling} exceeded")
+    raise DegreeCeilingError(f"degree ceiling {ceiling} exceeded")
 
 
 def _expand_even_row(rel, exps, odds):
@@ -621,7 +630,7 @@ def potential_antisym(k: int, N: int) -> Potential:
     base = LaurentPoly.one()
     for i in range(1, k + 1):
         base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    body = series_log(base, N + 1).expand().coefficient_of("z", N + 1)
+    body = series_log(base, N + 1).coefficient_of("z", N + 1)
     return Potential(body, tuple(f"u{i}" for i in range(1, k + 1)))
 
 
@@ -648,7 +657,7 @@ def split_potential_check(k: int, j: int):
     Ukj = LaurentPoly.one()
     for i in range(1, k - j + 1):
         Ukj = Ukj + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    inv = series_pow_rational(Ukj, -1, order).expand()
+    inv = series_pow_rational(Ukj, -1, order)
     rho = (Uk * inv).truncate("z", order)
     w = {s: rho.coefficient_of("z", s) for s in range(k - j + 1, order + 1)}
     delta = Wk - Wkj
@@ -728,7 +737,7 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
     for i in range(1, r * p + 1):
         base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
     order = (p + q) * r + 1
-    series = series_pow_rational(base, Fraction(q + p, p), order).expand()
+    series = series_pow_rational(base, Fraction(q + p, p), order)
     body = series.coefficient_of("z", order)
     pot = Potential(body, tuple(f"u{i}" for i in range(1, r * p + 1)))
     return pot.with_super()

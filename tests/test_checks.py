@@ -13,6 +13,7 @@ from knothom.checks import (
     colored_regrade,
     from_tilde,
     mirror_swap,
+    rank_collapse_input,
     sl_cancel,
     to_tilde,
     unreduced_from_reduced,
@@ -190,23 +191,15 @@ def test_unreduced_from_reduced_trefoil_display():
     assert series.numerator == expect
 
 
-def _aqt(series):
-    fn = lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
-    return RationalSeries(series.numerator.map_exponents(fn),
-                          tuple(fn(md) for md in series.denominators),
-                          "q", series.order)
-
-
 def test_sl_cancel_trefoil():
-    fix = load_fixture("3_1:1")
-    series = _aqt(unreduced_from_reduced(fix.standard(), [1], order=40))
+    series = rank_collapse_input("3_1:1", [1], order=40)
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=20)
     assert survivors == P("q + q^3 + q^5*t^2 + q^9*t^3").truncate("q", window)
 
 
 def test_sl_cancel_s2_unknot():
-    series = _aqt(unreduced_from_reduced(LaurentPoly.one(), [2], order=60))
+    series = rank_collapse_input("unknot:S2", [2], order=60)
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=24)
     tail = RationalSeries(P("q^2*t^2*(1 + q^4*t)"),
@@ -216,8 +209,7 @@ def test_sl_cancel_s2_unknot():
 
 
 def test_sl_cancel_figure_eight_fundamental():
-    fix = load_fixture("4_1:1")
-    series = _aqt(unreduced_from_reduced(fix.standard(), [1], order=40))
+    series = rank_collapse_input("4_1:1", [1], order=40)
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=20)
     expect = P("q^5*t^2 + q*t + q + q^-1 + q^-1*t^-1 + q^-5*t^-2")
@@ -225,8 +217,7 @@ def test_sl_cancel_figure_eight_fundamental():
 
 
 def test_sl_cancel_stable_under_cutoff():
-    fix = load_fixture("3_1:S2")
-    series = _aqt(unreduced_from_reduced(fix.standard(), [2], order=80))
+    series = rank_collapse_input("3_1:S2", [2], order=80)
     s1, w1 = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=26)
     s2, w2 = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=32)
     assert w2 >= w1

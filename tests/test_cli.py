@@ -20,6 +20,7 @@ def test_parse_knot():
     assert parse_knot("unknot") == ("unknot", None)
     assert parse_knot("torus:2,3") == ("torus", (2, 3))
     assert parse_knot("3_1") == ("fixture", "3_1")
+    assert parse_knot("8_19") == ("fixture", "T3_4")
     with pytest.raises(UsageError):
         parse_knot("granny")
 
@@ -102,3 +103,50 @@ def test_cancel(capsys):
 
 def test_unknown_verb_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+#: stdout of the unknot product printers, pinned byte for byte
+PINNED_UNKNOT_JSON = [
+    (["homfly", "--knot", "unknot", "--color", "[2,1]", "--format", "json"],
+     '{"numerator": {"variables": ["a", "q"], "terms": ['
+     '{"coeff": "1", "exp": ["0", "0"]}, '
+     '{"coeff": "-1", "exp": ["1", "-1"]}, '
+     '{"coeff": "-1", "exp": ["1", "0"]}, '
+     '{"coeff": "1", "exp": ["2", "-1"]}, '
+     '{"coeff": "-1", "exp": ["1", "1"]}, '
+     '{"coeff": "1", "exp": ["2", "0"]}, '
+     '{"coeff": "1", "exp": ["2", "1"]}, '
+     '{"coeff": "-1", "exp": ["3", "0"]}]}'
+     ', "denominator": {"variables": ["q"], "terms": ['
+     '{"coeff": "1", "exp": ["0"]}, {"coeff": "-2", "exp": ["1"]}, '
+     '{"coeff": "1", "exp": ["2"]}, {"coeff": "-1", "exp": ["3"]}, '
+     '{"coeff": "2", "exp": ["4"]}, {"coeff": "-1", "exp": ["5"]}]}}\n'),
+    (["super", "--color", "S2", "--format", "json"],
+     '{"numerator": {"variables": ["a", "q", "t"], "terms": ['
+     '{"coeff": "1", "exp": ["0", "0", "0"]}, '
+     '{"coeff": "1", "exp": ["2", "0", "1"]}, '
+     '{"coeff": "1", "exp": ["2", "2", "3"]}, '
+     '{"coeff": "1", "exp": ["4", "2", "4"]}]}'
+     ', "denominator": {"variables": ["q", "t"], "terms": ['
+     '{"coeff": "1", "exp": ["0", "0"]}, '
+     '{"coeff": "-1", "exp": ["2", "0"]}, '
+     '{"coeff": "-1", "exp": ["4", "2"]}, '
+     '{"coeff": "1", "exp": ["6", "2"]}]}}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", PINNED_UNKNOT_JSON)
+def test_unknot_product_json_pinned(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["bottom", "--p", "2"],
+    ["potential"],
+    ["scheme", "--p", "2", "--q", "3", "--r", "2", "--ceiling", "3"],
+])
+def test_bad_input_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

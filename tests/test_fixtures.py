@@ -1,4 +1,6 @@
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -94,3 +96,13 @@ def test_json_roundtrip_bit_exact():
         dumped = fix.poincare.dumps(list(fix.gradings))
         from knothom.laurent import LaurentPoly
         assert LaurentPoly.loads(dumped).dumps(list(fix.gradings)) == dumped
+
+
+def test_packaged_json_matches_transcriptions():
+    # the transcription tool must reproduce every packaged file byte for byte
+    root = pathlib.Path(__file__).resolve().parents[1]
+    render = runpy.run_path(str(root / "tools" / "build_fixtures.py"))["render"]
+    rendered = {name: text.encode() for name, text in render().items()}
+    packaged = {path.name: path.read_bytes()
+                for path in (root / "src" / "knothom" / "fixtures").glob("*.json")}
+    assert rendered == packaged

@@ -105,10 +105,10 @@ def test_divide_exact():
 def test_series_pow_rational_examples():
     base = P("1 + u2*z^2")
     s = series_pow_rational(base, Fraction(3, 2), 4)
-    assert s.expand() == P("1") + Fraction(3, 2) * P("u2*z^2") + \
+    assert s == P("1") + Fraction(3, 2) * P("u2*z^2") + \
         Fraction(3, 8) * P("u2^2*z^4")
-    assert series_pow_rational(P("1 + z"), 1, 7).expand() == P("1 + z")
-    assert series_pow_rational(P("1 + u1*z"), 2, 2).expand() == \
+    assert series_pow_rational(P("1 + z"), 1, 7) == P("1 + z")
+    assert series_pow_rational(P("1 + u1*z"), 2, 2) == \
         P("1 + 2*u1*z + u1^2*z^2")
     with pytest.raises(ValueError):
         series_pow_rational(P("2 + z"), 1, 3)
@@ -124,18 +124,18 @@ def test_series_pow_rational_consistency():
         num, den = rng.randint(1, 5), rng.randint(1, 4)
         order = 6
         s = series_pow_rational(base, Fraction(num, den), order)
-        powered = (s.expand() ** den).truncate("z", order)
+        powered = (s ** den).truncate("z", order)
         direct = (base ** num).truncate("z", order)
         assert powered == direct
 
 
 def test_series_log_examples():
-    assert series_log(P("1 + z"), 2).expand() == P("z") - Fraction(1, 2) * P("z^2")
-    s = series_log(P("1 + u1*z + u2*z^2"), 3).expand()
+    assert series_log(P("1 + z"), 2) == P("z") - Fraction(1, 2) * P("z^2")
+    s = series_log(P("1 + u1*z + u2*z^2"), 3)
     expected = (P("u1*z") + (P("u2") - Fraction(1, 2) * P("u1^2")) * P("z^2")
                 + (Fraction(1, 3) * P("u1^3") - P("u1*u2")) * P("z^3"))
     assert s == expected
-    assert series_log(P("1"), 5).expand() == LaurentPoly.zero()
+    assert series_log(P("1"), 5) == LaurentPoly.zero()
 
 
 def test_series_log_exp_roundtrip():
@@ -146,8 +146,8 @@ def test_series_log_exp_roundtrip():
         for i in range(1, 4):
             base = base + rng.randint(-3, 3) * LaurentPoly.monomial(
                 1, Multidegree(z=i))
-        lg = series_log(base, 6).expand()
-        back = series_exp(lg, 6).expand()
+        lg = series_log(base, 6)
+        back = series_exp(lg, 6)
         assert back == base.truncate("z", 6)
 
 

@@ -45,7 +45,7 @@ def test_unknot_model_row_poincare():
     for k in (1, 2, 3, 4):
         m = unknot_model([k])
         hs = m.hilbert_series()
-        num = hs.numerator().substitute("tr", LaurentPoly.one()) \
+        num = hs.numerator.substitute("tr", LaurentPoly.one()) \
             .substitute("tc", LaurentPoly.one())
         expect_num = LaurentPoly.one()
         expect_dens = set()
@@ -55,7 +55,7 @@ def test_unknot_model_row_poincare():
                 + LaurentPoly.monomial(1, Multidegree(a=2, q=2 * i - 2)))
             expect_dens.add((2 * i,))
         assert num == expect_num
-        got_dens = sorted(int(md.e("q")) for md in hs.denominator_monomials)
+        got_dens = sorted(int(md.e("q")) for md in hs.denominators)
         assert got_dens == sorted(2 * i for i in range(1, k + 1))
 
 

@@ -270,8 +270,9 @@ FIXTURES = {
 }
 
 
-def build():
-    OUT.mkdir(parents=True, exist_ok=True)
+def render():
+    """``{filename: JSON text}`` for every fixture, validated, without writing."""
+    out = {}
     for fid, spec in sorted(FIXTURES.items()):
         p = parse_poly(spec["poly"])
         if "rename" in spec:
@@ -294,9 +295,16 @@ def build():
         }
         if "homfly" in spec:
             obj["homfly"] = parse_poly(spec["homfly"]).to_json(["a", "q"])
-        path = OUT / (fid.replace(":", "-").replace("|", "") + ".json")
-        path.write_text(json.dumps(obj, indent=1) + "\n")
-        print(f"wrote {path.name}: {spec['dimension']} generators")
+        name = fid.replace(":", "-").replace("|", "") + ".json"
+        out[name] = json.dumps(obj, indent=1) + "\n"
+    return out
+
+
+def build():
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, text in render().items():
+        (OUT / name).write_text(text)
+        print(f"wrote {name}")
 
 
 if __name__ == "__main__":
