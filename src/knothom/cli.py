@@ -219,7 +219,12 @@ def cmd_potential(args):
 
 def cmd_cancel(args):
     color = parse_color(args.color)
-    key = f"{args.knot}:{args.color}" if color.size() > 1 else f"{args.knot}:1"
+    kind, name = parse_knot(args.knot)
+    if kind == "torus":
+        raise UsageError(f"cancel needs a fixture knot or unknot, not {args.knot!r}")
+    if kind == "unknot":
+        name = "unknot"
+    key = f"{name}:{args.color}" if color.size() > 1 else f"{name}:1"
     series = rank_collapse_input(key, color, args.cutoff + 4)
     degree = Multidegree(a=-2, q=2 * args.n, t=-1)
     survivors, window = sl_cancel(series, degree, args.n, cutoff=args.cutoff)

@@ -4,7 +4,10 @@ Every coefficient is an exact ``fractions.Fraction``; there is no floating
 point anywhere in this package.  Exponents are exact rationals as well, but
 only the variable ``q`` is allowed to carry a non-integer exponent (fractional
 ``q``-powers arise in the torus-knot plethysm sum and are cleared before any
-result is returned).
+result is returned).  ``Multidegree`` stores each exponent as an ``int`` and
+keeps a ``Fraction`` only for a non-integral ``q`` exponent; its public
+readers (``e``, ``total``, and the degree queries of ``LaurentPoly``) still
+return ``Fraction``, so callers that divide exponents stay exact.
 
 The two carrier types are:
 
@@ -36,44 +39,79 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def _exact(x):
+    """``x`` as an ``int`` when integral, else as a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _normalized(acc) -> tuple:
+    """Sorted nonzero ``(var, exponent)`` pairs with integral exponents as ``int``."""
+    items = []
+    for v in sorted(acc):
+        x = acc[v]
+        if x:
+            if type(x) is not int and x.denominator == 1:
+                x = x.numerator
+            items.append((v, x))
+    return tuple(items)
+
+
 class Multidegree:
     """An immutable exponent vector with one exact rational entry per variable.
 
     Absent variables have exponent zero and equality is extensional, so
-    ``Multidegree(a=0, q=2) == Multidegree(q=2)``.
+    ``Multidegree(a=0, q=2) == Multidegree(q=2)``.  Exponents are stored as
+    ``int``; only a non-integral ``q`` exponent is stored as a ``Fraction``.
+    The storage is normalised (sorted by variable, zeros dropped, integral
+    values as ``int``), so equal degrees have equal items and equal hashes,
+    and the hash is computed once.  The public readers ``e`` and ``total``
+    return ``Fraction``.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_hash")
 
     def __init__(self, data=None, **named):
         acc = {}
         if data is not None:
             pairs = data.items() if hasattr(data, "items") else data
             for v, e in pairs:
-                acc[v] = acc.get(v, Fraction(0)) + _frac(e)
+                acc[v] = acc.get(v, 0) + _exact(e)
         for v, e in named.items():
-            acc[v] = acc.get(v, Fraction(0)) + _frac(e)
-        items = []
-        for v in sorted(acc):
-            e = acc[v]
-            if e == 0:
-                continue
-            if v != FRACTIONAL_VAR and e.denominator != 1:
+            acc[v] = acc.get(v, 0) + _exact(e)
+        items = _normalized(acc)
+        for v, e in items:
+            if type(e) is not int and v != FRACTIONAL_VAR:
                 raise ValueError(
                     f"fractional exponent {e} on variable {v!r}; "
                     f"only {FRACTIONAL_VAR!r} may carry fractional exponents"
                 )
-            items.append((v, e))
-        self._items = tuple(items)
+        self._items = items
+        self._hash = hash(items)
 
-    def e(self, var) -> Fraction:
-        """Exponent of ``var`` (zero when absent)."""
+    @classmethod
+    def _of(cls, items):
+        """Wrap pairs already in normalised storage form, skipping validation."""
+        md = object.__new__(cls)
+        md._items = items
+        md._hash = hash(items)
+        return md
+
+    def _e(self, var):
+        """Stored exponent of ``var``: ``int``, or ``Fraction`` if fractional."""
         for v, ex in self._items:
             if v == var:
                 return ex
-        return Fraction(0)
+        return 0
+
+    def e(self, var) -> Fraction:
+        """Exponent of ``var`` (zero when absent)."""
+        return Fraction(self._e(var))
 
     def items(self):
+        """The stored ``(var, exponent)`` pairs, sorted by variable."""
         return self._items
 
     def variables(self):
@@ -83,32 +121,69 @@ class Multidegree:
         return not self._items
 
     def total(self) -> Fraction:
-        return sum((e for _, e in self._items), Fraction(0))
+        return Fraction(sum(e for _, e in self._items))
 
     def __add__(self, other):
-        d = dict(self._items)
-        for v, e in other._items:
-            d[v] = d.get(v, Fraction(0)) + e
-        return Multidegree(d)
+        a, b = self._items, other._items
+        if not b:
+            return self
+        if not a:
+            return other
+        # both operands are valid, so the sum needs merging and normalising only
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, ea = a[i]
+            vb, eb = b[j]
+            if va == vb:
+                s = ea + eb
+                if s:
+                    if type(s) is not int and s.denominator == 1:
+                        s = s.numerator
+                    out.append((va, s))
+                i += 1
+                j += 1
+            elif va < vb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(b[j:])
+        return Multidegree._of(tuple(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Multidegree({v: -e for v, e in self._items})
+        return Multidegree._of(tuple([(v, -e) for v, e in self._items]))
 
     def scale(self, k):
-        return Multidegree({v: e * _frac(k) for v, e in self._items})
+        k = _exact(k)
+        return Multidegree([(v, e * k) for v, e in self._items])
+
+    def _without(self, var):
+        return Multidegree._of(tuple([(v, e) for v, e in self._items if v != var]))
+
+    def _shift(self, step, k: int):
+        """``self + k*step`` for an integer ``k``."""
+        acc = dict(self._items)
+        for v, e in step._items:
+            acc[v] = acc.get(v, 0) + k * e
+        return Multidegree._of(_normalized(acc))
 
     def key(self, variables):
         """Graded-lexicographic sort key over the given variable list."""
-        return (self.total(), tuple(self.e(v) for v in variables))
+        d = dict(self._items)
+        return (sum(d.values()), tuple([d.get(v, 0) for v in variables]))
 
     def __eq__(self, other):
         return isinstance(other, Multidegree) and self._items == other._items
 
     def __hash__(self):
-        return hash(self._items)
+        return self._hash
 
     def __repr__(self):
         if not self._items:
@@ -138,6 +213,13 @@ class LaurentPoly:
                 if c != 0:
                     clean[md] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap a term map that has no zero coefficients, skipping validation."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
 
     # -- constructors ------------------------------------------------------
 
@@ -196,18 +278,22 @@ class LaurentPoly:
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
 
+    def _exponents(self, var):
+        """The stored exponents of ``var`` over all terms."""
+        return [md._e(var) for md in self.terms]
+
     def degrees(self, var):
-        return sorted({md.e(var) for md in self.terms})
+        return sorted(map(Fraction, set(self._exponents(var))))
 
     def min_degree(self, var) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no degree")
-        return min(md.e(var) for md in self.terms)
+        return Fraction(min(self._exponents(var)))
 
     def max_degree(self, var) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no degree")
-        return max(md.e(var) for md in self.terms)
+        return Fraction(max(self._exponents(var)))
 
     # -- ring operations ---------------------------------------------------
 
@@ -215,21 +301,21 @@ class LaurentPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for md, c in other.terms.items():
-            s = out.get(md, Fraction(0)) + c
-            if s == 0:
-                out.pop(md, None)
+            s = out.get(md)
+            if s is None:
+                out[md] = c
             else:
-                out[md] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                s += c
+                if s:
+                    out[md] = s
+                else:
+                    del out[md]
+        return LaurentPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {md: -c for md, c in self.terms.items()}
-        return res
+        return LaurentPoly._of({md: -c for md, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -247,14 +333,16 @@ class LaurentPoly:
         for md2, c2 in small.items():
             for md1, c1 in big.items():
                 md = md1 + md2
-                s = out.get(md, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(md, None)
+                s = out.get(md)
+                if s is None:
+                    out[md] = c1 * c2
                 else:
-                    out[md] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+                    s += c1 * c2
+                    if s:
+                        out[md] = s
+                    else:
+                        del out[md]
+        return LaurentPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -309,9 +397,7 @@ class LaurentPoly:
                 out.pop(md2, None)
             else:
                 out[md2] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._of(out)
 
     def substitute(self, var, image):
         """Replace ``var**e`` by ``image**e`` for a unit-monomial image.
@@ -326,25 +412,21 @@ class LaurentPoly:
             raise ValueError("substitution image must be a monomial times +-1")
         out = {}
         for md, c in self.terms.items():
-            e = md.e(var)
+            e = md._e(var)
             if e == 0:
                 md2, c2 = md, c
             else:
-                if coeff == -1 and e.denominator != 1:
+                if coeff == -1 and type(e) is not int:
                     raise ValueError("sign image needs an integer exponent")
-                sign = coeff ** int(e) if coeff == -1 else 1
-                md2 = Multidegree(
-                    {v: ex for v, ex in md.items() if v != var}
-                ) + imd.scale(e)
+                sign = coeff ** e if coeff == -1 else 1
+                md2 = md._without(var) + imd.scale(e)
                 c2 = c * sign
             s = out.get(md2, Fraction(0)) + c2
             if s == 0:
                 out.pop(md2, None)
             else:
                 out[md2] = s
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return LaurentPoly._of(out)
 
     def specialize(self, assignments):
         """Apply several ``substitute`` calls, in sorted variable order."""
@@ -355,24 +437,22 @@ class LaurentPoly:
 
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
-        exp = _frac(exp)
-        out = {}
-        for md, c in self.terms.items():
-            if md.e(var) == exp:
-                out[Multidegree({v: e for v, e in md.items() if v != var})] = c
-        return LaurentPoly(out)
+        exp = _exact(exp)
+        return LaurentPoly._of({md._without(var): c
+                                for md, c in self.terms.items()
+                                if md._e(var) == exp})
 
     def truncate(self, var, order):
         """Drop all terms of ``var``-degree greater than ``order``."""
-        order = _frac(order)
-        return LaurentPoly(
-            {md: c for md, c in self.terms.items() if md.e(var) <= order}
+        order = _exact(order)
+        return LaurentPoly._of(
+            {md: c for md, c in self.terms.items() if md._e(var) <= order}
         )
 
     def derivative(self, var):
         out = {}
         for md, c in self.terms.items():
-            e = md.e(var)
+            e = md._e(var)
             if e == 0:
                 continue
             md2 = md + Multidegree({var: -1})
@@ -395,8 +475,9 @@ class LaurentPoly:
         variables = sorted(set(self.variables()) | set(divisor.variables()))
         box = {}
         for v in variables:
-            lo = self.min_degree(v) - divisor.min_degree(v)
-            hi = self.max_degree(v) - divisor.max_degree(v)
+            mine, theirs = self._exponents(v), divisor._exponents(v)
+            lo = min(mine) - min(theirs)
+            hi = max(mine) - max(theirs)
             if lo > hi:
                 raise DivisionError(f"no exact quotient: empty box on {v!r}")
             box[v] = (lo, hi)
@@ -410,7 +491,7 @@ class LaurentPoly:
             qmd = rmd - gmd
             for v in variables:
                 lo, hi = box[v]
-                if not (lo <= qmd.e(v) <= hi):
+                if not (lo <= qmd._e(v) <= hi):
                     raise DivisionError("no exact quotient")
             qterm = LaurentPoly.monomial(remainder.terms[rmd] / gc, qmd)
             quotient = quotient + qterm
@@ -427,7 +508,7 @@ class LaurentPoly:
         """Canonical JSON form with graded-lexicographically sorted terms."""
         variables = list(variables) if variables else self.variables()
         terms = [
-            {"coeff": str(c), "exp": [str(md.e(v)) for v in variables]}
+            {"coeff": str(c), "exp": [str(md._e(v)) for v in variables]}
             for md, c in self.sorted_terms(variables)
         ]
         return {"variables": variables, "terms": terms}
@@ -598,7 +679,7 @@ class RationalSeries:
         self.numerator = LaurentPoly._coerce(numerator)
         self.denominators = tuple(denominators)
         for md in self.denominators:
-            if md.e(var) <= 0:
+            if md._e(var) <= 0:
                 raise ValueError(
                     f"denominator {md!r} has nonpositive {var!r}-degree"
                 )
@@ -633,13 +714,13 @@ class RationalSeries:
 
     def expand(self, order=None) -> LaurentPoly:
         """The truncated expansion, exact through ``order`` in ``self.var``."""
-        order = self.order if order is None else _frac(order)
+        order = _exact(self.order if order is None else order)
         if self.numerator.is_zero():
             return LaurentPoly.zero()
-        base = self.numerator.min_degree(self.var)
+        base = min(self.numerator._exponents(self.var))
         result = self.numerator
         for md in self.denominators:
-            step = md.e(self.var)
+            step = md._e(self.var)
             factor = LaurentPoly.one()
             k = 1
             power = LaurentPoly.monomial(1, md)
@@ -654,8 +735,8 @@ class RationalSeries:
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"
                           for md in self.denominators)
         if dens:
-            return f"({self.numerator}) / [{dens}]  (order {self.order} in {self.var})"
-        return f"{self.numerator}  (order {self.order} in {self.var})"
+            return f"({self.numerator}) / [{dens}]"
+        return str(self.numerator)
 
 
 # -- series operations ----------------------------------------------------------
@@ -741,19 +822,15 @@ def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
 def _ray_decomposition(p: LaurentPoly, step: Multidegree):
     """Group the terms of ``p`` along cosets of ``Z * step``.
 
-    Returns a list of rays; each ray is a dict ``k -> (Multidegree, coeff)``
-    where the multidegree equals ``base + k*step``.
+    Returns a list of ``(base, ray)`` pairs; each ray is a dict
+    ``k -> coeff`` for the term of multidegree ``base + k*step``.
     """
-    pivot = step.items()[0][0]
-    estep = step.e(pivot)
+    pivot, estep = step._items[0]
     rays = {}
     for md, c in p.terms.items():
-        ratio = md.e(pivot) / estep
-        k = ratio.numerator // ratio.denominator  # floor
-        base = md - step.scale(k)
-        key = tuple(base.items())
-        rays.setdefault(key, {})[k] = (md, c)
-    return list(rays.values())
+        k = md._e(pivot) // estep  # exact floor, also for fractional q
+        rays.setdefault(md._shift(step, -k), {})[k] = c
+    return list(rays.items())
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
@@ -775,20 +852,17 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
             return LaurentPoly(half)
         return None
     witness = {}
-    for ray in _ray_decomposition(p, m):
-        ks = sorted(ray)
-        lo, hi = ks[0], ks[-1]
-        carry = Fraction(0)
+    for base, ray in _ray_decomposition(p, m):
+        lo, hi = min(ray), max(ray)
+        carry = 0
         for k in range(lo, hi):
-            c = ray.get(k, (None, Fraction(0)))[1]
-            x = c - carry
+            x = int(ray.get(k, 0)) - carry
             if x < 0:
                 return None
             if x:
-                md = (ray[ks[0]][0] - m.scale(ks[0])) + m.scale(k)
-                witness[md] = x
+                witness[base._shift(m, k)] = x
             carry = x
-        if ray[hi][1] != carry:
+        if ray[hi] != carry:
             return None
     return LaurentPoly(witness)
 
@@ -812,28 +886,26 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
         return p, 0
     survivors = {}
     pairs = 0
-    for ray in _ray_decomposition(p, m):
-        ks = sorted(ray)
-        lo, hi = ks[0], ks[-1]
-        counts = {k: ray.get(k, (None, Fraction(0)))[1] for k in range(lo, hi + 1)}
-        matched = {}  # matched[k]: pairs between levels k and k+1
+    for base, ray in _ray_decomposition(p, m):
+        lo, hi = min(ray), max(ray)
+        counts = [int(ray.get(k, 0)) for k in range(lo, hi + 1)]
+        # matched[i]: pairs between levels lo+i and lo+i+1; the last stays 0
+        matched = [0] * len(counts)
         if keep == "early":
-            used_above = Fraction(0)
-            for k in range(hi - 1, lo - 1, -1):
-                matched[k] = min(counts[k], counts[k + 1] - used_above)
-                pairs += int(matched[k])
-                used_above = matched[k]
+            used_above = 0
+            for i in range(len(counts) - 2, -1, -1):
+                matched[i] = used_above = min(counts[i], counts[i + 1] - used_above)
         else:
-            used_below = Fraction(0)
-            for k in range(lo, hi):
-                matched[k] = min(counts[k] - used_below, counts[k + 1])
-                pairs += int(matched[k])
-                used_below = matched[k]
-        for k in range(lo, hi + 1):
-            s = counts[k] - matched.get(k, Fraction(0)) - matched.get(k - 1, Fraction(0))
+            used_below = 0
+            for i in range(len(counts) - 1):
+                matched[i] = used_below = min(counts[i] - used_below, counts[i + 1])
+        pairs += sum(matched)
+        below = 0
+        for i, n in enumerate(counts):
+            s = n - matched[i] - below
+            below = matched[i]
             if s:
-                md = (ray[ks[0]][0] - m.scale(ks[0])) + m.scale(k)
-                survivors[md] = s
+                survivors[base._shift(m, lo + i)] = s
     return LaurentPoly(survivors), pairs
 
 
@@ -846,7 +918,7 @@ def clear_fractional(p: LaurentPoly, var=FRACTIONAL_VAR):
     """
     if p.is_zero():
         return p, Fraction(0)
-    fracs = {md.e(var) % 1 for md in p.terms}
+    fracs = {md._e(var) % 1 for md in p.terms}
     if len(fracs) != 1:
         raise ValueError(
             f"terms carry distinct fractional {var!r}-offsets: {sorted(fracs)}"

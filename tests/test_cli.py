@@ -101,6 +101,20 @@ def test_cancel(capsys):
     assert parse_poly(out) == parse_poly("q + q^3 + q^5*t^2 + q^9*t^3")
 
 
+def test_cancel_resolves_knot_alias(capsys):
+    argv = ["cancel", "--color", "S1", "--n", "2", "--cutoff", "12"]
+    assert main(argv + ["--knot", "T3_4"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + ["--knot", "8_19"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cancel_rejects_torus_knot(capsys):
+    assert main(["cancel", "--knot", "torus:2,3", "--color", "S1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cancel needs a fixture knot or unknot")
+
+
 def test_unknown_verb_exits_2():
     assert main(["frobnicate"]) == 2
 
@@ -139,6 +153,14 @@ PINNED_UNKNOT_JSON = [
 def test_unknot_product_json_pinned(capsys, argv, expected):
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("argv", [argv[:-2] for argv, _ in PINNED_UNKNOT_JSON])
+def test_unknot_product_text_names_no_order(capsys, argv):
+    """The exact rational function is printed, never an expansion order."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert " / [" in out and "order" not in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,0 +1,171 @@
+"""Differential tests of the Laurent kernel against sympy.
+
+Inputs are generated by hypothesis over the variables ``a, q, t`` with
+mixed-sign rational coefficients and half-integral ``q`` exponents.  The
+runs are derandomized, so every run checks the same examples.
+"""
+
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
+
+from knothom.laurent import (
+    DivisionError,
+    LaurentPoly,
+    Multidegree,
+    RationalSeries,
+)
+
+VARS = ("a", "q", "t")
+SYM = {v: sympy.Symbol(v, positive=True) for v in VARS}
+
+small = st.integers(-3, 3)
+half_q = st.one_of(small, st.integers(-6, 6).map(lambda n: Fraction(n, 2)))
+coeffs = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+).filter(bool)
+
+
+def oracle(max_examples):
+    return settings(derandomize=True, deadline=None, database=None,
+                    max_examples=max_examples)
+
+
+def multidegrees(q=half_q):
+    return st.builds(lambda a, qe, t: Multidegree(a=a, q=qe, t=t), small, q, small)
+
+
+def polys(q=half_q, max_terms=5):
+    return st.dictionaries(multidegrees(q), coeffs, max_size=max_terms).map(LaurentPoly)
+
+
+def _rational(x):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def to_sympy(p: LaurentPoly):
+    return sympy.Add(*[
+        _rational(c) * sympy.Mul(*[SYM[v] ** _rational(md.e(v)) for v in VARS])
+        for md, c in p.terms.items()
+    ])
+
+
+def same(ours: LaurentPoly, expected) -> bool:
+    return sympy.expand(to_sympy(ours) - expected) == 0
+
+
+def sympy_terms(expr):
+    return [t for t in sympy.Add.make_args(sympy.expand(expr)) if t != 0]
+
+
+def degree_in(term, var):
+    return term.as_powers_dict().get(SYM[var], 0)
+
+
+def assert_normalised(p: LaurentPoly):
+    """No zero coefficients; integral exponents stored as ``int``."""
+    for md, c in p.terms.items():
+        assert c != 0
+        for v, e in md.items():
+            assert e != 0 and (type(e) is int or (v == "q" and e.denominator != 1))
+
+
+@oracle(120)
+@given(polys(), polys())
+def test_ring_operations(f, g):
+    F, G = to_sympy(f), to_sympy(g)
+    for ours, expected in ((f + g, F + G), (f - g, F - G), (f * g, F * G)):
+        assert same(ours, expected)
+        assert_normalised(ours)
+
+
+@oracle(80)
+@given(polys(max_terms=4), polys(max_terms=3), multidegrees(), coeffs)
+def test_divide_exact(f, g, m, c):
+    assume(not g.is_zero())
+    h = f * g
+    quotient = h.divide_exact(g)
+    assert sympy.expand(to_sympy(quotient) * to_sympy(g) - to_sympy(h)) == 0
+    assert quotient == f
+    if g.num_terms() > 1:
+        r = h + LaurentPoly.monomial(c, m)
+        s = sympy.Symbol("s", positive=True)  # q = s^2 clears half-integral q
+        _, den = sympy.fraction(sympy.cancel(
+            (to_sympy(r) / to_sympy(g)).subs(SYM["q"], s ** 2)))
+        assert len(sympy_terms(den)) > 1  # r / g is no Laurent polynomial
+        with pytest.raises(DivisionError):
+            r.divide_exact(g)
+
+
+@oracle(80)
+@given(st.data())
+def test_substitute_unit_monomial(data):
+    var = data.draw(st.sampled_from(VARS))
+    # a sign image, and a fractional image exponent, need integer exponents of var
+    f = data.draw(polys(q=small) if var == "q" else polys())
+    image = LaurentPoly.monomial(data.draw(st.sampled_from([1, -1])),
+                                 data.draw(multidegrees()))
+    ours = f.substitute(var, image)
+    assert same(ours, to_sympy(f).subs(SYM[var], to_sympy(image)))
+    assert_normalised(ours)
+
+
+def test_substitute_sign_image_needs_integer_exponent():
+    f = LaurentPoly.var("q", Fraction(1, 2))
+    with pytest.raises(ValueError):
+        f.substitute("q", -LaurentPoly.var("a"))
+
+
+@oracle(80)
+@given(polys(), st.sampled_from(VARS), half_q)
+def test_truncate(f, var, order):
+    expected = sympy.Add(*[t for t in sympy_terms(to_sympy(f))
+                           if degree_in(t, var) <= _rational(Fraction(order))])
+    assert same(f.truncate(var, order), expected)
+
+
+@oracle(60)
+@given(polys(max_terms=3),
+       st.lists(multidegrees(q=st.sampled_from([Fraction(1, 2), 1, 2])),
+                max_size=2),
+       st.integers(-2, 4))
+def test_rational_series_expand(numerator, denominators, order):
+    """``E = expand(order)`` is the truncation of ``N / D`` through ``order``.
+
+    ``D`` is 1 plus terms of positive ``q``-degree, so ``E`` is the unique
+    polynomial with ``q``-degrees at most ``order`` for which ``E*D - N`` has
+    only ``q``-degrees above ``order``.
+    """
+    expansion = RationalSeries(numerator, denominators, "q").expand(order)
+    den = sympy.Mul(*[1 - to_sympy(LaurentPoly.monomial(1, md))
+                      for md in denominators])
+    assert all(degree_in(t, "q") <= order for t in sympy_terms(to_sympy(expansion)))
+    residual = to_sympy(expansion) * den - to_sympy(numerator)
+    assert all(degree_in(t, "q") > order for t in sympy_terms(residual))
+
+
+def test_multidegree_normal_form():
+    assert Multidegree(q=Fraction(4, 2)) == Multidegree(q=2)
+    assert hash(Multidegree(q=Fraction(4, 2))) == hash(Multidegree(q=2))
+    assert [type(e) for _, e in Multidegree(q=Fraction(4, 2)).items()] == [int]
+    half = Multidegree(q=Fraction(1, 2))
+    assert half + half == Multidegree(q=1)
+    assert hash(half + half) == hash(Multidegree(q=1))
+    assert [type(e) for _, e in (half + half).items()] == [int]
+    assert half + (-half) == Multidegree()
+    root = LaurentPoly.var("q", Fraction(1, 2))
+    assert root * root == LaurentPoly.var("q")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Multidegree(a=Fraction(1, 2)),
+    lambda: Multidegree(t=Fraction(-3, 2), q=Fraction(1, 2)),
+    lambda: Multidegree(a=1).scale(Fraction(1, 2)),
+    lambda: LaurentPoly.var("tc", Fraction(1, 3)),
+])
+def test_fractional_exponent_outside_q_raises(make):
+    with pytest.raises(ValueError):
+        make()

@@ -220,3 +220,28 @@ def test_json_sorted_graded_lex():
     degrees = [sum(Fraction(e) for e in t["exp"]) for t in obj["terms"]]
     assert degrees == sorted(degrees)
     assert LaurentPoly.from_json(obj) == p
+
+
+def test_public_exponents_and_coefficients_are_fractions():
+    """Exponents are stored as ``int``, but every public reader returns ``Fraction``.
+
+    Callers divide these values: ``bench/verify.py`` divides two leading
+    coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``), as do
+    ``checks.to_tilde`` and ``suite._halved_homfly``.  An ``int`` there would
+    silently turn into a ``float``.
+    """
+    md = Multidegree(a=2, q=Fraction(1, 2))
+    f = P("3*a^2*q^-1 - q^4*t + 2")
+    g = P("1 - q")
+    readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
+               f.min_degree("q"), f.max_degree("q"), *f.degrees("q")]
+    assert all(type(x) is Fraction for x in readers)
+    results = [
+        f + g, f - g, f * g, (f * g).divide_exact(g),
+        f.substitute("a", P("-q^2")), f.truncate("q", 0),
+        LaurentPoly.from_json(f.to_json()),
+        max_cancel(P("2*q + q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0],
+        nonneg_divisibility(P("1 + 2*q*t + q^2*t^2"), Multidegree(q=1, t=1)),
+    ]
+    for p in results:
+        assert p.terms and all(type(c) is Fraction for c in p.terms.values())
