@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .laurent import (
     LaurentPoly,
@@ -381,47 +382,77 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
 # -- exact linear algebra -----------------------------------------------------------
 
 
-def _row_reduce(rows, prefer=()):
-    """Gaussian elimination over Fractions; returns (rank, pivot column set).
+def _primitive(row):
+    """``row`` times the positive rational that makes it coprime integers.
 
-    Rows are dicts mapping hashable column keys to nonzero Fractions; columns
-    are indexed on first sight and pivots taken at the smallest index, so the
-    pivot set is deterministic for a fixed row order.  Columns listed in
-    ``prefer`` are registered first, i.e. eliminated with priority.
+    Values may be ``int`` or ``Fraction``; the result holds ``int`` only.
     """
-    col_index = {}
-    col_key = []
+    den = lcm(*[v.denominator for v in row.values()])
+    out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
 
-    def idx(c):
-        i = col_index.get(c)
-        if i is None:
-            i = col_index[c] = len(col_key)
-            col_key.append(c)
-        return i
 
-    for c in prefer:
-        idx(c)
+def _row_reduce(rows, prefer=None):
+    """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
-    basis = {}  # pivot index -> normalized row dict
-    rank = 0
+    Rows are dicts mapping hashable column keys to ``int`` or ``Fraction``
+    values and may come from a generator.  Each row is cleared to a primitive
+    integer row and reduced by ``r <- (b/g)*r - (a/g)*basis_row`` with
+    ``g = gcd(a, b)``, ``a`` and ``b`` the two entries in the pivot column;
+    basis rows are stored primitive, with a positive pivot entry so that
+    ``b/g`` is never ``-1``.  Pivots are taken at the smallest column index,
+    so the pivot set depends only on the row space and the column order.
+
+    ``prefer`` is the complete column set in elimination order: a row
+    touching any other column raises :class:`ArithmeticError`, and no further
+    row is read once the rank equals the number of columns.  Without it,
+    columns are indexed on first sight and every row is read.
+    """
+    col_key = [] if prefer is None else list(dict.fromkeys(prefer))
+    col_index = {c: i for i, c in enumerate(col_key)}
+    full = None if prefer is None else len(col_key)
+
+    basis = {}  # pivot index -> (pivot entry, rest of the primitive row)
     for row in rows:
-        r = {idx(c): v for c, v in row.items() if v != 0}
+        r = {}
+        for c, v in row.items():
+            if not v:
+                continue
+            i = col_index.get(c)
+            if i is None:
+                if full is not None:
+                    raise ArithmeticError(f"row touches column {c!r} outside prefer")
+                i = col_index[c] = len(col_key)
+                col_key.append(c)
+            r[i] = v
+        r = _primitive(r)
         while r:
             p = min(r)
-            if p in basis:
-                coef = r[p]
-                for c, v in basis[p].items():
-                    nv = r.get(c, Fraction(0)) - coef * v
-                    if nv == 0:
-                        r.pop(c, None)
-                    else:
-                        r[c] = nv
-            else:
-                inv = Fraction(1) / r[p]
-                basis[p] = {c: v * inv for c, v in r.items()}
-                rank += 1
+            pivot = basis.get(p)
+            if pivot is None:
+                r = _primitive(r)
+                if r[p] < 0:
+                    r = {c: -v for c, v in r.items()}
+                basis[p] = (r.pop(p), r)
                 break
-    return rank, {col_key[p] for p in basis}
+            b, rest = pivot
+            a = r.pop(p)
+            g = gcd(a, b)
+            s, t = b // g, a // g
+            if s != 1:
+                r = {c: s * v for c, v in r.items()}
+            for c, v in rest.items():
+                nv = r.get(c, 0) - t * v
+                if nv:
+                    r[c] = nv
+                else:
+                    del r[c]
+        if len(basis) == full:
+            break
+    return len(basis), {col_key[p] for p in basis}
 
 
 def _u_monomials(degrees, target):
@@ -496,31 +527,31 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
                    ceiling=200) -> MacaulayBasis:
     """Monomial basis of the quotient by degreewise exact elimination.
 
-    Processes one q-degree at a time: the span of ``relation * monomial`` in
-    that degree is row-reduced and the non-pivot monomials survive into the
-    basis.  Terminates once the quotient vanishes on a window of consecutive
-    degrees as wide as the largest generator degree (the quotient is then
-    zero forever); raises :class:`DegreeCeilingError` if the ceiling is hit
-    first.
+    Processes one q-degree, and within it one count of odd factors, at a
+    time: the span of ``relation * monomial`` there is row-reduced over the
+    integers and the non-pivot monomials survive into the basis.  Rows are
+    built lazily from relations scaled once to integer coefficients, so none
+    is built after the span covers every monomial; the even monomials of
+    each degree are enumerated once per call.  Terminates once the quotient
+    vanishes on a window of consecutive degrees as wide as the largest
+    generator degree (the quotient is then zero forever); raises
+    :class:`DegreeCeilingError` if the ceiling is hit first.
     """
     even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
     odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()} if with_forms else {}
     odd_names = sorted(odd_deg)
-    rel_deg = []
-    for rel in pres.relations:
-        d = pres.poly_degree(rel, "q")
-        if d is None:
-            raise ArithmeticError("inhomogeneous relation")
-        rel_deg.append((rel, int(d)))
-    form_deg = []
-    if with_forms:
-        for rel in pres.form_relations:
+    odd_subsets = [[(odds, sum(odd_deg[o] for o in odds))
+                    for odds in combinations(odd_names, k)]
+                   for k in range(len(odd_names) + 1)]
+    relations = []  # (integer terms, q-degree, odd factors per term)
+    for rels, n_odd in ((pres.relations, 0),
+                        (pres.form_relations if with_forms else [], 1)):
+        for rel in rels:
             d = pres.poly_degree(rel, "q")
             if d is None:
-                raise ArithmeticError("inhomogeneous form relation")
-            form_deg.append((rel, int(d)))
+                raise ArithmeticError("inhomogeneous relation")
+            relations.append((_row_terms(rel, n_odd), int(d), n_odd))
     window = max(even_deg.values(), default=0)
-    cheap = min(even_deg.values(), default=0)
     cheapest = min(even_deg, key=even_deg.get, default=None) if even_deg else None
 
     by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
@@ -537,41 +568,30 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
         vec = tuple(-ed.get(n, 0) for n in by_desc_degree)
         return (-content, vec, odds)
 
+    @cache
+    def monomials(rem):
+        """``(exponent dict, column key part)`` pairs of q-degree ``rem``."""
+        return [(exps, frozenset(exps.items())) for exps in _u_monomials(even_deg, rem)]
+
+    def rows(degree, k):
+        for terms, dg, n_odd in relations:
+            if k >= n_odd:
+                for odds, od in odd_subsets[k - n_odd]:
+                    for exps, _ in monomials(degree - dg - od):
+                        yield _expand_row(terms, exps, odds)
+
     elements = []
     zero_run = 0
     degree = 0
     while degree <= ceiling:
         dim_here = 0
-        for k in range(0, len(odd_names) + 1):
-            columns = []
-            for odds in combinations(odd_names, k):
-                rem = degree - sum(odd_deg[o] for o in odds)
-                if rem < 0:
-                    continue
-                columns.extend((frozenset(exps.items()), odds)
-                               for exps in _u_monomials(even_deg, rem))
+        for k, subsets in enumerate(odd_subsets):
+            columns = [(key, odds) for odds, od in subsets
+                       for _, key in monomials(degree - od)]
             if not columns:
                 continue
             columns.sort(key=elimination_priority)
-            rows = []
-            for rel, dg in rel_deg:
-                for odds in combinations(odd_names, k):
-                    rem = degree - dg - sum(odd_deg[o] for o in odds)
-                    if rem < 0:
-                        continue
-                    for exps in _u_monomials(even_deg, rem):
-                        rows.append(_expand_even_row(rel, exps, odds))
-            if k > 0:
-                for rel, dg in form_deg:
-                    for sub in combinations(odd_names, k - 1):
-                        rem = degree - dg - sum(odd_deg[o] for o in sub)
-                        if rem < 0:
-                            continue
-                        for exps in _u_monomials(even_deg, rem):
-                            row = _expand_form_row(rel, exps, sub)
-                            if row:
-                                rows.append(row)
-            rank, pivots = _row_reduce(rows, prefer=columns)
+            _, pivots = _row_reduce(rows(degree, k), prefer=columns)
             for col in columns:
                 if col not in pivots:
                     elements.append((dict(col[0]), col[1]))
@@ -586,38 +606,41 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
     raise DegreeCeilingError(f"degree ceiling {ceiling} exceeded")
 
 
-def _expand_even_row(rel, exps, odds):
-    row = {}
-    for md, c in rel.terms.items():
-        combined = dict(exps)
-        for v, e in md.items():
-            combined[v] = combined.get(v, 0) + int(e)
-        key = (frozenset(combined.items()), odds)
-        row[key] = row.get(key, Fraction(0)) + c
-    return {k: v for k, v in row.items() if v != 0}
+def _row_terms(rel, n_odd):
+    """``(odd name or None, even exponent pairs, int coefficient)`` per term.
+
+    The coefficients are scaled to coprime integers, which leaves every span
+    of multiples of ``rel`` unchanged; each term needs ``n_odd`` odd factors.
+    """
+    out = []
+    for md, c in _primitive(rel.terms).items():
+        odd = [v for v, _ in md.items() if v.startswith("du")]
+        if len(odd) != n_odd:
+            raise ArithmeticError(f"relation terms need {n_odd} odd factors")
+        dv = odd[0] if odd else None
+        out.append((dv, [(v, e) for v, e in md.items() if v != dv], c))
+    return out
 
 
-def _expand_form_row(rel, exps, sub):
-    """Row for ``rel * u^exps * du_sub``; terms hitting ``du_sub`` twice vanish."""
+def _expand_row(terms, exps, odds):
+    """Row for ``rel * u^exps * du_odds``; a form hitting ``du_odds`` vanishes.
+
+    Distinct terms give distinct columns, so no two are summed.
+    """
     row = {}
-    sub_set = set(sub)
-    for md, c in rel.terms.items():
-        odd_here = [v for v in md.variables() if v.startswith("du")]
-        if len(odd_here) != 1:
-            raise ArithmeticError("form relation must be odd-linear")
-        dv = odd_here[0]
-        if dv in sub_set:
+    for dv, items, c in terms:
+        if dv is None:
+            target = odds
+        elif dv in odds:
             continue
-        target = tuple(sorted(sub_set | {dv}))
-        sign = (-1) ** sum(1 for s in sub if s < dv)
+        else:
+            target = tuple(sorted(odds + (dv,)))
+            c *= (-1) ** sum(1 for s in odds if s < dv)
         combined = dict(exps)
-        for v, e in md.items():
-            if v == dv:
-                continue
-            combined[v] = combined.get(v, 0) + int(e)
-        key = (frozenset(combined.items()), target)
-        row[key] = row.get(key, Fraction(0)) + sign * c
-    return {k: v for k, v in row.items() if v != 0}
+        for v, e in items:
+            combined[v] = combined.get(v, 0) + e
+        row[(frozenset(combined.items()), target)] = c
+    return row
 
 
 # -- potentials ---------------------------------------------------------------------

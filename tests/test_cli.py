@@ -1,6 +1,13 @@
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import knothom
 
 from knothom.cli import main, parse_color, parse_knot, UsageError
 from knothom.laurent import LaurentPoly, parse_poly
@@ -172,3 +179,42 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+#: SHA-256 of the ``scheme ... --reduced --format json`` stdout, recorded
+#: before elimination went fraction-free; the bases pin which monomials
+#: survive, which the pivot rule decides
+PINNED_SCHEME_SHA256 = {
+    "--p 2 --q 3 --r 5 --forms":
+        "b5ea69a313e6cf239b2d03af1f3264272b5f71e72a57f3e41039349d231d6892",
+    "--p 3 --q 5 --r 2 --forms":
+        "2b23f762ded621e2ea7c7cc1c59263e09ae5eb9c0c4f37d80451a9b7c1f7d6de",
+    "--p 3 --q 4 --r 3":
+        "f8abae5de894e3eec324da720a0877f5665582f2ecccadef50cd07068b53b311",
+    "--p 5 --q 6 --r 1 --forms":
+        "748663785e4595d89dab75e542e8662097a60d0e27c0dcd01e96d916dd18110c",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_SCHEME_SHA256)
+def test_scheme_basis_json_pinned(capsys, args):
+    assert main(["scheme", *args.split(), "--reduced", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_SCHEME_SHA256[args]
+
+
+def run_module(*argv):
+    src = str(pathlib.Path(knothom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "knothom", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("check", "schemes", "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert all(r["ok"] for r in json.loads(done.stdout))
+    done = run_module("bottom", "--p", "2")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ")

@@ -1,11 +1,13 @@
 """Differential tests of the Laurent kernel against sympy.
 
 Inputs are generated by hypothesis over the variables ``a, q, t`` with
-mixed-sign rational coefficients and half-integral ``q`` exponents.  The
+mixed-sign rational coefficients and half-integral ``q`` exponents;
+``max_cancel`` and ``nonneg_divisibility`` get integer multiplicities.  The
 runs are derandomized, so every run checks the same examples.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -16,10 +18,13 @@ from knothom.laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
+    max_cancel,
+    nonneg_divisibility,
 )
 
 VARS = ("a", "q", "t")
 SYM = {v: sympy.Symbol(v, positive=True) for v in VARS}
+ROOT_Q = sympy.Symbol("s", positive=True)  # q = s^2 clears half-integral q
 
 small = st.integers(-3, 3)
 half_q = st.one_of(small, st.integers(-6, 6).map(lambda n: Fraction(n, 2)))
@@ -92,9 +97,8 @@ def test_divide_exact(f, g, m, c):
     assert quotient == f
     if g.num_terms() > 1:
         r = h + LaurentPoly.monomial(c, m)
-        s = sympy.Symbol("s", positive=True)  # q = s^2 clears half-integral q
         _, den = sympy.fraction(sympy.cancel(
-            (to_sympy(r) / to_sympy(g)).subs(SYM["q"], s ** 2)))
+            (to_sympy(r) / to_sympy(g)).subs(SYM["q"], ROOT_Q ** 2)))
         assert len(sympy_terms(den)) > 1  # r / g is no Laurent polynomial
         with pytest.raises(DivisionError):
             r.divide_exact(g)
@@ -158,6 +162,89 @@ def test_multidegree_normal_form():
     assert half + (-half) == Multidegree()
     root = LaurentPoly.var("q", Fraction(1, 2))
     assert root * root == LaurentPoly.var("q")
+
+
+def counts(max_terms=4):
+    """Polynomials with multiplicities 1..3."""
+    return st.dictionaries(multidegrees(), st.integers(1, 3),
+                           max_size=max_terms).map(LaurentPoly)
+
+
+def in_s(p: LaurentPoly):
+    return to_sympy(p).subs(SYM["q"], ROOT_Q ** 2)
+
+
+def quotient_by_binomial(p: LaurentPoly, m: Multidegree):
+    """sympy's ``p / (1 + mono(m))``, in ``s = q^(1/2)``, and whether it is a
+    Laurent polynomial with nonnegative integer coefficients."""
+    binomial = LaurentPoly.one() + LaurentPoly.monomial(1, m)
+    quotient = sympy.cancel(in_s(p) / in_s(binomial))
+    _, den = sympy.fraction(quotient)
+    if len(sympy_terms(den)) > 1:
+        return quotient, False
+    coefficients = [t.as_coeff_Mul()[0] for t in sympy_terms(quotient)]
+    return quotient, all(c.is_integer and c >= 0 for c in coefficients)
+
+
+@oracle(120)
+@given(st.data())
+def test_nonneg_divisibility(data):
+    """``None`` exactly when ``p / (1 + mono(m))`` is no polynomial with
+    nonnegative integer coefficients; otherwise that quotient."""
+    m = data.draw(multidegrees())
+    start = data.draw(multidegrees())
+    # a witness along one ray of m, sometimes with a negative coefficient
+    witness = data.draw(counts(max_terms=2))
+    for k, c in enumerate(data.draw(st.lists(st.integers(-1, 3), max_size=4))):
+        witness = witness + LaurentPoly.monomial(c, start + m.scale(k))
+    noise = data.draw(st.dictionaries(multidegrees(q=small), st.integers(-2, 2),
+                                      max_size=2).map(LaurentPoly))
+    p = (LaurentPoly.one() + LaurentPoly.monomial(1, m)) * witness + noise
+    ours = nonneg_divisibility(p, m)
+    quotient, nonneg = quotient_by_binomial(p, m)
+    if ours is None:
+        assert not nonneg
+    else:
+        assert nonneg
+        assert sympy.expand(in_s(ours) - quotient) == 0
+
+
+def brute_force_pairs(p: LaurentPoly, m: Multidegree) -> int:
+    """Largest matching between the terms of ``p`` and their ``m``-shifts,
+    by trying every count on every edge ``d -> d + m``."""
+    n = {d: int(c) for d, c in p.terms.items()}
+    edges = [d for d in n if d + m in n]
+    best = 0
+    for x in product(*[range(min(n[d], n[d + m]) + 1) for d in edges]):
+        used = dict.fromkeys(n, 0)
+        for d, k in zip(edges, x):
+            used[d] += k
+            used[d + m] += k
+        if all(used[d] <= n[d] for d in n):
+            best = max(best, sum(x))
+    return best
+
+
+@oracle(100)
+@given(st.data())
+def test_max_cancel(data):
+    """``p == survivors + (1 + mono(m)) * X`` with ``X >= 0`` and a maximum
+    matching, for both placements of the survivors."""
+    m = data.draw(multidegrees().filter(lambda md: not md.is_zero()))
+    base = data.draw(counts(max_terms=3).filter(lambda f: not f.is_zero()))
+    shifts = data.draw(st.lists(st.sampled_from(list(base.terms)), min_size=1, max_size=4))
+    p = base
+    for d in shifts:  # more terms on the rays of base, a step or two away
+        p = p + LaurentPoly.monomial(data.draw(st.integers(1, 3)),
+                                     d + m.scale(data.draw(st.sampled_from([1, 2, -1]))))
+    expected_pairs = brute_force_pairs(p, m)
+    for keep in ("early", "late"):
+        survivors, pairs = max_cancel(p, m, keep)
+        assert pairs == expected_pairs
+        assert all(c > 0 for c in survivors.terms.values())
+        assert sum(p.terms.values()) - sum(survivors.terms.values()) == 2 * pairs
+        _, nonneg = quotient_by_binomial(p - survivors, m)
+        assert nonneg
 
 
 @pytest.mark.parametrize("make", [
