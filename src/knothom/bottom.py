@@ -43,18 +43,19 @@ def bottom_poincare(p: int, q: int, r: int) -> LaurentPoly:
 
 
 def qbinom(n: int, k: int) -> LaurentPoly:
-    """Unbalanced Gaussian binomial ``(q;q)_n / ((q;q)_k (q;q)_(n-k))``."""
+    """Unbalanced Gaussian binomial ``(q;q)_n / ((q;q)_k (q;q)_(n-k))``.
+
+    Computed as ``prod_(i=n-k+1..n) (1 - q^i)`` divided exactly by each
+    ``1 - q^i`` for ``i = 1..k``.
+    """
     if k < 0 or k > n:
         return LaurentPoly.zero()
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for i in range(1, n + 1):
-        num = num * (LaurentPoly.one() - LaurentPoly.var("q", i))
+    out = LaurentPoly.one()
+    for i in range(n - k + 1, n + 1):
+        out = out * (LaurentPoly.one() - LaurentPoly.var("q", i))
     for i in range(1, k + 1):
-        den = den * (LaurentPoly.one() - LaurentPoly.var("q", i))
-    for i in range(1, n - k + 1):
-        den = den * (LaurentPoly.one() - LaurentPoly.var("q", i))
-    return num.divide_exact(den)
+        out = out.divide_exact(LaurentPoly.one() - LaurentPoly.var("q", i))
+    return out
 
 
 def vortex_character(p: int, m: int) -> RationalSeries:

@@ -153,6 +153,14 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     ``P(a=q, q) == 1``; the applied monomial shift and sign live in the
     returned :class:`NormalizationReport`.  Unreduced output is a
     :class:`RationalSeries` in ``q`` (the invariant is an infinite series).
+
+    The reduced invariant is the exact quotient of ``total * prod_(lam
+    hooks) (1 - q^k)`` by ``prod_common (1 - q^k)`` times the unknot
+    numerator ``prod_(cells of lam) (1 - a*q^content)``.  The hooks of
+    ``lam`` that ``common`` also holds cancel first; the quotient is then
+    taken one binomial at a time, which is exact at every step because each
+    divisor divides the product that remains.  An inexact input raises
+    :class:`DivisionError`.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
@@ -165,14 +173,16 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
             dens.extend([Multidegree(q=k)] * e)
         return RationalSeries(total, dens), report
     lam_hooks = _hook_multiset(lam)
-    dividend = total
-    for k, e in lam_hooks.items():
-        dividend = dividend * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
-    divisor = unknot_homfly(lam).numerator
-    for k, e in common.items():
-        divisor = divisor * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
+    quotient = total
+    for k, e in (lam_hooks - common).items():
+        quotient = quotient * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
+    factors = [LaurentPoly.one() - LaurentPoly.var("q", k)
+               for k in (common - lam_hooks).elements()]
+    factors += [LaurentPoly.one() - LaurentPoly.monomial(
+        1, Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
     try:
-        quotient = dividend.divide_exact(divisor)
+        for factor in factors:
+            quotient = quotient.divide_exact(factor)
     except DivisionError as exc:
         raise DivisionError("non-polynomial reduced quotient") from exc
     at_sl1 = quotient.substitute("a", LaurentPoly.var("q"))

@@ -23,6 +23,7 @@ The two carrier types are:
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from fractions import Fraction
@@ -428,13 +429,6 @@ class LaurentPoly:
                 out[md2] = s
         return LaurentPoly._of(out)
 
-    def specialize(self, assignments):
-        """Apply several ``substitute`` calls, in sorted variable order."""
-        p = self
-        for var in sorted(assignments):
-            p = p.substitute(var, assignments[var])
-        return p
-
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
         exp = _exact(exp)
@@ -462,10 +456,16 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Exact division; raises :class:`DivisionError` on a nonzero remainder.
 
-        Uses graded-lexicographic long division.  For an exact quotient every
-        quotient exponent lies, variable by variable, in the box
-        ``[min(f)-min(g), max(f)-max(g)]``; a step escaping the box proves the
-        division inexact, which also bounds the loop.
+        Graded-lexicographic long division, run in place as in the heap
+        division of Monagan and Pearce (ISSAC 2009).  The remainder is one
+        term map, and its monomials sit in a max-heap on their sort key,
+        computed once when a monomial enters the remainder; a term that
+        cancels to zero leaves the map, and its heap entry is skipped when
+        popped.  Each step cancels the leading term and subtracts the
+        quotient term times the divisor's other terms.  For an exact
+        quotient every quotient exponent lies, variable by variable, in the
+        box ``[min(f)-min(g), max(f)-max(g)]``; a step escaping the box
+        proves the division inexact, which also bounds the loop.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -481,22 +481,44 @@ class LaurentPoly:
             if lo > hi:
                 raise DivisionError(f"no exact quotient: empty box on {v!r}")
             box[v] = (lo, hi)
-        lead_key = lambda md: md.key(variables)
-        gmd = max(divisor.terms, key=lead_key)
+        gmd = max(divisor.terms, key=lambda md: md.key(variables))
         gc = divisor.terms[gmd]
-        remainder = self
-        quotient = LaurentPoly.zero()
-        while not remainder.is_zero():
-            rmd = max(remainder.terms, key=lead_key)
+        tail = [(md, c) for md, c in divisor.terms.items() if md != gmd]
+
+        def entry(md):
+            # heapq pops its least entry: negate the key for the greatest
+            total, exps = md.key(variables)
+            return -total, tuple([-e for e in exps]), md
+
+        remainder = dict(self.terms)
+        heap = [entry(md) for md in remainder]
+        heapq.heapify(heap)
+        quotient = {}
+        while heap:
+            rmd = heapq.heappop(heap)[-1]
+            rc = remainder.pop(rmd, None)
+            if rc is None:
+                continue
             qmd = rmd - gmd
             for v in variables:
                 lo, hi = box[v]
                 if not (lo <= qmd._e(v) <= hi):
                     raise DivisionError("no exact quotient")
-            qterm = LaurentPoly.monomial(remainder.terms[rmd] / gc, qmd)
-            quotient = quotient + qterm
-            remainder = remainder - qterm * divisor
-        return quotient
+            qc = rc / gc
+            quotient[qmd] = qc
+            for md, c in tail:
+                md = qmd + md
+                s = remainder.get(md)
+                if s is None:
+                    remainder[md] = -qc * c
+                    heapq.heappush(heap, entry(md))
+                else:
+                    s -= qc * c
+                    if s:
+                        remainder[md] = s
+                    else:
+                        del remainder[md]
+        return LaurentPoly._of(quotient)
 
     # -- serialization ------------------------------------------------------
 

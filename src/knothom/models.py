@@ -826,10 +826,6 @@ class HomologyDims:
     cutoff: int
     differential_degree: Multidegree
 
-    def dimension_upto(self, qmax=None):
-        qmax = self.cutoff if qmax is None else qmax
-        return sum(d for (a, q), d in self.dims.items() if q <= qmax)
-
     def poincare(self, qmax=None) -> LaurentPoly:
         qmax = self.cutoff if qmax is None else qmax
         out = LaurentPoly.zero()

@@ -33,6 +33,15 @@ def test_qbinom():
     assert qbinom(3, 5).is_zero()
 
 
+def test_qbinom_q_pascal():
+    # [n,k] = [n-1,k-1] + q^k [n-1,k], with [n,0] = 1 and [n,k] = 0 off range
+    for n in range(1, 13):
+        for k in range(-1, n + 2):
+            assert qbinom(n, k) == qbinom(n - 1, k - 1) \
+                + LaurentPoly.var("q", k) * qbinom(n - 1, k)
+    assert all(qbinom(n, 0) == LaurentPoly.one() for n in range(13))
+
+
 def test_bottom_poincare_231():
     bp = bottom_poincare(2, 3, 1)
     assert bp == P("1 + Q^6*tr^2")

@@ -203,6 +203,23 @@ def test_scheme_basis_json_pinned(capsys, args):
     assert digest == PINNED_SCHEME_SHA256[args]
 
 
+#: SHA-256 of the ``homfly ... --reduced --format json`` stdout, recorded
+#: before the reduced quotient was taken one binomial at a time
+PINNED_HOMFLY_SHA256 = {
+    "--knot torus:3,4 --color S4":
+        "e3f2cca241997acca8e89aa160829442d142b063d9a5b41229585907fe465b23",
+    "--knot torus:2,5 --color 2x2":
+        "533541d379b7b788c6f2b24dcca1b5ef48d8c7b8e3cb8732b00b7d9566517453",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_HOMFLY_SHA256)
+def test_heavy_homfly_json_pinned(capsys, args):
+    assert main(["homfly", *args.split(), "--reduced", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_HOMFLY_SHA256[args]
+
+
 def run_module(*argv):
     src = str(pathlib.Path(knothom.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

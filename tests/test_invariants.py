@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from knothom.laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
 from knothom.invariants import (
+    _torus_sum,
     hirota_check,
     macdonald_dim,
     match_up_to_monomial,
@@ -147,6 +149,35 @@ def test_torus_homfly_counit():
 def test_torus_homfly_noncoprime():
     with pytest.raises(ValueError):
         torus_homfly([1], 2, 4)
+
+
+def q_binomials(multiset) -> LaurentPoly:
+    """``prod_k (1 - q^k)^multiset[k]``."""
+    out = LaurentPoly.one()
+    for k, e in multiset.items():
+        out = out * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
+    return out
+
+
+@pytest.mark.parametrize("lam, n, m", [
+    (Partition(parts), n, m)
+    for n, m in [(2, 3), (2, 5), (3, 4), (3, 5)]
+    for size in range(1, 8 // n + 1)
+    for parts in partitions_of(size)
+])
+def test_reduced_quotient_by_multiplication(lam, n, m):
+    """The reduced invariant times the divisor gives back the dividend.
+
+    Undoing the sign and monomial shift recovers the exact quotient of
+    ``total * prod(1 - q^k)^lam_hooks[k]`` by ``unknot numerator *
+    prod(1 - q^k)^common[k]``; this checks it with multiplication only.
+    """
+    p, report = torus_homfly(lam, n, m)
+    quotient = report.sign * p.map_exponents(lambda md: md - report.monomial_shift)
+    total, common, _ = _torus_sum(lam, n, m)
+    lam_hooks = Counter(lam.hook(cell) for cell in lam.cells())
+    assert (quotient * unknot_homfly(lam).numerator * q_binomials(common)
+            == total * q_binomials(lam_hooks))
 
 
 def test_mirror_transpose_relation():

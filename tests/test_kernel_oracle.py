@@ -2,16 +2,21 @@
 
 Inputs are generated by hypothesis over the variables ``a, q, t`` with
 mixed-sign rational coefficients and half-integral ``q`` exponents;
-``max_cancel`` and ``nonneg_divisibility`` get integer multiplicities.  The
-runs are derandomized, so every run checks the same examples.
+``max_cancel`` and ``nonneg_divisibility`` get integer multiplicities.
+Chains of divisions by binomials are checked in sympy's sparse polynomial
+ring, which multiplies products of hundreds of terms quickly.  The runs are
+derandomized, so every run checks the same examples.
 """
 
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.rings import ring
 
 from knothom.laurent import (
     DivisionError,
@@ -87,6 +92,33 @@ def test_ring_operations(f, g):
         assert_normalised(ours)
 
 
+@contextmanager
+def time_limit(seconds):
+    """Turn a division that never stops into a failure (POSIX only).
+
+    The failure is raised after the interrupted frames are gone, so a test
+    that keeps failing neither holds their memory nor reports one distinct
+    failure per interrupted line.
+    """
+    def expire(signum, frame):
+        raise TimeoutError
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    expired = False
+    try:
+        yield
+    except TimeoutError:
+        expired = True
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if expired:
+        pytest.fail(f"division still running after {seconds} s", pytrace=False)
+
+
 @oracle(80)
 @given(polys(max_terms=4), polys(max_terms=3), multidegrees(), coeffs)
 def test_divide_exact(f, g, m, c):
@@ -100,8 +132,68 @@ def test_divide_exact(f, g, m, c):
         _, den = sympy.fraction(sympy.cancel(
             (to_sympy(r) / to_sympy(g)).subs(SYM["q"], ROOT_Q ** 2)))
         assert len(sympy_terms(den)) > 1  # r / g is no Laurent polynomial
-        with pytest.raises(DivisionError):
+        with time_limit(1), pytest.raises(DivisionError):
             r.divide_exact(g)
+
+
+def binomial_factors():
+    """3 to 8 binomials ``1 - c*x^m``, ``m`` nonzero."""
+    binomial = st.builds(lambda m, c: LaurentPoly.one() - LaurentPoly.monomial(c, m),
+                         multidegrees().filter(lambda md: not md.is_zero()), coeffs)
+    return st.lists(binomial, min_size=3, max_size=8)
+
+
+RING = ring("a,s,t", sympy.QQ)[0]  # s = q^(1/2)
+#: exceeds every negative exponent of a product of binomial_factors()
+SHIFT = 64
+
+
+def in_ring(p: LaurentPoly, shift=SHIFT):
+    """``p * (a*s*t)^shift`` in sympy's sparse polynomial ring, fast enough
+    for products of several hundred terms."""
+    return RING.from_dict({
+        (int(md.e("a")) + shift, int(2 * md.e("q")) + shift, int(md.e("t")) + shift):
+            sympy.QQ(c.numerator, c.denominator)
+        for md, c in p.terms.items()})
+
+
+def multiply_all(factors) -> LaurentPoly:
+    out = LaurentPoly.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
+@oracle(40)
+@given(binomial_factors(), polys(max_terms=3), st.data())
+def test_divide_exact_chain(factors, cofactor, data):
+    """A cofactor times binomials, divided by each binomial in a random
+    order, and by their product, gives back the cofactor."""
+    assume(not cofactor.is_zero())
+    dividend = cofactor * multiply_all(factors)
+    quotient = dividend
+    for i in data.draw(st.permutations(range(len(factors)))):
+        step = quotient.divide_exact(factors[i])
+        assert in_ring(step) * in_ring(factors[i]) == in_ring(quotient, 2 * SHIFT)
+        assert_normalised(step)
+        quotient = step
+    assert quotient == cofactor
+    assert dividend.divide_exact(multiply_all(factors)) == cofactor
+
+
+@oracle(40)
+@given(binomial_factors(), polys(max_terms=3), st.data())
+def test_divide_exact_chain_missing_factor(factors, cofactor, data):
+    """With one binomial left out of the dividend, the chain of divisions
+    by all of them raises :class:`DivisionError` at some step."""
+    assume(not cofactor.is_zero())
+    missing = data.draw(st.integers(0, len(factors) - 1))
+    _, den = sympy.fraction(sympy.cancel(in_s(cofactor) / in_s(factors[missing])))
+    assume(len(sympy_terms(den)) > 1)  # cofactor / missing is no Laurent polynomial
+    quotient = cofactor * multiply_all(factors[:missing] + factors[missing + 1:])
+    with time_limit(1), pytest.raises(DivisionError):
+        for i in data.draw(st.permutations(range(len(factors)))):
+            quotient = quotient.divide_exact(factors[i])
 
 
 @oracle(80)
