@@ -18,6 +18,7 @@ pass, 1 on a check failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -234,7 +235,10 @@ def cmd_cancel(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and then shared: parsing
+    leaves no state in it, and building it costs about a millisecond."""
     ap = argparse.ArgumentParser(
         prog="knothom",
         description="Exact colored invariants of torus knots and their "

@@ -1,7 +1,12 @@
 """Exact multivariate Laurent polynomial and truncated series arithmetic.
 
-Every coefficient is an exact ``fractions.Fraction``; there is no floating
-point anywhere in this package.  Exponents are exact rationals as well, but
+Every coefficient is exact; there is no floating point anywhere in this
+package.  The values of ``LaurentPoly.terms`` are always
+``fractions.Fraction``.  The inner loops of multiplication and exact
+division read integral coefficients as ``int`` (``Fraction`` only where a
+value is not integral), compute on them, and wrap each result value in a
+``Fraction`` once on the way out; Python mixes ``int`` and ``Fraction``
+exactly.  Exponents are exact rationals as well, but
 only the variable ``q`` is allowed to carry a non-integer exponent (fractional
 ``q``-powers arise in the torus-knot plethysm sum and are cleared before any
 result is returned).  ``Multidegree`` stores each exponent as an ``int`` and
@@ -222,6 +227,12 @@ class LaurentPoly:
         res.terms = terms
         return res
 
+    @classmethod
+    def _wrap(cls, values):
+        """Wrap a term map of nonzero ``int`` or ``Fraction`` values, making
+        every value a ``Fraction``."""
+        return cls._of({md: Fraction(c) for md, c in values.items()})
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -330,9 +341,11 @@ class LaurentPoly:
             big, small = self.terms, other.terms
         else:
             big, small = other.terms, self.terms
+        big = [(md, _exact(c)) for md, c in big.items()]
         out = {}
         for md2, c2 in small.items():
-            for md1, c1 in big.items():
+            c2 = _exact(c2)
+            for md1, c1 in big:
                 md = md1 + md2
                 s = out.get(md)
                 if s is None:
@@ -343,7 +356,7 @@ class LaurentPoly:
                         out[md] = s
                     else:
                         del out[md]
-        return LaurentPoly._of(out)
+        return LaurentPoly._wrap(out)
 
     __rmul__ = __mul__
 
@@ -393,11 +406,15 @@ class LaurentPoly:
         out = {}
         for md, c in self.terms.items():
             md2 = fn(md)
-            s = out.get(md2, Fraction(0)) + c
-            if s == 0:
-                out.pop(md2, None)
+            s = out.get(md2)
+            if s is None:
+                out[md2] = c
             else:
-                out[md2] = s
+                s += c
+                if s:
+                    out[md2] = s
+                else:
+                    del out[md2]
         return LaurentPoly._of(out)
 
     def substitute(self, var, image):
@@ -422,11 +439,15 @@ class LaurentPoly:
                 sign = coeff ** e if coeff == -1 else 1
                 md2 = md._without(var) + imd.scale(e)
                 c2 = c * sign
-            s = out.get(md2, Fraction(0)) + c2
-            if s == 0:
-                out.pop(md2, None)
+            s = out.get(md2)
+            if s is None:
+                out[md2] = c2
             else:
-                out[md2] = s
+                s += c2
+                if s:
+                    out[md2] = s
+                else:
+                    del out[md2]
         return LaurentPoly._of(out)
 
     def coefficient_of(self, var, exp):
@@ -444,14 +465,10 @@ class LaurentPoly:
         )
 
     def derivative(self, var):
-        out = {}
-        for md, c in self.terms.items():
-            e = md._e(var)
-            if e == 0:
-                continue
-            md2 = md + Multidegree({var: -1})
-            out[md2] = out.get(md2, Fraction(0)) + c * e
-        return LaurentPoly(out)
+        # lowering every monomial by ``var**1`` is injective: no two terms meet
+        down = Multidegree({var: -1})
+        return LaurentPoly._of({md + down: c * md._e(var)
+                                for md, c in self.terms.items() if md._e(var)})
 
     def divide_exact(self, divisor):
         """Exact division; raises :class:`DivisionError` on a nonzero remainder.
@@ -465,7 +482,10 @@ class LaurentPoly:
         quotient term times the divisor's other terms.  For an exact
         quotient every quotient exponent lies, variable by variable, in the
         box ``[min(f)-min(g), max(f)-max(g)]``; a step escaping the box
-        proves the division inexact, which also bounds the loop.
+        proves the division inexact, which also bounds the loop.  The
+        remainder and the divisor hold integral coefficients as ``int``, and
+        a quotient coefficient is an ``int`` whenever the leading
+        coefficient divides it.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -482,15 +502,16 @@ class LaurentPoly:
                 raise DivisionError(f"no exact quotient: empty box on {v!r}")
             box[v] = (lo, hi)
         gmd = max(divisor.terms, key=lambda md: md.key(variables))
-        gc = divisor.terms[gmd]
-        tail = [(md, c) for md, c in divisor.terms.items() if md != gmd]
+        gc = _exact(divisor.terms[gmd])
+        neg_gmd = -gmd
+        tail = [(md, _exact(c)) for md, c in divisor.terms.items() if md != gmd]
 
         def entry(md):
             # heapq pops its least entry: negate the key for the greatest
             total, exps = md.key(variables)
             return -total, tuple([-e for e in exps]), md
 
-        remainder = dict(self.terms)
+        remainder = {md: _exact(c) for md, c in self.terms.items()}
         heap = [entry(md) for md in remainder]
         heapq.heapify(heap)
         quotient = {}
@@ -499,12 +520,14 @@ class LaurentPoly:
             rc = remainder.pop(rmd, None)
             if rc is None:
                 continue
-            qmd = rmd - gmd
+            qmd = rmd + neg_gmd
             for v in variables:
                 lo, hi = box[v]
                 if not (lo <= qmd._e(v) <= hi):
                     raise DivisionError("no exact quotient")
-            qc = rc / gc
+            qc, r = divmod(rc, gc)
+            if r:
+                qc = Fraction(rc, gc)
             quotient[qmd] = qc
             for md, c in tail:
                 md = qmd + md
@@ -518,7 +541,7 @@ class LaurentPoly:
                         remainder[md] = s
                     else:
                         del remainder[md]
-        return LaurentPoly._of(quotient)
+        return LaurentPoly._wrap(quotient)
 
     # -- serialization ------------------------------------------------------
 
@@ -543,7 +566,9 @@ class LaurentPoly:
             md = Multidegree(
                 {v: Fraction(e) for v, e in zip(variables, t["exp"])}
             )
-            terms[md] = terms.get(md, Fraction(0)) + Fraction(t["coeff"])
+            c = Fraction(t["coeff"])
+            s = terms.get(md)
+            terms[md] = c if s is None else s + c
         return cls(terms)
 
     def dumps(self, variables=None) -> str:

@@ -235,3 +235,18 @@ def test_python_dash_m_runs_the_cli():
     done = run_module("bottom", "--p", "2")
     assert done.returncode == 2
     assert done.stderr.startswith("error: ")
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    """One parser serves every ``main`` call in a process: neither an option
+    of an earlier request nor a usage error may reach a later one."""
+    request = ["homfly", "--knot", "torus:2,3", "--color", "S2", "--format", "json"]
+    assert main(request + ["--cutoff", "12"]) == 0
+    short = capsys.readouterr().out
+    assert main(["bottom", "--p", "2"]) == 2
+    assert main(["homfly", "--cutoff", "5"]) == 2  # --knot is missing
+    capsys.readouterr()
+    assert main(request) == 0
+    fresh = run_module(*request)
+    assert fresh.returncode == 0, fresh.stderr
+    assert capsys.readouterr().out == fresh.stdout != short

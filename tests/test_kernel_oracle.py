@@ -3,6 +3,8 @@
 Inputs are generated by hypothesis over the variables ``a, q, t`` with
 mixed-sign rational coefficients and half-integral ``q`` exponents;
 ``max_cancel`` and ``nonneg_divisibility`` get integer multiplicities.
+Products and division chains are also drawn with integer coefficients
+only, the common case, which the kernel's inner loops compute on ``int``.
 Chains of divisions by binomials are checked in sympy's sparse polynomial
 ring, which multiplies products of hundreds of terms quickly.  The runs are
 derandomized, so every run checks the same examples.
@@ -33,6 +35,7 @@ ROOT_Q = sympy.Symbol("s", positive=True)  # q = s^2 clears half-integral q
 
 small = st.integers(-3, 3)
 half_q = st.one_of(small, st.integers(-6, 6).map(lambda n: Fraction(n, 2)))
+whole = st.integers(-4, 4).filter(bool)
 coeffs = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
@@ -48,8 +51,13 @@ def multidegrees(q=half_q):
     return st.builds(lambda a, qe, t: Multidegree(a=a, q=qe, t=t), small, q, small)
 
 
-def polys(q=half_q, max_terms=5):
-    return st.dictionaries(multidegrees(q), coeffs, max_size=max_terms).map(LaurentPoly)
+def polys(q=half_q, max_terms=5, c=coeffs):
+    return st.dictionaries(multidegrees(q), c, max_size=max_terms).map(LaurentPoly)
+
+
+def integer_or_rational(make):
+    """``make(c)`` drawn with integer coefficients only, or with rational ones."""
+    return st.one_of(make(whole), make(coeffs))
 
 
 def _rational(x):
@@ -76,16 +84,18 @@ def degree_in(term, var):
 
 
 def assert_normalised(p: LaurentPoly):
-    """No zero coefficients; integral exponents stored as ``int``."""
+    """No zero coefficients, each a ``Fraction``; integral exponents stored
+    as ``int``."""
     for md, c in p.terms.items():
-        assert c != 0
+        assert type(c) is Fraction and c != 0
         for v, e in md.items():
             assert e != 0 and (type(e) is int or (v == "q" and e.denominator != 1))
 
 
 @oracle(120)
-@given(polys(), polys())
-def test_ring_operations(f, g):
+@given(integer_or_rational(lambda c: st.tuples(polys(c=c), polys(c=c))))
+def test_ring_operations(pair):
+    f, g = pair
     F, G = to_sympy(f), to_sympy(g)
     for ours, expected in ((f + g, F + G), (f - g, F - G), (f * g, F * G)):
         assert same(ours, expected)
@@ -136,10 +146,25 @@ def test_divide_exact(f, g, m, c):
             r.divide_exact(g)
 
 
-def binomial_factors():
+@pytest.mark.parametrize("lead", [2, -3])
+@oracle(40)
+@given(polys(max_terms=4, c=whole),
+       multidegrees().filter(lambda md: md.total() > 0))
+def test_divide_exact_by_non_unit_lead(lead, f, m):
+    """``f * (x^m - 1)`` over ``lead * (x^m - 1)``, with ``f`` integral: the
+    leading coefficient ``lead`` need not divide the remainder's, and the
+    quotient ``f / lead`` has non-integral coefficients."""
+    assume(not f.is_zero())
+    binomial = LaurentPoly.monomial(1, m) - LaurentPoly.one()
+    quotient = (f * binomial).divide_exact(lead * binomial)
+    assert sympy.expand(to_sympy(quotient) - to_sympy(f) / lead) == 0
+    assert_normalised(quotient)
+
+
+def binomial_factors(c=coeffs):
     """3 to 8 binomials ``1 - c*x^m``, ``m`` nonzero."""
     binomial = st.builds(lambda m, c: LaurentPoly.one() - LaurentPoly.monomial(c, m),
-                         multidegrees().filter(lambda md: not md.is_zero()), coeffs)
+                         multidegrees().filter(lambda md: not md.is_zero()), c)
     return st.lists(binomial, min_size=3, max_size=8)
 
 
@@ -165,10 +190,12 @@ def multiply_all(factors) -> LaurentPoly:
 
 
 @oracle(40)
-@given(binomial_factors(), polys(max_terms=3), st.data())
-def test_divide_exact_chain(factors, cofactor, data):
+@given(integer_or_rational(
+    lambda c: st.tuples(binomial_factors(c), polys(max_terms=3, c=c))), st.data())
+def test_divide_exact_chain(chain, data):
     """A cofactor times binomials, divided by each binomial in a random
     order, and by their product, gives back the cofactor."""
+    factors, cofactor = chain
     assume(not cofactor.is_zero())
     dividend = cofactor * multiply_all(factors)
     quotient = dividend
