@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, gcd
 
+from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree, RationalSeries
 from .partitions import catalan_count, dyck_paths, h_plus
 
@@ -20,7 +21,7 @@ from .partitions import catalan_count, dyck_paths, h_plus
 def row_count(p: int, q: int, k: int) -> int:
     """Paths below the diagonal with ``k`` marked corners (0 when out of range)."""
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime")
+        raise UsageError(f"({p},{q}) not coprime")
     if k < 0 or k >= p or k >= q:
         return 0
     return factorial(p + q - k - 1) // (
@@ -67,7 +68,7 @@ def vortex_character(p: int, m: int) -> RationalSeries:
     this is the plain ``1/(q;q)_m``.
     """
     if p < 0 or m < 0:
-        raise ValueError("p and m must be nonnegative")
+        raise UsageError("p and m must be nonnegative")
     total = LaurentPoly.zero()
     chains = _weakly_decreasing_chains(p, m)
     for ks in chains:

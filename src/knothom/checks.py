@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     Multidegree,
@@ -370,7 +371,7 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     a_min = int(num.min_degree("a")) if "a" in num.variables() else 0
     window = cutoff - 2 * den_margin - n * max(0, -a_min)
     if window < 0:
-        raise ValueError(f"cutoff {cutoff} leaves no safe degrees")
+        raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
     probe = series.expand(cutoff)
     t_top = max((md.e(tvar) for md in probe.terms), default=0)
     t_min = min((md.e(tvar) for md in num.terms), default=0)

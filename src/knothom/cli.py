@@ -12,7 +12,7 @@ Verbs:
 
 All numeric output is exact; ``--format json`` emits the canonical
 polynomial JSON used throughout the package.  Exit codes: 0 on success or
-pass, 1 on a check failure, 2 on usage errors.
+pass, 1 on a check failure, 2 on usage errors, 3 on internal errors.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries
@@ -34,28 +35,38 @@ from .models import (
     torus_potential,
 )
 from .checks import rank_collapse_input, sl_cancel
+from .errors import UsageError
 from .fixtures import load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
 from . import suite
 
 
-class UsageError(Exception):
-    pass
-
-
 def parse_color(text: str) -> Partition:
     """``S2``, ``L3``, ``2x3`` (rows x cols) or an explicit ``[4,2]``."""
     text = text.strip()
-    if text.startswith("S") and text[1:].isdigit():
-        return Partition([int(text[1:])])
-    if text.startswith("L") and text[1:].isdigit():
-        return Partition([1] * int(text[1:]))
-    if "x" in text:
-        rows, cols = text.split("x")
-        return Partition([int(cols)] * int(rows))
-    if text.startswith("["):
-        return Partition(json.loads(text))
+    try:
+        if text.startswith("S") and text[1:].isdigit():
+            return Partition([int(text[1:])])
+        if text.startswith("L") and text[1:].isdigit():
+            return Partition([1] * int(text[1:]))
+        if "x" in text:
+            rows, cols = text.split("x")
+            return Partition([int(cols)] * int(rows))
+        if text.startswith("["):
+            return Partition(json.loads(text))
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"cannot parse color {text!r}: {exc}") from None
     raise UsageError(f"cannot parse color {text!r}")
+
+
+def parse_pair(text: str, what: str):
+    """Two comma-separated integers, as in ``torus:2,3`` or ``--vortex 1,2``."""
+    try:
+        first, second = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(
+            f"{what} needs two comma-separated integers, not {text!r}") from None
+    return first, second
 
 
 def parse_knot(text: str):
@@ -63,8 +74,7 @@ def parse_knot(text: str):
     if text == "unknot":
         return ("unknot", None)
     if text.startswith("torus:"):
-        p, q = text[len("torus:"):].split(",")
-        return ("torus", (int(p), int(q)))
+        return ("torus", parse_pair(text[len("torus:"):], "a torus knot"))
     if text in ("3_1", "4_1", "T3_4"):
         return ("fixture", text)
     if text == "8_19":
@@ -172,7 +182,7 @@ def cmd_scheme(args):
 
 def cmd_bottom(args):
     if args.vortex:
-        p, m = (int(x) for x in args.vortex.split(","))
+        p, m = parse_pair(args.vortex, "--vortex")
         series = vortex_character(p, m)
         if args.format == "json":
             print(json.dumps({
@@ -200,7 +210,7 @@ def cmd_bottom(args):
 
 def cmd_potential(args):
     if args.antisym:
-        k, N = (int(x) for x in args.antisym.split(","))
+        k, N = parse_pair(args.antisym, "--antisym")
         pot = potential_antisym(k, N)
     elif args.p is None or args.q is None:
         raise UsageError("potential needs --p and --q, or --antisym")
@@ -233,6 +243,17 @@ def cmd_cancel(args):
     if args.format == "text":
         print(f"# exact through q^{window}", file=sys.stderr)
     return 0
+
+
+def at_least(low: int):
+    """The argparse type of an ``int`` option that must be ``>= low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 @functools.cache
@@ -272,9 +293,9 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("scheme", help="torus-knot quotient scheme bases")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--p", type=at_least(1), required=True)
+    p.add_argument("--q", type=at_least(1), required=True)
+    p.add_argument("--r", type=at_least(0), default=1)
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--forms", action="store_true",
                    help="include differential forms (odd generators)")
@@ -283,9 +304,9 @@ def build_parser():
     p.set_defaults(fn=cmd_scheme)
 
     p = sub.add_parser("bottom", help="bottom-row combinatorics")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--p", type=at_least(1))
+    p.add_argument("--q", type=at_least(1))
+    p.add_argument("--r", type=at_least(0), default=1)
     p.add_argument("--count", action="store_true")
     p.add_argument("--rows", action="store_true")
     p.add_argument("--vortex", help="p,m for the vortex character")
@@ -293,9 +314,9 @@ def build_parser():
     p.set_defaults(fn=cmd_bottom)
 
     p = sub.add_parser("potential", help="Landau-Ginzburg potentials")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--p", type=at_least(1))
+    p.add_argument("--q", type=at_least(1))
+    p.add_argument("--r", type=at_least(0), default=1)
     p.add_argument("--antisym", help="k,N for the antisymmetric potential")
     common(p)
     p.set_defaults(fn=cmd_potential)
@@ -322,9 +343,11 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # a bug must not pass for a check failure (1) or a usage error (2)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ import pathlib
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree
 from .partitions import Partition
 from .checks import from_tilde, to_tilde
@@ -37,6 +38,10 @@ HOMOLOGY_FIXTURES = (
 
 class FixtureError(ValueError):
     pass
+
+
+class UnknownFixtureError(FixtureError, UsageError):
+    """No fixture file for the requested name."""
 
 
 @dataclass
@@ -113,7 +118,7 @@ def _validate(fix: HomologyFixture):
 def load_fixture(name: str) -> HomologyFixture:
     path = _file_for(name)
     if not path.exists():
-        raise FixtureError(f"no fixture file for {name!r} at {path}")
+        raise UnknownFixtureError(f"no fixture file for {name!r} at {path}")
     obj = json.loads(path.read_text())
     fix = HomologyFixture(
         name=name,

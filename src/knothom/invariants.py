@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .errors import UsageError
 from .laurent import (
     DivisionError,
     LaurentPoly,
@@ -164,7 +165,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
-        raise ValueError(f"({n},{m}) are not coprime")
+        raise UsageError(f"({n},{m}) are not coprime")
     total, common, offset = _torus_sum(lam, n, m)
     report = NormalizationReport(fractional_offset=offset)
     if not reduced:
@@ -236,7 +237,7 @@ def stable_limit_check(lam, n: int, m_list, order=10):
     rows = []
     for m in m_list:
         if gcd(n, m) != 1:
-            raise ValueError(f"({n},{m}) not coprime")
+            raise UsageError(f"({n},{m}) not coprime")
         fr, _ = torus_homfly(lam, n, m, reduced=False)
         approx = fr.expand(order + 1 + _alignment_pad(fr))
         shifted = _align_lowest(approx, target)

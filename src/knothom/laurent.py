@@ -9,10 +9,21 @@ value is not integral), compute on them, and wrap each result value in a
 exactly.  Exponents are exact rationals as well, but
 only the variable ``q`` is allowed to carry a non-integer exponent (fractional
 ``q``-powers arise in the torus-knot plethysm sum and are cleared before any
-result is returned).  ``Multidegree`` stores each exponent as an ``int`` and
-keeps a ``Fraction`` only for a non-integral ``q`` exponent; its public
-readers (``e``, ``total``, and the degree queries of ``LaurentPoly``) still
-return ``Fraction``, so callers that divide exponents stay exact.
+result is returned).
+
+``Multidegree`` is a dense exponent vector, after the monomial representation
+of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
+instead of packed words.  A module-level slot table gives each variable a
+slot: ``q, a, t, tr, tc`` take slots 0 to 4 at import, and any other
+variable (a scheme generator such as ``u1`` or ``du2``) takes the next free
+slot when first seen.  A degree is the tuple of its exponents by slot, with
+trailing zeros trimmed, each an ``int`` except a non-integral ``q``
+exponent, which is a ``Fraction``.  Equal degrees are therefore equal
+tuples: hashing and equality are ``tuple``'s own C code, and addition maps
+``operator.add`` over two tuples.  Slot order never reaches output, since
+every reader that names variables sorts them by name.  The public readers
+(``e``, ``total``, and the degree queries of ``LaurentPoly``) return
+``Fraction``, so callers that divide exponents stay exact.
 
 The two carrier types are:
 
@@ -31,10 +42,16 @@ from __future__ import annotations
 import heapq
 import json
 import re
+import sys
+import threading
 from fractions import Fraction
+from itertools import compress, zip_longest
+from operator import add as _add, neg as _neg
 
 #: the only variable permitted to carry fractional exponents
 FRACTIONAL_VAR = "q"
+
+_new = tuple.__new__
 
 
 def _frac(x) -> Fraction:
@@ -53,148 +70,193 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _normalized(acc) -> tuple:
-    """Sorted nonzero ``(var, exponent)`` pairs with integral exponents as ``int``."""
-    items = []
-    for v in sorted(acc):
-        x = acc[v]
-        if x:
-            if type(x) is not int and x.denominator == 1:
+def _parse_exact(text: str):
+    """An exact rational from its string: ``int`` parses an integer literal
+    several times faster than ``Fraction``, which takes the rest."""
+    try:
+        return int(text)
+    except ValueError:
+        return Fraction(text)
+
+
+#: the variable of each exponent slot: entry ``i`` of a ``Multidegree`` is
+#: the exponent of ``_VARS[i]``.  The kernel's own variables are registered
+#: here in a fixed order, so that their slots never depend on which
+#: computation ran first; any other variable takes the next slot on first
+#: sight and keeps it for the life of the process.
+_VARS = []
+#: slot of each registered variable
+_INDEX = {}
+#: serialises registration, so that no variable ever gets two slots
+_REGISTER = threading.Lock()
+#: stands for the slot of an unregistered variable, past the end of every
+#: ``Multidegree``, where exponents read as zero
+_ABSENT = sys.maxsize
+
+
+def _slot(var) -> int:
+    """The slot of ``var``, registering the variable on first sight."""
+    i = _INDEX.get(var)
+    if i is None:
+        with _REGISTER:
+            i = _INDEX.get(var)
+            if i is None:
+                i = len(_VARS)
+                _VARS.append(var)
+                _INDEX[var] = i
+    return i
+
+
+for _var in (FRACTIONAL_VAR, "a", "t", "tr", "tc"):
+    _slot(_var)
+
+
+def _slots(variables) -> list:
+    """The slot of each variable; an unregistered one reads as exponent 0."""
+    return [_INDEX.get(v, _ABSENT) for v in variables]
+
+
+def _from_slots(exps: dict) -> "Multidegree":
+    """The ``Multidegree`` with the exact exponent ``exps[i]`` in each slot
+    ``i``, integral values made ``int``.  Raises ``ValueError`` for a
+    fractional exponent off the ``q`` slot."""
+    out = [0] * (max(exps, default=-1) + 1)
+    for i, x in exps.items():
+        if type(x) is not int:
+            if x.denominator == 1:
                 x = x.numerator
-            items.append((v, x))
-    return tuple(items)
-
-
-class Multidegree:
-    """An immutable exponent vector with one exact rational entry per variable.
-
-    Absent variables have exponent zero and equality is extensional, so
-    ``Multidegree(a=0, q=2) == Multidegree(q=2)``.  Exponents are stored as
-    ``int``; only a non-integral ``q`` exponent is stored as a ``Fraction``.
-    The storage is normalised (sorted by variable, zeros dropped, integral
-    values as ``int``), so equal degrees have equal items and equal hashes,
-    and the hash is computed once.  The public readers ``e`` and ``total``
-    return ``Fraction``.
-    """
-
-    __slots__ = ("_items", "_hash")
-
-    def __init__(self, data=None, **named):
-        acc = {}
-        if data is not None:
-            pairs = data.items() if hasattr(data, "items") else data
-            for v, e in pairs:
-                acc[v] = acc.get(v, 0) + _exact(e)
-        for v, e in named.items():
-            acc[v] = acc.get(v, 0) + _exact(e)
-        items = _normalized(acc)
-        for v, e in items:
-            if type(e) is not int and v != FRACTIONAL_VAR:
+            elif i:
                 raise ValueError(
-                    f"fractional exponent {e} on variable {v!r}; "
+                    f"fractional exponent {x} on variable {_VARS[i]!r}; "
                     f"only {FRACTIONAL_VAR!r} may carry fractional exponents"
                 )
-        self._items = items
-        self._hash = hash(items)
+        out[i] = x
+    while out and not out[-1]:
+        out.pop()
+    return _new(Multidegree, out)
 
-    @classmethod
-    def _of(cls, items):
-        """Wrap pairs already in normalised storage form, skipping validation."""
-        md = object.__new__(cls)
-        md._items = items
-        md._hash = hash(items)
-        return md
+
+class Multidegree(tuple):
+    """An immutable exponent vector with one exact rational entry per variable.
+
+    A ``Multidegree`` is a tuple: entry ``i`` is the exponent of the
+    variable in slot ``i`` of the module's slot table, and trailing zeros
+    are trimmed.  Absent variables have exponent zero, so
+    ``Multidegree(a=0, q=2) == Multidegree(q=2)``.  Exponents are stored as
+    ``int``; only the ``q`` slot (slot 0) may hold a ``Fraction``, and only
+    a non-integral one.  The storage is a normal form, so equal degrees are
+    equal tuples, and hashing and equality are ``tuple``'s own.  A
+    ``Multidegree`` therefore also equals a plain tuple of the same slots;
+    no code mixes the two.  Slot order is private: ``items``,
+    ``variables``, ``key`` and ``repr`` name variables and sort them by
+    name, and the public readers ``e`` and ``total`` return ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, data=None, **named):
+        pairs = () if data is None else data.items() if hasattr(data, "items") else data
+        exps = {}
+        for v, e in (*pairs, *named.items()):
+            e = _exact(e)
+            if e:
+                i = _slot(v)
+                exps[i] = exps.get(i, 0) + e
+        return _from_slots(exps)
+
+    def __reduce__(self):
+        # slots are numbered per process: pickle by variable name
+        return Multidegree, (self.items(),)
 
     def _e(self, var):
         """Stored exponent of ``var``: ``int``, or ``Fraction`` if fractional."""
-        for v, ex in self._items:
-            if v == var:
-                return ex
-        return 0
+        i = _INDEX.get(var, _ABSENT)
+        return self[i] if i < len(self) else 0
+
+    def _exps(self, slots) -> tuple:
+        """The stored exponents in the given slots."""
+        n = len(self)
+        return tuple([self[i] if i < n else 0 for i in slots])
 
     def e(self, var) -> Fraction:
         """Exponent of ``var`` (zero when absent)."""
         return Fraction(self._e(var))
 
     def items(self):
-        """The stored ``(var, exponent)`` pairs, sorted by variable."""
-        return self._items
+        """The nonzero ``(var, exponent)`` pairs, sorted by variable."""
+        return tuple(sorted(compress(zip(_VARS, self), self)))
 
     def variables(self):
-        return tuple(v for v, _ in self._items)
+        return tuple(v for v, _ in self.items())
 
     def is_zero(self) -> bool:
-        return not self._items
+        return not len(self)
 
     def total(self) -> Fraction:
-        return Fraction(sum(e for _, e in self._items))
+        return Fraction(sum(self))
+
+    def __bool__(self):
+        return True
 
     def __add__(self, other):
-        a, b = self._items, other._items
-        if not b:
-            return self
-        if not a:
-            return other
-        # both operands are valid, so the sum needs merging and normalising only
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                s = ea + eb
-                if s:
-                    if type(s) is not int and s.denominator == 1:
-                        s = s.numerator
-                    out.append((va, s))
-                i += 1
-                j += 1
-            elif va < vb:
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return Multidegree._of(tuple(out))
+        n, m = len(self), len(other)
+        if n > m:
+            out = [*map(_add, self, other), *self[m:]]
+        elif n < m:
+            out = [*map(_add, self, other), *other[n:]]
+        else:
+            out = [*map(_add, self, other)]
+            while out and not out[-1]:
+                out.pop()
+        # only the q slot can hold a Fraction, which may have become integral
+        if out and type(out[0]) is not int and out[0].denominator == 1:
+            out[0] = out[0].numerator
+        return _new(Multidegree, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Multidegree._of(tuple([(v, -e) for v, e in self._items]))
+        return _new(Multidegree, map(_neg, self))
+
+    def __mul__(self, other):
+        # a tuple would repeat itself
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def scale(self, k):
         k = _exact(k)
-        return Multidegree([(v, e * k) for v, e in self._items])
+        return _from_slots({i: e * k for i, e in compress(enumerate(self), self)})
 
     def _without(self, var):
-        return Multidegree._of(tuple([(v, e) for v, e in self._items if v != var]))
+        i = _INDEX.get(var, _ABSENT)
+        if i >= len(self) or not self[i]:
+            return self
+        out = list(self)
+        out[i] = 0
+        while out and not out[-1]:
+            out.pop()
+        return _new(Multidegree, out)
 
     def _shift(self, step, k: int):
         """``self + k*step`` for an integer ``k``."""
-        acc = dict(self._items)
-        for v, e in step._items:
-            acc[v] = acc.get(v, 0) + k * e
-        return Multidegree._of(_normalized(acc))
+        if not k:
+            return self
+        # k*step keeps step's trailing zeros trimmed and needs no check; a q
+        # entry made integral is normalised by ``__add__``
+        return self + _new(Multidegree, [k * e for e in step])
+
+    def _key(self, slots):
+        """``key`` over the variables in the given slots."""
+        return sum(self), self._exps(slots)
 
     def key(self, variables):
         """Graded-lexicographic sort key over the given variable list."""
-        d = dict(self._items)
-        return (sum(d.values()), tuple([d.get(v, 0) for v in variables]))
-
-    def __eq__(self, other):
-        return isinstance(other, Multidegree) and self._items == other._items
-
-    def __hash__(self):
-        return self._hash
+        return self._key(_slots(variables))
 
     def __repr__(self):
-        if not self._items:
-            return "Multidegree()"
-        body = ", ".join(f"{v}={e}" for v, e in self._items)
+        body = ", ".join(f"{v}={e}" for v, e in self.items())
         return f"Multidegree({body})"
 
 
@@ -275,10 +337,8 @@ class LaurentPoly:
         return c, md
 
     def variables(self):
-        vs = set()
-        for md in self.terms:
-            vs.update(md.variables())
-        return sorted(vs)
+        columns = zip_longest(*self.terms, fillvalue=0)
+        return sorted([_VARS[i] for i, col in enumerate(columns) if any(col)])
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -291,8 +351,9 @@ class LaurentPoly:
         return sum(self.terms.values(), Fraction(0))
 
     def _exponents(self, var):
-        """The stored exponents of ``var`` over all terms."""
-        return [md._e(var) for md in self.terms]
+        """The stored exponents of ``var`` over all terms, in term order."""
+        i = _INDEX.get(var, _ABSENT)
+        return [md[i] if i < len(md) else 0 for md in self.terms]
 
     def degrees(self, var):
         return sorted(map(Fraction, set(self._exponents(var))))
@@ -453,16 +514,16 @@ class LaurentPoly:
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
         exp = _exact(exp)
-        return LaurentPoly._of({md._without(var): c
-                                for md, c in self.terms.items()
-                                if md._e(var) == exp})
+        return LaurentPoly._of({md._without(var): c for (md, c), e
+                                in zip(self.terms.items(), self._exponents(var))
+                                if e == exp})
 
     def truncate(self, var, order):
         """Drop all terms of ``var``-degree greater than ``order``."""
         order = _exact(order)
-        return LaurentPoly._of(
-            {md: c for md, c in self.terms.items() if md._e(var) <= order}
-        )
+        return LaurentPoly._of({md: c for (md, c), e
+                                in zip(self.terms.items(), self._exponents(var))
+                                if e <= order})
 
     def derivative(self, var):
         # lowering every monomial by ``var**1`` is injective: no two terms meet
@@ -493,22 +554,23 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero()
         variables = sorted(set(self.variables()) | set(divisor.variables()))
-        box = {}
-        for v in variables:
+        slots = _slots(variables)
+        box = []
+        for v, i in zip(variables, slots):
             mine, theirs = self._exponents(v), divisor._exponents(v)
             lo = min(mine) - min(theirs)
             hi = max(mine) - max(theirs)
             if lo > hi:
                 raise DivisionError(f"no exact quotient: empty box on {v!r}")
-            box[v] = (lo, hi)
-        gmd = max(divisor.terms, key=lambda md: md.key(variables))
+            box.append((i, lo, hi))
+        gmd = max(divisor.terms, key=lambda md: md._key(slots))
         gc = _exact(divisor.terms[gmd])
         neg_gmd = -gmd
         tail = [(md, _exact(c)) for md, c in divisor.terms.items() if md != gmd]
 
         def entry(md):
             # heapq pops its least entry: negate the key for the greatest
-            total, exps = md.key(variables)
+            total, exps = md._key(slots)
             return -total, tuple([-e for e in exps]), md
 
         remainder = {md: _exact(c) for md, c in self.terms.items()}
@@ -521,9 +583,9 @@ class LaurentPoly:
             if rc is None:
                 continue
             qmd = rmd + neg_gmd
-            for v in variables:
-                lo, hi = box[v]
-                if not (lo <= qmd._e(v) <= hi):
+            n = len(qmd)
+            for i, lo, hi in box:
+                if not (lo <= (qmd[i] if i < n else 0) <= hi):
                     raise DivisionError("no exact quotient")
             qc, r = divmod(rc, gc)
             if r:
@@ -547,13 +609,15 @@ class LaurentPoly:
 
     def sorted_terms(self, variables=None):
         variables = list(variables) if variables else self.variables()
-        return sorted(self.terms.items(), key=lambda kv: kv[0].key(variables))
+        slots = _slots(variables)
+        return sorted(self.terms.items(), key=lambda kv: kv[0]._key(slots))
 
     def to_json(self, variables=None):
         """Canonical JSON form with graded-lexicographically sorted terms."""
         variables = list(variables) if variables else self.variables()
+        slots = _slots(variables)
         terms = [
-            {"coeff": str(c), "exp": [str(md._e(v)) for v in variables]}
+            {"coeff": str(c), "exp": [str(e) for e in md._exps(slots)]}
             for md, c in self.sorted_terms(variables)
         ]
         return {"variables": variables, "terms": terms}
@@ -564,9 +628,9 @@ class LaurentPoly:
         terms = {}
         for t in obj["terms"]:
             md = Multidegree(
-                {v: Fraction(e) for v, e in zip(variables, t["exp"])}
+                {v: _parse_exact(e) for v, e in zip(variables, t["exp"])}
             )
-            c = Fraction(t["coeff"])
+            c = Fraction(_parse_exact(t["coeff"]))
             s = terms.get(md)
             terms[md] = c if s is None else s + c
         return cls(terms)
@@ -866,18 +930,29 @@ def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
 # -- ray decomposition, witness division, maximal cancellation -------------------
 
 
-def _ray_decomposition(p: LaurentPoly, step: Multidegree):
-    """Group the terms of ``p`` along cosets of ``Z * step``.
+def _ray_decomposition(terms: dict, step: Multidegree):
+    """Group a term map along cosets of ``Z * step``.
 
     Returns a list of ``(base, ray)`` pairs; each ray is a dict
-    ``k -> coeff`` for the term of multidegree ``base + k*step``.
+    ``k -> value`` for the term of multidegree ``base + k*step``.  The
+    pivot, which fixes ``k``, is the alphabetically first variable of
+    ``step``.
     """
-    pivot, estep = step._items[0]
+    (pivot, estep), *_ = step.items()
+    i = _INDEX[pivot]
     rays = {}
-    for md, c in p.terms.items():
-        k = md._e(pivot) // estep  # exact floor, also for fractional q
+    for md, c in terms.items():
+        k = (md[i] if i < len(md) else 0) // estep  # exact floor, also for fractional q
         rays.setdefault(md._shift(step, -k), {})[k] = c
     return list(rays.items())
+
+
+def _integer_terms(p: LaurentPoly, message: str) -> dict:
+    """The term map of ``p`` with ``int`` values; raises ``ValueError(message)``
+    unless every coefficient is integral."""
+    if any(c.denominator != 1 for c in p.terms.values()):
+        raise ValueError(message)
+    return {md: c.numerator for md, c in p.terms.items()}
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
@@ -888,22 +963,19 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     step lattice from its extreme term, which is complete because
     ``1 + mono(m)`` is not a zero divisor.
     """
-    for c in p.terms.values():
-        if c.denominator != 1:
-            raise ValueError("nonneg_divisibility requires integer coefficients")
-    if p.is_zero():
+    terms = _integer_terms(p, "nonneg_divisibility requires integer coefficients")
+    if not terms:
         return LaurentPoly.zero()
     if m.is_zero():
-        half = {md: c / 2 for md, c in p.terms.items()}
-        if all(c.denominator == 1 and c >= 0 for c in half.values()):
-            return LaurentPoly(half)
-        return None
+        if any(n < 0 or n % 2 for n in terms.values()):
+            return None
+        return LaurentPoly._wrap({md: n // 2 for md, n in terms.items()})
     witness = {}
-    for base, ray in _ray_decomposition(p, m):
+    for base, ray in _ray_decomposition(terms, m):
         lo, hi = min(ray), max(ray)
         carry = 0
         for k in range(lo, hi):
-            x = int(ray.get(k, 0)) - carry
+            x = ray.get(k, 0) - carry
             if x < 0:
                 return None
             if x:
@@ -911,7 +983,7 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
             carry = x
         if ray[hi] != carry:
             return None
-    return LaurentPoly(witness)
+    return LaurentPoly._wrap(witness)
 
 
 def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
@@ -926,16 +998,17 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
     """
     if keep not in ("early", "late"):
         raise ValueError("keep must be 'early' or 'late'")
-    for c in p.terms.values():
-        if c.denominator != 1 or c < 0:
-            raise ValueError("max_cancel requires nonnegative integer multiplicities")
-    if p.is_zero() or m.is_zero():
+    message = "max_cancel requires nonnegative integer multiplicities"
+    terms = _integer_terms(p, message)
+    if any(n < 0 for n in terms.values()):
+        raise ValueError(message)
+    if not terms or m.is_zero():
         return p, 0
     survivors = {}
     pairs = 0
-    for base, ray in _ray_decomposition(p, m):
+    for base, ray in _ray_decomposition(terms, m):
         lo, hi = min(ray), max(ray)
-        counts = [int(ray.get(k, 0)) for k in range(lo, hi + 1)]
+        counts = [ray.get(k, 0) for k in range(lo, hi + 1)]
         # matched[i]: pairs between levels lo+i and lo+i+1; the last stays 0
         matched = [0] * len(counts)
         if keep == "early":
@@ -953,7 +1026,7 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
             below = matched[i]
             if s:
                 survivors[base._shift(m, lo + i)] = s
-    return LaurentPoly(survivors), pairs
+    return LaurentPoly._wrap(survivors), pairs
 
 
 def clear_fractional(p: LaurentPoly, var=FRACTIONAL_VAR):

@@ -15,6 +15,7 @@ from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 
+from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     Multidegree,
@@ -228,7 +229,7 @@ class StableTorusModel:
 
     def __init__(self, R: int, S: int, p: int, reduced=True):
         if p < 2:
-            raise ValueError("need p >= 2 for a torus knot")
+            raise UsageError("need p >= 2 for a torus knot")
         self.R, self.S, self.p, self.reduced = R, S, p, reduced
         gens = []
         for n in range(2 if reduced else 1, p + 1):
@@ -321,7 +322,7 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     relation is homogeneous for ``q-degree(u_i) = 2i``.
     """
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime")
+        raise UsageError(f"({p},{q}) not coprime")
     lo = r + 1 if reduced else 1
     base = LaurentPoly.one()
     for i in range(lo, r * p + 1):
@@ -649,7 +650,7 @@ def _expand_row(terms, exps, odds):
 def potential_antisym(k: int, N: int) -> Potential:
     """Antisymmetric-color potential: the ``z^(N+1)`` coefficient of a log."""
     if not (N >= k >= 1):
-        raise ValueError("need N >= k >= 1")
+        raise UsageError("need N >= k >= 1")
     base = LaurentPoly.one()
     for i in range(1, k + 1):
         base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
@@ -669,7 +670,7 @@ def split_potential_check(k: int, j: int):
     ``(ok, low_order_part)``.
     """
     if not (k > j >= 1):
-        raise ValueError("need k > j >= 1")
+        raise UsageError("need k > j >= 1")
     N = 2 * k - j
     Wk = potential_antisym(k, N).body
     Wkj = potential_antisym(k - j, N).body if k > j else LaurentPoly.zero()
@@ -755,7 +756,7 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
     scalar, and the odd-linear partner is ``sum dW/du_i * xi_i``.
     """
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime")
+        raise UsageError(f"({p},{q}) not coprime")
     base = LaurentPoly.one()
     for i in range(1, r * p + 1):
         base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)

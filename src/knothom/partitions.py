@@ -7,6 +7,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
+from .errors import UsageError
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers (a Young diagram).
@@ -20,9 +22,9 @@ class Partition:
     def __init__(self, parts=()):
         parts = tuple(int(p) for p in parts if int(p) != 0)
         if any(p < 0 for p in parts):
-            raise ValueError("parts must be positive")
+            raise UsageError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError(f"parts must weakly decrease: {parts}")
+            raise UsageError(f"parts must weakly decrease: {parts}")
         self.parts = parts
 
     def size(self) -> int:
@@ -162,7 +164,7 @@ def balanced_diagrams(S: int, R: int):
     of ``s_(S^R)`` in doubled variables.
     """
     if S < 1 or R < 1:
-        raise ValueError("S and R must be positive")
+        raise UsageError("S and R must be positive")
     results = []
 
     def rec(prefix, lo):
@@ -189,7 +191,7 @@ def dyck_paths(p: int, q: int):
     ``(p+q-1)!/(p!*q!)``.
     """
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime: the diagonal meets the lattice")
+        raise UsageError(f"({p},{q}) not coprime: the diagonal meets the lattice")
     bounds = [(p * (q - i)) // q for i in range(1, q)]
     results = []
 
@@ -207,14 +209,14 @@ def dyck_paths(p: int, q: int):
 def catalan_count(p: int, q: int) -> int:
     """``(p+q-1)!/(p!*q!)``, the count of paths strictly below the diagonal."""
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime")
+        raise UsageError(f"({p},{q}) not coprime")
     return factorial(p + q - 1) // (factorial(p) * factorial(q))
 
 
 def h_plus(D: Partition, p: int, q: int) -> int:
     """Count cells with ``arm/(leg+1) <= p/q < (arm+1)/leg`` (``x/0`` read as infinity)."""
     if gcd(p, q) != 1:
-        raise ValueError(f"({p},{q}) not coprime")
+        raise UsageError(f"({p},{q}) not coprime")
     count = 0
     for cell in D.cells():
         a, l = D.arm(cell), D.leg(cell)

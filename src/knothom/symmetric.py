@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+from .errors import UsageError
 from .laurent import _frac
 from .partitions import Partition, balanced_diagrams, partitions_of
 
@@ -164,9 +165,9 @@ def plethysm_pn(lam, n: int, cache=None) -> SymFunc:
     """
     lam = Partition(_parts(lam))
     if n < 1:
-        raise ValueError("n must be positive")
+        raise UsageError("n must be positive")
     if lam.size() * n > PLETHYSM_SIZE_CAP:
-        raise ValueError(
+        raise UsageError(
             f"|lambda|*n = {lam.size() * n} exceeds cap {PLETHYSM_SIZE_CAP}"
         )
     cache = {} if cache is None else cache

@@ -9,6 +9,7 @@ import pytest
 
 import knothom
 
+from knothom import cli
 from knothom.cli import main, parse_color, parse_knot, UsageError
 from knothom.laurent import LaurentPoly, parse_poly
 from knothom.partitions import Partition
@@ -174,11 +175,47 @@ def test_unknot_product_text_names_no_order(capsys, argv):
     ["bottom", "--p", "2"],
     ["potential"],
     ["scheme", "--p", "2", "--q", "3", "--r", "2", "--ceiling", "3"],
+    ["homfly", "--knot", "torus:2,4"],  # not coprime
+    ["homfly", "--knot", "torus:2"],
+    ["homfly", "--knot", "torus:2,3", "--color", "S9", "--reduced"],  # over the cap
+    ["homfly", "--knot", "unknot", "--color", "[1,2]"],
+    ["homfly", "--knot", "unknot", "--color", "2xa"],
+    ["bottom", "--vortex", "1,x"],
+    ["bottom", "--vortex=-1,2"],
+    ["potential", "--antisym", "2"],
+    ["potential", "--antisym", "3,1"],
+    ["scheme", "--p", "2", "--q", "4"],
+    ["homfly", "--knot", "3_1", "--color", "S5"],  # no such fixture
+    ["cancel", "--knot", "4_1", "--color", "S3"],
+    ["cancel", "--knot", "3_1", "--cutoff", "1"],  # leaves no window
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["bottom", "--p", "2", "--q", "3", "--r", "-1"],
+    ["scheme", "--p", "0", "--q", "3"],
+    ["potential", "--p", "2", "--q", "-3"],
+])
+def test_out_of_range_option_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [ValueError("bug"), KeyError("bug")])
+def test_internal_error_exits_3(capsys, monkeypatch, exc):
+    """An exception that is no usage error is reported as an internal
+    error, never as a check failure (1) or a usage error (2)."""
+    def broken(*args):
+        raise exc
+    monkeypatch.setattr(cli, "bottom_poincare", broken)
+    assert main(["bottom", "--p", "2", "--q", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert "Traceback" in err
 
 
 #: SHA-256 of the ``scheme ... --reduced --format json`` stdout, recorded
@@ -239,14 +276,20 @@ def test_python_dash_m_runs_the_cli():
 
 def test_calls_in_one_process_share_no_state(capsys):
     """One parser serves every ``main`` call in a process: neither an option
-    of an earlier request nor a usage error may reach a later one."""
+    of an earlier request nor a usage error may reach a later one.  Nor may
+    the exponent slots that earlier requests gave their variables (here the
+    scheme's generators): output names variables in sorted order only."""
     request = ["homfly", "--knot", "torus:2,3", "--color", "S2", "--format", "json"]
     assert main(request + ["--cutoff", "12"]) == 0
     short = capsys.readouterr().out
     assert main(["bottom", "--p", "2"]) == 2
     assert main(["homfly", "--cutoff", "5"]) == 2  # --knot is missing
+    assert main(["scheme", "--p", "2", "--q", "3", "--r", "2", "--reduced",
+                 "--forms"]) == 0
     capsys.readouterr()
-    assert main(request) == 0
-    fresh = run_module(*request)
-    assert fresh.returncode == 0, fresh.stderr
-    assert capsys.readouterr().out == fresh.stdout != short
+    cancel = ["cancel", "--knot", "3_1", "--color", "S2", "--cutoff", "14"]
+    for argv in (request, cancel):
+        assert main(argv) == 0
+        fresh = run_module(*argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout != short

@@ -6,10 +6,13 @@ mixed-sign rational coefficients and half-integral ``q`` exponents;
 Products and division chains are also drawn with integer coefficients
 only, the common case, which the kernel's inner loops compute on ``int``.
 Chains of divisions by binomials are checked in sympy's sparse polynomial
-ring, which multiplies products of hundreds of terms quickly.  The runs are
-derandomized, so every run checks the same examples.
+ring, which multiplies products of hundreds of terms quickly.
+``Multidegree`` itself is checked against a plain ``{var: Fraction}`` model,
+over the kernel's own variables, scheme generator names and fresh names.
+The runs are derandomized, so every run checks the same examples.
 """
 
+import pickle
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -270,6 +273,107 @@ def test_rational_series_expand(numerator, denominators, order):
     assert all(degree_in(t, "q") > order for t in sympy_terms(residual))
 
 
+#: variables registered when the kernel is imported, then scheme generator
+#: names.  The ``fresh`` names are new to the process when first drawn, so
+#: they take new slots; there are few of them, because every slot widens
+#: the degrees of variables registered after it, in later tests too.
+KNOWN_NAMES = ("q", "a", "t", "tr", "tc", "Q", "u1", "du2", "xi11n2", "z")
+names = st.one_of(st.sampled_from(KNOWN_NAMES),
+                  st.integers(0, 15).map(lambda n: f"fresh{n}"))
+
+
+def exponent_pairs(max_size=5):
+    """``(var, exponent)`` lists, with repeated variables; only ``q`` gets
+    half-integral exponents.  Each list starts with a ``q`` pair, so that
+    about a quarter of the degrees have a half-integral ``q``."""
+    pair = names.flatmap(lambda v: st.tuples(st.just(v), half_q if v == "q" else small))
+    return st.builds(lambda qe, rest: [("q", qe), *rest],
+                     half_q, st.lists(pair, max_size=max_size))
+
+
+def model_of(pairs) -> dict:
+    out = {}
+    for v, e in pairs:
+        out[v] = out.get(v, 0) + Fraction(e)
+    return {v: e for v, e in out.items() if e}
+
+
+def model_sum(x: dict, y: dict, k=1) -> dict:
+    """``x + k*y``."""
+    return model_of([*x.items(), *((v, k * e) for v, e in y.items())])
+
+
+def is_stored_exponent(e, var) -> bool:
+    """``int``, or a non-integral ``Fraction`` on ``q``."""
+    return type(e) is int or (var == "q" and type(e) is Fraction and e.denominator != 1)
+
+
+def assert_matches(md: Multidegree, model: dict):
+    """``md`` holds exactly ``model``, in normal form, through every reader."""
+    assert md.items() == tuple(sorted(model.items()))
+    assert all(is_stored_exponent(e, v) for v, e in md.items())
+    assert md.variables() == tuple(sorted(model))
+    for v in (*model, "q", "a", "fresh"):
+        assert type(md.e(v)) is Fraction and md.e(v) == model.get(v, 0)
+    assert type(md.total()) is Fraction and md.total() == sum(model.values())
+    assert md.is_zero() == (not model)
+    # the normal form: trailing zeros trimmed, so equal degrees are equal tuples
+    assert len(md) == 0 or md[-1] != 0
+    rebuilt = Multidegree(model)
+    assert md == rebuilt and hash(md) == hash(rebuilt) and tuple(md) == tuple(rebuilt)
+
+
+@oracle(300)
+@given(exponent_pairs(), exponent_pairs(), st.integers(-3, 3), names,
+       st.lists(names, max_size=6))
+def test_multidegree_matches_model(x, y, k, var, variables):
+    X, Y = Multidegree(x), Multidegree(y)
+    mx, my = model_of(x), model_of(y)
+    assert_matches(X, mx)
+    assert_matches(X + Y, model_sum(mx, my))
+    assert_matches(X + X, model_sum(mx, mx))  # a half-integral q becomes integral
+    assert_matches(X - Y, model_sum(mx, my, -1))
+    assert_matches(X - X, {})
+    assert_matches(-X, model_sum({}, mx, -1))
+    assert_matches(X.scale(k), model_sum({}, mx, k))
+    assert_matches(X._shift(Y, k), model_sum(mx, my, k))
+    assert_matches(X._without(var), {v: e for v, e in mx.items() if v != var})
+    total, exps = X.key(variables)
+    assert total == sum(mx.values()) and is_stored_exponent(total, "q")
+    assert exps == tuple(mx.get(v, 0) for v in variables)
+    assert all(is_stored_exponent(e, v) for v, e in zip(variables, exps))
+
+
+@oracle(150)
+@given(exponent_pairs(), st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3)]))
+def test_multidegree_scale_by_fraction(x, k):
+    """A fractional exponent off ``q`` raises ``ValueError``."""
+    expected = model_sum({}, model_of(x), k)
+    if any(e.denominator != 1 for v, e in expected.items() if v != "q"):
+        with pytest.raises(ValueError):
+            Multidegree(x).scale(k)
+    else:
+        assert_matches(Multidegree(x).scale(k), expected)
+
+
+@oracle(150)
+@given(exponent_pairs(max_size=8), exponent_pairs(), st.randoms(use_true_random=False))
+def test_equal_degrees_built_differently(x, y, rng):
+    """Sums of one-variable degrees in any order, a round trip through
+    another degree, and the constructor all give one normal form."""
+    direct = Multidegree(x)
+    shuffled = list(x)
+    rng.shuffle(shuffled)
+    summed = Multidegree()
+    for v, e in shuffled:
+        summed = summed + Multidegree({v: e})
+    Y = Multidegree(y)
+    for other in (summed, (direct + Y) - Y, -(-direct), direct._shift(Y, 2)._shift(Y, -2)):
+        assert other == direct and hash(other) == hash(direct)
+        assert tuple(other) == tuple(direct) and other.items() == direct.items()
+        assert [type(e) for e in other] == [type(e) for e in direct]
+
+
 def test_multidegree_normal_form():
     assert Multidegree(q=Fraction(4, 2)) == Multidegree(q=2)
     assert hash(Multidegree(q=Fraction(4, 2))) == hash(Multidegree(q=2))
@@ -278,9 +382,13 @@ def test_multidegree_normal_form():
     assert half + half == Multidegree(q=1)
     assert hash(half + half) == hash(Multidegree(q=1))
     assert [type(e) for _, e in (half + half).items()] == [int]
+    assert tuple(half + half) == (1,) and type((half + half)[0]) is int
     assert half + (-half) == Multidegree()
     root = LaurentPoly.var("q", Fraction(1, 2))
     assert root * root == LaurentPoly.var("q")
+    # slots are numbered per process, so a degree pickles by variable name
+    md = Multidegree(u1=2, q=Fraction(1, 2))
+    assert pickle.loads(pickle.dumps(md)) == md
 
 
 def counts(max_terms=4):
@@ -371,6 +479,8 @@ def test_max_cancel(data):
     lambda: Multidegree(t=Fraction(-3, 2), q=Fraction(1, 2)),
     lambda: Multidegree(a=1).scale(Fraction(1, 2)),
     lambda: LaurentPoly.var("tc", Fraction(1, 3)),
+    lambda: Multidegree(fresh_fractional=Fraction(1, 2)),
+    lambda: Multidegree(u1=1, q=1).scale(Fraction(1, 2)),
 ])
 def test_fractional_exponent_outside_q_raises(make):
     with pytest.raises(ValueError):

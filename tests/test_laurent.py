@@ -245,3 +245,12 @@ def test_public_exponents_and_coefficients_are_fractions():
     ]
     for p in results:
         assert p.terms and all(type(c) is Fraction for c in p.terms.values())
+    # stored as a tuple, a degree still never repeats, is always true, and
+    # names its variables in sorted order
+    for product in (lambda: md * 2, lambda: 2 * md):
+        with pytest.raises(TypeError):
+            product()
+    assert bool(Multidegree()) is True
+    assert repr(md) == "Multidegree(a=2, q=1/2)"
+    assert repr(Multidegree()) == "Multidegree()"
+

@@ -34,11 +34,11 @@ def seed_range(text):
     return seeds
 
 
-def run_once(checkout, workload, seed, seconds):
-    """The last stdout line of one untraced run, as JSON."""
+def run_once(checkout, workload, seed, seconds, trace=0):
+    """The last stdout line of one run, as JSON; untraced unless ``trace``."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: bench/run.py exited {proc.returncode}:\n"
