@@ -36,7 +36,7 @@ from .models import (
 )
 from .checks import rank_collapse_input, sl_cancel
 from .errors import UsageError
-from .fixtures import load_fixture
+from .fixtures import fixture_name, load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
 from . import suite
 
@@ -106,8 +106,7 @@ def cmd_homfly(args):
         emit_rational(unknot_homfly(color), args.format)
         return 0
     if kind == "fixture":
-        fix = load_fixture(f"{data}:1" if color.size() == 1 else
-                           f"{data}:{args.color}")
+        fix = load_fixture(fixture_name(data, color))
         emit_poly(fix.homfly_specialization(), args.format)
         return 0
     p, q = data
@@ -147,6 +146,8 @@ def cmd_check(args):
                          f"choose from {sorted(suite.CHECK_GROUPS)} or 'all'")
     if args.fixture:
         results = [r for r in results if args.fixture in r.name]
+    if not results:
+        raise UsageError(f"no check in {args.what!r} names {args.fixture!r}")
     if args.format == "json":
         print(json.dumps([
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
@@ -161,7 +162,7 @@ def cmd_scheme(args):
     pres = scheme_presentation(args.p, args.q, args.r, reduced=args.reduced,
                                with_forms=args.forms)
     try:
-        mb = macaulay_basis(pres, with_forms=args.forms, ceiling=args.ceiling)
+        mb = macaulay_basis(pres, ceiling=args.ceiling)
     except DegreeCeilingError as exc:
         raise UsageError(f"{exc}; raise --ceiling") from exc
     if args.format == "json":
@@ -233,9 +234,7 @@ def cmd_cancel(args):
     kind, name = parse_knot(args.knot)
     if kind == "torus":
         raise UsageError(f"cancel needs a fixture knot or unknot, not {args.knot!r}")
-    if kind == "unknot":
-        name = "unknot"
-    key = f"{name}:{args.color}" if color.size() > 1 else f"{name}:1"
+    key = "unknot:" if kind == "unknot" else fixture_name(name, color)
     series = rank_collapse_input(key, color, args.cutoff + 4)
     degree = Multidegree(a=-2, q=2 * args.n, t=-1)
     survivors, window = sl_cancel(series, degree, args.n, cutoff=args.cutoff)
@@ -287,8 +286,8 @@ def build_parser():
     p = sub.add_parser("check", help="structural verification")
     p.add_argument("what", nargs="?", default="all")
     p.add_argument("--fixture", help="restrict to checks naming this fixture")
-    p.add_argument("--rmax", type=int, default=4)
-    p.add_argument("--smax", type=int, default=4)
+    p.add_argument("--rmax", type=at_least(1), default=4)
+    p.add_argument("--smax", type=at_least(1), default=4)
     common(p)
     p.set_defaults(fn=cmd_check)
 
@@ -324,7 +323,7 @@ def build_parser():
     p = sub.add_parser("cancel", help="rank collapse of unreduced series")
     p.add_argument("--knot", required=True)
     p.add_argument("--color", default="S1")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=at_least(1), default=2)
     p.add_argument("--cutoff", type=int, default=30)
     common(p)
     p.set_defaults(fn=cmd_cancel)

@@ -138,6 +138,27 @@ def load_fixture(name: str) -> HomologyFixture:
     return fix
 
 
+def fixture_name(knot: str, color: Partition) -> str:
+    """The fixture of ``knot`` in ``color``, named from the partition alone:
+    ``1`` for one box, ``S<n>`` for one row, ``L<n>`` for one column,
+    ``<rows>x<cols>`` for another rectangle, else the parts joined by ``_``.
+    """
+    parts = color.parts
+    if not parts:
+        raise UsageError(f"the empty color has no fixture of {knot}")
+    if color.size() == 1:
+        tail = "1"
+    elif len(parts) == 1:
+        tail = f"S{parts[0]}"
+    elif parts[0] == 1:
+        tail = f"L{len(parts)}"
+    elif color.is_rectangle():
+        tail = f"{len(parts)}x{parts[0]}"
+    else:
+        tail = "_".join(map(str, parts))
+    return f"{knot}:{tail}"
+
+
 def all_fixtures():
     return [load_fixture(n) for n in HOMOLOGY_FIXTURES]
 

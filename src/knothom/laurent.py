@@ -45,7 +45,8 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from itertools import compress, zip_longest
+from itertools import accumulate, compress, count, zip_longest
+from math import floor
 from operator import add as _add, neg as _neg
 
 #: the only variable permitted to carry fractional exponents
@@ -853,14 +854,6 @@ class RationalSeries:
 # -- series operations ----------------------------------------------------------
 
 
-def _binom(alpha: Fraction, k: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(k):
-        out *= (alpha - i)
-        out /= i + 1
-    return out
-
-
 def _unit_series_base(base: LaurentPoly, var: str):
     const = base.coefficient_of(var, 0)
     rest = base - const
@@ -869,6 +862,23 @@ def _unit_series_base(base: LaurentPoly, var: str):
     if not rest.is_zero() and rest.min_degree(var) <= 0:
         raise ValueError("base must be a power series in the expansion variable")
     return rest
+
+
+def _power_series(u: LaurentPoly, coefficients, order, var) -> LaurentPoly:
+    """``sum_k c_k * u**k`` through ``var``-degree ``order``.
+
+    ``coefficients`` is an iterator over ``c_0, c_1, ...``, and ``u`` has
+    positive order in ``var``, so no power past ``u**order`` reaches the
+    result; the loop also stops at the first power that truncates to zero.
+    """
+    result = LaurentPoly.const(next(coefficients))
+    power = LaurentPoly.one()
+    for _ in range(floor(order)):
+        power = (power * u).truncate(var, order)
+        if power.is_zero():
+            break
+        result = result + next(coefficients) * power
+    return result.truncate(var, order)
 
 
 def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> LaurentPoly:
@@ -881,50 +891,24 @@ def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> LaurentP
     exponent = _frac(exponent)
     if _frac(order) < 0:
         raise ValueError("order must be nonnegative")
-    u = _unit_series_base(base, var)
-    result = LaurentPoly.one()
-    power = LaurentPoly.one()
-    k = 1
-    while not (power * u).is_zero() and k <= order:
-        power = (power * u).truncate(var, order)
-        if power.is_zero():
-            break
-        result = result + _binom(exponent, k) * power
-        k += 1
-    return result.truncate(var, order)
+    binomials = accumulate(count(), lambda c, k: c * (exponent - k) / (k + 1),
+                           initial=Fraction(1))
+    return _power_series(_unit_series_base(base, var), binomials, order, var)
 
 
 def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``ln`` of a series with constant term 1."""
-    u = _unit_series_base(base, var)
-    result = LaurentPoly.zero()
-    power = LaurentPoly.one()
-    k = 1
-    while k <= order:
-        power = (power * u).truncate(var, order)
-        if power.is_zero():
-            break
-        result = result + Fraction((-1) ** (k + 1), k) * power
-        k += 1
-    return result.truncate(var, order)
+    coefficients = (Fraction((-1) ** (k + 1), k) if k else 0 for k in count())
+    return _power_series(_unit_series_base(base, var), coefficients, order, var)
 
 
 def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``exp`` of a series with zero constant term."""
     if not base.is_zero() and base.min_degree(var) <= 0:
         raise ValueError("exp argument must have positive order")
-    result = LaurentPoly.one()
-    power = LaurentPoly.one()
-    fact = Fraction(1)
-    k = 1
-    while k <= order:
-        power = (power * base).truncate(var, order)
-        if power.is_zero():
-            break
-        fact /= k
-        result = result + fact * power
-        k += 1
-    return result.truncate(var, order)
+    inverse_factorials = accumulate(count(1), lambda c, k: c / k,
+                                    initial=Fraction(1))
+    return _power_series(base, inverse_factorials, order, var)
 
 
 # -- ray decomposition, witness division, maximal cancellation -------------------

@@ -4,16 +4,20 @@ The models here present homology spaces as supercommutative algebras with
 multigraded generators.  Free models (unknot, stable torus limits) are given
 by generator tables; torus-knot quotients are cut out by the coefficients of
 fractional-power series and analyzed degree by degree with exact Macaulay
-matrices.
+matrices.  A presentation decides everything about its monomials: the
+grading of one is summed by :meth:`GradedPresentation.monomial_degree`, and
+its odd generators, if any, are the differential forms that the quotient
+carries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from .errors import UsageError
 from .laurent import (
@@ -66,12 +70,19 @@ class GradedPresentation:
     def degree_map(self):
         return {g.name: g.degree for g in self.generators}
 
-    def monomial_degree(self, md: Multidegree) -> Multidegree:
-        """Grading of a monomial in the generator variables."""
+    def monomial_degree(self, exps, odds=()) -> Multidegree:
+        """Grading of the monomial ``prod(name**e) * prod(odds)``.
+
+        ``exps`` maps generator names to exponents (a ``Multidegree`` in the
+        generator variables works too), and ``odds`` lists odd generator
+        names, each taken once.  Every grading of a monomial is summed here.
+        """
         degs = self.degree_map()
         out = Multidegree()
-        for v, e in md.items():
+        for v, e in exps.items():
             out = out + degs[v].scale(e)
+        for v in odds:
+            out = out + degs[v]
         return out
 
     def poly_degree(self, p: LaurentPoly, grading_var=None):
@@ -127,16 +138,14 @@ class Potential:
     variables: tuple
     super_body: LaurentPoly | None = None
 
-    def jacobi_images(self, odd_prefix="xi"):
+    def jacobi_images(self):
         """Koszul images ``xi_i -> dW/du_i`` for the matching odd names."""
-        out = {}
-        for v in self.variables:
-            out[odd_prefix + v.lstrip("u")] = self.body.derivative(v)
-        return out
+        return {"xi" + v.lstrip("u"): self.body.derivative(v)
+                for v in self.variables}
 
-    def with_super(self, odd_prefix="xi") -> "Potential":
+    def with_super(self) -> "Potential":
         sb = LaurentPoly.zero()
-        for xi, img in self.jacobi_images(odd_prefix).items():
+        for xi, img in self.jacobi_images().items():
             sb = sb + img * LaurentPoly.var(xi)
         return Potential(self.body, self.variables, sb)
 
@@ -156,6 +165,12 @@ def poly_substitute(p: LaurentPoly, images: dict) -> LaurentPoly:
                 term = term * LaurentPoly.monomial(1, Multidegree({v: e}))
         out = out + term
     return out
+
+
+def _generating_function(names, var, first=1) -> LaurentPoly:
+    """``sum_k names[k] * var**(first + k)``, one generator name per power."""
+    return LaurentPoly({Multidegree({name: 1, var: first + k}): 1
+                        for k, name in enumerate(names)})
 
 
 # -- unknot and stable torus models ------------------------------------------------
@@ -324,9 +339,8 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     lo = r + 1 if reduced else 1
-    base = LaurentPoly.one()
-    for i in range(lo, r * p + 1):
-        base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
+    names = [f"u{i}" for i in range(lo, r * p + 1)]
+    base = 1 + _generating_function(names, "z", lo)
     series = series_pow_rational(base, Fraction(q, p), (p + q) * r)
     rels = []
     for d in range(q * r + 1, (p + q) * r + 1):
@@ -347,32 +361,26 @@ def _scheme_degree_odd(i: int, r: int) -> Multidegree:
 
 def scheme_presentation(p: int, q: int, r: int, reduced=True,
                         with_forms=True) -> GradedPresentation:
-    """Quotient-scheme presentation with differential-form relations.
+    """Quotient-scheme presentation, with differential-form relations unless
+    ``with_forms`` is false.
 
     Even generators ``u_i`` carry ``(q,tc,tr) = (2i, 2i-2, 2*floor((i-1)/r))``
     and the odd forms ``du_i`` carry ``(a,q,tc,tr) = (2, 2i-2, 2i-1, ...+1)``.
     The odd-linear relations are the total differentials of the even ones.
-    The relations are q-homogeneous but only filtered by the homological
-    gradings; basis elements later inherit the degrees of their monomial
-    representatives.
+    Without forms the presentation has no odd generators, and its quotient
+    is the bottom row of the scheme.  The relations are q-homogeneous but
+    only filtered by the homological gradings; basis elements later inherit
+    the degrees of their monomial representatives.
     """
-    lo = r + 1 if reduced else 1
-    gens = []
-    for i in range(lo, r * p + 1):
-        gens.append(Generator(f"u{i}", EVEN, _scheme_degree_even(i, r)))
-    if with_forms:
-        for i in range(lo, r * p + 1):
-            gens.append(Generator(f"du{i}", ODD, _scheme_degree_odd(i, r)))
+    indices = range(r + 1 if reduced else 1, r * p + 1)
+    gens = [Generator(f"u{i}", EVEN, _scheme_degree_even(i, r)) for i in indices]
     rels = scheme_relations(p, q, r, reduced)
     form_rels = []
     if with_forms:
-        for rel in rels:
-            fr = LaurentPoly.zero()
-            for i in range(lo, r * p + 1):
-                d = rel.derivative(f"u{i}")
-                if not d.is_zero():
-                    fr = fr + d * LaurentPoly.var(f"du{i}")
-            form_rels.append(fr)
+        gens += [Generator(f"du{i}", ODD, _scheme_degree_odd(i, r)) for i in indices]
+        form_rels = [sum((rel.derivative(f"u{i}") * LaurentPoly.var(f"du{i}")
+                          for i in indices), LaurentPoly.zero())
+                     for rel in rels]
     pres = GradedPresentation(gens, rels, form_rels)
     for rel in rels:
         if pres.poly_degree(rel, "q") is None:
@@ -493,22 +501,12 @@ class MacaulayBasis:
         return len(self.elements)
 
     def degrees(self):
-        out = []
-        for exps, odds in self.elements:
-            md = Multidegree()
-            for name, e in exps.items():
-                md = md + self.presentation.generator(name).degree.scale(e)
-            for name in odds:
-                md = md + self.presentation.generator(name).degree
-            out.append(md)
-        return out
+        return [self.presentation.monomial_degree(exps, odds)
+                for exps, odds in self.elements]
 
     def poincare(self, variables=("a", "q", "tr")) -> LaurentPoly:
-        out = LaurentPoly.zero()
-        for md in self.degrees():
-            keep = Multidegree({v: md.e(v) for v in variables})
-            out = out + LaurentPoly.monomial(1, keep)
-        return out
+        return LaurentPoly(Counter(Multidegree({v: md.e(v) for v in variables})
+                                   for md in self.degrees()))
 
     def monomial_names(self):
         names = []
@@ -524,36 +522,37 @@ class DegreeCeilingError(ArithmeticError):
     """The quotient did not close below the caller's degree ceiling."""
 
 
-def macaulay_basis(pres: GradedPresentation, with_forms=True,
-                   ceiling=200) -> MacaulayBasis:
+def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     """Monomial basis of the quotient by degreewise exact elimination.
 
-    Processes one q-degree, and within it one count of odd factors, at a
-    time: the span of ``relation * monomial`` there is row-reduced over the
-    integers and the non-pivot monomials survive into the basis.  Rows are
-    built lazily from relations scaled once to integer coefficients, so none
-    is built after the span covers every monomial; the even monomials of
-    each degree are enumerated once per call.  Terminates once the quotient
-    vanishes on a window of consecutive degrees as wide as the largest
-    generator degree (the quotient is then zero forever); raises
-    :class:`DegreeCeilingError` if the ceiling is hit first.
+    The presentation decides the forms: its odd generators take part, each
+    at most once per monomial, and its form relations are linear in them; a
+    presentation without odd generators has no forms.  Processes one
+    q-degree, and within it one count of odd factors, at a time: the span of
+    ``relation * monomial`` there is row-reduced over the integers and the
+    non-pivot monomials survive into the basis.  Rows are built lazily from
+    relations scaled once to integer coefficients, so none is built after
+    the span covers every monomial; the even monomials of each degree are
+    enumerated once per call.  Terminates once the quotient vanishes on a
+    window of consecutive degrees as wide as the largest generator degree
+    (the quotient is then zero forever); raises :class:`DegreeCeilingError`
+    if the ceiling is hit first.
     """
     even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
-    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()} if with_forms else {}
+    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
     odd_names = sorted(odd_deg)
     odd_subsets = [[(odds, sum(odd_deg[o] for o in odds))
                     for odds in combinations(odd_names, k)]
                    for k in range(len(odd_names) + 1)]
     relations = []  # (integer terms, q-degree, odd factors per term)
-    for rels, n_odd in ((pres.relations, 0),
-                        (pres.form_relations if with_forms else [], 1)):
+    for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
             d = pres.poly_degree(rel, "q")
             if d is None:
                 raise ArithmeticError("inhomogeneous relation")
-            relations.append((_row_terms(rel, n_odd), int(d), n_odd))
+            relations.append((_row_terms(rel, n_odd, odd_deg), int(d), n_odd))
     window = max(even_deg.values(), default=0)
-    cheapest = min(even_deg, key=even_deg.get, default=None) if even_deg else None
+    cheapest = min(even_deg, key=even_deg.get, default=None)
 
     by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
 
@@ -607,15 +606,16 @@ def macaulay_basis(pres: GradedPresentation, with_forms=True,
     raise DegreeCeilingError(f"degree ceiling {ceiling} exceeded")
 
 
-def _row_terms(rel, n_odd):
+def _row_terms(rel, n_odd, odd_names):
     """``(odd name or None, even exponent pairs, int coefficient)`` per term.
 
     The coefficients are scaled to coprime integers, which leaves every span
-    of multiples of ``rel`` unchanged; each term needs ``n_odd`` odd factors.
+    of multiples of ``rel`` unchanged; each term needs ``n_odd`` factors
+    among ``odd_names``.
     """
     out = []
     for md, c in _primitive(rel.terms).items():
-        odd = [v for v, _ in md.items() if v.startswith("du")]
+        odd = [v for v, _ in md.items() if v in odd_names]
         if len(odd) != n_odd:
             raise ArithmeticError(f"relation terms need {n_odd} odd factors")
         dv = odd[0] if odd else None
@@ -651,11 +651,9 @@ def potential_antisym(k: int, N: int) -> Potential:
     """Antisymmetric-color potential: the ``z^(N+1)`` coefficient of a log."""
     if not (N >= k >= 1):
         raise UsageError("need N >= k >= 1")
-    base = LaurentPoly.one()
-    for i in range(1, k + 1):
-        base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    body = series_log(base, N + 1).coefficient_of("z", N + 1)
-    return Potential(body, tuple(f"u{i}" for i in range(1, k + 1)))
+    names = tuple(f"u{i}" for i in range(1, k + 1))
+    body = series_log(1 + _generating_function(names, "z"), N + 1)
+    return Potential(body.coefficient_of("z", N + 1), names)
 
 
 def split_potential_check(k: int, j: int):
@@ -673,14 +671,10 @@ def split_potential_check(k: int, j: int):
         raise UsageError("need k > j >= 1")
     N = 2 * k - j
     Wk = potential_antisym(k, N).body
-    Wkj = potential_antisym(k - j, N).body if k > j else LaurentPoly.zero()
+    Wkj = potential_antisym(k - j, N).body
     order = N + 1
-    Uk = LaurentPoly.one()
-    for i in range(1, k + 1):
-        Uk = Uk + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    Ukj = LaurentPoly.one()
-    for i in range(1, k - j + 1):
-        Ukj = Ukj + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
+    Uk = 1 + _generating_function([f"u{i}" for i in range(1, k + 1)], "z")
+    Ukj = 1 + _generating_function([f"u{i}" for i in range(1, k - j + 1)], "z")
     inv = series_pow_rational(Ukj, -1, order)
     rho = (Uk * inv).truncate("z", order)
     w = {s: rho.coefficient_of("z", s) for s in range(k - j + 1, order + 1)}
@@ -716,16 +710,10 @@ def extend_potential(pot: Potential, n: int) -> Potential:
     Each variable ``v`` becomes ``v_1 + v_2*tau + ... + v_n*tau^(n-1)`` and
     the ``tau^(n-1)`` coefficient is extracted.  ``n = 1`` renames only.
     """
-    images = {}
-    for v in pot.variables:
-        s = LaurentPoly.zero()
-        for mm in range(1, n + 1):
-            s = s + LaurentPoly.var(f"{v}_{mm}") * LaurentPoly.var("tau", mm - 1)
-        images[v] = s
-    body = poly_substitute(pot.body, images).coefficient_of("tau", n - 1)
+    body = poly_substitute(pot.body, _widened(pot.variables, n))
     variables = tuple(f"{v}_{mm}" for v in pot.variables
                       for mm in range(1, n + 1))
-    return Potential(body, variables)
+    return Potential(body.coefficient_of("tau", n - 1), variables)
 
 
 def extend_differential(images: dict, variables, n: int) -> dict:
@@ -734,18 +722,20 @@ def extend_differential(images: dict, variables, n: int) -> dict:
     ``D_n(xi_l^(i))`` is the ``tau^(n-i)`` coefficient of the image of
     ``xi_l`` with every even variable replaced by its generating function.
     """
-    subs = {}
-    for v in variables:
-        s = LaurentPoly.zero()
-        for mm in range(1, n + 1):
-            s = s + LaurentPoly.var(f"{v}_{mm}") * LaurentPoly.var("tau", mm - 1)
-        subs[v] = s
+    subs = _widened(variables, n)
     out = {}
     for xi, img in images.items():
         widened = poly_substitute(img, subs)
         for i in range(1, n + 1):
             out[f"{xi}_{i}"] = widened.coefficient_of("tau", n - i)
     return out
+
+
+def _widened(variables, n: int) -> dict:
+    """``v -> v_1 + v_2*tau + ... + v_n*tau^(n-1)`` for each variable."""
+    return {v: _generating_function([f"{v}_{mm}" for mm in range(1, n + 1)],
+                                   "tau", 0)
+            for v in variables}
 
 
 def torus_potential(p: int, q: int, r: int) -> Potential:
@@ -757,14 +747,11 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
-    base = LaurentPoly.one()
-    for i in range(1, r * p + 1):
-        base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
+    names = tuple(f"u{i}" for i in range(1, r * p + 1))
     order = (p + q) * r + 1
-    series = series_pow_rational(base, Fraction(q + p, p), order)
-    body = series.coefficient_of("z", order)
-    pot = Potential(body, tuple(f"u{i}" for i in range(1, r * p + 1)))
-    return pot.with_super()
+    series = series_pow_rational(1 + _generating_function(names, "z"),
+                                 Fraction(q + p, p), order)
+    return Potential(series.coefficient_of("z", order), names).with_super()
 
 
 # -- differential homology ----------------------------------------------------------
@@ -788,12 +775,7 @@ def _monomials_up_to(pres: GradedPresentation, cutoff: int):
             base = sum(odd_deg[o] for o in odds)
             for d in range(0, cutoff - base + 1):
                 for exps in _u_monomials(even_deg, d):
-                    md = Multidegree()
-                    for nm, e in exps.items():
-                        md = md + pres.generator(nm).degree.scale(e)
-                    for nm in odds:
-                        md = md + pres.generator(nm).degree
-                    out.append((exps, odds, md))
+                    out.append((exps, odds, pres.monomial_degree(exps, odds)))
     return out
 
 
@@ -829,11 +811,8 @@ class HomologyDims:
 
     def poincare(self, qmax=None) -> LaurentPoly:
         qmax = self.cutoff if qmax is None else qmax
-        out = LaurentPoly.zero()
-        for (a, q), d in self.dims.items():
-            if q <= qmax and d:
-                out = out + LaurentPoly.monomial(d, Multidegree(a=a, q=q))
-        return out
+        return LaurentPoly({Multidegree(a=a, q=q): d
+                            for (a, q), d in self.dims.items() if q <= qmax})
 
 
 def _block_homology(pres, d_apply, delta: Multidegree, cutoff: int):
@@ -948,38 +927,14 @@ def sl_differential_images(pres: GradedPresentation, n: int) -> dict:
     ``u_(a_1)...u_(a_n)``; for ``n = 2`` this is
     ``xi_1 -> u_1^2, xi_2 -> 2 u_1 u_2, xi_3 -> u_2^2 + 2 u_1 u_3, ...``.
     """
-    evens = sorted((int(g.q_degree()) // 2, g.name) for g in pres.evens())
-    indices = [i for i, _ in evens]
-    names = {i: nm for i, nm in evens}
+    index = {g.name: int(g.q_degree()) // 2 for g in pres.evens()}
+    indices = sorted(index.values())
     out = {}
     odds = sorted(pres.odds(), key=lambda g: int(g.q_degree()))
     for pos, g in enumerate(odds):
-        i = indices[pos]
-        target = i + n - 1
-        total = LaurentPoly.zero()
-
-        def rec(rem, count, lo, acc):
-            nonlocal total
-            if count == n:
-                if rem == 0:
-                    term = LaurentPoly.one()
-                    for b in acc:
-                        term = term * LaurentPoly.var(names[b])
-                    # multinomial count of orderings
-                    from math import factorial
-                    mult = factorial(n)
-                    seen = {}
-                    for b in acc:
-                        seen[b] = seen.get(b, 0) + 1
-                    for m in seen.values():
-                        mult //= factorial(m)
-                    total = total + mult * term
-                return
-            for b in indices:
-                if b < lo or b > rem:
-                    continue
-                rec(rem - b, count + 1, b, acc + [b])
-
-        rec(target, 0, min(indices), [])
-        out[g.name] = total
+        # u^exps with n factors, counted once per ordering of the factors
+        out[g.name] = LaurentPoly({
+            Multidegree(exps): factorial(n) // prod(map(factorial, exps.values()))
+            for exps in _u_monomials(index, indices[pos] + n - 1)
+            if sum(exps.values()) == n})
     return out

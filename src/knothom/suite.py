@@ -299,7 +299,7 @@ def check_schemes():
     m342 = macaulay_basis(scheme_presentation(3, 4, 2))
     out.append(_result("scheme-dim:M(3,4,2)", m342.dimension() == 121,
                        f"dim {m342.dimension()}"))
-    bottom = macaulay_basis(scheme_presentation(3, 4, 2), with_forms=False)
+    bottom = macaulay_basis(scheme_presentation(3, 4, 2, with_forms=False))
     paper25 = {
         "1", "u3", "u3^2", "u3^3", "u3^4", "u3^5", "u3^6",
         "u4", "u3*u4", "u3^2*u4", "u3^3*u4", "u3^4*u4",

@@ -11,6 +11,7 @@ import knothom
 
 from knothom import cli
 from knothom.cli import main, parse_color, parse_knot, UsageError
+from knothom.fixtures import load_fixture
 from knothom.laurent import LaurentPoly, parse_poly
 from knothom.partitions import Partition
 
@@ -109,6 +110,32 @@ def test_cancel(capsys):
     assert parse_poly(out) == parse_poly("q + q^3 + q^5*t^2 + q^9*t^3")
 
 
+def test_homfly_finds_a_non_rectangular_fixture(capsys):
+    assert main(["homfly", "--knot", "3_1", "--color", "[2,1]"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert parse_poly(out) == load_fixture("3_1:2_1").homfly_specialization()
+
+
+#: (verb, color, its canonical spelling); ``cancel`` expands the unreduced
+#: series, which takes a minute for the larger rectangles
+SPELLINGS = [
+    *[("homfly", spelled, canonical) for spelled, canonical in [
+        ("[2]", "S2"), ("1x2", "S2"), ("[1,1]", "L2"), ("2x1", "L2"),
+        ("[2,2]", "2x2"), ("[2,2,2]", "3x2"), ("L1", "S1")]],
+    ("cancel", "[2]", "S2"), ("cancel", "[1,1]", "L2"), ("cancel", "L1", "S1"),
+]
+
+
+@pytest.mark.parametrize("verb, spelled, canonical", SPELLINGS)
+def test_fixture_found_from_the_partition(capsys, verb, spelled, canonical):
+    """A fixture is found from the color's partition, however it is spelled."""
+    argv = [verb, "--knot", "3_1", "--cutoff", "16", "--color"]
+    assert main(argv + [canonical]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + [spelled]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cancel_resolves_knot_alias(capsys):
     argv = ["cancel", "--color", "S1", "--n", "2", "--cutoff", "12"]
     assert main(argv + ["--knot", "T3_4"]) == 0
@@ -188,6 +215,9 @@ def test_unknot_product_text_names_no_order(capsys, argv):
     ["homfly", "--knot", "3_1", "--color", "S5"],  # no such fixture
     ["cancel", "--knot", "4_1", "--color", "S3"],
     ["cancel", "--knot", "3_1", "--cutoff", "1"],  # leaves no window
+    ["cancel", "--knot", "3_1", "--color", "S0"],  # the empty color
+    ["homfly", "--knot", "3_1", "--color", "[]"],
+    ["check", "all", "--fixture", "zzz"],  # selects no check
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -199,6 +229,10 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     ["bottom", "--p", "2", "--q", "3", "--r", "-1"],
     ["scheme", "--p", "0", "--q", "3"],
     ["potential", "--p", "2", "--q", "-3"],
+    ["check", "hirota", "--rmax", "0"],
+    ["check", "hirota", "--smax", "0"],
+    ["cancel", "--knot", "3_1", "--n", "0"],
+    ["cancel", "--knot", "3_1", "--n", "-1"],
 ])
 def test_out_of_range_option_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -255,6 +289,18 @@ def test_heavy_homfly_json_pinned(capsys, args):
     assert main(["homfly", *args.split(), "--reduced", "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_HOMFLY_SHA256[args]
+
+
+#: SHA-256 of ``check all --format json``: every check's name, verdict and
+#: detail, in name order
+PINNED_CHECK_ALL_SHA256 = \
+    "494bf8f799cb1d102c20bb7efc4f1ed5d2490e0ee6a5c82a6a026b0608c19a36"
+
+
+def test_check_all_json_pinned(capsys):
+    assert main(["check", "all", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_CHECK_ALL_SHA256
 
 
 def run_module(*argv):

@@ -9,8 +9,11 @@ from knothom.fixtures import (
     FIXTURE_IDS,
     HOMOLOGY_FIXTURES,
     FixtureError,
+    fixture_name,
     load_fixture,
 )
+from knothom.errors import UsageError
+from knothom.partitions import Partition
 
 EXPECTED_DIMS = {
     "3_1:1": 3, "3_1:S2": 9, "3_1:L2": 9, "3_1:2x2": 81, "3_1:3x2": 729,
@@ -22,6 +25,14 @@ def test_all_fixtures_load_and_validate():
     for name in FIXTURE_IDS:
         fix = load_fixture(name)
         assert fix.poincare.dimension() == fix.dimension
+
+
+def test_fixture_name_from_knot_and_color():
+    for name in HOMOLOGY_FIXTURES:
+        fix = load_fixture(name)
+        assert fixture_name(fix.knot, fix.color) == name
+    with pytest.raises(UsageError):
+        fixture_name("3_1", Partition())
 
 
 def test_expected_dimensions():

@@ -6,7 +6,9 @@ mixed-sign rational coefficients and half-integral ``q`` exponents;
 Products and division chains are also drawn with integer coefficients
 only, the common case, which the kernel's inner loops compute on ``int``.
 Chains of divisions by binomials are checked in sympy's sparse polynomial
-ring, which multiplies products of hundreds of terms quickly.
+ring, which multiplies products of hundreds of terms quickly.  The truncated
+power series ``base**alpha``, ``log`` and ``exp`` are checked against
+sympy's ring series, over bases with symbolic coefficients.
 ``Multidegree`` itself is checked against a plain ``{var: Fraction}`` model,
 over the kernel's own variables, scheme generator names and fresh names.
 The runs are derandomized, so every run checks the same examples.
@@ -21,6 +23,7 @@ from itertools import product
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.ring_series import rs_exp, rs_log, rs_pow
 from sympy.polys.rings import ring
 
 from knothom.laurent import (
@@ -30,6 +33,9 @@ from knothom.laurent import (
     RationalSeries,
     max_cancel,
     nonneg_divisibility,
+    series_exp,
+    series_log,
+    series_pow_rational,
 )
 
 VARS = ("a", "q", "t")
@@ -271,6 +277,48 @@ def test_rational_series_expand(numerator, denominators, order):
     assert all(degree_in(t, "q") <= order for t in sympy_terms(to_sympy(expansion)))
     residual = to_sympy(expansion) * den - to_sympy(numerator)
     assert all(degree_in(t, "q") > order for t in sympy_terms(residual))
+
+
+#: the series variable ``z`` and the symbols of the series coefficients
+SERIES_VARS = ("z", "u1", "u2", "u3")
+SERIES_RING, Z, *_ = ring(",".join(SERIES_VARS), sympy.QQ)
+
+
+def to_series_ring(p: LaurentPoly):
+    return SERIES_RING.from_dict({
+        tuple(int(md.e(v)) for v in SERIES_VARS): sympy.QQ(c.numerator, c.denominator)
+        for md, c in p.terms.items()})
+
+
+#: ``sum c * u * z^k`` over at most three terms, ``k = 1..3``, each ``c``
+#: rational and ``u`` one of three symbols or 1
+positive_order_series = st.lists(
+    st.tuples(st.integers(1, 3), coeffs, st.sampled_from(SERIES_VARS[1:] + (None,))),
+    max_size=3,
+).map(lambda terms: LaurentPoly({
+    Multidegree({"z": k, **({u: 1} if u else {})}): c for k, c, u in terms}))
+series_orders = st.integers(1, 5)
+
+
+@oracle(60)
+@given(positive_order_series, st.fractions(-3, 3, max_denominator=3), series_orders)
+def test_series_pow_rational(u, alpha, order):
+    expected = rs_pow(to_series_ring(1 + u), _rational(alpha), Z, order + 1)
+    assert to_series_ring(series_pow_rational(1 + u, alpha, order)) == expected
+
+
+@oracle(60)
+@given(positive_order_series, series_orders)
+def test_series_log(u, order):
+    expected = rs_log(to_series_ring(1 + u), Z, order + 1)
+    assert to_series_ring(series_log(1 + u, order)) == expected
+
+
+@oracle(60)
+@given(positive_order_series, series_orders)
+def test_series_exp(u, order):
+    expected = rs_exp(to_series_ring(u), Z, order + 1)
+    assert to_series_ring(series_exp(u, order)) == expected
 
 
 #: variables registered when the kernel is imported, then scheme generator

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -208,15 +209,34 @@ def test_macaulay_exponential_growth():
 
 def test_macaulay_t34_r1():
     assert macaulay_basis(scheme_presentation(3, 4, 1)).dimension() == 11
-    bottom = macaulay_basis(scheme_presentation(3, 4, 1), with_forms=False)
+    bottom = macaulay_basis(scheme_presentation(3, 4, 1, with_forms=False))
     assert bottom.dimension() == 5
+
+
+def test_forms_are_the_presentations_odd_generators():
+    """Form terms are found by the presentation's odd generator names, so
+    renaming the forms ``du_i`` to ``eta_i`` changes no basis."""
+    pres = scheme_presentation(2, 3, 2)
+    rename = {g.name: "eta" + g.name[len("du"):] for g in pres.odds()}
+    images = {du: LaurentPoly.var(eta) for du, eta in rename.items()}
+    renamed = GradedPresentation(
+        [Generator(rename.get(g.name, g.name), g.parity, g.degree)
+         for g in pres.generators],
+        pres.relations,
+        [poly_substitute(fr, images) for fr in pres.form_relations])
+    assert all("du" not in v for fr in renamed.form_relations
+               for v in fr.variables())
+    ours, theirs = macaulay_basis(pres), macaulay_basis(renamed)
+    assert theirs.dimension() == ours.dimension() == 9
+    gradings = ("a", "q", "tr", "tc")
+    assert theirs.poincare(gradings) == ours.poincare(gradings)
 
 
 def test_macaulay_ceiling():
     pres = GradedPresentation(
         [Generator("u1", EVEN, Multidegree(q=2))], [], [])
     with pytest.raises(ArithmeticError):
-        macaulay_basis(pres, with_forms=False, ceiling=10)
+        macaulay_basis(pres, ceiling=10)
 
 
 def test_potential_antisym_displays():
@@ -313,6 +333,24 @@ def test_koszul_sl2_unknot():
     pres = symmetric_unknot_presentation(1)
     h = koszul_homology(pres, sl_differential_images(pres, 2), 16)
     assert h.dims == {(0, 0): 1, (0, 2): 1}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sl_differential_images_brute_force(r, n):
+    """``xi_i`` maps to the sum over ordered ``n``-tuples of indices with sum
+    ``i + n - 1``: each multiset of indices once per distinct ordering."""
+    images = sl_differential_images(symmetric_unknot_presentation(r), n)
+    assert set(images) == {f"xi{i}" for i in range(1, r + 1)}
+    for i in range(1, r + 1):
+        expected = LaurentPoly.zero()
+        for combo in combinations_with_replacement(range(1, r + 1), n):
+            if sum(combo) == i + n - 1:
+                term = LaurentPoly.const(len(set(permutations(combo))))
+                for a in combo:
+                    term = term * LaurentPoly.var(f"u{a}")
+                expected = expected + term
+        assert images[f"xi{i}"] == expected, (r, n, i)
 
 
 def test_koszul_sl2_unknot_s2():
