@@ -18,6 +18,24 @@ factor ``q^(-(m/n)*kappa(mu))``.  Because the hook-content product is the
 ``q^(n_stat(mu))`` that converts it to the balanced quantum dimension; the
 leftover global monomial is fixed a posteriori by the rank-one constraint
 ``P(a=q, q) = 1``.
+
+Over the common denominator ``prod_k (1 - q^k)^common[k]``, where
+``common`` is the union of the hook multisets of every ``mu``, the sum's
+numerator is ``sum_mu c_mu q^(W_mu) prod_cells (1 - a*q^content)
+prod_k (1 - q^k)^e_k`` with ``e_k = (common - hooks(mu))[k]``.  It is built
+by Kronecker substitution (Harvey, J. Symbolic Comput. 2009) in one Python
+``int``: the coefficient of ``a^i q^j`` sits in a signed slot of ``B`` bits
+at index ``i*L_q + j - q_lo``, for a stride of ``B`` per power of ``q`` and
+``B*L_q`` per power of ``a``, where ``[q_lo, q_lo + L_q)`` holds every ``q``
+exponent of every term.  Each factor is then one shift and one subtraction,
+done in C, and the integer is unpacked once.  ``B`` is the least multiple
+of 8 with
+
+    sum_mu |c_mu| * 2^(cells(mu) + sum_k e_k) < 2^(B-1),
+
+which bounds every coefficient of the sum, since each binomial factor at
+most doubles the sum of absolute values of a product's coefficients; so
+no slot overflows, and the slot width involves no guess.
 """
 
 from __future__ import annotations
@@ -29,11 +47,11 @@ from math import gcd
 
 from .errors import UsageError
 from .laurent import (
+    FRACTIONAL_VAR,
     DivisionError,
     LaurentPoly,
     Multidegree,
     RationalSeries,
-    clear_fractional,
 )
 from .partitions import Partition
 from .symmetric import plethysm_pn
@@ -99,31 +117,93 @@ def _hook_multiset(mu: Partition) -> Counter:
     return Counter(mu.hook(c) for c in mu.cells())
 
 
+def _packed_torus_sum(lam: Partition, n: int, m: int):
+    """The plethysm-sum numerator packed into one ``int``.
+
+    Returns ``(packed, (bits, q_lo, q_len), common, offset)``: ``packed``
+    holds the coefficient of ``a^i q^j`` in the slot of ``bits`` bits at
+    index ``i*q_len + j - q_lo`` (see the module docstring), with ``common``
+    and ``offset`` as :func:`_torus_sum` returns them.
+    """
+    common = Counter()
+    items = []
+    for mu, c in plethysm_pn(lam, n).coeffs.items():
+        hooks = _hook_multiset(mu)
+        common |= hooks
+        weight = Fraction(-m * mu.kappa(), n) + mu.n_stat()
+        items.append((int(c), weight, [mu.content(x) for x in mu.cells()], hooks))
+    offsets = {weight % 1 for _, weight, _, _ in items}
+    if len(offsets) != 1:
+        raise ValueError(f"terms carry distinct fractional {FRACTIONAL_VAR!r}"
+                         f"-offsets: {sorted(offsets)}")
+    offset = offsets.pop()
+    terms, lows, highs, bound = [], [], [], 0
+    for c, weight, contents, hooks in items:
+        binomials = list((common - hooks).elements())
+        bound += abs(c) << (len(contents) + len(binomials))
+        base = int(weight - offset)
+        lows.append(base + sum(x for x in contents if x < 0))
+        highs.append(base + sum(x for x in contents if x > 0) + sum(binomials))
+        terms.append((c, base, contents, binomials))
+    bits = -(-(bound.bit_length() + 1) // 8) * 8
+    q_lo = min(lows)
+    q_len = max(highs) - q_lo + 1
+    packed = 0
+    for c, base, contents, binomials in terms:
+        # a content x shifts by q_len + x > 0 slots; starting at q^base
+        # leaves room below for every negative content, since q_lo <= lows
+        p = c << (bits * (base - q_lo))
+        for k in binomials:
+            p -= p << (bits * k)
+        for x in contents:
+            p -= p << (bits * (q_len + x))
+        packed += p
+    return packed, (bits, q_lo, q_len), common, offset
+
+
+def _unpack(packed: int, bits: int, q_lo: int, q_len: int) -> LaurentPoly:
+    """The polynomial in ``a, q`` whose coefficients ``packed`` holds in
+    signed slots of ``bits`` bits, ``q_len`` slots per power of ``a``, from
+    ``q^q_lo`` on.  Every coefficient must lie strictly between
+    ``-2^(bits-1)`` and ``2^(bits-1)``.
+
+    Adding ``2^(bits-1)`` to every slot makes each one an unsigned digit of
+    base ``2^bits`` with no borrow between slots, so one ``to_bytes`` call
+    splits the whole polynomial.
+    """
+    width = bits // 8
+    slots = abs(packed).bit_length() // bits + 1
+    half = 1 << (bits - 1)
+    zero = half.to_bytes(width, "little")
+    raw = (packed + int.from_bytes(zero * slots, "little")).to_bytes(
+        slots * width, "little")
+    terms = []
+    for index, at in enumerate(range(0, slots * width, width)):
+        digit = raw[at:at + width]
+        if digit != zero:
+            i, j = divmod(index, q_len)
+            terms.append((i, j + q_lo, int.from_bytes(digit, "little") - half))
+    return LaurentPoly._from_aq(terms)
+
+
 def _torus_sum(lam: Partition, n: int, m: int):
     """Shared numerator/denominator of the plethysm sum.
 
-    Returns ``(total, common)`` with the unreduced invariant equal to
-    ``total / prod_k (1 - q^k)^common[k]`` up to the cleared fractional
-    ``q``-offset, which is also returned.
+    Returns ``(total, common, offset)`` with the unreduced invariant equal
+    to ``total / prod_k (1 - q^k)^common[k]`` times ``q^offset``, where
+    ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
+    weight.  ``total`` is ``sum_mu c_mu q^(W_mu) prod_cells (1 - a*q^content)
+    prod_k (1 - q^k)^e_k`` with ``W_mu = -(m/n)*kappa(mu) + n_stat(mu) -
+    offset`` and ``e_k = (common - hooks(mu))[k]``.  It is built in one
+    ``int`` with a slot of ``B`` bits per ``a^i q^j``, a stride of ``B`` per
+    power of ``q`` and ``B*L_q`` per power of ``a``, and ``B`` the least
+    multiple of 8 with ``sum_mu |c_mu| 2^(cells(mu) + sum_k e_k) < 2^(B-1)``,
+    which bounds every coefficient (see the module docstring); it is
+    unpacked once.  Weights with distinct fractional offsets raise
+    ``ValueError``, as :func:`clear_fractional` does.
     """
-    coeffs = plethysm_pn(lam, n)
-    common = Counter()
-    items = []
-    for mu, c in coeffs.coeffs.items():
-        hooks = _hook_multiset(mu)
-        common |= hooks
-        items.append((mu, c, hooks))
-    total = LaurentPoly.zero()
-    for mu, c, hooks in items:
-        weight = LaurentPoly.monomial(
-            c, Multidegree(q=-Fraction(m, n) * mu.kappa() + mu.n_stat()))
-        num = unknot_homfly(mu).numerator
-        comp = LaurentPoly.one()
-        for k, e in (common - hooks).items():
-            comp = comp * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
-        total = total + weight * num * comp
-    total, offset = clear_fractional(total)
-    return total, common, offset
+    packed, layout, common, offset = _packed_torus_sum(lam, n, m)
+    return _unpack(packed, *layout), common, offset
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):

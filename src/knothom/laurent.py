@@ -296,6 +296,16 @@ class LaurentPoly:
         every value a ``Fraction``."""
         return cls._of({md: Fraction(c) for md, c in values.items()})
 
+    @classmethod
+    def _from_aq(cls, terms):
+        """The polynomial ``sum c * a^i * q^j`` over ``int`` triples
+        ``(i, j, c)`` with distinct ``(i, j)`` and nonzero ``c``.  Each degree
+        is built as the tuple ``(j, i)`` directly: ``q`` and ``a`` hold slots
+        0 and 1 from import on."""
+        return cls._of({
+            _new(Multidegree, (j, i) if i else (j,) if j else ()): Fraction(c)
+            for i, j, c in terms})
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

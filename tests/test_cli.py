@@ -303,6 +303,16 @@ def test_check_all_json_pinned(capsys):
     assert digest == PINNED_CHECK_ALL_SHA256
 
 
+def test_replay_reference_matches_every_pin():
+    """Every request pinned in ``bench/reference.json`` still prints the
+    pinned bytes, replayed by ``tools/replay_reference.py``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(root / "tools" / "replay_reference.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    assert done.stdout.splitlines()[-1] == "130/130 requests match"
+
+
 def run_module(*argv):
     src = str(pathlib.Path(knothom.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -161,7 +161,7 @@ def q_binomials(multiset) -> LaurentPoly:
 
 @pytest.mark.parametrize("lam, n, m", [
     (Partition(parts), n, m)
-    for n, m in [(2, 3), (2, 5), (3, 4), (3, 5)]
+    for n, m in [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)]
     for size in range(1, 8 // n + 1)
     for parts in partitions_of(size)
 ])

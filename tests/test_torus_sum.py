@@ -1,0 +1,181 @@
+"""Oracles for the packed plethysm sum ``invariants._torus_sum``.
+
+The sum is built as one Kronecker-packed integer and unpacked once.  These
+tests check it three ways: by value at integer points against an exact
+rational evaluation of the Rosso-Jones sum, term by term against the
+general-product loop it replaced (kept here as ``_reference_torus_sum``),
+and, for the packing itself, on hand-packed slots at the edges of the slot
+range and against the proven slot-width bound.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from knothom.invariants import (
+    _hook_multiset,
+    _packed_torus_sum,
+    _torus_sum,
+    _unpack,
+    unknot_homfly,
+)
+from knothom.laurent import LaurentPoly, Multidegree, clear_fractional
+from knothom.partitions import Partition, partitions_of
+from knothom.symmetric import PLETHYSM_SIZE_CAP, plethysm_pn
+
+KNOTS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]
+#: every colour under the plethysm cap on each knot
+SWEEP = [(Partition(parts), n, m)
+         for n, m in KNOTS
+         for size in range(1, PLETHYSM_SIZE_CAP // n + 1)
+         for parts in partitions_of(size)]
+#: integer points (a, q) away from the zeros of every (1 - q^k)
+POINTS = [(2, 3), (-3, 2), (5, -2)]
+
+
+def _case_id(case):
+    lam, n, m = case
+    return f"{''.join(map(str, lam.parts))}-T{n},{m}"
+
+
+def _reference_torus_sum(lam, n, m):
+    """The plethysm sum as a loop of general ``LaurentPoly`` products."""
+    coeffs = plethysm_pn(lam, n)
+    common = Counter()
+    items = []
+    for mu, c in coeffs.coeffs.items():
+        hooks = _hook_multiset(mu)
+        common |= hooks
+        items.append((mu, c, hooks))
+    total = LaurentPoly.zero()
+    for mu, c, hooks in items:
+        weight = LaurentPoly.monomial(
+            c, Multidegree(q=-Fraction(m, n) * mu.kappa() + mu.n_stat()))
+        num = unknot_homfly(mu).numerator
+        comp = LaurentPoly.one()
+        for k, e in (common - hooks).items():
+            comp = comp * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
+        total = total + weight * num * comp
+    total, offset = clear_fractional(total)
+    return total, common, offset
+
+
+def _evaluate(p: LaurentPoly, points) -> list:
+    """``p(a, q)`` exactly at each point, for a polynomial in ``a`` and ``q``."""
+    low = int(p.min_degree("q"))
+    terms = [(int(md.e("a")), int(md.e("q")) - low, int(c))
+             for md, c in p.terms.items()]
+    return [sum(c * a ** i * q ** j for i, j, c in terms) * Fraction(q) ** low
+            for a, q in points]
+
+
+def _rosso_jones_value(coeffs, n, m, offset, a, q) -> Fraction:
+    """``sum_mu c_mu q^(W_mu) prod (1 - a q^content) prod_k (1 - q^k)^e_k``
+    at the point ``(a, q)``, over the Schur coefficients ``coeffs`` of the
+    plethysm, with ``W_mu = -(m/n) kappa(mu) + n_stat(mu) - offset`` and
+    ``e_k`` the hooks of the union that ``mu`` lacks."""
+    hooks = {mu: Counter(mu.hook(x) for x in mu.cells()) for mu in coeffs}
+    union = Counter()
+    for h in hooks.values():
+        union |= h
+    q = Fraction(q)
+    total = Fraction(0)
+    for mu, c in coeffs.items():
+        w = Fraction(-m * mu.kappa(), n) + mu.n_stat() - offset
+        assert w.denominator == 1
+        term = c * q ** int(w)
+        for x in mu.cells():
+            term *= 1 - a * q ** mu.content(x)
+        for k, e in (union - hooks[mu]).items():
+            term *= (1 - q ** k) ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=_case_id)
+def test_torus_sum_at_integer_points(case):
+    lam, n, m = case
+    total, common, offset = _torus_sum(lam, n, m)
+    assert 0 <= offset < 1
+    coeffs = plethysm_pn(lam, n).coeffs
+    union = Counter()
+    for mu in coeffs:
+        union |= Counter(mu.hook(x) for x in mu.cells())
+    assert common == union
+    assert _evaluate(total, POINTS) == [
+        _rosso_jones_value(coeffs, n, m, offset, a, q) for a, q in POINTS]
+
+
+@pytest.mark.parametrize("case", [c for c in SWEEP if c[0].size() * c[1] <= 8],
+                         ids=_case_id)
+def test_torus_sum_matches_product_loop(case):
+    got = _torus_sum(*case)
+    want = _reference_torus_sum(*case)
+    assert got[0].terms == want[0].terms
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("case", SWEEP, ids=_case_id)
+def test_slot_width_meets_bound(case):
+    """``sum |c_mu| 2^(cells + binomials) < 2^(B-1)`` for the slot width
+    ``B``, the least multiple of 8 that meets it."""
+    lam, n, m = case
+    packed, (bits, q_lo, q_len), common, _ = _packed_torus_sum(lam, n, m)
+    coeffs = plethysm_pn(lam, n).coeffs
+    bound = 0
+    for mu, c in coeffs.items():
+        factors = mu.size() + sum((common - _hook_multiset(mu)).values())
+        bound += abs(int(c)) * 2 ** factors
+    assert bits % 8 == 0
+    assert bound < 2 ** (bits - 1)
+    assert bits == 8 or bound >= 2 ** (bits - 9)
+    largest = max(abs(c) for c in _unpack(packed, bits, q_lo, q_len).terms.values())
+    assert largest <= bound
+
+
+def _pack(coeffs, bits, q_lo, q_len):
+    """``sum c * 2^(bits * (i*q_len + j - q_lo))`` over ``{(i, j): c}``."""
+    return sum(c << bits * (i * q_len + j - q_lo) for (i, j), c in coeffs.items())
+
+
+def _poly(coeffs):
+    return LaurentPoly({Multidegree(a=i, q=j): c for (i, j), c in coeffs.items()})
+
+
+@pytest.mark.parametrize("q_lo", [-2, 5])
+@pytest.mark.parametrize("bits", [8, 16, 24])
+@pytest.mark.parametrize("coeffs", [
+    # extreme slots, both signs, beside a zero slot at (0, 1)
+    {(0, 0): 1, (0, 2): -1, (1, 0): 1, (1, 2): 1, (2, 1): -1},
+    # negative leading slot: the packed integer is negative
+    {(0, 0): 1, (2, 2): -1},
+    {(0, 0): -1, (1, 1): -1, (2, 1): -1},
+    # small values, in the top slot of the first row only
+    {(0, 2): 3},
+    {},
+], ids=["extremes", "negative-lead", "all-negative", "small", "zero"])
+def test_unpack_signed_slots(coeffs, bits, q_lo):
+    """Slots ``(i, j)`` count ``q`` from ``q_lo``; a value of 1 stands for the
+    largest slot value ``2^(bits-1) - 1``."""
+    top = 2 ** (bits - 1) - 1
+    coeffs = {(i, j + q_lo): c * top if abs(c) == 1 else c
+              for (i, j), c in coeffs.items()}
+    packed = _pack(coeffs, bits, q_lo, 3)
+    if coeffs and coeffs[max(coeffs)] < 0:
+        assert packed < 0
+    got = _unpack(packed, bits, q_lo, 3)
+    assert got.terms == _poly(coeffs).terms
+
+
+def test_negative_contents_single_colour():
+    """With ``n = 1`` the sum is the one term ``q^W prod (1 - a q^content)``;
+    a column colour has only nonpositive contents."""
+    lam = Partition([1, 1, 1])
+    total, common, offset = _torus_sum(lam, 1, 2)
+    assert common == _hook_multiset(lam) and offset == 0
+    expect = LaurentPoly.var("q", -2 * lam.kappa() + lam.n_stat())
+    for x in (0, -1, -2):
+        expect = expect * (LaurentPoly.one()
+                           - LaurentPoly.monomial(1, Multidegree(a=1, q=x)))
+    assert total == expect
