@@ -17,8 +17,22 @@ from knothom import (
     torus_homfly,
 )
 
+
+def schur_sum(coeffs):
+    """``{Partition([2]): 1, Partition([1, 1]): -1}`` as ``s[2] - s[1,1]``."""
+    text = ""
+    for mu, c in coeffs.items():
+        term = f"s{mu}" if abs(c) == 1 else f"{abs(c)}*s{mu}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {term}"
+        else:
+            text = f"-{term}" if c < 0 else term
+    return text or "0"
+
+
 print("Schur expansion of the doubled fundamental color:")
-print("  s_1(x^2) =", plethysm_pn([1], 2))
+print("  s[1](x^2) =", schur_sum(plethysm_pn([1], 2)))
+print("  s[2](x^2) =", schur_sum(plethysm_pn([2], 2)))
 
 print("\nreduced trefoil invariants (canonical form has P(a=q, q) = 1):")
 for color in ([1], [2], [1, 1]):

@@ -40,7 +40,7 @@ from .partitions import (
     h_plus,
     partitions_of,
 )
-from .symmetric import SymFunc, chen_remmel, mn_character, plethysm_pn, zee
+from .symmetric import chen_remmel, mn_character, plethysm_pn, zee
 from .invariants import (
     NormalizationReport,
     hirota_check,

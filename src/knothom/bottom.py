@@ -9,13 +9,11 @@ unreduced symmetric bottom row of ``(2, 2p+1)`` torus knots as an explicit
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
 from math import factorial, gcd
 
 from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree, RationalSeries
-from .partitions import catalan_count, dyck_paths, h_plus
+from .partitions import dyck_paths, h_plus
 
 
 def row_count(p: int, q: int, k: int) -> int:

@@ -22,7 +22,6 @@ import functools
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries
 from .partitions import Partition, catalan_count

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree
+from .laurent import LaurentPoly
 from .partitions import Partition
 from .checks import from_tilde, to_tilde
 

@@ -127,11 +127,11 @@ def _packed_torus_sum(lam: Partition, n: int, m: int):
     """
     common = Counter()
     items = []
-    for mu, c in plethysm_pn(lam, n).coeffs.items():
+    for mu, c in plethysm_pn(lam, n).items():
         hooks = _hook_multiset(mu)
         common |= hooks
         weight = Fraction(-m * mu.kappa(), n) + mu.n_stat()
-        items.append((int(c), weight, [mu.content(x) for x in mu.cells()], hooks))
+        items.append((c, weight, [mu.content(x) for x in mu.cells()], hooks))
     offsets = {weight % 1 for _, weight, _, _ in items}
     if len(offsets) != 1:
         raise ValueError(f"terms carry distinct fractional {FRACTIONAL_VAR!r}"
@@ -192,15 +192,10 @@ def _torus_sum(lam: Partition, n: int, m: int):
     Returns ``(total, common, offset)`` with the unreduced invariant equal
     to ``total / prod_k (1 - q^k)^common[k]`` times ``q^offset``, where
     ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
-    weight.  ``total`` is ``sum_mu c_mu q^(W_mu) prod_cells (1 - a*q^content)
-    prod_k (1 - q^k)^e_k`` with ``W_mu = -(m/n)*kappa(mu) + n_stat(mu) -
-    offset`` and ``e_k = (common - hooks(mu))[k]``.  It is built in one
-    ``int`` with a slot of ``B`` bits per ``a^i q^j``, a stride of ``B`` per
-    power of ``q`` and ``B*L_q`` per power of ``a``, and ``B`` the least
-    multiple of 8 with ``sum_mu |c_mu| 2^(cells(mu) + sum_k e_k) < 2^(B-1)``,
-    which bounds every coefficient (see the module docstring); it is
-    unpacked once.  Weights with distinct fractional offsets raise
-    ``ValueError``, as :func:`clear_fractional` does.
+    weight and ``total`` is the polynomial numerator of the module
+    docstring, built packed and unpacked once.  Weights with distinct
+    fractional offsets raise ``ValueError``, as :func:`clear_fractional`
+    does.
     """
     packed, layout, common, offset = _packed_torus_sum(lam, n, m)
     return _unpack(packed, *layout), common, offset

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial, gcd
+from operator import index
 
 from .errors import UsageError
 
@@ -20,7 +20,13 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if int(p) != 0)
+        parts = tuple(parts)
+        try:
+            if any(isinstance(p, bool) for p in parts):
+                raise TypeError("a bool is no part")
+            parts = tuple(p for p in map(index, parts) if p)
+        except TypeError:
+            raise UsageError(f"parts must be integers: {list(parts)}") from None
         if any(p < 0 for p in parts):
             raise UsageError("parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

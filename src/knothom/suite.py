@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
 from .partitions import Partition, catalan_count, partitions_of
@@ -378,7 +379,7 @@ def check_counting():
     ok2 = all(
         bottom_poincare(p, q, r).dimension() == catalan_count(p, q) ** r
         for p in range(1, 6) for q in range(1, 6) for r in (1, 2, 3)
-        if __import__("math").gcd(p, q) == 1)
+        if gcd(p, q) == 1)
     out.append(_result("counting:bottom-dimensions", ok2))
     return out
 

@@ -1,18 +1,19 @@
-"""Symmetric functions: characters, Schur/power-sum bases, power plethysm.
+"""Symmetric-group characters and the power plethysm ``s_lam[p_n]``.
 
 Characters of the symmetric group are evaluated by the border-strip
-(Murnaghan-Nakayama) recursion on beta numbers.  The only plethysm needed
-here is substitution of power sums ``p_k -> p_{n*k}``, which produces the
-branching coefficients of Schur functions in ``n``-th power variables.
+(Murnaghan-Nakayama) recursion on beta numbers, memoised in one
+process-wide table.  The only plethysm needed here is substitution of power
+sums ``p_k -> p_{n*k}``, which produces the branching coefficients of Schur
+functions in ``n``-th power variables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import UsageError
-from .laurent import _frac
 from .partitions import Partition, balanced_diagrams, partitions_of
 
 #: largest |lambda| * n accepted by plethysm_pn
@@ -37,19 +38,20 @@ def _parts(x):
     return Partition(x).parts
 
 
-def _beta_set(lam_parts, length):
+def _beta_set(lam_parts) -> frozenset:
+    length = max(1, len(lam_parts))
     return frozenset(
         (lam_parts[i] if i < len(lam_parts) else 0) + (length - 1 - i)
         for i in range(length)
     )
 
 
-def _mn_rec(betas, mu, cache):
+@cache
+def _mn_rec(betas: frozenset, mu: tuple) -> int:
+    """``chi^lam(mu)`` for the partition with beta set ``betas``, removing
+    border strips of the lengths in ``mu`` in order."""
     if not mu:
         return 1
-    key = (betas, mu)
-    if key in cache:
-        return cache[key]
     k = mu[0]
     rest = mu[1:]
     total = 0
@@ -58,142 +60,58 @@ def _mn_rec(betas, mu, cache):
         if nb < 0 or nb in betas:
             continue
         crossed = sum(1 for c in betas if nb < c < b)
-        new = (betas - {b}) | {nb}
-        total += (-1) ** crossed * _mn_rec(new, rest, cache)
-    cache[key] = total
+        total += (-1) ** crossed * _mn_rec((betas - {b}) | {nb}, rest)
     return total
 
 
-def mn_character(lam, mu, cache=None) -> int:
-    """Irreducible symmetric-group character ``chi^lam(mu)``.
-
-    ``cache`` is a plain dict owned by the caller; pass one to share work
-    across many evaluations.
-    """
+def mn_character(lam, mu) -> int:
+    """Irreducible symmetric-group character ``chi^lam(mu)``."""
     lam, mu = Partition(_parts(lam)), Partition(_parts(mu))
     if lam.size() != mu.size():
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    if lam.size() == 0:
-        return 1
-    if cache is None:
-        cache = {}
-    length = max(1, lam.length())
-    betas = _beta_set(lam.parts, length)
-    return _mn_rec(betas, tuple(sorted(mu.parts, reverse=True)), cache)
+    return _mn_rec(_beta_set(lam.parts), mu.parts)
 
 
-class SymFunc:
-    """A homogeneous symmetric function in the Schur or power-sum basis."""
+def plethysm_pn(lam, n: int) -> dict:
+    """Schur expansion ``{mu: c_mu}`` of ``s_lam`` in ``n``-th power variables.
 
-    SCHUR = "schur"
-    POWERSUM = "powersum"
-
-    def __init__(self, basis, coeffs):
-        if basis not in (self.SCHUR, self.POWERSUM):
-            raise ValueError(f"unknown basis {basis!r}")
-        clean = {}
-        degree = None
-        for mu, c in coeffs.items():
-            mu = mu if isinstance(mu, Partition) else Partition(mu)
-            c = _frac(c)
-            if c == 0:
-                continue
-            if degree is None:
-                degree = mu.size()
-            elif mu.size() != degree:
-                raise ValueError("coefficients are not homogeneous")
-            clean[mu] = clean.get(mu, Fraction(0)) + c
-        self.basis = basis
-        self.coeffs = {m: c for m, c in clean.items() if c != 0}
-
-    def degree(self):
-        return next(iter(self.coeffs)).size() if self.coeffs else 0
-
-    def to_powersum(self, cache=None) -> "SymFunc":
-        if self.basis == self.POWERSUM:
-            return self
-        cache = {} if cache is None else cache
-        out = {}
-        for lam, c in self.coeffs.items():
-            for nu in partitions_of(lam.size()):
-                chi = mn_character(lam, nu, cache)
-                if chi:
-                    p = Partition(nu)
-                    out[p] = out.get(p, Fraction(0)) + c * Fraction(chi, zee(nu))
-        return SymFunc(self.POWERSUM, out)
-
-    def to_schur(self, cache=None) -> "SymFunc":
-        if self.basis == self.SCHUR:
-            return self
-        cache = {} if cache is None else cache
-        out = {}
-        for nu, c in self.coeffs.items():
-            for lam in partitions_of(nu.size()):
-                chi = mn_character(lam, nu, cache)
-                if chi:
-                    p = Partition(lam)
-                    out[p] = out.get(p, Fraction(0)) + c * chi
-        return SymFunc(self.SCHUR, out)
-
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixed bases")
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return SymFunc(self.basis, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, SymFunc) and self.basis == other.basis
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        names = {self.SCHUR: "s", self.POWERSUM: "p"}
-        sym = names[self.basis]
-        body = " + ".join(
-            f"{'' if c == 1 else str(c) + '*'}{sym}{mu}"
-            for mu, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].parts)
-        )
-        return body or "0"
-
-
-def plethysm_pn(lam, n: int, cache=None) -> SymFunc:
-    """Schur expansion of ``s_lam`` evaluated in ``n``-th power variables.
-
-    Expands ``s_lam`` into power sums, replaces ``p_mu`` by ``p_{n*mu}`` and
-    converts back; all resulting Schur coefficients are integers (verified).
+    ``c_mu = sum_nu chi^lam(nu) chi^mu(n*nu) / z_nu`` over ``|nu| = |lam|``;
+    only the nonzero coefficients are kept, and each is an ``int``
+    (verified).
     """
     lam = Partition(_parts(lam))
     if n < 1:
         raise UsageError("n must be positive")
-    if lam.size() * n > PLETHYSM_SIZE_CAP:
+    size = lam.size()
+    if size * n > PLETHYSM_SIZE_CAP:
         raise UsageError(
-            f"|lambda|*n = {lam.size() * n} exceeds cap {PLETHYSM_SIZE_CAP}"
+            f"|lambda|*n = {size * n} exceeds cap {PLETHYSM_SIZE_CAP}"
         )
-    cache = {} if cache is None else cache
+    # z_nu divides |S_size| = size!, so every term is an integer over size!
+    order = factorial(size)
+    betas = _beta_set(lam.parts)
+    inner = []
+    for nu in partitions_of(size):
+        chi = _mn_rec(betas, nu)
+        if chi:
+            inner.append((tuple(n * k for k in nu), chi * (order // zee(nu))))
     out = {}
-    inner = [(nu, mn_character(lam, nu, cache)) for nu in
-             partitions_of(lam.size())]
-    inner = [(nu, chi) for nu, chi in inner if chi]
-    for mu in partitions_of(lam.size() * n):
-        total = Fraction(0)
-        for nu, chi_l in inner:
-            scaled = tuple(sorted((n * k for k in nu), reverse=True))
-            chi_m = mn_character(mu, scaled, cache)
-            if chi_m:
-                total += Fraction(chi_l * chi_m, zee(nu))
+    for mu in partitions_of(size * n):
+        mu_betas = _beta_set(mu)
+        total = sum(weight * _mn_rec(mu_betas, scaled)
+                    for scaled, weight in inner)
         if total:
-            if total.denominator != 1:
+            c, r = divmod(total, order)
+            if r:
                 raise ArithmeticError(
-                    f"non-integer plethysm coefficient {total} at {mu}"
+                    f"non-integer plethysm coefficient {Fraction(total, order)}"
+                    f" at {mu}"
                 )
-            out[Partition(mu)] = total
-    return SymFunc(SymFunc.SCHUR, out)
+            out[Partition(mu)] = c
+    return out
 
 
-def chen_remmel(S: int, R: int) -> SymFunc:
-    """Closed form for ``s_(S^R)`` in doubled variables via balanced diagrams."""
-    out = {}
-    for mu, sign in balanced_diagrams(S, R):
-        out[mu] = Fraction(sign)
-    return SymFunc(SymFunc.SCHUR, out)
+def chen_remmel(S: int, R: int) -> dict:
+    """Closed form ``{mu: sign}`` for ``s_(S^R)`` in doubled variables via
+    balanced diagrams."""
+    return dict(balanced_diagrams(S, R))

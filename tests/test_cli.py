@@ -217,6 +217,10 @@ def test_unknot_product_text_names_no_order(capsys, argv):
     ["cancel", "--knot", "3_1", "--cutoff", "1"],  # leaves no window
     ["cancel", "--knot", "3_1", "--color", "S0"],  # the empty color
     ["homfly", "--knot", "3_1", "--color", "[]"],
+    ["homfly", "--knot", "torus:2,3", "--color", "[1.5]"],  # not integers
+    ["homfly", "--knot", "torus:2,3", "--color", "[2.0]"],
+    ["homfly", "--knot", "torus:2,3", "--color", '["2"]'],
+    ["homfly", "--knot", "torus:2,3", "--color", "[true]"],
     ["check", "all", "--fixture", "zzz"],  # selects no check
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -16,6 +16,7 @@ from knothom.invariants import (
     unknot_super,
 )
 from knothom.partitions import Partition, partitions_of
+from knothom.symmetric import PLETHYSM_SIZE_CAP
 
 P = parse_poly
 
@@ -178,6 +179,20 @@ def test_reduced_quotient_by_multiplication(lam, n, m):
     lam_hooks = Counter(lam.hook(cell) for cell in lam.cells())
     assert (quotient * unknot_homfly(lam).numerator * q_binomials(common)
             == total * q_binomials(lam_hooks))
+
+
+@pytest.mark.parametrize("lam, n, m", [
+    (Partition(parts), n, m)
+    for n, m in [(2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]
+    for size in range(1, PLETHYSM_SIZE_CAP // m + 1)
+    for parts in partitions_of(size)
+])
+def test_torus_knot_symmetry(lam, n, m):
+    """``T(n, m)`` and ``T(m, n)`` are the same knot, so their reduced
+    invariants agree up to a monomial and a sign."""
+    p, _ = torus_homfly(lam, n, m)
+    swapped, _ = torus_homfly(lam, m, n)
+    assert match_up_to_monomial(p, swapped) is not None
 
 
 def test_mirror_transpose_relation():

@@ -1,5 +1,6 @@
 import pytest
 
+from knothom.errors import UsageError
 from knothom.partitions import (
     Partition,
     balanced_diagrams,
@@ -9,6 +10,14 @@ from knothom.partitions import (
     h_plus,
     partitions_of,
 )
+
+
+def test_parts_must_be_integers():
+    assert Partition([2, 0, 1]).parts == (2, 1)
+    assert Partition((p for p in [3, 3])).parts == (3, 3)
+    for parts in ([1.5], [2.0], ["2"], [2, None], [True]):
+        with pytest.raises(UsageError, match="integers"):
+            Partition(parts)
 
 
 def test_cell_stats_single_box():

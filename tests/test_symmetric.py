@@ -4,7 +4,7 @@ import pytest
 
 from knothom.partitions import Partition, balanced_diagrams, partitions_of
 from knothom.symmetric import (
-    SymFunc,
+    PLETHYSM_SIZE_CAP,
     chen_remmel,
     mn_character,
     plethysm_pn,
@@ -27,14 +27,13 @@ def test_character_size_mismatch():
 
 
 def test_character_orthogonality():
-    cache = {}
     for n in range(1, 7):
         lams = [Partition(p) for p in partitions_of(n)]
         for lam in lams:
             for nu in lams:
                 total = sum(
                     Fraction(
-                        mn_character(lam, mu, cache) * mn_character(nu, mu, cache),
+                        mn_character(lam, mu) * mn_character(nu, mu),
                         zee(mu),
                     )
                     for mu in partitions_of(n)
@@ -42,20 +41,12 @@ def test_character_orthogonality():
                 assert total == (1 if lam == nu else 0)
 
 
-def test_basis_roundtrip():
-    f = SymFunc(SymFunc.SCHUR, {Partition([2, 1]): 1, Partition([3]): -2})
-    assert f.to_powersum().to_schur() == f
-
-
 def test_plethysm_examples():
-    assert plethysm_pn((1,), 2) == SymFunc(
-        SymFunc.SCHUR, {Partition([2]): 1, Partition([1, 1]): -1})
-    assert plethysm_pn((2,), 2) == SymFunc(
-        SymFunc.SCHUR,
-        {Partition([4]): 1, Partition([3, 1]): -1, Partition([2, 2]): 1})
-    assert plethysm_pn((1,), 3) == SymFunc(
-        SymFunc.SCHUR,
-        {Partition([3]): 1, Partition([2, 1]): -1, Partition([1, 1, 1]): 1})
+    assert plethysm_pn((1,), 2) == {Partition([2]): 1, Partition([1, 1]): -1}
+    assert plethysm_pn((2,), 2) == {
+        Partition([4]): 1, Partition([3, 1]): -1, Partition([2, 2]): 1}
+    assert plethysm_pn((1,), 3) == {
+        Partition([3]): 1, Partition([2, 1]): -1, Partition([1, 1, 1]): 1}
 
 
 def test_plethysm_cap():
@@ -85,5 +76,72 @@ def test_balanced_sign_dimension_sum():
             signed = sum(sign * mu.sym_dimension()
                          for mu, sign in balanced_diagrams(S, R))
             forced = sum(c * mu.sym_dimension()
-                         for mu, c in oracle.coeffs.items())
+                         for mu, c in oracle.items())
             assert signed == forced
+
+
+def _complete(xs, degree) -> list:
+    """``[h_0(xs), ..., h_degree(xs)]``, the complete homogeneous sums,
+    from ``sum_r h_r t^r = prod_i 1 / (1 - x_i t)``."""
+    h = [1] + [0] * degree
+    for x in xs:
+        for r in range(1, degree + 1):
+            h[r] += x * h[r - 1]
+    return h
+
+
+def _det(rows) -> int:
+    """Determinant of an integer matrix by fraction-free (Bareiss)
+    elimination."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def _schur_at(mu, xs) -> int:
+    """``s_mu(xs)`` by the Jacobi-Trudi determinant ``det h_(mu_i - i + j)``."""
+    h = _complete(xs, sum(mu))
+    ell = len(mu)
+    return _det([[h[mu[i] - i + j] if mu[i] - i + j >= 0 else 0
+                  for j in range(ell)] for i in range(ell)])
+
+
+#: every (lambda, n >= 2) under the plethysm cap
+PLETHYSM_CASES = [(Partition(parts), n)
+                  for n in range(2, PLETHYSM_SIZE_CAP + 1)
+                  for size in range(1, PLETHYSM_SIZE_CAP // n + 1)
+                  for parts in partitions_of(size)]
+
+
+def test_plethysm_against_jacobi_trudi():
+    """``sum_mu c_mu s_mu(x) = s_lam(x_1^n, ..., x_k^n)`` at two integer
+    points with ``k = |lam|*n`` variables, enough that the Schur polynomials
+    of degree ``k`` are linearly independent."""
+    assert len(PLETHYSM_CASES) == 58
+    for lam, n in PLETHYSM_CASES:
+        k = lam.size() * n
+        for xs in ([i + 1 for i in range(k)],
+                   [(-1) ** i * (i + 2) for i in range(k)]):
+            expansion = sum(c * _schur_at(mu.parts, xs)
+                            for mu, c in plethysm_pn(lam, n).items())
+            assert expansion == _schur_at(lam.parts, [x ** n for x in xs]), \
+                (lam, n, xs)
+
+
+def test_jacobi_trudi_helpers():
+    assert _complete([1, 2], 2) == [1, 3, 7]
+    assert _det([]) == 1 and _det([[0, 1], [1, 0]]) == -1
+    # s_(2,1)(x, y, z) counts 8 semistandard tableaux at (1, 1, 1)
+    assert _schur_at((2, 1), [1, 1, 1]) == 8
+    assert _schur_at((1, 1), [2, 3]) == 6
