@@ -22,7 +22,6 @@ from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
-    clear_fractional,
     max_cancel,
     nonneg_divisibility,
     parse_poly,
@@ -88,6 +87,7 @@ from .checks import (
     colored_regrade,
     from_tilde,
     mirror_swap,
+    rank_collapse,
     rank_collapse_input,
     sl_cancel,
     to_tilde,

@@ -382,3 +382,14 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     survivors = survivors.truncate("q", cutoff)
     collapsed = survivors.substitute("a", LaurentPoly.var("q", n))
     return collapsed.truncate("q", window), window
+
+
+def rank_collapse(key: str, lam, n: int, cutoff=30):
+    """Rank-``n`` collapse of the unreduced series of ``key`` in colour
+    ``lam``: :func:`rank_collapse_input` to order ``cutoff + 4``, then
+    :func:`sl_cancel` along the differential of degree ``a^-2 q^(2n) t^-1``.
+    Returns ``(survivors, window)``.  ``knothom cancel`` and the suite's
+    ``sl2`` checks both run this.
+    """
+    series = rank_collapse_input(key, lam, cutoff + 4)
+    return sl_cancel(series, Multidegree(a=-2, q=2 * n, t=-1), n, cutoff=cutoff)

@@ -23,7 +23,7 @@ import json
 import sys
 import traceback
 
-from .laurent import LaurentPoly, Multidegree, RationalSeries
+from .laurent import LaurentPoly, RationalSeries
 from .partitions import Partition, catalan_count
 from .invariants import torus_homfly, unknot_homfly, unknot_super, hirota_check
 from .models import (
@@ -33,7 +33,7 @@ from .models import (
     scheme_presentation,
     torus_potential,
 )
-from .checks import rank_collapse_input, sl_cancel
+from .checks import rank_collapse
 from .errors import UsageError
 from .fixtures import fixture_name, load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
@@ -117,8 +117,11 @@ def cmd_homfly(args):
             print(f"# normalization: sign*shift = {shift}; "
                   f"checks = {report.checks}", file=sys.stderr)
     else:
-        fr, _ = torus_homfly(color, p, q, reduced=False)
+        fr, report = torus_homfly(color, p, q, reduced=False)
         emit_poly(fr.expand(args.cutoff), args.format)
+        if args.format == "text" and report.fractional_offset:
+            print(f"# offset: the invariant is q^({report.fractional_offset}) "
+                  "times this series", file=sys.stderr)
     return 0
 
 
@@ -234,9 +237,7 @@ def cmd_cancel(args):
     if kind == "torus":
         raise UsageError(f"cancel needs a fixture knot or unknot, not {args.knot!r}")
     key = "unknot:" if kind == "unknot" else fixture_name(name, color)
-    series = rank_collapse_input(key, color, args.cutoff + 4)
-    degree = Multidegree(a=-2, q=2 * args.n, t=-1)
-    survivors, window = sl_cancel(series, degree, args.n, cutoff=args.cutoff)
+    survivors, window = rank_collapse(key, color, args.n, cutoff=args.cutoff)
     emit_poly(survivors, args.format)
     if args.format == "text":
         print(f"# exact through q^{window}", file=sys.stderr)

@@ -46,13 +46,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UsageError
-from .laurent import (
-    FRACTIONAL_VAR,
-    DivisionError,
-    LaurentPoly,
-    Multidegree,
-    RationalSeries,
-)
+from .laurent import DivisionError, LaurentPoly, Multidegree, RationalSeries
 from .partitions import Partition
 from .symmetric import plethysm_pn
 
@@ -134,8 +128,7 @@ def _packed_torus_sum(lam: Partition, n: int, m: int):
         items.append((c, weight, [mu.content(x) for x in mu.cells()], hooks))
     offsets = {weight % 1 for _, weight, _, _ in items}
     if len(offsets) != 1:
-        raise ValueError(f"terms carry distinct fractional {FRACTIONAL_VAR!r}"
-                         f"-offsets: {sorted(offsets)}")
+        raise ValueError(f"terms carry distinct fractional q-offsets: {sorted(offsets)}")
     offset = offsets.pop()
     terms, lows, highs, bound = [], [], [], 0
     for c, weight, contents, hooks in items:
@@ -194,8 +187,7 @@ def _torus_sum(lam: Partition, n: int, m: int):
     ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
     weight and ``total`` is the polynomial numerator of the module
     docstring, built packed and unpacked once.  Weights with distinct
-    fractional offsets raise ``ValueError``, as :func:`clear_fractional`
-    does.
+    fractional offsets raise ``ValueError``.
     """
     packed, layout, common, offset = _packed_torus_sum(lam, n, m)
     return _unpack(packed, *layout), common, offset
@@ -228,7 +220,10 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     Reduced output is a Laurent polynomial in ``a, q`` canonicalized so that
     ``P(a=q, q) == 1``; the applied monomial shift and sign live in the
     returned :class:`NormalizationReport`.  Unreduced output is a
-    :class:`RationalSeries` in ``q`` (the invariant is an infinite series).
+    :class:`RationalSeries` in ``q`` (the invariant is an infinite series)
+    without its factor ``q^offset``: the unreduced invariant is the series
+    times ``q^report.fractional_offset``, an offset in ``[0, 1)`` that is
+    ``1/2`` for ``T(2, 3)`` in ``S1``, so the series keeps integer exponents.
 
     The reduced invariant is the exact quotient of ``total * prod_(lam
     hooks) (1 - q^k)`` by ``prod_common (1 - q^k)`` times the unknot

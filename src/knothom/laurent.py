@@ -6,10 +6,7 @@ package.  The values of ``LaurentPoly.terms`` are always
 division read integral coefficients as ``int`` (``Fraction`` only where a
 value is not integral), compute on them, and wrap each result value in a
 ``Fraction`` once on the way out; Python mixes ``int`` and ``Fraction``
-exactly.  Exponents are exact rationals as well, but
-only the variable ``q`` is allowed to carry a non-integer exponent (fractional
-``q``-powers arise in the torus-knot plethysm sum and are cleared before any
-result is returned).
+exactly.  Exponents are integers on every variable.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -17,8 +14,7 @@ instead of packed words.  A module-level slot table gives each variable a
 slot: ``q, a, t, tr, tc`` take slots 0 to 4 at import, and any other
 variable (a scheme generator such as ``u1`` or ``du2``) takes the next free
 slot when first seen.  A degree is the tuple of its exponents by slot, with
-trailing zeros trimmed, each an ``int`` except a non-integral ``q``
-exponent, which is a ``Fraction``.  Equal degrees are therefore equal
+trailing zeros trimmed, each an ``int``.  Equal degrees are therefore equal
 tuples: hashing and equality are ``tuple``'s own C code, and addition maps
 ``operator.add`` over two tuples.  Slot order never reaches output, since
 every reader that names variables sorts them by name.  The public readers
@@ -48,9 +44,6 @@ from fractions import Fraction
 from itertools import accumulate, compress, count, zip_longest
 from math import floor
 from operator import add as _add, neg as _neg
-
-#: the only variable permitted to carry fractional exponents
-FRACTIONAL_VAR = "q"
 
 _new = tuple.__new__
 
@@ -108,7 +101,7 @@ def _slot(var) -> int:
     return i
 
 
-for _var in (FRACTIONAL_VAR, "a", "t", "tr", "tc"):
+for _var in ("q", "a", "t", "tr", "tc"):
     _slot(_var)
 
 
@@ -118,19 +111,16 @@ def _slots(variables) -> list:
 
 
 def _from_slots(exps: dict) -> "Multidegree":
-    """The ``Multidegree`` with the exact exponent ``exps[i]`` in each slot
-    ``i``, integral values made ``int``.  Raises ``ValueError`` for a
-    fractional exponent off the ``q`` slot."""
+    """The ``Multidegree`` with the exponent ``exps[i]`` in each slot ``i``,
+    an integral ``Fraction`` made ``int``.  Raises ``ValueError`` for a
+    non-integral exponent."""
     out = [0] * (max(exps, default=-1) + 1)
     for i, x in exps.items():
         if type(x) is not int:
-            if x.denominator == 1:
-                x = x.numerator
-            elif i:
+            if x.denominator != 1:
                 raise ValueError(
-                    f"fractional exponent {x} on variable {_VARS[i]!r}; "
-                    f"only {FRACTIONAL_VAR!r} may carry fractional exponents"
-                )
+                    f"non-integral exponent {x} on variable {_VARS[i]!r}")
+            x = x.numerator
         out[i] = x
     while out and not out[-1]:
         out.pop()
@@ -138,19 +128,20 @@ def _from_slots(exps: dict) -> "Multidegree":
 
 
 class Multidegree(tuple):
-    """An immutable exponent vector with one exact rational entry per variable.
+    """An immutable exponent vector with one integer entry per variable.
 
     A ``Multidegree`` is a tuple: entry ``i`` is the exponent of the
     variable in slot ``i`` of the module's slot table, and trailing zeros
     are trimmed.  Absent variables have exponent zero, so
     ``Multidegree(a=0, q=2) == Multidegree(q=2)``.  Exponents are stored as
-    ``int``; only the ``q`` slot (slot 0) may hold a ``Fraction``, and only
-    a non-integral one.  The storage is a normal form, so equal degrees are
-    equal tuples, and hashing and equality are ``tuple``'s own.  A
-    ``Multidegree`` therefore also equals a plain tuple of the same slots;
-    no code mixes the two.  Slot order is private: ``items``,
-    ``variables``, ``key`` and ``repr`` name variables and sort them by
-    name, and the public readers ``e`` and ``total`` return ``Fraction``.
+    ``int``; an integral ``Fraction`` given to a constructor is made
+    ``int``, and a non-integral one raises ``ValueError``.  The storage is
+    a normal form, so equal degrees are equal tuples, and hashing and
+    equality are ``tuple``'s own.  A ``Multidegree`` therefore also equals
+    a plain tuple of the same slots; no code mixes the two.  Slot order is
+    private: ``items``, ``variables``, ``key`` and ``repr`` name variables
+    and sort them by name, and the public readers ``e`` and ``total``
+    return ``Fraction``.
     """
 
     __slots__ = ()
@@ -170,7 +161,7 @@ class Multidegree(tuple):
         return Multidegree, (self.items(),)
 
     def _e(self, var):
-        """Stored exponent of ``var``: ``int``, or ``Fraction`` if fractional."""
+        """Stored exponent of ``var``, an ``int``."""
         i = _INDEX.get(var, _ABSENT)
         return self[i] if i < len(self) else 0
 
@@ -209,9 +200,6 @@ class Multidegree(tuple):
             out = [*map(_add, self, other)]
             while out and not out[-1]:
                 out.pop()
-        # only the q slot can hold a Fraction, which may have become integral
-        if out and type(out[0]) is not int and out[0].denominator == 1:
-            out[0] = out[0].numerator
         return _new(Multidegree, out)
 
     def __sub__(self, other):
@@ -244,8 +232,7 @@ class Multidegree(tuple):
         """``self + k*step`` for an integer ``k``."""
         if not k:
             return self
-        # k*step keeps step's trailing zeros trimmed and needs no check; a q
-        # entry made integral is normalised by ``__add__``
+        # k*step keeps step's trailing zeros trimmed and needs no check
         return self + _new(Multidegree, [k * e for e in step])
 
     def _key(self, slots):
@@ -492,9 +479,8 @@ class LaurentPoly:
     def substitute(self, var, image):
         """Replace ``var**e`` by ``image**e`` for a unit-monomial image.
 
-        ``image`` must be a single monomial with coefficient ``+1`` or ``-1``
-        (so that exponent arithmetic stays closed); with coefficient ``-1``
-        all exponents of ``var`` must be integers.
+        ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
+        so that exponent arithmetic stays closed.
         """
         image = self._coerce(image)
         coeff, imd = image.as_monomial()
@@ -506,8 +492,6 @@ class LaurentPoly:
             if e == 0:
                 md2, c2 = md, c
             else:
-                if coeff == -1 and type(e) is not int:
-                    raise ValueError("sign image needs an integer exponent")
                 sign = coeff ** e if coeff == -1 else 1
                 md2 = md._without(var) + imd.scale(e)
                 c2 = c * sign
@@ -711,6 +695,8 @@ def parse_poly(text: str) -> LaurentPoly:
 
     def take():
         nonlocal idx
+        if idx == len(toks):
+            raise ValueError(f"unexpected end of input in {text!r}")
         t = toks[idx]
         idx += 1
         return t
@@ -936,7 +922,7 @@ def _ray_decomposition(terms: dict, step: Multidegree):
     i = _INDEX[pivot]
     rays = {}
     for md, c in terms.items():
-        k = (md[i] if i < len(md) else 0) // estep  # exact floor, also for fractional q
+        k = (md[i] if i < len(md) else 0) // estep
         rays.setdefault(md._shift(step, -k), {})[k] = c
     return list(rays.items())
 
@@ -1021,24 +1007,3 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
             if s:
                 survivors[base._shift(m, lo + i)] = s
     return LaurentPoly._wrap(survivors), pairs
-
-
-def clear_fractional(p: LaurentPoly, var=FRACTIONAL_VAR):
-    """Shift away a common fractional exponent offset on ``var``.
-
-    All terms must share a single fractional offset mod 1; fails loudly
-    otherwise.  Returns ``(shifted, offset)`` where
-    ``shifted = p * var**-offset`` has integer exponents in ``var``.
-    """
-    if p.is_zero():
-        return p, Fraction(0)
-    fracs = {md._e(var) % 1 for md in p.terms}
-    if len(fracs) != 1:
-        raise ValueError(
-            f"terms carry distinct fractional {var!r}-offsets: {sorted(fracs)}"
-        )
-    offset = fracs.pop()
-    if offset == 0:
-        return p, Fraction(0)
-    shift = Multidegree({var: -offset})
-    return p.map_exponents(lambda md: md + shift), offset

@@ -40,8 +40,7 @@ from .checks import (
     check_hfk_growth,
     check_mirror,
     check_self_symmetry,
-    rank_collapse_input,
-    sl_cancel,
+    rank_collapse,
 )
 from .fixtures import DIFFERENTIALS, HOMOLOGY_FIXTURES, load_fixture
 from .bottom import bottom_poincare, row_count, trefoil_recursion_check, vortex_character
@@ -434,12 +433,6 @@ def _sl2_expected(key, window):
     return base.truncate("q", window)
 
 
-def _sl2_input(key, order):
-    """Unreduced series in ``(a, q, t)`` with ``t`` the column grading."""
-    color = key.split(":")[1]
-    return rank_collapse_input(key, [1] if color == "1" else [2], order)
-
-
 #: the figure-eight S^2 table in the source is provably unreachable by any
 #: degree-(-2,4,-1) pairing of its own stated input (its two printed forms
 #: also disagree with each other); the canonical maximal cancellation agrees
@@ -449,10 +442,9 @@ SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 def check_sl2():
     out = []
-    degree = Multidegree(a=-2, q=4, t=-1)
     for key in SL2_TARGETS:
-        series = _sl2_input(key, 34)
-        survivors, window = sl_cancel(series, degree, 2, cutoff=30)
+        lam = [1] if key.endswith(":1") else [2]
+        survivors, window = rank_collapse(key, lam, 2, cutoff=30)
         expected = _sl2_expected(key, window)
         if key == "4_1:S2":
             gap = survivors - expected

@@ -8,14 +8,9 @@ defect (see the strict xfail at the bottom and the decisions ledger).
 import pytest
 
 from knothom import suite
-from knothom.laurent import Multidegree, parse_poly
-from knothom.checks import sl_cancel
-from knothom.suite import (
-    SL2_41S2_KNOWN_GAP,
-    SL2_TARGETS,
-    _sl2_expected,
-    _sl2_input,
-)
+from knothom.laurent import parse_poly
+from knothom.checks import rank_collapse
+from knothom.suite import SL2_41S2_KNOWN_GAP, _sl2_expected
 
 
 def _require(results, label):
@@ -93,16 +88,12 @@ def test_criterion_10_vortex_bottom():
            f"{SL2_41S2_KNOWN_GAP}")
 def test_criterion_7_figure_eight_s2_literal():
     key = "4_1:S2"
-    series = _sl2_input(key, 34)
-    survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
-                                  cutoff=30)
+    survivors, window = rank_collapse(key, [2], 2, cutoff=30)
     assert survivors == _sl2_expected(key, window)
 
 
 def test_known_gap_is_exactly_as_documented():
     key = "4_1:S2"
-    series = _sl2_input(key, 34)
-    survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
-                                  cutoff=30)
+    survivors, window = rank_collapse(key, [2], 2, cutoff=30)
     gap = survivors - _sl2_expected(key, window)
     assert gap == parse_poly(SL2_41S2_KNOWN_GAP)

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from knothom.cli import main
 from knothom.laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
 from knothom.checks import (
     DifferentialSpec,
@@ -13,6 +16,7 @@ from knothom.checks import (
     colored_regrade,
     from_tilde,
     mirror_swap,
+    rank_collapse,
     rank_collapse_input,
     sl_cancel,
     to_tilde,
@@ -222,6 +226,18 @@ def test_sl_cancel_stable_under_cutoff():
     s2, w2 = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=32)
     assert w2 >= w1
     assert s2.truncate("q", w1) == s1
+
+
+def test_rank_collapse_is_the_cancel_pipeline(capsys):
+    """``rank_collapse`` is the input series, expanded 4 past the cutoff,
+    cancelled along ``a^-2 q^(2n) t^-1``; ``knothom cancel`` prints it."""
+    got = rank_collapse("3_1:S2", [2], 2, cutoff=30)
+    series = rank_collapse_input("3_1:S2", [2], order=34)
+    assert got == sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=30)
+    argv = ["cancel", "--knot", "3_1", "--color", "S2", "--n", "2",
+            "--cutoff", "30", "--format", "json"]
+    assert main(argv) == 0
+    assert LaurentPoly.from_json(json.loads(capsys.readouterr().out)) == got[0]
 
 
 def test_sl_cancel_needs_decreasing_t():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ import knothom
 from knothom import cli
 from knothom.cli import main, parse_color, parse_knot, UsageError
 from knothom.fixtures import load_fixture
+from knothom.invariants import torus_homfly
 from knothom.laurent import LaurentPoly, parse_poly
 from knothom.partitions import Partition
 
@@ -51,6 +53,24 @@ def test_homfly_json_roundtrip(capsys):
     assert json.dumps(poly.to_json(), separators=(",", ":")) == \
         json.dumps(LaurentPoly.from_json(json.loads(out)).to_json(),
                    separators=(",", ":"))
+
+
+@pytest.mark.parametrize("color, offset", [("S1", "1/2"), ("S2", None)])
+def test_unreduced_homfly_prints_offset_on_stderr(capsys, color, offset):
+    """Unreduced ``homfly`` prints the series without its ``q^offset``
+    factor; a nonzero offset goes to stderr in text mode, never to stdout."""
+    argv = ["homfly", "--knot", "torus:2,3", "--color", color, "--cutoff", "6"]
+    assert main(argv) == 0
+    text = capsys.readouterr()
+    series, report = torus_homfly(parse_color(color), 2, 3, reduced=False)
+    assert parse_poly(text.out.strip()) == series.expand(6)
+    assert report.fractional_offset == (Fraction(offset) if offset else 0)
+    if offset:
+        assert f"q^({offset})" in text.err
+    else:
+        assert text.err == ""
+    assert main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_check_single_group(capsys):

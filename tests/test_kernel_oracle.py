@@ -1,7 +1,7 @@
 """Differential tests of the Laurent kernel against sympy.
 
 Inputs are generated by hypothesis over the variables ``a, q, t`` with
-mixed-sign rational coefficients and half-integral ``q`` exponents;
+mixed-sign rational coefficients and integer exponents;
 ``max_cancel`` and ``nonneg_divisibility`` get integer multiplicities.
 Products and division chains are also drawn with integer coefficients
 only, the common case, which the kernel's inner loops compute on ``int``.
@@ -9,7 +9,7 @@ Chains of divisions by binomials are checked in sympy's sparse polynomial
 ring, which multiplies products of hundreds of terms quickly.  The truncated
 power series ``base**alpha``, ``log`` and ``exp`` are checked against
 sympy's ring series, over bases with symbolic coefficients.
-``Multidegree`` itself is checked against a plain ``{var: Fraction}`` model,
+``Multidegree`` itself is checked against a plain ``{var: int}`` model,
 over the kernel's own variables, scheme generator names and fresh names.
 The runs are derandomized, so every run checks the same examples.
 """
@@ -37,13 +37,12 @@ from knothom.laurent import (
     series_log,
     series_pow_rational,
 )
+from knothom.models import GradedPresentation
 
 VARS = ("a", "q", "t")
 SYM = {v: sympy.Symbol(v, positive=True) for v in VARS}
-ROOT_Q = sympy.Symbol("s", positive=True)  # q = s^2 clears half-integral q
 
 small = st.integers(-3, 3)
-half_q = st.one_of(small, st.integers(-6, 6).map(lambda n: Fraction(n, 2)))
 whole = st.integers(-4, 4).filter(bool)
 coeffs = st.one_of(
     st.integers(-4, 4),
@@ -56,12 +55,12 @@ def oracle(max_examples):
                     max_examples=max_examples)
 
 
-def multidegrees(q=half_q):
+def multidegrees(q=small):
     return st.builds(lambda a, qe, t: Multidegree(a=a, q=qe, t=t), small, q, small)
 
 
-def polys(q=half_q, max_terms=5, c=coeffs):
-    return st.dictionaries(multidegrees(q), c, max_size=max_terms).map(LaurentPoly)
+def polys(max_terms=5, c=coeffs):
+    return st.dictionaries(multidegrees(), c, max_size=max_terms).map(LaurentPoly)
 
 
 def integer_or_rational(make):
@@ -93,12 +92,11 @@ def degree_in(term, var):
 
 
 def assert_normalised(p: LaurentPoly):
-    """No zero coefficients, each a ``Fraction``; integral exponents stored
-    as ``int``."""
+    """No zero coefficients, each a ``Fraction``; exponents stored as ``int``."""
     for md, c in p.terms.items():
         assert type(c) is Fraction and c != 0
         for v, e in md.items():
-            assert e != 0 and (type(e) is int or (v == "q" and e.denominator != 1))
+            assert e != 0 and type(e) is int
 
 
 @oracle(120)
@@ -148,8 +146,7 @@ def test_divide_exact(f, g, m, c):
     assert quotient == f
     if g.num_terms() > 1:
         r = h + LaurentPoly.monomial(c, m)
-        _, den = sympy.fraction(sympy.cancel(
-            (to_sympy(r) / to_sympy(g)).subs(SYM["q"], ROOT_Q ** 2)))
+        _, den = sympy.fraction(sympy.cancel(to_sympy(r) / to_sympy(g)))
         assert len(sympy_terms(den)) > 1  # r / g is no Laurent polynomial
         with time_limit(1), pytest.raises(DivisionError):
             r.divide_exact(g)
@@ -177,16 +174,16 @@ def binomial_factors(c=coeffs):
     return st.lists(binomial, min_size=3, max_size=8)
 
 
-RING = ring("a,s,t", sympy.QQ)[0]  # s = q^(1/2)
+RING = ring("a,q,t", sympy.QQ)[0]
 #: exceeds every negative exponent of a product of binomial_factors()
 SHIFT = 64
 
 
 def in_ring(p: LaurentPoly, shift=SHIFT):
-    """``p * (a*s*t)^shift`` in sympy's sparse polynomial ring, fast enough
+    """``p * (a*q*t)^shift`` in sympy's sparse polynomial ring, fast enough
     for products of several hundred terms."""
     return RING.from_dict({
-        (int(md.e("a")) + shift, int(2 * md.e("q")) + shift, int(md.e("t")) + shift):
+        (int(md.e("a")) + shift, int(md.e("q")) + shift, int(md.e("t")) + shift):
             sympy.QQ(c.numerator, c.denominator)
         for md, c in p.terms.items()})
 
@@ -224,7 +221,7 @@ def test_divide_exact_chain_missing_factor(factors, cofactor, data):
     by all of them raises :class:`DivisionError` at some step."""
     assume(not cofactor.is_zero())
     missing = data.draw(st.integers(0, len(factors) - 1))
-    _, den = sympy.fraction(sympy.cancel(in_s(cofactor) / in_s(factors[missing])))
+    _, den = sympy.fraction(sympy.cancel(to_sympy(cofactor) / to_sympy(factors[missing])))
     assume(len(sympy_terms(den)) > 1)  # cofactor / missing is no Laurent polynomial
     quotient = cofactor * multiply_all(factors[:missing] + factors[missing + 1:])
     with time_limit(1), pytest.raises(DivisionError):
@@ -236,8 +233,7 @@ def test_divide_exact_chain_missing_factor(factors, cofactor, data):
 @given(st.data())
 def test_substitute_unit_monomial(data):
     var = data.draw(st.sampled_from(VARS))
-    # a sign image, and a fractional image exponent, need integer exponents of var
-    f = data.draw(polys(q=small) if var == "q" else polys())
+    f = data.draw(polys())
     image = LaurentPoly.monomial(data.draw(st.sampled_from([1, -1])),
                                  data.draw(multidegrees()))
     ours = f.substitute(var, image)
@@ -245,24 +241,17 @@ def test_substitute_unit_monomial(data):
     assert_normalised(ours)
 
 
-def test_substitute_sign_image_needs_integer_exponent():
-    f = LaurentPoly.var("q", Fraction(1, 2))
-    with pytest.raises(ValueError):
-        f.substitute("q", -LaurentPoly.var("a"))
-
-
 @oracle(80)
-@given(polys(), st.sampled_from(VARS), half_q)
+@given(polys(), st.sampled_from(VARS), small)
 def test_truncate(f, var, order):
     expected = sympy.Add(*[t for t in sympy_terms(to_sympy(f))
-                           if degree_in(t, var) <= _rational(Fraction(order))])
+                           if degree_in(t, var) <= order])
     assert same(f.truncate(var, order), expected)
 
 
 @oracle(60)
 @given(polys(max_terms=3),
-       st.lists(multidegrees(q=st.sampled_from([Fraction(1, 2), 1, 2])),
-                max_size=2),
+       st.lists(multidegrees(q=st.sampled_from([1, 2])), max_size=2),
        st.integers(-2, 4))
 def test_rational_series_expand(numerator, denominators, order):
     """``E = expand(order)`` is the truncation of ``N / D`` through ``order``.
@@ -331,18 +320,14 @@ names = st.one_of(st.sampled_from(KNOWN_NAMES),
 
 
 def exponent_pairs(max_size=5):
-    """``(var, exponent)`` lists, with repeated variables; only ``q`` gets
-    half-integral exponents.  Each list starts with a ``q`` pair, so that
-    about a quarter of the degrees have a half-integral ``q``."""
-    pair = names.flatmap(lambda v: st.tuples(st.just(v), half_q if v == "q" else small))
-    return st.builds(lambda qe, rest: [("q", qe), *rest],
-                     half_q, st.lists(pair, max_size=max_size))
+    """``(var, exponent)`` lists, with repeated variables."""
+    return st.lists(st.tuples(names, small), max_size=max_size)
 
 
 def model_of(pairs) -> dict:
     out = {}
     for v, e in pairs:
-        out[v] = out.get(v, 0) + Fraction(e)
+        out[v] = out.get(v, 0) + e
     return {v: e for v, e in out.items() if e}
 
 
@@ -351,15 +336,10 @@ def model_sum(x: dict, y: dict, k=1) -> dict:
     return model_of([*x.items(), *((v, k * e) for v, e in y.items())])
 
 
-def is_stored_exponent(e, var) -> bool:
-    """``int``, or a non-integral ``Fraction`` on ``q``."""
-    return type(e) is int or (var == "q" and type(e) is Fraction and e.denominator != 1)
-
-
 def assert_matches(md: Multidegree, model: dict):
     """``md`` holds exactly ``model``, in normal form, through every reader."""
     assert md.items() == tuple(sorted(model.items()))
-    assert all(is_stored_exponent(e, v) for v, e in md.items())
+    assert all(type(e) is int for _, e in md.items())
     assert md.variables() == tuple(sorted(model))
     for v in (*model, "q", "a", "fresh"):
         assert type(md.e(v)) is Fraction and md.e(v) == model.get(v, 0)
@@ -379,7 +359,7 @@ def test_multidegree_matches_model(x, y, k, var, variables):
     mx, my = model_of(x), model_of(y)
     assert_matches(X, mx)
     assert_matches(X + Y, model_sum(mx, my))
-    assert_matches(X + X, model_sum(mx, mx))  # a half-integral q becomes integral
+    assert_matches(X + X, model_sum(mx, mx))
     assert_matches(X - Y, model_sum(mx, my, -1))
     assert_matches(X - X, {})
     assert_matches(-X, model_sum({}, mx, -1))
@@ -387,17 +367,17 @@ def test_multidegree_matches_model(x, y, k, var, variables):
     assert_matches(X._shift(Y, k), model_sum(mx, my, k))
     assert_matches(X._without(var), {v: e for v, e in mx.items() if v != var})
     total, exps = X.key(variables)
-    assert total == sum(mx.values()) and is_stored_exponent(total, "q")
+    assert total == sum(mx.values()) and type(total) is int
     assert exps == tuple(mx.get(v, 0) for v in variables)
-    assert all(is_stored_exponent(e, v) for v, e in zip(variables, exps))
+    assert all(type(e) is int for e in exps)
 
 
 @oracle(150)
 @given(exponent_pairs(), st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3)]))
 def test_multidegree_scale_by_fraction(x, k):
-    """A fractional exponent off ``q`` raises ``ValueError``."""
+    """A non-integral exponent on any variable raises ``ValueError``."""
     expected = model_sum({}, model_of(x), k)
-    if any(e.denominator != 1 for v, e in expected.items() if v != "q"):
+    if any(e.denominator != 1 for e in expected.values()):
         with pytest.raises(ValueError):
             Multidegree(x).scale(k)
     else:
@@ -426,16 +406,11 @@ def test_multidegree_normal_form():
     assert Multidegree(q=Fraction(4, 2)) == Multidegree(q=2)
     assert hash(Multidegree(q=Fraction(4, 2))) == hash(Multidegree(q=2))
     assert [type(e) for _, e in Multidegree(q=Fraction(4, 2)).items()] == [int]
-    half = Multidegree(q=Fraction(1, 2))
-    assert half + half == Multidegree(q=1)
-    assert hash(half + half) == hash(Multidegree(q=1))
-    assert [type(e) for _, e in (half + half).items()] == [int]
-    assert tuple(half + half) == (1,) and type((half + half)[0]) is int
-    assert half + (-half) == Multidegree()
-    root = LaurentPoly.var("q", Fraction(1, 2))
-    assert root * root == LaurentPoly.var("q")
+    one = Multidegree(q=1)
+    assert one + one == Multidegree(q=2) and tuple(one + one) == (2,)
+    assert one + (-one) == Multidegree() and tuple(one + (-one)) == ()
     # slots are numbered per process, so a degree pickles by variable name
-    md = Multidegree(u1=2, q=Fraction(1, 2))
+    md = Multidegree(u1=2, q=-1)
     assert pickle.loads(pickle.dumps(md)) == md
 
 
@@ -445,15 +420,11 @@ def counts(max_terms=4):
                            max_size=max_terms).map(LaurentPoly)
 
 
-def in_s(p: LaurentPoly):
-    return to_sympy(p).subs(SYM["q"], ROOT_Q ** 2)
-
-
 def quotient_by_binomial(p: LaurentPoly, m: Multidegree):
-    """sympy's ``p / (1 + mono(m))``, in ``s = q^(1/2)``, and whether it is a
-    Laurent polynomial with nonnegative integer coefficients."""
+    """sympy's ``p / (1 + mono(m))``, and whether it is a Laurent polynomial
+    with nonnegative integer coefficients."""
     binomial = LaurentPoly.one() + LaurentPoly.monomial(1, m)
-    quotient = sympy.cancel(in_s(p) / in_s(binomial))
+    quotient = sympy.cancel(to_sympy(p) / to_sympy(binomial))
     _, den = sympy.fraction(quotient)
     if len(sympy_terms(den)) > 1:
         return quotient, False
@@ -472,7 +443,7 @@ def test_nonneg_divisibility(data):
     witness = data.draw(counts(max_terms=2))
     for k, c in enumerate(data.draw(st.lists(st.integers(-1, 3), max_size=4))):
         witness = witness + LaurentPoly.monomial(c, start + m.scale(k))
-    noise = data.draw(st.dictionaries(multidegrees(q=small), st.integers(-2, 2),
+    noise = data.draw(st.dictionaries(multidegrees(), st.integers(-2, 2),
                                       max_size=2).map(LaurentPoly))
     p = (LaurentPoly.one() + LaurentPoly.monomial(1, m)) * witness + noise
     ours = nonneg_divisibility(p, m)
@@ -481,7 +452,7 @@ def test_nonneg_divisibility(data):
         assert not nonneg
     else:
         assert nonneg
-        assert sympy.expand(in_s(ours) - quotient) == 0
+        assert sympy.expand(to_sympy(ours) - quotient) == 0
 
 
 def brute_force_pairs(p: LaurentPoly, m: Multidegree) -> int:
@@ -522,14 +493,39 @@ def test_max_cancel(data):
         assert nonneg
 
 
-@pytest.mark.parametrize("make", [
-    lambda: Multidegree(a=Fraction(1, 2)),
-    lambda: Multidegree(t=Fraction(-3, 2), q=Fraction(1, 2)),
-    lambda: Multidegree(a=1).scale(Fraction(1, 2)),
-    lambda: LaurentPoly.var("tc", Fraction(1, 3)),
-    lambda: Multidegree(fresh_fractional=Fraction(1, 2)),
-    lambda: Multidegree(u1=1, q=1).scale(Fraction(1, 2)),
-])
-def test_fractional_exponent_outside_q_raises(make):
-    with pytest.raises(ValueError):
-        make()
+def _presentation(degree):
+    return {"generators": [{"name": "u1", "parity": 0, "degree": degree}]}
+
+
+def _poly_json(var, exp):
+    return {"variables": [var], "terms": [{"coeff": "1", "exp": [exp]}]}
+
+
+#: each way of building a degree, from an exponent given as a ``Fraction``
+#: on the variable ``var``
+DEGREE_BUILDERS = {
+    "Multidegree": lambda var, e: Multidegree({var: e}),
+    "Multidegree_with_t": lambda var, e: Multidegree({var: e, "t": -1}),
+    "scale": lambda var, e: Multidegree({var: 1, "u1": 2}).scale(e),
+    "LaurentPoly.var": lambda var, e: LaurentPoly.var(var, e).as_monomial()[1],
+    "LaurentPoly.from_json": lambda var, e: LaurentPoly.from_json(
+        _poly_json(var, str(e))).as_monomial()[1],
+    "GradedPresentation.from_json": lambda var, e: GradedPresentation.from_json(
+        _presentation({var: str(e)})).generators[0].degree,
+}
+#: the kernel's own variables, a scheme generator and a name new to the process
+EXPONENT_VARS = ("q", "a", "tc", "u2", "fresh_fractional")
+
+
+@pytest.mark.parametrize("var", EXPONENT_VARS)
+@pytest.mark.parametrize("build", DEGREE_BUILDERS.values(), ids=DEGREE_BUILDERS)
+def test_non_integral_exponent_raises(build, var):
+    """Every exponent is an integer: a non-integral one raises ``ValueError``
+    on any variable, ``q`` included, however the degree is built."""
+    for e in (Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            build(var, e)
+    # an integral Fraction is accepted and stored as an int
+    md = build(var, Fraction(4, 2))
+    assert md.e(var) == 2 and type(md._e(var)) is int
+    assert all(type(x) is int for x in md)

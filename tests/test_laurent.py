@@ -8,7 +8,6 @@ from knothom.laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
-    clear_fractional,
     max_cancel,
     nonneg_divisibility,
     parse_poly,
@@ -30,15 +29,23 @@ def random_poly(rng, nvars=3, nterms=4, spread=3):
 
 def test_multidegree_extensional_equality():
     assert Multidegree(a=0, q=2) == Multidegree(q=2)
-    assert Multidegree(q=Fraction(1, 2)).e("q") == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        Multidegree(a=Fraction(1, 2))
+    assert Multidegree(q=Fraction(4, 2)).e("q") == 2
+    for var in ("q", "a"):
+        with pytest.raises(ValueError):
+            Multidegree({var: Fraction(1, 2)})
 
 
 def test_parse_and_str_roundtrip():
     p = P("a^4*(q^-4 + q^2*tr^2*tc^4) - 3*q^2 + 1")
     assert p.coefficient_of("a", 4) == P("q^-4 + q^2*tr^2*tc^4")
     assert p == LaurentPoly.loads(p.dumps())
+
+
+@pytest.mark.parametrize("text", ["", "q +", "(q", "q^", "2*"])
+def test_parse_poly_rejects_truncated_input(text):
+    """Input that stops early is malformed like any other: ``ValueError``."""
+    with pytest.raises(ValueError):
+        P(text)
 
 
 def test_ring_axioms_random():
@@ -59,9 +66,8 @@ def test_substitute_examples():
     p2 = LaurentPoly.var("Q", 3).substitute(
         "Q", LaurentPoly.monomial(1, Multidegree(Q=-1, tr=-1, tc=-2)))
     assert p2 == LaurentPoly.monomial(1, Multidegree(Q=-3, tr=-3, tc=-6))
-    half = LaurentPoly.monomial(1, Multidegree(q=Fraction(1, 2)))
-    p3 = half * LaurentPoly.monomial(1, Multidegree(q=Fraction(3, 2)))
-    assert p3.substitute("q", LaurentPoly.var("q")) == P("q^2")
+    p3 = P("q^-3 + 2*a*q")
+    assert p3.substitute("q", -LaurentPoly.var("q", 2)) == P("-q^-6 - 2*a*q^2")
 
 
 def test_substitute_is_ring_homomorphism():
@@ -77,14 +83,11 @@ def test_substitute_is_ring_homomorphism():
 
 def test_substitute_inverse_roundtrip():
     rng = random.Random(4)
-    # fractional inverse images are only legal on q
-    with pytest.raises(ValueError):
-        Multidegree(tr=Fraction(-1, 3))
     for _ in range(50):
         p = random_poly(rng, nvars=2)
         pq = p.substitute("a", LaurentPoly.var("q"))
-        rt = pq.substitute("q", LaurentPoly.var("q", -3)).substitute(
-            "q", LaurentPoly.monomial(1, Multidegree(q=Fraction(-1, 3))))
+        rt = pq.substitute("q", LaurentPoly.var("q", -1)).substitute(
+            "q", LaurentPoly.var("q", -1))
         assert rt == pq
         # integer invertible image on a named variable round-trips too
         fwd = p.substitute("a", LaurentPoly.monomial(-1, Multidegree(a=-1)))
@@ -193,18 +196,6 @@ def test_max_cancel_ray():
     assert pairs2 == 2 and survivors2.is_zero()
 
 
-def test_clear_fractional():
-    p = LaurentPoly.monomial(1, Multidegree(q=Fraction(3, 2))) + \
-        LaurentPoly.monomial(2, Multidegree(q=Fraction(-1, 2)))
-    shifted, offset = clear_fractional(p)
-    assert offset == Fraction(1, 2)
-    assert shifted == P("q + 2*q^-1")
-    bad = LaurentPoly.monomial(1, Multidegree(q=Fraction(1, 2))) + \
-        LaurentPoly.monomial(1, Multidegree(q=Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        clear_fractional(bad)
-
-
 def test_rational_series_expand():
     s = RationalSeries(P("1"), (Multidegree(q=2),), "q", 7)
     assert s.expand() == P("1 + q^2 + q^4 + q^6")
@@ -230,7 +221,7 @@ def test_public_exponents_and_coefficients_are_fractions():
     ``checks.to_tilde`` and ``suite._halved_homfly``.  An ``int`` there would
     silently turn into a ``float``.
     """
-    md = Multidegree(a=2, q=Fraction(1, 2))
+    md = Multidegree(a=2, q=-1)
     f = P("3*a^2*q^-1 - q^4*t + 2")
     g = P("1 - q")
     readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
@@ -251,6 +242,6 @@ def test_public_exponents_and_coefficients_are_fractions():
         with pytest.raises(TypeError):
             product()
     assert bool(Multidegree()) is True
-    assert repr(md) == "Multidegree(a=2, q=1/2)"
+    assert repr(md) == "Multidegree(a=2, q=-1)"
     assert repr(Multidegree()) == "Multidegree()"
 

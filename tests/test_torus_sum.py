@@ -20,7 +20,7 @@ from knothom.invariants import (
     _unpack,
     unknot_homfly,
 )
-from knothom.laurent import LaurentPoly, Multidegree, clear_fractional
+from knothom.laurent import LaurentPoly, Multidegree
 from knothom.partitions import Partition, partitions_of
 from knothom.symmetric import PLETHYSM_SIZE_CAP, plethysm_pn
 
@@ -40,23 +40,28 @@ def _case_id(case):
 
 
 def _reference_torus_sum(lam, n, m):
-    """The plethysm sum as a loop of general ``LaurentPoly`` products."""
+    """The plethysm sum as a loop of general ``LaurentPoly`` products.
+
+    Each weight ``q^(-(m/n) kappa(mu) + n_stat(mu))`` is reduced by the
+    offset that all weights share mod 1 before it becomes a monomial, so
+    every exponent is an integer."""
     common = Counter()
     items = []
     for mu, c in plethysm_pn(lam, n).items():
         hooks = _hook_multiset(mu)
         common |= hooks
-        items.append((mu, c, hooks))
+        items.append((mu, c, hooks, -Fraction(m, n) * mu.kappa() + mu.n_stat()))
+    offsets = {w % 1 for *_, w in items}
+    assert len(offsets) == 1, f"weights with distinct offsets: {sorted(offsets)}"
+    offset = offsets.pop()
     total = LaurentPoly.zero()
-    for mu, c, hooks in items:
-        weight = LaurentPoly.monomial(
-            c, Multidegree(q=-Fraction(m, n) * mu.kappa() + mu.n_stat()))
+    for mu, c, hooks, w in items:
+        weight = LaurentPoly.monomial(c, Multidegree(q=w - offset))
         num = unknot_homfly(mu).numerator
         comp = LaurentPoly.one()
         for k, e in (common - hooks).items():
             comp = comp * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
         total = total + weight * num * comp
-    total, offset = clear_fractional(total)
     return total, common, offset
 
 
