@@ -118,8 +118,13 @@ def cmd_homfly(args):
                   f"checks = {report.checks}", file=sys.stderr)
     else:
         fr, report = torus_homfly(color, p, q, reduced=False)
-        emit_poly(fr.expand(args.cutoff), args.format)
-        if args.format == "text" and report.fractional_offset:
+        series = fr.expand(args.cutoff)
+        if args.format == "json":
+            print(json.dumps({**series.to_json(),
+                              "q_offset": str(report.fractional_offset)}))
+            return 0
+        print(series)
+        if report.fractional_offset:
             print(f"# offset: the invariant is q^({report.fractional_offset}) "
                   "times this series", file=sys.stderr)
     return 0

@@ -101,8 +101,20 @@ def _slot(var) -> int:
     return i
 
 
-for _var in ("q", "a", "t", "tr", "tc"):
-    _slot(_var)
+def register_variables(names):
+    """Give each unregistered name in ``names`` the next slot, in order.
+
+    Registration changes no value, only slot order, which is private.  A
+    computation that names a family of variables registers the whole family,
+    in order, before it builds any degree: its members then take adjacent
+    slots, and one that is named late does not land past every other
+    variable and lengthen each degree that holds it.
+    """
+    for var in names:
+        _slot(var)
+
+
+register_variables(("q", "a", "t", "tr", "tc"))
 
 
 def _slots(variables) -> list:

@@ -24,6 +24,7 @@ from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
+    register_variables,
     series_log,
     series_pow_rational,
 )
@@ -328,6 +329,17 @@ class StableTorusModel:
 # -- torus-knot quotient schemes ---------------------------------------------------
 
 
+def _register_scheme_family(p: int, r: int):
+    """Slots for ``u1..u_pr`` and then ``du1..du_pr``, in index order.
+
+    Reduced schemes, unreduced ones and potentials name overlapping parts of
+    this family; registering all of it first keeps ``u1`` in a low slot
+    after any sequence of them.
+    """
+    register_variables([f"u{i}" for i in range(1, p * r + 1)]
+                       + [f"du{i}" for i in range(1, p * r + 1)])
+
+
 def scheme_relations(p: int, q: int, r: int, reduced=True):
     """Defining relations of the torus-knot quotient scheme.
 
@@ -338,6 +350,7 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
+    _register_scheme_family(p, r)
     lo = r + 1 if reduced else 1
     names = [f"u{i}" for i in range(lo, r * p + 1)]
     base = 1 + _generating_function(names, "z", lo)
@@ -404,40 +417,28 @@ def _primitive(row):
     return out
 
 
-def _row_reduce(rows, prefer=None):
+def _row_reduce(rows, columns):
     """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
-    Rows are dicts mapping hashable column keys to ``int`` or ``Fraction``
-    values and may come from a generator.  Each row is cleared to a primitive
-    integer row and reduced by ``r <- (b/g)*r - (a/g)*basis_row`` with
-    ``g = gcd(a, b)``, ``a`` and ``b`` the two entries in the pivot column;
-    basis rows are stored primitive, with a positive pivot entry so that
-    ``b/g`` is never ``-1``.  Pivots are taken at the smallest column index,
-    so the pivot set depends only on the row space and the column order.
-
-    ``prefer`` is the complete column set in elimination order: a row
-    touching any other column raises :class:`ArithmeticError`, and no further
-    row is read once the rank equals the number of columns.  Without it,
-    columns are indexed on first sight and every row is read.
+    Columns are ``int`` keys whose integer order is the elimination order
+    (:func:`macaulay_basis` gives its key layout), and ``columns`` holds
+    every column of the block.  Pivots are taken at the smallest key,
+    ``min(row)``, so the pivot set depends only on the row space and that
+    order.  Rows map keys to non-zero ``int`` values, may come from a
+    generator and are never changed; a row touching a key outside
+    ``columns`` raises :class:`ArithmeticError`, and no row is read after
+    the rank reaches ``len(columns)``.  A row is reduced by
+    ``r <- (b/g)*r - (a/g)*basis_row``, ``a`` and ``b`` the two entries in
+    the pivot column and ``g = gcd(a, b)``; basis rows are stored primitive
+    with a positive pivot entry, so ``b/g`` is never ``-1``.
     """
-    col_key = [] if prefer is None else list(dict.fromkeys(prefer))
-    col_index = {c: i for i, c in enumerate(col_key)}
-    full = None if prefer is None else len(col_key)
-
-    basis = {}  # pivot index -> (pivot entry, rest of the primitive row)
+    full = len(columns)
+    basis = {}  # pivot key -> (pivot entry, rest of the primitive row)
     for row in rows:
-        r = {}
-        for c, v in row.items():
-            if not v:
-                continue
-            i = col_index.get(c)
-            if i is None:
-                if full is not None:
-                    raise ArithmeticError(f"row touches column {c!r} outside prefer")
-                i = col_index[c] = len(col_key)
-                col_key.append(c)
-            r[i] = v
-        r = _primitive(r)
+        if not row.keys() <= columns:
+            raise ArithmeticError(
+                f"row touches columns {sorted(row.keys() - columns)} outside the block")
+        r = dict(row)
         while r:
             p = min(r)
             pivot = basis.get(p)
@@ -461,7 +462,7 @@ def _row_reduce(rows, prefer=None):
                     del r[c]
         if len(basis) == full:
             break
-    return len(basis), {col_key[p] for p in basis}
+    return len(basis), set(basis)
 
 
 def _u_monomials(degrees, target):
@@ -526,59 +527,102 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     """Monomial basis of the quotient by degreewise exact elimination.
 
     The presentation decides the forms: its odd generators take part, each
-    at most once per monomial, and its form relations are linear in them; a
-    presentation without odd generators has no forms.  Processes one
-    q-degree, and within it one count of odd factors, at a time: the span of
-    ``relation * monomial`` there is row-reduced over the integers and the
-    non-pivot monomials survive into the basis.  Rows are built lazily from
-    relations scaled once to integer coefficients, so none is built after
-    the span covers every monomial; the even monomials of each degree are
-    enumerated once per call.  Terminates once the quotient vanishes on a
-    window of consecutive degrees as wide as the largest generator degree
-    (the quotient is then zero forever); raises :class:`DegreeCeilingError`
-    if the ceiling is hit first.
+    at most once per monomial, and its form relations are linear in them.
+    Processes one q-degree, and within it one count of odd factors, at a
+    time: the span of ``relation * monomial`` there is row-reduced over the
+    integers and the non-pivot monomials survive into the basis.  Rows are
+    built lazily, and none after the span covers the block.  Terminates once
+    the quotient vanishes on a window of consecutive degrees as wide as the
+    largest generator degree (it is then zero forever); raises
+    :class:`DegreeCeilingError` if the ceiling is hit first.
+
+    Columns heavy in everything but the cheapest even generator go first, so
+    the survivors are the natural low monomials; ties eliminate the most
+    expensive generators first.  A column is one non-negative ``int``, a
+    mixed-radix numeral with these digits, the most significant first: the
+    cheapest generator's exponent; ``top_n - e_n`` in radix ``top_n + 1``
+    for each other even ``n`` by descending q-degree (ties by name), where
+    ``top_n = ceiling // (q-degree of n)`` bounds ``e_n``; the complement of
+    the odd factors' bitmask, the first odd name highest.  Integer order is
+    elimination order: in a block of fixed q-degree the cheapest exponent
+    fixes the weight of the rest, a larger exponent makes a smaller digit,
+    of two odd subsets of one size the one first in name order holds the
+    highest bit where they differ, and no digit leaves its radix.  The key
+    is affine in the exponents, so a row of ``relation * u^e * du_S`` is one
+    dict of ``int`` sums, a block's columns are one ``sorted`` list, and
+    only survivors are decoded.
     """
     even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
     odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    if any(d <= 0 for d in even_deg.values()):
+        raise ValueError("even generators need positive q-degrees")
     odd_names = sorted(odd_deg)
-    odd_subsets = [[(odds, sum(odd_deg[o] for o in odds))
+    by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
+    cheapest = min(even_deg, key=even_deg.get, default=None)
+
+    # e_n <= top[n] in every block, even beside odd factors of negative
+    # q-degree; place[n] is the value of one unit in n's digit
+    reach = max(ceiling - sum(min(d, 0) for d in odd_deg.values()), 0)
+    top = {n: reach // d for n, d in even_deg.items()}
+    n_odd_bits = len(odd_names)
+    odd_bit = {o: 1 << (n_odd_bits - 1 - i) for i, o in enumerate(odd_names)}
+    odd_field = (1 << n_odd_bits) - 1
+    place = {}
+    unit = odd_field + 1  # the place of the leading digit, once all are set
+    for n in reversed(by_desc_degree):
+        if n != cheapest:
+            place[n] = unit
+            unit *= top[n] + 1
+    weight = {n: -u for n, u in place.items()}
+    if cheapest is not None:
+        weight[cheapest] = unit
+    origin = sum(top[n] * u for n, u in place.items()) + odd_field  # key of 1
+
+    odd_subsets = [[(sum(odd_bit[o] for o in odds), sum(odd_deg[o] for o in odds))
                     for odds in combinations(odd_names, k)]
-                   for k in range(len(odd_names) + 1)]
-    relations = []  # (integer terms, q-degree, odd factors per term)
+                   for k in range(n_odd_bits + 1)]
+    # per odd count k: (q-degree, key of du_S, signed packed terms) of each
+    # relation times each odd subset S; a form hitting a factor of S
+    # vanishes, and one moved past the factors before it in name order (the
+    # higher bits) changes sign once per factor
+    templates = [[] for _ in odd_subsets]
     for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
             d = pres.poly_degree(rel, "q")
             if d is None:
                 raise ArithmeticError("inhomogeneous relation")
-            relations.append((_row_terms(rel, n_odd, odd_deg), int(d), n_odd))
+            terms = _row_terms(rel, n_odd, weight, odd_bit)
+            for k in range(n_odd, len(odd_subsets)):
+                templates[k] += [
+                    (int(d) + od, origin - mask,
+                     [(t, -c if (mask & -(bit << 1)).bit_count() & 1 else c)
+                      for t, bit, c in terms if not bit & mask])
+                    for mask, od in odd_subsets[k - n_odd]]
     window = max(even_deg.values(), default=0)
-    cheapest = min(even_deg, key=even_deg.get, default=None)
-
-    by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
-
-    def elimination_priority(col):
-        # eliminate columns heavy in everything but the cheapest generator
-        # first, so that surviving representatives are the natural low
-        # monomials (powers of the cheapest generator times little else);
-        # ties break toward eliminating the most expensive generators
-        exps, odds = col
-        ed = dict(exps)
-        content = sum(e * even_deg[n] for n, e in ed.items() if n != cheapest)
-        content += sum(odd_deg[o] for o in odds)
-        vec = tuple(-ed.get(n, 0) for n in by_desc_degree)
-        return (-content, vec, odds)
+    evens = [(even_deg[n], weight[n]) for n in by_desc_degree]
 
     @cache
-    def monomials(rem):
-        """``(exponent dict, column key part)`` pairs of q-degree ``rem``."""
-        return [(exps, frozenset(exps.items())) for exps in _u_monomials(even_deg, rem)]
+    def monomials(idx, rem):
+        """Key offsets of the monomials in ``by_desc_degree[idx:]`` of q-degree ``rem``."""
+        if idx == len(evens):
+            return [0] if rem == 0 else []
+        d, w = evens[idx]
+        return [e * w + rest for e in range(rem // d, -1, -1)
+                for rest in monomials(idx + 1, rem - e * d)]
 
     def rows(degree, k):
-        for terms, dg, n_odd in relations:
-            if k >= n_odd:
-                for odds, od in odd_subsets[k - n_odd]:
-                    for exps, _ in monomials(degree - dg - od):
-                        yield _expand_row(terms, exps, odds)
+        for dg, odd_key, terms in templates[k]:
+            for offset in monomials(0, degree - dg):
+                base = odd_key + offset
+                yield {base + t: c for t, c in terms}
+
+    def decode(key):
+        mask = odd_field ^ (key & odd_field)
+        exps = {n: top[n] - key // u % (top[n] + 1) for n, u in place.items()}
+        if cheapest is not None:
+            exps[cheapest] = key // unit
+        return ({n: e for n, e in exps.items() if e},
+                tuple(o for o in odd_names if mask & odd_bit[o]))
 
     elements = []
     zero_run = 0
@@ -586,16 +630,14 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     while degree <= ceiling:
         dim_here = 0
         for k, subsets in enumerate(odd_subsets):
-            columns = [(key, odds) for odds, od in subsets
-                       for _, key in monomials(degree - od)]
-            if not columns:
+            block = sorted(origin - mask + offset for mask, od in subsets
+                           for offset in monomials(0, degree - od))
+            if not block:
                 continue
-            columns.sort(key=elimination_priority)
-            _, pivots = _row_reduce(rows(degree, k), prefer=columns)
-            for col in columns:
-                if col not in pivots:
-                    elements.append((dict(col[0]), col[1]))
-                    dim_here += 1
+            _, pivots = _row_reduce(rows(degree, k), set(block))
+            survivors = [decode(c) for c in block if c not in pivots]
+            elements += survivors
+            dim_here += len(survivors)
         if dim_here == 0 and degree > 0:
             zero_run += 1
             if zero_run >= window + 1:
@@ -606,42 +648,27 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     raise DegreeCeilingError(f"degree ceiling {ceiling} exceeded")
 
 
-def _row_terms(rel, n_odd, odd_names):
-    """``(odd name or None, even exponent pairs, int coefficient)`` per term.
+def _row_terms(rel, n_odd, weight, odd_bit):
+    """``(key offset, odd bit or 0, int coefficient)`` per term of ``rel``.
 
     The coefficients are scaled to coprime integers, which leaves every span
     of multiples of ``rel`` unchanged; each term needs ``n_odd`` factors
-    among ``odd_names``.
+    among the odd names and non-negative even exponents.  The key offset is
+    the term's even part packed by ``weight`` less its odd bit, so distinct
+    terms give distinct columns and no two are summed.
     """
     out = []
     for md, c in _primitive(rel.terms).items():
-        odd = [v for v, _ in md.items() if v in odd_names]
+        items = md.items()
+        odd = [odd_bit[v] for v, _ in items if v in odd_bit]
         if len(odd) != n_odd:
             raise ArithmeticError(f"relation terms need {n_odd} odd factors")
-        dv = odd[0] if odd else None
-        out.append((dv, [(v, e) for v, e in md.items() if v != dv], c))
+        if any(e < 0 for _, e in items):
+            raise ArithmeticError("relation terms need non-negative exponents")
+        bit = odd[0] if odd else 0
+        out.append((sum(e * weight[v] for v, e in items if v not in odd_bit) - bit,
+                    bit, c))
     return out
-
-
-def _expand_row(terms, exps, odds):
-    """Row for ``rel * u^exps * du_odds``; a form hitting ``du_odds`` vanishes.
-
-    Distinct terms give distinct columns, so no two are summed.
-    """
-    row = {}
-    for dv, items, c in terms:
-        if dv is None:
-            target = odds
-        elif dv in odds:
-            continue
-        else:
-            target = tuple(sorted(odds + (dv,)))
-            c *= (-1) ** sum(1 for s in odds if s < dv)
-        combined = dict(exps)
-        for v, e in items:
-            combined[v] = combined.get(v, 0) + e
-        row[(frozenset(combined.items()), target)] = c
-    return row
 
 
 # -- potentials ---------------------------------------------------------------------
@@ -747,6 +774,7 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
+    _register_scheme_family(p, r)
     names = tuple(f"u{i}" for i in range(1, r * p + 1))
     order = (p + q) * r + 1
     series = series_pow_rational(1 + _generating_function(names, "z"),
@@ -825,12 +853,11 @@ def _block_homology(pres, d_apply, delta: Multidegree, cutoff: int):
     da, dq = int(delta.e("a")), int(delta.e("q"))
     ranks = {}
     for key, items in blocks.items():
-        rows = []
-        for exps, odds in items:
-            row = d_apply(exps, odds)
-            if row:
-                rows.append(row)
-        ranks[key], _ = _row_reduce(rows)
+        index = {}  # image monomial -> column, numbered on first sight
+        rows = [{index.setdefault(c, len(index)): v
+                 for c, v in _primitive(d_apply(exps, odds)).items()}
+                for exps, odds in items]
+        ranks[key], _ = _row_reduce(rows, set(index.values()))
     dims = {}
     for (a, q), items in blocks.items():
         if q > cutoff:

@@ -58,7 +58,8 @@ def test_homfly_json_roundtrip(capsys):
 @pytest.mark.parametrize("color, offset", [("S1", "1/2"), ("S2", None)])
 def test_unreduced_homfly_prints_offset_on_stderr(capsys, color, offset):
     """Unreduced ``homfly`` prints the series without its ``q^offset``
-    factor; a nonzero offset goes to stderr in text mode, never to stdout."""
+    factor; in text mode a nonzero offset goes to stderr, never to stdout,
+    and the JSON object carries it as ``q_offset`` beside the series."""
     argv = ["homfly", "--knot", "torus:2,3", "--color", color, "--cutoff", "6"]
     assert main(argv) == 0
     text = capsys.readouterr()
@@ -70,7 +71,11 @@ def test_unreduced_homfly_prints_offset_on_stderr(capsys, color, offset):
     else:
         assert text.err == ""
     assert main([*argv, "--format", "json"]) == 0
-    assert capsys.readouterr().err == ""
+    out = capsys.readouterr()
+    assert out.err == ""
+    obj = json.loads(out.out)
+    assert obj.pop("q_offset") == (offset or "0")
+    assert obj == series.expand(6).to_json()
 
 
 def test_check_single_group(capsys):
@@ -242,6 +247,8 @@ def test_unknot_product_text_names_no_order(capsys, argv):
     ["homfly", "--knot", "torus:2,3", "--color", '["2"]'],
     ["homfly", "--knot", "torus:2,3", "--color", "[true]"],
     ["check", "all", "--fixture", "zzz"],  # selects no check
+    ["scheme", "--p", "2", "--q", "3", "--r", "2", "--ceiling", "0"],
+    ["scheme", "--p", "2", "--q", "3", "--r", "2", "--ceiling", "-1"],
 ])
 def test_bad_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2

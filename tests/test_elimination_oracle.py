@@ -1,21 +1,40 @@
-"""Differential tests of the exact row reduction against sympy.
+"""Differential tests of the exact elimination against sympy.
 
 ``_row_reduce`` must return the rank and the pivot columns of the reduced
-row echelon form of its rows, with the columns in ``prefer`` order (or in
-order of first sight without ``prefer``).  sympy's ``Matrix.rref`` is the
-reference.  Matrices are sparse, with mixed ``int``/``Fraction`` entries,
-explicit zeros, zero rows and duplicate rows; some fill the rank and then
-keep sending rows, which must never be read.  The runs are derandomized, so
+row echelon form of its rows, with the columns in the integer order of
+their keys.  sympy's ``Matrix.rref`` is the reference.  Matrices are
+sparse and drawn with mixed ``int``/``Fraction`` entries, explicit zeros,
+zero rows and duplicate rows, and are cleared to the integer rows
+``_row_reduce`` takes by ``_primitive``; some fill the rank and then keep
+sending rows, which must never be read.  The runs are derandomized, so
 every run checks the same examples.
+
+``macaulay_basis`` packs each monomial into one ``int`` whose order is the
+elimination order.  The scheme tests rebuild its Macaulay matrices here,
+block by block, from the presentation's relations with sympy polynomial
+products, order the columns by a copy of the elimination priority as
+written before the packing (the oracle), and read the surviving monomials
+off sympy's pivots.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from knothom.models import _primitive, _row_reduce
+from knothom.laurent import LaurentPoly, Multidegree
+from knothom.models import (
+    EVEN,
+    ODD,
+    GradedPresentation,
+    Generator,
+    _primitive,
+    _row_reduce,
+    macaulay_basis,
+    scheme_presentation,
+)
 
 entries = st.one_of(
     st.integers(-5, 5),
@@ -52,6 +71,11 @@ def first_sight(rows):
     return order
 
 
+def keyed(row, key):
+    """``row`` as the non-zero integer row of its keys, scaled by ``_primitive``."""
+    return {key[c]: v for c, v in _primitive(row).items() if v}
+
+
 @st.composite
 def matrices(draw):
     """``(columns in elimination order, rows)``; columns are Macaulay-like keys."""
@@ -71,18 +95,19 @@ def matrices(draw):
 
 @oracle(150)
 @given(matrices())
-def test_rank_and_pivots_match_sympy_with_prefer(case):
+def test_rank_and_pivots_match_sympy_in_key_order(case):
     order, rows = case
+    key = {c: i for i, c in enumerate(order)}
     read = []
 
     def lazily():
         for row in rows:
             read.append(row)
-            yield row
+            yield keyed(row, key)
 
-    rank, pivots = _row_reduce(lazily(), prefer=order)
+    rank, pivots = _row_reduce(lazily(), set(key.values()))
     expected = sympy_pivots(rows, order)
-    assert pivots == expected
+    assert {order[p] for p in pivots} == expected
     assert rank == len(expected)
     # rows are read up to the one that fills the rank, and no further
     prefix = next((n for n in range(1, len(rows) + 1)
@@ -92,11 +117,14 @@ def test_rank_and_pivots_match_sympy_with_prefer(case):
 
 @oracle(100)
 @given(matrices())
-def test_rank_and_pivots_match_sympy_without_prefer(case):
+def test_rank_and_pivots_match_sympy_in_first_sight_order(case):
+    """Columns numbered on first sight, as ``_block_homology`` numbers them."""
     _, rows = case
-    rank, pivots = _row_reduce(iter(rows))
-    expected = sympy_pivots(rows, first_sight(rows))
-    assert pivots == expected
+    order = first_sight(rows)
+    key = {c: i for i, c in enumerate(order)}
+    rank, pivots = _row_reduce([keyed(row, key) for row in rows], set(key.values()))
+    expected = sympy_pivots(rows, order)
+    assert {order[p] for p in pivots} == expected
     assert rank == len(expected)
 
 
@@ -114,9 +142,149 @@ def test_primitive_rows(row):
 
 def test_row_outside_the_column_set_raises():
     with pytest.raises(ArithmeticError):
-        _row_reduce([{"a": 1}, {"b": Fraction(1, 2), "z": 3}], prefer=["a", "b"])
+        _row_reduce([{0: 1}, {1: 2, 5: 3}], {0, 1})
 
 
 def test_rows_after_full_rank_are_not_read():
-    rows = [{"a": 2, "b": 4}, {"b": Fraction(-1, 3)}, {"z": 1}]
-    assert _row_reduce(rows, prefer=["b", "a"]) == (2, {"a", "b"})
+    rows = [{1: 2, 0: 4}, {0: -3}, {5: 1}]
+    assert _row_reduce(rows, {1, 0}) == (2, {0, 1})
+
+
+def test_rows_are_not_changed():
+    rows = [{0: 2, 1: 4}, {0: 3, 1: 5, 2: 7}]
+    copies = [dict(row) for row in rows]
+    assert _row_reduce(rows, {0, 1, 2}) == (2, {0, 1})
+    assert rows == copies
+
+
+# -- the packed Macaulay path against sympy -------------------------------------
+
+
+def reference_priority(pres):
+    """The elimination order of ``macaulay_basis`` as a tuple key per column:
+    heavy in everything but the cheapest even generator first, ties toward
+    eliminating the most expensive generators, then odd names in order."""
+    even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
+    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    cheapest = min(even_deg, key=even_deg.get, default=None)
+    by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
+
+    def elimination_priority(col):
+        exps, odds = col
+        ed = dict(exps)
+        content = sum(e * even_deg[n] for n, e in ed.items() if n != cheapest)
+        content += sum(odd_deg[o] for o in odds)
+        vec = tuple(-ed.get(n, 0) for n in by_desc_degree)
+        return (-content, vec, odds)
+
+    return elimination_priority
+
+
+def even_monomials(even_deg, target):
+    """Exponent tuples (in ``even_deg`` order) of q-degree ``target``."""
+    names = list(even_deg)
+    if not names:
+        return [()] if target == 0 else []
+
+    def rec(i, rem):
+        if i == len(names) - 1:
+            d = even_deg[names[i]]
+            return [(rem // d,)] if rem >= 0 and rem % d == 0 else []
+        return [(e, *rest) for e in range(rem // even_deg[names[i]] + 1)
+                for rest in rec(i + 1, rem - e * even_deg[names[i]])]
+
+    return rec(0, target)
+
+
+def as_sympy(poly, symbols):
+    return sum((_rational(c) * sympy.Mul(*[symbols[v] ** int(e) for v, e in md.items()])
+                for md, c in poly.terms.items()), sympy.Integer(0))
+
+
+def oracle_basis(pres, top_degree):
+    """Non-pivot monomials of every block up to ``top_degree``, as
+    ``(exponent dict, odd name tuple)`` in degree, odd count and column order."""
+    even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
+    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    names = list(even_deg)
+    symbols = {g.name: sympy.Symbol(g.name) for g in pres.generators}
+    gens = [symbols[n] for n in names]
+    odd_names = sorted(odd_deg)
+    # per relation: (odd factor or None, even coefficient as a sympy Poly)
+    parts = []
+    for rel in pres.relations:
+        parts.append([(None, sympy.Poly(as_sympy(rel, symbols), *gens))])
+    for rel in pres.form_relations:
+        expr = sympy.expand(as_sympy(rel, symbols))
+        parts.append([(o, sympy.Poly(expr.coeff(symbols[o]), *gens))
+                      for o in odd_names if expr.coeff(symbols[o]) != 0])
+    degree_of = [pres.poly_degree(rel, "q")
+                 for rel in (*pres.relations, *pres.form_relations)]
+    priority = reference_priority(pres)
+    out = []
+    for degree in range(top_degree + 1):
+        for k in range(len(odd_names) + 1):
+            columns = [(dict(e for e in zip(names, exps) if e[1]), odds)
+                       for odds in combinations(odd_names, k)
+                       for exps in even_monomials(
+                           even_deg, degree - sum(odd_deg[o] for o in odds))]
+            if not columns:
+                continue
+            columns.sort(key=priority)
+            index = {(tuple(sorted(e.items())), o): i for i, (e, o) in enumerate(columns)}
+            rows = []
+            for terms, dg in zip(parts, degree_of):
+                n_odd = 0 if terms[0][0] is None else 1
+                if k < n_odd:
+                    continue
+                for odds in combinations(odd_names, k - n_odd):
+                    rest = degree - int(dg) - sum(odd_deg[o] for o in odds)
+                    for exps in even_monomials(even_deg, rest):
+                        mono = sympy.Poly(sympy.Mul(*[s ** e for s, e in zip(gens, exps)]), *gens)
+                        row = [0] * len(columns)
+                        for dv, coef in terms:
+                            if dv in odds:
+                                continue  # the form squares to zero
+                            sign, target = 1, odds
+                            if dv is not None:
+                                sign = (-1) ** sum(1 for s in odds if s < dv)
+                                target = tuple(sorted((*odds, dv)))
+                            for mexp, c in (coef * mono).terms():
+                                key = (tuple((n, e) for n, e in sorted(zip(names, mexp)) if e),
+                                       target)
+                                row[index[key]] += sign * c
+                        rows.append(row)
+            pivots = set(sympy.Matrix(rows).rref(pivots=True)[1]) if rows else set()
+            out += [col for i, col in enumerate(columns) if i not in pivots]
+    return out
+
+
+@pytest.mark.parametrize("p, q, r, forms", [
+    (2, 3, 2, True), (3, 4, 1, True), (3, 4, 2, False),
+    (3, 4, 2, True),  # the smallest whose basis depends on the forms' signs
+])
+def test_packed_basis_matches_sympy_elimination(p, q, r, forms):
+    pres = scheme_presentation(p, q, r, with_forms=forms)
+    mb = macaulay_basis(pres)
+    assert mb.elements == oracle_basis(pres, mb.top_degree)
+
+
+def test_packed_order_is_the_elimination_priority():
+    """Modulo a monomial ideal no surviving monomial is a pivot, so each
+    block lists all of its survivors in column order.  Even generators of
+    one q-degree and odd subsets of one weight make every digit of the key
+    decide somewhere."""
+    evens = {"g": 2, "i": 4, "h": 4, "k": 6}
+    odds = {"y": 3, "x": 1, "z": 3, "w": 5}
+    caps = {"g": 3, "i": 2, "h": 2, "k": 2}
+    pres = GradedPresentation(
+        [Generator(n, EVEN, Multidegree(q=d)) for n, d in evens.items()]
+        + [Generator(n, ODD, Multidegree(q=d)) for n, d in odds.items()],
+        [LaurentPoly.var(n) ** caps[n] for n in evens])
+    blocks = {}
+    for exps, odd in macaulay_basis(pres).elements:
+        degree = sum(evens[n] * e for n, e in exps.items()) + sum(odds[o] for o in odd)
+        blocks.setdefault((degree, len(odd)), []).append((exps, odd))
+    priority = reference_priority(pres)
+    assert all(cols == sorted(cols, key=priority) for cols in blocks.values())
+    assert sum(map(len, blocks.values())) == 3 * 2 * 2 * 2 * 2 ** 4

@@ -1,12 +1,19 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+import knothom
+
 from knothom.laurent import LaurentPoly, Multidegree, parse_poly
 from knothom.models import (
     EVEN,
     ODD,
+    DegreeCeilingError,
     GradedPresentation,
     Generator,
     StableTorusModel,
@@ -239,6 +246,31 @@ def test_macaulay_ceiling():
         macaulay_basis(pres, ceiling=10)
 
 
+def test_macaulay_rejects_what_the_key_cannot_hold():
+    """A negative exponent would borrow from the next digit of a column key,
+    and an even generator of q-degree 0 would have no exponent bound."""
+    u1, u2 = LaurentPoly.var("u1"), LaurentPoly.var("u2")
+    gens = [Generator("u1", EVEN, Multidegree(q=2)),
+            Generator("u2", EVEN, Multidegree(q=4))]
+    with pytest.raises(ArithmeticError):
+        macaulay_basis(GradedPresentation(gens, [u2 * u1 ** -1 - u1]))
+    with pytest.raises(ValueError):
+        macaulay_basis(GradedPresentation(
+            [*gens, Generator("z", EVEN, Multidegree(a=2))], [u1 ** 2]))
+
+
+@pytest.mark.parametrize("forms", [True, False])
+def test_macaulay_ceiling_edge(forms):
+    """The key's field width comes from the ceiling: a ceiling equal to the
+    top degree gives the default basis, and one below it raises."""
+    pres = scheme_presentation(2, 3, 2, with_forms=forms)
+    mb = macaulay_basis(pres)
+    assert mb.top_degree == 21
+    assert macaulay_basis(pres, ceiling=21).elements == mb.elements
+    with pytest.raises(DegreeCeilingError):
+        macaulay_basis(pres, ceiling=20)
+
+
 def test_potential_antisym_displays():
     assert potential_antisym(1, 3).body == -P("u1^4") / 4
     assert potential_antisym(2, 3).body == \
@@ -271,6 +303,23 @@ def test_torus_potential_super_body():
     for i in (1, 2):
         expect = expect + pot.body.derivative(f"u{i}") * LaurentPoly.var(f"xi{i}")
     assert pot.super_body == expect
+
+
+def test_scheme_family_takes_low_slots():
+    """Reduced schemes name ``u2..``; a potential named after them still
+    finds ``u1`` in a low slot, so its degrees stay short.  Slots live for
+    the process, so a fresh interpreter runs the sequence."""
+    code = (
+        "from knothom.models import scheme_presentation, torus_potential\n"
+        "for r in range(1, 6):\n"
+        "    scheme_presentation(2, 3, r)\n"
+        "print(max(len(md) for md in torus_potential(2, 3, 1).body.terms))\n")
+    src = str(pathlib.Path(knothom.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    # the kernel's five variables, then u1, u2 and their forms
+    assert int(done.stdout) <= 7
 
 
 @pytest.mark.parametrize("p,q,r", [(2, 3, 1), (2, 3, 2), (3, 4, 1)])
