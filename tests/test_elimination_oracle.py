@@ -17,6 +17,7 @@ written before the packing (the oracle), and read the surviving monomials
 off sympy's pivots.
 """
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +25,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from knothom.laurent import LaurentPoly, Multidegree
+from knothom.laurent import LaurentPoly, Multidegree, parse_poly
 from knothom.models import (
     EVEN,
     ODD,
@@ -32,8 +33,13 @@ from knothom.models import (
     Generator,
     _primitive,
     _row_reduce,
+    koszul_homology,
     macaulay_basis,
+    potential_antisym,
     scheme_presentation,
+    sl_differential_images,
+    symmetric_unknot_presentation,
+    universal_pair_homology,
 )
 
 entries = st.one_of(
@@ -288,3 +294,174 @@ def test_packed_order_is_the_elimination_priority():
     priority = reference_priority(pres)
     assert all(cols == sorted(cols, key=priority) for cols in blocks.values())
     assert sum(map(len, blocks.values())) == 3 * 2 * 2 * 2 * 2 ** 4
+
+
+# -- Koszul and pair homology against sympy ranks -------------------------------
+
+
+def all_monomials(pres, bound):
+    """``(even exponent dict, odd name tuple)`` of every monomial of q-degree
+    at most ``bound``, odd names in name order."""
+    even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
+    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    out = []
+    for k in range(len(odd_deg) + 1):
+        for odds in combinations(sorted(odd_deg), k):
+            budget = bound - sum(odd_deg[o] for o in odds)
+            for degree in range(budget + 1):
+                out += [(dict(e for e in zip(even_deg, exps) if e[1]), odds)
+                        for exps in even_monomials(even_deg, degree)]
+    return out
+
+
+def koszul_image(exps, odds, images):
+    """``d(u^exps * xi_odds)`` for the odd derivation ``xi -> images[xi]``,
+    as ``{(even Multidegree, odd tuple): coefficient}``."""
+    out = {}
+    mono = LaurentPoly.monomial(1, Multidegree(exps))
+    for pos, xi in enumerate(odds):
+        img = images.get(xi, LaurentPoly.zero())
+        rest = odds[:pos] + odds[pos + 1:]
+        for md, c in (img * mono).terms.items():
+            out[md, rest] = out.get((md, rest), 0) + (-1) ** pos * c
+    return out
+
+
+def pair_image(exps, odds, x, y, xi_x, xi_y):
+    """The pair differential of ``universal_pair_homology`` on one monomial:
+    ``x^odd -> 2 x^(a-1) y^(b+1)`` times the odd part, plus ``xi_x -> xi_y``
+    signed by the position of ``xi_x``."""
+    out = {}
+    mono = LaurentPoly.monomial(1, Multidegree(exps))
+    if exps.get(x, 0) % 2:
+        step = LaurentPoly.monomial(2, Multidegree({x: -1, y: 1}))
+        for md, c in (step * mono).terms.items():
+            out[md, odds] = c
+    if xi_x in odds and xi_y not in odds:
+        swapped = tuple(sorted(xi_y if o == xi_x else o for o in odds))
+        for md, c in mono.terms.items():
+            out[md, swapped] = (-1) ** odds.index(xi_x) * c
+    return out
+
+
+def oracle_dims(pres, image, delta, cutoff):
+    """``dim ker - dim im`` per ``(a, q)`` up to ``cutoff``, each block's
+    rank taken by sympy from the rows of ``image`` over every monomial."""
+    da, dq = int(delta.e("a")), int(delta.e("q"))
+    blocks = {}
+    for exps, odds in all_monomials(pres, cutoff + max(0, -dq)):
+        md = pres.monomial_degree(exps, odds)
+        blocks.setdefault((int(md.e("a")), int(md.e("q"))), []).append(image(exps, odds))
+    ranks = {}
+    for key, rows in blocks.items():
+        order = sorted({c for row in rows for c in row}, key=repr)
+        ranks[key] = sympy.Matrix([[_rational(row.get(c, 0)) for c in order]
+                                   for row in rows]).rank() if order else 0
+    dims = {}
+    for (a, q), rows in blocks.items():
+        d = len(rows) - ranks[a, q] - ranks.get((a - da, q - dq), 0)
+        if q <= cutoff and d:
+            dims[a, q] = d
+    return dims
+
+
+def pinned(dims):
+    return hashlib.sha256(repr(sorted(dims.items())).encode()).hexdigest()[:16]
+
+
+def graded(evens, odds):
+    """A presentation graded in ``a`` and ``q`` only: ``evens`` maps names
+    to q-degrees, ``odds`` to ``(a, q)``."""
+    return GradedPresentation(
+        [Generator(n, EVEN, Multidegree(q=d)) for n, d in evens.items()]
+        + [Generator(n, ODD, Multidegree(a=a, q=d)) for n, (a, d) in odds.items()])
+
+
+def jacobi_case(xi_degrees):
+    """The Jacobi images ``xi_i -> dW/du_i`` of ``potential_antisym(2, 3)``."""
+    pot = potential_antisym(2, 3)
+    pres = graded({"u1": 2, "u2": 4},
+                  {"xi1": (2, xi_degrees[0]), "xi2": (2, xi_degrees[1])})
+    return pres, pot.jacobi_images()
+
+
+def lowering_case():
+    """Images that lower q, one with a non-integer coefficient, and an odd
+    generator of negative q-degree with a zero image."""
+    pres = graded({"u": 2, "v": 4}, {"xi": (2, 8), "eta": (2, 10), "zeta": (2, -2)})
+    images = {"xi": Fraction(1, 2) * P("u^2") - P("v"), "eta": P("u*v"),
+              "zeta": LaurentPoly.zero()}
+    return pres, images
+
+
+def P(text):
+    return parse_poly(text)
+
+
+def sl_case(r, n):
+    pres = symmetric_unknot_presentation(r)
+    return pres, sl_differential_images(pres, n)
+
+
+KOSZUL_CASES = {
+    **{f"sl{n}-r{r}": (lambda r=r, n=n: sl_case(r, n), 16)
+       for r in range(1, 5) for n in range(1, 4)},
+    "jacobi-antisym-2-3": (lambda: jacobi_case((4, 2)), 24),
+    "jacobi-odd-q-le-0": (lambda: jacobi_case((0, -2)), 24),
+    "lowering": (lowering_case, 24),
+}
+
+#: ``pinned(koszul_homology(...).dims)`` as first computed
+KOSZUL_PINS = {
+    'sl1-r1': 'f07bf0c685b4b736',
+    'sl2-r1': 'f893acfa602d35ff',
+    'sl3-r1': 'bea5c00202b07d07',
+    'sl1-r2': 'f07bf0c685b4b736',
+    'sl2-r2': '08068c89bb563140',
+    'sl3-r2': '418104a39853689e',
+    'sl1-r3': 'f07bf0c685b4b736',
+    'sl2-r3': '1eaf0308659a5ac4',
+    'sl3-r3': '13866e230039a04d',
+    'sl1-r4': 'f07bf0c685b4b736',
+    'sl2-r4': '5f1faf2cc6081828',
+    'sl3-r4': '70ba9cff1f0a8308',
+    'jacobi-antisym-2-3': 'bea5c00202b07d07',
+    'jacobi-odd-q-le-0': 'bea5c00202b07d07',
+    'lowering': '6ead0873c1acfc7a',
+}
+
+
+@pytest.mark.parametrize("name", KOSZUL_CASES)
+def test_koszul_homology_matches_sympy_ranks(name):
+    make, cutoff = KOSZUL_CASES[name]
+    pres, images = make()
+    h = koszul_homology(pres, images, cutoff)
+    expected = oracle_dims(pres, lambda e, o: koszul_image(e, o, images),
+                           h.differential_degree, cutoff)
+    assert h.dims == expected
+    assert pinned(h.dims) == KOSZUL_PINS[name]
+
+
+PAIR_CASES = {
+    "two-generators": (graded({"u3": 6, "u4": 8}, {"xi3": (2, 4), "xi4": (2, 6)}), 60),
+    # xi1 comes before xi3 in name order, so the odd term's sign matters
+    "with-bystanders": (graded({"u1": 2, "u3": 6, "u4": 8},
+                               {"xi1": (2, 0), "xi3": (2, 4), "xi4": (2, 6)}), 30),
+}
+
+#: ``pinned(universal_pair_homology(...).dims)`` as first computed
+PAIR_PINS = {
+    'two-generators': 'd0b71cb82a3b6e16',
+    'with-bystanders': '4e4fecbcf9fedee8',
+}
+
+
+@pytest.mark.parametrize("name", PAIR_CASES)
+def test_pair_homology_matches_sympy_ranks(name):
+    pres, cutoff = PAIR_CASES[name]
+    args = ("u3", "u4", "xi3", "xi4")
+    h = universal_pair_homology(pres, *args, cutoff)
+    expected = oracle_dims(pres, lambda e, o: pair_image(e, o, *args),
+                           h.differential_degree, cutoff)
+    assert h.dims == expected
+    assert pinned(h.dims) == PAIR_PINS[name]
