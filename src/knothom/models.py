@@ -421,7 +421,7 @@ def _row_reduce(rows, columns):
     """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
     Columns are ``int`` keys whose integer order is the elimination order
-    (:func:`macaulay_basis` gives its key layout), and ``columns`` holds
+    (:class:`_KeySpace` gives the key layout), and ``columns`` holds
     every column of the block.  Pivots are taken at the smallest key,
     ``min(row)``, so the pivot set depends only on the row space and that
     order.  Rows map keys to non-zero ``int`` values, may come from a
@@ -465,28 +465,118 @@ def _row_reduce(rows, columns):
     return len(basis), set(basis)
 
 
-def _u_monomials(degrees, target):
-    """Exponent dicts over the even generators with total q-degree ``target``."""
-    names = sorted(degrees, key=lambda n: -degrees[n])
-    out = []
+class _KeySpace:
+    """Packed keys of the monomials of a presentation up to q-degree ``reach``.
 
-    def rec(idx, rem, acc):
-        if rem == 0:
-            out.append(dict(acc))
-            return
-        if idx >= len(names):
-            return
-        name = names[idx]
-        d = degrees[name]
-        top = rem // d
-        for e in range(top, -1, -1):
-            if e:
-                acc[name] = e
-            rec(idx + 1, rem - e * d, acc)
-            acc.pop(name, None)
+    A key is one non-negative ``int`` whose integer order is the elimination
+    order: monomials heavy in everything but the cheapest even generator go
+    first, so the survivors of an elimination are the natural low monomials,
+    and ties eliminate the most expensive generators first.  The key is a
+    mixed-radix numeral with these digits, the most significant first: the
+    cheapest even generator's exponent; ``top_n - e_n`` in radix
+    ``top_n + 1`` for each other even ``n`` by descending q-degree (ties by
+    name), where ``top_n`` bounds ``e_n`` in every monomial up to ``reach``,
+    beside odd factors of negative q-degree too; the complement of the odd
+    factors' bitmask, the first odd name highest.  In a block of one q-degree
+    and one count of odd factors, the cheapest exponent fixes the weight of
+    the rest, a larger exponent makes a smaller digit, of two odd subsets the
+    one first in name order holds the highest bit where they differ, and no
+    digit leaves its radix.  The key is affine in the exponents: multiplying
+    by an even monomial adds its packed offset (by ``weight``), and taking
+    an odd factor away adds its bit.  So a row of ``relation * u^e * du_S``,
+    or the image of a monomial under a differential, is one dict of ``int``
+    sums, a block is one ``sorted`` list, and only the keys a caller keeps
+    are decoded.
+    """
 
-    rec(0, target, {})
-    return out
+    def __init__(self, pres: GradedPresentation, reach: int):
+        even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
+        odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+        if any(d <= 0 for d in even_deg.values()):
+            raise ValueError("even generators need positive q-degrees")
+        self.odd_names = sorted(odd_deg)
+        self.low = sum(min(d, 0) for d in odd_deg.values())  # least monomial q-degree
+        by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
+        self.cheapest = min(even_deg, key=even_deg.get, default=None)
+        n_odd = len(self.odd_names)
+        self.odd_bit = {o: 1 << (n_odd - 1 - i) for i, o in enumerate(self.odd_names)}
+        self.odd_field = (1 << n_odd) - 1
+        self.digits = {}  # each even name but the cheapest -> (place, top)
+        unit = self.odd_field + 1  # the place of the leading digit, once all are set
+        for n in reversed(by_desc_degree):
+            if n != self.cheapest:
+                top = max(reach - self.low, 0) // even_deg[n]
+                self.digits[n] = (unit, top)
+                unit *= top + 1
+        self.unit = unit
+        self.weight = {n: -u for n, (u, _) in self.digits.items()}
+        if self.cheapest is not None:
+            self.weight[self.cheapest] = unit
+        # the key of 1
+        self.origin = sum(top * u for u, top in self.digits.values()) + self.odd_field
+        # per odd count k: (bitmask, q-degree) of each odd subset of size k
+        self.odd_subsets = [
+            [(sum(self.odd_bit[o] for o in odds), sum(odd_deg[o] for o in odds))
+             for odds in combinations(self.odd_names, k)]
+            for k in range(n_odd + 1)]
+        evens = [(even_deg[n], self.weight[n]) for n in by_desc_degree]
+
+        @cache
+        def even_offsets(degree, idx=0):
+            """Key offsets of the monomials in ``by_desc_degree[idx:]`` of q-degree ``degree``."""
+            if idx == len(evens):
+                return [0] if degree == 0 else []
+            d, w = evens[idx]
+            return [e * w + rest for e in range(degree // d, -1, -1)
+                    for rest in even_offsets(degree - e * d, idx + 1)]
+
+        self.even_offsets = even_offsets
+
+    def mask(self, key):
+        """The bitmask of the odd factors of ``key``."""
+        return self.odd_field ^ (key & self.odd_field)
+
+    @staticmethod
+    def sign(mask, bit):
+        """``-1`` if the odd factor ``bit`` moves past an odd number of the
+        factors in ``mask`` before it in name order (the higher bits), else ``1``."""
+        return -1 if (mask & -(bit << 1)).bit_count() & 1 else 1
+
+    def block(self, degree, k):
+        """The keys of q-degree ``degree`` with ``k`` odd factors, in order."""
+        return sorted(self.origin - mask + offset for mask, od in self.odd_subsets[k]
+                      for offset in self.even_offsets(degree - od))
+
+    def decode(self, key):
+        """``(even exponent dict, odd name tuple)`` of a key."""
+        mask = self.mask(key)
+        exps = {n: top - key // u % (top + 1) for n, (u, top) in self.digits.items()}
+        if self.cheapest is not None:
+            exps[self.cheapest] = key // self.unit
+        return ({n: e for n, e in exps.items() if e},
+                tuple(o for o in self.odd_names if mask & self.odd_bit[o]))
+
+    def terms(self, poly, n_odd):
+        """``(key offset, odd bit or 0, int coefficient)`` per term of ``poly``.
+
+        The coefficients are scaled to coprime integers, which leaves every
+        span of multiples of ``poly`` unchanged; each term needs ``n_odd``
+        factors among the odd names and non-negative even exponents.  The key
+        offset is the term's even part packed by ``weight`` less its odd bit,
+        so distinct terms give distinct keys and no two are summed.
+        """
+        out = []
+        for md, c in _primitive(poly.terms).items():
+            items = md.items()
+            odd = [self.odd_bit[v] for v, _ in items if v in self.odd_bit]
+            if len(odd) != n_odd:
+                raise ArithmeticError(f"terms need {n_odd} odd factors")
+            if any(e < 0 for _, e in items):
+                raise ArithmeticError("terms need non-negative exponents")
+            bit = odd[0] if odd else 0
+            out.append((sum(e * self.weight[v] for v, e in items if v not in self.odd_bit)
+                        - bit, bit, c))
+        return out
 
 
 @dataclass
@@ -528,114 +618,54 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
 
     The presentation decides the forms: its odd generators take part, each
     at most once per monomial, and its form relations are linear in them.
-    Processes one q-degree, and within it one count of odd factors, at a
-    time: the span of ``relation * monomial`` there is row-reduced over the
+    Processes one q-degree, from the least of any monomial (below 0 beside
+    an odd generator of negative q-degree), and within it one count of odd
+    factors, at a time: the span of ``relation * monomial`` there is row-reduced over the
     integers and the non-pivot monomials survive into the basis.  Rows are
     built lazily, and none after the span covers the block.  Terminates once
-    the quotient vanishes on a window of consecutive degrees as wide as the
-    largest generator degree (it is then zero forever); raises
-    :class:`DegreeCeilingError` if the ceiling is hit first.
-
-    Columns heavy in everything but the cheapest even generator go first, so
-    the survivors are the natural low monomials; ties eliminate the most
-    expensive generators first.  A column is one non-negative ``int``, a
-    mixed-radix numeral with these digits, the most significant first: the
-    cheapest generator's exponent; ``top_n - e_n`` in radix ``top_n + 1``
-    for each other even ``n`` by descending q-degree (ties by name), where
-    ``top_n = ceiling // (q-degree of n)`` bounds ``e_n``; the complement of
-    the odd factors' bitmask, the first odd name highest.  Integer order is
-    elimination order: in a block of fixed q-degree the cheapest exponent
-    fixes the weight of the rest, a larger exponent makes a smaller digit,
-    of two odd subsets of one size the one first in name order holds the
-    highest bit where they differ, and no digit leaves its radix.  The key
-    is affine in the exponents, so a row of ``relation * u^e * du_S`` is one
-    dict of ``int`` sums, a block's columns are one ``sorted`` list, and
-    only survivors are decoded.
+    the quotient vanishes on a window of consecutive positive degrees as
+    wide as the largest generator degree, odd ones included (it is then
+    zero forever); raises :class:`DegreeCeilingError` if the ceiling is hit
+    first.  Columns are the keys of :class:`_KeySpace` up to the ceiling, in
+    their elimination order.
     """
-    even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
-    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
-    if any(d <= 0 for d in even_deg.values()):
-        raise ValueError("even generators need positive q-degrees")
-    odd_names = sorted(odd_deg)
-    by_desc_degree = sorted(even_deg, key=lambda n: (-even_deg[n], n))
-    cheapest = min(even_deg, key=even_deg.get, default=None)
-
-    # e_n <= top[n] in every block, even beside odd factors of negative
-    # q-degree; place[n] is the value of one unit in n's digit
-    reach = max(ceiling - sum(min(d, 0) for d in odd_deg.values()), 0)
-    top = {n: reach // d for n, d in even_deg.items()}
-    n_odd_bits = len(odd_names)
-    odd_bit = {o: 1 << (n_odd_bits - 1 - i) for i, o in enumerate(odd_names)}
-    odd_field = (1 << n_odd_bits) - 1
-    place = {}
-    unit = odd_field + 1  # the place of the leading digit, once all are set
-    for n in reversed(by_desc_degree):
-        if n != cheapest:
-            place[n] = unit
-            unit *= top[n] + 1
-    weight = {n: -u for n, u in place.items()}
-    if cheapest is not None:
-        weight[cheapest] = unit
-    origin = sum(top[n] * u for n, u in place.items()) + odd_field  # key of 1
-
-    odd_subsets = [[(sum(odd_bit[o] for o in odds), sum(odd_deg[o] for o in odds))
-                    for odds in combinations(odd_names, k)]
-                   for k in range(n_odd_bits + 1)]
+    space = _KeySpace(pres, ceiling)
     # per odd count k: (q-degree, key of du_S, signed packed terms) of each
     # relation times each odd subset S; a form hitting a factor of S
-    # vanishes, and one moved past the factors before it in name order (the
-    # higher bits) changes sign once per factor
-    templates = [[] for _ in odd_subsets]
+    # vanishes, and one moved past the factors before it changes sign
+    templates = [[] for _ in space.odd_subsets]
     for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
             d = pres.poly_degree(rel, "q")
             if d is None:
                 raise ArithmeticError("inhomogeneous relation")
-            terms = _row_terms(rel, n_odd, weight, odd_bit)
-            for k in range(n_odd, len(odd_subsets)):
+            terms = space.terms(rel, n_odd)
+            for k in range(n_odd, len(templates)):
                 templates[k] += [
-                    (int(d) + od, origin - mask,
-                     [(t, -c if (mask & -(bit << 1)).bit_count() & 1 else c)
-                      for t, bit, c in terms if not bit & mask])
-                    for mask, od in odd_subsets[k - n_odd]]
-    window = max(even_deg.values(), default=0)
-    evens = [(even_deg[n], weight[n]) for n in by_desc_degree]
-
-    @cache
-    def monomials(idx, rem):
-        """Key offsets of the monomials in ``by_desc_degree[idx:]`` of q-degree ``rem``."""
-        if idx == len(evens):
-            return [0] if rem == 0 else []
-        d, w = evens[idx]
-        return [e * w + rest for e in range(rem // d, -1, -1)
-                for rest in monomials(idx + 1, rem - e * d)]
+                    (int(d) + od, space.origin - mask,
+                     [(t, space.sign(mask, bit) * c) for t, bit, c in terms
+                      if not bit & mask])
+                    for mask, od in space.odd_subsets[k - n_odd]]
+    window = max((int(g.q_degree()) for g in pres.generators), default=0)
+    even_offsets = space.even_offsets
 
     def rows(degree, k):
         for dg, odd_key, terms in templates[k]:
-            for offset in monomials(0, degree - dg):
+            for offset in even_offsets(degree - dg):
                 base = odd_key + offset
                 yield {base + t: c for t, c in terms}
 
-    def decode(key):
-        mask = odd_field ^ (key & odd_field)
-        exps = {n: top[n] - key // u % (top[n] + 1) for n, u in place.items()}
-        if cheapest is not None:
-            exps[cheapest] = key // unit
-        return ({n: e for n, e in exps.items() if e},
-                tuple(o for o in odd_names if mask & odd_bit[o]))
-
     elements = []
     zero_run = 0
-    degree = 0
+    degree = space.low
     while degree <= ceiling:
         dim_here = 0
-        for k, subsets in enumerate(odd_subsets):
-            block = sorted(origin - mask + offset for mask, od in subsets
-                           for offset in monomials(0, degree - od))
+        for k in range(len(templates)):
+            block = space.block(degree, k)
             if not block:
                 continue
             _, pivots = _row_reduce(rows(degree, k), set(block))
-            survivors = [decode(c) for c in block if c not in pivots]
+            survivors = [space.decode(c) for c in block if c not in pivots]
             elements += survivors
             dim_here += len(survivors)
         if dim_here == 0 and degree > 0:
@@ -646,29 +676,6 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
             zero_run = 0
         degree += 1
     raise DegreeCeilingError(f"degree ceiling {ceiling} exceeded")
-
-
-def _row_terms(rel, n_odd, weight, odd_bit):
-    """``(key offset, odd bit or 0, int coefficient)`` per term of ``rel``.
-
-    The coefficients are scaled to coprime integers, which leaves every span
-    of multiples of ``rel`` unchanged; each term needs ``n_odd`` factors
-    among the odd names and non-negative even exponents.  The key offset is
-    the term's even part packed by ``weight`` less its odd bit, so distinct
-    terms give distinct columns and no two are summed.
-    """
-    out = []
-    for md, c in _primitive(rel.terms).items():
-        items = md.items()
-        odd = [odd_bit[v] for v, _ in items if v in odd_bit]
-        if len(odd) != n_odd:
-            raise ArithmeticError(f"relation terms need {n_odd} odd factors")
-        if any(e < 0 for _, e in items):
-            raise ArithmeticError("relation terms need non-negative exponents")
-        bit = odd[0] if odd else 0
-        out.append((sum(e * weight[v] for v, e in items if v not in odd_bit) - bit,
-                    bit, c))
-    return out
 
 
 # -- potentials ---------------------------------------------------------------------
@@ -785,50 +792,6 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
 # -- differential homology ----------------------------------------------------------
 
 
-def _monomials_up_to(pres: GradedPresentation, cutoff: int):
-    """All supercommutative monomials with q-degree <= cutoff.
-
-    Returns a list of ``(even exponents, odd subset, Multidegree)``.
-    Requires positive even q-degrees; odd generators of nonpositive degree
-    are allowed (they appear at most once).
-    """
-    even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
-    if any(d <= 0 for d in even_deg.values()):
-        raise ValueError("even generators need positive q-degrees")
-    odd_names = sorted(g.name for g in pres.odds())
-    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
-    out = []
-    for k in range(len(odd_names) + 1):
-        for odds in combinations(odd_names, k):
-            base = sum(odd_deg[o] for o in odds)
-            for d in range(0, cutoff - base + 1):
-                for exps in _u_monomials(even_deg, d):
-                    out.append((exps, odds, pres.monomial_degree(exps, odds)))
-    return out
-
-
-def _apply_koszul(exps, odds, images):
-    """Image of ``u^exps * xi_odds`` under the odd derivation ``xi -> image``."""
-    out = {}
-    for pos, xi in enumerate(odds):
-        img = images.get(xi)
-        if img is None or img.is_zero():
-            continue
-        rest = tuple(o for o in odds if o != xi)
-        sign = (-1) ** pos
-        for md, c in img.terms.items():
-            combined = dict(exps)
-            for v, e in md.items():
-                combined[v] = combined.get(v, 0) + int(e)
-            key = (frozenset(combined.items()), rest)
-            val = out.get(key, Fraction(0)) + sign * c
-            if val == 0:
-                out.pop(key, None)
-            else:
-                out[key] = val
-    return out
-
-
 @dataclass
 class HomologyDims:
     """Graded dimensions of a chain complex, valid through a q-cutoff."""
@@ -843,28 +806,33 @@ class HomologyDims:
                             for (a, q), d in self.dims.items() if q <= qmax})
 
 
-def _block_homology(pres, d_apply, delta: Multidegree, cutoff: int):
-    """Kernel-modulo-image dimensions of a degree-``delta`` differential."""
-    monos = _monomials_up_to(pres, cutoff + max(0, int(-delta.e("q"))))
-    blocks = {}
-    for exps, odds, md in monos:
-        key = (int(md.e("a")), int(md.e("q")))
-        blocks.setdefault(key, []).append((exps, odds))
+def _block_homology(pres, space, row, delta: Multidegree, cutoff: int):
+    """Kernel-modulo-image dimensions of a degree-``delta`` differential.
+
+    ``row(key)`` is the image of the monomial ``key`` of ``space`` as a dict
+    of keys to ``int`` values; ``space`` reaches ``cutoff + |delta_q|``.  The
+    differential shifts the count of odd factors by a fixed amount, so it
+    maps the monomials of one a-degree, q-degree and odd count into one such
+    block, and the rank on an (a, q) block is the sum over its odd counts.
+    """
     da, dq = int(delta.e("a")), int(delta.e("q"))
-    ranks = {}
-    for key, items in blocks.items():
-        index = {}  # image monomial -> column, numbered on first sight
-        rows = [{index.setdefault(c, len(index)): v
-                 for c, v in _primitive(d_apply(exps, odds)).items()}
-                for exps, odds in items]
-        ranks[key], _ = _row_reduce(rows, set(index.values()))
+    a_deg = {g.name: int(g.degree.e("a")) for g in pres.generators}
+    sizes, ranks = Counter(), Counter()
+    for q in range(space.low, cutoff + max(0, -dq) + 1):
+        for k in range(len(space.odd_subsets)):
+            by_a = {}
+            for key in space.block(q, k):
+                exps, odds = space.decode(key)
+                a = sum(a_deg[n] * e for n, e in exps.items()) + sum(a_deg[o] for o in odds)
+                by_a.setdefault(a, []).append(row(key))
+            for a, rows in by_a.items():
+                sizes[a, q] += len(rows)
+                ranks[a, q] += _row_reduce(rows, set().union(*rows))[0]
     dims = {}
-    for (a, q), items in blocks.items():
-        if q > cutoff:
-            continue
-        d = len(items) - ranks.get((a, q), 0) - ranks.get((a - da, q - dq), 0)
-        if d:
-            dims[(a, q)] = d
+    for (a, q), size in sizes.items():
+        d = size - ranks[a, q] - ranks[a - da, q - dq]
+        if q <= cutoff and d:
+            dims[a, q] = d
     return HomologyDims(dims, cutoff, delta)
 
 
@@ -891,9 +859,22 @@ def koszul_homology(pres: GradedPresentation, images: dict,
             raise ArithmeticError("images do not share a common degree shift")
     if delta is None:
         delta = Multidegree()
-    return _block_homology(
-        pres, lambda exps, odds: _apply_koszul(exps, odds, images),
-        delta, cutoff)
+    space = _KeySpace(pres, cutoff + abs(int(delta.e("q"))))
+    # a positive multiple of an image rescales its odd generator, which
+    # keeps every rank, so each image is packed with coprime coefficients
+    packed = [(space.odd_bit[xi], space.terms(img, 0))
+              for xi, img in images.items() if not img.is_zero()]
+
+    def row(key):
+        mask = space.mask(key)
+        out = {}
+        for bit, terms in packed:
+            if mask & bit:
+                sign = space.sign(mask, bit)
+                out.update({key + bit + t: sign * c for t, _, c in terms})
+        return out
+
+    return _block_homology(pres, space, row, delta, cutoff)
 
 
 def symmetric_unknot_presentation(r: int) -> GradedPresentation:
@@ -924,26 +905,20 @@ def universal_pair_homology(pres: GradedPresentation, x: str, y: str,
     if delta != pres.generator(xi_y).degree - pres.generator(xi_x).degree:
         raise ArithmeticError("pair generators are not aligned in degree")
 
-    def d_apply(exps, odds):
-        out = {}
-        a = exps.get(x, 0)
-        if a % 2 == 1:
-            ne = dict(exps)
-            if a == 1:
-                ne.pop(x)
-            else:
-                ne[x] = a - 1
-            ne[y] = ne.get(y, 0) + 1
-            key = (frozenset(ne.items()), odds)
-            out[key] = out.get(key, Fraction(0)) + 2
-        if xi_x in odds and xi_y not in odds:
-            sign = (-1) ** odds.index(xi_x)
-            swapped = tuple(sorted(o if o != xi_x else xi_y for o in odds))
-            key = (frozenset(exps.items()), swapped)
-            out[key] = out.get(key, Fraction(0)) + sign
-        return {k: v for k, v in out.items() if v != 0}
+    space = _KeySpace(pres, cutoff + abs(int(delta.e("q"))))
+    step = space.weight[y] - space.weight[x]
+    bit_x, bit_y = space.odd_bit[xi_x], space.odd_bit[xi_y]
 
-    return _block_homology(pres, d_apply, delta, cutoff)
+    def row(key):
+        out = {}
+        if space.decode(key)[0].get(x, 0) % 2:
+            out[key + step] = 2
+        mask = space.mask(key)
+        if mask & bit_x and not mask & bit_y:
+            out[key + bit_x - bit_y] = space.sign(mask, bit_x)
+        return out
+
+    return _block_homology(pres, space, row, delta, cutoff)
 
 
 def sl_differential_images(pres: GradedPresentation, n: int) -> dict:
@@ -954,14 +929,15 @@ def sl_differential_images(pres: GradedPresentation, n: int) -> dict:
     ``u_(a_1)...u_(a_n)``; for ``n = 2`` this is
     ``xi_1 -> u_1^2, xi_2 -> 2 u_1 u_2, xi_3 -> u_2^2 + 2 u_1 u_3, ...``.
     """
-    index = {g.name: int(g.q_degree()) // 2 for g in pres.evens()}
-    indices = sorted(index.values())
+    indices = sorted(g.q_degree() // 2 for g in pres.evens())
+    space = _KeySpace(pres, 2 * (max(indices, default=0) + n - 1))
     out = {}
-    odds = sorted(pres.odds(), key=lambda g: int(g.q_degree()))
+    odds = sorted(pres.odds(), key=Generator.q_degree)
     for pos, g in enumerate(odds):
         # u^exps with n factors, counted once per ordering of the factors
+        monomials = (space.decode(key)[0]
+                     for key in space.block(2 * (indices[pos] + n - 1), 0))
         out[g.name] = LaurentPoly({
             Multidegree(exps): factorial(n) // prod(map(factorial, exps.values()))
-            for exps in _u_monomials(index, indices[pos] + n - 1)
-            if sum(exps.values()) == n})
+            for exps in monomials if sum(exps.values()) == n})
     return out

@@ -15,6 +15,11 @@ block by block, from the presentation's relations with sympy polynomial
 products, order the columns by a copy of the elimination priority as
 written before the packing (the oracle), and read the surviving monomials
 off sympy's pivots.
+
+``koszul_homology`` and ``universal_pair_homology`` eliminate on the same
+packed keys.  Their tests enumerate the monomials here, build each (a, q)
+block's differential from ``LaurentPoly`` products, take its rank with
+sympy, and also pin a digest of each case's dimensions.
 """
 
 import hashlib
@@ -124,7 +129,8 @@ def test_rank_and_pivots_match_sympy_in_key_order(case):
 @oracle(100)
 @given(matrices())
 def test_rank_and_pivots_match_sympy_in_first_sight_order(case):
-    """Columns numbered on first sight, as ``_block_homology`` numbers them."""
+    """Keys numbered in the order the rows first name their columns: the
+    same matrices, with early rows on the low keys."""
     _, rows = case
     order = first_sight(rows)
     key = {c: i for i, c in enumerate(order)}

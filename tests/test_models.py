@@ -271,6 +271,25 @@ def test_macaulay_ceiling_edge(forms):
         macaulay_basis(pres, ceiling=20)
 
 
+def test_macaulay_window_spans_odd_generators():
+    """The vanishing window is as wide as the largest q-degree of any
+    generator: an odd x above every other generator is still reached after
+    the empty degree 1."""
+    pres = GradedPresentation([Generator("x", ODD, Multidegree(q=2)),
+                               Generator("y", ODD, Multidegree(q=0))])
+    assert macaulay_basis(pres).monomial_names() == ["1", "y", "x", "x*y"]
+
+
+def test_macaulay_reaches_negative_degrees():
+    """An odd generator of negative q-degree makes monomials below degree 0."""
+    pres = GradedPresentation([Generator("u", EVEN, Multidegree(q=2)),
+                               Generator("x", ODD, Multidegree(q=-2))],
+                              [LaurentPoly.var("u") ** 2])
+    mb = macaulay_basis(pres)
+    assert mb.monomial_names() == ["x", "1", "u*x", "u"]
+    assert [md.e("q") for md in mb.degrees()] == [-2, 0, 0, 2]
+
+
 def test_potential_antisym_displays():
     assert potential_antisym(1, 3).body == -P("u1^4") / 4
     assert potential_antisym(2, 3).body == \
