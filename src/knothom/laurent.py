@@ -498,15 +498,19 @@ class LaurentPoly:
         coeff, imd = image.as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
+        negate = coeff == -1
+        shifts = {}  # exponent -> imd.scale(exponent)
         out = {}
         for md, c in self.terms.items():
             e = md._e(var)
             if e == 0:
                 md2, c2 = md, c
             else:
-                sign = coeff ** e if coeff == -1 else 1
-                md2 = md._without(var) + imd.scale(e)
-                c2 = c * sign
+                shift = shifts.get(e)
+                if shift is None:
+                    shift = shifts[e] = imd.scale(e)
+                md2 = md._without(var) + shift
+                c2 = -c if negate and e & 1 else c
             s = out.get(md2)
             if s is None:
                 out[md2] = c2

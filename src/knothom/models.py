@@ -596,8 +596,17 @@ class MacaulayBasis:
                 for exps, odds in self.elements]
 
     def poincare(self, variables=("a", "q", "tr")) -> LaurentPoly:
-        return LaurentPoly(Counter(Multidegree({v: md.e(v) for v in variables})
-                                   for md in self.degrees()))
+        grading = {g.name: [g.degree._e(v) for v in variables]
+                   for g in self.presentation.generators}
+        counts = Counter()
+        for exps, odds in self.elements:
+            total = [0] * len(variables)
+            for n, e in exps.items():
+                total = [t + e * x for t, x in zip(total, grading[n])]
+            for o in odds:
+                total = [t + x for t, x in zip(total, grading[o])]
+            counts[tuple(total)] += 1
+        return LaurentPoly({Multidegree(zip(variables, t)): n for t, n in counts.items()})
 
     def monomial_names(self):
         names = []
@@ -628,6 +637,20 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     zero forever); raises :class:`DegreeCeilingError` if the ceiling is hit
     first.  Columns are the keys of :class:`_KeySpace` up to the ceiling, in
     their elimination order.
+
+    A block of positive q-degree is eliminated only if it has a candidate:
+    a monomial ``c`` such that ``c/g`` is standard for every step generator
+    ``g`` dividing ``c``.  The steps are the generators whose quotient block
+    comes earlier: every even one, and each odd one of q-degree >= 0 (its
+    quotient has one odd factor less, so q-degree 0 is earlier too).  Each
+    survivor ``s`` counts off one unmet step divisor of each ``s*g``; ``c``
+    is a candidate when none is left.  This is exact: a block's pivots are
+    the least keys of the ideal's elements there, and the key is affine, so
+    the least key of ``g*f`` is ``g`` times that of ``f`` whenever the
+    product is not zero; a monomial with a non-standard quotient is a pivot.
+    Every monomial of positive q-degree has a step divisor, and the premise
+    is checked: a survivor that is not a candidate raises
+    :class:`ArithmeticError`.
     """
     space = _KeySpace(pres, ceiling)
     # per odd count k: (q-degree, key of du_S, signed packed terms) of each
@@ -648,6 +671,12 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
                     for mask, od in space.odd_subsets[k - n_odd]]
     window = max((int(g.q_degree()) for g in pres.generators), default=0)
     even_offsets = space.even_offsets
+    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    # (key shift, q shift, odd count shift, name) of each step generator
+    steps = ([(space.weight[g.name], int(g.q_degree()), 0, g.name) for g in pres.evens()]
+             + [(-space.odd_bit[o], d, 1, o) for o, d in odd_deg.items() if d >= 0])
+    # (degree, k) -> {key: step divisors whose quotient is not yet standard}
+    unmet = {}
 
     def rows(degree, k):
         for dg, odd_key, terms in templates[k]:
@@ -661,12 +690,30 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     while degree <= ceiling:
         dim_here = 0
         for k in range(len(templates)):
+            if degree > 0:
+                candidates = {c for c, n in unmet.pop((degree, k), {}).items() if not n}
+                if not candidates:
+                    continue
             block = space.block(degree, k)
             if not block:
                 continue
             _, pivots = _row_reduce(rows(degree, k), set(block))
-            survivors = [space.decode(c) for c in block if c not in pivots]
-            elements += survivors
+            survivors = [c for c in block if c not in pivots]
+            if degree > 0 and not candidates.issuperset(survivors):
+                raise ArithmeticError(
+                    f"a survivor of block ({degree}, {k}) has a non-standard quotient")
+            for c in survivors:
+                exps, odds = monomial = space.decode(c)
+                elements.append(monomial)
+                divisors = len(exps) + sum(odd_deg[o] >= 0 for o in odds)
+                for shift, d, dk, name in steps:
+                    if name in odds:
+                        continue
+                    target = unmet.setdefault((degree + d, k + dk), {})
+                    n = target.get(c + shift)
+                    if n is None:
+                        n = divisors + (name not in exps)
+                    target[c + shift] = n - 1
             dim_here += len(survivors)
         if dim_here == 0 and degree > 0:
             zero_run += 1

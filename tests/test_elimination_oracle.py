@@ -30,6 +30,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from knothom import models
 from knothom.laurent import LaurentPoly, Multidegree, parse_poly
 from knothom.models import (
     EVEN,
@@ -234,7 +235,7 @@ def oracle_basis(pres, top_degree):
                  for rel in (*pres.relations, *pres.form_relations)]
     priority = reference_priority(pres)
     out = []
-    for degree in range(top_degree + 1):
+    for degree in range(sum(min(d, 0) for d in odd_deg.values()), top_degree + 1):
         for k in range(len(odd_names) + 1):
             columns = [(dict(e for e in zip(names, exps) if e[1]), odds)
                        for odds in combinations(odd_names, k)
@@ -271,12 +272,33 @@ def oracle_basis(pres, top_degree):
     return out
 
 
-@pytest.mark.parametrize("p, q, r, forms", [
-    (2, 3, 2, True), (3, 4, 1, True), (3, 4, 2, False),
-    (3, 4, 2, True),  # the smallest whose basis depends on the forms' signs
-])
-def test_packed_basis_matches_sympy_elimination(p, q, r, forms):
-    pres = scheme_presentation(p, q, r, with_forms=forms)
+def artinian(evens, odds, relations, form_relations):
+    """A presentation graded in ``q`` only, relations given as text."""
+    return GradedPresentation(
+        [Generator(n, EVEN, Multidegree(q=d)) for n, d in evens.items()]
+        + [Generator(n, ODD, Multidegree(q=d)) for n, d in odds.items()],
+        [P(r) for r in relations], [P(r) for r in form_relations])
+
+
+BASIS_CASES = {
+    f"{p}-{q}-{r}-{forms}": lambda p=p, q=q, r=r, forms=forms:
+        scheme_presentation(p, q, r, with_forms=forms)
+    for p, q, r, forms in [
+        (2, 3, 2, True), (3, 4, 1, True), (3, 4, 2, False),
+        (3, 4, 2, True),  # the smallest whose basis depends on the forms' signs
+    ]
+}
+# an odd generator of q-degree 0 steps into the next odd count of its own
+# degree; one of negative q-degree divides monomials of a later block
+BASIS_CASES["odd-q-0"] = lambda: artinian(
+    {"u": 2, "v": 4}, {"x": 0, "y": 2}, ["u^3 - u*v", "v^2"], ["u*x - y", "v*x + u*y"])
+BASIS_CASES["odd-q-negative"] = lambda: artinian(
+    {"u": 2, "v": 6}, {"z": -2, "y": 4}, ["u^4", "v^2", "u^2*v"], ["u^3*z - y", "v*z"])
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_packed_basis_matches_sympy_elimination(name):
+    pres = BASIS_CASES[name]()
     mb = macaulay_basis(pres)
     assert mb.elements == oracle_basis(pres, mb.top_degree)
 
@@ -300,6 +322,86 @@ def test_packed_order_is_the_elimination_priority():
     priority = reference_priority(pres)
     assert all(cols == sorted(cols, key=priority) for cols in blocks.values())
     assert sum(map(len, blocks.values())) == 3 * 2 * 2 * 2 * 2 ** 4
+
+
+# -- pruning by the standard monomials of earlier blocks ------------------------
+
+#: the ``scheme`` requests of the ``scheme-basis`` benchmark pool: (p, q, r, forms)
+SCHEME_POOL = (
+    [(p, q, r, True) for p, q, rmax in ((2, 3, 5), (2, 5, 3), (2, 7, 2), (3, 4, 2),
+                                       (3, 5, 2), (4, 5, 1), (5, 6, 1))
+     for r in range(1, rmax + 1)]
+    + [(3, 4, 2, False), (3, 4, 3, False), (3, 5, 2, False), (4, 5, 1, False)])
+
+
+def monomial_id(exps, odds):
+    return tuple(sorted(exps.items())), tuple(odds)
+
+
+def quotients(exps, odds, names):
+    """``m/g`` for each generator ``g`` in ``names`` that divides ``m``."""
+    for g in names:
+        if g in odds:
+            yield exps, tuple(o for o in odds if o != g)
+        elif exps.get(g):
+            yield {n: e - (n == g) for n, e in exps.items() if e - (n == g)}, odds
+
+
+@pytest.mark.parametrize("p, q, r, forms", SCHEME_POOL)
+def test_basis_is_an_order_ideal(p, q, r, forms):
+    """Every divisor of a standard monomial is standard."""
+    pres = scheme_presentation(p, q, r, with_forms=forms)
+    elements = macaulay_basis(pres).elements
+    standard = {monomial_id(*m) for m in elements}
+    names = [g.name for g in pres.generators]
+    assert all(monomial_id(*d) in standard
+               for m in elements for d in quotients(*m, names))
+
+
+def counting_row_reduce(monkeypatch):
+    """Patch ``_row_reduce`` to count its calls; returns the counter."""
+    real, calls = models._row_reduce, []
+
+    def counting(rows, columns):
+        calls.append(len(columns))
+        return real(rows, columns)
+
+    monkeypatch.setattr(models, "_row_reduce", counting)
+    return calls
+
+
+def test_blocks_without_candidates_are_skipped(monkeypatch):
+    """Eliminating every block of M(2,3,5) with forms takes 173 calls; 35
+    of those blocks hold no monomial whose earlier quotients are all standard."""
+    calls = counting_row_reduce(monkeypatch)
+    macaulay_basis(scheme_presentation(2, 3, 5, with_forms=True))
+    assert len(calls) < 173
+
+
+def test_a_survivor_with_a_non_standard_quotient_raises(monkeypatch):
+    """Dropping one pivot whose quotient by a step generator is a pivot
+    itself makes a survivor outside the candidates, which must raise."""
+    pres = scheme_presentation(2, 3, 3, with_forms=True)
+    standard = {monomial_id(*m) for m in macaulay_basis(pres).elements}
+    steps = [g.name for g in pres.generators if g.parity == EVEN or g.q_degree() >= 0]
+    space = models._KeySpace(pres, 200)
+    real, dropped = models._row_reduce, []
+
+    def dropping(rows, columns):
+        rank, pivots = real(rows, columns)
+        if not dropped:
+            bad = sorted(c for c in pivots
+                         if any(monomial_id(*d) not in standard
+                                for d in quotients(*space.decode(c), steps)))
+            if bad:
+                dropped.append(bad[0])
+                return rank - 1, pivots - {bad[0]}
+        return rank, pivots
+
+    monkeypatch.setattr(models, "_row_reduce", dropping)
+    with pytest.raises(ArithmeticError, match="non-standard quotient"):
+        macaulay_basis(pres)
+    assert dropped
 
 
 # -- Koszul and pair homology against sympy ranks -------------------------------
@@ -471,3 +573,56 @@ def test_pair_homology_matches_sympy_ranks(name):
                            h.differential_degree, cutoff)
     assert h.dims == expected
     assert pinned(h.dims) == PAIR_PINS[name]
+
+
+def captured_block_homology(monkeypatch, compute):
+    """The ``(pres, space, row, delta, cutoff)`` that ``compute`` hands to
+    ``_block_homology``."""
+    real, seen = models._block_homology, []
+
+    def capture(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(models, "_block_homology", capture)
+    compute()
+    (args,) = seen
+    return args
+
+
+def koszul_run(name):
+    make, cutoff = KOSZUL_CASES[name]
+    pres, images = make()
+    return (lambda: koszul_homology(pres, images, cutoff),
+            lambda e, o: koszul_image(e, o, images))
+
+
+def pair_run(name):
+    pres, cutoff = PAIR_CASES[name]
+    args = ("u3", "u4", "xi3", "xi4")
+    return (lambda: universal_pair_homology(pres, *args, cutoff),
+            lambda e, o: pair_image(e, o, *args))
+
+
+@pytest.mark.parametrize("run, name", [
+    *[(koszul_run, name) for name in KOSZUL_CASES],
+    *[(pair_run, name) for name in PAIR_CASES],
+], ids=[*KOSZUL_CASES, *PAIR_CASES])
+def test_packed_rows_decode_to_their_images(monkeypatch, run, name):
+    """Every key of every packed row stands for the monomial of the image
+    built with ``LaurentPoly`` products, with the image's sign.  The
+    differential's rows are positive multiples of its images per odd
+    generator, so only the signs are compared."""
+    compute, image = run(name)
+    pres, space, row, delta, cutoff = captured_block_homology(monkeypatch, compute)
+    dq = int(delta.e("q"))
+    for q in range(space.low, cutoff + max(0, -dq) + 1):
+        for k in range(len(space.odd_subsets)):
+            for key in space.block(q, k):
+                exps, odds = space.decode(key)
+                expected = {m: c > 0 for m, c in image(exps, odds).items() if c}
+                got = {}
+                for t, c in row(key).items():
+                    e, o = space.decode(t)
+                    got[Multidegree(e), o] = c > 0
+                assert got == expected, (exps, odds)
