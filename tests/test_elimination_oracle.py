@@ -14,12 +14,17 @@ elimination order.  The scheme tests rebuild its Macaulay matrices here,
 block by block, from the presentation's relations with sympy polynomial
 products, order the columns by a copy of the elimination priority as
 written before the packing (the oracle), and read the surviving monomials
-off sympy's pivots.
+off sympy's pivots.  Two small presentations add odd generators of
+q-degree 0 and below 0.  The pruning tests check that every basis of the
+benchmark's scheme pool is an order ideal, that blocks without candidates
+are skipped, and that a survivor outside the candidates raises.
 
 ``koszul_homology`` and ``universal_pair_homology`` eliminate on the same
 packed keys.  Their tests enumerate the monomials here, build each (a, q)
 block's differential from ``LaurentPoly`` products, take its rank with
-sympy, and also pin a digest of each case's dimensions.
+sympy, and also pin a digest of each case's dimensions.  A rank cannot see
+a wrong key that stays distinct, so every packed row is also decoded and
+compared with the image it stands for.
 """
 
 import hashlib
@@ -358,8 +363,9 @@ def test_basis_is_an_order_ideal(p, q, r, forms):
                for m in elements for d in quotients(*m, names))
 
 
-def counting_row_reduce(monkeypatch):
-    """Patch ``_row_reduce`` to count its calls; returns the counter."""
+def test_blocks_without_candidates_are_skipped(monkeypatch):
+    """Eliminating every block of M(2,3,5) with forms takes 173 calls; 35
+    of those blocks hold no monomial whose earlier quotients are all standard."""
     real, calls = models._row_reduce, []
 
     def counting(rows, columns):
@@ -367,13 +373,6 @@ def counting_row_reduce(monkeypatch):
         return real(rows, columns)
 
     monkeypatch.setattr(models, "_row_reduce", counting)
-    return calls
-
-
-def test_blocks_without_candidates_are_skipped(monkeypatch):
-    """Eliminating every block of M(2,3,5) with forms takes 173 calls; 35
-    of those blocks hold no monomial whose earlier quotients are all standard."""
-    calls = counting_row_reduce(monkeypatch)
     macaulay_basis(scheme_presentation(2, 3, 5, with_forms=True))
     assert len(calls) < 173
 
