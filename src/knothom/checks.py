@@ -349,21 +349,59 @@ def rank_collapse_input(key: str, lam, order=30) -> RationalSeries:
                           tuple(map(to_aqt, series.denominators)), "q", order)
 
 
+def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
+    """A bound on the ``tvar``-degree of every term of ``q``-degree at most
+    ``cutoff`` in the expansion of ``series``, which must expand in ``q``.
+
+    ``best[r]`` is the largest ``tvar``-degree of a product of denominator
+    monomials of ``q``-degree exactly ``r`` (an unbounded knapsack), and
+    ``reach[r]`` the largest over ``q``-degrees at most ``r``.  A term of the
+    expansion is a numerator term times such a product, so the bound is the
+    largest ``t(x) + reach[cutoff - q(x)]`` over numerator terms ``x`` with
+    ``q(x) <= cutoff``; it ignores cancellation, so it may exceed the
+    largest ``tvar``-degree the expansion really has.  It is 0 when no
+    numerator term is that low.
+    """
+    low = [(md._e("q"), md._e(tvar)) for md in series.numerator.terms
+           if md._e("q") <= cutoff]
+    if not low:
+        return 0
+    steps = [(md._e("q"), md._e(tvar)) for md in series.denominators]
+    best = {0: 0}
+    reach = [0]
+    for r in range(1, cutoff - min(q for q, _ in low) + 1):
+        ts = [best[r - q] + t for q, t in steps if r - q in best]
+        if ts:
+            best[r] = max(ts)
+            reach.append(max(reach[-1], best[r]))
+        else:
+            reach.append(reach[-1])
+    return max(t + reach[cutoff - q] for q, t in low)
+
+
 def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
               cutoff=30):
     """Rank-``n`` collapse of an unreduced series by maximal cancellation.
 
     Removes a maximum matching of generator pairs differing by ``diff``,
     substitutes ``a -> q^n`` and truncates to the degrees unaffected by the
-    cutoff.  The cancellation rays descend in the homological grading, so the
-    series is internally expanded far enough that every ray meeting the
-    reported window is complete; ambiguous survivors then sit at the early
-    end of their rays, matching the tabulated computations.  Returns
+    cutoff.  ``diff`` must lower the homological grading ``t`` by one and
+    raise ``q`` by some ``s > 0``, and ``series`` must expand in ``q``.
+    Every cancellation ray then lies in one level of ``w = q + s*t``, and
+    every denominator has positive ``w``-degree, so the series is expanded
+    in ``w`` through ``cutoff + s*t_top``, with ``t_top`` the bound of
+    :func:`_t_top` on the ``t``-degree of every term of ``q``-degree at most
+    ``cutoff``.  That expansion holds every ray meeting the reported window,
+    each complete; ambiguous survivors then sit at the early end of their
+    rays, matching the tabulated computations.  Returns
     ``(survivors, window)``.
     """
     tvar = "t" if diff.e("t") != 0 else "tc"
-    if diff.e(tvar) >= 0:
-        raise ValueError("cancellation direction must decrease the t-grading")
+    step_q = diff._e("q")
+    if diff._e(tvar) != -1 or step_q <= 0:
+        raise ValueError("cancellation direction must lower t by one and raise q")
+    if series.var != "q":
+        raise ValueError("sl_cancel needs a series expanded in q")
     num = series.numerator
     if num.is_zero():
         return LaurentPoly.zero(), cutoff
@@ -372,12 +410,14 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     window = cutoff - 2 * den_margin - n * max(0, -a_min)
     if window < 0:
         raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
-    probe = series.expand(cutoff)
-    t_top = max((md.e(tvar) for md in probe.terms), default=0)
-    t_min = min((md.e(tvar) for md in num.terms), default=0)
-    step_q = int(diff.e("q"))
-    big = cutoff + step_q * int(t_top - t_min + 1)
-    expansion = series.expand(big)
+    top = cutoff + step_q * _t_top(series, tvar, cutoff)
+    lift = Multidegree(q=step_q)
+    regraded = RationalSeries(
+        num.map_exponents(lambda md: md._shift(lift, md._e(tvar))),
+        tuple(md._shift(lift, md._e(tvar)) for md in series.denominators),
+        "q", top)
+    expansion = regraded.expand().map_exponents(
+        lambda md: md._shift(lift, -md._e(tvar)))
     survivors, _ = max_cancel(expansion, diff, keep="early")
     survivors = survivors.truncate("q", cutoff)
     collapsed = survivors.substitute("a", LaurentPoly.var("q", n))

@@ -171,7 +171,11 @@ def cmd_scheme(args):
     try:
         mb = macaulay_basis(pres, ceiling=args.ceiling)
     except DegreeCeilingError as exc:
-        raise UsageError(f"{exc}; raise --ceiling") from exc
+        if args.reduced:
+            raise UsageError(f"{exc}; raise --ceiling") from exc
+        # e.g. (2, 3, 1): one relation is a multiple of the other
+        raise UsageError(f"{exc}; the unreduced presentation may not close "
+                         "at any ceiling, try --reduced") from exc
     if args.format == "json":
         print(json.dumps({
             "dimension": mb.dimension(),

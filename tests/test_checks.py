@@ -3,9 +3,17 @@ import json
 import pytest
 
 from knothom.cli import main
-from knothom.laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
+from knothom.errors import UsageError
+from knothom.laurent import (
+    LaurentPoly,
+    Multidegree,
+    RationalSeries,
+    max_cancel,
+    parse_poly,
+)
 from knothom.checks import (
     DifferentialSpec,
+    _t_top,
     check_delta_thin,
     check_differential,
     check_growth,
@@ -23,6 +31,7 @@ from knothom.checks import (
     unreduced_from_reduced,
 )
 from knothom.fixtures import load_fixture
+from knothom.suite import SL2_TARGETS
 
 P = parse_poly
 
@@ -242,5 +251,69 @@ def test_rank_collapse_is_the_cancel_pipeline(capsys):
 
 def test_sl_cancel_needs_decreasing_t():
     series = RationalSeries(P("1"), (), "q", 10)
-    with pytest.raises(ValueError):
-        sl_cancel(series, Multidegree(a=-2, q=4, t=1), 2)
+    for diff in (Multidegree(a=-2, q=4, t=1), Multidegree(a=-2, q=4, t=-2),
+                 Multidegree(a=-2, t=-1), Multidegree(a=-2, q=4)):
+        with pytest.raises(ValueError):
+            sl_cancel(series, diff, 2)
+
+
+def _reference_sl_cancel(series, diff, n, cutoff):
+    """``sl_cancel`` as it was before it expanded in ``w = q + 2n*t``: a
+    probe expansion to ``cutoff`` for ``t_top``, then one to
+    ``cutoff + 2n*(t_top - t_min + 1)`` in ``q``."""
+    num = series.numerator
+    if num.is_zero():
+        return LaurentPoly.zero(), cutoff
+    den_margin = max((int(md.e("q")) for md in series.denominators), default=0)
+    a_min = int(num.min_degree("a")) if "a" in num.variables() else 0
+    window = cutoff - 2 * den_margin - n * max(0, -a_min)
+    if window < 0:
+        raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
+    probe = series.expand(cutoff)
+    t_top = max((md.e("t") for md in probe.terms), default=0)
+    t_min = min((md.e("t") for md in num.terms), default=0)
+    big = cutoff + int(diff.e("q")) * int(t_top - t_min + 1)
+    survivors, _ = max_cancel(series.expand(big), diff, keep="early")
+    collapsed = survivors.truncate("q", cutoff).substitute(
+        "a", LaurentPoly.var("q", n))
+    return collapsed.truncate("q", window), window
+
+
+#: (key, colour) of every sl2 target, the unknot up to S3 and the trefoil in
+#: L2; the 2x2 trefoil only where the reference takes about a second or less
+#: (``test_cli`` pins its ``n = 2``, cutoff 16 output)
+ORACLE_KEYS = [(key, [1] if key.endswith(":1") else [2]) for key in SL2_TARGETS]
+ORACLE_KEYS += [("unknot:S1", [1]), ("unknot:S3", [3]), ("3_1:L2", [1, 1])]
+ORACLE_CASES = [(key, lam, n, cutoff) for key, lam in ORACLE_KEYS
+                for n in (1, 2, 3, 4) for cutoff in (8, 16, 24, 30)]
+ORACLE_CASES += [("3_1:2x2", [2, 2], n, 8) for n in (1, 2, 3, 4)]
+ORACLE_CASES += [("3_1:2x2", [2, 2], 1, 16)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UsageError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("key,lam,n,cutoff", ORACLE_CASES)
+def test_sl_cancel_matches_probe_reference(key, lam, n, cutoff):
+    """One expansion in ``w`` keeps exactly the survivors and the window of
+    the probe-then-``big`` expansion in ``q``, or raises the same
+    ``UsageError``."""
+    series = rank_collapse_input(key, lam, cutoff + 4)
+    diff = Multidegree(a=-2, q=2 * n, t=-1)
+    assert (_outcome(rank_collapse, key, lam, n, cutoff)
+            == _outcome(_reference_sl_cancel, series, diff, n, cutoff))
+
+
+@pytest.mark.parametrize("key,lam", ORACLE_KEYS)
+def test_t_top_bounds_the_probe(key, lam):
+    """The knapsack bound is at least the largest ``t`` of the expansion to
+    ``cutoff``, and on these series it is that largest ``t``."""
+    for cutoff in (8, 16, 24, 30):
+        series = rank_collapse_input(key, lam, cutoff + 4)
+        probe = series.expand(cutoff)
+        assert _t_top(series, "t", cutoff) == max(
+            (md._e("t") for md in probe.terms), default=0)

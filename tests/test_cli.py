@@ -142,12 +142,13 @@ def test_homfly_finds_a_non_rectangular_fixture(capsys):
 
 
 #: (verb, color, its canonical spelling); ``cancel`` expands the unreduced
-#: series, which takes a minute for the larger rectangles
+#: series, which takes about ten seconds for ``3x2``
 SPELLINGS = [
     *[("homfly", spelled, canonical) for spelled, canonical in [
         ("[2]", "S2"), ("1x2", "S2"), ("[1,1]", "L2"), ("2x1", "L2"),
         ("[2,2]", "2x2"), ("[2,2,2]", "3x2"), ("L1", "S1")]],
     ("cancel", "[2]", "S2"), ("cancel", "[1,1]", "L2"), ("cancel", "L1", "S1"),
+    ("cancel", "[2,2]", "2x2"),
 ]
 
 
@@ -167,6 +168,20 @@ def test_cancel_resolves_knot_alias(capsys):
     expected = capsys.readouterr().out
     assert main(argv + ["--knot", "8_19"]) == 0
     assert capsys.readouterr().out == expected
+
+
+#: SHA-256 of ``cancel --knot 3_1 --color 2x2 --cutoff 16 --format json``,
+#: recorded while ``sl_cancel`` still expanded in ``q`` to well past the cutoff
+PINNED_CANCEL_2X2_SHA256 = \
+    "10d1adfd4321cae0c8e7ba9bc69822a9c654fe61814bce224697effc628778ed"
+
+
+def test_cancel_rectangle_json_pinned(capsys):
+    argv = ["cancel", "--knot", "3_1", "--color", "2x2", "--cutoff", "16",
+            "--format", "json"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_CANCEL_2X2_SHA256
 
 
 def test_cancel_rejects_torus_knot(capsys):
@@ -254,6 +269,18 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("reduced, advice", [
+    (["--reduced"], "raise --ceiling"),
+    ([], "the unreduced presentation may not close at any ceiling, try --reduced"),
+])
+def test_scheme_ceiling_advice(capsys, reduced, advice):
+    """Only a reduced scheme is told to raise the ceiling; the unreduced one
+    of (2, 3, 1) never closes and is pointed to ``--reduced``."""
+    argv = ["scheme", "--p", "2", "--q", "3", "--r", "1", "--ceiling", "3"]
+    assert main(argv + reduced) == 2
+    assert capsys.readouterr().err == f"error: degree ceiling 3 exceeded; {advice}\n"
 
 
 @pytest.mark.parametrize("argv", [
