@@ -373,9 +373,7 @@ def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
         ts = [best[r - q] + t for q, t in steps if r - q in best]
         if ts:
             best[r] = max(ts)
-            reach.append(max(reach[-1], best[r]))
-        else:
-            reach.append(reach[-1])
+        reach.append(max(reach[-1], best.get(r, reach[-1])))
     return max(t + reach[cutoff - q] for q, t in low)
 
 
@@ -387,8 +385,9 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     substitutes ``a -> q^n`` and truncates to the degrees unaffected by the
     cutoff.  ``diff`` must lower the homological grading ``t`` by one and
     raise ``q`` by some ``s > 0``, and ``series`` must expand in ``q``.
-    Every cancellation ray then lies in one level of ``w = q + s*t``, and
-    every denominator has positive ``w``-degree, so the series is expanded
+    Every cancellation ray then lies in one level of ``w = q + s*t``, and a
+    denominator of nonnegative ``t``-degree has positive ``w``-degree (the
+    regraded series rejects any other), so the series is expanded exactly
     in ``w`` through ``cutoff + s*t_top``, with ``t_top`` the bound of
     :func:`_t_top` on the ``t``-degree of every term of ``q``-degree at most
     ``cutoff``.  That expansion holds every ray meeting the reported window,
