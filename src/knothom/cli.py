@@ -141,18 +141,22 @@ def cmd_super(args):
 
 
 def cmd_check(args):
+    fixture = args.fixture or ""
+
+    def wanted(name):
+        return fixture in name
+
     if args.what == "all":
-        results = suite.run_all()
+        results = suite.run_all(wanted)
     elif args.what == "hirota":
         results = [suite.CheckResult(f"hirota:{rs}", ok)
-                   for rs, ok in hirota_check(args.rmax, args.smax)]
+                   for rs, ok in hirota_check(args.rmax, args.smax)
+                   if wanted(f"hirota:{rs}")]
     elif args.what in suite.CHECK_GROUPS:
-        results = suite.run_group(args.what)
+        results = suite.run_group(args.what, wanted)
     else:
         raise UsageError(f"unknown check group {args.what!r}; "
                          f"choose from {sorted(suite.CHECK_GROUPS)} or 'all'")
-    if args.fixture:
-        results = [r for r in results if args.fixture in r.name]
     if not results:
         raise UsageError(f"no check in {args.what!r} names {args.fixture!r}")
     if args.format == "json":

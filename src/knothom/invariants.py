@@ -28,8 +28,9 @@ by Kronecker substitution (Harvey, J. Symbolic Comput. 2009) in one Python
 at index ``i*L_q + j - q_lo``, for a stride of ``B`` per power of ``q`` and
 ``B*L_q`` per power of ``a``, where ``[q_lo, q_lo + L_q)`` holds every ``q``
 exponent of every term.  Each factor is then one shift and one subtraction,
-done in C, and the integer is unpacked once.  ``B`` is the least multiple
-of 8 with
+done in C, and the integer is unpacked once, by the signed-slot codec of
+:mod:`knothom.laurent` that exact division also uses.  ``B`` is the least
+multiple of 8 with
 
     sum_mu |c_mu| * 2^(cells(mu) + sum_k e_k) < 2^(B-1),
 
@@ -46,7 +47,14 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UsageError
-from .laurent import DivisionError, LaurentPoly, Multidegree, RationalSeries
+from .laurent import (
+    DivisionError,
+    LaurentPoly,
+    Multidegree,
+    RationalSeries,
+    _slot_bits,
+    _unpack,
+)
 from .partitions import Partition
 from .symmetric import plethysm_pn
 
@@ -138,7 +146,7 @@ def _packed_torus_sum(lam: Partition, n: int, m: int):
         lows.append(base + sum(x for x in contents if x < 0))
         highs.append(base + sum(x for x in contents if x > 0) + sum(binomials))
         terms.append((c, base, contents, binomials))
-    bits = -(-(bound.bit_length() + 1) // 8) * 8
+    bits = _slot_bits(bound)
     q_lo = min(lows)
     q_len = max(highs) - q_lo + 1
     packed = 0
@@ -154,31 +162,6 @@ def _packed_torus_sum(lam: Partition, n: int, m: int):
     return packed, (bits, q_lo, q_len), common, offset
 
 
-def _unpack(packed: int, bits: int, q_lo: int, q_len: int) -> LaurentPoly:
-    """The polynomial in ``a, q`` whose coefficients ``packed`` holds in
-    signed slots of ``bits`` bits, ``q_len`` slots per power of ``a``, from
-    ``q^q_lo`` on.  Every coefficient must lie strictly between
-    ``-2^(bits-1)`` and ``2^(bits-1)``.
-
-    Adding ``2^(bits-1)`` to every slot makes each one an unsigned digit of
-    base ``2^bits`` with no borrow between slots, so one ``to_bytes`` call
-    splits the whole polynomial.
-    """
-    width = bits // 8
-    slots = abs(packed).bit_length() // bits + 1
-    half = 1 << (bits - 1)
-    zero = half.to_bytes(width, "little")
-    raw = (packed + int.from_bytes(zero * slots, "little")).to_bytes(
-        slots * width, "little")
-    terms = []
-    for index, at in enumerate(range(0, slots * width, width)):
-        digit = raw[at:at + width]
-        if digit != zero:
-            i, j = divmod(index, q_len)
-            terms.append((i, j + q_lo, int.from_bytes(digit, "little") - half))
-    return LaurentPoly._from_aq(terms)
-
-
 def _torus_sum(lam: Partition, n: int, m: int):
     """Shared numerator/denominator of the plethysm sum.
 
@@ -189,8 +172,12 @@ def _torus_sum(lam: Partition, n: int, m: int):
     docstring, built packed and unpacked once.  Weights with distinct
     fractional offsets raise ``ValueError``.
     """
-    packed, layout, common, offset = _packed_torus_sum(lam, n, m)
-    return _unpack(packed, *layout), common, offset
+    packed, (bits, q_lo, q_len), common, offset = _packed_torus_sum(lam, n, m)
+    terms = []
+    for index, c in _unpack(packed, bits):
+        i, j = divmod(index, q_len)
+        terms.append((i, j + q_lo, c))
+    return LaurentPoly._from_aq(terms), common, offset
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):

@@ -2,11 +2,20 @@
 
 Every coefficient is exact; there is no floating point anywhere in this
 package.  The values of ``LaurentPoly.terms`` are always
-``fractions.Fraction``.  The inner loops of multiplication and exact
-division read integral coefficients as ``int`` (``Fraction`` only where a
-value is not integral), compute on them, and wrap each result value in a
-``Fraction`` once on the way out; Python mixes ``int`` and ``Fraction``
-exactly.  Exponents are integers on every variable.
+``fractions.Fraction``.  The inner loop of multiplication reads integral
+coefficients as ``int`` (``Fraction`` only where a value is not integral),
+computes on them, and wraps each result value in a ``Fraction`` once on the
+way out; Python mixes ``int`` and ``Fraction`` exactly.  Exponents are
+integers on every variable.
+
+Exact division is Kronecker division: the dividend and the divisor, made
+integral, are each packed into one Python ``int``, with one signed slot of
+a common width per point of the dividend's exponent box, and one ``divmod``
+divides them.  The quotient is unpacked once and certified before it is
+returned.  Its cost therefore scales with the dividend's exponent box, the
+product of its degree spans plus one, not with its number of terms.  The
+signed-slot codec (``_pack``, ``_unpack``) is shared with the packed
+plethysm sum of :mod:`knothom.invariants`.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -35,15 +44,14 @@ The two carrier types are:
 
 from __future__ import annotations
 
-import heapq
 import json
 import re
 import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate, compress, count, zip_longest
-from math import floor
-from operator import add as _add, neg as _neg
+from math import floor, gcd, isqrt, lcm
+from operator import add as _add, mul as _mul, neg as _neg
 
 _new = tuple.__new__
 
@@ -262,6 +270,89 @@ class Multidegree(tuple):
 
 class DivisionError(ArithmeticError):
     """Raised when an exact polynomial division has a nonzero remainder."""
+
+
+# -- signed-slot integer codec (Kronecker substitution) --------------------------
+
+
+def _slot_bits(bound: int) -> int:
+    """The least multiple of 8 with ``bound < 2^(bits-1)``: a signed slot of
+    that many bits holds every integer of absolute value at most ``bound``."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+#: the ``memoryview`` format of an unsigned slot of each byte width that has
+#: one; it reads slots in place only where the machine is little-endian, as
+#: the byte order of a packed integer is
+_UNSIGNED = {memoryview(bytes(8)).cast(code).itemsize: code
+             for code in "BHIQ"} if sys.byteorder == "little" else {}
+
+
+def _pack(values, bits: int, slots: int) -> int:
+    """``sum c * 2^(bits*index)`` over the ``(index, c)`` pairs of ``values``,
+    with distinct indices in ``range(slots)`` and ``|c| < 2^(bits-1)``.
+
+    Each slot is written as the unsigned digit ``c + 2^(bits-1)`` of base
+    ``2^bits``, which never borrows from its neighbour, into one byte buffer;
+    one ``from_bytes`` call reads the buffer, and subtracting the digit
+    ``2^(bits-1)`` from every slot restores the signs.
+    """
+    width = bits // 8
+    half = 1 << (bits - 1)
+    zero = half.to_bytes(width, "little")
+    raw = bytearray(zero * slots)
+    code = _UNSIGNED.get(width)
+    if code:
+        view = memoryview(raw).cast(code)
+        for index, c in values:
+            view[index] = c + half
+        view.release()
+    else:
+        for index, c in values:
+            at = index * width
+            raw[at:at + width] = (c + half).to_bytes(width, "little")
+    return int.from_bytes(raw, "little") - int.from_bytes(zero * slots, "little")
+
+
+def _unpack(packed: int, bits: int) -> list:
+    """The ``(index, c)`` pairs, ``c`` nonzero, of the signed digits of
+    ``packed`` in base ``2^bits``, each in ``[-2^(bits-1), 2^(bits-1))``.
+
+    Every integer has exactly one such expansion, and it fits in the slots
+    counted below; when ``packed`` came from :func:`_pack` it gives back the
+    packed values.  Adding ``2^(bits-1)`` to every slot makes each digit
+    unsigned, so one ``to_bytes`` call splits the whole integer.
+    """
+    width = bits // 8
+    # |packed| < 2^(bits*slots - 2), inside the range of signed digits
+    slots = (abs(packed).bit_length() + 1) // bits + 1
+    half = 1 << (bits - 1)
+    raw = (packed + int.from_bytes(half.to_bytes(width, "little") * slots,
+                                   "little")).to_bytes(slots * width, "little")
+    code = _UNSIGNED.get(width)
+    if code:
+        digits = memoryview(raw).cast(code)
+    else:
+        digits = [int.from_bytes(raw[at:at + width], "little")
+                  for at in range(0, slots * width, width)]
+    return [(index, u - half) for index, u in enumerate(digits) if u != half]
+
+
+def _exponent_box(terms, n: int):
+    """The least and the greatest exponent in each of the first ``n`` slots
+    over the degrees of ``terms``, as two lists."""
+    columns = list(zip_longest(*terms, fillvalue=0))
+    pad = [0] * (n - len(columns))
+    return [*map(min, columns), *pad], [*map(max, columns), *pad]
+
+
+def _integral(terms) -> tuple:
+    """``(den, values)``: the least common denominator of the coefficients
+    and the ``int`` coefficients of ``den`` times the term map, in term order."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return 1, [c.numerator for c in terms.values()]
+    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
 
 
 class LaurentPoly:
@@ -545,76 +636,111 @@ class LaurentPoly:
     def divide_exact(self, divisor):
         """Exact division; raises :class:`DivisionError` on a nonzero remainder.
 
-        Graded-lexicographic long division, run in place as in the heap
-        division of Monagan and Pearce (ISSAC 2009).  The remainder is one
-        term map, and its monomials sit in a max-heap on their sort key,
-        computed once when a monomial enters the remainder; a term that
-        cancels to zero leaves the map, and its heap entry is skipped when
-        popped.  Each step cancels the leading term and subtracts the
-        quotient term times the divisor's other terms.  For an exact
-        quotient every quotient exponent lies, variable by variable, in the
-        box ``[min(f)-min(g), max(f)-max(g)]``; a step escaping the box
-        proves the division inexact, which also bounds the loop.  The
-        remainder and the divisor hold integral coefficients as ``int``, and
-        a quotient coefficient is an ``int`` whenever the leading
-        coefficient divides it.
+        Kronecker division (Kronecker 1882; Harvey, J. Symbolic Comput.
+        2009): each operand becomes one ``int`` and one ``divmod`` divides
+        them.  For an exact quotient every quotient exponent lies, slot by
+        slot, in the box ``[min(f)-min(g), max(f)-max(g)]``; an empty box
+        proves the division inexact.
+
+        - **Integral operands.**  The dividend is cleared of denominators,
+          and the divisor also divided by its content.  A primitive divisor
+          that divides an integral polynomial over the rationals divides it
+          over the integers (Gauss's lemma), so the integer quotient is
+          exact whenever the rational one is.
+        - **Packing.**  Both operands, shifted by their least exponents, lie
+          in the dividend's exponent box.  A term's index numbers its point
+          of the box in mixed radix, the first exponent slot running
+          fastest; this Kronecker substitution is a ring map, one-to-one on
+          the box.  Each coefficient sits in a signed slot of ``bits`` bits
+          at its index.
+        - **Division.**  Substitution and evaluation are ring maps, so an
+          exact quotient leaves no remainder at any width, and a nonzero
+          remainder proves the division inexact.
+        - **Certificate.**  The quotient's signed digits ``Q`` satisfy
+          ``Q(2^bits) * g(2^bits) = f(2^bits)``.  When ``max|Q| * |g|_1``
+          and ``max|f|`` are below ``2^(bits-1)``, every coefficient of
+          ``Q*g`` and of ``f`` fits its slot, so ``Q*g == f`` in the
+          substituted variable.  A digit outside the quotient box then
+          proves the division inexact; otherwise ``Q`` is the quotient.
+        - **Width.**  The first width certifies any quotient no larger than
+          the dividend: ``max|f| * |g|_1 < 2^(bits-1)``.  A failed
+          certificate doubles the width, up to the one at which Mignotte's
+          bound ``2^d * |f|_2``, on the coefficients of an exact quotient of
+          span ``d``, certifies too; a failure there proves the division
+          inexact.
+
+        The cost scales with the dividend's exponent box, the product of its
+        degree spans plus one, not with its number of terms.  Every
+        coefficient of the quotient is a ``Fraction``.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero()
-        variables = sorted(set(self.variables()) | set(divisor.variables()))
-        slots = _slots(variables)
-        box = []
-        for v, i in zip(variables, slots):
-            mine, theirs = self._exponents(v), divisor._exponents(v)
-            lo = min(mine) - min(theirs)
-            hi = max(mine) - max(theirs)
-            if lo > hi:
-                raise DivisionError(f"no exact quotient: empty box on {v!r}")
-            box.append((i, lo, hi))
-        gmd = max(divisor.terms, key=lambda md: md._key(slots))
-        gc = _exact(divisor.terms[gmd])
-        neg_gmd = -gmd
-        tail = [(md, _exact(c)) for md, c in divisor.terms.items() if md != gmd]
-
-        def entry(md):
-            # heapq pops its least entry: negate the key for the greatest
-            total, exps = md._key(slots)
-            return -total, tuple([-e for e in exps]), md
-
-        remainder = {md: _exact(c) for md, c in self.terms.items()}
-        heap = [entry(md) for md in remainder]
-        heapq.heapify(heap)
-        quotient = {}
-        while heap:
-            rmd = heapq.heappop(heap)[-1]
-            rc = remainder.pop(rmd, None)
-            if rc is None:
-                continue
-            qmd = rmd + neg_gmd
-            n = len(qmd)
-            for i, lo, hi in box:
-                if not (lo <= (qmd[i] if i < n else 0) <= hi):
+        f, g = self.terms, divisor.terms
+        n = max(1, *map(len, f), *map(len, g))
+        f_lo, f_hi = _exponent_box(f, n)
+        g_lo, g_hi = _exponent_box(g, n)
+        strides, dims = [], []
+        slots = 1
+        for i in range(n):
+            lo, top = f_lo[i] - g_lo[i], (f_hi[i] - f_lo[i]) - (g_hi[i] - g_lo[i])
+            if top < 0:
+                raise DivisionError(f"no exact quotient: empty box on {_VARS[i]!r}")
+            radix = f_hi[i] - f_lo[i] + 1
+            strides.append(slots)
+            dims.append((radix, lo, top))
+            slots *= radix
+        f_base = sum(map(_mul, f_lo, strides))
+        g_base = sum(map(_mul, g_lo, strides))
+        f_den, f_ints = _integral(f)
+        g_den, g_ints = _integral(g)
+        content = gcd(*g_ints)
+        if content != 1:
+            g_ints = [c // content for c in g_ints]
+        f_values = [(sum(map(_mul, md, strides)) - f_base, c)
+                    for md, c in zip(f, f_ints)]
+        g_values = [(sum(map(_mul, md, strides)) - g_base, c)
+                    for md, c in zip(g, g_ints)]
+        g_norm = sum(map(abs, g_ints))
+        bits = _slot_bits(max(map(abs, f_ints)) * g_norm)
+        stop = None
+        while True:
+            packed, remainder = divmod(_pack(f_values, bits, slots),
+                                       _pack(g_values, bits, slots))
+            if remainder:
+                raise DivisionError("no exact quotient")
+            digits = _unpack(packed, bits)
+            if max(abs(c) for _, c in digits) * g_norm < 1 << (bits - 1):
+                break
+            if stop is None:
+                span = (max(i for i, _ in f_values) - min(i for i, _ in f_values)
+                        - max(i for i, _ in g_values) + min(i for i, _ in g_values))
+                stop = _slot_bits(((isqrt(sum(c * c for c in f_ints)) + 1) * g_norm)
+                                  << max(span, 0))
+            if bits >= stop:
+                raise DivisionError("no exact quotient")
+            bits = min(2 * bits, stop)
+        # a certified quotient has a lower top index than the dividend, so
+        # every index lies in the dividend's box; a digit outside the
+        # quotient box proves the division inexact
+        degrees = []
+        for index, _ in digits:
+            exps = []
+            for radix, lo, top in dims:
+                index, d = divmod(index, radix)
+                if d > top:
                     raise DivisionError("no exact quotient")
-            qc, r = divmod(rc, gc)
-            if r:
-                qc = Fraction(rc, gc)
-            quotient[qmd] = qc
-            for md, c in tail:
-                md = qmd + md
-                s = remainder.get(md)
-                if s is None:
-                    remainder[md] = -qc * c
-                    heapq.heappush(heap, entry(md))
-                else:
-                    s -= qc * c
-                    if s:
-                        remainder[md] = s
-                    else:
-                        del remainder[md]
-        return LaurentPoly._wrap(quotient)
+                exps.append(lo + d)
+            while exps and not exps[-1]:
+                exps.pop()
+            degrees.append(exps)
+        num, den = g_den, f_den * content
+        values = (Fraction(c) for _, c in digits) if num == den else (
+            Fraction(c * num, den) for _, c in digits)
+        quotient = {_new(Multidegree, md): c for md, c in zip(degrees, values)}
+        return LaurentPoly._of(quotient)
 
     # -- serialization ------------------------------------------------------
 

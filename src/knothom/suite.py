@@ -2,13 +2,17 @@
 
 Every check returns ``CheckResult(name, ok, detail)``; :func:`run_all`
 executes the lot and reports them sorted by name so the output is canonical
-regardless of evaluation order.
+regardless of evaluation order.  Each group takes a predicate ``wanted`` on
+check names and computes only the checks whose names it accepts, so a
+selection such as ``knothom check all --fixture 3_1:S2`` costs only the
+checks it selects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
@@ -62,12 +66,19 @@ def _result(name, ok, detail=""):
     return CheckResult(name, bool(ok), detail)
 
 
+def _every(name) -> bool:
+    """The default selection: every check."""
+    return True
+
+
 # -- fixture-level checks -----------------------------------------------------------
 
 
-def check_fixture_dimensions():
+def check_fixture_dimensions(wanted=_every):
     out = []
     for name in HOMOLOGY_FIXTURES:
+        if not wanted(f"dimension:{name}"):
+            continue
         fix = load_fixture(name)
         ok = fix.poincare.dimension() == fix.dimension
         out.append(_result(f"dimension:{name}", ok,
@@ -75,10 +86,12 @@ def check_fixture_dimensions():
     return out
 
 
-def check_categorification():
+def check_categorification(wanted=_every):
     out = []
     minus, one = LaurentPoly.const(-1), LaurentPoly.one()
     for name in HOMOLOGY_FIXTURES:
+        if not wanted(f"categorification:{name}"):
+            continue
         fix = load_fixture(name)
         p = fix.standard()
         if "tr" in fix.gradings:
@@ -93,9 +106,11 @@ def check_categorification():
     return out
 
 
-def check_self_symmetries():
+def check_self_symmetries(wanted=_every):
     out = []
     for name in HOMOLOGY_FIXTURES:
+        if not wanted(f"self-symmetry:{name}"):
+            continue
         fix = load_fixture(name)
         if not (fix.is_rectangular() and fix.quadruple()):
             continue
@@ -104,27 +119,31 @@ def check_self_symmetries():
     return out
 
 
-def check_mirrors():
+def check_mirrors(wanted=_every):
     out = []
     pairs = [("3_1:S2", "3_1:L2"), ("3_1:2x2", "3_1:2x2"),
              ("3_1:1", "3_1:1"), ("4_1:1", "4_1:1"), ("T3_4:1", "T3_4:1")]
     for a, b in pairs:
+        if not wanted(f"mirror:{a}~{b}"):
+            continue
         fa, fb = load_fixture(a), load_fixture(b)
         ok = check_mirror(fa.tilde(), fb.tilde(), fa.R, fa.S)
         out.append(_result(f"mirror:{a}~{b}", ok))
-    hook = load_fixture("3_1:2_1")
-    p = hook.standard()
-    image = p.map_exponents(lambda md: Multidegree(
-        a=md.e("a"), q=-md.e("q"), t=md.e("t") - md.e("q")))
-    out.append(_result("mirror:3_1:2_1", image == p))
+    if wanted("mirror:3_1:2_1"):
+        p = load_fixture("3_1:2_1").standard()
+        image = p.map_exponents(lambda md: Multidegree(
+            a=md.e("a"), q=-md.e("q"), t=md.e("t") - md.e("q")))
+        out.append(_result("mirror:3_1:2_1", image == p))
     return out
 
 
-def check_deltas():
+def check_deltas(wanted=_every):
     out = []
     for name, r, thin in [("3_1:S2", 2, True), ("4_1:S2", 2, True),
                           ("T3_4:S2", 2, False), ("3_1:1", 1, True),
                           ("4_1:1", 1, True)]:
+        if not wanted(f"delta:{name}"):
+            continue
         fix = load_fixture(name)
         ok, deltas = check_delta_thin(fix.standard(), r, fix.sigma)
         got = ok if thin else (not ok)
@@ -133,7 +152,7 @@ def check_deltas():
     return out
 
 
-def check_growths():
+def check_growths(wanted=_every):
     out = []
     cases = [
         ("3_1:S2", "3_1:1", 2, "tr"),
@@ -142,17 +161,22 @@ def check_growths():
         ("3_1:2x2", "3_1:L2", 2, "tr"),
     ]
     for name, base, exponent, side in cases:
+        if not wanted(f"growth:{name}"):
+            continue
         fix, bfix = load_fixture(name), load_fixture(base)
         ok = check_growth(fix.tilde(), bfix.tilde(), exponent, side)
         out.append(_result(f"growth:{name}", ok))
     return out
 
 
-def check_fixture_differentials():
+def check_fixture_differentials(wanted=_every):
     from .fixtures import PRINTED_DEGREES, PRINTED_SURVIVORS
 
     out = []
     for fname, diffs in DIFFERENTIALS.items():
+        diffs = [d for d in diffs if wanted(f"differential:{fname}:{d[0]}")]
+        if not diffs:
+            continue
         fix = load_fixture(fname)
         source = fix.standard()
         for (label, kind, param, target_name, project) in diffs:
@@ -181,26 +205,30 @@ def check_fixture_differentials():
     return out
 
 
-def check_hfk():
-    t34 = load_fixture("T3_4:S2")
-    d11 = load_fixture("T3_4:1:d1|1").standard()
-    d11 = d11.map_exponents(
-        lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
+def check_hfk(wanted=_every):
+    out = []
     degree = Multidegree(a=-2, Q=0, tr=-3, tc=-5)
-    ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, degree)
-    d12 = load_fixture("T3_4:S2:d1|2")
-    ok2, _ = check_differential(t34.tilde(), d12.tilde(),
-                                DifferentialSpec("d1|2", degree))
-    return [
-        _result("hfk-growth:T3_4:S2", ok and survivors == d12.poincare),
-        _result("differential:T3_4:S2:d1|2", ok2),
-    ]
+    if wanted("hfk-growth:T3_4:S2"):
+        t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
+        d11 = load_fixture("T3_4:1:d1|1").standard()
+        d11 = d11.map_exponents(
+            lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
+        ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, degree)
+        out.append(_result("hfk-growth:T3_4:S2", ok and survivors == d12.poincare))
+    if wanted("differential:T3_4:S2:d1|2"):
+        t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
+        ok, _ = check_differential(t34.tilde(), d12.tilde(),
+                                   DifferentialSpec("d1|2", degree))
+        out.append(_result("differential:T3_4:S2:d1|2", ok))
+    return out
 
 
 # -- invariant-level checks ---------------------------------------------------------
 
 
-def check_hook_macdonald():
+def check_hook_macdonald(wanted=_every):
+    if not wanted("hook-macdonald"):
+        return []
     ok = True
     for n in range(1, 7):
         for parts in partitions_of(n):
@@ -242,9 +270,11 @@ def _halved_homfly(fix) -> LaurentPoly:
     return spec.map_exponents(halve)
 
 
-def check_rosso_jones():
+def check_rosso_jones(wanted=_every):
     out = []
     for fname, color, n, m in ROSSO_JONES_CASES:
+        if not wanted(f"rosso-jones:{fname}"):
+            continue
         p, report = torus_homfly(color, n, m)
         target = _halved_homfly(load_fixture(fname))
         shift = match_up_to_monomial(p, target)
@@ -258,7 +288,9 @@ def check_rosso_jones():
     return out
 
 
-def check_stable_limits():
+def check_stable_limits(wanted=_every):
+    if not wanted("stable-limit:T(2,m)"):
+        return []
     rep = stable_limit_check([1], 2, [5, 7, 9], order=10)
     orders = [r["agreement_order"] for r in rep["rows"]]
     ok = rep["nondecreasing"] and all(
@@ -266,7 +298,9 @@ def check_stable_limits():
     return [_result("stable-limit:T(2,m)", ok, f"orders {orders}")]
 
 
-def check_hirota():
+def check_hirota(wanted=_every):
+    if not wanted("hirota:unknot"):
+        return []
     results = hirota_check(4, 4)
     bad = [rs for rs, ok in results if not ok]
     return [_result("hirota:unknot", not bad, f"failed at {bad}")]
@@ -275,31 +309,34 @@ def check_hirota():
 # -- scheme and potential checks ------------------------------------------------------
 
 
-def check_schemes():
+def check_schemes(wanted=_every):
     out = []
-    for r in (1, 2, 3):
-        mb = macaulay_basis(scheme_presentation(2, 3, r))
-        out.append(_result(f"scheme-dim:M(2,3,{r})",
-                           mb.dimension() == 3 ** r,
-                           f"dim {mb.dimension()}"))
-        if r == 2:
-            tref = mb
-    names = set(tref.monomial_names())
-    out.append(_result(
-        "scheme-basis:M(2,3,2)",
-        names == {"1", "u3", "u4", "u3^2", "du3", "du4",
-                  "u3*du3", "u3*du4", "du3*du4"}))
-    printed = parse_poly(
-        "1 + q^6*tr^2 + q^8*tr^2 + q^12*tr^4 + a^2*q^4*tr^3 + a^2*q^6*tr^3"
-        " + a^2*q^10*tr^5 + a^2*q^12*tr^5 + a^4*q^10*tr^6")
-    out.append(_result("scheme-poincare:M(2,3,2)",
-                       tref.poincare(("a", "q", "tr")) == printed))
-    m341 = macaulay_basis(scheme_presentation(3, 4, 1))
-    out.append(_result("scheme-dim:M(3,4,1)", m341.dimension() == 11,
-                       f"dim {m341.dimension()}"))
-    m342 = macaulay_basis(scheme_presentation(3, 4, 2))
-    out.append(_result("scheme-dim:M(3,4,2)", m342.dimension() == 121,
-                       f"dim {m342.dimension()}"))
+    # the M(2,3,2) basis serves three checks: computed once, when wanted
+    basis = cache(lambda p, q, r: macaulay_basis(scheme_presentation(p, q, r)))
+    for p, q, r, dim in ((2, 3, 1, 3), (2, 3, 2, 9), (2, 3, 3, 27)):
+        if wanted(f"scheme-dim:M({p},{q},{r})"):
+            mb = basis(p, q, r)
+            out.append(_result(f"scheme-dim:M({p},{q},{r})",
+                               mb.dimension() == dim, f"dim {mb.dimension()}"))
+    if wanted("scheme-basis:M(2,3,2)"):
+        names = set(basis(2, 3, 2).monomial_names())
+        out.append(_result(
+            "scheme-basis:M(2,3,2)",
+            names == {"1", "u3", "u4", "u3^2", "du3", "du4",
+                      "u3*du3", "u3*du4", "du3*du4"}))
+    if wanted("scheme-poincare:M(2,3,2)"):
+        printed = parse_poly(
+            "1 + q^6*tr^2 + q^8*tr^2 + q^12*tr^4 + a^2*q^4*tr^3 + a^2*q^6*tr^3"
+            " + a^2*q^10*tr^5 + a^2*q^12*tr^5 + a^4*q^10*tr^6")
+        out.append(_result("scheme-poincare:M(2,3,2)",
+                           basis(2, 3, 2).poincare(("a", "q", "tr")) == printed))
+    for p, q, r, dim in ((3, 4, 1, 11), (3, 4, 2, 121)):
+        if wanted(f"scheme-dim:M({p},{q},{r})"):
+            mb = basis(p, q, r)
+            out.append(_result(f"scheme-dim:M({p},{q},{r})",
+                               mb.dimension() == dim, f"dim {mb.dimension()}"))
+    if not wanted("scheme-bottom:M(3,4,2)"):
+        return out
     bottom = macaulay_basis(scheme_presentation(3, 4, 2, with_forms=False))
     paper25 = {
         "1", "u3", "u3^2", "u3^3", "u3^4", "u3^5", "u3^6",
@@ -313,86 +350,85 @@ def check_schemes():
     return out
 
 
-def check_potentials():
+def check_potentials(wanted=_every):
     out = []
-    w13 = potential_antisym(1, 3).body
-    w23 = potential_antisym(2, 3).body
-    out.append(_result("potential:L1,3", w13 == parse_poly("-u1^4")/4))
-    out.append(_result(
-        "potential:L2,3",
-        w23 == parse_poly("-u1^4")/4 + parse_poly("u1^2*u2")
-        - parse_poly("u2^2")/2))
-    out.append(_result(
-        "potential:split-example",
-        w23 == -w13 - parse_poly("(u2 - u1^2)^2")/2))
-    ok_split = all(split_potential_check(k, j)[0]
-                   for k, j in [(2, 1), (3, 1), (3, 2)])
-    out.append(_result("potential:split-quadratic", ok_split))
-
+    w = cache(lambda k: potential_antisym(k, 3).body)
     zero = LaurentPoly.zero()
-    w231 = poly_substitute(torus_potential(2, 3, 1).body, {"u1": zero})
-    out.append(_result("potential:W(3_1,S1)",
-                       w231 == Fraction(5, 16) * parse_poly("u2^3")))
-    w341 = poly_substitute(torus_potential(3, 4, 1).body, {"u1": zero})
-    out.append(_result(
-        "potential:W(8_19,S1)",
-        w341 == parse_poly("-7*u2^4")/243 + parse_poly("14*u2*u3^2")/27))
-    w232 = poly_substitute(torus_potential(2, 3, 2).body, {"u1": zero})
-    out.append(_result(
-        "potential:W(3_1,S2)",
-        w232 == Fraction(5, 256) * parse_poly(
-            "u3*(3*u2^4 - 8*u2*u3^2 - 24*u2^2*u4 + 48*u4^2)")))
+    checks = {
+        "potential:L1,3": lambda: w(1) == parse_poly("-u1^4")/4,
+        "potential:L2,3": lambda: w(2) == parse_poly("-u1^4")/4
+        + parse_poly("u1^2*u2") - parse_poly("u2^2")/2,
+        "potential:split-example": lambda: w(2) == -w(1) - parse_poly("(u2 - u1^2)^2")/2,
+        "potential:split-quadratic": lambda: all(
+            split_potential_check(k, j)[0] for k, j in [(2, 1), (3, 1), (3, 2)]),
+        "potential:W(3_1,S1)": lambda: poly_substitute(
+            torus_potential(2, 3, 1).body, {"u1": zero})
+        == Fraction(5, 16) * parse_poly("u2^3"),
+        "potential:W(8_19,S1)": lambda: poly_substitute(
+            torus_potential(3, 4, 1).body, {"u1": zero})
+        == parse_poly("-7*u2^4")/243 + parse_poly("14*u2*u3^2")/27,
+        "potential:W(3_1,S2)": lambda: poly_substitute(
+            torus_potential(2, 3, 2).body, {"u1": zero})
+        == Fraction(5, 256) * parse_poly(
+            "u3*(3*u2^4 - 8*u2*u3^2 - 24*u2^2*u4 + 48*u4^2)"),
+        "potential:derivative-ideals": _derivative_ideals,
+        "potential:extension-2L2": lambda: extend_potential(
+            potential_antisym(2, 3), 2).body == parse_poly(
+            "-u1_1^3*u1_2 + u1_1^2*u2_2 + 2*u1_1*u1_2*u2_1 - u2_1*u2_2"),
+    }
+    for name, ok in checks.items():
+        if wanted(name):
+            out.append(_result(name, ok()))
+    return out
 
-    ok_ideal = True
+
+def _derivative_ideals():
+    """The derivatives of each torus potential span its scheme's relations."""
+    ok = True
     for (p, q, r) in [(2, 3, 1), (2, 3, 2), (3, 4, 1)]:
         W = torus_potential(p, q, r)
         rels = scheme_relations(p, q, r, reduced=False)
         ders = [W.body.derivative(f"u{i}") for i in range(1, r * p + 1)]
         ders = [d for d in ders if not d.is_zero()]
         scaled = [Fraction(p + q, p) * rel for rel in rels]
-        ok_ideal = ok_ideal and sorted(
-            map(str, ders)) == sorted(map(str, scaled))
-    out.append(_result("potential:derivative-ideals", ok_ideal))
-
-    ext = extend_potential(potential_antisym(2, 3), 2).body
-    out.append(_result(
-        "potential:extension-2L2",
-        ext == parse_poly("-u1_1^3*u1_2 + u1_1^2*u2_2 + 2*u1_1*u1_2*u2_1"
-                          " - u2_1*u2_2")))
-    return out
+        ok = ok and sorted(map(str, ders)) == sorted(map(str, scaled))
+    return ok
 
 
 # -- counting and bottom row ----------------------------------------------------------
 
 
-def check_counting():
+def check_counting(wanted=_every):
     out = []
-    tref = load_fixture("3_1:1").standard()
-    t34 = load_fixture("T3_4:1").standard()
-    ok = True
-    for fixpoly, (p, q), amin in [(tref, (2, 3), 2), (t34, (3, 4), 6)]:
-        for k in range(0, p):
-            row = fixpoly.coefficient_of("a", amin + 2 * k)
-            ok = ok and row.dimension() == row_count(p, q, k)
-    out.append(_result("counting:fixture-rows", ok))
-    ok2 = all(
-        bottom_poincare(p, q, r).dimension() == catalan_count(p, q) ** r
-        for p in range(1, 6) for q in range(1, 6) for r in (1, 2, 3)
-        if gcd(p, q) == 1)
-    out.append(_result("counting:bottom-dimensions", ok2))
+    if wanted("counting:fixture-rows"):
+        ok = True
+        for name, (p, q), amin in [("3_1:1", (2, 3), 2), ("T3_4:1", (3, 4), 6)]:
+            fixpoly = load_fixture(name).standard()
+            for k in range(0, p):
+                row = fixpoly.coefficient_of("a", amin + 2 * k)
+                ok = ok and row.dimension() == row_count(p, q, k)
+        out.append(_result("counting:fixture-rows", ok))
+    if wanted("counting:bottom-dimensions"):
+        ok = all(
+            bottom_poincare(p, q, r).dimension() == catalan_count(p, q) ** r
+            for p in range(1, 6) for q in range(1, 6) for r in (1, 2, 3)
+            if gcd(p, q) == 1)
+        out.append(_result("counting:bottom-dimensions", ok))
     return out
 
 
-def check_vortex():
+def check_vortex(wanted=_every):
     out = []
-    v12 = vortex_character(1, 2)
-    printed = parse_poly("q^-2*(1 + q^3*t^2 + q^4*t^2 + q^6*t^4)")
-    ok = (v12.numerator == printed
-          and list(v12.denominators) == [Multidegree(q=1), Multidegree(q=2)])
-    out.append(_result("vortex:S2-trefoil", ok))
-    rec = trefoil_recursion_check(6)
-    bad = [m for m, ok_m, _ in rec if not ok_m]
-    out.append(_result("vortex:trefoil-recursion", not bad, f"failed {bad}"))
+    if wanted("vortex:S2-trefoil"):
+        v12 = vortex_character(1, 2)
+        printed = parse_poly("q^-2*(1 + q^3*t^2 + q^4*t^2 + q^6*t^4)")
+        ok = (v12.numerator == printed
+              and list(v12.denominators) == [Multidegree(q=1), Multidegree(q=2)])
+        out.append(_result("vortex:S2-trefoil", ok))
+    if wanted("vortex:trefoil-recursion"):
+        rec = trefoil_recursion_check(6)
+        bad = [m for m, ok_m, _ in rec if not ok_m]
+        out.append(_result("vortex:trefoil-recursion", not bad, f"failed {bad}"))
     return out
 
 
@@ -440,9 +476,11 @@ def _sl2_expected(key, window):
 SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 
-def check_sl2():
+def check_sl2(wanted=_every):
     out = []
     for key in SL2_TARGETS:
+        if not wanted(f"sl2:{key}"):
+            continue
         lam = [1] if key.endswith(":1") else [2]
         survivors, window = rank_collapse(key, lam, 2, cutoff=30)
         expected = _sl2_expected(key, window)
@@ -482,11 +520,14 @@ CHECK_GROUPS = {
 }
 
 
-def run_group(name):
-    return CHECK_GROUPS[name]()
+def run_group(name, wanted=_every):
+    """The checks of one group whose names ``wanted`` accepts, in group order."""
+    return CHECK_GROUPS[name](wanted)
 
-def run_all():
+
+def run_all(wanted=_every):
+    """The checks of every group whose names ``wanted`` accepts, by name."""
     results = []
     for fn in CHECK_GROUPS.values():
-        results.extend(fn())
+        results.extend(fn(wanted))
     return sorted(results, key=lambda r: r.name)

@@ -10,7 +10,7 @@ import pytest
 
 import knothom
 
-from knothom import cli
+from knothom import cli, suite
 from knothom.cli import main, parse_color, parse_knot, UsageError
 from knothom.fixtures import load_fixture
 from knothom.invariants import torus_homfly
@@ -83,6 +83,45 @@ def test_check_single_group(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS self-symmetry:3_1:S2" in out
+
+
+@pytest.fixture
+def computed(monkeypatch):
+    """The name of every check the suite computes, and of every fixture it
+    loads, in order."""
+    seen = {"checks": [], "fixtures": []}
+    result, load = suite._result, suite.load_fixture
+
+    def counted_result(name, ok, detail=""):
+        seen["checks"].append(name)
+        return result(name, ok, detail)
+
+    def counted_load(name):
+        seen["fixtures"].append(name)
+        return load(name)
+
+    monkeypatch.setattr(suite, "_result", counted_result)
+    monkeypatch.setattr(suite, "load_fixture", counted_load)
+    return seen
+
+
+@pytest.mark.parametrize("argv, count", [
+    (["check", "all", "--fixture", "zzz"], 0),
+    (["check", "self-symmetry", "--fixture", "3_1:S2"], 1),
+    (["check", "schemes", "--fixture", "M(2,3,2)"], 3),
+    (["check", "all", "--fixture", "3_1:S2"], 13),
+])
+def test_check_selects_before_computing(computed, capsys, argv, count):
+    """``--fixture`` selects checks by name before any is computed: every
+    check computed is printed, and a selection of none computes no check
+    and loads no fixture before it exits 2."""
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert len(computed["checks"]) == count
+    assert sorted(computed["checks"]) == sorted(line.split()[1] for line in out.splitlines())
+    assert rc == (0 if count else 2)
+    if not count:
+        assert computed["fixtures"] == []
 
 
 def test_check_unknown_group(capsys):

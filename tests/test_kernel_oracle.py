@@ -6,7 +6,11 @@ mixed-sign rational coefficients and integer exponents;
 Products and division chains are also drawn with integer coefficients
 only, the common case, which the kernel's inner loops compute on ``int``.
 Chains of divisions by binomials are checked in sympy's sparse polynomial
-ring, which multiplies products of hundreds of terms quickly.  The truncated
+ring, which multiplies products of hundreds of terms quickly.  Exact division
+packs both operands into one integer each (Kronecker substitution), so it is
+also checked on coefficients up to 2^80, on a quotient that needs wider
+slots than the first width, and on inexact divisions whose packed images
+divide.  The truncated
 power series ``base**alpha``, ``log`` and ``exp`` are checked against
 sympy's ring series, over bases with symbolic coefficients.
 ``Multidegree`` itself is checked against a plain ``{var: int}`` model,
@@ -23,9 +27,11 @@ from itertools import product
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.ring_series import rs_exp, rs_log, rs_pow
 from sympy.polys.rings import ring
 
+from knothom import laurent
 from knothom.laurent import (
     DivisionError,
     LaurentPoly,
@@ -33,6 +39,7 @@ from knothom.laurent import (
     RationalSeries,
     max_cancel,
     nonneg_divisibility,
+    parse_poly,
     series_exp,
     series_log,
     series_pow_rational,
@@ -227,6 +234,97 @@ def test_divide_exact_chain_missing_factor(factors, cofactor, data):
     with time_limit(1), pytest.raises(DivisionError):
         for i in data.draw(st.permutations(range(len(factors)))):
             quotient = quotient.divide_exact(factors[i])
+
+
+#: coefficients up to 2^80 in absolute value, none of them +-1
+big = st.one_of(st.integers(-2 ** 80, -2), st.integers(2, 2 ** 80))
+big_rational = st.builds(Fraction, big, st.integers(1, 2 ** 40))
+
+
+@oracle(60)
+@given(st.one_of(*[st.tuples(polys(max_terms=4, c=c), polys(max_terms=3, c=c))
+                   for c in (big, big_rational)]),
+       multidegrees(), big)
+def test_divide_exact_big_coefficients(pair, m, c):
+    """Coefficients up to 2^80, and a divisor of two or three terms none of
+    whose coefficients is +-1, its lowest and leading ones included.  The
+    quotient is sympy's exact quotient, and one more term makes the
+    division inexact for sympy too."""
+    f, g = pair
+    assume(not f.is_zero() and g.num_terms() > 1)
+    h = f * g
+    quotient = h.divide_exact(g)
+    assert quotient == f
+    assert in_ring(quotient) == in_ring(h, 2 * SHIFT).exquo(in_ring(g))
+    assert_normalised(quotient)
+    r = h + LaurentPoly.monomial(c, m)
+    with pytest.raises(ExactQuotientFailed):
+        in_ring(r, 2 * SHIFT).exquo(in_ring(g))
+    with time_limit(1), pytest.raises(DivisionError):
+        r.divide_exact(g)
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The slot width of every ``laurent._pack`` call, in order."""
+    seen = []
+    pack = laurent._pack
+
+    def recorded(values, bits, slots):
+        seen.append(bits)
+        return pack(values, bits, slots)
+
+    monkeypatch.setattr(laurent, "_pack", recorded)
+    return seen
+
+
+def test_divide_exact_widens_the_slots(widths):
+    """An exact division whose quotient fails the first width's certificate,
+    found by a search over small integral polynomials in ``a`` and ``q``
+    scaled to fill that width.  The quotient's coefficient ``3 * 8191``
+    exceeds every coefficient of the dividend.  The first width is 16 bits,
+    the least with ``max|f| * |g|_1 = 16382 * 2 < 2^15``, and the
+    certificate needs ``3 * 8191 * 2 < 2^15``, which fails.  The next width
+    is the proven stop, 24 bits, and certifies."""
+    g = parse_poly("1 - a^-1")
+    quotient = 8191 * parse_poly("a + 3 + a^-1")
+    dividend = quotient * g
+    assert dividend == 8191 * parse_poly("a + 2 - 2*a^-1 - a^-2")
+    assert dividend.divide_exact(g) == quotient
+    assert widths == [16, 16, 24, 24]  # dividend and divisor at each width
+
+
+@pytest.mark.parametrize("m", [63, 64, 127, 128, 200])
+def test_divide_exact_quotient_past_the_first_slots(m, widths):
+    """``s = sum_(i<m) (-a)^i``: the dividend ``s * (1 - (-a)^m)`` has
+    coefficients +-1 and the quotient ``s^2`` by ``1 + a`` has coefficients
+    up to ``m``.  The first width is 8 bits, and the certificate there needs
+    ``m * |1 + a|_1 = 2m < 2^7``: it holds at ``m = 63`` and fails from
+    ``m = 64``.  From ``m = 128`` the quotient's digits alias too, so only
+    the certificate tells a wrong quotient from the right one."""
+    s = sum((LaurentPoly.monomial((-1) ** i, Multidegree(a=i)) for i in range(m)),
+            LaurentPoly.zero())
+    dividend = s * (LaurentPoly.one() - LaurentPoly.monomial((-1) ** m, Multidegree(a=m)))
+    assert {abs(c) for c in dividend.terms.values()} == {1}
+    assert dividend.divide_exact(parse_poly("1 + a")) == s * s
+    assert widths[0] == 8 and (len(set(widths)) > 1) == (m >= 64)
+
+
+@pytest.mark.parametrize("f, g", [
+    ("a + q", "q + 1"), ("q - a", "1 - q"), ("a*t + 1", "a + 1"), ("t - a", "1 - a"),
+])
+def test_divide_exact_packed_image_divides(f, g):
+    """Inexact divisions whose packed images divide exactly, found by a
+    search over small polynomials.  In ``(a + q) / (q + 1)`` the box of the
+    dividend gives ``q`` stride 1 and ``a`` stride 2, so the images are
+    ``X^2 + X`` and ``X + 1``, with quotient ``X``.  Its ``q``-digit 1 lies
+    outside the quotient box, where the ``q``-degree is 0; the last two
+    cases fail in the ``a``-slot instead."""
+    f, g = parse_poly(f), parse_poly(g)
+    _, den = sympy.fraction(sympy.cancel(to_sympy(f) / to_sympy(g)))
+    assert len(sympy_terms(den)) > 1  # f / g is no Laurent polynomial
+    with pytest.raises(DivisionError):
+        f.divide_exact(g)
 
 
 @oracle(80)

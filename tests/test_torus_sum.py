@@ -5,7 +5,8 @@ tests check it three ways: by value at integer points against an exact
 rational evaluation of the Rosso-Jones sum, term by term against the
 general-product loop it replaced (kept here as ``_reference_torus_sum``),
 and, for the packing itself, on hand-packed slots at the edges of the slot
-range and against the proven slot-width bound.
+range and against the proven slot-width bound.  The signed-slot codec
+(``laurent._pack`` and ``laurent._unpack``) is the one exact division uses.
 """
 
 from collections import Counter
@@ -17,10 +18,9 @@ from knothom.invariants import (
     _hook_multiset,
     _packed_torus_sum,
     _torus_sum,
-    _unpack,
     unknot_homfly,
 )
-from knothom.laurent import LaurentPoly, Multidegree
+from knothom.laurent import LaurentPoly, Multidegree, _pack as _pack_slots, _unpack
 from knothom.partitions import Partition, partitions_of
 from knothom.symmetric import PLETHYSM_SIZE_CAP, plethysm_pn
 
@@ -134,17 +134,13 @@ def test_slot_width_meets_bound(case):
     assert bits % 8 == 0
     assert bound < 2 ** (bits - 1)
     assert bits == 8 or bound >= 2 ** (bits - 9)
-    largest = max(abs(c) for c in _unpack(packed, bits, q_lo, q_len).terms.values())
+    largest = max(abs(c) for _, c in _unpack(packed, bits))
     assert largest <= bound
 
 
 def _pack(coeffs, bits, q_lo, q_len):
     """``sum c * 2^(bits * (i*q_len + j - q_lo))`` over ``{(i, j): c}``."""
     return sum(c << bits * (i * q_len + j - q_lo) for (i, j), c in coeffs.items())
-
-
-def _poly(coeffs):
-    return LaurentPoly({Multidegree(a=i, q=j): c for (i, j), c in coeffs.items()})
 
 
 @pytest.mark.parametrize("q_lo", [-2, 5])
@@ -160,16 +156,19 @@ def _poly(coeffs):
     {},
 ], ids=["extremes", "negative-lead", "all-negative", "small", "zero"])
 def test_unpack_signed_slots(coeffs, bits, q_lo):
-    """Slots ``(i, j)`` count ``q`` from ``q_lo``; a value of 1 stands for the
-    largest slot value ``2^(bits-1) - 1``."""
+    """The signed-slot codec of ``laurent`` against packing by shifts, on
+    three rows of three slots.  Slots ``(i, j)`` count ``q`` from ``q_lo``; a
+    value of 1 stands for the largest slot value ``2^(bits-1) - 1``.  Widths
+    of 8 and 16 bits read slots through a ``memoryview``, 24 bits by slices."""
     top = 2 ** (bits - 1) - 1
     coeffs = {(i, j + q_lo): c * top if abs(c) == 1 else c
               for (i, j), c in coeffs.items()}
     packed = _pack(coeffs, bits, q_lo, 3)
     if coeffs and coeffs[max(coeffs)] < 0:
         assert packed < 0
-    got = _unpack(packed, bits, q_lo, 3)
-    assert got.terms == _poly(coeffs).terms
+    slots = {i * 3 + j - q_lo: c for (i, j), c in coeffs.items()}
+    assert _pack_slots(slots.items(), bits, 9) == packed
+    assert dict(_unpack(packed, bits)) == slots
 
 
 def test_negative_contents_single_colour():
