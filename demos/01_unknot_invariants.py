@@ -9,7 +9,6 @@ shows how they degenerate into one another.
 from knothom import (
     LaurentPoly,
     Partition,
-    cell_stats,
     macdonald_dim,
     unknot_homfly,
     unknot_super,
@@ -18,9 +17,8 @@ from knothom import (
 lam = Partition([2, 1])
 print(f"color {lam}: cells and statistics")
 for cell in lam.cells():
-    st = cell_stats(lam, cell)
-    print(f"  cell {cell}: arm {st.arm}, leg {st.leg}, hook {st.hook}, "
-          f"content {st.content}")
+    print(f"  cell {cell}: arm {lam.arm(cell)}, leg {lam.leg(cell)}, "
+          f"hook {lam.hook(cell)}, content {lam.content(cell)}")
 
 print("\nhook-content product (variables a, q; rank lives at a = q^N):")
 print(" ", unknot_homfly(lam))

@@ -12,7 +12,6 @@ from knothom import (
     hirota_check,
     match_up_to_monomial,
     plethysm_pn,
-    sl_specialize,
     stable_limit_check,
     torus_homfly,
 )
@@ -41,7 +40,7 @@ for color in ([1], [2], [1, 1]):
 
 print("\nrank-2 collapse of the fundamental trefoil (a -> q^2):")
 p, _ = torus_homfly([1], 2, 3)
-print(" ", sl_specialize(p, 2, 0))
+print(" ", p.substitute("a", LaurentPoly.var("q", 2)))
 
 print("\nmirror/transpose relation P^color(a,q) ~ P^transpose(a,1/q):")
 p2, _ = torus_homfly([2], 2, 3)

@@ -6,8 +6,6 @@ coefficients; the same relations arise as derivatives of a Landau-Ginzburg
 potential.  Exact Macaulay matrices extract the monomial bases.
 """
 
-from fractions import Fraction
-
 from knothom import (
     LaurentPoly,
     koszul_homology,
@@ -16,8 +14,8 @@ from knothom import (
     scheme_presentation,
     scheme_relations,
     sl_differential_images,
-    symmetric_unknot_presentation,
     torus_potential,
+    unknot_model,
 )
 from knothom.models import poly_substitute
 
@@ -50,7 +48,7 @@ assert w23 == -w13 - parse_poly("(u2 - u1^2)^2") / 2
 print("  W(2,3) = -W(1,3) - (u2 - u1^2)^2 / 2  (checked)")
 
 print("\nKoszul homology of the rank-2 differential on the two-box model:")
-pres = symmetric_unknot_presentation(2)
+pres = unknot_model([2])
 h = koszul_homology(pres, sl_differential_images(pres, 2), cutoff=16)
 print("  graded dimensions (a, q):", sorted(h.dims.items()))
-print("  (a polynomial tower: 1, u1, u2^k and the odd class mu1 u2^k)")
+print("  (a polynomial tower: 1, u21, u11^k and the odd class mu1 u11^k)")

@@ -3,10 +3,12 @@
 The package computes, over exact rationals:
 
 * colored invariants of the unknot and of torus knots (hook-content
-  products, evaluation products, superpolynomial series, the plethysm sum
-  over power-scaled Schur expansions);
-* free superalgebra models of knot homology, torus-knot quotient schemes
-  and their differential-form bases, Landau-Ginzburg potentials and Koszul
+  products, evaluation products, the plethysm sum over power-scaled Schur
+  expansions);
+* free superalgebra models of knot homology: one model of the colored
+  unknot (``unknot_model``), whose ``(a, q, t)`` Hilbert series is the
+  superpolynomial series ``unknot_super``; torus-knot quotient schemes and
+  their differential-form bases, Landau-Ginzburg potentials and Koszul
   homology;
 * the structural verification suite for the packaged quadruply-graded
   superpolynomial fixtures: regradings, self- and mirror symmetry, removal
@@ -14,7 +16,9 @@ The package computes, over exact rationals:
   combinatorics and vortex characters.
 
 See ``demos/`` for narrative walkthroughs and ``knothom --help`` for the
-command line.
+command line.  Every name exported here is read by some module of the
+package, except the paper models and test oracles that
+``tests/test_imports.py`` lists with their reasons.
 """
 
 from .laurent import (
@@ -30,23 +34,19 @@ from .laurent import (
     series_pow_rational,
 )
 from .partitions import (
-    CellStats,
     Partition,
     balanced_diagrams,
     catalan_count,
-    cell_stats,
     dyck_paths,
     h_plus,
     partitions_of,
 )
-from .symmetric import chen_remmel, mn_character, plethysm_pn, zee
+from .symmetric import mn_character, plethysm_pn, zee
 from .invariants import (
     NormalizationReport,
     hirota_check,
     macdonald_dim,
     match_up_to_monomial,
-    sl_specialize,
-    sl_stabilization,
     stable_limit_check,
     torus_homfly,
     unknot_homfly,
@@ -68,7 +68,6 @@ from .models import (
     scheme_relations,
     sl_differential_images,
     split_potential_check,
-    symmetric_unknot_presentation,
     torus_potential,
     universal_pair_homology,
     unknot_mirror_map,
@@ -76,7 +75,6 @@ from .models import (
 )
 from .checks import (
     DifferentialSpec,
-    cancel_homology,
     check_delta_thin,
     check_differential,
     check_growth,
@@ -85,15 +83,13 @@ from .checks import (
     check_self_symmetry,
     colored_degree,
     colored_regrade,
-    from_tilde,
     mirror_swap,
     rank_collapse,
     rank_collapse_input,
     sl_cancel,
-    to_tilde,
     unreduced_from_reduced,
 )
-from .fixtures import HomologyFixture, all_fixtures, load_fixture
+from .fixtures import HomologyFixture, from_tilde, load_fixture, to_tilde
 from .bottom import (
     bottom_poincare,
     qbinom,

@@ -6,12 +6,12 @@ generator degrees: a generator of degree ``(i, j, k, l)`` in the gradings
 count generators with multiplicity.
 
 The auxiliary grading ``Q = (q + tr - tc) / R`` replaces ``q`` in the
-"tilde" regrading, in which the self-symmetry and mirror maps are plain
-monomial substitutions.  Differentials known only by their multidegree are
-checked through nonnegative witness division: a differential of degree ``d``
-cancels generator pairs ``x, x*d``, so the difference between a homology and
-the surviving part must be ``(1 + monomial(d))`` times a nonnegative
-polynomial.
+"tilde" regrading (:func:`knothom.fixtures.to_tilde`), in which the
+self-symmetry and mirror maps are plain monomial substitutions.
+Differentials known only by their multidegree are checked through
+nonnegative witness division: a differential of degree ``d`` cancels
+generator pairs ``x, x*d``, so the difference between a homology and the
+surviving part must be ``(1 + monomial(d))`` times a nonnegative polynomial.
 """
 
 from __future__ import annotations
@@ -27,39 +27,9 @@ from .laurent import (
     max_cancel,
     nonneg_divisibility,
 )
-from .models import unknot_model
+from .fixtures import load_fixture
+from .models import aqt_projection, unknot_model
 from .partitions import Partition
-
-
-# -- tilde regrading ----------------------------------------------------------------
-
-
-def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
-    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R``.
-
-    Raises when some monomial has ``q + tr - tc`` not divisible by ``R``,
-    naming the offender.
-    """
-    def fn(md):
-        num = md.e("q") + md.e("tr") - md.e("tc")
-        Q = num / R
-        if Q.denominator != 1:
-            raise ValueError(
-                f"monomial a^{md.e('a')} q^{md.e('q')} tr^{md.e('tr')} "
-                f"tc^{md.e('tc')}: (q + tr - tc) = {num} is not divisible by {R}")
-        return Multidegree(a=md.e("a"), Q=Q, tr=md.e("tr"), tc=md.e("tc"))
-
-    return p.map_exponents(fn)
-
-
-def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
-    """Inverse of :func:`to_tilde`: ``q = R*Q - tr + tc``."""
-    def fn(md):
-        return Multidegree(
-            a=md.e("a"), q=R * md.e("Q") - md.e("tr") + md.e("tc"),
-            tr=md.e("tr"), tc=md.e("tc"))
-
-    return p.map_exponents(fn)
 
 
 # -- symmetries ---------------------------------------------------------------------
@@ -289,17 +259,6 @@ def check_differential(source: LaurentPoly, target: LaurentPoly,
     return True, witness
 
 
-def cancel_homology(p: LaurentPoly, degree: Multidegree,
-                    keep="late") -> LaurentPoly:
-    """Survivors of the maximal pairwise cancellation along ``degree``.
-
-    Homology tables for the knot-Floer-like differentials place ambiguous
-    survivors at the late end of each cancellation ray, hence the default.
-    """
-    survivors, _ = max_cancel(p, degree, keep=keep)
-    return survivors
-
-
 def check_hfk_growth(p_tilde: LaurentPoly, uncolored_d11: LaurentPoly,
                      r: int, degree_tilde: Multidegree):
     """Maximal cancellation followed by the one-grading power comparison.
@@ -308,7 +267,7 @@ def check_hfk_growth(p_tilde: LaurentPoly, uncolored_d11: LaurentPoly,
     uncolored homology surviving the parity differential, as a polynomial in
     ``(a, q, t)``.  Returns ``(ok, survivors)``.
     """
-    survivors = cancel_homology(p_tilde, degree_tilde)
+    survivors, _ = max_cancel(p_tilde, degree_tilde, keep="late")
     collapsed = survivors.map_exponents(
         lambda md: Multidegree(a=md.e("a"), q=md.e("Q"), t=md.e("tr")))
     return collapsed == uncolored_d11 ** r, survivors
@@ -334,19 +293,11 @@ def rank_collapse_input(key: str, lam, order=30) -> RationalSeries:
 
     ``key`` names a fixture, or ``unknot:*`` for the unknot itself.
     """
-    from .fixtures import load_fixture  # fixtures imports this module
-
     if key.startswith("unknot:"):
         reduced = LaurentPoly.one()
     else:
         reduced = load_fixture(key).standard()
-    series = unreduced_from_reduced(reduced, lam, order)
-
-    def to_aqt(md):
-        return Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
-
-    return RationalSeries(series.numerator.map_exponents(to_aqt),
-                          tuple(map(to_aqt, series.denominators)), "q", order)
+    return aqt_projection(unreduced_from_reduced(reduced, lam, order))
 
 
 def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
@@ -391,9 +342,10 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     in ``w`` through ``cutoff + s*t_top``, with ``t_top`` the bound of
     :func:`_t_top` on the ``t``-degree of every term of ``q``-degree at most
     ``cutoff``.  That expansion holds every ray meeting the reported window,
-    each complete; ambiguous survivors then sit at the early end of their
-    rays, matching the tabulated computations.  Returns
-    ``(survivors, window)``.
+    each complete, and is cancelled in ``w`` along the image of ``diff``,
+    which fixes ``w``; only the survivors are mapped back to ``q``.
+    Ambiguous survivors sit at the early end of their rays, matching the
+    tabulated computations.  Returns ``(survivors, window)``.
     """
     tvar = "t" if diff.e("t") != 0 else "tc"
     step_q = diff._e("q")
@@ -415,10 +367,10 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
         num.map_exponents(lambda md: md._shift(lift, md._e(tvar))),
         tuple(md._shift(lift, md._e(tvar)) for md in series.denominators),
         "q", top)
-    expansion = regraded.expand().map_exponents(
-        lambda md: md._shift(lift, -md._e(tvar)))
-    survivors, _ = max_cancel(expansion, diff, keep="early")
-    survivors = survivors.truncate("q", cutoff)
+    survivors, _ = max_cancel(regraded.expand(), diff._shift(lift, diff._e(tvar)),
+                              keep="early")
+    survivors = survivors.map_exponents(
+        lambda md: md._shift(lift, -md._e(tvar))).truncate("q", cutoff)
     collapsed = survivors.substitute("a", LaurentPoly.var("q", n))
     return collapsed.truncate("q", window), window
 

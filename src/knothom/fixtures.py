@@ -4,7 +4,9 @@ Fixtures are stored as JSON files (schema: ``knot``, ``color``, ``R``, ``S``,
 ``sigma``, ``gradings``, ``poincare``) under ``knothom/fixtures``; the
 environment variable ``HOMOLOGY_FIXTURE_DIR`` overrides the search path.
 Loading validates the generator count and both categorification
-specializations, so transcription errors fail loudly.
+specializations, so transcription errors fail loudly.  A table is stored
+in the gradings ``(a, q, tr, tc)`` or in the "tilde" gradings, in which
+:func:`to_tilde` replaces ``q`` by ``Q = (q + tr - tc)/R``.
 
 The registry also knows which removal differentials act on each fixture and
 where their homology lands.
@@ -19,9 +21,42 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Multidegree
 from .partitions import Partition
-from .checks import from_tilde, to_tilde
+
+# -- tilde regrading ----------------------------------------------------------------
+
+
+def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
+    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R``.
+
+    Raises when some monomial has ``q + tr - tc`` not divisible by ``R``,
+    naming the offender.
+    """
+    def fn(md):
+        num = md.e("q") + md.e("tr") - md.e("tc")
+        Q = num / R
+        if Q.denominator != 1:
+            raise ValueError(
+                f"monomial a^{md.e('a')} q^{md.e('q')} tr^{md.e('tr')} "
+                f"tc^{md.e('tc')}: (q + tr - tc) = {num} is not divisible by {R}")
+        return Multidegree(a=md.e("a"), Q=Q, tr=md.e("tr"), tc=md.e("tc"))
+
+    return p.map_exponents(fn)
+
+
+def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
+    """Inverse of :func:`to_tilde`: ``q = R*Q - tr + tc``."""
+    def fn(md):
+        return Multidegree(
+            a=md.e("a"), q=R * md.e("Q") - md.e("tr") + md.e("tc"),
+            tr=md.e("tr"), tc=md.e("tc"))
+
+    return p.map_exponents(fn)
+
+
+# -- fixtures -----------------------------------------------------------------------
+
 
 FIXTURE_IDS = (
     "3_1:1", "3_1:S2", "3_1:L2", "3_1:2x2", "3_1:3x2", "3_1:2_1",
@@ -157,10 +192,6 @@ def fixture_name(knot: str, color: Partition) -> str:
     else:
         tail = "_".join(map(str, parts))
     return f"{knot}:{tail}"
-
-
-def all_fixtures():
-    return [load_fixture(n) for n in HOMOLOGY_FIXTURES]
 
 
 # -- differential registry ----------------------------------------------------------

@@ -55,6 +55,7 @@ from .laurent import (
     _slot_bits,
     _unpack,
 )
+from .models import aqt_projection, unknot_model
 from .partitions import Partition
 from .symmetric import plethysm_pn
 
@@ -90,16 +91,10 @@ def unknot_super(lam) -> RationalSeries:
     """Positive-coefficient unknot superpolynomial product in ``a, q, t``.
 
     ``prod_x (1 + a^2 q^(2c) t^(2*coarm+1)) / (1 - q^(2h) t^(2*arm))``,
-    expanded in ``q``.
+    expanded in ``q``: the Hilbert series of :func:`unknot_model` in the
+    gradings ``(a, q, tc)``, with ``tc`` renamed ``t``.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    num, dens = LaurentPoly.one(), []
-    for cell in lam.cells():
-        num = num * (LaurentPoly.one() + LaurentPoly.monomial(
-            1,
-            Multidegree(a=2, q=2 * lam.content(cell), t=2 * lam.coarm(cell) + 1)))
-        dens.append(Multidegree(q=2 * lam.hook(cell), t=2 * lam.arm(cell)))
-    return RationalSeries(num, dens)
+    return aqt_projection(unknot_model(lam).hilbert_series())
 
 
 @dataclass
@@ -258,27 +253,6 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     else:
         report.checks.append(("sl1", False))
     return quotient, report
-
-
-def sl_specialize(p: LaurentPoly, n: int, m: int) -> LaurentPoly:
-    """Substitute ``a -> q^(n-m)`` (rank collapse of the super-rank ``n - m``)."""
-    return p.substitute("a", LaurentPoly.var("q", n - m))
-
-
-def sl_stabilization(p: LaurentPoly, n_list) -> list:
-    """Whether rank collapse loses generators, for each rank in ``n_list``.
-
-    For large enough rank the collapse ``a -> q^n`` maps distinct generators
-    to distinct degrees, and the finite-rank homology equals the naive
-    specialization of the full one; the returned flags must be eventually
-    true and stay true.
-    """
-    out = []
-    full = p.dimension()
-    for n in n_list:
-        collapsed = sl_specialize(p, n, 0)
-        out.append((n, collapsed.dimension() == full))
-    return out
 
 
 def stable_limit_check(lam, n: int, m_list, order=10):

@@ -180,7 +180,8 @@ def _generating_function(names, var, first=1) -> LaurentPoly:
 def unknot_model(lam) -> GradedPresentation:
     """Free supercommutative model of the colored unknot.
 
-    One even and one odd generator per box, graded by
+    One even and one odd generator per box, in the order of
+    :meth:`Partition.cells`, graded by
     ``(a,q,tc)[u_x] = (0, 2*hook, 2*arm)`` and
     ``(a,q,tc)[xi_x] = (2, 2*content, 2*coarm+1)``.  For an R x S rectangle
     the fourth grading comes from the mirror rule ``tr(w) = tc(M(w))``:
@@ -188,31 +189,30 @@ def unknot_model(lam) -> GradedPresentation:
     row j), which makes ``Q(u) = 2`` and ``Q(xi) = 0``.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
-    rect = lam.rect_shape()
+    rect = lam.is_rectangle()
     gens = []
-    if rect and not lam.is_empty():
-        R, S = rect
-        for i in range(1, S + 1):       # column
-            for j in range(1, R + 1):   # row
-                cell = (j, i)
-                gens.append(Generator(
-                    f"u{i}{j}", EVEN,
-                    Multidegree(q=2 * lam.hook(cell), tc=2 * lam.arm(cell),
-                                tr=2 * j - 2)))
-                gens.append(Generator(
-                    f"xi{i}{j}", ODD,
-                    Multidegree(a=2, q=2 * lam.content(cell),
-                                tc=2 * lam.coarm(cell) + 1, tr=2 * j - 1)))
-    else:
-        for k, cell in enumerate(lam.cells(), start=1):
-            gens.append(Generator(
-                f"u{k}", EVEN,
-                Multidegree(q=2 * lam.hook(cell), tc=2 * lam.arm(cell))))
-            gens.append(Generator(
-                f"xi{k}", ODD,
-                Multidegree(a=2, q=2 * lam.content(cell),
-                            tc=2 * lam.coarm(cell) + 1)))
+    for k, cell in enumerate(lam.cells(), start=1):
+        row, col = cell
+        tag, tr_u, tr_xi = (f"{col}{row}", 2 * row - 2, 2 * row - 1) if rect else (k, 0, 0)
+        gens.append(Generator(
+            f"u{tag}", EVEN,
+            Multidegree(q=2 * lam.hook(cell), tc=2 * lam.arm(cell), tr=tr_u)))
+        gens.append(Generator(
+            f"xi{tag}", ODD,
+            Multidegree(a=2, q=2 * lam.content(cell), tc=2 * lam.coarm(cell) + 1,
+                        tr=tr_xi)))
     return GradedPresentation(gens)
+
+
+def aqt_projection(series: RationalSeries) -> RationalSeries:
+    """``series`` in ``(a, q, t)``, with ``t`` the column grading ``tc``; every
+    other grading is forgotten."""
+    def fn(md):
+        return Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
+
+    return RationalSeries(series.numerator.map_exponents(fn),
+                          tuple(map(fn, series.denominators)),
+                          series.var, series.order)
 
 
 def unknot_mirror_map(R: int, S: int):
@@ -922,23 +922,6 @@ def koszul_homology(pres: GradedPresentation, images: dict,
         return out
 
     return _block_homology(pres, space, row, delta, cutoff)
-
-
-def symmetric_unknot_presentation(r: int) -> GradedPresentation:
-    """One-row unknot model with the index-graded generators ``u_i, xi_i``.
-
-    ``(a,q,tc,tr)[u_i] = (0, 2i, 2i-2, 0)`` and
-    ``(a,q,tc,tr)[xi_i] = (2, 2i-2, 2i-1, 1)`` for ``i = 1..r``; this is the
-    hook-graded model of :func:`unknot_model` after reindexing boxes from the
-    far end of the row.
-    """
-    gens = []
-    for i in range(1, r + 1):
-        gens.append(Generator(f"u{i}", EVEN,
-                              Multidegree(q=2 * i, tc=2 * i - 2)))
-        gens.append(Generator(f"xi{i}", ODD,
-                              Multidegree(a=2, q=2 * i - 2, tc=2 * i - 1, tr=1)))
-    return GradedPresentation(gens)
 
 
 def universal_pair_homology(pres: GradedPresentation, x: str, y: str,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 from operator import index
@@ -123,30 +122,6 @@ class Partition:
 
     def __str__(self):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
-
-
-@dataclass(frozen=True)
-class CellStats:
-    arm: int
-    leg: int
-    coarm: int
-    coleg: int
-    hook: int
-    content: int
-
-
-def cell_stats(lam: Partition, cell) -> CellStats:
-    """Arm, leg, co-arm, co-leg, hook and content of a cell of ``lam``."""
-    if not lam.contains(cell):
-        raise ValueError(f"cell {cell} lies outside {lam}")
-    return CellStats(
-        arm=lam.arm(cell),
-        leg=lam.leg(cell),
-        coarm=lam.coarm(cell),
-        coleg=lam.coleg(cell),
-        hook=lam.hook(cell),
-        content=lam.content(cell),
-    )
 
 
 def partitions_of(n: int, max_part=None):

@@ -46,7 +46,13 @@ from .checks import (
     check_self_symmetry,
     rank_collapse,
 )
-from .fixtures import DIFFERENTIALS, HOMOLOGY_FIXTURES, load_fixture
+from .fixtures import (
+    DIFFERENTIALS,
+    HOMOLOGY_FIXTURES,
+    PRINTED_DEGREES,
+    PRINTED_SURVIVORS,
+    load_fixture,
+)
 from .bottom import bottom_poincare, row_count, trefoil_recursion_check, vortex_character
 
 
@@ -170,8 +176,6 @@ def check_growths(wanted=_every):
 
 
 def check_fixture_differentials(wanted=_every):
-    from .fixtures import PRINTED_DEGREES, PRINTED_SURVIVORS
-
     out = []
     for fname, diffs in DIFFERENTIALS.items():
         diffs = [d for d in diffs if wanted(f"differential:{fname}:{d[0]}")]

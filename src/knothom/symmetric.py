@@ -14,7 +14,7 @@ from functools import cache
 from math import factorial
 
 from .errors import UsageError
-from .partitions import Partition, balanced_diagrams, partitions_of
+from .partitions import Partition, partitions_of
 
 #: largest |lambda| * n accepted by plethysm_pn
 PLETHYSM_SIZE_CAP = 12
@@ -109,9 +109,3 @@ def plethysm_pn(lam, n: int) -> dict:
                 )
             out[Partition(mu)] = c
     return out
-
-
-def chen_remmel(S: int, R: int) -> dict:
-    """Closed form ``{mu: sign}`` for ``s_(S^R)`` in doubled variables via
-    balanced diagrams."""
-    return dict(balanced_diagrams(S, R))

@@ -22,15 +22,13 @@ from knothom.checks import (
     check_self_symmetry,
     colored_degree,
     colored_regrade,
-    from_tilde,
     mirror_swap,
     rank_collapse,
     rank_collapse_input,
     sl_cancel,
-    to_tilde,
     unreduced_from_reduced,
 )
-from knothom.fixtures import load_fixture
+from knothom.fixtures import from_tilde, load_fixture, to_tilde
 from knothom.suite import SL2_TARGETS
 
 P = parse_poly

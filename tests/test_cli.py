@@ -388,6 +388,105 @@ def test_heavy_homfly_json_pinned(capsys, args):
     assert digest == PINNED_HOMFLY_SHA256[args]
 
 
+#: SHA-256 of ``super --color C`` stdout in text, in JSON and with ``--expand``,
+#: recorded while ``unknot_super`` built its own product of cells
+SUPER_SPELLINGS = {"text": [], "json": ["--format", "json"], "expand": ["--expand"]}
+PINNED_SUPER_SHA256 = {
+    "S1 text":
+        "b5ef7e03a6be44dd42a91718d56db0e613ee899699c04fdfa1b6b5ce9dd81fc4",
+    "S1 json":
+        "0e29530e17fc1121b33115c66b8789dc27f50ee13c145b84e069b78f199de740",
+    "S1 expand":
+        "62fdfd41eb47ead13be6d3640c44d8c9f8cd4879a648086b5015165d5ce4b63d",
+    "S2 text":
+        "c85e7ead01993f961bdac7d7d53a2b2849803a2b6e134aa9ddc0ad0ab4dbd2e8",
+    "S2 json":
+        "5bd940ca61ce8ff5ac31de4eb696c4da33a9765d5daf9d0a5880cf60779cf7e4",
+    "S2 expand":
+        "eca321869d41a6003bb05af14d40d488c6ec2872aa52d81f0c26aab20f41ad41",
+    "S3 text":
+        "b20ed96b24e14a354f33ffc17ae53d01c6b98a56d823c87656b0a41e24138e2b",
+    "S3 json":
+        "5196ca3f182541890376acdc9ed26bb3eeb891b38c4a3e7de6453a08f67ce3f2",
+    "S3 expand":
+        "c3ac90dc2fcd04ed6d2f63e8e327c005f03f3071a4570389fe11a0f308c0023e",
+    "L2 text":
+        "bdbf77d8d23e1cce8272d8898f75e136a43036dfc67a54b3a318a4af17155420",
+    "L2 json":
+        "6643b7f158fc19272fbc95ae416d8da7cb90e604232c136e013322ec8239d7ab",
+    "L2 expand":
+        "8f07bdade1b84afbed28221c01c74c751fb979cd4942ab27f0e02a38acc5c960",
+    "L3 text":
+        "123ecb3dab9ecb5fdd1e77adfc4dd89f3274397a85030a2a47baa9fc1ec2f4d9",
+    "L3 json":
+        "22c0cd156381bc2e6678e687797ee2959b2e448bc8cd98ef592c4dfdbe41565b",
+    "L3 expand":
+        "3bbeb8bd944d8560c98df85f7cab4efceab53c4272d9e2280fc2d566f6b737bd",
+    "2x2 text":
+        "8acc6da1a80993cf4b14423a516207ae5988e121b39d328097409ae8d3d57c72",
+    "2x2 json":
+        "cab216c371cc3bde1b0373e08c7e44ce713a56605d7012c0874508b8fcffa044",
+    "2x2 expand":
+        "9693af3407f1466639710f3e424cc597b98f1c1b74ad398198bd9339466762d5",
+    "3x2 text":
+        "f8882b73d2c08386d331f5a12c817d964b4c4a065431a75e7c0dec36628a0608",
+    "3x2 json":
+        "e8a34c524802fc75aae9d8d0523911e38d61f317a01d289984913174d59b8b0f",
+    "3x2 expand":
+        "c05e6f4ba82510c4bf09310b6a875063e24e02e7476fa3c6fc34d69f5191a68b",
+    "2x3 text":
+        "296abef0d108dde412e120c2602232cfbf3717c867ecf31fe3d5cf8ab452e6df",
+    "2x3 json":
+        "5a1739d12e8b43afc1c085651a3cd2565536edfc27bcd62a077beab1c650b495",
+    "2x3 expand":
+        "44d9c02b3b327ef09da7ce504e55d8c08bc6d0382a6e55465b7a4c3cd3f99585",
+    "3x3 text":
+        "07c93a3d306591e24c3a4838711b294e3df355ad4322782a6cf4cdd57d2f1d20",
+    "3x3 json":
+        "946c2e8cd3cfbad29389a5401724bb9d4f0e3f8d04171fc1036dfb0944066044",
+    "3x3 expand":
+        "70909bacb04d71b078fba475b0082aa384af57aa940208e05015b49841bdb7a1",
+    "[2,1] text":
+        "2f1a67df465432420f787aff15c221f9953b014cd0a4ed7c47adb30209acfa47",
+    "[2,1] json":
+        "07b753622ebe22bf2f097d00f9db52d396861f63a844cab785c9f989a037c7f5",
+    "[2,1] expand":
+        "0973f39b1cc39f5709402ff383ce7a0b825f5e1aa1acf773f2a4a3e6a084e510",
+    "[3,1] text":
+        "2d4dcfb48b3e4322a64bbbb276d81346c9edcd3157f369177e93ace9fddb05c2",
+    "[3,1] json":
+        "683403f23d70beba18eec3b9a6d8be681f4876d4e7beee43bbe5620f90b5ca04",
+    "[3,1] expand":
+        "dd07e68a9b1b50a816126cfe250e9b12bce4c1f207d0978e4d2c300dd9e0435a",
+    "[3,2,1] text":
+        "8ed5abc790785a7bd04ee60c89afc1489e2a2838d955c64410c42375ee541f7c",
+    "[3,2,1] json":
+        "e7847485c95a02df86f56139cbdcf788f7816d28745691b8b2be0f43267412d2",
+    "[3,2,1] expand":
+        "4a78837e338170711ec192dc381ab07aee9957538c218f695ad3389e61913ba7",
+    "[4,2] text":
+        "a7039cc607f01d93eba8e7075f4aebdc8552c6509d8499f31805a5ba3cb6e374",
+    "[4,2] json":
+        "91b11497f394393fe627a191beadfa0a3fad1960888901deb8db52e232b31ff3",
+    "[4,2] expand":
+        "1bdf7befa739edb36a1fd869afb277e63c2f74fdc5f291eab8ec7c4b37e5b8e5",
+    "[2,2,1] text":
+        "586968e43ba5a0b91a399d172ea0af6cea482000abeaea5246d716edcbfc776d",
+    "[2,2,1] json":
+        "b1b8c3035236ab23d2a771d8afee4d2ad09e1deafa1ad1120403e193551c4976",
+    "[2,2,1] expand":
+        "9d9f42267673e3293b5943bac7e0256e4dd589d5f12b15c3f4cd8108e90863c9",
+}
+
+
+@pytest.mark.parametrize("key", PINNED_SUPER_SHA256)
+def test_super_pinned(capsys, key):
+    color, spelling = key.split()
+    assert main(["super", "--color", color, *SUPER_SPELLINGS[spelling]]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_SUPER_SHA256[key]
+
+
 #: SHA-256 of ``check all --format json``: every check's name, verdict and
 #: detail, in name order
 PINNED_CHECK_ALL_SHA256 = \

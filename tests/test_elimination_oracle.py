@@ -49,8 +49,8 @@ from knothom.models import (
     potential_antisym,
     scheme_presentation,
     sl_differential_images,
-    symmetric_unknot_presentation,
     universal_pair_homology,
+    unknot_model,
 )
 
 entries = st.one_of(
@@ -506,7 +506,7 @@ def P(text):
 
 
 def sl_case(r, n):
-    pres = symmetric_unknot_presentation(r)
+    pres = unknot_model([r])
     return pres, sl_differential_images(pres, n)
 
 

@@ -218,7 +218,7 @@ def test_public_exponents_and_coefficients_are_fractions():
 
     Callers divide these values: ``bench/verify.py`` divides two leading
     coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``), as do
-    ``checks.to_tilde`` and ``suite._halved_homfly``.  An ``int`` there would
+    ``fixtures.to_tilde`` and ``suite._halved_homfly``.  An ``int`` there would
     silently turn into a ``float``.
     """
     md = Multidegree(a=2, q=-1)

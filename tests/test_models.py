@@ -27,13 +27,13 @@ from knothom.models import (
     scheme_relations,
     sl_differential_images,
     split_potential_check,
-    symmetric_unknot_presentation,
     torus_potential,
     universal_pair_homology,
     unknot_mirror_map,
     unknot_model,
 )
 from knothom.checks import colored_degree
+from knothom.partitions import Partition
 
 P = parse_poly
 
@@ -65,6 +65,24 @@ def test_unknot_model_row_poincare():
         assert num == expect_num
         got_dens = sorted(int(md.e("q")) for md in hs.denominators)
         assert got_dens == sorted(2 * i for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("parts", [[1], [3], [1, 1], [2, 2], [3, 3], [2, 2, 2],
+                                   [2, 1], [3, 2, 1]])
+def test_unknot_model_generators_follow_cells(parts):
+    """One even and one odd generator per box, in ``lam.cells()`` order,
+    named ``u{col}{row}`` / ``xi{col}{row}`` on a rectangle and by the box's
+    place in that order otherwise."""
+    lam = Partition(parts)
+    cells = list(lam.cells())
+    if lam.is_rectangle():
+        tags = [f"{col}{row}" for row, col in cells]
+    else:
+        tags = [str(k) for k in range(1, len(cells) + 1)]
+    names = [g.name for g in unknot_model(lam).generators]
+    assert names == [name for tag in tags for name in (f"u{tag}", f"xi{tag}")]
+    hooks = [int(g.degree.e("q")) // 2 for g in unknot_model(lam).evens()]
+    assert hooks == [lam.hook(cell) for cell in cells]
 
 
 def test_unknot_model_q_gradings():
@@ -398,7 +416,7 @@ def test_extend_differential_matches_potential():
 
 
 def test_koszul_sl2_unknot():
-    pres = symmetric_unknot_presentation(1)
+    pres = unknot_model([1])
     h = koszul_homology(pres, sl_differential_images(pres, 2), 16)
     assert h.dims == {(0, 0): 1, (0, 2): 1}
 
@@ -406,26 +424,31 @@ def test_koszul_sl2_unknot():
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sl_differential_images_brute_force(r, n):
-    """``xi_i`` maps to the sum over ordered ``n``-tuples of indices with sum
-    ``i + n - 1``: each multiset of indices once per distinct ordering."""
-    images = sl_differential_images(symmetric_unknot_presentation(r), n)
-    assert set(images) == {f"xi{i}" for i in range(1, r + 1)}
+    """``xi_i``, of q-degree ``2i - 2``, maps to the sum over ordered
+    ``n``-tuples of indices with sum ``i + n - 1`` of the products of the
+    ``u_a`` of q-degree ``2a``: each multiset of indices once per distinct
+    ordering."""
+    pres = unknot_model([r])
+    u = {g.q_degree() // 2: g.name for g in pres.evens()}
+    xi = {g.q_degree() // 2 + 1: g.name for g in pres.odds()}
+    images = sl_differential_images(pres, n)
+    assert set(images) == set(xi.values())
     for i in range(1, r + 1):
         expected = LaurentPoly.zero()
         for combo in combinations_with_replacement(range(1, r + 1), n):
             if sum(combo) == i + n - 1:
                 term = LaurentPoly.const(len(set(permutations(combo))))
                 for a in combo:
-                    term = term * LaurentPoly.var(f"u{a}")
+                    term = term * LaurentPoly.var(u[a])
                 expected = expected + term
-        assert images[f"xi{i}"] == expected, (r, n, i)
+        assert images[xi[i]] == expected, (r, n, i)
 
 
 def test_koszul_sl2_unknot_s2():
-    pres = symmetric_unknot_presentation(2)
+    pres = unknot_model([2])
     images = sl_differential_images(pres, 2)
-    assert images["xi1"] == P("u1^2")
-    assert images["xi2"] == P("2*u1*u2")
+    assert images["xi11"] == P("u21^2")
+    assert images["xi21"] == P("2*u11*u21")
     h = koszul_homology(pres, images, 20)
     expect = {(0, 0): 1, (0, 2): 1}
     k = 1
@@ -441,17 +464,17 @@ def test_koszul_sl2_unknot_s2():
 
 
 def test_koszul_zero_differential():
-    pres = symmetric_unknot_presentation(1)
-    h = koszul_homology(pres, {"xi1": LaurentPoly.zero()}, 6)
+    pres = unknot_model([1])
+    h = koszul_homology(pres, {"xi11": LaurentPoly.zero()}, 6)
     # whole free algebra survives
     assert h.dims[(0, 0)] == 1 and h.dims[(2, 0)] == 1
     assert h.dims[(0, 2)] == 1 and h.dims[(2, 2)] == 1
 
 
 def test_koszul_inhomogeneous_image_rejected():
-    pres = symmetric_unknot_presentation(2)
+    pres = unknot_model([2])
     with pytest.raises(ArithmeticError):
-        koszul_homology(pres, {"xi1": P("u1^2 + u2")}, 10)
+        koszul_homology(pres, {"xi11": P("u21^2 + u11")}, 10)
 
 
 def test_universal_pair_homology_free_on_two_generators():

@@ -5,7 +5,6 @@ from knothom.partitions import (
     Partition,
     balanced_diagrams,
     catalan_count,
-    cell_stats,
     dyck_paths,
     h_plus,
     partitions_of,
@@ -21,8 +20,8 @@ def test_parts_must_be_integers():
 
 
 def test_cell_stats_single_box():
-    st = cell_stats(Partition([1]), (1, 1))
-    assert (st.arm, st.leg, st.hook, st.content) == (0, 0, 1, 0)
+    lam, cell = Partition([1]), (1, 1)
+    assert (lam.arm(cell), lam.leg(cell), lam.hook(cell), lam.content(cell)) == (0, 0, 1, 0)
 
 
 def test_cell_stats_21():
@@ -42,8 +41,9 @@ def test_rectangle_hook():
 
 
 def test_cell_outside_raises():
-    with pytest.raises(ValueError):
-        cell_stats(Partition([2, 1]), (2, 2))
+    lam = Partition([2, 1])
+    assert not lam.contains((2, 2))
+    assert all(lam.contains(cell) for cell in lam.cells())
 
 
 def test_kappa_and_transpose():

@@ -5,7 +5,6 @@ import pytest
 from knothom.partitions import Partition, balanced_diagrams, partitions_of
 from knothom.symmetric import (
     PLETHYSM_SIZE_CAP,
-    chen_remmel,
     mn_character,
     plethysm_pn,
     zee,
@@ -55,14 +54,16 @@ def test_plethysm_cap():
 
 
 def test_chen_remmel_matches_plethysm():
-    assert chen_remmel(1, 1) == plethysm_pn((1,), 2)
-    assert chen_remmel(2, 1) == plethysm_pn((2,), 2)
+    """The Chen-Remmel closed form: ``s_(S^R)`` in doubled variables is the
+    signed sum over the balanced diagrams."""
+    assert dict(balanced_diagrams(1, 1)) == plethysm_pn((1,), 2)
+    assert dict(balanced_diagrams(2, 1)) == plethysm_pn((2,), 2)
     for S in range(1, 4):
         for R in range(1, 4):
             if R * S > 6:
                 continue
             rect = Partition([S] * R)
-            assert chen_remmel(S, R) == plethysm_pn(rect, 2)
+            assert dict(balanced_diagrams(S, R)) == plethysm_pn(rect, 2)
 
 
 def test_balanced_sign_dimension_sum():
