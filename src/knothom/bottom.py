@@ -9,6 +9,7 @@ unreduced symmetric bottom row of ``(2, 2p+1)`` torus knots as an explicit
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from .errors import UsageError
@@ -68,8 +69,7 @@ def vortex_character(p: int, m: int) -> RationalSeries:
     if p < 0 or m < 0:
         raise UsageError("p and m must be nonnegative")
     total = LaurentPoly.zero()
-    chains = _weakly_decreasing_chains(p, m)
-    for ks in chains:
+    for ks in combinations_with_replacement(range(m, -1, -1), p):
         coeff = LaurentPoly.one()
         prev = m
         for k in ks:
@@ -83,22 +83,6 @@ def vortex_character(p: int, m: int) -> RationalSeries:
     total = total * LaurentPoly.var("q", -p * m)
     dens = tuple(Multidegree(q=i) for i in range(1, m + 1))
     return RationalSeries(total, dens, "q", 40)
-
-
-def _weakly_decreasing_chains(p: int, m: int):
-    if p == 0:
-        return [()]
-    out = []
-
-    def rec(acc, hi):
-        if len(acc) == p:
-            out.append(tuple(acc))
-            return
-        for k in range(hi, -1, -1):
-            rec(acc + [k], k)
-
-    rec([], m)
-    return out
 
 
 def _recursion_c1(n: int) -> LaurentPoly:

@@ -58,26 +58,17 @@ def mirror_swap(p_tilde: LaurentPoly) -> LaurentPoly:
     return p_tilde.map_exponents(fn)
 
 
-def mirror_composite_image(p_tilde: LaurentPoly, R: int, S: int) -> LaurentPoly:
-    """The transpose-color polynomial via grading flip and swap combined.
-
-    Composing the grading swap with the self-symmetry of the ``R x S``
-    theory, a generator at ``(i, j, k, l)`` contributes to the transpose
-    theory at ``(i, -j, l - Sj, k - Rj)``.
-    """
-    def fn(md):
-        j = md.e("Q")
-        return Multidegree(a=md.e("a"), Q=-j, tr=md.e("tc") - S * j,
-                           tc=md.e("tr") - R * j)
-
-    return p_tilde.map_exponents(fn)
-
-
 def check_mirror(p_tilde_lam: LaurentPoly, p_tilde_lamt: LaurentPoly,
                  R: int, S: int) -> bool:
-    """Both forms of the mirror relation between a color and its transpose."""
+    """Both forms of the mirror relation between a color and its transpose.
+
+    The plain form swaps the two homological gradings.  The composite form
+    swaps them after the self-symmetry of the ``R x S`` theory, so a
+    generator at ``(i, j, k, l)`` contributes to the transpose theory at
+    ``(i, -j, l - Sj, k - Rj)``.
+    """
     plain = mirror_swap(p_tilde_lam) == p_tilde_lamt
-    composite = mirror_composite_image(p_tilde_lam, R, S) == p_tilde_lamt
+    composite = mirror_swap(self_symmetry_image(p_tilde_lam, R, S)) == p_tilde_lamt
     return plain and composite
 
 
@@ -339,13 +330,18 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     Every cancellation ray then lies in one level of ``w = q + s*t``, and a
     denominator of nonnegative ``t``-degree has positive ``w``-degree (the
     regraded series rejects any other), so the series is expanded exactly
-    in ``w`` through ``cutoff + s*t_top``, with ``t_top`` the bound of
+    in ``w`` through ``top = e + s*t_top``, with ``t_top`` the bound of
     :func:`_t_top` on the ``t``-degree of every term of ``q``-degree at most
-    ``cutoff``.  That expansion holds every ray meeting the reported window,
-    each complete, and is cancelled in ``w`` along the image of ``diff``,
-    which fixes ``w``; only the survivors are mapped back to ``q``.
-    Ambiguous survivors sit at the early end of their rays, matching the
-    tabulated computations.  Returns ``(survivors, window)``.
+    ``e = cutoff - 2*den_margin``.  That expansion holds every term the
+    output reads, with its ray complete: the window is
+    ``e - n*max(0, -a_min)``, so a term of ``a``-degree ``a >= a_min``
+    lands in it under ``a -> q^n`` only if its ``q``-degree is at most
+    ``e``; then its ``t``-degree is at most ``t_top`` and its ``w``-degree
+    at most ``top``, and its ray lies in that one ``w``-level.  The
+    expansion is cancelled in ``w`` along the image of ``diff``, which fixes
+    ``w``; only the survivors are mapped back to ``q``.  Ambiguous survivors
+    sit at the early end of their rays, matching the tabulated
+    computations.  Returns ``(survivors, window)``.
     """
     tvar = "t" if diff.e("t") != 0 else "tc"
     step_q = diff._e("q")
@@ -358,10 +354,11 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
         return LaurentPoly.zero(), cutoff
     den_margin = max((int(md.e("q")) for md in series.denominators), default=0)
     a_min = int(num.min_degree("a")) if "a" in num.variables() else 0
-    window = cutoff - 2 * den_margin - n * max(0, -a_min)
+    edge = cutoff - 2 * den_margin
+    window = edge - n * max(0, -a_min)
     if window < 0:
         raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
-    top = cutoff + step_q * _t_top(series, tvar, cutoff)
+    top = edge + step_q * _t_top(series, tvar, edge)
     lift = Multidegree(q=step_q)
     regraded = RationalSeries(
         num.map_exponents(lambda md: md._shift(lift, md._e(tvar))),

@@ -25,7 +25,7 @@ import traceback
 
 from .laurent import LaurentPoly, RationalSeries
 from .partitions import Partition, catalan_count
-from .invariants import torus_homfly, unknot_homfly, unknot_super, hirota_check
+from .invariants import torus_homfly, unknot_homfly, unknot_super
 from .models import (
     DegreeCeilingError,
     macaulay_basis,
@@ -115,7 +115,7 @@ def cmd_homfly(args):
         if args.format == "text":
             shift = LaurentPoly.monomial(report.sign, report.monomial_shift)
             print(f"# normalization: sign*shift = {shift}; "
-                  f"checks = {report.checks}", file=sys.stderr)
+                  f"sl1 = {report.sl1}", file=sys.stderr)
     else:
         fr, report = torus_homfly(color, p, q, reduced=False)
         series = fr.expand(args.cutoff)
@@ -148,10 +148,6 @@ def cmd_check(args):
 
     if args.what == "all":
         results = suite.run_all(wanted)
-    elif args.what == "hirota":
-        results = [suite.CheckResult(f"hirota:{rs}", ok)
-                   for rs, ok in hirota_check(args.rmax, args.smax)
-                   if wanted(f"hirota:{rs}")]
     elif args.what in suite.CHECK_GROUPS:
         results = suite.run_group(args.what, wanted)
     else:
@@ -299,8 +295,6 @@ def build_parser():
     p = sub.add_parser("check", help="structural verification")
     p.add_argument("what", nargs="?", default="all")
     p.add_argument("--fixture", help="restrict to checks naming this fixture")
-    p.add_argument("--rmax", type=at_least(1), default=4)
-    p.add_argument("--smax", type=at_least(1), default=4)
     common(p)
     p.set_defaults(fn=cmd_check)
 

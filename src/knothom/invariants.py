@@ -104,10 +104,9 @@ class NormalizationReport:
     monomial_shift: Multidegree = field(default_factory=Multidegree)
     sign: int = 1
     fractional_offset: Fraction = Fraction(0)
-    checks: list = field(default_factory=list)
-
-    def passed(self, name):
-        return dict(self.checks).get(name)
+    #: whether the reduced quotient at ``a = q`` was a unit monomial, which
+    #: the shift and sign then made 1; always ``False`` for unreduced output
+    sl1: bool = False
 
 
 def _hook_multiset(mu: Partition) -> Counter:
@@ -247,11 +246,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
             quotient = sign * quotient.map_exponents(lambda d: d + shift)
             report.sign = sign
             report.monomial_shift = shift
-            report.checks.append(("sl1", True))
-        else:
-            report.checks.append(("sl1", False))
-    else:
-        report.checks.append(("sl1", False))
+            report.sl1 = True
     return quotient, report
 
 
@@ -323,15 +318,11 @@ def _align_lowest(p: LaurentPoly, target: LaurentPoly):
 def _rect_unknot_factors(R: int, S: int):
     """Balanced factor multisets of the ``R x S`` unknot product.
 
-    Numerator keys are contents ``j - i`` (factor ``a*q^k - a^-1*q^-k``),
-    denominator keys are hooks (factor ``q^h - q^-h``).
+    Numerator keys are contents (factor ``a*q^k - a^-1*q^-k``), denominator
+    keys are hooks (factor ``q^h - q^-h``).
     """
-    num, den = Counter(), Counter()
-    for i in range(1, R + 1):
-        for j in range(1, S + 1):
-            num[j - i] += 1
-            den[R + S - i - j + 1] += 1
-    return num, den
+    rect = Partition([S] * R)
+    return Counter(rect.content(c) for c in rect.cells()), _hook_multiset(rect)
 
 
 def _num_factor(k: int) -> LaurentPoly:
@@ -359,6 +350,19 @@ def _counter_ratio_poly(delta_num: Counter, delta_den: Counter):
     return N, D
 
 
+def _cross_ratio(up, down, base):
+    """``P_up * P_down / P_base^2`` as an expanded fraction ``(N, D)``, from
+    the ``(contents, hooks)`` multisets of :func:`_rect_unknot_factors`,
+    whose shared factors cancel before anything is multiplied out."""
+    deltas = []
+    for u, d, b in zip(up, down, base):
+        delta = u + d
+        delta.subtract(b)
+        delta.subtract(b)
+        deltas.append(delta)
+    return _counter_ratio_poly(*deltas)
+
+
 def hirota_check(Rmax: int, Smax: int):
     """Verify ``P^2 = P_up*P_down + P_left*P_right`` for unknot rectangle products.
 
@@ -370,25 +374,11 @@ def hirota_check(Rmax: int, Smax: int):
     results = []
     for R in range(1, Rmax + 1):
         for S in range(1, Smax + 1):
-            n0, d0 = _rect_unknot_factors(R, S)
-            nu, du = _rect_unknot_factors(R + 1, S)
-            nd, dd = _rect_unknot_factors(R - 1, S)
-            nl, dl = _rect_unknot_factors(R, S + 1)
-            nr, dr = _rect_unknot_factors(R, S - 1)
-            dn_x = Counter(nu) + Counter(nd)
-            dn_x.subtract(n0)
-            dn_x.subtract(n0)
-            dd_x = Counter(du) + Counter(dd)
-            dd_x.subtract(d0)
-            dd_x.subtract(d0)
-            dn_y = Counter(nl) + Counter(nr)
-            dn_y.subtract(n0)
-            dn_y.subtract(n0)
-            dd_y = Counter(dl) + Counter(dr)
-            dd_y.subtract(d0)
-            dd_y.subtract(d0)
-            NX, DX = _counter_ratio_poly(dn_x, dd_x)
-            NY, DY = _counter_ratio_poly(dn_y, dd_y)
+            base = _rect_unknot_factors(R, S)
+            NX, DX = _cross_ratio(_rect_unknot_factors(R + 1, S),
+                                  _rect_unknot_factors(R - 1, S), base)
+            NY, DY = _cross_ratio(_rect_unknot_factors(R, S + 1),
+                                  _rect_unknot_factors(R, S - 1), base)
             ok = NX * DY + NY * DX == DX * DY
             results.append(((R, S), ok))
     return results

@@ -559,7 +559,15 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant, zero included, equals its number, so it hashes as it
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1:
+            ((md, c),) = terms.items()
+            if md.is_zero():
+                return hash(c)
+        return hash(frozenset(terms.items()))
 
     # -- structural operations ----------------------------------------------
 

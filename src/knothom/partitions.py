@@ -38,9 +38,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def is_empty(self) -> bool:
-        return not self.parts
-
     def transpose(self) -> "Partition":
         if not self.parts:
             return Partition()
@@ -52,14 +49,6 @@ class Partition:
 
     def is_rectangle(self) -> bool:
         return len(set(self.parts)) <= 1
-
-    def rect_shape(self):
-        """``(rows, cols)`` for a rectangular diagram, else ``None``."""
-        if not self.parts:
-            return (0, 0)
-        if self.is_rectangle():
-            return (len(self.parts), self.parts[0])
-        return None
 
     def cells(self):
         for i, p in enumerate(self.parts, start=1):

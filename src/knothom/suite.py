@@ -1,18 +1,21 @@
 """The full structural verification suite, as named, independent checks.
 
-Every check returns ``CheckResult(name, ok, detail)``; :func:`run_all`
-executes the lot and reports them sorted by name so the output is canonical
-regardless of evaluation order.  Each group takes a predicate ``wanted`` on
-check names and computes only the checks whose names it accepts, so a
-selection such as ``knothom check all --fixture 3_1:S2`` costs only the
-checks it selects.
+Every check is one row of a table: its name and a thunk that computes it.
+A group returns its rows, in report order, without computing anything or
+loading any fixture.  A thunk returns ``ok``, ``(ok, detail)``, or ``None``
+when only its loaded fixture shows that the check does not apply.
+:func:`run_group` and :func:`run_all` alone select rows by name, with a
+predicate ``wanted``, and call the selected thunks, so a selection such as
+``knothom check all --fixture 3_1:S2`` costs only the checks it selects;
+:func:`run_all` reports them sorted by name, so the output is canonical
+regardless of evaluation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import gcd
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
@@ -68,171 +71,151 @@ class CheckResult:
                                           and not self.ok else "")
 
 
-def _result(name, ok, detail=""):
-    return CheckResult(name, bool(ok), detail)
-
-
-def _every(name) -> bool:
-    """The default selection: every check."""
-    return True
-
-
 # -- fixture-level checks -----------------------------------------------------------
 
 
-def check_fixture_dimensions(wanted=_every):
-    out = []
-    for name in HOMOLOGY_FIXTURES:
-        if not wanted(f"dimension:{name}"):
-            continue
-        fix = load_fixture(name)
-        ok = fix.poincare.dimension() == fix.dimension
-        out.append(_result(f"dimension:{name}", ok,
-                           f"{fix.poincare.dimension()} != {fix.dimension}"))
-    return out
+def _dimension(name):
+    fix = load_fixture(name)
+    return (fix.poincare.dimension() == fix.dimension,
+            f"{fix.poincare.dimension()} != {fix.dimension}")
 
 
-def check_categorification(wanted=_every):
-    out = []
+def _categorification(name):
     minus, one = LaurentPoly.const(-1), LaurentPoly.one()
-    for name in HOMOLOGY_FIXTURES:
-        if not wanted(f"categorification:{name}"):
-            continue
-        fix = load_fixture(name)
-        p = fix.standard()
-        if "tr" in fix.gradings:
-            lhs = p.substitute("tr", minus).substitute("tc", one)
-            rhs = p.substitute("tr", one).substitute("tc", minus)
-            ok = lhs == rhs
-            if fix.homfly is not None:
-                ok = ok and lhs == fix.homfly
-        else:
-            ok = fix.homfly is None or p.substitute("t", minus) == fix.homfly
-        out.append(_result(f"categorification:{name}", ok))
-    return out
+    fix = load_fixture(name)
+    p = fix.standard()
+    if "tr" in fix.gradings:
+        lhs = p.substitute("tr", minus).substitute("tc", one)
+        rhs = p.substitute("tr", one).substitute("tc", minus)
+        return lhs == rhs and (fix.homfly is None or lhs == fix.homfly)
+    return fix.homfly is None or p.substitute("t", minus) == fix.homfly
 
 
-def check_self_symmetries(wanted=_every):
-    out = []
-    for name in HOMOLOGY_FIXTURES:
-        if not wanted(f"self-symmetry:{name}"):
-            continue
-        fix = load_fixture(name)
-        if not (fix.is_rectangular() and fix.quadruple()):
-            continue
-        ok = check_self_symmetry(fix.tilde(), fix.R, fix.S)
-        out.append(_result(f"self-symmetry:{name}", ok))
-    return out
+def _self_symmetry(name):
+    fix = load_fixture(name)
+    if not (fix.is_rectangular() and fix.quadruple()):
+        return None
+    return check_self_symmetry(fix.tilde(), fix.R, fix.S)
 
 
-def check_mirrors(wanted=_every):
-    out = []
+def dimension_rows():
+    return {f"dimension:{n}": partial(_dimension, n) for n in HOMOLOGY_FIXTURES}
+
+
+def categorification_rows():
+    return {f"categorification:{n}": partial(_categorification, n)
+            for n in HOMOLOGY_FIXTURES}
+
+
+def self_symmetry_rows():
+    return {f"self-symmetry:{n}": partial(_self_symmetry, n)
+            for n in HOMOLOGY_FIXTURES}
+
+
+def _mirror(a, b):
+    fa, fb = load_fixture(a), load_fixture(b)
+    return check_mirror(fa.tilde(), fb.tilde(), fa.R, fa.S)
+
+
+def _mirror_hook():
+    p = load_fixture("3_1:2_1").standard()
+    return p.map_exponents(lambda md: Multidegree(
+        a=md.e("a"), q=-md.e("q"), t=md.e("t") - md.e("q"))) == p
+
+
+def mirror_rows():
     pairs = [("3_1:S2", "3_1:L2"), ("3_1:2x2", "3_1:2x2"),
              ("3_1:1", "3_1:1"), ("4_1:1", "4_1:1"), ("T3_4:1", "T3_4:1")]
-    for a, b in pairs:
-        if not wanted(f"mirror:{a}~{b}"):
-            continue
-        fa, fb = load_fixture(a), load_fixture(b)
-        ok = check_mirror(fa.tilde(), fb.tilde(), fa.R, fa.S)
-        out.append(_result(f"mirror:{a}~{b}", ok))
-    if wanted("mirror:3_1:2_1"):
-        p = load_fixture("3_1:2_1").standard()
-        image = p.map_exponents(lambda md: Multidegree(
-            a=md.e("a"), q=-md.e("q"), t=md.e("t") - md.e("q")))
-        out.append(_result("mirror:3_1:2_1", image == p))
-    return out
+    rows = {f"mirror:{a}~{b}": partial(_mirror, a, b) for a, b in pairs}
+    rows["mirror:3_1:2_1"] = _mirror_hook
+    return rows
 
 
-def check_deltas(wanted=_every):
-    out = []
-    for name, r, thin in [("3_1:S2", 2, True), ("4_1:S2", 2, True),
-                          ("T3_4:S2", 2, False), ("3_1:1", 1, True),
-                          ("4_1:1", 1, True)]:
-        if not wanted(f"delta:{name}"):
-            continue
-        fix = load_fixture(name)
-        ok, deltas = check_delta_thin(fix.standard(), r, fix.sigma)
-        got = ok if thin else (not ok)
-        detail = f"deltas {deltas}" if not got else ""
-        out.append(_result(f"delta:{name}", got, detail))
-    return out
+def _delta(name, r, thin):
+    fix = load_fixture(name)
+    ok, deltas = check_delta_thin(fix.standard(), r, fix.sigma)
+    got = ok if thin else (not ok)
+    return got, (f"deltas {deltas}" if not got else "")
 
 
-def check_growths(wanted=_every):
-    out = []
-    cases = [
-        ("3_1:S2", "3_1:1", 2, "tr"),
-        ("4_1:S2", "4_1:1", 2, "tr"),
-        ("T3_4:S2", "T3_4:1", 2, "tr"),
-        ("3_1:2x2", "3_1:L2", 2, "tr"),
-    ]
-    for name, base, exponent, side in cases:
-        if not wanted(f"growth:{name}"):
-            continue
-        fix, bfix = load_fixture(name), load_fixture(base)
-        ok = check_growth(fix.tilde(), bfix.tilde(), exponent, side)
-        out.append(_result(f"growth:{name}", ok))
-    return out
+def delta_rows():
+    return {f"delta:{name}": partial(_delta, name, r, thin)
+            for name, r, thin in [("3_1:S2", 2, True), ("4_1:S2", 2, True),
+                                  ("T3_4:S2", 2, False), ("3_1:1", 1, True),
+                                  ("4_1:1", 1, True)]}
 
 
-def check_fixture_differentials(wanted=_every):
-    out = []
-    for fname, diffs in DIFFERENTIALS.items():
-        diffs = [d for d in diffs if wanted(f"differential:{fname}:{d[0]}")]
-        if not diffs:
-            continue
-        fix = load_fixture(fname)
-        source = fix.standard()
-        for (label, kind, param, target_name, project) in diffs:
-            spec = DifferentialSpec.colored(
-                kind, fix.R, fix.S, param or 0, fix.sigma, name=label)
-            printed = PRINTED_DEGREES.get((fname, label))
-            if printed is not None:
-                want = Multidegree(printed)
-                got = Multidegree({v: spec.degree.e(v) for v in printed})
-                if want != got:
-                    out.append(_result(
-                        f"differential:{fname}:{label}", False,
-                        f"degree {got!r} != printed {want!r}"))
-                    continue
-            if target_name is None:
-                target = LaurentPoly.one()
-            else:
-                target = load_fixture(target_name).standard()
-            ok, _ = check_differential(source, target, spec, project=project)
-            surv = PRINTED_SURVIVORS.get((fname, label))
-            if ok and surv is not None:
-                image = spec.regrade(Multidegree())
-                want = Multidegree(surv)
-                ok = all(image.e(v) == want.e(v) for v in surv)
-            out.append(_result(f"differential:{fname}:{label}", ok))
-    return out
+def _growth(name, base, exponent, side):
+    fix, bfix = load_fixture(name), load_fixture(base)
+    return check_growth(fix.tilde(), bfix.tilde(), exponent, side)
 
 
-def check_hfk(wanted=_every):
-    out = []
-    degree = Multidegree(a=-2, Q=0, tr=-3, tc=-5)
-    if wanted("hfk-growth:T3_4:S2"):
-        t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
-        d11 = load_fixture("T3_4:1:d1|1").standard()
-        d11 = d11.map_exponents(
-            lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
-        ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, degree)
-        out.append(_result("hfk-growth:T3_4:S2", ok and survivors == d12.poincare))
-    if wanted("differential:T3_4:S2:d1|2"):
-        t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
-        ok, _ = check_differential(t34.tilde(), d12.tilde(),
-                                   DifferentialSpec("d1|2", degree))
-        out.append(_result("differential:T3_4:S2:d1|2", ok))
-    return out
+def growth_rows():
+    return {f"growth:{name}": partial(_growth, name, base, exponent, side)
+            for name, base, exponent, side in [
+                ("3_1:S2", "3_1:1", 2, "tr"),
+                ("4_1:S2", "4_1:1", 2, "tr"),
+                ("T3_4:S2", "T3_4:1", 2, "tr"),
+                ("3_1:2x2", "3_1:L2", 2, "tr"),
+            ]}
+
+
+def _differential(standard, fname, label, kind, param, target_name, project):
+    fix = load_fixture(fname)
+    spec = DifferentialSpec.colored(kind, fix.R, fix.S, param or 0, fix.sigma,
+                                    name=label)
+    printed = PRINTED_DEGREES.get((fname, label))
+    if printed is not None:
+        want = Multidegree(printed)
+        got = Multidegree({v: spec.degree.e(v) for v in printed})
+        if want != got:
+            return False, f"degree {got!r} != printed {want!r}"
+    target = LaurentPoly.one() if target_name is None else standard(target_name)
+    ok, _ = check_differential(standard(fname), target, spec, project=project)
+    surv = PRINTED_SURVIVORS.get((fname, label))
+    if ok and surv is not None:
+        image = spec.regrade(Multidegree())
+        want = Multidegree(surv)
+        ok = all(image.e(v) == want.e(v) for v in surv)
+    return ok
+
+
+def differential_rows():
+    # each fixture's standard form serves all its differentials: computed
+    # once, when wanted
+    standard = cache(lambda name: load_fixture(name).standard())
+    return {f"differential:{fname}:{d[0]}": partial(_differential, standard, fname, *d)
+            for fname, diffs in DIFFERENTIALS.items() for d in diffs}
+
+
+HFK_DEGREE = Multidegree(a=-2, Q=0, tr=-3, tc=-5)
+
+
+def _hfk_growth():
+    t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
+    d11 = load_fixture("T3_4:1:d1|1").standard()
+    d11 = d11.map_exponents(
+        lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
+    ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, HFK_DEGREE)
+    return ok and survivors == d12.poincare
+
+
+def _hfk_differential():
+    t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
+    ok, _ = check_differential(t34.tilde(), d12.tilde(),
+                               DifferentialSpec("d1|2", HFK_DEGREE))
+    return ok
+
+
+def hfk_rows():
+    return {"hfk-growth:T3_4:S2": _hfk_growth,
+            "differential:T3_4:S2:d1|2": _hfk_differential}
 
 
 # -- invariant-level checks ---------------------------------------------------------
 
 
-def check_hook_macdonald(wanted=_every):
-    if not wanted("hook-macdonald"):
-        return []
+def _hook_macdonald():
     ok = True
     for n in range(1, 7):
         for parts in partitions_of(n):
@@ -248,7 +231,11 @@ def check_hook_macdonald(wanted=_every):
     ok = ok and s1.denominator() == parse_poly("1 - q^2")
     ok = ok and s2.numerator == parse_poly("(1 + a^2*t)*(1 + a^2*q^2*t^3)")
     ok = ok and s2.denominator() == parse_poly("(1 - q^2)*(1 - q^4*t^2)")
-    return [_result("hook-macdonald", ok)]
+    return ok
+
+
+def hook_macdonald_rows():
+    return {"hook-macdonald": _hook_macdonald}
 
 
 ROSSO_JONES_CASES = [
@@ -274,73 +261,52 @@ def _halved_homfly(fix) -> LaurentPoly:
     return spec.map_exponents(halve)
 
 
-def check_rosso_jones(wanted=_every):
-    out = []
-    for fname, color, n, m in ROSSO_JONES_CASES:
-        if not wanted(f"rosso-jones:{fname}"):
-            continue
-        p, report = torus_homfly(color, n, m)
-        target = _halved_homfly(load_fixture(fname))
-        shift = match_up_to_monomial(p, target)
-        ok = shift is not None
-        if len(color) == 1:
-            # single-row colors exist over sl(1), so the canonical form is
-            # pinned by P(a=q, q) = 1 there
-            ok = ok and bool(report.passed("sl1"))
-        detail = "" if ok else "no monomial match"
-        out.append(_result(f"rosso-jones:{fname}", ok, detail))
-    return out
+def _rosso_jones(fname, color, n, m):
+    p, report = torus_homfly(color, n, m)
+    target = _halved_homfly(load_fixture(fname))
+    ok = match_up_to_monomial(p, target) is not None
+    if len(color) == 1:
+        # single-row colors exist over sl(1), so the canonical form is
+        # pinned by P(a=q, q) = 1 there
+        ok = ok and report.sl1
+    return ok, ("" if ok else "no monomial match")
 
 
-def check_stable_limits(wanted=_every):
-    if not wanted("stable-limit:T(2,m)"):
-        return []
+def rosso_jones_rows():
+    return {f"rosso-jones:{case[0]}": partial(_rosso_jones, *case)
+            for case in ROSSO_JONES_CASES}
+
+
+def _stable_limit():
     rep = stable_limit_check([1], 2, [5, 7, 9], order=10)
     orders = [r["agreement_order"] for r in rep["rows"]]
     ok = rep["nondecreasing"] and all(
         o >= m - 2 for o, m in zip(orders, [5, 7, 9]))
-    return [_result("stable-limit:T(2,m)", ok, f"orders {orders}")]
+    return ok, f"orders {orders}"
 
 
-def check_hirota(wanted=_every):
-    if not wanted("hirota:unknot"):
-        return []
-    results = hirota_check(4, 4)
-    bad = [rs for rs, ok in results if not ok]
-    return [_result("hirota:unknot", not bad, f"failed at {bad}")]
+def _hirota():
+    bad = [rs for rs, ok in hirota_check(4, 4) if not ok]
+    return not bad, f"failed at {bad}"
+
+
+def stable_rows():
+    return {"stable-limit:T(2,m)": _stable_limit}
+
+
+def hirota_rows():
+    return {"hirota:unknot": _hirota}
 
 
 # -- scheme and potential checks ------------------------------------------------------
 
 
-def check_schemes(wanted=_every):
-    out = []
-    # the M(2,3,2) basis serves three checks: computed once, when wanted
-    basis = cache(lambda p, q, r: macaulay_basis(scheme_presentation(p, q, r)))
-    for p, q, r, dim in ((2, 3, 1, 3), (2, 3, 2, 9), (2, 3, 3, 27)):
-        if wanted(f"scheme-dim:M({p},{q},{r})"):
-            mb = basis(p, q, r)
-            out.append(_result(f"scheme-dim:M({p},{q},{r})",
-                               mb.dimension() == dim, f"dim {mb.dimension()}"))
-    if wanted("scheme-basis:M(2,3,2)"):
-        names = set(basis(2, 3, 2).monomial_names())
-        out.append(_result(
-            "scheme-basis:M(2,3,2)",
-            names == {"1", "u3", "u4", "u3^2", "du3", "du4",
-                      "u3*du3", "u3*du4", "du3*du4"}))
-    if wanted("scheme-poincare:M(2,3,2)"):
-        printed = parse_poly(
-            "1 + q^6*tr^2 + q^8*tr^2 + q^12*tr^4 + a^2*q^4*tr^3 + a^2*q^6*tr^3"
-            " + a^2*q^10*tr^5 + a^2*q^12*tr^5 + a^4*q^10*tr^6")
-        out.append(_result("scheme-poincare:M(2,3,2)",
-                           basis(2, 3, 2).poincare(("a", "q", "tr")) == printed))
-    for p, q, r, dim in ((3, 4, 1, 11), (3, 4, 2, 121)):
-        if wanted(f"scheme-dim:M({p},{q},{r})"):
-            mb = basis(p, q, r)
-            out.append(_result(f"scheme-dim:M({p},{q},{r})",
-                               mb.dimension() == dim, f"dim {mb.dimension()}"))
-    if not wanted("scheme-bottom:M(3,4,2)"):
-        return out
+def _scheme_dim(basis, p, q, r, dim):
+    mb = basis(p, q, r)
+    return mb.dimension() == dim, f"dim {mb.dimension()}"
+
+
+def _scheme_bottom():
     bottom = macaulay_basis(scheme_presentation(3, 4, 2, with_forms=False))
     paper25 = {
         "1", "u3", "u3^2", "u3^3", "u3^4", "u3^5", "u3^6",
@@ -349,16 +315,34 @@ def check_schemes(wanted=_every):
         "u6", "u3*u6", "u3^2*u6", "u3^3*u6",
         "u4^2", "u3*u4^2", "u3^2*u4^2", "u5^2", "u4^3",
     }
-    out.append(_result("scheme-bottom:M(3,4,2)",
-                       set(bottom.monomial_names()) == paper25))
-    return out
+    return set(bottom.monomial_names()) == paper25
 
 
-def check_potentials(wanted=_every):
-    out = []
+def scheme_rows():
+    # the M(2,3,2) basis serves three checks: computed once, when wanted
+    basis = cache(lambda p, q, r: macaulay_basis(scheme_presentation(p, q, r)))
+
+    def dims(*cases):
+        return {f"scheme-dim:M({p},{q},{r})": partial(_scheme_dim, basis, p, q, r, dim)
+                for p, q, r, dim in cases}
+
+    return {
+        **dims((2, 3, 1, 3), (2, 3, 2, 9), (2, 3, 3, 27)),
+        "scheme-basis:M(2,3,2)": lambda: set(basis(2, 3, 2).monomial_names()) == {
+            "1", "u3", "u4", "u3^2", "du3", "du4", "u3*du3", "u3*du4", "du3*du4"},
+        "scheme-poincare:M(2,3,2)": lambda: basis(2, 3, 2).poincare(
+            ("a", "q", "tr")) == parse_poly(
+            "1 + q^6*tr^2 + q^8*tr^2 + q^12*tr^4 + a^2*q^4*tr^3 + a^2*q^6*tr^3"
+            " + a^2*q^10*tr^5 + a^2*q^12*tr^5 + a^4*q^10*tr^6"),
+        **dims((3, 4, 1, 11), (3, 4, 2, 121)),
+        "scheme-bottom:M(3,4,2)": _scheme_bottom,
+    }
+
+
+def potential_rows():
     w = cache(lambda k: potential_antisym(k, 3).body)
     zero = LaurentPoly.zero()
-    checks = {
+    return {
         "potential:L1,3": lambda: w(1) == parse_poly("-u1^4")/4,
         "potential:L2,3": lambda: w(2) == parse_poly("-u1^4")/4
         + parse_poly("u1^2*u2") - parse_poly("u2^2")/2,
@@ -380,10 +364,6 @@ def check_potentials(wanted=_every):
             potential_antisym(2, 3), 2).body == parse_poly(
             "-u1_1^3*u1_2 + u1_1^2*u2_2 + 2*u1_1*u1_2*u2_1 - u2_1*u2_2"),
     }
-    for name, ok in checks.items():
-        if wanted(name):
-            out.append(_result(name, ok()))
-    return out
 
 
 def _derivative_ideals():
@@ -402,38 +382,41 @@ def _derivative_ideals():
 # -- counting and bottom row ----------------------------------------------------------
 
 
-def check_counting(wanted=_every):
-    out = []
-    if wanted("counting:fixture-rows"):
-        ok = True
-        for name, (p, q), amin in [("3_1:1", (2, 3), 2), ("T3_4:1", (3, 4), 6)]:
-            fixpoly = load_fixture(name).standard()
-            for k in range(0, p):
-                row = fixpoly.coefficient_of("a", amin + 2 * k)
-                ok = ok and row.dimension() == row_count(p, q, k)
-        out.append(_result("counting:fixture-rows", ok))
-    if wanted("counting:bottom-dimensions"):
-        ok = all(
+def _fixture_rows():
+    ok = True
+    for name, (p, q), amin in [("3_1:1", (2, 3), 2), ("T3_4:1", (3, 4), 6)]:
+        fixpoly = load_fixture(name).standard()
+        for k in range(0, p):
+            row = fixpoly.coefficient_of("a", amin + 2 * k)
+            ok = ok and row.dimension() == row_count(p, q, k)
+    return ok
+
+
+def counting_rows():
+    return {
+        "counting:fixture-rows": _fixture_rows,
+        "counting:bottom-dimensions": lambda: all(
             bottom_poincare(p, q, r).dimension() == catalan_count(p, q) ** r
             for p in range(1, 6) for q in range(1, 6) for r in (1, 2, 3)
-            if gcd(p, q) == 1)
-        out.append(_result("counting:bottom-dimensions", ok))
-    return out
+            if gcd(p, q) == 1),
+    }
 
 
-def check_vortex(wanted=_every):
-    out = []
-    if wanted("vortex:S2-trefoil"):
-        v12 = vortex_character(1, 2)
-        printed = parse_poly("q^-2*(1 + q^3*t^2 + q^4*t^2 + q^6*t^4)")
-        ok = (v12.numerator == printed
-              and list(v12.denominators) == [Multidegree(q=1), Multidegree(q=2)])
-        out.append(_result("vortex:S2-trefoil", ok))
-    if wanted("vortex:trefoil-recursion"):
-        rec = trefoil_recursion_check(6)
-        bad = [m for m, ok_m, _ in rec if not ok_m]
-        out.append(_result("vortex:trefoil-recursion", not bad, f"failed {bad}"))
-    return out
+def _vortex_trefoil():
+    v12 = vortex_character(1, 2)
+    printed = parse_poly("q^-2*(1 + q^3*t^2 + q^4*t^2 + q^6*t^4)")
+    return (v12.numerator == printed
+            and list(v12.denominators) == [Multidegree(q=1), Multidegree(q=2)])
+
+
+def _trefoil_recursion():
+    bad = [m for m, ok_m, _ in trefoil_recursion_check(6) if not ok_m]
+    return not bad, f"failed {bad}"
+
+
+def vortex_rows():
+    return {"vortex:S2-trefoil": _vortex_trefoil,
+            "vortex:trefoil-recursion": _trefoil_recursion}
 
 
 # -- rank-collapse cancellation --------------------------------------------------------
@@ -480,58 +463,67 @@ def _sl2_expected(key, window):
 SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 
-def check_sl2(wanted=_every):
-    out = []
-    for key in SL2_TARGETS:
-        if not wanted(f"sl2:{key}"):
-            continue
-        lam = [1] if key.endswith(":1") else [2]
-        survivors, window = rank_collapse(key, lam, 2, cutoff=30)
-        expected = _sl2_expected(key, window)
-        if key == "4_1:S2":
-            gap = survivors - expected
-            ok = (window >= 10
-                  and gap.truncate("q", 9).is_zero()
-                  and gap == parse_poly(SL2_41S2_KNOWN_GAP))
-            out.append(_result(f"sl2:{key}", ok,
-                               "known tabulation defect beyond q^9"))
-            continue
-        ok = survivors == expected
-        out.append(_result(f"sl2:{key}", ok, f"window {window}"))
-    return out
+def _sl2(key):
+    lam = [1] if key.endswith(":1") else [2]
+    survivors, window = rank_collapse(key, lam, 2, cutoff=30)
+    expected = _sl2_expected(key, window)
+    if key == "4_1:S2":
+        gap = survivors - expected
+        ok = (window >= 10
+              and gap.truncate("q", 9).is_zero()
+              and gap == parse_poly(SL2_41S2_KNOWN_GAP))
+        return ok, "known tabulation defect beyond q^9"
+    return survivors == expected, f"window {window}"
+
+
+def sl2_rows():
+    return {f"sl2:{key}": partial(_sl2, key) for key in SL2_TARGETS}
 
 
 # -- driver -------------------------------------------------------------------------
 
 CHECK_GROUPS = {
-    "dimensions": check_fixture_dimensions,
-    "categorification": check_categorification,
-    "self-symmetry": check_self_symmetries,
-    "mirror": check_mirrors,
-    "delta": check_deltas,
-    "growth": check_growths,
-    "differentials": check_fixture_differentials,
-    "hfk": check_hfk,
-    "hook-macdonald": check_hook_macdonald,
-    "rosso-jones": check_rosso_jones,
-    "stable": check_stable_limits,
-    "hirota": check_hirota,
-    "schemes": check_schemes,
-    "potentials": check_potentials,
-    "counting": check_counting,
-    "vortex": check_vortex,
-    "sl2": check_sl2,
+    "dimensions": dimension_rows,
+    "categorification": categorification_rows,
+    "self-symmetry": self_symmetry_rows,
+    "mirror": mirror_rows,
+    "delta": delta_rows,
+    "growth": growth_rows,
+    "differentials": differential_rows,
+    "hfk": hfk_rows,
+    "hook-macdonald": hook_macdonald_rows,
+    "rosso-jones": rosso_jones_rows,
+    "stable": stable_rows,
+    "hirota": hirota_rows,
+    "schemes": scheme_rows,
+    "potentials": potential_rows,
+    "counting": counting_rows,
+    "vortex": vortex_rows,
+    "sl2": sl2_rows,
 }
 
 
+def _every(name) -> bool:
+    """The default selection: every check."""
+    return True
+
+
 def run_group(name, wanted=_every):
-    """The checks of one group whose names ``wanted`` accepts, in group order."""
-    return CHECK_GROUPS[name](wanted)
+    """The checks of one group whose names ``wanted`` accepts, in group
+    order; a check whose thunk finds it not applicable is left out."""
+    results = []
+    for check, thunk in CHECK_GROUPS[name]().items():
+        if not wanted(check):
+            continue
+        outcome = thunk()
+        if outcome is None:
+            continue
+        ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
+        results.append(CheckResult(check, bool(ok), detail))
+    return results
 
 
 def run_all(wanted=_every):
     """The checks of every group whose names ``wanted`` accepts, by name."""
-    results = []
-    for fn in CHECK_GROUPS.values():
-        results.extend(fn(wanted))
+    results = [r for name in CHECK_GROUPS for r in run_group(name, wanted)]
     return sorted(results, key=lambda r: r.name)

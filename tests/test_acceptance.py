@@ -7,10 +7,9 @@ defect (see the strict xfail at the bottom and the decisions ledger).
 
 import pytest
 
-from knothom import suite
 from knothom.laurent import parse_poly
 from knothom.checks import rank_collapse
-from knothom.suite import SL2_41S2_KNOWN_GAP, _sl2_expected
+from knothom.suite import SL2_41S2_KNOWN_GAP, _sl2_expected, run_group
 
 
 def _require(results, label):
@@ -24,57 +23,53 @@ def _require(results, label):
 def test_criterion_1_hook_macdonald():
     # unknot_homfly == macdonald evaluation at q=t for |lambda| <= 6;
     # superpolynomial products for (1) and (2) exactly
-    _require(suite.check_hook_macdonald(), "1 (hook/macdonald)")
+    _require(run_group("hook-macdonald"), "1 (hook/macdonald)")
 
 
 def test_criterion_2_rosso_jones():
     # reduced torus invariants match the fixture specializations up to a
     # single monomial, for the five trefoil colors and T(3,4) S^2
-    _require(suite.check_rosso_jones(), "2 (rosso-jones)")
+    _require(run_group("rosso-jones"), "2 (rosso-jones)")
 
 
 def test_criterion_3_fixture_structure():
-    results = (suite.check_categorification()
-               + suite.check_fixture_dimensions()
-               + suite.check_self_symmetries()
-               + suite.check_mirrors()
-               + suite.check_deltas()
-               + suite.check_growths()
-               + suite.check_fixture_differentials()
-               + suite.check_hfk())
+    results = [r for group in ("categorification", "dimensions", "self-symmetry",
+                               "mirror", "delta", "growth", "differentials", "hfk")
+               for r in run_group(group)]
     _require(results, "3 (fixture structural suite)")
 
 
 def test_criterion_4_scheme_bases():
-    _require(suite.check_schemes(), "4 (scheme bases)")
+    _require(run_group("schemes"), "4 (scheme bases)")
 
 
 def test_criterion_5_counting():
-    _require(suite.check_counting(), "5 (counting)")
+    _require(run_group("counting"), "5 (counting)")
 
 
 def test_criterion_6_potentials():
-    _require(suite.check_potentials(), "6 (potentials)")
+    _require(run_group("potentials"), "6 (potentials)")
 
 
 def test_criterion_7_sl2_cancellation():
     # five of the six tabulated rank-2 results reproduce exactly; the
     # figure-eight S^2 table is provably inconsistent with its own input
     # (see ledger) and is pinned through q^9 plus the frozen discrepancy
-    results = suite.check_sl2()
+    results = run_group("sl2")
     _require(results, "7 (sl(2) cancellation; 4_1:S2 pinned, see ledger)")
 
 
 def test_criterion_8_stable_limit():
-    _require(suite.check_stable_limits(), "8 (stable limit)")
+    _require(run_group("stable"), "8 (stable limit)")
 
 
 def test_criterion_9_hirota():
-    _require(suite.check_hirota(), "9 (hirota)")
+    _require(run_group("hirota"), "9 (hirota)")
 
 
 def test_criterion_10_vortex_bottom():
-    results = suite.check_vortex() + suite.check_counting()[1:]
+    results = (run_group("vortex")
+               + run_group("counting", lambda name: name == "counting:bottom-dimensions"))
     _require(results, "10 (vortex/bottom)")
 
 

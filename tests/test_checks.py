@@ -247,6 +247,18 @@ def test_rank_collapse_is_the_cancel_pipeline(capsys):
     assert LaurentPoly.from_json(json.loads(capsys.readouterr().out)) == got[0]
 
 
+def test_sl_cancel_expands_through_the_window_edge():
+    """The last term the window reads, ``a^-2 q^6 t^3``, has ``q``-degree
+    ``e = cutoff - 2*den_margin = 6``, ``t``-degree ``t_top(e) = 3`` and so
+    ``w``-degree ``e + 4*t_top = 18``: an expansion one short of that drops
+    it."""
+    series = RationalSeries(P("a^-2"), (Multidegree(q=2, t=1),), "q", 30)
+    diff = Multidegree(a=-2, q=4, t=-1)
+    got = sl_cancel(series, diff, 2, cutoff=10)
+    assert got == (P("q^-4 + q^-2*t + t^2 + q^2*t^3"), 2)
+    assert got == _reference_sl_cancel(series, diff, 2, 10)
+
+
 def test_sl_cancel_needs_decreasing_t():
     series = RationalSeries(P("1"), (), "q", 10)
     for diff in (Multidegree(a=-2, q=4, t=1), Multidegree(a=-2, q=4, t=-2),

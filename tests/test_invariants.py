@@ -126,7 +126,7 @@ TREFOIL_L2 = P("a^2*(q^-4 + q^-2 + q^-1 + q^2)"
 
 def test_torus_homfly_trefoil_fundamental():
     p, report = torus_homfly([1], 2, 3)
-    assert report.passed("sl1")
+    assert report.sl1
     assert match_up_to_monomial(p, TREFOIL_FUND) is not None
     assert p.substitute("a", LaurentPoly.var("q")) == LaurentPoly.one()
 

@@ -35,6 +35,16 @@ def test_multidegree_extensional_equality():
             Multidegree({var: Fraction(1, 2)})
 
 
+@pytest.mark.parametrize("c", [0, 3, -1, Fraction(1, 2)])
+def test_constant_hashes_as_its_number(c):
+    """A constant equals its number, so the two hash alike and find each
+    other in a set or as a dictionary key."""
+    const = LaurentPoly.const(c)
+    assert const == c and hash(const) == hash(c)
+    assert c in {const} and const in {c}
+    assert hash(P("q")) == hash(P("q")) and P("q") != P("1")
+
+
 def test_parse_and_str_roundtrip():
     p = P("a^4*(q^-4 + q^2*tr^2*tc^4) - 3*q^2 + 1")
     assert p.coefficient_of("a", 4) == P("q^-4 + q^2*tr^2*tc^4")
