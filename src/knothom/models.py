@@ -87,11 +87,22 @@ class GradedPresentation:
         return out
 
     def poly_degree(self, p: LaurentPoly, grading_var=None):
-        """The common grading of a homogeneous polynomial; None if mixed."""
+        """The common grading of a homogeneous polynomial; None if mixed.
+
+        With ``grading_var`` it is that one grading, the sum of exponent
+        times generator degree over each term; without, the full
+        :meth:`monomial_degree`.
+        """
+        if grading_var:
+            slot = {g.name: g.degree._e(grading_var) for g in self.generators}
+
+            def degree(md):
+                return sum(e * slot[v] for v, e in md.items())
+        else:
+            degree = self.monomial_degree
         seen = None
         for md in p.terms:
-            d = self.monomial_degree(md)
-            d = d.e(grading_var) if grading_var else d
+            d = degree(md)
             if seen is None:
                 seen = d
             elif seen != d:
@@ -417,7 +428,7 @@ def _primitive(row):
     return out
 
 
-def _row_reduce(rows, columns):
+def _row_reduce(rows, columns, zeros=None):
     """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
     Columns are ``int`` keys whose integer order is the elimination order
@@ -430,11 +441,14 @@ def _row_reduce(rows, columns):
     the rank reaches ``len(columns)``.  A row is reduced by
     ``r <- (b/g)*r - (a/g)*basis_row``, ``a`` and ``b`` the two entries in
     the pivot column and ``g = gcd(a, b)``; basis rows are stored primitive
-    with a positive pivot entry, so ``b/g`` is never ``-1``.
+    with a positive pivot entry, so ``b/g`` is never ``-1``.  If ``zeros``
+    is a list, the read position (from 0) of each row that reduced to zero,
+    an empty row included, is appended to it: such a row lies in the span
+    of the rows read before it.
     """
     full = len(columns)
     basis = {}  # pivot key -> (pivot entry, rest of the primitive row)
-    for row in rows:
+    for n, row in enumerate(rows):
         if not row.keys() <= columns:
             raise ArithmeticError(
                 f"row touches columns {sorted(row.keys() - columns)} outside the block")
@@ -443,9 +457,11 @@ def _row_reduce(rows, columns):
             p = min(r)
             pivot = basis.get(p)
             if pivot is None:
-                r = _primitive(r)
+                g = gcd(*r.values())
                 if r[p] < 0:
-                    r = {c: -v for c, v in r.items()}
+                    g = -g
+                if g != 1:
+                    r = {c: v // g for c, v in r.items()}
                 basis[p] = (r.pop(p), r)
                 break
             b, rest = pivot
@@ -460,6 +476,9 @@ def _row_reduce(rows, columns):
                     r[c] = nv
                 else:
                     del r[c]
+        else:
+            if zeros is not None:
+                zeros.append(n)
         if len(basis) == full:
             break
     return len(basis), set(basis)
@@ -651,14 +670,38 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     Every monomial of positive q-degree has a step divisor, and the premise
     is checked: a survivor that is not a candidate raises
     :class:`ArithmeticError`.
+
+    No row is built that is an even generator's multiple of a row that
+    reduced to zero, or of one not built (the syzygy criterion of F5).
+    Such a row is recorded by its template and the key offset of its even
+    monomial.  This keeps every pivot:
+
+    - a block's rows are read in template order, and a template's rows in
+      ``even_offsets`` order, descending lexicographic in the exponents;
+      multiplying by an even monomial keeps both orders;
+    - a row that reduces to zero lies in the span of the rows read before
+      it in its block, so its product with an even generator ``u`` lies in
+      the span of the rows before that product in the block of degree
+      ``+ deg u``;
+    - by induction over the read order, a row not built lies in the span
+      of the rows built before it, so no block's span changes, and the
+      pivots, the survivors and the candidate check are as if every row
+      were built.
+
+    Odd multiples are not recorded.  A multiple is recorded only up to the
+    ceiling, the key space's ``reach``: beyond it a digit of the key can
+    leave its radix, and the offset then names a different monomial.
     """
     space = _KeySpace(pres, ceiling)
-    # per odd count k: (q-degree, key of du_S, signed packed terms) of each
-    # relation times each odd subset S; a form hitting a factor of S
-    # vanishes, and one moved past the factors before it changes sign
+    # per odd count k: (q-degree, key of du_S, signed packed terms, the even
+    # key offsets of its rows not to build) of each relation times each odd
+    # subset S; a form hitting a factor of S vanishes, and one moved past
+    # the factors before it changes sign.  A zero relation spans nothing.
     templates = [[] for _ in space.odd_subsets]
     for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
+            if rel.is_zero():
+                continue
             d = pres.poly_degree(rel, "q")
             if d is None:
                 raise ArithmeticError("inhomogeneous relation")
@@ -667,7 +710,7 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
                 templates[k] += [
                     (int(d) + od, space.origin - mask,
                      [(t, space.sign(mask, bit) * c) for t, bit, c in terms
-                      if not bit & mask])
+                      if not bit & mask], set())
                     for mask, od in space.odd_subsets[k - n_odd]]
     window = max((int(g.q_degree()) for g in pres.generators), default=0)
     even_offsets = space.even_offsets
@@ -677,10 +720,23 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
              + [(-space.odd_bit[o], d, 1, o) for o, d in odd_deg.items() if d >= 0])
     # (degree, k) -> {key: step divisors whose quotient is not yet standard}
     unmet = {}
+    even_steps = [(shift, d) for shift, d, dk, _ in steps if not dk]
 
-    def rows(degree, k):
-        for dg, odd_key, terms in templates[k]:
+    def skip_multiples(skip, offset, degree):
+        """Mark the row at ``offset`` of ``skip``'s template times each even
+        generator, up to the ceiling, as not to build."""
+        skip.update(offset + w for w, d in even_steps if degree + d <= ceiling)
+
+    def rows(degree, k, read):
+        """The rows of block ``(degree, k)`` to build, in read order; ``read``
+        gets the template's ``skip`` set and the offset of each."""
+        for dg, odd_key, terms, skip in templates[k]:
             for offset in even_offsets(degree - dg):
+                if offset in skip:
+                    skip.remove(offset)
+                    skip_multiples(skip, offset, degree)
+                    continue
+                read.append((skip, offset))
                 base = odd_key + offset
                 yield {base + t: c for t, c in terms}
 
@@ -697,7 +753,10 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
             block = space.block(degree, k)
             if not block:
                 continue
-            _, pivots = _row_reduce(rows(degree, k), set(block))
+            read, zeros = [], []
+            _, pivots = _row_reduce(rows(degree, k, read), set(block), zeros)
+            for n in zeros:
+                skip_multiples(*read[n], degree)
             survivors = [c for c in block if c not in pivots]
             if degree > 0 and not candidates.issuperset(survivors):
                 raise ArithmeticError(

@@ -40,6 +40,7 @@ from knothom.laurent import LaurentPoly, Multidegree, parse_poly
 from knothom.models import (
     EVEN,
     ODD,
+    DegreeCeilingError,
     GradedPresentation,
     Generator,
     _primitive,
@@ -368,13 +369,70 @@ def test_blocks_without_candidates_are_skipped(monkeypatch):
     of those blocks hold no monomial whose earlier quotients are all standard."""
     real, calls = models._row_reduce, []
 
-    def counting(rows, columns):
+    def counting(rows, columns, zeros=None):
         calls.append(len(columns))
-        return real(rows, columns)
+        return real(rows, columns, zeros)
 
     monkeypatch.setattr(models, "_row_reduce", counting)
     macaulay_basis(scheme_presentation(2, 3, 5, with_forms=True))
-    assert len(calls) < 173
+    assert len(calls) == 173 - 35
+
+
+def test_multiples_of_zero_rows_are_not_built(monkeypatch):
+    """M(3,5,2) with forms reads 1,287 rows when every row is built; an even
+    multiple of a row that reduced to zero, or of one not built, is not."""
+    real, read = models._row_reduce, []
+
+    def counting(rows, columns, zeros=None):
+        def reading():
+            for row in rows:
+                read.append(row)
+                yield row
+        return real(reading(), columns, zeros)
+
+    monkeypatch.setattr(models, "_row_reduce", counting)
+    mb = macaulay_basis(scheme_presentation(3, 5, 2, with_forms=True))
+    assert len(read) == 1146
+    assert mb.dimension() == 289
+
+
+def test_zero_rows_are_reported_in_read_order():
+    zeros = []
+    rows = [{0: 2, 1: 4}, {}, {0: 1, 1: 2}, {1: 3}, {0: -5}, {2: 1}]
+    assert _row_reduce(rows, {0, 1, 2}, zeros) == (3, {0, 1, 2})
+    assert zeros == [1, 2, 4]
+
+
+@pytest.mark.parametrize("p, q, r, forms", SCHEME_POOL)
+def test_basis_holds_at_every_ceiling_near_the_top(p, q, r, forms):
+    """The key's digits are as wide as the ceiling allows, and a row that is
+    not built is found by its key offset: below the top degree the run
+    raises, and from it up the basis is the one of ceiling 200."""
+    pres = scheme_presentation(p, q, r, with_forms=forms)
+    mb = macaulay_basis(pres)
+    for ceiling in range(mb.top_degree - 12, mb.top_degree + 3):
+        if ceiling < mb.top_degree:
+            with pytest.raises(DegreeCeilingError):
+                macaulay_basis(pres, ceiling)
+        else:
+            assert macaulay_basis(pres, ceiling).elements == mb.elements
+
+
+def test_multiples_past_the_reach_are_not_recorded():
+    """At ceiling 13 the key's digit of ``v`` holds exponents up to 1, so
+    ``v^2`` would take the key offset of ``w``.  ``u*y * v`` reduces to zero
+    in block 12, and its multiple by ``v`` lies in block 19, past the
+    reach: recorded, it would keep ``u*y * w`` of block 13 from being built."""
+    pres = artinian({"u": 1, "v": 7, "w": 8}, {"y": 4, "z": 1},
+                    ["v", "w^2", "u^3"], ["u*y"])
+    mb = macaulay_basis(pres)
+    assert (mb.dimension(), mb.top_degree) == (16, 22)
+    for ceiling in range(1, mb.top_degree + 3):
+        if ceiling < mb.top_degree:
+            with pytest.raises(DegreeCeilingError):
+                macaulay_basis(pres, ceiling)
+        else:
+            assert macaulay_basis(pres, ceiling).elements == mb.elements
 
 
 def test_a_survivor_with_a_non_standard_quotient_raises(monkeypatch):
@@ -386,8 +444,8 @@ def test_a_survivor_with_a_non_standard_quotient_raises(monkeypatch):
     space = models._KeySpace(pres, 200)
     real, dropped = models._row_reduce, []
 
-    def dropping(rows, columns):
-        rank, pivots = real(rows, columns)
+    def dropping(rows, columns, zeros=None):
+        rank, pivots = real(rows, columns, zeros)
         if not dropped:
             bad = sorted(c for c in pivots
                          if any(monomial_id(*d) not in standard

@@ -298,6 +298,15 @@ def test_macaulay_window_spans_odd_generators():
     assert macaulay_basis(pres).monomial_names() == ["1", "y", "x", "x*y"]
 
 
+def test_macaulay_drops_a_zero_relation():
+    """A zero relation spans nothing: it is not an inhomogeneous one."""
+    u = LaurentPoly.var("u")
+    gens = [Generator("u", EVEN, Multidegree(q=2))]
+    mb = macaulay_basis(GradedPresentation(gens, [u ** 2, LaurentPoly.zero()]))
+    assert mb.monomial_names() == ["1", "u"]
+    assert mb.elements == macaulay_basis(GradedPresentation(gens, [u ** 2])).elements
+
+
 def test_macaulay_reaches_negative_degrees():
     """An odd generator of negative q-degree makes monomials below degree 0."""
     pres = GradedPresentation([Generator("u", EVEN, Multidegree(q=2)),
