@@ -16,7 +16,6 @@ surviving part must be ``(1 + monomial(d))`` times a nonnegative polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UsageError
@@ -205,13 +204,14 @@ def colored_regrade(kind: str, R: int, S: int, param: int, sigma: int):
     return fn
 
 
-@dataclass
 class DifferentialSpec:
-    """A differential known by its multidegree, with an optional regrade map."""
+    """A differential known by its multidegree, with an optional regrade map
+    ``regrade: Multidegree -> Multidegree``."""
 
-    name: str
-    degree: Multidegree
-    regrade: object = None  # callable Multidegree -> Multidegree
+    def __init__(self, name: str, degree: Multidegree, regrade=None):
+        self.name = name
+        self.degree = degree
+        self.regrade = regrade
 
     @classmethod
     def colored(cls, kind, R, S, param, sigma, name=None):

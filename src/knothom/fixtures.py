@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UsageError
@@ -34,13 +33,14 @@ def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
     naming the offender.
     """
     def fn(md):
-        num = md.e("q") + md.e("tr") - md.e("tc")
-        Q = num / R
-        if Q.denominator != 1:
+        a, q, tr, tc = md._e("a"), md._e("q"), md._e("tr"), md._e("tc")
+        num = q + tr - tc
+        Q, rest = divmod(num, R)
+        if rest:
             raise ValueError(
-                f"monomial a^{md.e('a')} q^{md.e('q')} tr^{md.e('tr')} "
-                f"tc^{md.e('tc')}: (q + tr - tc) = {num} is not divisible by {R}")
-        return Multidegree(a=md.e("a"), Q=Q, tr=md.e("tr"), tc=md.e("tc"))
+                f"monomial a^{a} q^{q} tr^{tr} tc^{tc}: "
+                f"(q + tr - tc) = {num} is not divisible by {R}")
+        return Multidegree(a=a, Q=Q, tr=tr, tc=tc)
 
     return p.map_exponents(fn)
 
@@ -48,9 +48,8 @@ def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
 def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
     """Inverse of :func:`to_tilde`: ``q = R*Q - tr + tc``."""
     def fn(md):
-        return Multidegree(
-            a=md.e("a"), q=R * md.e("Q") - md.e("tr") + md.e("tc"),
-            tr=md.e("tr"), tc=md.e("tc"))
+        tr, tc = md._e("tr"), md._e("tc")
+        return Multidegree(a=md._e("a"), q=R * md._e("Q") - tr + tc, tr=tr, tc=tc)
 
     return p.map_exponents(fn)
 
@@ -79,19 +78,25 @@ class UnknownFixtureError(FixtureError, UsageError):
     """No fixture file for the requested name."""
 
 
-@dataclass
 class HomologyFixture:
-    name: str
-    knot: str
-    color: Partition
-    R: int
-    S: int
-    sigma: int
-    gradings: tuple
-    form: str
-    poincare: LaurentPoly
-    dimension: int
-    homfly: LaurentPoly | None = None
+    """One transcribed table: its Poincare polynomial in ``gradings``, stored
+    in the ``form`` ``"standard"`` or ``"tilde"``, the expected generator
+    count ``dimension`` and, when tabled, the HOMFLY specialization."""
+
+    def __init__(self, name: str, knot: str, color: Partition, R: int, S: int,
+                 sigma: int, gradings: tuple, form: str, poincare: LaurentPoly,
+                 dimension: int, homfly: LaurentPoly | None = None):
+        self.name = name
+        self.knot = knot
+        self.color = color
+        self.R = R
+        self.S = S
+        self.sigma = sigma
+        self.gradings = gradings
+        self.form = form
+        self.poincare = poincare
+        self.dimension = dimension
+        self.homfly = homfly
 
     def is_rectangular(self) -> bool:
         return self.R > 0
@@ -139,13 +144,16 @@ def _validate(fix: HomologyFixture):
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
     if "tr" in fix.gradings:
+        # the standard form and P(tr=-1, tc=1), each built once, serve both
+        # the categorification identity and the tabled polynomial
         p = fix.standard()
         minus, one = LaurentPoly.const(-1), LaurentPoly.one()
-        lhs = p.substitute("tr", minus).substitute("tc", one)
-        rhs = p.substitute("tr", one).substitute("tc", minus)
-        if lhs != rhs:
+        specialization = p.substitute("tr", minus).substitute("tc", one)
+        if specialization != p.substitute("tr", one).substitute("tc", minus):
             raise FixtureError(f"{fix.name}: categorification mismatch")
-    if fix.homfly is not None and fix.homfly_specialization() != fix.homfly:
+    elif fix.homfly is not None:
+        specialization = fix.homfly_specialization()
+    if fix.homfly is not None and specialization != fix.homfly:
         raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 

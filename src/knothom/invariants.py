@@ -42,7 +42,6 @@ no slot overflows, and the slot width involves no guess.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -97,16 +96,20 @@ def unknot_super(lam) -> RationalSeries:
     return aqt_projection(unknot_model(lam).hilbert_series())
 
 
-@dataclass
 class NormalizationReport:
-    """How a torus-knot polynomial was brought to canonical form."""
+    """How a torus-knot polynomial was brought to canonical form.
 
-    monomial_shift: Multidegree = field(default_factory=Multidegree)
-    sign: int = 1
-    fractional_offset: Fraction = Fraction(0)
-    #: whether the reduced quotient at ``a = q`` was a unit monomial, which
-    #: the shift and sign then made 1; always ``False`` for unreduced output
-    sl1: bool = False
+    ``sl1`` tells whether the reduced quotient at ``a = q`` was a unit
+    monomial, which the shift and sign then made 1; it is always ``False``
+    for unreduced output.
+    """
+
+    def __init__(self, monomial_shift: Multidegree | None = None, sign: int = 1,
+                 fractional_offset: Fraction = Fraction(0), sl1: bool = False):
+        self.monomial_shift = Multidegree() if monomial_shift is None else monomial_shift
+        self.sign = sign
+        self.fractional_offset = fractional_offset
+        self.sl1 = sl1
 
 
 def _hook_multiset(mu: Partition) -> Counter:

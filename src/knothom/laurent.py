@@ -147,6 +147,14 @@ def _from_slots(exps: dict) -> "Multidegree":
     return _new(Multidegree, out)
 
 
+def _trimmed(exps: tuple) -> tuple:
+    """``exps`` without its trailing zeros."""
+    k = len(exps)
+    while k and not exps[k - 1]:
+        k -= 1
+    return exps[:k]
+
+
 class Multidegree(tuple):
     """An immutable exponent vector with one integer entry per variable.
 
@@ -732,18 +740,17 @@ class LaurentPoly:
             bits = min(2 * bits, stop)
         # a certified quotient has a lower top index than the dividend, so
         # every index lies in the dividend's box; a digit outside the
-        # quotient box proves the division inexact
-        degrees = []
-        for index, _ in digits:
-            exps = []
-            for radix, lo, top in dims:
-                index, d = divmod(index, radix)
-                if d > top:
-                    raise DivisionError("no exact quotient")
-                exps.append(lo + d)
-            while exps and not exps[-1]:
-                exps.pop()
-            degrees.append(exps)
+        # quotient box proves the division inexact.  Each pass decodes one
+        # slot of every index.
+        indices = [index for index, _ in digits]
+        columns = []
+        for radix, lo, top in dims:
+            column = [lo + index % radix for index in indices]
+            if max(column) > lo + top:
+                raise DivisionError("no exact quotient")
+            columns.append(column)
+            indices = [index // radix for index in indices]
+        degrees = [exps if exps[-1] else _trimmed(exps) for exps in zip(*columns)]
         num, den = g_den, f_den * content
         values = (Fraction(c) for _, c in digits) if num == den else (
             Fraction(c * num, den) for _, c in digits)
@@ -769,16 +776,33 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, obj):
-        variables = obj["variables"]
+        """The polynomial of a :meth:`to_json` object.
+
+        Each degree is written straight into the slots of the listed
+        variables, which are registered first.  Terms of one degree are
+        summed and a zero sum is dropped; a non-integral exponent raises
+        ``ValueError``.
+        """
+        slots = [_slot(v) for v in obj["variables"]]
+        width = max(slots, default=-1) + 1
         terms = {}
         for t in obj["terms"]:
-            md = Multidegree(
-                {v: _parse_exact(e) for v, e in zip(variables, t["exp"])}
-            )
+            exps = [0] * width
+            for i, e in zip(slots, t["exp"]):
+                e = _parse_exact(e)
+                if type(e) is not int:
+                    if e.denominator != 1:
+                        raise ValueError(
+                            f"non-integral exponent {e} on variable {_VARS[i]!r}")
+                    e = e.numerator
+                exps[i] += e
+            while exps and not exps[-1]:
+                exps.pop()
+            md = _new(Multidegree, exps)
             c = Fraction(_parse_exact(t["coeff"]))
             s = terms.get(md)
             terms[md] = c if s is None else s + c
-        return cls(terms)
+        return cls._of({md: c for md, c in terms.items() if c})
 
     def dumps(self, variables=None) -> str:
         return json.dumps(self.to_json(variables), separators=(",", ":"))

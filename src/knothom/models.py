@@ -13,7 +13,6 @@ carries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -33,17 +32,41 @@ from .partitions import Partition
 EVEN, ODD = "even", "odd"
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    parity: str
-    degree: Multidegree
+    """A named generator, ``EVEN`` or ``ODD``, with its multidegree.
+
+    Immutable, and equal and hashed by its three fields.
+    """
+
+    def __init__(self, name: str, parity: str, degree: Multidegree):
+        # every assignment through ``__setattr__`` raises
+        self.__dict__.update(name=name, parity=parity, degree=degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: a Generator is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Generator is immutable")
+
+    def _fields(self):
+        return self.name, self.parity, self.degree
+
+    def __eq__(self, other):
+        if type(other) is not Generator:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"Generator(name={self.name!r}, parity={self.parity!r}, "
+                f"degree={self.degree!r})")
 
     def q_degree(self):
         return self.degree.e("q")
 
 
-@dataclass
 class GradedPresentation:
     """Generators of a supercommutative algebra plus an optional relation ideal.
 
@@ -52,9 +75,11 @@ class GradedPresentation:
     coefficients.
     """
 
-    generators: list
-    relations: list = field(default_factory=list)
-    form_relations: list = field(default_factory=list)
+    def __init__(self, generators: list, relations: list | None = None,
+                 form_relations: list | None = None):
+        self.generators = generators
+        self.relations = [] if relations is None else relations
+        self.form_relations = [] if form_relations is None else form_relations
 
     def evens(self):
         return [g for g in self.generators if g.parity == EVEN]
@@ -142,13 +167,14 @@ class GradedPresentation:
         )
 
 
-@dataclass
 class Potential:
     """A polynomial in even variables, optionally with its odd-linear partner."""
 
-    body: LaurentPoly
-    variables: tuple
-    super_body: LaurentPoly | None = None
+    def __init__(self, body: LaurentPoly, variables: tuple,
+                 super_body: LaurentPoly | None = None):
+        self.body = body
+        self.variables = variables
+        self.super_body = super_body
 
     def jacobi_images(self):
         """Koszul images ``xi_i -> dW/du_i`` for the matching odd names."""
@@ -598,14 +624,19 @@ class _KeySpace:
         return out
 
 
-@dataclass
 class MacaulayBasis:
-    """Monomial basis of an Artinian quotient with representative gradings."""
+    """Monomial basis of an Artinian quotient with representative gradings.
 
-    presentation: GradedPresentation
-    elements: list               # (even exponent dict, odd name tuple)
-    complete: bool
-    top_degree: int
+    ``elements`` lists each basis monomial as ``(even exponent dict, odd
+    name tuple)``.
+    """
+
+    def __init__(self, presentation: GradedPresentation, elements: list,
+                 complete: bool, top_degree: int):
+        self.presentation = presentation
+        self.elements = elements
+        self.complete = complete
+        self.top_degree = top_degree
 
     def dimension(self) -> int:
         return len(self.elements)
@@ -898,13 +929,13 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
 # -- differential homology ----------------------------------------------------------
 
 
-@dataclass
 class HomologyDims:
     """Graded dimensions of a chain complex, valid through a q-cutoff."""
 
-    dims: dict
-    cutoff: int
-    differential_degree: Multidegree
+    def __init__(self, dims: dict, cutoff: int, differential_degree: Multidegree):
+        self.dims = dims
+        self.cutoff = cutoff
+        self.differential_degree = differential_degree
 
     def poincare(self, qmax=None) -> LaurentPoly:
         qmax = self.cutoff if qmax is None else qmax

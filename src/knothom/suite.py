@@ -13,7 +13,6 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import gcd
@@ -59,11 +58,13 @@ from .fixtures import (
 from .bottom import bottom_poincare, row_count, trefoil_recursion_check, vortex_character
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    """The verdict of one named check, with a detail shown on failure."""
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

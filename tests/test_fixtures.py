@@ -10,9 +10,12 @@ from knothom.fixtures import (
     HOMOLOGY_FIXTURES,
     FixtureError,
     fixture_name,
+    from_tilde,
     load_fixture,
+    to_tilde,
 )
 from knothom.errors import UsageError
+from knothom.laurent import LaurentPoly, Multidegree
 from knothom.partitions import Partition
 
 EXPECTED_DIMS = {
@@ -99,6 +102,69 @@ def test_corrupted_fixture_fails_loudly(tmp_path, monkeypatch):
     finally:
         monkeypatch.delenv("HOMOLOGY_FIXTURE_DIR")
         load_fixture.cache_clear()
+
+
+def _raise_one_tc(obj):
+    # one exponent of tc up by one: no term meets another and the generator
+    # count holds, but that term's sign at tc = -1 flips
+    obj["poincare"]["terms"][1]["exp"][3] = str(int(obj["poincare"]["terms"][1]["exp"][3]) + 1)
+
+
+def _double_one_homfly_coefficient(obj):
+    obj["homfly"]["terms"][0]["coeff"] = str(2 * int(obj["homfly"]["terms"][0]["coeff"]))
+
+
+@pytest.mark.parametrize("name, corrupt, message", [
+    ("3_1:S2", _raise_one_tc, "categorification mismatch"),
+    # a tilde table: the identity is checked after from_tilde
+    ("T3_4:S2", _raise_one_tc, "categorification mismatch"),
+    ("3_1:S2", _double_one_homfly_coefficient, "specialization != tabled polynomial"),
+])
+def test_corrupted_table_names_the_failed_check(tmp_path, monkeypatch, name,
+                                                corrupt, message):
+    """A packaged table with one transcription error fails the check it
+    breaks, after the generator count has passed."""
+    packaged = pathlib.Path(__file__).resolve().parents[1] / "src" / "knothom" / "fixtures"
+    filename = name.replace(":", "-") + ".json"
+    obj = json.loads((packaged / filename).read_text())
+    corrupt(obj)
+    (tmp_path / filename).write_text(json.dumps(obj))
+    monkeypatch.setenv("HOMOLOGY_FIXTURE_DIR", str(tmp_path))
+    load_fixture.cache_clear()
+    try:
+        with pytest.raises(FixtureError, match=f"^{name}: {message}$"):
+            load_fixture(name)
+    finally:
+        monkeypatch.delenv("HOMOLOGY_FIXTURE_DIR")
+        load_fixture.cache_clear()
+
+
+def test_homfly_specialization_matches_every_table():
+    tabled = [name for name in FIXTURE_IDS if load_fixture(name).homfly is not None]
+    assert len(tabled) == 7
+    for name in tabled:
+        fix = load_fixture(name)
+        assert fix.homfly_specialization() == fix.homfly
+
+
+def test_tilde_regrading_needs_divisibility():
+    # q + tr - tc = 2 + 1 - 0 is not divisible by R = 2
+    p = LaurentPoly.monomial(3, Multidegree(a=2, q=2, tr=1))
+    with pytest.raises(ValueError) as err:
+        to_tilde(p, 2)
+    assert str(err.value) == ("monomial a^2 q^2 tr^1 tc^0: "
+                              "(q + tr - tc) = 3 is not divisible by 2")
+
+
+def test_tilde_regrading_round_trips_on_int_exponents():
+    quadruple = [load_fixture(name) for name in FIXTURE_IDS
+                 if load_fixture(name).quadruple()]
+    assert {fix.R for fix in quadruple} == {1, 2}
+    for fix in quadruple:
+        tilde = to_tilde(fix.standard(), fix.R)
+        assert tilde == fix.tilde()
+        assert from_tilde(tilde, fix.R) == fix.standard()
+        assert all(type(x) is int for md in tilde.terms for x in md)
 
 
 def test_json_roundtrip_bit_exact():

@@ -13,7 +13,10 @@ the same way.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -149,3 +152,25 @@ def test_every_export_is_reached():
     unreached = unreached_exports((PACKAGE / "__init__.py").read_text(), sources)
     assert [n for n in unreached if n not in UNREACHED_EXPORTS] == []
     assert sorted(set(UNREACHED_EXPORTS) - set(unreached)) == []
+
+
+#: standard-library modules that start-up must not pay for: ``dataclasses``
+#: imports ``inspect``, which imports ``ast`` and ``dis``
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "typing"}
+
+
+def test_cli_import_pulls_in_no_heavy_module():
+    """``import knothom.cli`` adds none of :data:`HEAVY_MODULES` to
+    ``sys.modules``.  Site hooks may load some of them first, so the test
+    compares the modules before and after the import."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import knothom.cli\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "knothom.cli" in added
+    assert sorted(added & HEAVY_MODULES) == []

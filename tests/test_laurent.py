@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -221,6 +223,69 @@ def test_json_sorted_graded_lex():
     degrees = [sum(Fraction(e) for e in t["exp"]) for t in obj["terms"]]
     assert degrees == sorted(degrees)
     assert LaurentPoly.from_json(obj) == p
+
+
+FIXTURE_FILES = sorted((pathlib.Path(__file__).resolve().parents[1]
+                        / "src" / "knothom" / "fixtures").glob("*.json"))
+
+
+def from_json_oracle(obj):
+    """``from_json`` term by term, through the public constructors."""
+    variables = obj["variables"]
+    total = LaurentPoly.zero()
+    for t in obj["terms"]:
+        md = Multidegree(zip(variables, t["exp"]))
+        total = total + LaurentPoly({md: Fraction(t["coeff"])})
+    return total
+
+
+def _poly_objects():
+    for path in FIXTURE_FILES:
+        fixture = json.loads(path.read_text())
+        for key in ("poincare", "homfly"):
+            if key in fixture:
+                yield f"{path.stem}:{key}", fixture[key]
+
+
+def _json(variables, *terms):
+    return {"variables": variables,
+            "terms": [{"coeff": c, "exp": list(exp)} for c, exp in terms]}
+
+
+FROM_JSON_EDGES = {
+    "duplicate degrees": _json(["a", "q"], ("2", ("1", "2")), ("3", ("1", "2")),
+                               ("1", ("0", "0"))),
+    "zero sum": _json(["q", "t"], ("2", ("1", "-1")), ("-2", ("1", "-1")),
+                      ("5", ("0", "1"))),
+    "zero coefficient": _json(["a"], ("0", ("3",)), ("1", ("1",))),
+    "half coefficient": _json(["q", "a"], ("1/2", ("2", "0")), ("-3/4", ("0", "-1"))),
+    "integral fraction exponent": _json(["tc"], ("1", ("4/2",))),
+    "trailing zero slots": _json(["q", "a", "t", "tr", "tc"],
+                                 ("1", ("1", "0", "0", "0", "0"))),
+    "unregistered variable": _json(["q", "from_json_fresh"], ("1", ("1", "3")),
+                                   ("2", ("0", "-1"))),
+    "repeated variable": _json(["q", "a", "q"], ("1", ("1", "1", "2"))),
+    "empty": _json(["q"]),
+}
+FROM_JSON_CASES = {**dict(_poly_objects()), **FROM_JSON_EDGES}
+
+
+@pytest.mark.parametrize("obj", FROM_JSON_CASES.values(), ids=FROM_JSON_CASES)
+def test_from_json_matches_the_term_by_term_oracle(obj):
+    p = LaurentPoly.from_json(obj)
+    assert p == from_json_oracle(obj)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(x) is int for md in p.terms for x in md)
+    assert all(md[-1] for md in p.terms if len(md))
+
+
+def test_from_json_rejects_a_non_integral_exponent():
+    # past a valid term; test_kernel_oracle.py varies the value and variable
+    obj = _json(["a", "q"], ("1", ("1", "0")), ("1", ("2", "1/2")))
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        LaurentPoly.from_json(obj)
+    with pytest.raises(ValueError):
+        from_json_oracle(obj)
 
 
 def test_public_exponents_and_coefficients_are_fractions():

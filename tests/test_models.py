@@ -542,3 +542,17 @@ def test_presentation_json_roundtrip():
     assert [g.name for g in back.generators] == [g.name for g in pres.generators]
     assert back.relations == pres.relations
     assert back.form_relations == pres.form_relations
+
+
+def test_generator_is_an_immutable_value():
+    g = Generator("u1", EVEN, Multidegree(q=2, tr=1))
+    same = Generator("u1", EVEN, Multidegree(tr=1, q=2))
+    assert g == same and hash(g) == hash(same) and len({g, same}) == 1
+    assert g != Generator("u1", ODD, g.degree) and g != Generator("u2", EVEN, g.degree)
+    assert g != ("u1", EVEN, g.degree)
+    with pytest.raises(AttributeError):
+        g.name = "u2"
+    with pytest.raises(AttributeError):
+        del g.degree
+    assert (g.name, g.parity, g.degree) == ("u1", EVEN, Multidegree(q=2, tr=1))
+    assert repr(g) == "Generator(name='u1', parity='even', degree=Multidegree(q=2, tr=1))"
