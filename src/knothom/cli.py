@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import sys
-import traceback
 
 from .laurent import LaurentPoly, RationalSeries
 from .partitions import Partition, catalan_count
@@ -352,6 +351,9 @@ def main(argv=None):
     except Exception as exc:
         # a bug must not pass for a check failure (1) or a usage error (2)
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # imported here: ``traceback`` loads ``linecache``, ``tokenize`` and
+        # ``textwrap``, which no other path needs
+        import traceback
         traceback.print_exc()
         return 3
 

@@ -118,13 +118,22 @@ class HomologyFixture:
                 f"{self.name} is not quadruply graded; no tilde regrading")
         return to_tilde(self.poincare, self.R)
 
+    def specializations(self) -> tuple:
+        """The two sides of the categorification identity on the standard
+        form ``P``: ``P(tr=-1, tc=1)`` and ``P(tr=1, tc=-1)``.  Both equal
+        the HOMFLY polynomial.  A table without ``tr`` has the one
+        specialization ``P(tc=-1)`` (or ``P(t=-1)``), given as both sides."""
+        p = self.standard()
+        minus, one = LaurentPoly.const(-1), LaurentPoly.one()
+        if "tr" in self.gradings:
+            return (p.substitute("tr", minus).substitute("tc", one),
+                    p.substitute("tr", one).substitute("tc", minus))
+        specialization = p.substitute("tc" if "tc" in self.gradings else "t", minus)
+        return specialization, specialization
+
     def homfly_specialization(self) -> LaurentPoly:
         """``P(a, q, tr=-1, tc=1)`` (or ``t=-1`` for triply-graded data)."""
-        p = self.standard()
-        minus = LaurentPoly.const(-1)
-        if "tr" in self.gradings:
-            return p.substitute("tr", minus).substitute("tc", LaurentPoly.one())
-        return p.substitute("tc" if "tc" in self.gradings else "t", minus)
+        return self.specializations()[0]
 
 
 def fixture_dir() -> pathlib.Path:
@@ -143,18 +152,12 @@ def _validate(fix: HomologyFixture):
         raise FixtureError(
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
-    if "tr" in fix.gradings:
-        # the standard form and P(tr=-1, tc=1), each built once, serve both
-        # the categorification identity and the tabled polynomial
-        p = fix.standard()
-        minus, one = LaurentPoly.const(-1), LaurentPoly.one()
-        specialization = p.substitute("tr", minus).substitute("tc", one)
-        if specialization != p.substitute("tr", one).substitute("tc", minus):
+    if "tr" in fix.gradings or fix.homfly is not None:
+        specialization, mirrored = fix.specializations()
+        if specialization != mirrored:
             raise FixtureError(f"{fix.name}: categorification mismatch")
-    elif fix.homfly is not None:
-        specialization = fix.homfly_specialization()
-    if fix.homfly is not None and specialization != fix.homfly:
-        raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
+        if fix.homfly is not None and specialization != fix.homfly:
+            raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 
 @lru_cache(maxsize=None)

@@ -453,8 +453,11 @@ class LaurentPoly:
         return len(self.terms)
 
     def dimension(self) -> Fraction:
-        """Sum of absolute values of coefficients (generator count)."""
-        return sum((abs(c) for c in self.terms.values()), Fraction(0))
+        """Sum of absolute values of coefficients (generator count), added
+        as ``int``: the numerators when every coefficient is integral, else
+        the coefficients over their common denominator."""
+        den, values = _integral(self.terms)
+        return Fraction(sum(map(abs, values)), den)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
@@ -599,35 +602,46 @@ class LaurentPoly:
         """Replace ``var**e`` by ``image**e`` for a unit-monomial image.
 
         ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
-        so that exponent arithmetic stays closed.
+        so that exponent arithmetic stays closed.  One loop maps each term:
+        a term with ``var``-degree ``e != 0`` loses its ``var`` slot, gains
+        ``e`` times the image's degree unless that degree is zero, and
+        changes sign when the image is negative and ``e`` odd.  With a
+        constant image, ``var = +1`` or ``-1``, the map is an evaluation
+        and adds to no degree.  Coefficients are merged as ``int``
+        (``Fraction`` only where a value is not integral), and each
+        surviving sum is wrapped in a ``Fraction`` once at the end.
         """
         image = self._coerce(image)
         coeff, imd = image.as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
         negate = coeff == -1
+        constant = imd.is_zero()
+        i = _INDEX.get(var, _ABSENT)
         shifts = {}  # exponent -> imd.scale(exponent)
         out = {}
         for md, c in self.terms.items():
-            e = md._e(var)
-            if e == 0:
-                md2, c2 = md, c
-            else:
-                shift = shifts.get(e)
-                if shift is None:
-                    shift = shifts[e] = imd.scale(e)
-                md2 = md._without(var) + shift
-                c2 = -c if negate and e & 1 else c
-            s = out.get(md2)
+            c = c.numerator if c.denominator == 1 else c
+            e = md[i] if i < len(md) else 0
+            if e:
+                md = md._without(var)
+                if not constant:
+                    shift = shifts.get(e)
+                    if shift is None:
+                        shift = shifts[e] = imd.scale(e)
+                    md = md + shift
+                if negate and e & 1:
+                    c = -c
+            s = out.get(md)
             if s is None:
-                out[md2] = c2
+                out[md] = c
             else:
-                s += c2
+                s += c
                 if s:
-                    out[md2] = s
+                    out[md] = s
                 else:
-                    del out[md2]
-        return LaurentPoly._of(out)
+                    del out[md]
+        return LaurentPoly._wrap(out)
 
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
@@ -838,21 +852,20 @@ class LaurentPoly:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
-)
-
-
 def parse_poly(text: str) -> LaurentPoly:
     """Parse expressions like ``a^4*(q^-4 + q^2*tr^2*tc^4) - 3*q^2``.
 
     Supports integer coefficients and exponents, ``+ - * ^`` and parentheses;
     multiplication must be explicit.
     """
+    # compiled on use, not at import, since start-up parses nothing; ``re``
+    # caches the pattern, so a later call only looks it up
+    token = re.compile(
+        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
     tokens = []
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = token.match(text, pos)
         if not m:
             if text[pos:].strip() == "":
                 break

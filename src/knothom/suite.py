@@ -82,14 +82,9 @@ def _dimension(name):
 
 
 def _categorification(name):
-    minus, one = LaurentPoly.const(-1), LaurentPoly.one()
     fix = load_fixture(name)
-    p = fix.standard()
-    if "tr" in fix.gradings:
-        lhs = p.substitute("tr", minus).substitute("tc", one)
-        rhs = p.substitute("tr", one).substitute("tc", minus)
-        return lhs == rhs and (fix.homfly is None or lhs == fix.homfly)
-    return fix.homfly is None or p.substitute("t", minus) == fix.homfly
+    lhs, rhs = fix.specializations()
+    return lhs == rhs and (fix.homfly is None or lhs == fix.homfly)
 
 
 def _self_symmetry(name):

@@ -155,8 +155,10 @@ def test_every_export_is_reached():
 
 
 #: standard-library modules that start-up must not pay for: ``dataclasses``
-#: imports ``inspect``, which imports ``ast`` and ``dis``
-HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "typing"}
+#: imports ``inspect``, which imports ``ast`` and ``dis``; ``traceback``,
+#: which only an internal error needs, imports ``linecache`` and ``tokenize``
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "typing",
+                 "traceback", "linecache", "tokenize"}
 
 
 def test_cli_import_pulls_in_no_heavy_module():

@@ -330,10 +330,13 @@ def test_divide_exact_packed_image_divides(f, g):
 @oracle(80)
 @given(st.data())
 def test_substitute_unit_monomial(data):
+    """Images include the zero degree, the constants ``+1`` and ``-1``, with
+    which ``substitute`` evaluates."""
     var = data.draw(st.sampled_from(VARS))
     f = data.draw(polys())
     image = LaurentPoly.monomial(data.draw(st.sampled_from([1, -1])),
-                                 data.draw(multidegrees()))
+                                 data.draw(st.one_of(st.just(Multidegree()),
+                                                     multidegrees())))
     ours = f.substitute(var, image)
     assert same(ours, to_sympy(f).subs(SYM[var], to_sympy(image)))
     assert_normalised(ours)

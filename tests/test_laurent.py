@@ -299,12 +299,17 @@ def test_public_exponents_and_coefficients_are_fractions():
     md = Multidegree(a=2, q=-1)
     f = P("3*a^2*q^-1 - q^4*t + 2")
     g = P("1 - q")
+    half = f / 2  # coefficients 3/2, -1/2 and 1
     readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
-               f.min_degree("q"), f.max_degree("q"), *f.degrees("q")]
+               f.min_degree("q"), f.max_degree("q"), *f.degrees("q"),
+               f.dimension(), half.dimension()]
     assert all(type(x) is Fraction for x in readers)
+    assert (f.dimension(), half.dimension()) == (6, 3)
+    assert (half - 1).dimension() == 2 and (g / 4).dimension() == Fraction(1, 2)
     results = [
         f + g, f - g, f * g, (f * g).divide_exact(g),
         f.substitute("a", P("-q^2")), f.truncate("q", 0),
+        f.substitute("q", -1), half.substitute("t", 1),
         LaurentPoly.from_json(f.to_json()),
         max_cancel(P("2*q + q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0],
         nonneg_divisibility(P("1 + 2*q*t + q^2*t^2"), Multidegree(q=1, t=1)),
