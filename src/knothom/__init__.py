@@ -17,8 +17,8 @@ The package computes, over exact rationals:
 
 See ``demos/`` for narrative walkthroughs and ``knothom --help`` for the
 command line.  Every name exported here is read by some module of the
-package, except the paper models and test oracles that
-``tests/test_imports.py`` lists with their reasons.
+package, except the paper models that ``tests/test_imports.py`` lists with
+their reasons.
 """
 
 from .laurent import (
@@ -29,19 +29,17 @@ from .laurent import (
     max_cancel,
     nonneg_divisibility,
     parse_poly,
-    series_exp,
     series_log,
     series_pow_rational,
 )
 from .partitions import (
     Partition,
-    balanced_diagrams,
     catalan_count,
     dyck_paths,
     h_plus,
     partitions_of,
 )
-from .symmetric import mn_character, plethysm_pn, zee
+from .symmetric import plethysm_pn, zee
 from .invariants import (
     NormalizationReport,
     hirota_check,
@@ -89,7 +87,7 @@ from .checks import (
     sl_cancel,
     unreduced_from_reduced,
 )
-from .fixtures import HomologyFixture, from_tilde, load_fixture, to_tilde
+from .fixtures import HomologyFixture, load_fixture, to_tilde
 from .bottom import (
     bottom_poincare,
     qbinom,

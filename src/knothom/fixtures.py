@@ -4,9 +4,9 @@ Fixtures are stored as JSON files (schema: ``knot``, ``color``, ``R``, ``S``,
 ``sigma``, ``gradings``, ``poincare``) under ``knothom/fixtures``; the
 environment variable ``HOMOLOGY_FIXTURE_DIR`` overrides the search path.
 Loading validates the generator count and both categorification
-specializations, so transcription errors fail loudly.  A table is stored
-in the gradings ``(a, q, tr, tc)`` or in the "tilde" gradings, in which
-:func:`to_tilde` replaces ``q`` by ``Q = (q + tr - tc)/R``.
+specializations, so transcription errors fail loudly.  Every table is
+stored in the standard gradings ``(a, q, ...)``; :func:`to_tilde` gives the
+"tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.
 
 The registry also knows which removal differentials act on each fixture and
 where their homology lands.
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 from functools import lru_cache
 
 from .errors import UsageError
@@ -79,12 +78,12 @@ class UnknownFixtureError(FixtureError, UsageError):
 
 
 class HomologyFixture:
-    """One transcribed table: its Poincare polynomial in ``gradings``, stored
-    in the ``form`` ``"standard"`` or ``"tilde"``, the expected generator
-    count ``dimension`` and, when tabled, the HOMFLY specialization."""
+    """One transcribed table: its Poincare polynomial in the standard
+    ``gradings``, the expected generator count ``dimension`` and, when
+    tabled, the HOMFLY specialization."""
 
     def __init__(self, name: str, knot: str, color: Partition, R: int, S: int,
-                 sigma: int, gradings: tuple, form: str, poincare: LaurentPoly,
+                 sigma: int, gradings: tuple, poincare: LaurentPoly,
                  dimension: int, homfly: LaurentPoly | None = None):
         self.name = name
         self.knot = knot
@@ -93,7 +92,6 @@ class HomologyFixture:
         self.S = S
         self.sigma = sigma
         self.gradings = gradings
-        self.form = form
         self.poincare = poincare
         self.dimension = dimension
         self.homfly = homfly
@@ -105,14 +103,10 @@ class HomologyFixture:
         return set(self.gradings) >= {"tr", "tc"}
 
     def standard(self) -> LaurentPoly:
-        """The polynomial in ``(a, q, ...)`` gradings (inverting tilde if needed)."""
-        if self.form == "tilde":
-            return from_tilde(self.poincare, self.R)
+        """The polynomial in ``(a, q, ...)`` gradings."""
         return self.poincare
 
     def tilde(self) -> LaurentPoly:
-        if self.form == "tilde":
-            return self.poincare
         if not self.quadruple():
             raise FixtureError(
                 f"{self.name} is not quadruply graded; no tilde regrading")
@@ -136,15 +130,13 @@ class HomologyFixture:
         return self.specializations()[0]
 
 
-def fixture_dir() -> pathlib.Path:
-    env = os.environ.get("HOMOLOGY_FIXTURE_DIR")
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path(__file__).parent / "fixtures"
+def fixture_dir() -> str:
+    return (os.environ.get("HOMOLOGY_FIXTURE_DIR")
+            or os.path.join(os.path.dirname(__file__), "fixtures"))
 
 
-def _file_for(name: str) -> pathlib.Path:
-    return fixture_dir() / (name.replace(":", "-").replace("|", "") + ".json")
+def _file_for(name: str) -> str:
+    return os.path.join(fixture_dir(), name.replace(":", "-").replace("|", "") + ".json")
 
 
 def _validate(fix: HomologyFixture):
@@ -163,9 +155,10 @@ def _validate(fix: HomologyFixture):
 @lru_cache(maxsize=None)
 def load_fixture(name: str) -> HomologyFixture:
     path = _file_for(name)
-    if not path.exists():
+    if not os.path.exists(path):
         raise UnknownFixtureError(f"no fixture file for {name!r} at {path}")
-    obj = json.loads(path.read_text())
+    with open(path) as f:
+        obj = json.load(f)
     fix = HomologyFixture(
         name=name,
         knot=obj["knot"],
@@ -174,7 +167,6 @@ def load_fixture(name: str) -> HomologyFixture:
         S=obj["S"],
         sigma=obj["sigma"],
         gradings=tuple(obj["gradings"]),
-        form=obj.get("form", "standard"),
         poincare=LaurentPoly.from_json(obj["poincare"]),
         dimension=obj.get("dimension", 0),
         homfly=(LaurentPoly.from_json(obj["homfly"])

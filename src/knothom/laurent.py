@@ -45,13 +45,12 @@ The two carrier types are:
 from __future__ import annotations
 
 import json
-import re
 import sys
 import threading
 from fractions import Fraction
 from itertools import accumulate, compress, count, zip_longest
 from math import floor, gcd, isqrt, lcm
-from operator import add as _add, mul as _mul, neg as _neg
+from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
 
 _new = tuple.__new__
 
@@ -853,105 +852,45 @@ class LaurentPoly:
 # -- parsing ------------------------------------------------------------------
 
 def parse_poly(text: str) -> LaurentPoly:
-    """Parse expressions like ``a^4*(q^-4 + q^2*tr^2*tc^4) - 3*q^2``.
+    """Parse a literal such as ``a^4*(q^-4 + q^2*tr^2*tc^4) - 3*q^2``.
 
-    Supports integer coefficients and exponents, ``+ - * ^`` and parentheses;
-    multiplication must be explicit.
+    Python's grammar, read by :mod:`ast` with ``^`` for ``**``, cut down to
+    decimal integers, ASCII names other than keywords, binary ``+ - *``,
+    unary ``+ -``, parentheses and ``^`` to a literal integer, negative or
+    not; all else, ``**`` included, raises ``ValueError``.  Lenient on unary
+    ``+`` after an operator and on ``a^(-2)``.  Precedence is Python's:
+    ``2*-a^2`` is ``-2*a^2``.  Flat sums of 2,000 terms parse on Python 3.10
+    to 3.13; the longest literal in this repository has 31 top-level terms.
     """
-    # compiled on use, not at import, since start-up parses nothing; ``re``
-    # caches the pattern, so a later call only looks it up
-    token = re.compile(
-        r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))")
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ValueError(f"bad token at {text[pos:pos + 12]!r}")
-        tokens.append(m)
-        pos = m.end()
-    toks = [
-        (m.lastgroup, m.group(m.lastgroup)) for m in tokens
-    ]
-    idx = 0
-
-    def peek():
-        return toks[idx] if idx < len(toks) else (None, None)
-
-    def take():
-        nonlocal idx
-        if idx == len(toks):
-            raise ValueError(f"unexpected end of input in {text!r}")
-        t = toks[idx]
-        idx += 1
-        return t
-
-    def parse_sum():
-        nonlocal idx
-        kind, val = peek()
-        sign = 1
-        node = None
-        while True:
-            kind, val = peek()
-            if kind == "op" and val in "+-":
-                take()
-                sign = 1 if val == "+" else -1
-            term = parse_product()
-            term = term if sign == 1 else -term
-            node = term if node is None else node + term
-            sign = 1
-            kind, val = peek()
-            if not (kind == "op" and val in "+-"):
-                return node
-
-    def parse_product():
-        node = parse_power()
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                take()
-                node = node * parse_power()
-            else:
-                return node
-
-    def parse_power():
-        base = parse_atom()
-        kind, val = peek()
-        if kind == "op" and val == "^":
-            take()
-            kind, val = peek()
-            sign = 1
-            if kind == "op" and val == "-":
-                take()
-                sign = -1
-            kind, val = take()
-            if kind != "num":
-                raise ValueError("exponent must be an integer")
-            return base ** (sign * int(val))
-        return base
-
-    def parse_atom():
-        kind, val = take()
-        if kind == "num":
-            return LaurentPoly.const(int(val))
-        if kind == "name":
-            return LaurentPoly.var(val)
-        if kind == "op" and val == "(":
-            node = parse_sum()
-            kind, val = take()
-            if val != ")":
-                raise ValueError("unbalanced parentheses")
-            return node
-        if kind == "op" and val == "-":
-            return -parse_atom()
-        raise ValueError(f"unexpected token {val!r}")
-
-    result = parse_sum()
-    if idx != len(toks):
-        raise ValueError(f"trailing input after position {idx}")
-    return result
+    import ast  # here, not at import: start-up parses nothing
+    def integer(node):  # a decimal literal, perhaps negated; not True or 0x1
+        digits = source[node.col_offset:node.end_col_offset].replace(" ", "")
+        if not digits.removeprefix("-").isdigit():
+            raise ValueError(f"unexpected {digits!r} in polynomial literal {text!r}")
+        return int(digits)
+    def walk(node):  # binary chains in a loop: depth follows nesting only
+        spine = []
+        while isinstance(node, ast.BinOp) and type(node.op) in binary:
+            spine.append(node)
+            node = node.left
+        if isinstance(node, ast.Name):
+            value = LaurentPoly.var(node.id)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            value = walk(node.operand) * (-1 if isinstance(node.op, ast.USub) else 1)
+        else:
+            value = LaurentPoly.const(integer(node))
+        for link in reversed(spine):
+            right = integer(link.right) if type(link.op) is ast.Pow else walk(link.right)
+            value = binary[type(link.op)](value, right)
+        return value
+    if not text.isascii() or "**" in text:
+        raise ValueError(f"not a polynomial literal: {text!r}")
+    binary = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Pow: pow}
+    source = " ".join(text.split()).replace("^", "**")
+    try:
+        return walk(ast.parse(source, mode="eval").body)
+    except (SyntaxError, RecursionError) as err:
+        raise ValueError(f"not a polynomial literal: {text!r}") from err
 
 
 # -- truncated series ----------------------------------------------------------
@@ -1083,15 +1022,6 @@ def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``ln`` of a series with constant term 1."""
     coefficients = (Fraction((-1) ** (k + 1), k) if k else 0 for k in count())
     return _power_series(_unit_series_base(base, var), coefficients, order, var)
-
-
-def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
-    """Truncated ``exp`` of a series with zero constant term."""
-    if not base.is_zero() and base.min_degree(var) <= 0:
-        raise ValueError("exp argument must have positive order")
-    inverse_factorials = accumulate(count(1), lambda c, k: c / k,
-                                    initial=Fraction(1))
-    return _power_series(base, inverse_factorials, order, var)
 
 
 # -- ray decomposition, witness division, maximal cancellation -------------------

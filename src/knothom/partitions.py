@@ -1,4 +1,4 @@
-"""Partitions, cell statistics, balanced diagrams and rational Dyck paths."""
+"""Partitions, cell statistics and rational Dyck paths."""
 
 from __future__ import annotations
 
@@ -123,34 +123,6 @@ def partitions_of(n: int, max_part=None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def balanced_diagrams(S: int, R: int):
-    """All diagrams with ``2R`` parts pairing to ``2S``, with their signs.
-
-    A diagram ``mu`` of length ``2R`` (zeros allowed) is balanced when
-    ``mu[i] + mu[2R+1-i] == 2S`` for the first ``R`` indices; its sign is
-    ``(-1)**(mu[1]+...+mu[R])``.  These index the closed-form Schur expansion
-    of ``s_(S^R)`` in doubled variables.
-    """
-    if S < 1 or R < 1:
-        raise UsageError("S and R must be positive")
-    results = []
-
-    def rec(prefix, lo):
-        if len(prefix) == R:
-            if prefix[-1] < S:
-                return
-            tail = [2 * S - prefix[R - 1 - k] for k in range(R)]
-            mu = list(prefix) + tail
-            sign = (-1) ** sum(prefix)
-            results.append((Partition(mu), sign))
-            return
-        for part in range(lo, S - 1, -1):
-            rec(prefix + [part], part)
-
-    rec([], 2 * S)
-    return results
 
 
 def dyck_paths(p: int, q: int):

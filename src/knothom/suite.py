@@ -193,7 +193,7 @@ def _hfk_growth():
     d11 = d11.map_exponents(
         lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
     ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, HFK_DEGREE)
-    return ok and survivors == d12.poincare
+    return ok and survivors == d12.tilde()
 
 
 def _hfk_differential():

@@ -64,14 +64,6 @@ def _mn_rec(betas: frozenset, mu: tuple) -> int:
     return total
 
 
-def mn_character(lam, mu) -> int:
-    """Irreducible symmetric-group character ``chi^lam(mu)``."""
-    lam, mu = Partition(_parts(lam)), Partition(_parts(mu))
-    if lam.size() != mu.size():
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _mn_rec(_beta_set(lam.parts), mu.parts)
-
-
 def plethysm_pn(lam, n: int) -> dict:
     """Schur expansion ``{mu: c_mu}`` of ``s_lam`` in ``n``-th power variables.
 

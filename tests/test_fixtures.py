@@ -68,7 +68,7 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
     src = load_fixture("3_1:1")
     obj = {
         "knot": "3_1", "color": [1], "R": 1, "S": 1, "sigma": 2,
-        "gradings": ["a", "q", "tr", "tc"], "form": "standard",
+        "gradings": ["a", "q", "tr", "tc"],
         "dimension": 3,
         "poincare": src.poincare.to_json(["a", "q", "tr", "tc"]),
     }
@@ -89,7 +89,7 @@ def test_corrupted_fixture_fails_loudly(tmp_path, monkeypatch):
     src = load_fixture("3_1:1")
     obj = {
         "knot": "3_1", "color": [1], "R": 1, "S": 1, "sigma": 2,
-        "gradings": ["a", "q", "tr", "tc"], "form": "standard",
+        "gradings": ["a", "q", "tr", "tc"],
         "dimension": 4,  # wrong on purpose
         "poincare": src.poincare.to_json(["a", "q", "tr", "tc"]),
     }
@@ -116,7 +116,7 @@ def _double_one_homfly_coefficient(obj):
 
 @pytest.mark.parametrize("name, corrupt, message", [
     ("3_1:S2", _raise_one_tc, "categorification mismatch"),
-    # a tilde table: the identity is checked after from_tilde
+    # a table transcribed in the tilde gradings
     ("T3_4:S2", _raise_one_tc, "categorification mismatch"),
     ("3_1:S2", _double_one_homfly_coefficient, "specialization != tabled polynomial"),
 ])

@@ -12,21 +12,29 @@ also checked on coefficients up to 2^80, on a quotient that needs wider
 slots than the first width, and on inexact divisions whose packed images
 divide.  The truncated
 power series ``base**alpha``, ``log`` and ``exp`` are checked against
-sympy's ring series, over bases with symbolic coefficients.
+sympy's ring series, over bases with symbolic coefficients.  Polynomial
+literals drawn from the grammar of ``parse_poly`` are checked against
+sympy's parser.
 ``Multidegree`` itself is checked against a plain ``{var: int}`` model,
 over the kernel's own variables, scheme generator names and fresh names.
 The runs are derandomized, so every run checks the same examples.
 """
 
 import pickle
+import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, count, product
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr,
+    standard_transformations,
+)
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.ring_series import rs_exp, rs_log, rs_pow
 from sympy.polys.rings import ring
@@ -40,7 +48,6 @@ from knothom.laurent import (
     max_cancel,
     nonneg_divisibility,
     parse_poly,
-    series_exp,
     series_log,
     series_pow_rational,
 )
@@ -114,6 +121,45 @@ def test_ring_operations(pair):
     for ours, expected in ((f + g, F + G), (f - g, F - G), (f * g, F * G)):
         assert same(ours, expected)
         assert_normalised(ours)
+
+
+#: variables of the parsed literals, which sympy's ``parse_expr`` reads as
+#: plain symbols
+LITERAL_NAMES = ("a", "q", "t", "tr", "tc", "u1")
+
+
+def literal_leaves():
+    """Integers, names, names to an integer power with the exponent
+    parenthesised or not, and a parenthesised pair to a power."""
+    names = st.sampled_from(LITERAL_NAMES)
+    atoms = st.one_of(st.integers(0, 12).map(str), names)
+    powers = st.builds(lambda v, k, paren: f"{v}^({k})" if paren else f"{v}^{k}",
+                       names, st.integers(-3, 3), st.booleans())
+    pair_powers = st.builds("({} {} {})^{}".format, atoms, st.sampled_from("+-*"),
+                            atoms, st.integers(0, 3))
+    return st.one_of(atoms, powers, pair_powers)
+
+
+def literal_extend(inner):
+    return st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("{}{}".format, st.sampled_from("+-"), inner),
+        inner.map("({})".format),
+    )
+
+
+@oracle(200)
+@given(st.recursive(literal_leaves(), literal_extend, max_leaves=10))
+def test_parse_poly_against_sympy(text):
+    """Over the documented grammar, ``parse_poly`` gives the polynomial that
+    sympy's ``parse_expr`` reads with ``^`` as a power (``convert_xor``),
+    by Python's precedence, so ``2*-a^2`` is ``-2*a^2``."""
+    expected = parse_expr(text, transformations=standard_transformations
+                          + (convert_xor,))
+    ours = sympy.Add(*[
+        _rational(c) * sympy.Mul(*[sympy.Symbol(v) ** e for v, e in md.items()])
+        for md, c in parse_poly(text).terms.items()])
+    assert sympy.expand(ours - expected) == 0
 
 
 @contextmanager
@@ -404,11 +450,34 @@ def test_series_log(u, order):
     assert to_series_ring(series_log(1 + u, order)) == expected
 
 
+def series_exp(base: LaurentPoly, order, var="z") -> LaurentPoly:
+    """Truncated ``exp`` of a series with zero constant term, on the
+    package's power-series loop: the oracle of :func:`series_log`'s
+    round trip."""
+    if not base.is_zero() and base.min_degree(var) <= 0:
+        raise ValueError("exp argument must have positive order")
+    inverse_factorials = accumulate(count(1), lambda c, k: c / k,
+                                    initial=Fraction(1))
+    return laurent._power_series(base, inverse_factorials, order, var)
+
+
 @oracle(60)
 @given(positive_order_series, series_orders)
 def test_series_exp(u, order):
     expected = rs_exp(to_series_ring(u), Z, order + 1)
     assert to_series_ring(series_exp(u, order)) == expected
+
+
+def test_series_log_exp_roundtrip():
+    rng = random.Random(11)
+    for _ in range(10):
+        base = LaurentPoly.one()
+        for i in range(1, 4):
+            base = base + rng.randint(-3, 3) * LaurentPoly.monomial(
+                1, Multidegree(z=i))
+        lg = series_log(base, 6)
+        back = series_exp(lg, 6)
+        assert back == base.truncate("z", 6)
 
 
 #: variables registered when the kernel is imported, then scheme generator

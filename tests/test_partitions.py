@@ -3,7 +3,6 @@ import pytest
 from knothom.errors import UsageError
 from knothom.partitions import (
     Partition,
-    balanced_diagrams,
     catalan_count,
     dyck_paths,
     h_plus,
@@ -56,32 +55,6 @@ def test_kappa_and_transpose():
             assert lam.transpose().kappa() == -lam.kappa()
             assert lam.transpose().transpose() == lam
             assert lam.transpose().size() == lam.size()
-
-
-def test_balanced_diagrams_small():
-    assert balanced_diagrams(1, 1) == [
-        (Partition([2]), 1),
-        (Partition([1, 1]), -1),
-    ]
-    got = dict(balanced_diagrams(2, 1))
-    assert got == {
-        Partition([4]): 1,
-        Partition([3, 1]): -1,
-        Partition([2, 2]): 1,
-    }
-
-
-def test_balanced_diagram_count_is_subdiagram_count():
-    for S in range(1, 4):
-        for R in range(1, 4):
-            # complement bijection: one balanced diagram per sub-diagram of
-            # the S x R rectangle
-            subcount = 0
-            for n in range(S * R + 1):
-                for parts in partitions_of(n):
-                    if len(parts) <= R and all(p <= S for p in parts):
-                        subcount += 1
-            assert len(balanced_diagrams(S, R)) == subcount
 
 
 def test_dyck_path_counts():

@@ -2,13 +2,75 @@ from fractions import Fraction
 
 import pytest
 
-from knothom.partitions import Partition, balanced_diagrams, partitions_of
+from knothom.partitions import Partition, partitions_of
 from knothom.symmetric import (
     PLETHYSM_SIZE_CAP,
-    mn_character,
+    _beta_set,
+    _mn_rec,
+    _parts,
     plethysm_pn,
     zee,
 )
+
+
+def mn_character(lam, mu) -> int:
+    """Irreducible symmetric-group character ``chi^lam(mu)``, read from the
+    package's memoised border-strip table."""
+    lam, mu = Partition(_parts(lam)), Partition(_parts(mu))
+    if lam.size() != mu.size():
+        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
+    return _mn_rec(_beta_set(lam.parts), mu.parts)
+
+
+def balanced_diagrams(S: int, R: int):
+    """All diagrams with ``2R`` parts pairing to ``2S``, with their signs.
+
+    A diagram ``mu`` of length ``2R`` (zeros allowed) is balanced when
+    ``mu[i] + mu[2R+1-i] == 2S`` for the first ``R`` indices; its sign is
+    ``(-1)**(mu[1]+...+mu[R])``.  These index the closed-form Schur expansion
+    of ``s_(S^R)`` in doubled variables (Chen-Remmel).
+    """
+    results = []
+
+    def rec(prefix, lo):
+        if len(prefix) == R:
+            if prefix[-1] < S:
+                return
+            tail = [2 * S - prefix[R - 1 - k] for k in range(R)]
+            sign = (-1) ** sum(prefix)
+            results.append((Partition(list(prefix) + tail), sign))
+            return
+        for part in range(lo, S - 1, -1):
+            rec(prefix + [part], part)
+
+    rec([], 2 * S)
+    return results
+
+
+def test_balanced_diagrams_small():
+    assert balanced_diagrams(1, 1) == [
+        (Partition([2]), 1),
+        (Partition([1, 1]), -1),
+    ]
+    got = dict(balanced_diagrams(2, 1))
+    assert got == {
+        Partition([4]): 1,
+        Partition([3, 1]): -1,
+        Partition([2, 2]): 1,
+    }
+
+
+def test_balanced_diagram_count_is_subdiagram_count():
+    for S in range(1, 4):
+        for R in range(1, 4):
+            # complement bijection: one balanced diagram per sub-diagram of
+            # the S x R rectangle
+            subcount = 0
+            for n in range(S * R + 1):
+                for parts in partitions_of(n):
+                    if len(parts) <= R and all(p <= S for p in parts):
+                        subcount += 1
+            assert len(balanced_diagrams(S, R)) == subcount
 
 
 def test_trivial_and_sign_characters():
