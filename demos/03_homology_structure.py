@@ -20,7 +20,7 @@ from knothom import (
 
 s2 = load_fixture("3_1:S2")
 print(f"trefoil S^2 homology: {s2.dimension} generators")
-print("  P  =", s2.standard())
+print("  P  =", s2.poincare)
 print("  P~ =", s2.tilde())
 
 print("\nself-symmetry of the regraded polynomial:",
@@ -34,25 +34,25 @@ unc = load_fixture("3_1:1")
 print("refined growth (one grading dropped, squared):",
       check_growth(s2.tilde(), unc.tilde(), 2, "tr"))
 
-ok, deltas = check_delta_thin(s2.standard(), 2, s2.sigma)
+ok, deltas = check_delta_thin(s2.poincare, 2, s2.sigma)
 print(f"delta-thin with delta = {deltas}: {ok}")
 
 print("\nremoval differentials (nonnegative witness division):")
 spec = DifferentialSpec.colored("+row", s2.R, s2.S, 0, s2.sigma, name="d1|0")
-ok, witness = check_differential(s2.standard(), LaurentPoly.one(), spec)
+ok, witness = check_differential(s2.poincare, LaurentPoly.one(), spec)
 survivor = spec.regrade(Multidegree())
 print(f"  canceling d1|0: {ok}; survivor degree "
       f"a^{survivor.e('a')} q^{survivor.e('q')}")
 
 spec = DifferentialSpec.colored("+col", s2.R, s2.S, 1, s2.sigma, name="d1|1")
-ok, _ = check_differential(s2.standard(), unc.standard(), spec)
+ok, _ = check_differential(s2.poincare, unc.poincare, spec)
 print(f"  d1|1 down to the uncolored homology: {ok}")
 
 big = load_fixture("3_1:3x2")
 print(f"\nthe (2,2,2)-colored trefoil has {big.dimension} generators "
       f"(= 3^6, exponential growth)")
 spec = DifferentialSpec.colored("+row", 3, 2, 2, big.sigma, name="d5|0")
-ok, _ = check_differential(big.standard(),
-                           load_fixture("3_1:2x2").standard(),
+ok, _ = check_differential(big.poincare,
+                           load_fixture("3_1:2x2").poincare,
                            spec, project=("a", "q", "tc"))
 print(f"  row removal d5|0 lands on the (2,2) homology: {ok}")

@@ -23,7 +23,7 @@ for D in dyck_paths(p, q):
     print(f"  diagram {D}: size {D.size()}, slope statistic {h_plus(D, p, q)}")
 
 print("\nrow counts vs the tabulated torus-knot homology:")
-t34 = load_fixture("T3_4:1").standard()
+t34 = load_fixture("T3_4:1").poincare
 for k in range(3):
     row = t34.coefficient_of("a", 6 + 2 * k)
     print(f"  row a^{6 + 2 * k}: fixture {row.dimension()}, "

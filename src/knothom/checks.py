@@ -287,7 +287,7 @@ def rank_collapse_input(key: str, lam, order=30) -> RationalSeries:
     if key.startswith("unknot:"):
         reduced = LaurentPoly.one()
     else:
-        reduced = load_fixture(key).standard()
+        reduced = load_fixture(key).poincare
     return aqt_projection(unreduced_from_reduced(reduced, lam, order))
 
 

@@ -170,11 +170,10 @@ def _torus_sum(lam: Partition, n: int, m: int):
     fractional offsets raise ``ValueError``.
     """
     packed, (bits, q_lo, q_len), common, offset = _packed_torus_sum(lam, n, m)
-    terms = []
-    for index, c in _unpack(packed, bits):
-        i, j = divmod(index, q_len)
-        terms.append((i, j + q_lo, c))
-    return LaurentPoly._from_aq(terms), common, offset
+    indices, values = _unpack(packed, bits)
+    a_exps = [*map(q_len.__rfloordiv__, indices)]
+    q_exps = [*map(q_lo.__add__, map(q_len.__rmod__, indices))]
+    return LaurentPoly._from_aq(a_exps, q_exps, values), common, offset
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
@@ -246,7 +245,9 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         if abs(c) == 1:
             sign = 1 if c > 0 else -1
             shift = Multidegree(q=-md.e("q"))
-            quotient = sign * quotient.map_exponents(lambda d: d + shift)
+            # one pass: a shift is one-to-one, so no two terms meet
+            quotient = LaurentPoly._of({d + shift: c if sign > 0 else -c
+                                        for d, c in quotient.terms.items()})
             report.sign = sign
             report.monomial_shift = shift
             report.sl1 = True

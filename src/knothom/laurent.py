@@ -5,8 +5,9 @@ package.  The values of ``LaurentPoly.terms`` are always
 ``fractions.Fraction``.  The inner loop of multiplication reads integral
 coefficients as ``int`` (``Fraction`` only where a value is not integral),
 computes on them, and wraps each result value in a ``Fraction`` once on the
-way out; Python mixes ``int`` and ``Fraction`` exactly.  Exponents are
-integers on every variable.
+way out, taken from one shared table (``_SMALL``) when it is an ``int`` of
+absolute value at most 128; Python mixes ``int`` and ``Fraction`` exactly.
+Exponents are integers on every variable.
 
 Exact division is Kronecker division: the dividend and the divisor, made
 integral, are each packed into one Python ``int``, with one signed slot of
@@ -15,7 +16,10 @@ divides them.  The quotient is unpacked once and certified before it is
 returned.  Its cost therefore scales with the dividend's exponent box, the
 product of its degree spans plus one, not with its number of terms.  The
 signed-slot codec (``_pack``, ``_unpack``) is shared with the packed
-plethysm sum of :mod:`knothom.invariants`.
+plethysm sum of :mod:`knothom.invariants`.  It runs one exponent slot (a
+column of every term's exponents) at a time, in C-level ``map`` and
+``compress`` calls: terms are numbered, and degrees decoded, column by
+column, and ``_unpack`` gives the nonzero slots as two lists.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -47,12 +51,27 @@ from __future__ import annotations
 import json
 import sys
 import threading
+from collections import deque
 from fractions import Fraction
-from itertools import accumulate, compress, count, zip_longest
+from itertools import accumulate, compress, count, repeat, zip_longest
 from math import floor, gcd, isqrt, lcm
-from operator import add as _add, mul as _mul, neg as _neg, sub as _sub
+from operator import add as _add, mul as _mul, neg as _neg, not_ as _not, sub as _sub
 
 _new = tuple.__new__
+
+
+#: one shared ``Fraction`` for each integer ``c`` with ``|c| <= 128``, at
+#: ``_SMALL[c + 128]``: the kernel wraps a small ``int`` by looking it up
+#: here, and builds a new ``Fraction`` only for a larger one
+_SMALL = [Fraction(c) for c in range(-128, 129)]
+
+
+def _fractions(values) -> list:
+    """Each of ``values``, an ``int`` or a ``Fraction``, as a ``Fraction``:
+    a small ``int`` from ``_SMALL``, a ``Fraction`` as it is."""
+    small = _SMALL
+    return [c if type(c) is not int else small[c + 128] if -129 < c < 129
+            else Fraction(c) for c in values]
 
 
 def _frac(x) -> Fraction:
@@ -144,14 +163,6 @@ def _from_slots(exps: dict) -> "Multidegree":
     while out and not out[-1]:
         out.pop()
     return _new(Multidegree, out)
-
-
-def _trimmed(exps: tuple) -> tuple:
-    """``exps`` without its trailing zeros."""
-    k = len(exps)
-    while k and not exps[k - 1]:
-        k -= 1
-    return exps[:k]
 
 
 class Multidegree(tuple):
@@ -295,9 +306,9 @@ _UNSIGNED = {memoryview(bytes(8)).cast(code).itemsize: code
              for code in "BHIQ"} if sys.byteorder == "little" else {}
 
 
-def _pack(values, bits: int, slots: int) -> int:
-    """``sum c * 2^(bits*index)`` over the ``(index, c)`` pairs of ``values``,
-    with distinct indices in ``range(slots)`` and ``|c| < 2^(bits-1)``.
+def _pack(indices, values, bits: int, slots: int) -> int:
+    """``sum c * 2^(bits*index)`` over ``zip(indices, values)``, with distinct
+    indices in ``range(slots)`` and ``|c| < 2^(bits-1)``.
 
     Each slot is written as the unsigned digit ``c + 2^(bits-1)`` of base
     ``2^bits``, which never borrows from its neighbour, into one byte buffer;
@@ -311,24 +322,25 @@ def _pack(values, bits: int, slots: int) -> int:
     code = _UNSIGNED.get(width)
     if code:
         view = memoryview(raw).cast(code)
-        for index, c in values:
-            view[index] = c + half
+        # an empty deque drains the map: one store per term, in C
+        deque(map(view.__setitem__, indices, map(half.__add__, values)), 0)
         view.release()
     else:
-        for index, c in values:
+        for index, c in zip(indices, values):
             at = index * width
             raw[at:at + width] = (c + half).to_bytes(width, "little")
     return int.from_bytes(raw, "little") - int.from_bytes(zero * slots, "little")
 
 
-def _unpack(packed: int, bits: int) -> list:
-    """The ``(index, c)`` pairs, ``c`` nonzero, of the signed digits of
-    ``packed`` in base ``2^bits``, each in ``[-2^(bits-1), 2^(bits-1))``.
+def _unpack(packed: int, bits: int) -> tuple:
+    """``(indices, values)``: the indices, ascending, of the nonzero signed
+    digits of ``packed`` in base ``2^bits``, each in ``[-2^(bits-1),
+    2^(bits-1))``, and those digits, as two lists.
 
     Every integer has exactly one such expansion, and it fits in the slots
     counted below; when ``packed`` came from :func:`_pack` it gives back the
-    packed values.  Adding ``2^(bits-1)`` to every slot makes each digit
-    unsigned, so one ``to_bytes`` call splits the whole integer.
+    packed indices and values.  Adding ``2^(bits-1)`` to every slot makes
+    each digit unsigned, so one ``to_bytes`` call splits the whole integer.
     """
     width = bits // 8
     # |packed| < 2^(bits*slots - 2), inside the range of signed digits
@@ -342,15 +354,37 @@ def _unpack(packed: int, bits: int) -> list:
     else:
         digits = [int.from_bytes(raw[at:at + width], "little")
                   for at in range(0, slots * width, width)]
-    return [(index, u - half) for index, u in enumerate(digits) if u != half]
+    signed = [*map(half.__rsub__, digits)]
+    return [*compress(count(), signed)], [*compress(signed, signed)]
 
 
-def _exponent_box(terms, n: int):
-    """The least and the greatest exponent in each of the first ``n`` slots
-    over the degrees of ``terms``, as two lists."""
+def _columns(terms, n: int) -> list:
+    """The exponents of the degrees of ``terms`` slot by slot: ``n`` tuples,
+    entry ``k`` of tuple ``i`` the exponent of term ``k`` in slot ``i``."""
     columns = list(zip_longest(*terms, fillvalue=0))
-    pad = [0] * (n - len(columns))
-    return [*map(min, columns), *pad], [*map(max, columns), *pad]
+    return columns + [(0,) * len(terms)] * (n - len(columns))
+
+
+def _indices(columns, strides, lows) -> list:
+    """The mixed-radix index ``sum (e_i - lows[i]) * strides[i]`` of each
+    term, summed one exponent column at a time; ``strides[0]`` is 1."""
+    index = [*map((-sum(map(_mul, lows, strides))).__add__, columns[0])]
+    for column, stride in zip(columns[1:], strides[1:]):
+        index = [*map(_add, index, map(stride.__mul__, column))]
+    return index
+
+
+def _degrees(columns) -> list:
+    """The ``Multidegree`` of each term from its (at least one) exponent
+    columns, slot 0 first: the terms whose last exponent is zero are built
+    again from the columns before it, which trims the trailing zeros."""
+    degrees = [*map(_new, repeat(Multidegree), zip(*columns))]
+    if not all(columns[-1]):
+        short = [*compress(count(), map(_not, columns[-1]))]
+        trimmed = _degrees([[*map(column.__getitem__, short)] for column in columns[:-1]]
+                           ) if len(columns) > 1 else repeat(_new(Multidegree, ()))
+        deque(map(degrees.__setitem__, short, trimmed), 0)
+    return degrees
 
 
 def _integral(terms) -> tuple:
@@ -390,18 +424,16 @@ class LaurentPoly:
     @classmethod
     def _wrap(cls, values):
         """Wrap a term map of nonzero ``int`` or ``Fraction`` values, making
-        every value a ``Fraction``."""
-        return cls._of({md: Fraction(c) for md, c in values.items()})
+        every ``int`` a ``Fraction`` (a shared one when small)."""
+        return cls._of(dict(zip(values, _fractions(values.values()))))
 
     @classmethod
-    def _from_aq(cls, terms):
-        """The polynomial ``sum c * a^i * q^j`` over ``int`` triples
-        ``(i, j, c)`` with distinct ``(i, j)`` and nonzero ``c``.  Each degree
-        is built as the tuple ``(j, i)`` directly: ``q`` and ``a`` hold slots
-        0 and 1 from import on."""
-        return cls._of({
-            _new(Multidegree, (j, i) if i else (j,) if j else ()): Fraction(c)
-            for i, j, c in terms})
+    def _from_aq(cls, a_exps, q_exps, values):
+        """The polynomial ``sum c * a^i * q^j`` over the entries ``i``, ``j``,
+        ``c`` of three ``int`` lists, with distinct ``(i, j)`` and nonzero
+        ``c``.  The degrees are built from the two lists as exponent columns:
+        ``q`` and ``a`` hold slots 0 and 1 from import on."""
+        return cls._of(dict(zip(_degrees([q_exps, a_exps]), _fractions(values))))
 
     # -- constructors ------------------------------------------------------
 
@@ -681,7 +713,8 @@ class LaurentPoly:
           of the box in mixed radix, the first exponent slot running
           fastest; this Kronecker substitution is a ring map, one-to-one on
           the box.  Each coefficient sits in a signed slot of ``bits`` bits
-          at its index.
+          at its index.  Indices are summed, and decoded, one slot (exponent
+          column) at a time, over all terms at once.
         - **Division.**  Substitution and evaluation are ring maps, so an
           exact quotient leaves no remainder at any width, and a nonzero
           remainder proves the division inexact.
@@ -700,7 +733,8 @@ class LaurentPoly:
 
         The cost scales with the dividend's exponent box, the product of its
         degree spans plus one, not with its number of terms.  Every
-        coefficient of the quotient is a ``Fraction``.
+        coefficient of the quotient is a ``Fraction``, from ``_SMALL`` when
+        it is a small integer.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
@@ -709,8 +743,9 @@ class LaurentPoly:
             return LaurentPoly.zero()
         f, g = self.terms, divisor.terms
         n = max(1, *map(len, f), *map(len, g))
-        f_lo, f_hi = _exponent_box(f, n)
-        g_lo, g_hi = _exponent_box(g, n)
+        f_cols, g_cols = _columns(f, n), _columns(g, n)
+        f_lo, f_hi = [*map(min, f_cols)], [*map(max, f_cols)]
+        g_lo, g_hi = [*map(min, g_cols)], [*map(max, g_cols)]
         strides, dims = [], []
         slots = 1
         for i in range(n):
@@ -721,54 +756,50 @@ class LaurentPoly:
             strides.append(slots)
             dims.append((radix, lo, top))
             slots *= radix
-        f_base = sum(map(_mul, f_lo, strides))
-        g_base = sum(map(_mul, g_lo, strides))
+        f_index = _indices(f_cols, strides, f_lo)
+        g_index = _indices(g_cols, strides, g_lo)
         f_den, f_ints = _integral(f)
         g_den, g_ints = _integral(g)
         content = gcd(*g_ints)
         if content != 1:
             g_ints = [c // content for c in g_ints]
-        f_values = [(sum(map(_mul, md, strides)) - f_base, c)
-                    for md, c in zip(f, f_ints)]
-        g_values = [(sum(map(_mul, md, strides)) - g_base, c)
-                    for md, c in zip(g, g_ints)]
         g_norm = sum(map(abs, g_ints))
         bits = _slot_bits(max(map(abs, f_ints)) * g_norm)
         stop = None
         while True:
-            packed, remainder = divmod(_pack(f_values, bits, slots),
-                                       _pack(g_values, bits, slots))
+            packed, remainder = divmod(_pack(f_index, f_ints, bits, slots),
+                                       _pack(g_index, g_ints, bits, slots))
             if remainder:
                 raise DivisionError("no exact quotient")
-            digits = _unpack(packed, bits)
-            if max(abs(c) for _, c in digits) * g_norm < 1 << (bits - 1):
+            indices, values = _unpack(packed, bits)
+            if max(map(abs, values)) * g_norm < 1 << (bits - 1):
                 break
             if stop is None:
-                span = (max(i for i, _ in f_values) - min(i for i, _ in f_values)
-                        - max(i for i, _ in g_values) + min(i for i, _ in g_values))
+                span = max(f_index) - min(f_index) - max(g_index) + min(g_index)
                 stop = _slot_bits(((isqrt(sum(c * c for c in f_ints)) + 1) * g_norm)
                                   << max(span, 0))
             if bits >= stop:
                 raise DivisionError("no exact quotient")
             bits = min(2 * bits, stop)
         # a certified quotient has a lower top index than the dividend, so
-        # every index lies in the dividend's box; a digit outside the
+        # every index lies in the dividend's box, and what is left of it
+        # after the other slots is the last slot; a digit outside the
         # quotient box proves the division inexact.  Each pass decodes one
         # slot of every index.
-        indices = [index for index, _ in digits]
         columns = []
-        for radix, lo, top in dims:
-            column = [lo + index % radix for index in indices]
-            if max(column) > lo + top:
+        for radix, lo, top in dims[:-1]:
+            columns.append([*map(radix.__rmod__, indices)])
+            indices = [*map(radix.__rfloordiv__, indices)]
+        columns.append(indices)
+        for k, (_, lo, top) in enumerate(dims):
+            if max(columns[k]) > top:
                 raise DivisionError("no exact quotient")
-            columns.append(column)
-            indices = [index // radix for index in indices]
-        degrees = [exps if exps[-1] else _trimmed(exps) for exps in zip(*columns)]
+            if lo:
+                columns[k] = [*map(lo.__add__, columns[k])]
         num, den = g_den, f_den * content
-        values = (Fraction(c) for _, c in digits) if num == den else (
-            Fraction(c * num, den) for _, c in digits)
-        quotient = {_new(Multidegree, md): c for md, c in zip(degrees, values)}
-        return LaurentPoly._of(quotient)
+        values = _fractions(values) if num == den else [
+            Fraction(c * num, den) for c in values]
+        return LaurentPoly._of(dict(zip(_degrees(columns), values)))
 
     # -- serialization ------------------------------------------------------
 
@@ -793,8 +824,8 @@ class LaurentPoly:
 
         Each degree is written straight into the slots of the listed
         variables, which are registered first.  Terms of one degree are
-        summed and a zero sum is dropped; a non-integral exponent raises
-        ``ValueError``.
+        summed as parsed (``int`` where integral) and wrapped once; a zero
+        sum is dropped, and a non-integral exponent raises ``ValueError``.
         """
         slots = [_slot(v) for v in obj["variables"]]
         width = max(slots, default=-1) + 1
@@ -812,10 +843,10 @@ class LaurentPoly:
             while exps and not exps[-1]:
                 exps.pop()
             md = _new(Multidegree, exps)
-            c = Fraction(_parse_exact(t["coeff"]))
+            c = _parse_exact(t["coeff"])
             s = terms.get(md)
             terms[md] = c if s is None else s + c
-        return cls._of({md: c for md, c in terms.items() if c})
+        return cls._wrap({md: c for md, c in terms.items() if c})
 
     def dumps(self, variables=None) -> str:
         return json.dumps(self.to_json(variables), separators=(",", ":"))

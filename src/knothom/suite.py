@@ -114,7 +114,7 @@ def _mirror(a, b):
 
 
 def _mirror_hook():
-    p = load_fixture("3_1:2_1").standard()
+    p = load_fixture("3_1:2_1").poincare
     return p.map_exponents(lambda md: Multidegree(
         a=md.e("a"), q=-md.e("q"), t=md.e("t") - md.e("q"))) == p
 
@@ -129,7 +129,7 @@ def mirror_rows():
 
 def _delta(name, r, thin):
     fix = load_fixture(name)
-    ok, deltas = check_delta_thin(fix.standard(), r, fix.sigma)
+    ok, deltas = check_delta_thin(fix.poincare, r, fix.sigma)
     got = ok if thin else (not ok)
     return got, (f"deltas {deltas}" if not got else "")
 
@@ -156,7 +156,7 @@ def growth_rows():
             ]}
 
 
-def _differential(standard, fname, label, kind, param, target_name, project):
+def _differential(fname, label, kind, param, target_name, project):
     fix = load_fixture(fname)
     spec = DifferentialSpec.colored(kind, fix.R, fix.S, param or 0, fix.sigma,
                                     name=label)
@@ -166,8 +166,8 @@ def _differential(standard, fname, label, kind, param, target_name, project):
         got = Multidegree({v: spec.degree.e(v) for v in printed})
         if want != got:
             return False, f"degree {got!r} != printed {want!r}"
-    target = LaurentPoly.one() if target_name is None else standard(target_name)
-    ok, _ = check_differential(standard(fname), target, spec, project=project)
+    target = load_fixture(target_name).poincare if target_name else LaurentPoly.one()
+    ok, _ = check_differential(fix.poincare, target, spec, project=project)
     surv = PRINTED_SURVIVORS.get((fname, label))
     if ok and surv is not None:
         image = spec.regrade(Multidegree())
@@ -177,10 +177,7 @@ def _differential(standard, fname, label, kind, param, target_name, project):
 
 
 def differential_rows():
-    # each fixture's standard form serves all its differentials: computed
-    # once, when wanted
-    standard = cache(lambda name: load_fixture(name).standard())
-    return {f"differential:{fname}:{d[0]}": partial(_differential, standard, fname, *d)
+    return {f"differential:{fname}:{d[0]}": partial(_differential, fname, *d)
             for fname, diffs in DIFFERENTIALS.items() for d in diffs}
 
 
@@ -189,7 +186,7 @@ HFK_DEGREE = Multidegree(a=-2, Q=0, tr=-3, tc=-5)
 
 def _hfk_growth():
     t34, d12 = load_fixture("T3_4:S2"), load_fixture("T3_4:S2:d1|2")
-    d11 = load_fixture("T3_4:1:d1|1").standard()
+    d11 = load_fixture("T3_4:1:d1|1").poincare
     d11 = d11.map_exponents(
         lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
     ok, survivors = check_hfk_growth(t34.tilde(), d11, 2, HFK_DEGREE)
@@ -381,7 +378,7 @@ def _derivative_ideals():
 def _fixture_rows():
     ok = True
     for name, (p, q), amin in [("3_1:1", (2, 3), 2), ("T3_4:1", (3, 4), 6)]:
-        fixpoly = load_fixture(name).standard()
+        fixpoly = load_fixture(name).poincare
         for k in range(0, p):
             row = fixpoly.coefficient_of("a", amin + 2 * k)
             ok = ok and row.dimension() == row_count(p, q, k)

@@ -88,13 +88,13 @@ def test_growth_trefoil():
 
 def test_delta():
     s2 = load_fixture("3_1:S2")
-    ok, deltas = check_delta_thin(s2.standard(), 2, 2)
+    ok, deltas = check_delta_thin(s2.poincare, 2, 2)
     assert ok and deltas == [2]
     f8 = load_fixture("4_1:S2")
-    ok, deltas = check_delta_thin(f8.standard(), 2, 0)
+    ok, deltas = check_delta_thin(f8.poincare, 2, 0)
     assert ok and deltas == [0]
     t34 = load_fixture("T3_4:S2")
-    ok, deltas = check_delta_thin(t34.standard(), 2, 6)
+    ok, deltas = check_delta_thin(t34.poincare, 2, 6)
     assert not ok and len(deltas) > 1
 
 
@@ -136,12 +136,12 @@ def test_regrade_sigma_zero_reduces_to_q_shifts():
 def test_check_differential_canceling_quad31():
     fix = load_fixture("3_1:S2")
     spec = DifferentialSpec.colored("+row", 1, 2, 0, 2, name="d1|0")
-    ok, witness = check_differential(fix.standard(), LaurentPoly.one(), spec)
+    ok, witness = check_differential(fix.poincare, LaurentPoly.one(), spec)
     assert ok
     # the witness reconstructs the residual exactly
     mono = LaurentPoly.monomial(1, spec.degree)
     survivor = LaurentPoly.monomial(1, Multidegree(a=4, q=-4))
-    assert (LaurentPoly.one() + mono) * witness == fix.standard() - survivor
+    assert (LaurentPoly.one() + mono) * witness == fix.poincare - survivor
 
 
 def test_check_differential_t34_d12():
@@ -156,14 +156,14 @@ def test_check_differential_222_to_22():
     fix = load_fixture("3_1:3x2")
     target = load_fixture("3_1:2x2")
     spec = DifferentialSpec.colored("+row", 3, 2, 2, 2, name="d5|0")
-    ok, _ = check_differential(fix.standard(), target.standard(), spec,
+    ok, _ = check_differential(fix.poincare, target.poincare, spec,
                                project=("a", "q", "tc"))
     assert ok
 
 
 def test_hfk_r1_tautology():
     unc = load_fixture("T3_4:1").tilde()
-    d11 = load_fixture("T3_4:1:d1|1").standard().map_exponents(
+    d11 = load_fixture("T3_4:1:d1|1").poincare.map_exponents(
         lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
     ok, _ = check_hfk_growth(unc, d11, 1, Multidegree(a=-2, Q=0, tr=-3, tc=-3))
     assert ok
@@ -172,7 +172,7 @@ def test_hfk_r1_tautology():
 def test_hfk_thin_reduces_to_growth():
     # the parity differential has no aligned pairs on the thin trefoil
     s2 = load_fixture("3_1:S2").tilde()
-    unc = load_fixture("3_1:1").standard().map_exponents(
+    unc = load_fixture("3_1:1").poincare.map_exponents(
         lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
     ok, survivors = check_hfk_growth(
         s2, unc, 2, Multidegree(a=-2, Q=0, tr=-3, tc=-5))
@@ -195,8 +195,8 @@ def test_unreduced_from_reduced_unknot():
 def test_unreduced_from_reduced_trefoil_display():
     # the uncolored product formula
     fix = load_fixture("3_1:1")
-    series = unreduced_from_reduced(fix.standard(), [1], order=12)
-    reduced = fix.standard()
+    series = unreduced_from_reduced(fix.poincare, [1], order=12)
+    reduced = fix.poincare
     expect = reduced * LaurentPoly.monomial(1, Multidegree(a=-1, q=1)) * (
         LaurentPoly.one() + LaurentPoly.monomial(1, Multidegree(a=2, tr=1, tc=1)))
     assert series.numerator == expect

@@ -161,9 +161,9 @@ def test_tilde_regrading_round_trips_on_int_exponents():
                  if load_fixture(name).quadruple()]
     assert {fix.R for fix in quadruple} == {1, 2}
     for fix in quadruple:
-        tilde = to_tilde(fix.standard(), fix.R)
+        tilde = to_tilde(fix.poincare, fix.R)
         assert tilde == fix.tilde()
-        assert from_tilde(tilde, fix.R) == fix.standard()
+        assert from_tilde(tilde, fix.R) == fix.poincare
         assert all(type(x) is int for md in tilde.terms for x in md)
 
 

@@ -316,9 +316,9 @@ def widths(monkeypatch):
     seen = []
     pack = laurent._pack
 
-    def recorded(values, bits, slots):
+    def recorded(indices, values, bits, slots):
         seen.append(bits)
-        return pack(values, bits, slots)
+        return pack(indices, values, bits, slots)
 
     monkeypatch.setattr(laurent, "_pack", recorded)
     return seen
@@ -371,6 +371,80 @@ def test_divide_exact_packed_image_divides(f, g):
     assert len(sympy_terms(den)) > 1  # f / g is no Laurent polynomial
     with pytest.raises(DivisionError):
         f.divide_exact(g)
+
+
+def trimmed(exps) -> tuple:
+    """``exps`` without its trailing zeros."""
+    exps = list(exps)
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple(exps)
+
+
+@oracle(150)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-3, 3), max_size=n), min_size=1, max_size=12))))
+def test_codec_columns_match_per_term_indices(case):
+    """Exact division numbers terms and decodes degrees one exponent slot at
+    a time.  Over 1 to 6 slots, degrees with negative exponents and ragged
+    lengths (trailing zeros trimmed, so a term may stop short of the slot
+    count or be the empty degree), the column-wise index of each term equals
+    the per-term mixed-radix sum ``sum(map(mul, md, strides)) - base``, and
+    ``_degrees`` builds each degree back from its columns, trimmed."""
+    n, rows = case
+    degrees = [trimmed(row) for row in rows]
+    columns = laurent._columns(degrees, n)
+    assert len(columns) == n and all(len(c) == len(degrees) for c in columns)
+    lows, highs = [*map(min, columns)], [*map(max, columns)]
+    strides = [*accumulate([h - lo + 1 for lo, h in zip(lows, highs)][:-1],
+                           lambda a, b: a * b, initial=1)]
+    base = sum(lo * s for lo, s in zip(lows, strides))
+    want = [sum(e * s for e, s in zip(md, strides)) - base for md in degrees]
+    assert laurent._indices(columns, strides, lows) == want
+    assert 0 <= min(want) and max(want) < strides[-1] * (highs[-1] - lows[-1] + 1)
+    rebuilt = laurent._degrees(columns)
+    assert [tuple(md) for md in rebuilt] == degrees
+    assert all(type(md) is Multidegree for md in rebuilt)
+
+
+#: coefficients at the edges of the shared ``Fraction`` table and past them,
+#: and non-integral ones
+EDGE_COEFFS = [1, -1, 128, -128, 129, -129, 2 ** 70, -(3 ** 50), Fraction(1, 3),
+               Fraction(-7, 2), Fraction(129, 4)]
+
+
+@pytest.mark.parametrize("c", EDGE_COEFFS, ids=str)
+def test_every_coefficient_is_a_fraction(c):
+    """Mul, exact division, substitution, ``from_json`` and the packed
+    plethysm sum's ``_from_aq`` wrap ``int`` coefficients in ``Fraction``,
+    from the shared table where they are small: every coefficient they give
+    is ``type(c) is Fraction``, of the right value, also outside the table
+    and where it is not integral.  A ``float`` is still refused."""
+    f = LaurentPoly({Multidegree(a=1, q=-2): c, Multidegree(q=3): 2 * c,
+                     Multidegree(): -c})
+    g = parse_poly("1 - a*q^2 + 3*t")
+    fg = f * g
+    want = {}
+    for (m1, c1), (m2, c2) in product(f.terms.items(), g.terms.items()):
+        want[m1 + m2] = want.get(m1 + m2, 0) + c1 * c2
+    results = {
+        "mul": (fg, want),
+        "divide_exact": (fg.divide_exact(g), f.terms),
+        "substitute": (f.substitute("a", parse_poly("-q")),
+                       {Multidegree(q=-1): -c, Multidegree(q=3): 2 * c, Multidegree(): -c}),
+        "from_json": (LaurentPoly.from_json(f.to_json()), f.terms),
+    }
+    if type(c) is int:
+        results["_from_aq"] = (LaurentPoly._from_aq([0, 1, 2, 0], [0, -1, 3, 5],
+                                                    [c, -c, 3 * c, 1]),
+                               {Multidegree(): c, Multidegree(a=1, q=-1): -c,
+                                Multidegree(a=2, q=3): 3 * c, Multidegree(q=5): 1})
+    for name, (p, terms) in results.items():
+        assert p.terms == {md: x for md, x in terms.items() if x}, name
+        assert all(type(x) is Fraction for x in p.terms.values()), name
+        assert_normalised(p)
+    with pytest.raises(TypeError):
+        LaurentPoly({Multidegree(a=1): 0.5})
 
 
 @oracle(80)

@@ -134,7 +134,7 @@ def test_slot_width_meets_bound(case):
     assert bits % 8 == 0
     assert bound < 2 ** (bits - 1)
     assert bits == 8 or bound >= 2 ** (bits - 9)
-    largest = max(abs(c) for _, c in _unpack(packed, bits))
+    largest = max(map(abs, _unpack(packed, bits)[1]))
     assert largest <= bound
 
 
@@ -159,7 +159,10 @@ def test_unpack_signed_slots(coeffs, bits, q_lo):
     """The signed-slot codec of ``laurent`` against packing by shifts, on
     three rows of three slots.  Slots ``(i, j)`` count ``q`` from ``q_lo``; a
     value of 1 stands for the largest slot value ``2^(bits-1) - 1``.  Widths
-    of 8 and 16 bits read slots through a ``memoryview``, 24 bits by slices."""
+    of 8 and 16 bits read slots through a ``memoryview``, 24 bits by slices.
+    ``_pack`` takes the indices and the values as two sequences, in any
+    order, and ``_unpack`` gives back the nonzero slots as two lists, the
+    indices ascending."""
     top = 2 ** (bits - 1) - 1
     coeffs = {(i, j + q_lo): c * top if abs(c) == 1 else c
               for (i, j), c in coeffs.items()}
@@ -167,8 +170,12 @@ def test_unpack_signed_slots(coeffs, bits, q_lo):
     if coeffs and coeffs[max(coeffs)] < 0:
         assert packed < 0
     slots = {i * 3 + j - q_lo: c for (i, j), c in coeffs.items()}
-    assert _pack_slots(slots.items(), bits, 9) == packed
-    assert dict(_unpack(packed, bits)) == slots
+    assert _pack_slots(list(slots), list(slots.values()), bits, 9) == packed
+    assert _pack_slots(list(slots)[::-1], list(slots.values())[::-1], bits, 9) == packed
+    indices, values = _unpack(packed, bits)
+    assert type(indices) is list and type(values) is list
+    assert indices == sorted(slots)
+    assert values == [slots[index] for index in indices]
 
 
 def test_negative_contents_single_colour():
