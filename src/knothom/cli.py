@@ -1,26 +1,16 @@
 """Command-line interface: compute invariants, bases and verification reports.
 
-Verbs:
-
-    homfly     colored invariants of torus knots and the unknot
-    super      unknot superpolynomial series and evaluation products
-    check      structural checks (one group or ``all``)
-    scheme     quotient-scheme bases and Poincare polynomials
-    bottom     bottom-row counts, gradings and vortex characters
-    potential  Landau-Ginzburg potentials
-    cancel     rank-collapse cancellation of unreduced series
-
-All numeric output is exact; ``--format json`` emits the canonical
+Each verb is one entry of :data:`VERBS`: its command, options and help text.
+``knothom --help`` lists the verbs and ``knothom VERB --help`` one verb's
+options.  All numeric output is exact; ``--format json`` emits the canonical
 polynomial JSON used throughout the package.  Exit codes: 0 on success or
-pass, 1 on a check failure, 2 on usage errors, 3 on internal errors.
-"""
+pass, 1 on a check failure, 2 on usage errors, 3 on internal errors."""
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from types import SimpleNamespace
 
 from .laurent import LaurentPoly, RationalSeries
 from .partitions import Partition, catalan_count
@@ -81,20 +71,12 @@ def parse_knot(text: str):
 
 
 def emit_poly(p: LaurentPoly, fmt: str, variables=None):
-    if fmt == "json":
-        print(json.dumps(p.to_json(variables)))
-    else:
-        print(p)
+    print(json.dumps(p.to_json(variables)) if fmt == "json" else p)
 
 
 def emit_rational(s: RationalSeries, fmt: str):
-    if fmt == "json":
-        print(json.dumps({
-            "numerator": s.numerator.to_json(),
-            "denominator": s.denominator().to_json(),
-        }))
-    else:
-        print(s)
+    print(json.dumps({"numerator": s.numerator.to_json(),
+                      "denominator": s.denominator().to_json()}) if fmt == "json" else s)
 
 
 def cmd_homfly(args):
@@ -147,11 +129,8 @@ def cmd_check(args):
 
     if args.what == "all":
         results = suite.run_all(wanted)
-    elif args.what in suite.CHECK_GROUPS:
-        results = suite.run_group(args.what, wanted)
     else:
-        raise UsageError(f"unknown check group {args.what!r}; "
-                         f"choose from {sorted(suite.CHECK_GROUPS)} or 'all'")
+        results = suite.run_group(args.what, wanted)
     if not results:
         raise UsageError(f"no check in {args.what!r} names {args.fixture!r}")
     if args.format == "json":
@@ -252,99 +231,119 @@ def cmd_cancel(args):
     return 0
 
 
-def at_least(low: int):
-    """The argparse type of an ``int`` option that must be ``>= low``."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{value} is less than {low}")
-        return value
-    parse.__name__ = "int"  # argparse names the type in its messages
-    return parse
+#: the default of an option that every request of its verb must give
+REQUIRED = object()
+FORMAT = {"--format": (("text", "json"), "text")}
+TORUS = {"--p": (1, None), "--q": (1, None), "--r": (0, 1)}
+#: verb -> (command, help, {option: (kind, default[, help])}); a kind is ``str``,
+#: ``int``, an ``int`` n (an integer of at least n), a tuple of choices or ``bool``
+#: (a flag, given without a value); ``check``'s ``what`` is an optional positional
+VERBS = {
+    "homfly": (cmd_homfly, "colored torus-knot invariants", {
+        "--knot": (str, REQUIRED), "--color": (str, "S1"), "--reduced": (bool, False),
+        "--cutoff": (int, 30), **FORMAT}),
+    "super": (cmd_super, "unknot superpolynomial products", {
+        "--color": (str, REQUIRED), "--expand": (bool, False), "--cutoff": (int, 12), **FORMAT}),
+    "check": (cmd_check, "structural verification", {
+        "what": (("all", *suite.CHECK_GROUPS), "all"),
+        "--fixture": (str, None, "restrict to checks naming this fixture"), **FORMAT}),
+    "scheme": (cmd_scheme, "torus-knot quotient scheme bases", {
+        "--p": (1, REQUIRED), "--q": (1, REQUIRED), "--r": (0, 1), "--reduced": (bool, False),
+        "--forms": (bool, False, "include differential forms (odd generators)"),
+        "--ceiling": (int, 200), **FORMAT}),
+    "bottom": (cmd_bottom, "bottom-row combinatorics", {
+        **TORUS, "--count": (bool, False), "--rows": (bool, False),
+        "--vortex": (str, None, "p,m for the vortex character"), **FORMAT}),
+    "potential": (cmd_potential, "Landau-Ginzburg potentials", {
+        **TORUS, "--antisym": (str, None, "k,N for the antisymmetric potential"), **FORMAT}),
+    "cancel": (cmd_cancel, "rank collapse of unreduced series", {
+        "--knot": (str, REQUIRED), "--color": (str, "S1"), "--n": (1, 2), "--cutoff": (int, 30),
+        **FORMAT}),
+}
+HELP = ("-h", "--help")
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built on first use and then shared: parsing
-    leaves no state in it, and building it costs about a millisecond."""
-    ap = argparse.ArgumentParser(
-        prog="knothom",
-        description="Exact colored invariants of torus knots and their "
-                    "graded homology models.")
-    sub = ap.add_subparsers(dest="verb", required=True)
+def is_value(token: str) -> bool:
+    """Whether ``token`` is a value; led by ``-``, only ``-`` or a negative integer is."""
+    return token[:1] != "-" or token == "-" or token[1:].isdecimal()
 
-    def common(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("homfly", help="colored torus-knot invariants")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--color", default="S1")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--cutoff", type=int, default=30)
-    common(p)
-    p.set_defaults(fn=cmd_homfly)
+def convert(option: str, kind, text: str):
+    """``text`` as a value of ``option``, whose kind is not ``bool``."""
+    choices = isinstance(kind, tuple)
+    try:
+        value = text if choices or kind is str else int(text)
+    except ValueError:
+        raise UsageError(f"argument {option}: invalid int value: {text!r}") from None
+    if choices and value not in kind or type(kind) is int and value < kind:
+        raise UsageError(f"argument {option}: {text!r} is not "
+                         + (f"one of {', '.join(kind)}" if choices else f"at least {kind}"))
+    return value
 
-    p = sub.add_parser("super", help="unknot superpolynomial products")
-    p.add_argument("--color", required=True)
-    p.add_argument("--expand", action="store_true")
-    p.add_argument("--cutoff", type=int, default=12)
-    common(p)
-    p.set_defaults(fn=cmd_super)
 
-    p = sub.add_parser("check", help="structural verification")
-    p.add_argument("what", nargs="?", default="all")
-    p.add_argument("--fixture", help="restrict to checks naming this fixture")
-    common(p)
-    p.set_defaults(fn=cmd_check)
+def parse(argv):
+    """``(verb, args)``, ``args`` holding each option of ``VERBS[verb]``, or
+    ``(verb, None)`` for ``-h``/``--help`` (``verb`` None: the verb list).
+    As in argparse, a bad or missing value is refused and help is answered
+    at once, an unknown token or a missing option after the last token."""
+    verb = argv[0] if argv else None
+    if verb in HELP:
+        return None, None
+    if verb not in VERBS:
+        raise UsageError(f"the verb must be one of {', '.join(VERBS)}"
+                         + (f", not {verb!r}" if argv else ""))
+    options = VERBS[verb][2]
+    values = {name.lstrip("-"): default for name, (_, default, *_) in options.items()}
+    positional = [name for name in options if name[0] != "-"]
+    unknown, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if is_value(token) and positional:
+            name = positional.pop()
+            values[name] = convert(name, options[name][0], token)
+        elif is_value(token) or name not in options and name not in HELP:
+            unknown.append(token)
+        elif name in HELP or options[name][0] is bool:
+            if eq:
+                raise UsageError(f"argument {name}: ignored explicit argument {text!r}")
+            if name in HELP:
+                return verb, None
+            values[name[2:]] = True
+        else:
+            if not eq:
+                text = next(tokens, "--")  # never a value: argv has ended
+                if not is_value(text):
+                    raise UsageError(f"argument {name}: expected one argument")
+            values[name[2:]] = convert(name, options[name][0], text)
+    missing = [name for name in options if values[name.lstrip("-")] is REQUIRED]
+    if missing or unknown:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}"
+                         if missing else f"unrecognized arguments: {unknown}")
+    return verb, SimpleNamespace(**values)
 
-    p = sub.add_parser("scheme", help="torus-knot quotient scheme bases")
-    p.add_argument("--p", type=at_least(1), required=True)
-    p.add_argument("--q", type=at_least(1), required=True)
-    p.add_argument("--r", type=at_least(0), default=1)
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--forms", action="store_true",
-                   help="include differential forms (odd generators)")
-    p.add_argument("--ceiling", type=int, default=200)
-    common(p)
-    p.set_defaults(fn=cmd_scheme)
 
-    p = sub.add_parser("bottom", help="bottom-row combinatorics")
-    p.add_argument("--p", type=at_least(1))
-    p.add_argument("--q", type=at_least(1))
-    p.add_argument("--r", type=at_least(0), default=1)
-    p.add_argument("--count", action="store_true")
-    p.add_argument("--rows", action="store_true")
-    p.add_argument("--vortex", help="p,m for the vortex character")
-    common(p)
-    p.set_defaults(fn=cmd_bottom)
-
-    p = sub.add_parser("potential", help="Landau-Ginzburg potentials")
-    p.add_argument("--p", type=at_least(1))
-    p.add_argument("--q", type=at_least(1))
-    p.add_argument("--r", type=at_least(0), default=1)
-    p.add_argument("--antisym", help="k,N for the antisymmetric potential")
-    common(p)
-    p.set_defaults(fn=cmd_potential)
-
-    p = sub.add_parser("cancel", help="rank collapse of unreduced series")
-    p.add_argument("--knot", required=True)
-    p.add_argument("--color", default="S1")
-    p.add_argument("--n", type=at_least(1), default=2)
-    p.add_argument("--cutoff", type=int, default=30)
-    common(p)
-    p.set_defaults(fn=cmd_cancel)
-
-    return ap
+def usage(verb=None) -> str:
+    """The help text of ``verb``, or of the whole command when it is None."""
+    if verb is None:
+        return "usage: knothom VERB [options]\n\nverbs:" + "".join(
+            f"\n  {name:10s} {text}" for name, (_, text, _) in VERBS.items())
+    text = f"usage: knothom {verb} [options]\n\n{VERBS[verb][1]}\n\noptions:"
+    for name, (kind, default, *helps) in VERBS[verb][2].items():
+        value = ("" if kind is bool else "{" + ",".join(kind) + "}"
+                 if isinstance(kind, tuple) else name[2:].upper() if kind is str
+                 else "INT" if kind is int else f"INT>={kind}")
+        note = "required" if default is REQUIRED else f"default {default}" * bool(default)
+        text += f"\n  {name + ' ' + value:22s}  {' '.join(helps) or note}".rstrip()
+    return text
 
 
 def main(argv=None):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
+        verb, args = parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(usage(verb))
+            return 0
+        return VERBS[verb][0](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -602,10 +602,11 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_calls_in_one_process_share_no_state(capsys):
-    """One parser serves every ``main`` call in a process: neither an option
-    of an earlier request nor a usage error may reach a later one.  Nor may
-    the exponent slots that earlier requests gave their variables (here the
-    scheme's generators): output names variables in sorted order only."""
+    """Every ``main`` call in a process reads the one option table, which
+    parsing never writes: neither an option of an earlier request nor a
+    usage error may reach a later one.  Nor may the exponent slots that
+    earlier requests gave their variables (here the scheme's generators):
+    output names variables in sorted order only."""
     request = ["homfly", "--knot", "torus:2,3", "--color", "S2", "--format", "json"]
     assert main(request + ["--cutoff", "12"]) == 0
     short = capsys.readouterr().out

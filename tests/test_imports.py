@@ -153,24 +153,43 @@ def test_every_export_is_reached():
 #: standard-library modules that start-up must not pay for: ``dataclasses``
 #: imports ``inspect``, which imports ``ast`` and ``dis``; ``traceback``,
 #: which only an internal error needs, imports ``linecache`` and ``tokenize``;
-#: ``pathlib`` imports ``fnmatch``, ``ntpath`` and, before 3.13, ``urllib.parse``
+#: ``pathlib`` imports ``fnmatch``, ``ntpath`` and, before 3.13, ``urllib.parse``;
+#: ``argparse`` imports ``gettext``, whose first translation imports ``locale``
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "typing",
-                 "traceback", "linecache", "tokenize", "pathlib"}
+                 "traceback", "linecache", "tokenize", "pathlib",
+                 "argparse", "gettext"}
 
 
-def test_cli_import_pulls_in_no_heavy_module():
-    """``import knothom.cli`` adds none of :data:`HEAVY_MODULES` to
-    ``sys.modules``.  The child runs with ``-S``, so that no site hook loads
-    one of them first, and compares the modules before and after the
-    import."""
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            "import knothom.cli\n"
-            "print(*sorted(set(sys.modules) - before))\n")
+def modules_added(code: str) -> set:
+    """The modules that ``code``, run in a ``-S`` child (so that no site hook
+    loads one first), adds to ``sys.modules``; its stdout must end with
+    them, on one line, as ``print(*sorted(set(sys.modules) - before))``
+    prints them."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
     assert done.returncode == 0, done.stderr
-    added = set(done.stdout.split())
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_pulls_in_no_heavy_module():
+    """``import knothom.cli`` adds none of :data:`HEAVY_MODULES` to
+    ``sys.modules``."""
+    added = modules_added("import sys\n"
+                          "before = set(sys.modules)\n"
+                          "import knothom.cli\n"
+                          "print(*sorted(set(sys.modules) - before))\n")
     assert "knothom.cli" in added
     assert sorted(added & HEAVY_MODULES) == []
+
+
+def test_cli_request_pulls_in_no_heavy_module():
+    """Nor does a request: one ``main()`` call, parsed and run, loads none of
+    :data:`HEAVY_MODULES`, nor ``locale``, which argparse's messages load."""
+    added = modules_added("import sys\n"
+                          "before = set(sys.modules)\n"
+                          "from knothom.cli import main\n"
+                          "assert main(['bottom', '--p', '2', '--q', '3', '--count']) == 0\n"
+                          "print(*sorted(set(sys.modules) - before))\n")
+    assert "knothom.cli" in added
+    assert sorted(added & (HEAVY_MODULES | {"locale"})) == []

@@ -2,14 +2,17 @@
 
     python3 tools/startup_times.py PARENT_DIR CHANGE_DIR [--runs N]
 
-Each run starts a new interpreter on one checkout's ``src`` and times three
+Each run starts a new interpreter on one checkout's ``src`` and times four
 phases of start-up, in milliseconds:
 
 - ``import``: ``import knothom`` and ``import knothom.cli``;
 - ``parse``: loading the 12 packaged fixtures (file read, JSON decoding and
   ``LaurentPoly.from_json``) less their validation;
 - ``validate``: ``fixtures._validate``, the generator count and the
-  categorification identity, timed around each call during those loads.
+  categorification identity, timed around each call during those loads;
+- ``request``: the interpreter's first request, ``knothom.cli.main(["bottom",
+  "--p", "2", "--q", "3", "--count"])`` with its stdout captured, which pays
+  what the command line builds on first use.
 
 The interpreters are set up as ``bench/run.py`` sets up its workers:
 ``PYTHONHASHSEED=0``, ``PYTHONPATH`` the checkout's ``src``, bytecode cached
@@ -34,12 +37,12 @@ import sys
 import tempfile
 
 SIDES = ("parent", "change")
-PHASES = ("import", "parse", "validate", "total")
+PHASES = ("import", "parse", "validate", "request", "total")
 
 #: run in each fresh interpreter; prints the phase times and where
-#: ``knothom`` was imported from
+#: ``knothom`` was imported from (``io`` is loaded with the interpreter)
 PROBE = """\
-import time
+import io, sys, time
 start = time.perf_counter()
 import knothom
 import knothom.cli
@@ -54,11 +57,17 @@ fixtures._validate = timed
 for name in fixtures.FIXTURE_IDS:
     fixtures.load_fixture(name)
 loaded = time.perf_counter()
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = knothom.cli.main(["bottom", "--p", "2", "--q", "3", "--count"])
+answered = time.perf_counter()
+printed, sys.stdout = sys.stdout.getvalue(), stdout
+assert code == 0 and printed == "2\\n", (code, printed)
 import json
 ms = 1000 * sum(spent)
 print(json.dumps({"file": knothom.__file__, "import": 1000 * (imported - start),
                   "parse": 1000 * (loaded - imported) - ms, "validate": ms,
-                  "total": 1000 * (loaded - start)}))
+                  "request": 1000 * (answered - loaded),
+                  "total": 1000 * (answered - start)}))
 """
 
 
