@@ -352,7 +352,7 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     num = series.numerator
     if num.is_zero():
         return LaurentPoly.zero(), cutoff
-    den_margin = max((int(md.e("q")) for md in series.denominators), default=0)
+    den_margin = max((md._e("q") for md in series.denominators), default=0)
     a_min = int(num.min_degree("a")) if "a" in num.variables() else 0
     edge = cutoff - 2 * den_margin
     window = edge - n * max(0, -a_min)

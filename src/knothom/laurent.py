@@ -2,11 +2,14 @@
 
 Every coefficient is exact; there is no floating point anywhere in this
 package.  The values of ``LaurentPoly.terms`` are always
-``fractions.Fraction``.  The inner loop of multiplication reads integral
-coefficients as ``int`` (``Fraction`` only where a value is not integral),
-computes on them, and wraps each result value in a ``Fraction`` once on the
-way out, taken from one shared table (``_SMALL``) when it is an ``int`` of
-absolute value at most 128; Python mixes ``int`` and ``Fraction`` exactly.
+``fractions.Fraction``.  Multiplication is ``_product`` on two term maps:
+its inner loop reads integral values as ``int`` (``Fraction`` only where a
+value is not integral), computes on them, and wraps nothing; Python mixes
+the two exactly.  ``LaurentPoly.__mul__`` wraps each value of the product in
+a ``Fraction`` once on the way out, taken from one shared table
+(``_SMALL``) when it is an ``int`` of absolute value at most 128.
+``RationalSeries.expand`` carries one unwrapped map through all of its
+products and wraps once, at the end.
 Exponents are integers on every variable.
 
 Exact division is Kronecker division: the dividend and the divisor, made
@@ -396,6 +399,40 @@ def _integral(terms) -> tuple:
     return den, [c.numerator * (den // c.denominator) for c in terms.values()]
 
 
+def _product(f: dict, g: dict) -> dict:
+    """The product of two term maps with ``int`` or ``Fraction`` values.
+
+    Each term of the shorter map multiplies every term of the longer one,
+    an integral value read as ``int`` (``int`` has a ``denominator`` of 1
+    too); products are summed by degree, a zero sum is dropped, and no
+    value is wrapped, so the values stay ``int`` where both factors' are.
+    """
+    if len(f) > len(g):
+        f, g = g, f
+    big = [(md, c.numerator if c.denominator == 1 else c) for md, c in g.items()]
+    out = {}
+    for md2, c2 in f.items():
+        if c2.denominator == 1:
+            c2 = c2.numerator
+        for md1, c1 in big:
+            md = md1 + md2
+            s = out.get(md)
+            if s is None:
+                out[md] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[md] = s
+                else:
+                    del out[md]
+    return out
+
+
+def _truncated(terms: dict, i: int, order) -> dict:
+    """The terms of ``terms`` whose exponent in slot ``i`` is at most ``order``."""
+    return {md: c for md, c in terms.items() if (md[i] if i < len(md) else 0) <= order}
+
+
 class LaurentPoly:
     """A multivariate Laurent polynomial with exact rational coefficients.
 
@@ -541,26 +578,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if len(self.terms) > len(other.terms):
-            big, small = self.terms, other.terms
-        else:
-            big, small = other.terms, self.terms
-        big = [(md, _exact(c)) for md, c in big.items()]
-        out = {}
-        for md2, c2 in small.items():
-            c2 = _exact(c2)
-            for md1, c1 in big:
-                md = md1 + md2
-                s = out.get(md)
-                if s is None:
-                    out[md] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[md] = s
-                    else:
-                        del out[md]
-        return LaurentPoly._wrap(out)
+        return LaurentPoly._wrap(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -683,10 +701,7 @@ class LaurentPoly:
 
     def truncate(self, var, order):
         """Drop all terms of ``var``-degree greater than ``order``."""
-        order = _exact(order)
-        return LaurentPoly._of({md: c for (md, c), e
-                                in zip(self.terms.items(), self._exponents(var))
-                                if e <= order})
+        return LaurentPoly._of(_truncated(self.terms, _INDEX.get(var, _ABSENT), _exact(order)))
 
     def derivative(self, var):
         # lowering every monomial by ``var**1`` is injective: no two terms meet
@@ -978,23 +993,30 @@ class RationalSeries:
     __rmul__ = __mul__
 
     def expand(self, order=None) -> LaurentPoly:
-        """The truncated expansion, exact through ``order`` in ``self.var``."""
-        order = _exact(self.order if order is None else order)
+        """The truncated expansion, exact through ``order`` in ``self.var``.
+
+        Exponents are integers, so ``order`` is taken down to its floor.  No
+        factor lowers a ``var``-degree, so the numerator is truncated first,
+        and so is each product.  The factor ``1/(1 - m)``, with ``m`` of
+        ``var``-degree ``step > 0``, is the geometric sum ``1 + m + ... +
+        m^K`` with ``K = (order - base) // step``, ``base`` the numerator's
+        least ``var``-degree: a higher power of ``m`` puts every term past
+        ``order``.  Its ``K + 1`` degrees ``k*m`` are distinct and built by
+        adding ``m`` to itself.  Each product (:func:`_product`) gives a term
+        map with ``int`` values where they are integral, which the next one
+        takes as it is; the result is wrapped once, at the end.
+        """
+        order = floor(_exact(self.order if order is None else order))
         if self.numerator.is_zero():
             return LaurentPoly.zero()
+        i = _INDEX.get(self.var, _ABSENT)
         base = min(self.numerator._exponents(self.var))
-        result = self.numerator
+        result = _truncated(self.numerator.terms, i, order)
         for md in self.denominators:
-            step = md._e(self.var)
-            factor = LaurentPoly.one()
-            k = 1
-            power = LaurentPoly.monomial(1, md)
-            while base + k * step <= order:
-                factor = factor + power
-                power = power * LaurentPoly.monomial(1, md)
-                k += 1
-            result = (result * factor).truncate(self.var, order)
-        return result.truncate(self.var, order)
+            powers = accumulate(repeat(md, (order - base) // md[i]))
+            factor = dict.fromkeys([_new(Multidegree, ()), *powers], 1)
+            result = _truncated(_product(result, factor), i, order)
+        return LaurentPoly._wrap(result)
 
     def __str__(self):
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"
@@ -1055,63 +1077,69 @@ def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
     return _power_series(_unit_series_base(base, var), coefficients, order, var)
 
 
-# -- ray decomposition, witness division, maximal cancellation -------------------
+# -- rays, witness division, maximal cancellation -------------------------------
 
 
-def _ray_decomposition(terms: dict, step: Multidegree):
-    """Group a term map along cosets of ``Z * step``.
-
-    Returns a list of ``(base, ray)`` pairs; each ray is a dict
-    ``k -> value`` for the term of multidegree ``base + k*step``.  The
-    pivot, which fixes ``k``, is the alphabetically first variable of
-    ``step``.
-    """
-    (pivot, estep), *_ = step.items()
-    i = _INDEX[pivot]
-    rays = {}
-    for md, c in terms.items():
-        k = (md[i] if i < len(md) else 0) // estep
-        rays.setdefault(md._shift(step, -k), {})[k] = c
-    return list(rays.items())
-
-
-def _integer_terms(p: LaurentPoly, message: str) -> dict:
-    """The term map of ``p`` with ``int`` values; raises ``ValueError(message)``
-    unless every coefficient is integral."""
-    if any(c.denominator != 1 for c in p.terms.values()):
+def _integer_counts(p: LaurentPoly, message: str) -> list:
+    """The coefficients of ``p`` as ``int``, in term order; raises
+    ``ValueError(message)`` unless every one is integral."""
+    den, counts = _integral(p.terms)
+    if den != 1:
         raise ValueError(message)
-    return {md: c.numerator for md, c in p.terms.items()}
+    return counts
+
+
+def _rays(terms: dict, counts: list, step: Multidegree) -> list:
+    """The terms as rows ``(base, k, n, md)``, sorted, one per term ``md``
+    with count ``n``, where ``md = base + k*step``.
+
+    The level ``k`` is ``e // s``, with ``e`` and ``s`` the exponents of the
+    term and of the step in the step's first nonzero slot (the pivot), and
+    ``base`` is computed one exponent column at a time.  Two terms lie on
+    one ray (a coset of ``Z*step``) exactly when their bases agree, and
+    their levels then differ by their distance in steps.  Sorting compares
+    the base first and the level next, so each ray is one contiguous run of
+    rows in increasing level, where a missing level is a gap.
+    """
+    pivot, e_pivot = next(compress(enumerate(step), step))
+    columns = _columns(terms, max(len(step), *map(len, terms)))
+    levels = [*map(e_pivot.__rfloordiv__, columns[pivot])]
+    bases = zip(*[[*map(_sub, column, map(e.__mul__, levels))] if e else column
+                  for column, e in zip_longest(columns, step, fillvalue=0)])
+    return sorted(zip(bases, levels, counts, terms))
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     """Find ``X`` with nonnegative coefficients and ``p == (1 + mono(m)) * X``.
 
     Returns the unique witness ``X`` when it exists and ``None`` otherwise.
-    ``p`` must have integer coefficients.  The search peels each coset of the
-    step lattice from its extreme term, which is complete because
-    ``1 + mono(m)`` is not a zero divisor.
+    ``p`` must have integer coefficients.  The search peels each ray of the
+    step from its lowest level, in one ascending pass over :func:`_rays`:
+    ``X`` at level ``k`` is ``p``'s count there less ``X`` at ``k - 1``,
+    and it must end at zero before a gap and at the top of each ray.  This
+    is complete because ``1 + mono(m)`` is not a zero divisor.
     """
-    terms = _integer_terms(p, "nonneg_divisibility requires integer coefficients")
-    if not terms:
+    counts = _integer_counts(p, "nonneg_divisibility requires integer coefficients")
+    if not counts:
         return LaurentPoly.zero()
     if m.is_zero():
-        if any(n < 0 or n % 2 for n in terms.values()):
+        if any(n < 0 or n % 2 for n in counts):
             return None
-        return LaurentPoly._wrap({md: n // 2 for md, n in terms.items()})
+        return LaurentPoly._wrap(dict(zip(p.terms, [n // 2 for n in counts])))
     witness = {}
-    for base, ray in _ray_decomposition(terms, m):
-        lo, hi = min(ray), max(ray)
-        carry = 0
-        for k in range(lo, hi):
-            x = ray.get(k, 0) - carry
-            if x < 0:
-                return None
-            if x:
-                witness[base._shift(m, k)] = x
-            carry = x
-        if ray[hi] != carry:
+    ray = level = None
+    carry = 0
+    for base, k, n, md in _rays(p.terms, counts, m):
+        if base == ray and k == level + 1:
+            n -= carry
+        elif carry:
             return None
-    return LaurentPoly._wrap(witness)
+        if n < 0:
+            return None
+        if n:
+            witness[md] = n
+        ray, level, carry = base, k, n
+    return None if carry else LaurentPoly._wrap(witness)
 
 
 def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
@@ -1123,35 +1151,40 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
     the positions it leaves; ``keep`` selects whether ambiguous survivors sit
     at the low (``"early"``) or high (``"late"``) ``m``-multiples of their
     ray.  Returns ``(survivors, pairs)``.
+
+    On a ray the greedy matching from one end is maximum: each level is
+    matched as far as it can be with the next one in the direction of the
+    pass, after its matches with the level before.  :func:`_rays` makes each
+    ray one contiguous run in increasing level, so one pass over its rows,
+    descending for ``"early"`` and ascending for ``"late"``, matches every
+    ray; a gap or a new ray ends a run, and each row's rest survives.
     """
     if keep not in ("early", "late"):
         raise ValueError("keep must be 'early' or 'late'")
     message = "max_cancel requires nonnegative integer multiplicities"
-    terms = _integer_terms(p, message)
-    if any(n < 0 for n in terms.values()):
+    counts = _integer_counts(p, message)
+    if any(n < 0 for n in counts):
         raise ValueError(message)
-    if not terms or m.is_zero():
+    if not counts or m.is_zero():
         return p, 0
+    rows = _rays(p.terms, counts, m)
+    ahead = 1
+    if keep == "early":
+        rows.reverse()
+        ahead = -1
     survivors = {}
     pairs = 0
-    for base, ray in _ray_decomposition(terms, m):
-        lo, hi = min(ray), max(ray)
-        counts = [ray.get(k, 0) for k in range(lo, hi + 1)]
-        # matched[i]: pairs between levels lo+i and lo+i+1; the last stays 0
-        matched = [0] * len(counts)
-        if keep == "early":
-            used_above = 0
-            for i in range(len(counts) - 2, -1, -1):
-                matched[i] = used_above = min(counts[i], counts[i + 1] - used_above)
-        else:
-            used_below = 0
-            for i in range(len(counts) - 1):
-                matched[i] = used_below = min(counts[i] - used_below, counts[i + 1])
-        pairs += sum(matched)
-        below = 0
-        for i, n in enumerate(counts):
-            s = n - matched[i] - below
-            below = matched[i]
-            if s:
-                survivors[base._shift(m, lo + i)] = s
+    ray = level = last = None
+    rest = 0
+    for base, k, n, md in rows:
+        if base == ray and k == level + ahead:
+            matched = min(rest, n)
+            pairs += matched
+            rest -= matched
+            n -= matched
+        if rest:
+            survivors[last] = rest
+        ray, level, rest, last = base, k, n, md
+    if rest:
+        survivors[last] = rest
     return LaurentPoly._wrap(survivors), pairs

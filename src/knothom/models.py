@@ -245,7 +245,7 @@ def aqt_projection(series: RationalSeries) -> RationalSeries:
     """``series`` in ``(a, q, t)``, with ``t`` the column grading ``tc``; every
     other grading is forgotten."""
     def fn(md):
-        return Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tc"))
+        return Multidegree(a=md._e("a"), q=md._e("q"), t=md._e("tc"))
 
     return RationalSeries(series.numerator.map_exponents(fn),
                           tuple(map(fn, series.denominators)),

@@ -473,13 +473,14 @@ def test_truncate(f, var, order):
 @oracle(60)
 @given(polys(max_terms=3),
        st.lists(multidegrees(q=st.sampled_from([1, 2])), max_size=2),
-       st.integers(-2, 4))
+       st.one_of(st.integers(-2, 4), st.integers(-5, 9).map(lambda n: Fraction(n, 2))))
 def test_rational_series_expand(numerator, denominators, order):
     """``E = expand(order)`` is the truncation of ``N / D`` through ``order``.
 
     ``D`` is 1 plus terms of positive ``q``-degree, so ``E`` is the unique
     polynomial with ``q``-degrees at most ``order`` for which ``E*D - N`` has
-    only ``q``-degrees above ``order``.
+    only ``q``-degrees above ``order``.  Half-integer orders are drawn too:
+    exponents are integers, so ``order`` then acts as its floor.
     """
     expansion = RationalSeries(numerator, denominators, "q").expand(order)
     den = sympy.Mul(*[1 - to_sympy(LaurentPoly.monomial(1, md))
@@ -715,18 +716,56 @@ def brute_force_pairs(p: LaurentPoly, m: Multidegree) -> int:
     return best
 
 
+def ray_by_ray_cancel(p: LaurentPoly, m: Multidegree, keep: str):
+    """``max_cancel`` one ray at a time, as a reference: each term is filed
+    under the base ``md - k*m`` of its ray and its level ``k``, the pivot
+    being ``m``'s alphabetically first variable; each ray's counts, its gaps
+    read as 0, are matched greedily from the end opposite to ``keep``, and
+    what is left of each level survives."""
+    (pivot, e_pivot), *_ = m.items()
+    rays = {}
+    for md, c in p.terms.items():
+        k = int(md.e(pivot)) // int(e_pivot)
+        rays.setdefault(md - m.scale(k), {})[k] = int(c)
+    survivors = {}
+    pairs = 0
+    for base, ray in rays.items():
+        lo, hi = min(ray), max(ray)
+        counts = [ray.get(k, 0) for k in range(lo, hi + 1)]
+        # matched[i]: pairs between levels lo+i and lo+i+1; the last stays 0
+        matched = [0] * len(counts)
+        if keep == "early":
+            used_above = 0
+            for i in range(len(counts) - 2, -1, -1):
+                matched[i] = used_above = min(counts[i], counts[i + 1] - used_above)
+        else:
+            used_below = 0
+            for i in range(len(counts) - 1):
+                matched[i] = used_below = min(counts[i] - used_below, counts[i + 1])
+        pairs += sum(matched)
+        below = 0
+        for i, n in enumerate(counts):
+            s = n - matched[i] - below
+            below = matched[i]
+            if s:
+                survivors[base + m.scale(lo + i)] = s
+    return LaurentPoly(survivors), pairs
+
+
 @oracle(100)
 @given(st.data())
 def test_max_cancel(data):
     """``p == survivors + (1 + mono(m)) * X`` with ``X >= 0`` and a maximum
-    matching, for both placements of the survivors."""
+    matching, for both placements of the survivors, and the survivors are
+    exactly the ray-by-ray reference's.  Steps have mixed signs over up to
+    three variables, and shifts of two or three steps leave gaps in rays."""
     m = data.draw(multidegrees().filter(lambda md: not md.is_zero()))
     base = data.draw(counts(max_terms=3).filter(lambda f: not f.is_zero()))
     shifts = data.draw(st.lists(st.sampled_from(list(base.terms)), min_size=1, max_size=4))
     p = base
-    for d in shifts:  # more terms on the rays of base, a step or two away
+    for d in shifts:  # more terms on the rays of base, one to three steps away
         p = p + LaurentPoly.monomial(data.draw(st.integers(1, 3)),
-                                     d + m.scale(data.draw(st.sampled_from([1, 2, -1]))))
+                                     d + m.scale(data.draw(st.sampled_from([1, 2, -1, 3, -2]))))
     expected_pairs = brute_force_pairs(p, m)
     for keep in ("early", "late"):
         survivors, pairs = max_cancel(p, m, keep)
@@ -735,6 +774,31 @@ def test_max_cancel(data):
         assert sum(p.terms.values()) - sum(survivors.terms.values()) == 2 * pairs
         _, nonneg = quotient_by_binomial(p - survivors, m)
         assert nonneg
+        assert (survivors, pairs) == ray_by_ray_cancel(p, m, keep)
+        assert_normalised(survivors)
+
+
+#: ``(p, m)``: rays with gaps, several rays of one step, and steps with
+#: negative and multi-variable components, where the placement of the
+#: survivors differs between the two ends
+NAMED_RAYS = {
+    "gap": ("1 + q + q^2 + q^4 + q^5 + q^6", "q"),
+    "two rays": ("1 + q + q^2 + a + 2*a*q + a*q^2 + a*q^3", "q"),
+    "negative step": ("1 + a^-1*q^2 + a^-2*q^4 + a^-4*q^8 + 2*a^-5*q^10 + a^-6*q^12",
+                      "a^-1*q^2"),
+    "mixed step": ("t + a^2*q^-1 + a^4*q^-2*t^-1 + 2*a^4*q^-2 + a^6*q^-3*t^-1"
+                   " + 2*a^8*q^-4*t^-2", "a^2*q^-1*t^-1"),
+    "floor levels": ("q^-1 + q + q^3 + q^2 + q^4 + q^8", "q^-2"),
+}
+
+
+@pytest.mark.parametrize("keep", ["early", "late"])
+@pytest.mark.parametrize("p, m", NAMED_RAYS.values(), ids=NAMED_RAYS)
+def test_max_cancel_survivors_match_the_ray_by_ray_reference(p, m, keep):
+    p, m = parse_poly(p), parse_poly(m).as_monomial()[1]
+    assert max_cancel(p, m, keep) == ray_by_ray_cancel(p, m, keep)
+    if keep == "late":  # each case leaves some survivor where keep matters
+        assert max_cancel(p, m, "early")[0] != max_cancel(p, m, "late")[0]
 
 
 def _presentation(degree):

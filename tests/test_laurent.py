@@ -328,6 +328,11 @@ def test_public_exponents_and_coefficients_are_fractions():
         LaurentPoly.from_json(f.to_json()),
         max_cancel(P("2*q + q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0],
         nonneg_divisibility(P("1 + 2*q*t + q^2*t^2"), Multidegree(q=1, t=1)),
+        # expand carries int values through its products and wraps them once
+        RationalSeries(f, (), "q", 3).expand(),
+        RationalSeries(f, (Multidegree(q=1, t=1), Multidegree(q=2)), "q", 3).expand(),
+        RationalSeries(half, (), "q", 3).expand(),
+        RationalSeries(half, (Multidegree(q=1, a=-1),), "q", 3).expand(),
     ]
     for p in results:
         assert p.terms and all(type(c) is Fraction for c in p.terms.values())
