@@ -38,21 +38,21 @@ ok, deltas = check_delta_thin(s2.poincare, 2, s2.sigma)
 print(f"delta-thin with delta = {deltas}: {ok}")
 
 print("\nremoval differentials (nonnegative witness division):")
-spec = DifferentialSpec.colored("+row", s2.R, s2.S, 0, s2.sigma, name="d1|0")
+spec = DifferentialSpec.colored("+row", s2.R, s2.S, 0, s2.sigma)
 ok, witness = check_differential(s2.poincare, LaurentPoly.one(), spec)
 survivor = spec.regrade(Multidegree())
-print(f"  canceling d1|0: {ok}; survivor degree "
+print(f"  canceling {spec.name}: {ok}; survivor degree "
       f"a^{survivor.e('a')} q^{survivor.e('q')}")
 
-spec = DifferentialSpec.colored("+col", s2.R, s2.S, 1, s2.sigma, name="d1|1")
+spec = DifferentialSpec.colored("+col", s2.R, s2.S, 1, s2.sigma)
 ok, _ = check_differential(s2.poincare, unc.poincare, spec)
-print(f"  d1|1 down to the uncolored homology: {ok}")
+print(f"  {spec.name} down to the uncolored homology: {ok}")
 
 big = load_fixture("3_1:3x2")
 print(f"\nthe (2,2,2)-colored trefoil has {big.dimension} generators "
       f"(= 3^6, exponential growth)")
-spec = DifferentialSpec.colored("+row", 3, 2, 2, big.sigma, name="d5|0")
+spec = DifferentialSpec.colored("+row", 3, 2, 2, big.sigma)
 ok, _ = check_differential(big.poincare,
                            load_fixture("3_1:2x2").poincare,
                            spec, project=("a", "q", "tc"))
-print(f"  row removal d5|0 lands on the (2,2) homology: {ok}")
+print(f"  row removal {spec.name} lands on the (2,2) homology: {ok}")

@@ -80,6 +80,7 @@ from .checks import (
     check_mirror,
     check_self_symmetry,
     colored_degree,
+    colored_differential,
     colored_regrade,
     mirror_swap,
     rank_collapse,

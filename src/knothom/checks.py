@@ -99,107 +99,89 @@ def check_delta_thin(p: LaurentPoly, r: int, sigma: int):
 
 # -- colored differentials ----------------------------------------------------------
 
-KINDS = ("+row", "+col", "-row", "-col", "up", "left")
+#: One definition per kind of colored differential of an ``R x S`` colour
+#: (``R`` rows of ``S`` boxes) that keeps ``k`` rows or columns, as a map of
+#: ``(R, S, k)`` to ``(bound, degree, hat, target, label)``: ``k`` must lie
+#: in ``range(bound)``, or is ignored when ``bound`` is ``None``; ``degree``
+#: is in ``(a, q, tr, tc)``; ``hat(sigma, a, Q, tr, tc)`` sends a target
+#: generator's ``(a, Q, tr, tc)`` to the surviving generator's upstairs;
+#: ``target`` is the ``(rows, cols)`` of the surviving colour, empty when
+#: ``k = 0`` cancels; ``label`` is the paper's name.
+_KINDS = {
+    "+row": lambda R, S, k: (
+        R, (-2, 2 * R + 2 * k, -2 * k - 1, -1),
+        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q - S * (R - k) * s,
+                                 tr + (R - k) * Q + S * k * (R - k) * s, tc),
+        (k, S), f"d{R + k}|0"),
+    "+col": lambda R, S, l: (
+        S, (-2, 2 * R - 2 * l, -1, -2 * l - 1),
+        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q - R * (S - l) * s,
+                                 tr, tc + (S - l) * Q + R * l * (S - l) * s),
+        (R, l), f"d{R}|{l}"),
+    "-row": lambda R, S, k: (
+        R, (-2, 2 * k - 2 * S, -2 * k - 2 * R - 1, -2 * S - 1),
+        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q + S * (R - k) * s,
+                                 tr + S * (R - k) * (R + k) * s,
+                                 tc + S * S * (R - k) * s),
+        (k, S), f"d{k}|{S}"),
+    "-col": lambda R, S, l: (
+        S, (-2, -2 * l - 2 * S, -2 * R - 1, -2 * l - 2 * S - 1),
+        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q + R * (S - l) * s,
+                                 tr + R * R * (S - l) * s,
+                                 tc + R * (S - l) * (S + l) * s),
+        (R, l), f"d0|{S + l}"),
+    "up": lambda R, S, k: (
+        None, (0, 2, -2, 0), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 4 * tr, 2 * tc),
+        (1, S), "d^"),
+    "left": lambda R, S, k: (
+        None, (0, 2, 0, 2), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 2 * tr, 4 * tc),
+        (R, S - 1), "d<-"),
+}
 
 
-def colored_degree(kind: str, R: int, S: int, param: int = 0) -> Multidegree:
-    """The ``(a,q,tr,tc)``-degree of a row/column-removing differential.
+def colored_differential(kind: str, R: int, S: int, param: int = 0) -> tuple:
+    """``(degree, hat, target, label)`` of a row/column-removing
+    differential, from its definition in :data:`_KINDS`.
 
     ``param`` is the number of rows (columns) kept: ``0`` gives the
     canceling differentials.  The two universal differentials take no
     parameter.
     """
-    k = l = param
-    if kind == "+row":
-        if not 0 <= k < R:
-            raise ValueError("need 0 <= k < R")
-        return Multidegree(a=-2, q=2 * R + 2 * k, tr=-2 * k - 1, tc=-1)
-    if kind == "+col":
-        if not 0 <= l < S:
-            raise ValueError("need 0 <= l < S")
-        return Multidegree(a=-2, q=2 * R - 2 * l, tr=-1, tc=-2 * l - 1)
-    if kind == "-row":
-        if not 0 <= k < R:
-            raise ValueError("need 0 <= k < R")
-        return Multidegree(a=-2, q=2 * k - 2 * S, tr=-2 * k - 2 * R - 1,
-                           tc=-2 * S - 1)
-    if kind == "-col":
-        if not 0 <= l < S:
-            raise ValueError("need 0 <= l < S")
-        return Multidegree(a=-2, q=-2 * l - 2 * S, tr=-2 * R - 1,
-                           tc=-2 * l - 2 * S - 1)
-    if kind == "up":
-        return Multidegree(q=2, tr=-2)
-    if kind == "left":
-        return Multidegree(q=2, tc=2)
-    raise ValueError(f"unknown differential kind {kind!r}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown differential kind {kind!r}")
+    bound, degree, hat, target, label = _KINDS[kind](R, S, param)
+    if bound is not None and not 0 <= param < bound:
+        raise ValueError(f"{kind} needs 0 <= k < {bound}, got {param}")
+    return degree, hat, target, label
 
 
-def _target_Q(md: Multidegree, target_R: int) -> Fraction:
-    if target_R == 0:
-        if not md.is_zero():
-            raise ValueError("empty-color target admits only the unit generator")
-        return Fraction(0)
-    Q = (md.e("q") + md.e("tr") - md.e("tc")) / target_R
-    if Q.denominator != 1:
-        raise ValueError(f"target monomial fails Q-integrality: {md!r}")
-    return Q
+def colored_degree(kind: str, R: int, S: int, param: int = 0) -> Multidegree:
+    """The ``(a,q,tr,tc)``-degree of a row/column-removing differential."""
+    a, q, tr, tc = colored_differential(kind, R, S, param)[0]
+    return Multidegree(a=a, q=q, tr=tr, tc=tc)
 
 
 def colored_regrade(kind: str, R: int, S: int, param: int, sigma: int):
     """Exponent map sending target-homology degrees into the source homology.
 
-    Implements the explicit hat-formula regradings of the removal
-    isomorphisms: the returned function maps the ``(a,q,tr,tc)`` exponents of
-    a generator of the smaller-color homology to the degrees of the matching
-    surviving generator upstairs.
+    The returned function maps the ``(a,q,tr,tc)`` exponents of a generator
+    of the smaller-color homology to the degrees of the matching surviving
+    generator upstairs.  It reads the target's ``Q = (q + tr - tc)/rows``;
+    the hat formulas fix ``(a, Q, tr, tc)``, and the source's ``q`` follows
+    from ``q = R*Q - tr + tc``, which keeps the five printed degrees
+    mutually consistent.
     """
-    k = l = param
-    if kind in ("+row", "-row"):
-        target_R = k
-    elif kind in ("-col", "+col", "left"):
-        target_R = R
-    elif kind == "up":
-        target_R = 1
-    else:
-        raise ValueError(f"unknown differential kind {kind!r}")
+    _, hat, (rows, _), _ = colored_differential(kind, R, S, param)
 
     def fn(md):
-        a = md.e("a")
-        tr, tc = md.e("tr"), md.e("tc")
-        Q = _target_Q(md, target_R)
-        # the hat formulas fix (a, Q, tr, tc); the q-hat follows from
-        # q = R*Q - tr + tc in the source theory, which keeps the five
-        # printed degrees mutually consistent
-        if kind == "+row":
-            hat = dict(a=a + S * (R - k) * sigma,
-                       Q=Q - S * (R - k) * sigma,
-                       tr=tr + (R - k) * Q + S * k * (R - k) * sigma,
-                       tc=tc)
-        elif kind == "+col":
-            hat = dict(a=a + R * (S - l) * sigma,
-                       Q=Q - R * (S - l) * sigma,
-                       tr=tr,
-                       tc=tc + (S - l) * Q + R * l * (S - l) * sigma)
-        elif kind == "-row":
-            hat = dict(a=a + S * (R - k) * sigma,
-                       Q=Q + S * (R - k) * sigma,
-                       tr=tr + S * (R - k) * (R + k) * sigma,
-                       tc=tc + S * S * (R - k) * sigma)
-        elif kind == "-col":
-            hat = dict(a=a + R * (S - l) * sigma,
-                       Q=Q + R * (S - l) * sigma,
-                       tr=tr + R * R * (S - l) * sigma,
-                       tc=tc + R * (S - l) * (S + l) * sigma)
-        elif kind == "up":
-            hat = dict(a=2 * a, Q=2 * Q, tr=4 * tr, tc=2 * tc)
-        elif kind == "left":
-            hat = dict(a=2 * a, Q=2 * Q, tr=2 * tr, tc=4 * tc)
-        else:
-            raise AssertionError
-        return Multidegree(
-            a=hat["a"], q=R * hat["Q"] - hat["tr"] + hat["tc"],
-            tr=hat["tr"], tc=hat["tc"])
+        q, tr, tc = md._e("q"), md._e("tr"), md._e("tc")
+        Q, rest = divmod(q + tr - tc, rows or 1)
+        if rest:
+            raise ValueError(f"target monomial fails Q-integrality: {md!r}")
+        if not rows and not md.is_zero():
+            raise ValueError("empty-color target admits only the unit generator")
+        a, Q, tr, tc = hat(sigma, md._e("a"), Q, tr, tc)
+        return Multidegree(a=a, q=R * Q - tr + tc, tr=tr, tc=tc)
 
     return fn
 
@@ -215,8 +197,10 @@ class DifferentialSpec:
 
     @classmethod
     def colored(cls, kind, R, S, param, sigma, name=None):
+        """The ``kind`` differential of the ``R x S`` colour, named by its
+        label unless ``name`` is given."""
         return cls(
-            name or f"{kind}:{param}",
+            name or colored_differential(kind, R, S, param)[3],
             colored_degree(kind, R, S, param),
             colored_regrade(kind, R, S, param, sigma),
         )

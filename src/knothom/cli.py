@@ -144,16 +144,21 @@ def cmd_check(args):
 
 
 def cmd_scheme(args):
+    # For r >= 1 the unreduced quotient is infinite, so it is refused before
+    # any elimination.  U(z) = (1 + cz)^(pr) gives U^(q/p) = (1 + cz)^(qr),
+    # whose coefficients of z^(qr+1) .. z^((p+q)r), the unreduced relations,
+    # all vanish: u_i = C(pr, i)*c^i is a common zero of them for every c.
+    # On that line u1 = pr*c != 0, so no power of u1 vanishes in the
+    # quotient, and no ceiling is ever enough.
+    if args.r >= 1 and not args.reduced:
+        raise UsageError("the unreduced presentation never closes for --r >= 1 "
+                         "(u1 is not nilpotent); use --reduced")
     pres = scheme_presentation(args.p, args.q, args.r, reduced=args.reduced,
                                with_forms=args.forms)
     try:
         mb = macaulay_basis(pres, ceiling=args.ceiling)
     except DegreeCeilingError as exc:
-        if args.reduced:
-            raise UsageError(f"{exc}; raise --ceiling") from exc
-        # e.g. (2, 3, 1): one relation is a multiple of the other
-        raise UsageError(f"{exc}; the unreduced presentation may not close "
-                         "at any ceiling, try --reduced") from exc
+        raise UsageError(f"{exc}; raise --ceiling") from exc
     if args.format == "json":
         print(json.dumps({
             "dimension": mb.dimension(),

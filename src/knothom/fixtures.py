@@ -8,8 +8,7 @@ specializations, so transcription errors fail loudly.  Every table is
 stored in the standard gradings ``(a, q, ...)``; :func:`to_tilde` gives the
 "tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.
 
-The registry also knows which removal differentials act on each fixture and
-where their homology lands.
+The registry also knows which colored differentials act on each fixture.
 """
 
 from __future__ import annotations
@@ -200,70 +199,24 @@ def fixture_name(knot: str, color: Partition) -> str:
 
 # -- differential registry ----------------------------------------------------------
 
-#: differentials acting on each fixture: (label, kind, param, target fixture
-#: or None for canceling, grading projection or None)
+#: the colored differentials acting on each fixture, keyed by ``(knot, R,
+#: S)``, as ``(kind, param)`` in report order; :mod:`knothom.checks` derives
+#: each one's label and target colour
 DIFFERENTIALS = {
-    "3_1:1": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|1", "-row", 0, None, None),
-    ],
-    "4_1:1": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|1", "-row", 0, None, None),
-    ],
-    "T3_4:1": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|1", "-row", 0, None, None),
-    ],
-    "3_1:S2": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|2", "-row", 0, None, None),
-        ("d1|1", "+col", 1, "3_1:1", None),
-        ("d0|3", "-col", 1, "3_1:1", None),
-        ("d<-", "left", None, "3_1:1", None),
-    ],
-    "3_1:L2": [
-        ("d2|0", "+row", 0, None, None),
-        ("d0|1", "-row", 0, None, None),
-        ("d3|0", "+row", 1, "3_1:1", None),
-        ("d1|1", "-row", 1, "3_1:1", None),
-        ("d^", "up", None, "3_1:1", None),
-    ],
-    "4_1:S2": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|2", "-row", 0, None, None),
-        ("d1|1", "+col", 1, "4_1:1", None),
-        ("d0|3", "-col", 1, "4_1:1", None),
-        ("d<-", "left", None, "4_1:1", None),
-    ],
-    "T3_4:S2": [
-        ("d1|0", "+row", 0, None, None),
-        ("d0|2", "-row", 0, None, None),
-        ("d1|1", "+col", 1, "T3_4:1", None),
-        ("d0|3", "-col", 1, "T3_4:1", None),
-        ("d<-", "left", None, "T3_4:1", None),
-    ],
-    "3_1:2x2": [
-        ("d2|0", "+row", 0, None, None),
-        ("d0|2", "-row", 0, None, None),
-        ("d3|0", "+row", 1, "3_1:S2", None),
-        ("d1|2", "-row", 1, "3_1:S2", None),
-        ("d0|3", "-col", 1, "3_1:L2", None),
-        ("d2|1", "+col", 1, "3_1:L2", None),
-        ("d^", "up", None, "3_1:S2", None),
-        ("d<-", "left", None, "3_1:L2", None),
-    ],
+    ("3_1", 1, 1): [("+row", 0), ("-row", 0)],
+    ("4_1", 1, 1): [("+row", 0), ("-row", 0)],
+    ("T3_4", 1, 1): [("+row", 0), ("-row", 0)],
+    ("3_1", 1, 2): [("+row", 0), ("-row", 0), ("+col", 1), ("-col", 1), ("left", 0)],
+    ("3_1", 2, 1): [("+row", 0), ("-row", 0), ("+row", 1), ("-row", 1), ("up", 0)],
+    ("4_1", 1, 2): [("+row", 0), ("-row", 0), ("+col", 1), ("-col", 1), ("left", 0)],
+    ("T3_4", 1, 2): [("+row", 0), ("-row", 0), ("+col", 1), ("-col", 1), ("left", 0)],
+    ("3_1", 2, 2): [("+row", 0), ("-row", 0), ("+row", 1), ("-row", 1),
+                    ("-col", 1), ("+col", 1), ("up", 0), ("left", 0)],
     # the (2,2,2) fixture is tabled in (a,q,tc) only, so every check is
     # projected to those gradings; its column removals land on the
     # untabulated third antisymmetric color and cannot be checked
-    "3_1:3x2": [
-        ("d3|0", "+row", 0, None, ("a", "q", "tc")),
-        ("d0|2", "-row", 0, None, ("a", "q", "tc")),
-        ("d4|0", "+row", 1, "3_1:S2", ("a", "q", "tc")),
-        ("d1|2", "-row", 1, "3_1:S2", ("a", "q", "tc")),
-        ("d5|0", "+row", 2, "3_1:2x2", ("a", "q", "tc")),
-        ("d2|2", "-row", 2, "3_1:2x2", ("a", "q", "tc")),
-    ],
+    ("3_1", 3, 2): [("+row", 0), ("-row", 0), ("+row", 1), ("-row", 1),
+                    ("+row", 2), ("-row", 2)],
 }
 
 #: expected printed degrees for the listed differentials, in the fixture's

@@ -577,8 +577,15 @@ class LaurentPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        return LaurentPoly._wrap(_product(self.terms, other.terms))
+        if isinstance(other, (int, Fraction)):
+            # a scalar scales the values, read as ``int`` where integral as
+            # in _product, and sums no degrees
+            if not other:
+                return LaurentPoly._of({})
+            c = other.numerator if other.denominator == 1 else other
+            return LaurentPoly._wrap({md: (v.numerator if v.denominator == 1 else v) * c
+                                      for md, v in self.terms.items()})
+        return LaurentPoly._wrap(_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -600,8 +607,7 @@ class LaurentPoly:
         return result
 
     def __truediv__(self, scalar):
-        scalar = _frac(scalar)
-        return self * LaurentPoly.const(Fraction(1) / scalar)
+        return self * (Fraction(1) / _frac(scalar))
 
     @staticmethod
     def _coerce(x):

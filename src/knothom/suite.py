@@ -46,6 +46,7 @@ from .checks import (
     check_hfk_growth,
     check_mirror,
     check_self_symmetry,
+    colored_differential,
     rank_collapse,
 )
 from .fixtures import (
@@ -53,6 +54,7 @@ from .fixtures import (
     HOMOLOGY_FIXTURES,
     PRINTED_DEGREES,
     PRINTED_SURVIVORS,
+    fixture_name,
     load_fixture,
 )
 from .bottom import bottom_poincare, row_count, trefoil_recursion_check, vortex_character
@@ -156,19 +158,19 @@ def growth_rows():
             ]}
 
 
-def _differential(fname, label, kind, param, target_name, project):
+def _differential(fname, kind, R, S, param, target_name):
     fix = load_fixture(fname)
-    spec = DifferentialSpec.colored(kind, fix.R, fix.S, param or 0, fix.sigma,
-                                    name=label)
-    printed = PRINTED_DEGREES.get((fname, label))
+    spec = DifferentialSpec.colored(kind, R, S, param, fix.sigma)
+    printed = PRINTED_DEGREES.get((fname, spec.name))
     if printed is not None:
         want = Multidegree(printed)
         got = Multidegree({v: spec.degree.e(v) for v in printed})
         if want != got:
             return False, f"degree {got!r} != printed {want!r}"
     target = load_fixture(target_name).poincare if target_name else LaurentPoly.one()
+    project = None if "tr" in fix.gradings else fix.gradings
     ok, _ = check_differential(fix.poincare, target, spec, project=project)
-    surv = PRINTED_SURVIVORS.get((fname, label))
+    surv = PRINTED_SURVIVORS.get((fname, spec.name))
     if ok and surv is not None:
         image = spec.regrade(Multidegree())
         want = Multidegree(surv)
@@ -177,8 +179,19 @@ def _differential(fname, label, kind, param, target_name, project):
 
 
 def differential_rows():
-    return {f"differential:{fname}:{d[0]}": partial(_differential, fname, *d)
-            for fname, diffs in DIFFERENTIALS.items() for d in diffs}
+    """One row per registered differential, named by its label; a
+    canceling one's target is the unit, another's is the fixture of its
+    target rectangle."""
+    rows = {}
+    for (knot, R, S), diffs in DIFFERENTIALS.items():
+        fname = fixture_name(knot, Partition([S] * R))
+        for kind, param in diffs:
+            _, _, (height, width), label = colored_differential(kind, R, S, param)
+            target = (fixture_name(knot, Partition([width] * height))
+                      if height and width else None)
+            rows[f"differential:{fname}:{label}"] = partial(
+                _differential, fname, kind, R, S, param, target)
+    return rows
 
 
 HFK_DEGREE = Multidegree(a=-2, Q=0, tr=-3, tc=-5)

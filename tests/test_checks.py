@@ -21,6 +21,7 @@ from knothom.checks import (
     check_mirror,
     check_self_symmetry,
     colored_degree,
+    colored_differential,
     colored_regrade,
     mirror_swap,
     rank_collapse,
@@ -107,6 +108,30 @@ def test_colored_degree_table():
     assert colored_degree("left", 2, 2) == Multidegree(q=2, tc=2)
     with pytest.raises(ValueError):
         colored_degree("+row", 2, 2, 2)
+
+
+def test_colored_labels_and_targets_follow_the_kind():
+    # a 3x4 colour has no fixture; the rule still names each differential
+    # and its target rectangle, empty for a canceling one
+    R, S = 3, 4
+    cases = [("+row", 2), ("-row", 2), ("+col", 3), ("-col", 3), ("up", 0),
+             ("left", 0), ("+row", 0), ("-col", 0)]
+    derived = [colored_differential(kind, R, S, k) for kind, k in cases]
+    assert [(label, target) for _, _, target, label in derived] == [
+        ("d5|0", (2, 4)), ("d2|4", (2, 4)), ("d3|3", (3, 3)), ("d0|7", (3, 3)),
+        ("d^", (1, 4)), ("d<-", (3, 3)), ("d3|0", (0, 4)), ("d0|4", (3, 0))]
+    assert DifferentialSpec.colored("-col", R, S, 3, 2).name == "d0|7"
+    with pytest.raises(ValueError, match="unknown differential kind"):
+        colored_differential("down", R, S)
+    with pytest.raises(ValueError, match="0 <= k < 4"):
+        colored_differential("+col", R, S, 4)
+
+
+def test_regrade_refuses_targets_off_the_lattice():
+    with pytest.raises(ValueError, match="Q-integrality"):
+        colored_regrade("+row", 3, 2, 2, 2)(Multidegree(q=1))
+    with pytest.raises(ValueError, match="empty-color"):
+        colored_regrade("+row", 3, 2, 0, 2)(Multidegree(q=2))
 
 
 def test_canceling_survivors():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -305,14 +306,28 @@ def test_bad_input_is_a_usage_error(capsys, argv):
 
 @pytest.mark.parametrize("reduced, advice", [
     (["--reduced"], "raise --ceiling"),
-    ([], "the unreduced presentation may not close at any ceiling, try --reduced"),
+    pytest.param([], "the unreduced presentation never closes for --r >= 1 "
+                     "(u1 is not nilpotent); use --reduced", id="unreduced"),
 ])
 def test_scheme_ceiling_advice(capsys, reduced, advice):
     """Only a reduced scheme is told to raise the ceiling; the unreduced one
-    of (2, 3, 1) never closes and is pointed to ``--reduced``."""
+    never closes for r >= 1 and is refused before elimination."""
     argv = ["scheme", "--p", "2", "--q", "3", "--r", "1", "--ceiling", "3"]
     assert main(argv + reduced) == 2
-    assert capsys.readouterr().err == f"error: degree ceiling 3 exceeded; {advice}\n"
+    want = f"degree ceiling 3 exceeded; {advice}" if reduced else advice
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_unreduced_scheme_is_refused_at_once(capsys):
+    """An unreduced scheme with forms at r = 2 ran for minutes before it
+    reached the default ceiling; it is refused before elimination, and
+    r = 0 still gives the basis ``1``."""
+    start = time.perf_counter()
+    assert main(["scheme", "--p", "2", "--q", "3", "--r", "2", "--forms"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "use --reduced" in capsys.readouterr().err
+    assert main(["scheme", "--p", "2", "--q", "3", "--r", "0", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["basis"] == ["1"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -242,8 +242,8 @@ def fuzz_token(draw, options, name):
 
 #: options that every request of a verb that reads them gives, so that no
 #: request falls back to a default that can take seconds: the ceiling of
-#: 200 (an unreduced scheme with forms can run for minutes before it reaches
-#: it), a cutoff of 30, or every check of the suite
+#: 200 (a reduced scheme with forms can eliminate for seconds below it), a
+#: cutoff of 30, or every check of the suite
 BOUNDED = ("--ceiling", "--cutoff", "--fixture")
 
 

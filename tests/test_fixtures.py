@@ -14,6 +14,7 @@ from knothom.fixtures import (
     load_fixture,
     to_tilde,
 )
+from knothom.checks import colored_differential
 from knothom.errors import UsageError
 from knothom.laurent import LaurentPoly, Multidegree
 from knothom.partitions import Partition
@@ -56,12 +57,24 @@ def test_sigma_values():
 
 
 def test_registry_targets_exist():
-    for fname, diffs in DIFFERENTIALS.items():
+    """Every registered differential is a valid kind at its fixture's
+    rectangle, its label is new on that fixture, and the fixture of its
+    derived target rectangle loads, with that rectangle."""
+    for (knot, R, S), diffs in DIFFERENTIALS.items():
+        fname = fixture_name(knot, Partition([S] * R))
         assert fname in HOMOLOGY_FIXTURES
-        for (_, kind, param, target, project) in diffs:
-            if target is not None:
-                load_fixture(target)
-            assert kind in ("+row", "+col", "-row", "-col", "up", "left")
+        fix = load_fixture(fname)
+        assert (fix.knot, fix.R, fix.S) == (knot, R, S)
+        # raises unless each kind and param is valid
+        derived = [colored_differential(kind, R, S, param) for kind, param in diffs]
+        labels = [label for *_, label in derived]
+        assert len(set(labels)) == len(labels), fname
+        for (kind, param), (_, _, (rows, cols), _) in zip(diffs, derived):
+            if rows and cols:
+                target = load_fixture(fixture_name(knot, Partition([cols] * rows)))
+                assert (target.knot, target.R, target.S) == (knot, rows, cols)
+            else:
+                assert param == 0 and kind in ("+row", "-row", "+col", "-col")
 
 
 def test_fixture_dir_override(tmp_path, monkeypatch):

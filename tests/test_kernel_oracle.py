@@ -415,8 +415,8 @@ EDGE_COEFFS = [1, -1, 128, -128, 129, -129, 2 ** 70, -(3 ** 50), Fraction(1, 3),
 
 @pytest.mark.parametrize("c", EDGE_COEFFS, ids=str)
 def test_every_coefficient_is_a_fraction(c):
-    """Mul, exact division, substitution, ``from_json`` and the packed
-    plethysm sum's ``_from_aq`` wrap ``int`` coefficients in ``Fraction``,
+    """Mul, scaling, exact division, substitution, ``from_json`` and the
+    packed plethysm sum's ``_from_aq`` wrap ``int`` coefficients in ``Fraction``,
     from the shared table where they are small: every coefficient they give
     is ``type(c) is Fraction``, of the right value, also outside the table
     and where it is not integral.  A ``float`` is still refused."""
@@ -434,6 +434,12 @@ def test_every_coefficient_is_a_fraction(c):
                        {Multidegree(q=-1): -c, Multidegree(q=3): 2 * c, Multidegree(): -c}),
         "from_json": (LaurentPoly.from_json(f.to_json()), f.terms),
     }
+    for s in (0, 1, -1, 2 ** 70, Fraction(-7, 2)):
+        want = (f * LaurentPoly.const(s)).terms
+        results[f"{s} * f"] = (s * f, want)
+        results[f"f * {s}"] = (f * s, want)
+        if s:
+            results[f"f / {s}"] = (f / s, (f * LaurentPoly.const(1 / Fraction(s))).terms)
     if type(c) is int:
         results["_from_aq"] = (LaurentPoly._from_aq([0, 1, 2, 0], [0, -1, 3, 5],
                                                     [c, -c, 3 * c, 1]),
@@ -445,6 +451,8 @@ def test_every_coefficient_is_a_fraction(c):
         assert_normalised(p)
     with pytest.raises(TypeError):
         LaurentPoly({Multidegree(a=1): 0.5})
+    with pytest.raises(TypeError):
+        f * 0.5
 
 
 @oracle(80)

@@ -23,7 +23,8 @@ starts first in even pairs and the change in odd ones, so that a drift in
 host speed favours neither side.  The script prints one JSON object: each
 side's median and quartiles of every phase and of their total, and in how
 many pairs the change was faster.  Give the same directory twice to check
-that the script runs.
+that the script runs.  ``tools/torus_times.py`` runs its own probe through
+the same runner (:func:`main`).
 """
 
 import argparse
@@ -79,9 +80,11 @@ def probe_env(checkout, pycache):
     return env
 
 
-def run_once(checkout, pycache):
-    proc = subprocess.run([sys.executable, "-c", PROBE], cwd=checkout,
-                          capture_output=True, text=True, timeout=120,
+def run_once(checkout, pycache, probe, timeout):
+    """Run ``probe`` in a fresh interpreter on ``checkout`` and return the
+    JSON object it prints, less its ``file``."""
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=checkout,
+                          capture_output=True, text=True, timeout=timeout,
                           env=probe_env(checkout, pycache))
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: the probe exited {proc.returncode}:\n"
@@ -98,43 +101,58 @@ def summary(values):
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def main(argv=None, doc=__doc__, probe=PROBE, phases=PHASES, runs=21, timeout=120):
+    """Time ``probe`` on the two checkouts named in ``argv`` and print the
+    report.  A probe prints its ``phases`` in milliseconds and the ``file``
+    ``knothom`` was imported from; one that also prints a ``digest`` of its
+    outputs must print the same one in every run of both checkouts, and the
+    report gives it as ``outputs_sha256``."""
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
     ap.add_argument("parent", type=pathlib.Path)
     ap.add_argument("change", type=pathlib.Path)
-    ap.add_argument("--runs", type=int, default=21,
-                    help="runs per checkout (default 21)")
+    ap.add_argument("--runs", type=int, default=runs,
+                    help=f"runs per checkout (default {runs})")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {side: [] for side in SIDES}
+    timed = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory(prefix="knothom-pycache-") as pycache:
-        for side in SIDES:
-            run_once(checkouts[side], pycache)
+        untimed = [run_once(checkouts[side], pycache, probe, timeout) for side in SIDES]
         for i in range(args.runs):
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-                runs[side].append(run_once(checkouts[side], pycache))
+                timed[side].append(run_once(checkouts[side], pycache, probe, timeout))
     report = {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "runs": args.runs,
         "unit": "ms",
     }
+    digests = {r.get("digest") for r in untimed + timed["parent"] + timed["change"]}
+    if digests != {None}:
+        if len(digests) != 1:
+            raise RuntimeError(f"the outputs differ: {len(digests)} distinct hashes")
+        report["outputs_sha256"] = digests.pop()
     for side in SIDES:
-        report[side] = {phase: summary([r[phase] for r in runs[side]])
-                        for phase in PHASES}
-    pairs = list(zip(runs["parent"], runs["change"]))
+        report[side] = {phase: summary([r[phase] for r in timed[side]])
+                        for phase in phases}
+    pairs = list(zip(timed["parent"], timed["change"]))
     report["change_faster"] = {
         phase: f"{sum(c[phase] < p[phase] for p, c in pairs)}/{args.runs}"
-        for phase in PHASES}
+        for phase in phases}
     print(json.dumps(report, indent=2))
     return 0
 
 
-if __name__ == "__main__":
+def script(**options):
+    """Run :func:`main` with ``options`` as a script: a ``RuntimeError``
+    prints one ``error:`` line and exits 1."""
     try:
-        sys.exit(main())
+        sys.exit(main(**options))
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
+
+
+if __name__ == "__main__":
+    script()
