@@ -37,9 +37,9 @@ from .partitions import Partition
 def self_symmetry_image(p: LaurentPoly, R: int, S: int) -> LaurentPoly:
     """Image under ``(i,j,k,l) -> (i,-j,k-Rj,l-Sj)`` in tilde gradings."""
     def fn(md):
-        j = md.e("Q")
-        return Multidegree(a=md.e("a"), Q=-j, tr=md.e("tr") - R * j,
-                           tc=md.e("tc") - S * j)
+        j = md._e("Q")
+        return Multidegree(a=md._e("a"), Q=-j, tr=md._e("tr") - R * j,
+                           tc=md._e("tc") - S * j)
 
     return p.map_exponents(fn)
 
@@ -51,8 +51,8 @@ def check_self_symmetry(p_tilde: LaurentPoly, R: int, S: int) -> bool:
 def mirror_swap(p_tilde: LaurentPoly) -> LaurentPoly:
     """Exchange the two homological gradings."""
     def fn(md):
-        return Multidegree(a=md.e("a"), Q=md.e("Q"), tr=md.e("tc"),
-                           tc=md.e("tr"))
+        return Multidegree(a=md._e("a"), Q=md._e("Q"), tr=md._e("tc"),
+                           tc=md._e("tr"))
 
     return p_tilde.map_exponents(fn)
 
@@ -83,7 +83,7 @@ def check_growth(p_tilde: LaurentPoly, base_tilde: LaurentPoly,
 
 def delta_degrees(p: LaurentPoly):
     """The set of values ``a + q/2 - (tr + tc)/2`` over the monomials."""
-    return {md.e("a") + md.e("q") / 2 - (md.e("tr") + md.e("tc")) / 2
+    return {Fraction(2 * md._e("a") + md._e("q") - md._e("tr") - md._e("tc"), 2)
             for md in p.terms}
 
 
@@ -209,7 +209,7 @@ class DifferentialSpec:
 def project_gradings(p: LaurentPoly, variables) -> LaurentPoly:
     """Forget all gradings not listed (multiplicities accumulate)."""
     return p.map_exponents(
-        lambda md: Multidegree({v: md.e(v) for v in variables}))
+        lambda md: Multidegree({v: md._e(v) for v in variables}))
 
 
 def check_differential(source: LaurentPoly, target: LaurentPoly,
@@ -226,7 +226,7 @@ def check_differential(source: LaurentPoly, target: LaurentPoly,
     if project:
         mapped = project_gradings(mapped, project)
         src = project_gradings(src, project)
-        degree = Multidegree({v: degree.e(v) for v in project})
+        degree = Multidegree({v: degree._e(v) for v in project})
     residual = src - mapped
     witness = nonneg_divisibility(residual, degree)
     if witness is None:
@@ -244,7 +244,7 @@ def check_hfk_growth(p_tilde: LaurentPoly, uncolored_d11: LaurentPoly,
     """
     survivors, _ = max_cancel(p_tilde, degree_tilde, keep="late")
     collapsed = survivors.map_exponents(
-        lambda md: Multidegree(a=md.e("a"), q=md.e("Q"), t=md.e("tr")))
+        lambda md: Multidegree(a=md._e("a"), q=md._e("Q"), t=md._e("tr")))
     return collapsed == uncolored_d11 ** r, survivors
 
 
@@ -327,7 +327,7 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     sit at the early end of their rays, matching the tabulated
     computations.  Returns ``(survivors, window)``.
     """
-    tvar = "t" if diff.e("t") != 0 else "tc"
+    tvar = "t" if diff._e("t") else "tc"
     step_q = diff._e("q")
     if diff._e(tvar) != -1 or step_q <= 0:
         raise ValueError("cancellation direction must lower t by one and raise q")
@@ -337,7 +337,7 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     if num.is_zero():
         return LaurentPoly.zero(), cutoff
     den_margin = max((md._e("q") for md in series.denominators), default=0)
-    a_min = int(num.min_degree("a")) if "a" in num.variables() else 0
+    a_min = min(num._exponents("a"))
     edge = cutoff - 2 * den_margin
     window = edge - n * max(0, -a_min)
     if window < 0:

@@ -24,7 +24,7 @@ from .models import (
 )
 from .checks import rank_collapse
 from .errors import UsageError
-from .fixtures import fixture_name, load_fixture
+from .fixtures import FIXTURE_IDS, fixture_name, load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
 from . import suite
 
@@ -63,7 +63,7 @@ def parse_knot(text: str):
         return ("unknot", None)
     if text.startswith("torus:"):
         return ("torus", parse_pair(text[len("torus:"):], "a torus knot"))
-    if text in ("3_1", "4_1", "T3_4"):
+    if text in {n.partition(":")[0] for n in FIXTURE_IDS}:
         return ("fixture", text)
     if text == "8_19":
         return ("fixture", "T3_4")
@@ -169,7 +169,7 @@ def cmd_scheme(args):
     else:
         print(f"dimension {mb.dimension()}")
         for name, md in zip(mb.monomial_names(), mb.degrees()):
-            degs = ", ".join(f"{v}={md.e(v)}" for v in ("a", "q", "tr", "tc"))
+            degs = ", ".join(f"{v}={md._e(v)}" for v in ("a", "q", "tr", "tc"))
             print(f"  {name:20s} {degs}")
         print(f"poincare (a,q,tr): {mb.poincare(('a', 'q', 'tr'))}")
     return 0

@@ -62,10 +62,7 @@ FIXTURE_IDS = (
 
 #: names of the actual homology fixtures (the others are auxiliary
 #: differential-homology tables)
-HOMOLOGY_FIXTURES = (
-    "3_1:1", "3_1:S2", "3_1:L2", "3_1:2x2", "3_1:3x2", "3_1:2_1",
-    "4_1:1", "4_1:S2", "T3_4:1", "T3_4:S2",
-)
+HOMOLOGY_FIXTURES = tuple(n for n in FIXTURE_IDS if n.count(":") == 1)
 
 
 class FixtureError(ValueError):

@@ -187,13 +187,11 @@ def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
                   key=lambda kv: kv[0].key(variables))
     tmd, tc = max(((md, c) for md, c in target.terms.items()),
                   key=lambda kv: kv[0].key(variables))
-    shift = pmd - tmd
-    ratio = pc / tc
-    if ratio not in (1, -1):
+    if pc not in (tc, -tc):
         return None
-    shifted = target.map_exponents(lambda md: md + shift) * LaurentPoly.const(ratio)
-    if shifted == p:
-        return shift, int(ratio)
+    shift, sign = pmd - tmd, 1 if pc == tc else -1
+    if target.map_exponents(lambda md: md + shift) * sign == p:
+        return shift, sign
     return None
 
 
@@ -244,7 +242,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         c, md = at_sl1.as_monomial()
         if abs(c) == 1:
             sign = 1 if c > 0 else -1
-            shift = Multidegree(q=-md.e("q"))
+            shift = Multidegree(q=-md._e("q"))
             # one pass: a shift is one-to-one, so no two terms meet
             quotient = LaurentPoly._of({d + shift: c if sign > 0 else -c
                                         for d, c in quotient.terms.items()})
@@ -273,7 +271,7 @@ def stable_limit_check(lam, n: int, m_list, order=10):
         shifted = _align_lowest(approx, target)
         agree = -1
         if shifted is not None:
-            q_degrees = sorted(set(target.degrees("q")) | set(shifted.degrees("q")))
+            q_degrees = sorted(set(target._exponents("q")) | set(shifted._exponents("q")))
             agree = None
             for d in q_degrees:
                 if d > order:
@@ -294,8 +292,7 @@ def stable_limit_check(lam, n: int, m_list, order=10):
 
 
 def _alignment_pad(fr: RationalSeries) -> int:
-    num = fr.numerator
-    return max(0, -int(num.min_degree("q"))) if not num.is_zero() else 0
+    return max(0, -min(fr.numerator._exponents("q"), default=0))
 
 
 def _align_lowest(p: LaurentPoly, target: LaurentPoly):
@@ -303,17 +300,16 @@ def _align_lowest(p: LaurentPoly, target: LaurentPoly):
     if p.is_zero() or target.is_zero():
         return None
     def lowest(poly):
-        qmin = poly.min_degree("q")
+        qmin = min(poly._exponents("q"))
         slice_ = poly.coefficient_of("q", qmin)
-        amin = slice_.min_degree("a")
-        return Multidegree(q=qmin, a=amin), slice_.coefficient_of("a", amin)
+        amin = min(slice_._exponents("a"))
+        return Multidegree(q=qmin, a=amin), slice_.coefficient_of("a", amin).coefficient_sum()
     pmd, pc = lowest(p)
     tmd, tc = lowest(target)
-    ratio = tc.coefficient_sum() / pc.coefficient_sum()
-    if ratio not in (1, -1):
+    if tc not in (pc, -pc):
         return None
     shift = tmd - pmd
-    return LaurentPoly.const(ratio) * p.map_exponents(lambda md: md + shift)
+    return p.map_exponents(lambda md: md + shift) * (1 if tc == pc else -1)
 
 
 # -- Hirota bilinear identity -----------------------------------------------------

@@ -35,7 +35,9 @@ tuples: hashing and equality are ``tuple``'s own C code, and addition maps
 ``operator.add`` over two tuples.  Slot order never reaches output, since
 every reader that names variables sorts them by name.  The public readers
 (``e``, ``total``, and the degree queries of ``LaurentPoly``) return
-``Fraction``, so callers that divide exponents stay exact.
+``Fraction``, so callers that divide exponents stay exact.  They are the
+package's only ``Fraction`` boundary on exponents: every other module reads
+the stored ``int`` through ``Multidegree._e`` and ``LaurentPoly._exponents``.
 
 The two carrier types are:
 
@@ -399,6 +401,18 @@ def _integral(terms) -> tuple:
     return den, [c.numerator * (den // c.denominator) for c in terms.values()]
 
 
+def _primitive(terms: dict) -> dict:
+    """``terms`` times the positive rational that makes its values coprime
+    integers.  Values may be ``int`` or ``Fraction``; the result holds
+    ``int`` only."""
+    den = lcm(*[v.denominator for v in terms.values()])
+    out = {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+    g = gcd(*out.values())
+    if g > 1:
+        out = {k: v // g for k, v in out.items()}
+    return out
+
+
 def _product(f: dict, g: dict) -> dict:
     """The product of two term maps with ``int`` or ``Fraction`` values.
 
@@ -725,7 +739,7 @@ class LaurentPoly:
         proves the division inexact.
 
         - **Integral operands.**  The dividend is cleared of denominators,
-          and the divisor also divided by its content.  A primitive divisor
+          and the divisor made primitive (``_primitive``).  A primitive divisor
           that divides an integral polynomial over the rationals divides it
           over the integers (Gauss's lemma), so the integer quotient is
           exact whenever the rational one is.
@@ -780,10 +794,7 @@ class LaurentPoly:
         f_index = _indices(f_cols, strides, f_lo)
         g_index = _indices(g_cols, strides, g_lo)
         f_den, f_ints = _integral(f)
-        g_den, g_ints = _integral(g)
-        content = gcd(*g_ints)
-        if content != 1:
-            g_ints = [c // content for c in g_ints]
+        g_ints = [*_primitive(g).values()]
         g_norm = sum(map(abs, g_ints))
         bits = _slot_bits(max(map(abs, f_ints)) * g_norm)
         stop = None
@@ -817,7 +828,9 @@ class LaurentPoly:
                 raise DivisionError("no exact quotient")
             if lo:
                 columns[k] = [*map(lo.__add__, columns[k])]
-        num, den = g_den, f_den * content
+        # g is g_ints times lead/g_ints[0], lead its first coefficient
+        lead = next(iter(g.values()))
+        num, den = g_ints[0] * lead.denominator, f_den * lead.numerator
         values = _fractions(values) if num == den else [
             Fraction(c * num, den) for c in values]
         return LaurentPoly._of(dict(zip(_degrees(columns), values)))

@@ -16,13 +16,14 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 
 from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
+    _primitive,
     register_variables,
     series_log,
     series_pow_rational,
@@ -63,8 +64,8 @@ class Generator:
         return (f"Generator(name={self.name!r}, parity={self.parity!r}, "
                 f"degree={self.degree!r})")
 
-    def q_degree(self):
-        return self.degree.e("q")
+    def q_degree(self) -> int:
+        return self.degree._e("q")
 
 
 class GradedPresentation:
@@ -195,10 +196,10 @@ def poly_substitute(p: LaurentPoly, images: dict) -> LaurentPoly:
         term = LaurentPoly.const(c)
         for v, e in md.items():
             if v in images:
-                if e.denominator != 1 or e < 0:
+                if e < 0:
                     raise ValueError(
                         f"cannot substitute into {v}^{e}: need a nonnegative integer")
-                term = term * images[v] ** int(e)
+                term = term * images[v] ** e
             else:
                 term = term * LaurentPoly.monomial(1, Multidegree({v: e}))
         out = out + term
@@ -300,14 +301,14 @@ class StableTorusModel:
                                     tr=2 * ((n - 1) * R + j) - 1)))
         self.presentation = GradedPresentation(gens)
         for g in gens:
-            qq = (g.degree.e("q") + g.degree.e("tr") - g.degree.e("tc"))
+            qq = g.degree._e("q") + g.degree._e("tr") - g.degree._e("tc")
             if qq % R != 0:
                 raise ArithmeticError(f"noninteger auxiliary grading on {g.name}")
 
     def q_aux(self, name) -> int:
         """The auxiliary grading ``(q + tr - tc)/R`` of a generator."""
         d = self.presentation.generator(name).degree
-        return int((d.e("q") + d.e("tr") - d.e("tc")) / self.R)
+        return (d._e("q") + d._e("tr") - d._e("tc")) // self.R
 
     def lefschetz_generator(self) -> str:
         """Multiplication by this generator realizes the self-symmetry flip."""
@@ -441,19 +442,6 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
 # -- exact linear algebra -----------------------------------------------------------
 
 
-def _primitive(row):
-    """``row`` times the positive rational that makes it coprime integers.
-
-    Values may be ``int`` or ``Fraction``; the result holds ``int`` only.
-    """
-    den = lcm(*[v.denominator for v in row.values()])
-    out = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
-
-
 def _row_reduce(rows, columns, zeros=None):
     """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
@@ -535,8 +523,8 @@ class _KeySpace:
     """
 
     def __init__(self, pres: GradedPresentation, reach: int):
-        even_deg = {g.name: int(g.q_degree()) for g in pres.evens()}
-        odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+        even_deg = {g.name: g.q_degree() for g in pres.evens()}
+        odd_deg = {g.name: g.q_degree() for g in pres.odds()}
         if any(d <= 0 for d in even_deg.values()):
             raise ValueError("even generators need positive q-degrees")
         self.odd_names = sorted(odd_deg)
@@ -632,10 +620,9 @@ class MacaulayBasis:
     """
 
     def __init__(self, presentation: GradedPresentation, elements: list,
-                 complete: bool, top_degree: int):
+                 top_degree: int):
         self.presentation = presentation
         self.elements = elements
-        self.complete = complete
         self.top_degree = top_degree
 
     def dimension(self) -> int:
@@ -739,15 +726,15 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
             terms = space.terms(rel, n_odd)
             for k in range(n_odd, len(templates)):
                 templates[k] += [
-                    (int(d) + od, space.origin - mask,
+                    (d + od, space.origin - mask,
                      [(t, space.sign(mask, bit) * c) for t, bit, c in terms
                       if not bit & mask], set())
                     for mask, od in space.odd_subsets[k - n_odd]]
-    window = max((int(g.q_degree()) for g in pres.generators), default=0)
+    window = max((g.q_degree() for g in pres.generators), default=0)
     even_offsets = space.even_offsets
-    odd_deg = {g.name: int(g.q_degree()) for g in pres.odds()}
+    odd_deg = {g.name: g.q_degree() for g in pres.odds()}
     # (key shift, q shift, odd count shift, name) of each step generator
-    steps = ([(space.weight[g.name], int(g.q_degree()), 0, g.name) for g in pres.evens()]
+    steps = ([(space.weight[g.name], g.q_degree(), 0, g.name) for g in pres.evens()]
              + [(-space.odd_bit[o], d, 1, o) for o, d in odd_deg.items() if d >= 0])
     # (degree, k) -> {key: step divisors whose quotient is not yet standard}
     unmet = {}
@@ -808,7 +795,7 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
         if dim_here == 0 and degree > 0:
             zero_run += 1
             if zero_run >= window + 1:
-                return MacaulayBasis(pres, elements, True, degree)
+                return MacaulayBasis(pres, elements, degree)
         else:
             zero_run = 0
         degree += 1
@@ -860,13 +847,13 @@ def split_potential_check(k: int, j: int):
     w_vars = [f"w{s}" for s in range(k - j + 1, k + 1)]
 
     def w_order(md):
-        return sum(int(md.e(v)) for v in w_vars)
+        return sum(md._e(v) for v in w_vars)
 
     low = LaurentPoly({md: c for md, c in mixed.terms.items()
                        if w_order(md) <= 2})
     quad_part = LaurentPoly(
         {md: c for md, c in low.terms.items()
-         if w_order(md) == 2 and all(md.e(v) == 0 for v in md.variables()
+         if w_order(md) == 2 and all(md._e(v) == 0 for v in md.variables()
                                      if not v.startswith("w"))})
     expected_quad = LaurentPoly.zero()
     for s0 in range(1, j + 1):
@@ -952,8 +939,8 @@ def _block_homology(pres, space, row, delta: Multidegree, cutoff: int):
     maps the monomials of one a-degree, q-degree and odd count into one such
     block, and the rank on an (a, q) block is the sum over its odd counts.
     """
-    da, dq = int(delta.e("a")), int(delta.e("q"))
-    a_deg = {g.name: int(g.degree.e("a")) for g in pres.generators}
+    da, dq = delta._e("a"), delta._e("q")
+    a_deg = {g.name: g.degree._e("a") for g in pres.generators}
     sizes, ranks = Counter(), Counter()
     for q in range(space.low, cutoff + max(0, -dq) + 1):
         for k in range(len(space.odd_subsets)):
@@ -996,7 +983,7 @@ def koszul_homology(pres: GradedPresentation, images: dict,
             raise ArithmeticError("images do not share a common degree shift")
     if delta is None:
         delta = Multidegree()
-    space = _KeySpace(pres, cutoff + abs(int(delta.e("q"))))
+    space = _KeySpace(pres, cutoff + abs(delta._e("q")))
     # a positive multiple of an image rescales its odd generator, which
     # keeps every rank, so each image is packed with coprime coefficients
     packed = [(space.odd_bit[xi], space.terms(img, 0))
@@ -1025,7 +1012,7 @@ def universal_pair_homology(pres: GradedPresentation, x: str, y: str,
     if delta != pres.generator(xi_y).degree - pres.generator(xi_x).degree:
         raise ArithmeticError("pair generators are not aligned in degree")
 
-    space = _KeySpace(pres, cutoff + abs(int(delta.e("q"))))
+    space = _KeySpace(pres, cutoff + abs(delta._e("q")))
     step = space.weight[y] - space.weight[x]
     bit_x, bit_y = space.odd_bit[xi_x], space.odd_bit[xi_y]
 

@@ -35,9 +35,6 @@ class Partition:
     def size(self) -> int:
         return sum(self.parts)
 
-    def length(self) -> int:
-        return len(self.parts)
-
     def transpose(self) -> "Partition":
         if not self.parts:
             return Partition()

@@ -496,7 +496,7 @@ def test_super_pinned(capsys, key):
 #: SHA-256 of ``check all --format json``: every check's name, verdict and
 #: detail, in name order
 PINNED_CHECK_ALL_SHA256 = \
-    "494bf8f799cb1d102c20bb7efc4f1ed5d2490e0ee6a5c82a6a026b0608c19a36"
+    "3c5c6b77478c591bf4b5f5247921929acaa75d49f8566e55fa63fef88efeb047"
 
 
 def test_check_all_json_pinned(capsys):
@@ -551,7 +551,7 @@ PINNED_CHECK_GROUP_SHA256 = {
     "rosso-jones text":
         "e6c1b58038bc9c44e9ee83d4b0c8382535221592716c29a16de9ebd6f8eb7083",
     "stable json":
-        "ab3d62e56c4375c9f00eadb680d32b6ab8f7505448be7a5b88f4d5457b271c9d",
+        "9f684653ef586ec23070ec110d4f315f0a070627b25137ccd4d0c54d2e2e1b6e",
     "stable text":
         "1b6e788f1f3a6451b58b0b9b3b9f0aca12690598fe3f7db83a7746a08a6f2295",
     "hirota json":

@@ -5,9 +5,9 @@ row echelon form of its rows, with the columns in the integer order of
 their keys.  sympy's ``Matrix.rref`` is the reference.  Matrices are
 sparse and drawn with mixed ``int``/``Fraction`` entries, explicit zeros,
 zero rows and duplicate rows, and are cleared to the integer rows
-``_row_reduce`` takes by ``_primitive``; some fill the rank and then keep
-sending rows, which must never be read.  The runs are derandomized, so
-every run checks the same examples.
+``_row_reduce`` takes by ``laurent._primitive``; some fill the rank and
+then keep sending rows, which must never be read.  The runs are
+derandomized, so every run checks the same examples.
 
 ``macaulay_basis`` packs each monomial into one ``int`` whose order is the
 elimination order.  The scheme tests rebuild its Macaulay matrices here,
@@ -36,14 +36,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from knothom import models
-from knothom.laurent import LaurentPoly, Multidegree, parse_poly
+from knothom.laurent import LaurentPoly, Multidegree, _primitive, parse_poly
 from knothom.models import (
     EVEN,
     ODD,
     DegreeCeilingError,
     GradedPresentation,
     Generator,
-    _primitive,
     _row_reduce,
     koszul_homology,
     macaulay_basis,

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
-function and class is read somewhere in the package, and every name the
-package re-exports is reached by the package itself.
+function and class is read somewhere in the package, every name the
+package re-exports is reached by the package itself, and no module but
+``laurent`` reads an exponent as ``Fraction``.
 
 The package's ``__init__`` imports only to re-export, and ``from
 __future__`` imports change how a module compiles, so both are exempt from
@@ -100,6 +101,40 @@ def test_definition_finder_flags_only_unread_names():
 def test_no_unread_private_definitions():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert unread_private_definitions(sources) == []
+
+
+#: the ``Fraction`` readers of exponents (``Multidegree.e`` and ``total``,
+#: and the degree queries of ``LaurentPoly``); ``degrees`` counts only with an
+#: argument, since ``MacaulayBasis.degrees()`` takes none
+FRACTION_READERS = {"e", "total", "min_degree", "max_degree"}
+
+
+def fraction_reader_calls(source: str) -> list:
+    """``name (line n)`` of each call in ``source`` to an exponent reader
+    that returns ``Fraction``."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    return sorted(f"{node.func.attr} (line {node.lineno})" for node in calls
+                  if node.func.attr in FRACTION_READERS
+                  or node.func.attr == "degrees" and (node.args or node.keywords))
+
+
+def test_reader_finder_flags_only_fraction_readers():
+    source = ("x = md.e('a') + md._e('q') + md.total()\n"
+              "y = p.min_degree('q'), p.max_degree(var='a'), p._exponents('q')\n"
+              "z = p.degrees('q'), basis.degrees(), e(1)\n")
+    assert fraction_reader_calls(source) == [
+        "degrees (line 3)", "e (line 1)", "max_degree (line 2)",
+        "min_degree (line 2)", "total (line 1)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "laurent.py"],
+                         ids=lambda p: p.name)
+def test_exponents_are_read_as_int_outside_laurent(path):
+    """Exponents are stored as ``int``; only ``laurent`` hands them out as
+    ``Fraction``, so every other module reads them through ``Multidegree._e``
+    and ``LaurentPoly._exponents``."""
+    assert fraction_reader_calls(path.read_text()) == []
 
 
 #: re-exports that no module reads yet, each with the reason it stays; a

@@ -138,6 +138,19 @@ def test_torus_homfly_trefoil_s2_l2():
     assert match_up_to_monomial(p11, TREFOIL_L2) is not None
 
 
+def test_match_up_to_monomial_returns_shift_and_sign():
+    shift = Multidegree(a=1, q=-3)
+    copy = TREFOIL_FUND.map_exponents(lambda md: md + shift)
+    assert match_up_to_monomial(copy, TREFOIL_FUND) == (shift, 1)
+    got = match_up_to_monomial(-copy, TREFOIL_FUND)
+    assert got == (shift, -1) and type(got[1]) is int
+    # a scalar other than -1 or 1, a differing term past the leading one,
+    # and unequal term counts are no match
+    assert match_up_to_monomial(2 * TREFOIL_FUND, TREFOIL_FUND) is None
+    assert match_up_to_monomial(P("a*q^-1 - a*q - a^2"), TREFOIL_FUND) is None
+    assert match_up_to_monomial(TREFOIL_FUND + P("q^5"), TREFOIL_FUND) is None
+
+
 def test_torus_homfly_counit():
     for lam, n, m in [((1,), 2, 3), ((2,), 2, 3), ((1, 1), 2, 3), ((2,), 3, 4)]:
         p, _ = torus_homfly(lam, n, m)

@@ -307,9 +307,8 @@ def test_public_exponents_and_coefficients_are_fractions():
     """Exponents are stored as ``int``, but every public reader returns ``Fraction``.
 
     Callers divide these values: ``bench/verify.py`` divides two leading
-    coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``), as do
-    ``fixtures.to_tilde`` and ``suite._halved_homfly``.  An ``int`` there would
-    silently turn into a ``float``.
+    coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``).  An
+    ``int`` there would silently turn into a ``float``.
     """
     md = Multidegree(a=2, q=-1)
     f = P("3*a^2*q^-1 - q^4*t + 2")
