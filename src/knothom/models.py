@@ -385,20 +385,29 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     ``(1 + sum u_i z^i)**(q/p)``; the unreduced scheme uses ``u_1..u_pr``,
     the reduced one ``u_(r+1)..u_pr``.  Zero coefficients are dropped; each
     relation is homogeneous for ``q-degree(u_i) = 2i``.
+
+    The coefficients ``h_n`` of ``f**alpha``, ``f = 1 + sum u_k z^k`` and
+    ``alpha = q/p``, follow from ``f * h' = alpha * f' * h`` (J. C. P.
+    Miller's recurrence): ``n*h_n = sum_k ((alpha+1)*k - n) * u_k * h_(n-k)``.
+    Each is a sum of monomial shifts of earlier ones, kept in ``int`` as
+    ``n! * p**n * h_n``, and no series is multiplied.
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     _register_scheme_family(p, r)
     lo = r + 1 if reduced else 1
-    names = [f"u{i}" for i in range(lo, r * p + 1)]
-    base = 1 + _generating_function(names, "z", lo)
-    series = series_pow_rational(base, Fraction(q, p), (p + q) * r)
-    rels = []
-    for d in range(q * r + 1, (p + q) * r + 1):
-        rel = series.coefficient_of("z", d)
-        if not rel.is_zero():
-            rels.append(rel)
-    return rels
+    steps = {k: Multidegree({f"u{k}": 1}) for k in range(lo, r * p + 1)}
+    h = [{Multidegree(): 1}]
+    for n in range(1, (p + q) * r + 1):
+        out = {}
+        for k in range(lo, min(n, r * p) + 1):
+            c = ((p + q) * k - n * p) * factorial(n - 1) // factorial(n - k) * p ** (k - 1)
+            for md, v in h[n - k].items():
+                md += steps[k]
+                out[md] = out.get(md, 0) + c * v
+        h.append({md: v for md, v in out.items() if v})
+    return [LaurentPoly._wrap({md: Fraction(v, factorial(n) * p ** n) for md, v in h[n].items()})
+            for n in range(q * r + 1, (p + q) * r + 1) if h[n]]
 
 
 def _scheme_degree_even(i: int, r: int) -> Multidegree:
@@ -429,8 +438,10 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
     form_rels = []
     if with_forms:
         gens += [Generator(f"du{i}", ODD, _scheme_degree_odd(i, r)) for i in indices]
-        form_rels = [sum((rel.derivative(f"u{i}") * LaurentPoly.var(f"du{i}")
-                          for i in indices), LaurentPoly.zero())
+        # c*md gives c*e_i * md/u_i * du_i for each u_i in md; no two meet
+        moves = [(f"u{i}", Multidegree({f"u{i}": -1, f"du{i}": 1})) for i in indices]
+        form_rels = [LaurentPoly._wrap({md + move: c * e for md, c in rel.terms.items()
+                                        for u, move in moves if (e := md._e(u))})
                      for rel in rels]
     pres = GradedPresentation(gens, rels, form_rels)
     for rel in rels:
@@ -442,7 +453,7 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
 # -- exact linear algebra -----------------------------------------------------------
 
 
-def _row_reduce(rows, columns, zeros=None):
+def _row_reduce(rows, columns, zeros=None, basis=None):
     """Fraction-free Gaussian elimination; returns (rank, pivot column set).
 
     Columns are ``int`` keys whose integer order is the elimination order
@@ -459,10 +470,16 @@ def _row_reduce(rows, columns, zeros=None):
     is a list, the read position (from 0) of each row that reduced to zero,
     an empty row included, is appended to it: such a row lies in the span
     of the rows read before it.
+
+    ``basis`` is a starting basis, extended in place: each pivot key maps to
+    ``(pivot entry, rest of the row)``, a primitive row with a positive
+    entry at its least key.  The pivots are those of reading the rows it
+    came from first; ``zeros`` indexes ``rows`` alone, and no row is read
+    if ``basis`` already covers ``columns``.
     """
     full = len(columns)
-    basis = {}  # pivot key -> (pivot entry, rest of the primitive row)
-    for n, row in enumerate(rows):
+    basis = {} if basis is None else basis
+    for n, row in enumerate(rows if len(basis) < full else ()):
         if not row.keys() <= columns:
             raise ArithmeticError(
                 f"row touches columns {sorted(row.keys() - columns)} outside the block")
@@ -478,24 +495,43 @@ def _row_reduce(rows, columns, zeros=None):
                     r = {c: v // g for c, v in r.items()}
                 basis[p] = (r.pop(p), r)
                 break
-            b, rest = pivot
-            a = r.pop(p)
-            g = gcd(a, b)
-            s, t = b // g, a // g
-            if s != 1:
-                r = {c: s * v for c, v in r.items()}
-            for c, v in rest.items():
-                nv = r.get(c, 0) - t * v
-                if nv:
-                    r[c] = nv
-                else:
-                    del r[c]
+            _, r = _eliminate(r, r.pop(p), pivot)
         else:
             if zeros is not None:
                 zeros.append(n)
         if len(basis) == full:
             break
     return len(basis), set(basis)
+
+
+def _eliminate(r, a, pivot):
+    """``(s, s*r - t*row)``, ``g = gcd(a, b)``, ``s = b/g``, ``t = a/g``, for the
+    basis row ``pivot = (b, rest)`` and ``a`` popped from ``r`` at its pivot."""
+    b, rest = pivot
+    g = gcd(a, b)
+    s, t = b // g, a // g
+    if s != 1:
+        r = {c: s * v for c, v in r.items()}
+    for c, v in rest.items():
+        nv = r.get(c, 0) - t * v
+        if nv:
+            r[c] = nv
+        else:
+            del r[c]
+    return s, r
+
+
+def _back_substitute(basis):
+    """Reduce a basis of :func:`_row_reduce` in place, largest pivot first
+    and fraction-free, so that no row has an entry in another's pivot column;
+    span, pivots, primitive rows and positive pivot entries are kept."""
+    for p in sorted(basis, reverse=True):
+        b, r = basis[p]
+        for c in r.keys() & basis.keys():
+            s, r = _eliminate(r, r.pop(c), basis[c])
+            b *= s
+        g = gcd(b, *r.values())
+        basis[p] = (b // g, {k: v // g for k, v in r.items()}) if g != 1 else (b, r)
 
 
 class _KeySpace:
@@ -709,12 +745,27 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     Odd multiples are not recorded.  A multiple is recorded only up to the
     ceiling, the key space's ``reach``: beyond it a digit of the key can
     leave its radix, and the offset then names a different monomial.
+
+    A block with odd factors builds no row of an even relation times an odd
+    subset ``S`` of q-degree ``od >= 0``, but starts from the basis of bottom
+    block ``(degree - od, 0)`` times ``du_S``, reduced by
+    :func:`_back_substitute` (all of it, if that block was skipped).  This
+    also keeps every pivot:
+
+    - those rows span the sum over ``S`` of the ideal's part in the bottom
+      block times ``du_S``, which the starting basis spans;
+    - in read order all of them came before every form relation's row;
+    - so each form row reduces to zero, or not, as before, and the skipped
+      multiples, the pivots, the survivors and the candidate check are
+      unchanged.  A subset of q-degree below 0 keeps its rows: its bottom
+      block comes later.
     """
     space = _KeySpace(pres, ceiling)
     # per odd count k: (q-degree, key of du_S, signed packed terms, the even
     # key offsets of its rows not to build) of each relation times each odd
     # subset S; a form hitting a factor of S vanishes, and one moved past
     # the factors before it changes sign.  A zero relation spans nothing.
+    # An even relation times a non-empty S of q-degree >= 0 is left to seeds.
     templates = [[] for _ in space.odd_subsets]
     for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
@@ -729,7 +780,8 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
                     (d + od, space.origin - mask,
                      [(t, space.sign(mask, bit) * c) for t, bit, c in terms
                       if not bit & mask], set())
-                    for mask, od in space.odd_subsets[k - n_odd]]
+                    for mask, od in space.odd_subsets[k - n_odd]
+                    if n_odd or not mask or od < 0]
     window = max((g.q_degree() for g in pres.generators), default=0)
     even_offsets = space.even_offsets
     odd_deg = {g.name: g.q_degree() for g in pres.odds()}
@@ -758,6 +810,18 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
                 base = odd_key + offset
                 yield {base + t: c for t, c in terms}
 
+    bottom = {}  # degree -> basis of block (degree, 0); None if all in the ideal
+
+    def seeds(degree, k):
+        """The basis of block ``(degree - od, 0)`` times ``du_S`` for each odd
+        subset ``S`` of size ``k`` and q-degree ``od >= 0``, keys shifted."""
+        for mask, od in space.odd_subsets[k]:
+            below = bottom.get(degree - od, {}) if od >= 0 else {}
+            if below is None:
+                below = dict.fromkeys(space.block(degree - od, 0), (1, {}))
+            for p, (b, rest) in below.items():
+                yield p - mask, (b, {c - mask: v for c, v in rest.items()})
+
     elements = []
     zero_run = 0
     degree = space.low
@@ -767,12 +831,17 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
             if degree > 0:
                 candidates = {c for c, n in unmet.pop((degree, k), {}).items() if not n}
                 if not candidates:
+                    if not k:
+                        bottom[degree] = None
                     continue
             block = space.block(degree, k)
             if not block:
                 continue
-            read, zeros = [], []
-            _, pivots = _row_reduce(rows(degree, k, read), set(block), zeros)
+            read, zeros, basis = [], [], dict(seeds(degree, k)) if k else {}
+            _, pivots = _row_reduce(rows(degree, k, read), set(block), zeros, basis)
+            if not k and space.odd_names:  # only form blocks read it
+                _back_substitute(basis)
+                bottom[degree] = basis
             for n in zeros:
                 skip_multiples(*read[n], degree)
             survivors = [c for c in block if c not in pivots]

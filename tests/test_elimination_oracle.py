@@ -36,7 +36,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from knothom import models
-from knothom.laurent import LaurentPoly, Multidegree, _primitive, parse_poly
+from knothom.laurent import (
+    LaurentPoly,
+    Multidegree,
+    _primitive,
+    parse_poly,
+    series_pow_rational,
+)
 from knothom.models import (
     EVEN,
     ODD,
@@ -339,6 +345,32 @@ SCHEME_POOL = (
     + [(3, 4, 2, False), (3, 4, 3, False), (3, 5, 2, False), (4, 5, 1, False)])
 
 
+@pytest.mark.parametrize("p, q, r, reduced", sorted(
+    {(p, q, r, True) for p, q, r, _ in SCHEME_POOL} | {(2, 3, 2, False), (3, 4, 1, False)}))
+def test_scheme_relations_are_the_series_coefficients(p, q, r, reduced):
+    """The relations built by Miller's recurrence are the z-coefficients of
+    the binomial series, and each form relation is its relation's total
+    differential ``sum_i d(rel)/du_i * du_i``, both built here with
+    ``LaurentPoly`` arithmetic."""
+    lo = r + 1 if reduced else 1
+    indices = range(lo, p * r + 1)
+    base = LaurentPoly.one()
+    for i in indices:
+        base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
+    series = series_pow_rational(base, Fraction(q, p), (p + q) * r)
+    expected = [series.coefficient_of("z", n) for n in range(q * r + 1, (p + q) * r + 1)]
+    expected = [rel for rel in expected if not rel.is_zero()]
+    pres = scheme_presentation(p, q, r, reduced=reduced)
+    assert pres.relations == expected
+    assert all(type(c) is Fraction for rel in pres.relations + pres.form_relations
+               for c in rel.terms.values())
+    for rel, form in zip(expected, pres.form_relations, strict=True):
+        total = LaurentPoly.zero()
+        for i in indices:
+            total = total + rel.derivative(f"u{i}") * LaurentPoly.var(f"du{i}")
+        assert form == total
+
+
 def monomial_id(exps, odds):
     return tuple(sorted(exps.items())), tuple(odds)
 
@@ -368,9 +400,9 @@ def test_blocks_without_candidates_are_skipped(monkeypatch):
     of those blocks hold no monomial whose earlier quotients are all standard."""
     real, calls = models._row_reduce, []
 
-    def counting(rows, columns, zeros=None):
+    def counting(rows, columns, zeros=None, basis=None):
         calls.append(len(columns))
-        return real(rows, columns, zeros)
+        return real(rows, columns, zeros, basis)
 
     monkeypatch.setattr(models, "_row_reduce", counting)
     macaulay_basis(scheme_presentation(2, 3, 5, with_forms=True))
@@ -379,19 +411,22 @@ def test_blocks_without_candidates_are_skipped(monkeypatch):
 
 def test_multiples_of_zero_rows_are_not_built(monkeypatch):
     """M(3,5,2) with forms reads 1,287 rows when every row is built; an even
-    multiple of a row that reduced to zero, or of one not built, is not."""
+    multiple of a row that reduced to zero, or of one not built, is not.
+    Skipping those made it 1,146.  A form block also builds no even
+    relation's row: it starts from the reduced bases of the bottom blocks
+    it shifts, which span those rows, so 569 of them are read no more."""
     real, read = models._row_reduce, []
 
-    def counting(rows, columns, zeros=None):
+    def counting(rows, columns, zeros=None, basis=None):
         def reading():
             for row in rows:
                 read.append(row)
                 yield row
-        return real(reading(), columns, zeros)
+        return real(reading(), columns, zeros, basis)
 
     monkeypatch.setattr(models, "_row_reduce", counting)
     mb = macaulay_basis(scheme_presentation(3, 5, 2, with_forms=True))
-    assert len(read) == 1146
+    assert len(read) == 577
     assert mb.dimension() == 289
 
 
@@ -400,6 +435,51 @@ def test_zero_rows_are_reported_in_read_order():
     rows = [{0: 2, 1: 4}, {}, {0: 1, 1: 2}, {1: 3}, {0: -5}, {2: 1}]
     assert _row_reduce(rows, {0, 1, 2}, zeros) == (3, {0, 1, 2})
     assert zeros == [1, 2, 4]
+
+
+@oracle(150)
+@given(matrices(), st.data())
+def test_a_starting_basis_stands_for_the_rows_it_came_from(case, data):
+    """Rows reduced against the basis of the rows before them, taken as it
+    is or back-substituted, give the pivots of all the rows read in order;
+    ``zeros`` indexes only the rows passed in, from 0."""
+    order, rows = case
+    key = {c: i for i, c in enumerate(order)}
+    rows, columns = [keyed(row, key) for row in rows], set(key.values())
+    cut = data.draw(st.integers(0, len(rows)))
+    whole_zeros, zeros, basis, read = [], [], {}, []
+    whole = _row_reduce(rows, columns, whole_zeros)
+    _row_reduce(rows[:cut], columns, None, basis)
+    if data.draw(st.booleans()):
+        pivots = set(basis)
+        models._back_substitute(basis)
+        assert set(basis) == pivots
+        for b, rest in basis.values():
+            assert b > 0 and sympy.igcd(0, b, *rest.values()) == 1
+            assert not rest.keys() & pivots
+    full = len(basis) == len(columns)
+
+    def lazily():
+        for row in rows[cut:]:
+            read.append(row)
+            yield row
+
+    assert _row_reduce(lazily(), columns, zeros, basis) == whole
+    assert zeros == [n - cut for n in whole_zeros if n >= cut]
+    if full:
+        assert not read
+
+
+def test_a_full_starting_basis_reads_no_row():
+    read = []
+
+    def rows():
+        read.append(0)
+        yield {0: 1}
+
+    basis = {0: (2, {1: 1}), 1: (1, {})}
+    assert _row_reduce(rows(), {0, 1}, [], basis) == (2, {0, 1})
+    assert not read
 
 
 @pytest.mark.parametrize("p, q, r, forms", SCHEME_POOL)
@@ -443,8 +523,8 @@ def test_a_survivor_with_a_non_standard_quotient_raises(monkeypatch):
     space = models._KeySpace(pres, 200)
     real, dropped = models._row_reduce, []
 
-    def dropping(rows, columns, zeros=None):
-        rank, pivots = real(rows, columns, zeros)
+    def dropping(rows, columns, zeros=None, basis=None):
+        rank, pivots = real(rows, columns, zeros, basis)
         if not dropped:
             bad = sorted(c for c in pivots
                          if any(monomial_id(*d) not in standard
