@@ -10,7 +10,7 @@ unreduced symmetric bottom row of ``(2, 2p+1)`` torus knots as an explicit
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree, RationalSeries
@@ -45,17 +45,15 @@ def bottom_poincare(p: int, q: int, r: int) -> LaurentPoly:
 def qbinom(n: int, k: int) -> LaurentPoly:
     """Unbalanced Gaussian binomial ``(q;q)_n / ((q;q)_k (q;q)_(n-k))``.
 
-    Computed as ``prod_(i=n-k+1..n) (1 - q^i)`` divided exactly by each
-    ``1 - q^i`` for ``i = 1..k``.
+    The binomial is symmetric in ``k`` and ``n - k``; with ``k`` the smaller
+    of the two, it is ``prod_(i=n-k+1..n) (1 - q^i)`` divided exactly, once,
+    by ``prod_(i=1..k) (1 - q^i)``.
     """
     if k < 0 or k > n:
         return LaurentPoly.zero()
-    out = LaurentPoly.one()
-    for i in range(n - k + 1, n + 1):
-        out = out * (LaurentPoly.one() - LaurentPoly.var("q", i))
-    for i in range(1, k + 1):
-        out = out.divide_exact(LaurentPoly.one() - LaurentPoly.var("q", i))
-    return out
+    k = min(k, n - k)
+    factors = [LaurentPoly.one() - LaurentPoly.var("q", i) for i in range(1, n + 1)]
+    return prod(factors[n - k:]).divide_exact(prod(factors[:k])) if k else LaurentPoly.one()
 
 
 def vortex_character(p: int, m: int) -> RationalSeries:

@@ -9,7 +9,9 @@ the two exactly.  ``LaurentPoly.__mul__`` wraps each value of the product in
 a ``Fraction`` once on the way out, taken from one shared table
 (``_SMALL``) when it is an ``int`` of absolute value at most 128.
 ``RationalSeries.expand`` carries one unwrapped map through all of its
-products and wraps once, at the end.
+products and wraps once, at the end.  Powers and logarithms of a series
+(``series_pow_rational``, ``series_log``, the scheme relations) all come
+from one recurrence, J. C. P. Miller's, in ``_series_terms``.
 Exponents are integers on every variable.
 
 Exact division is Kronecker division: the dividend and the divisor, made
@@ -59,7 +61,7 @@ import threading
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, zip_longest
-from math import floor, gcd, isqrt, lcm
+from math import factorial, floor, gcd, isqrt, lcm
 from operator import add as _add, mul as _mul, neg as _neg, not_ as _not, sub as _sub
 
 _new = tuple.__new__
@@ -1048,52 +1050,62 @@ class RationalSeries:
 # -- series operations ----------------------------------------------------------
 
 
-def _unit_series_base(base: LaurentPoly, var: str):
-    const = base.coefficient_of(var, 0)
-    rest = base - const
-    if not (const == LaurentPoly.one()):
-        raise ValueError("non-unit series base")
-    if not rest.is_zero() and rest.min_degree(var) <= 0:
-        raise ValueError("base must be a power series in the expansion variable")
-    return rest
+def _series_terms(f: dict, top: int, exponent=None) -> list:
+    """``H_n = n! * den**n * h_n`` for ``n <= top``, ``h_n`` the coefficient
+    of ``z^n`` in ``(1 + F)**exponent`` (``exponent = num/den`` in lowest
+    terms), or in ``ln(1 + F)`` (``den = 1``) when ``exponent`` is ``None``;
+    ``f`` maps each ``k >= 1`` to the term map of ``F``'s ``z^k``.
 
-
-def _power_series(u: LaurentPoly, coefficients, order, var) -> LaurentPoly:
-    """``sum_k c_k * u**k`` through ``var``-degree ``order``.
-
-    ``coefficients`` is an iterator over ``c_0, c_1, ...``, and ``u`` has
-    positive order in ``var``, so no power past ``u**order`` reaches the
-    result; the loop also stops at the first power that truncates to zero.
+    ``h`` solves ``(1 + F)*h' = a*F'*h + b*F'``, ``(a, b, h_0)`` being
+    ``(exponent, 0, 1)`` or ``(0, 1, 0)``.  This is J. C. P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7), ``n*h_n = sum_k ((a+1)*k - n) *
+    f_k * h_(n-k) + b*n*f_n``: each ``H_n`` sums products of the ``f_k``
+    with earlier ``H`` by integer factors, ``int`` where ``f`` is.
     """
-    result = LaurentPoly.const(next(coefficients))
-    power = LaurentPoly.one()
-    for _ in range(floor(order)):
-        power = (power * u).truncate(var, order)
-        if power.is_zero():
-            break
-        result = result + next(coefficients) * power
-    return result.truncate(var, order)
+    a, den = (0, 1) if exponent is None else (exponent.numerator, exponent.denominator)
+    H = [{} if exponent is None else {_new(Multidegree, ()): 1}]
+    for n in range(1, top + 1):
+        out = {md: factorial(n) * c for md, c in f.get(n, {}).items()} if exponent is None else {}
+        for k, fk in f.items():
+            if k > n or (a + den) * k == n * den:
+                continue
+            c = ((a + den) * k - n * den) * factorial(n - 1) // factorial(n - k) * den ** (k - 1)
+            for md2, c2 in fk.items():
+                for md, v in H[n - k].items():
+                    md += md2
+                    out[md] = out.get(md, 0) + c * c2 * v
+        H.append({md: v for md, v in out.items() if v})
+    return H
+
+
+def _unit_series(base: LaurentPoly, exponent, order, var) -> LaurentPoly:
+    """``base**exponent``, or ``ln(base)`` if ``exponent`` is ``None``, through
+    ``var``-degree ``order``: :func:`_series_terms` on the ``var``-coefficients
+    of ``base``, each coefficient of the result divided once."""
+    if _frac(order) < 0:
+        raise ValueError("order must be nonnegative")
+    i, f, out = _slot(var), {}, {}
+    for md, c in base.terms.items():
+        f.setdefault(md[i] if i < len(md) else 0, {})[md._without(var)] = _exact(c)
+    if f.pop(0, None) != {_new(Multidegree, ()): 1} or min(f, default=1) <= 0:
+        raise ValueError(f"series base must be 1 plus terms of positive {var!r}-degree")
+    den = 1 if exponent is None else exponent.denominator
+    for n, H in enumerate(_series_terms(f, floor(_frac(order)), exponent)):
+        step, scale = _from_slots({i: n}), factorial(n) * den ** n
+        out.update({md + step: Fraction(v, scale) for md, v in H.items()})
+    return LaurentPoly._of(out)
 
 
 def series_pow_rational(base: LaurentPoly, exponent, order, var="z") -> LaurentPoly:
-    """Binomial-series expansion of ``base**exponent`` for rational exponents.
-
-    ``base`` must have constant term 1 in ``var``; the coefficient of each
-    power of ``var`` in the result is an exact polynomial in the coefficients
-    of ``base``.
-    """
-    exponent = _frac(exponent)
-    if _frac(order) < 0:
-        raise ValueError("order must be nonnegative")
-    binomials = accumulate(count(), lambda c, k: c * (exponent - k) / (k + 1),
-                           initial=Fraction(1))
-    return _power_series(_unit_series_base(base, var), binomials, order, var)
+    """Binomial series of ``base**exponent``, ``exponent`` rational, through
+    ``var``-degree ``order``: ``base`` must have constant term 1 in ``var``,
+    and each coefficient is an exact polynomial in those of ``base``."""
+    return _unit_series(base, _frac(exponent), order, var)
 
 
 def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
     """Truncated ``ln`` of a series with constant term 1."""
-    coefficients = (Fraction((-1) ** (k + 1), k) if k else 0 for k in count())
-    return _power_series(_unit_series_base(base, var), coefficients, order, var)
+    return _unit_series(base, None, order, var)
 
 
 # -- rays, witness division, maximal cancellation -------------------------------

@@ -24,6 +24,7 @@ from .laurent import (
     Multidegree,
     RationalSeries,
     _primitive,
+    _series_terms,
     register_variables,
     series_log,
     series_pow_rational,
@@ -386,28 +387,17 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     the reduced one ``u_(r+1)..u_pr``.  Zero coefficients are dropped; each
     relation is homogeneous for ``q-degree(u_i) = 2i``.
 
-    The coefficients ``h_n`` of ``f**alpha``, ``f = 1 + sum u_k z^k`` and
-    ``alpha = q/p``, follow from ``f * h' = alpha * f' * h`` (J. C. P.
-    Miller's recurrence): ``n*h_n = sum_k ((alpha+1)*k - n) * u_k * h_(n-k)``.
-    Each is a sum of monomial shifts of earlier ones, kept in ``int`` as
-    ``n! * p**n * h_n``, and no series is multiplied.
+    The kernel's series recurrence, :func:`knothom.laurent._series_terms`,
+    on ``f_k = u_k`` gives them in ``int`` as ``n! * p**n * h_n``, sums of
+    monomial shifts, and only those kept are divided.
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     _register_scheme_family(p, r)
-    lo = r + 1 if reduced else 1
-    steps = {k: Multidegree({f"u{k}": 1}) for k in range(lo, r * p + 1)}
-    h = [{Multidegree(): 1}]
-    for n in range(1, (p + q) * r + 1):
-        out = {}
-        for k in range(lo, min(n, r * p) + 1):
-            c = ((p + q) * k - n * p) * factorial(n - 1) // factorial(n - k) * p ** (k - 1)
-            for md, v in h[n - k].items():
-                md += steps[k]
-                out[md] = out.get(md, 0) + c * v
-        h.append({md: v for md, v in out.items() if v})
-    return [LaurentPoly._wrap({md: Fraction(v, factorial(n) * p ** n) for md, v in h[n].items()})
-            for n in range(q * r + 1, (p + q) * r + 1) if h[n]]
+    f = {k: {Multidegree({f"u{k}": 1}): 1} for k in range(r + 1 if reduced else 1, r * p + 1)}
+    H = _series_terms(f, (p + q) * r, Fraction(q, p))
+    return [LaurentPoly._wrap({md: Fraction(v, factorial(n) * p ** n) for md, v in H[n].items()})
+            for n in range(q * r + 1, (p + q) * r + 1) if H[n]]
 
 
 def _scheme_degree_even(i: int, r: int) -> Multidegree:

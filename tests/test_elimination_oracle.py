@@ -14,7 +14,8 @@ elimination order.  The scheme tests rebuild its Macaulay matrices here,
 block by block, from the presentation's relations with sympy polynomial
 products, order the columns by a copy of the elimination priority as
 written before the packing (the oracle), and read the surviving monomials
-off sympy's pivots.  Two small presentations add odd generators of
+off sympy's pivots.  The scheme relations themselves are checked against
+sympy's ``rs_pow``.  Two small presentations add odd generators of
 q-degree 0 and below 0.  The pruning tests check that every basis of the
 benchmark's scheme pool is an order ideal, that blocks without candidates
 are skipped, and that a survivor outside the candidates raises.
@@ -34,6 +35,8 @@ from itertools import combinations
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.ring_series import rs_pow
+from sympy.polys.rings import ring
 
 from knothom import models
 from knothom.laurent import (
@@ -41,7 +44,6 @@ from knothom.laurent import (
     Multidegree,
     _primitive,
     parse_poly,
-    series_pow_rational,
 )
 from knothom.models import (
     EVEN,
@@ -348,18 +350,22 @@ SCHEME_POOL = (
 @pytest.mark.parametrize("p, q, r, reduced", sorted(
     {(p, q, r, True) for p, q, r, _ in SCHEME_POOL} | {(2, 3, 2, False), (3, 4, 1, False)}))
 def test_scheme_relations_are_the_series_coefficients(p, q, r, reduced):
-    """The relations built by Miller's recurrence are the z-coefficients of
-    the binomial series, and each form relation is its relation's total
-    differential ``sum_i d(rel)/du_i * du_i``, both built here with
+    """The relations are the z-coefficients of the binomial series, as
+    sympy's ``rs_pow`` expands it, and each form relation is its relation's
+    total differential ``sum_i d(rel)/du_i * du_i``, built here with
     ``LaurentPoly`` arithmetic."""
     lo = r + 1 if reduced else 1
     indices = range(lo, p * r + 1)
-    base = LaurentPoly.one()
-    for i in indices:
-        base = base + LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i)
-    series = series_pow_rational(base, Fraction(q, p), (p + q) * r)
-    expected = [series.coefficient_of("z", n) for n in range(q * r + 1, (p + q) * r + 1)]
-    expected = [rel for rel in expected if not rel.is_zero()]
+    names = ["z"] + [f"u{i}" for i in indices]
+    _, z, *us = ring(",".join(names), sympy.QQ)
+    base = 1 + sum(u * z**i for u, i in zip(us, indices))
+    series = rs_pow(base, sympy.Rational(q, p), z, (p + q) * r + 1)
+    coefficients = {}
+    for (n, *exps), c in series.terms():
+        md = Multidegree(dict(zip(names[1:], exps)))
+        coefficients.setdefault(n, {})[md] = Fraction(int(c.numerator), int(c.denominator))
+    expected = [LaurentPoly(coefficients[n]) for n in range(q * r + 1, (p + q) * r + 1)
+                if n in coefficients]
     pres = scheme_presentation(p, q, r, reduced=reduced)
     assert pres.relations == expected
     assert all(type(c) is Fraction for rel in pres.relations + pres.form_relations

@@ -155,6 +155,15 @@ def test_series_pow_rational_examples():
         P("1 + 2*u1*z + u1^2*z^2")
     with pytest.raises(ValueError):
         series_pow_rational(P("2 + z"), 1, 3)
+    # both series take the same input checks: the constant term must be 1,
+    # and every other term must have positive z-degree
+    for bad in ("2 + z", "1 + a + z", "1 + z^-1"):
+        with pytest.raises(ValueError):
+            series_pow_rational(P(bad), Fraction(1, 2), 3)
+        with pytest.raises(ValueError):
+            series_log(P(bad), 3)
+    assert series_pow_rational(P("1"), Fraction(1, 2), 0) == LaurentPoly.one()
+    assert series_log(P("1"), 0) == LaurentPoly.zero()
 
 
 def test_series_pow_rational_consistency():
@@ -179,6 +188,8 @@ def test_series_log_examples():
                 + (Fraction(1, 3) * P("u1^3") - P("u1*u2")) * P("z^3"))
     assert s == expected
     assert series_log(P("1"), 5) == LaurentPoly.zero()
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        series_log(P("1 + z"), -1)
 
 
 def test_nonneg_divisibility_square():
