@@ -210,8 +210,13 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     hooks) (1 - q^k)`` by ``prod_common (1 - q^k)`` times the unknot
     numerator ``prod_(cells of lam) (1 - a*q^content)``.  The hooks of
     ``lam`` that ``common`` also holds cancel first; the quotient is then
-    taken one binomial at a time, which is exact at every step because each
-    divisor divides the product that remains.  An inexact input raises
+    taken one factor at a time, every cell factor first and then the
+    binomials ``1 - q^k`` in descending ``k``.  Any order is exact: the
+    product of the divisors still to come divides each intermediate
+    quotient, by unique factorisation in ``Z[a, q^+-1]``.  This order is the
+    cheap one, since a division costs in proportion to its dividend's
+    exponent box: each cell factor removes an ``a``-row of the box, and a
+    larger ``k`` shrinks the ``q``-span sooner.  An inexact input raises
     :class:`DivisionError`.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -228,10 +233,10 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     quotient = total
     for k, e in (lam_hooks - common).items():
         quotient = quotient * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
-    factors = [LaurentPoly.one() - LaurentPoly.var("q", k)
-               for k in (common - lam_hooks).elements()]
-    factors += [LaurentPoly.one() - LaurentPoly.monomial(
+    factors = [LaurentPoly.one() - LaurentPoly.monomial(
         1, Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
+    factors += [LaurentPoly.one() - LaurentPoly.var("q", k)
+                for k in sorted((common - lam_hooks).elements(), reverse=True)]
     try:
         for factor in factors:
             quotient = quotient.divide_exact(factor)

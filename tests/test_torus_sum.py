@@ -18,6 +18,7 @@ from knothom.invariants import (
     _hook_multiset,
     _packed_torus_sum,
     _torus_sum,
+    torus_homfly,
     unknot_homfly,
 )
 from knothom.laurent import LaurentPoly, Multidegree, _pack as _pack_slots, _unpack
@@ -189,3 +190,29 @@ def test_negative_contents_single_colour():
         expect = expect * (LaurentPoly.one()
                            - LaurentPoly.monomial(1, Multidegree(a=1, q=x)))
     assert total == expect
+
+
+@pytest.mark.parametrize("lam, n, m, divisions, box", [
+    ([3, 1], 3, 5, 24, 26_377),
+    ([2, 1, 1], 3, 4, 24, 22_771),
+    ([3, 3], 2, 5, 20, 15_501),
+])
+def test_divisions_take_the_smallest_boxes_first(monkeypatch, lam, n, m, divisions, box):
+    """``torus_homfly`` divides by every cell factor first, then by the
+    binomials in descending ``k``.  The divisions are the same in any order,
+    but a division costs in proportion to its dividend's exponent box, the
+    product over ``a`` and ``q`` of (max - min + 1).  Summed over one call,
+    the box was 34,717, 32,509 and 20,533 with the binomials first."""
+    real, boxes = LaurentPoly.divide_exact, []
+
+    def counting(self, divisor):
+        size = 1
+        for var in ("a", "q"):
+            size *= self.max_degree(var) - self.min_degree(var) + 1
+        boxes.append(size)
+        return real(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", counting)
+    torus_homfly(lam, n, m)
+    assert len(boxes) == divisions
+    assert sum(boxes) == box
