@@ -17,7 +17,12 @@ factor ``q^(-(m/n)*kappa(mu))``.  Because the hook-content product is the
 *unbalanced* character, the weight also carries the bookkeeping monomial
 ``q^(n_stat(mu))`` that converts it to the balanced quantum dimension; the
 leftover global monomial is fixed a posteriori by the rank-one constraint
-``P(a=q, q) = 1``.
+``P(a=q, q) = 1``.  The framing ``m`` enters only through the weights.
+The plethysm coefficients ``c_mu``, and for every ``mu`` its ``kappa``,
+``n_stat``, contents and binomial exponents ``e_k`` below, with
+``common``, depend on ``(lambda, n)`` alone: they are computed once per
+pair and memoised, so a sweep over ``m`` (the stable limit) pays for the
+plethysm once.
 
 Over the common denominator ``prod_k (1 - q^k)^common[k]``, where
 ``common`` is the union of the hook multisets of every ``mu``, the sum's
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .errors import UsageError
@@ -57,6 +63,9 @@ from .laurent import (
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
 from .symmetric import plethysm_pn
+
+_UNIT = Multidegree()
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def unknot_homfly(lam) -> RationalSeries:
@@ -116,38 +125,59 @@ def _hook_multiset(mu: Partition) -> Counter:
     return Counter(mu.hook(c) for c in mu.cells())
 
 
-def _packed_torus_sum(lam: Partition, n: int, m: int):
-    """The plethysm-sum numerator packed into one ``int``.
+@cache
+def _torus_terms(lam: Partition, n: int):
+    """The half of the plethysm sum that does not depend on the framing ``m``.
 
-    Returns ``(packed, (bits, q_lo, q_len), common, offset)``: ``packed``
-    holds the coefficient of ``a^i q^j`` in the slot of ``bits`` bits at
-    index ``i*q_len + j - q_lo`` (see the module docstring), with ``common``
-    and ``offset`` as :func:`_torus_sum` returns them.
+    Returns ``(common, terms)``, all tuples: ``common`` holds the ``(k,
+    multiplicity)`` pairs of the union of the hook multisets of every
+    ``mu`` in ``s_lam[p_n]``, ascending in ``k``, and ``terms`` one entry
+    ``(c_mu, kappa(mu), n_stat(mu), contents, binomials)`` per ``mu``, with
+    the contents of its cells and the ``k`` of every factor ``1 - q^k`` of
+    ``common - hooks(mu)``.  Memoised per ``(lam, n)``, so a sweep over
+    ``m`` computes the plethysm once.
     """
     common = Counter()
     items = []
     for mu, c in plethysm_pn(lam, n).items():
         hooks = _hook_multiset(mu)
         common |= hooks
-        weight = Fraction(-m * mu.kappa(), n) + mu.n_stat()
-        items.append((c, weight, [mu.content(x) for x in mu.cells()], hooks))
-    offsets = {weight % 1 for _, weight, _, _ in items}
-    if len(offsets) != 1:
-        raise ValueError(f"terms carry distinct fractional q-offsets: {sorted(offsets)}")
-    offset = offsets.pop()
-    terms, lows, highs, bound = [], [], [], 0
-    for c, weight, contents, hooks in items:
-        binomials = list((common - hooks).elements())
+        items.append((mu, c, hooks))
+    terms = tuple((c, mu.kappa(), mu.n_stat(),
+                   tuple([mu.content(x) for x in mu.cells()]),
+                   tuple((common - hooks).elements()))
+                  for mu, c, hooks in items)
+    return tuple(sorted(common.items())), terms
+
+
+def _packed_torus_sum(lam: Partition, n: int, m: int):
+    """The plethysm-sum numerator packed into one ``int``.
+
+    Returns ``(packed, (bits, q_lo, q_len), common, offset)``: ``packed``
+    holds the coefficient of ``a^i q^j`` in the slot of ``bits`` bits at
+    index ``i*q_len + j - q_lo`` (see the module docstring), with ``common``
+    and ``offset`` as :func:`_torus_sum` returns them.  Only the weights
+    depend on ``m``; the rest comes from :func:`_torus_terms`.
+    """
+    common, terms = _torus_terms(lam, n)
+    bases, rests, lows, highs, bound = [], set(), [], [], 0
+    for c, kappa, n_stat, contents, binomials in terms:
+        # n * weight = -m*kappa + n*n_stat = n*base + r, with 0 <= r < n
+        base, r = divmod(n * n_stat - m * kappa, n)
+        bases.append(base)
+        rests.add(r)
         bound += abs(c) << (len(contents) + len(binomials))
-        base = int(weight - offset)
         lows.append(base + sum(x for x in contents if x < 0))
         highs.append(base + sum(x for x in contents if x > 0) + sum(binomials))
-        terms.append((c, base, contents, binomials))
+    if len(rests) != 1:
+        raise ValueError("terms carry distinct fractional q-offsets: "
+                         f"{sorted(Fraction(r, n) for r in rests)}")
+    offset = Fraction(rests.pop(), n)
     bits = _slot_bits(bound)
     q_lo = min(lows)
     q_len = max(highs) - q_lo + 1
     packed = 0
-    for c, base, contents, binomials in terms:
+    for base, (c, _, _, contents, binomials) in zip(bases, terms):
         # a content x shifts by q_len + x > 0 slots; starting at q^base
         # leaves room below for every negative content, since q_lo <= lows
         p = c << (bits * (base - q_lo))
@@ -156,7 +186,7 @@ def _packed_torus_sum(lam: Partition, n: int, m: int):
         for x in contents:
             p -= p << (bits * (q_len + x))
         packed += p
-    return packed, (bits, q_lo, q_len), common, offset
+    return packed, (bits, q_lo, q_len), Counter(dict(common)), offset
 
 
 def _torus_sum(lam: Partition, n: int, m: int):
@@ -167,13 +197,22 @@ def _torus_sum(lam: Partition, n: int, m: int):
     ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
     weight and ``total`` is the polynomial numerator of the module
     docstring, built packed and unpacked once.  Weights with distinct
-    fractional offsets raise ``ValueError``.
+    fractional offsets raise ``ValueError``.  The framing ``m`` enters
+    only through the weights: the plethysm coefficients, ``kappa``,
+    ``n_stat``, contents and binomials of every ``mu``, and ``common``,
+    come from the memo of :func:`_torus_terms` per ``(lam, n)``, and each
+    call gets a fresh ``common``.
     """
     packed, (bits, q_lo, q_len), common, offset = _packed_torus_sum(lam, n, m)
     indices, values = _unpack(packed, bits)
     a_exps = [*map(q_len.__rfloordiv__, indices)]
     q_exps = [*map(q_lo.__add__, map(q_len.__rmod__, indices))]
     return LaurentPoly._from_aq(a_exps, q_exps, values), common, offset
+
+
+def _one_minus(md: Multidegree) -> LaurentPoly:
+    """``1 - x^md`` as a two-term map of shared constants."""
+    return LaurentPoly._of({_UNIT: _ONE, md: _MINUS_ONE})
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
@@ -217,7 +256,9 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     cheap one, since a division costs in proportion to its dividend's
     exponent box: each cell factor removes an ``a``-row of the box, and a
     larger ``k`` shrinks the ``q``-span sooner.  An inexact input raises
-    :class:`DivisionError`.
+    :class:`DivisionError`.  The quotient at ``a = q`` is read in one pass
+    that sums its integer coefficients by ``a``- plus ``q``-exponent; the
+    shift and sign apply when exactly one sum survives and it is ``+-1``.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
@@ -232,28 +273,31 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     lam_hooks = _hook_multiset(lam)
     quotient = total
     for k, e in (lam_hooks - common).items():
-        quotient = quotient * (LaurentPoly.one() - LaurentPoly.var("q", k)) ** e
-    factors = [LaurentPoly.one() - LaurentPoly.monomial(
-        1, Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
-    factors += [LaurentPoly.one() - LaurentPoly.var("q", k)
+        quotient = quotient * _one_minus(Multidegree(q=k)) ** e
+    factors = [_one_minus(Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
+    factors += [_one_minus(Multidegree(q=k))
                 for k in sorted((common - lam_hooks).elements(), reverse=True)]
     try:
         for factor in factors:
             quotient = quotient.divide_exact(factor)
     except DivisionError as exc:
         raise DivisionError("non-polynomial reduced quotient") from exc
-    at_sl1 = quotient.substitute("a", LaurentPoly.var("q"))
-    if at_sl1.is_monomial():
-        c, md = at_sl1.as_monomial()
-        if abs(c) == 1:
-            sign = 1 if c > 0 else -1
-            shift = Multidegree(q=-md._e("q"))
-            # one pass: a shift is one-to-one, so no two terms meet
-            quotient = LaurentPoly._of({d + shift: c if sign > 0 else -c
-                                        for d, c in quotient.terms.items()})
-            report.sign = sign
-            report.monomial_shift = shift
-            report.sl1 = True
+    # P(a=q, q): the quotient is in a and q alone, so the entries of a
+    # degree sum to its a- plus q-exponent; its coefficients are integers
+    sums = {}
+    for md, c in quotient.terms.items():
+        d = sum(md)
+        sums[d] = sums.get(d, 0) + c.numerator
+    at_sl1 = [(d, c) for d, c in sums.items() if c]
+    if len(at_sl1) == 1 and at_sl1[0][1] in (1, -1):
+        ((d, sign),) = at_sl1
+        shift = Multidegree(q=-d)
+        # one pass: a shift is one-to-one, so no two terms meet
+        quotient = LaurentPoly._of({md + shift: c if sign > 0 else -c
+                                    for md, c in quotient.terms.items()})
+        report.sign = sign
+        report.monomial_shift = shift
+        report.sl1 = True
     return quotient, report
 
 

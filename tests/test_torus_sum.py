@@ -7,6 +7,10 @@ general-product loop it replaced (kept here as ``_reference_torus_sum``),
 and, for the packing itself, on hand-packed slots at the edges of the slot
 range and against the proven slot-width bound.  The signed-slot codec
 (``laurent._pack`` and ``laurent._unpack``) is the one exact division uses.
+The half of the sum that does not depend on ``m`` is memoised per ``(lam,
+n)``; the memo is pinned to one plethysm per sweep over ``m`` and to a fresh
+``common`` per call.  The ``sl(1)`` normalisation of ``torus_homfly`` is
+checked against ``LaurentPoly.substitute`` on the benchmark's pool.
 """
 
 from collections import Counter
@@ -14,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from knothom import invariants
 from knothom.invariants import (
     _hook_multiset,
     _packed_torus_sum,
@@ -31,6 +36,13 @@ SWEEP = [(Partition(parts), n, m)
          for n, m in KNOTS
          for size in range(1, PLETHYSM_SIZE_CAP // n + 1)
          for parts in partitions_of(size)]
+#: the torus knots of the benchmark's torus-table pool
+POOL_KNOTS = [(2, 3), (2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (3, 7), (4, 5)]
+#: its 56 colours, |lam| * n <= 8
+POOL = [(Partition(parts), n, m)
+        for n, m in POOL_KNOTS
+        for size in range(1, 8 // n + 1)
+        for parts in partitions_of(size)]
 #: integer points (a, q) away from the zeros of every (1 - q^k)
 POINTS = [(2, 3), (-3, 2), (5, -2)]
 
@@ -216,3 +228,56 @@ def test_divisions_take_the_smallest_boxes_first(monkeypatch, lam, n, m, divisio
     torus_homfly(lam, n, m)
     assert len(boxes) == divisions
     assert sum(boxes) == box
+
+
+def test_plethysm_is_computed_once_per_colour_and_n(monkeypatch):
+    """The framing ``m`` enters the sum only through the weights, so a sweep
+    over ``m`` at a fixed ``(lam, n)`` expands the plethysm once."""
+    invariants._torus_terms.cache_clear()
+    real, calls = invariants.plethysm_pn, []
+
+    def counting(lam, n):
+        calls.append((lam, n))
+        return real(lam, n)
+
+    monkeypatch.setattr(invariants, "plethysm_pn", counting)
+    for m in (3, 5, 7, 9):
+        torus_homfly([2, 1], 2, m)
+    assert calls == [(Partition([2, 1]), 2)]
+
+
+def test_each_call_gets_its_own_common():
+    """Changing the ``common`` one call returns leaves the memo as it was."""
+    invariants._torus_terms.cache_clear()
+    lam = Partition([2, 1])
+    total, common, offset = _torus_sum(lam, 2, 3)
+    kept = Counter(common)
+    common[1] += 5
+    common[99] = 2
+    del common[2]
+    again = _torus_sum(lam, 2, 3)
+    assert again[0] == total
+    assert again[1] == kept
+    assert again[2] == offset
+    assert _torus_sum(lam, 2, 5)[1] == kept
+
+
+@pytest.mark.parametrize("case", POOL, ids=_case_id)
+def test_sl1_normalisation_against_substitute(case):
+    """``torus_homfly`` reads ``P(a=q, q)`` by summing coefficients by
+    ``a``- plus ``q``-exponent; ``LaurentPoly.substitute`` is the reference.
+    A normalized quotient is 1 there, and one left as it was is not a unit
+    monomial there."""
+    quotient, report = torus_homfly(*case)
+    at_sl1 = quotient.substitute("a", LaurentPoly.var("q"))
+    if report.sl1:
+        assert at_sl1 == LaurentPoly.one()
+    else:
+        assert not (at_sl1.is_monomial() and abs(at_sl1.as_monomial()[0]) == 1)
+
+
+def test_sl1_pool_takes_both_branches():
+    """24 of the pool's 56 colours normalize and 32 do not, so the oracle
+    above covers both branches."""
+    assert len(POOL) == 56
+    assert sum(torus_homfly(*case)[1].sl1 for case in POOL) == 24
