@@ -6,8 +6,9 @@ generator degrees: a generator of degree ``(i, j, k, l)`` in the gradings
 count generators with multiplicity.
 
 The auxiliary grading ``Q = (q + tr - tc) / R`` replaces ``q`` in the
-"tilde" regrading (:func:`knothom.fixtures.to_tilde`), in which the
-self-symmetry and mirror maps are plain monomial substitutions.
+"tilde" regrading, defined once by :func:`knothom.fixtures._to_tilde_degree`
+and its inverse, in which the self-symmetry and mirror maps are plain
+monomial substitutions.
 Differentials known only by their multidegree are checked through
 nonnegative witness division: a differential of degree ``d`` cancels
 generator pairs ``x, x*d``, so the difference between a homology and the
@@ -26,7 +27,7 @@ from .laurent import (
     max_cancel,
     nonneg_divisibility,
 )
-from .fixtures import load_fixture
+from .fixtures import _from_tilde_degree, _to_tilde_degree, fixture_name, load_fixture
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
 
@@ -166,22 +167,21 @@ def colored_regrade(kind: str, R: int, S: int, param: int, sigma: int):
 
     The returned function maps the ``(a,q,tr,tc)`` exponents of a generator
     of the smaller-color homology to the degrees of the matching surviving
-    generator upstairs.  It reads the target's ``Q = (q + tr - tc)/rows``;
-    the hat formulas fix ``(a, Q, tr, tc)``, and the source's ``q`` follows
-    from ``q = R*Q - tr + tc``, which keeps the five printed degrees
-    mutually consistent.
+    generator upstairs.  It reads the target in the tilde gradings of its
+    ``rows`` (:func:`knothom.fixtures._to_tilde_degree`); the hat formulas
+    fix ``(a, Q, tr, tc)``, and the source's ``q`` follows from the inverse
+    regrading with ``R`` rows, which keeps the five printed degrees mutually
+    consistent.
     """
     _, hat, (rows, _), _ = colored_differential(kind, R, S, param)
 
     def fn(md):
-        q, tr, tc = md._e("q"), md._e("tr"), md._e("tc")
-        Q, rest = divmod(q + tr - tc, rows or 1)
-        if rest:
-            raise ValueError(f"target monomial fails Q-integrality: {md!r}")
+        target = _to_tilde_degree(md, rows or 1)
         if not rows and not md.is_zero():
             raise ValueError("empty-color target admits only the unit generator")
-        a, Q, tr, tc = hat(sigma, md._e("a"), Q, tr, tc)
-        return Multidegree(a=a, q=R * Q - tr + tc, tr=tr, tc=tc)
+        a, Q, tr, tc = hat(sigma, target._e("a"), target._e("Q"), target._e("tr"),
+                           target._e("tc"))
+        return _from_tilde_degree(Multidegree(a=a, Q=Q, tr=tr, tc=tc), R)
 
     return fn
 
@@ -263,16 +263,20 @@ def unreduced_from_reduced(reduced: LaurentPoly, lam,
     return unknot_model(lam).hilbert_series(order) * (reduced * shift)
 
 
-def rank_collapse_input(key: str, lam, order=30) -> RationalSeries:
-    """Unreduced series in ``(a, q, t)`` with ``t`` the column grading.
+def rank_collapse_input(knot: str, lam) -> RationalSeries:
+    """Unreduced series of ``knot`` in colour ``lam``, in ``(a, q, t)`` with
+    ``t`` the column grading.
 
-    ``key`` names a fixture, or ``unknot:*`` for the unknot itself.
+    ``knot`` is ``"unknot"`` or a fixture knot, whose table is the fixture
+    :func:`knothom.fixtures.fixture_name` names for ``lam``.  The series
+    carries the default order; :func:`sl_cancel` sets its own.
     """
-    if key.startswith("unknot:"):
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if knot == "unknot":
         reduced = LaurentPoly.one()
     else:
-        reduced = load_fixture(key).poincare
-    return aqt_projection(unreduced_from_reduced(reduced, lam, order))
+        reduced = load_fixture(fixture_name(knot, lam)).poincare
+    return aqt_projection(unreduced_from_reduced(reduced, lam))
 
 
 def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
@@ -356,12 +360,12 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     return collapsed.truncate("q", window), window
 
 
-def rank_collapse(key: str, lam, n: int, cutoff=30):
-    """Rank-``n`` collapse of the unreduced series of ``key`` in colour
-    ``lam``: :func:`rank_collapse_input` to order ``cutoff + 4``, then
-    :func:`sl_cancel` along the differential of degree ``a^-2 q^(2n) t^-1``.
-    Returns ``(survivors, window)``.  ``knothom cancel`` and the suite's
-    ``sl2`` checks both run this.
+def rank_collapse(knot: str, lam, n: int, cutoff=30):
+    """Rank-``n`` collapse of the unreduced series of ``knot`` in colour
+    ``lam``: :func:`rank_collapse_input`, then :func:`sl_cancel` along the
+    differential of degree ``a^-2 q^(2n) t^-1``.  Returns ``(survivors,
+    window)``.  ``knothom cancel`` and the suite's ``sl2`` checks both run
+    this.
     """
-    series = rank_collapse_input(key, lam, cutoff + 4)
+    series = rank_collapse_input(knot, lam)
     return sl_cancel(series, Multidegree(a=-2, q=2 * n, t=-1), n, cutoff=cutoff)

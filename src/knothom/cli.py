@@ -228,8 +228,8 @@ def cmd_cancel(args):
     kind, name = parse_knot(args.knot)
     if kind == "torus":
         raise UsageError(f"cancel needs a fixture knot or unknot, not {args.knot!r}")
-    key = "unknot:" if kind == "unknot" else fixture_name(name, color)
-    survivors, window = rank_collapse(key, color, args.n, cutoff=args.cutoff)
+    survivors, window = rank_collapse("unknot" if kind == "unknot" else name, color,
+                                      args.n, cutoff=args.cutoff)
     emit_poly(survivors, args.format)
     if args.format == "text":
         print(f"# exact through q^{window}", file=sys.stderr)

@@ -6,7 +6,9 @@ environment variable ``HOMOLOGY_FIXTURE_DIR`` overrides the search path.
 Loading validates the generator count and both categorification
 specializations, so transcription errors fail loudly.  Every table is
 stored in the standard gradings ``(a, q, ...)``; :func:`to_tilde` gives the
-"tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.
+"tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.  The
+degree-level pair :func:`_to_tilde_degree` and :func:`_from_tilde_degree`
+is the package's one definition of that regrading and its inverse.
 
 The registry also knows which colored differentials act on each fixture.
 """
@@ -24,32 +26,37 @@ from .partitions import Partition
 # -- tilde regrading ----------------------------------------------------------------
 
 
-def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
-    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R``.
+def _to_tilde_degree(md: Multidegree, R: int) -> Multidegree:
+    """``md`` in the tilde gradings ``(a, Q, tr, tc)``, ``Q = (q + tr - tc)/R``.
 
-    Raises when some monomial has ``q + tr - tc`` not divisible by ``R``,
-    naming the offender.
+    The one definition of ``Q``: :func:`to_tilde`, the colored regradings
+    of :mod:`knothom.checks` and :class:`knothom.models.StableTorusModel`
+    all read it here.  Raises when ``q + tr - tc`` is not divisible by
+    ``R``, naming the monomial.
     """
-    def fn(md):
-        a, q, tr, tc = md._e("a"), md._e("q"), md._e("tr"), md._e("tc")
-        num = q + tr - tc
-        Q, rest = divmod(num, R)
-        if rest:
-            raise ValueError(
-                f"monomial a^{a} q^{q} tr^{tr} tc^{tc}: "
-                f"(q + tr - tc) = {num} is not divisible by {R}")
-        return Multidegree(a=a, Q=Q, tr=tr, tc=tc)
+    a, q, tr, tc = md._e("a"), md._e("q"), md._e("tr"), md._e("tc")
+    Q, rest = divmod(q + tr - tc, R)
+    if rest:
+        raise ValueError(
+            f"monomial a^{a} q^{q} tr^{tr} tc^{tc}: "
+            f"(q + tr - tc) = {q + tr - tc} is not divisible by {R}")
+    return Multidegree(a=a, Q=Q, tr=tr, tc=tc)
 
-    return p.map_exponents(fn)
+
+def _from_tilde_degree(md: Multidegree, R: int) -> Multidegree:
+    """Inverse of :func:`_to_tilde_degree`: ``q = R*Q - tr + tc``."""
+    tr, tc = md._e("tr"), md._e("tc")
+    return Multidegree(a=md._e("a"), q=R * md._e("Q") - tr + tc, tr=tr, tc=tc)
+
+
+def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
+    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R`` in every monomial."""
+    return p.map_exponents(lambda md: _to_tilde_degree(md, R))
 
 
 def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
     """Inverse of :func:`to_tilde`: ``q = R*Q - tr + tc``."""
-    def fn(md):
-        tr, tc = md._e("tr"), md._e("tc")
-        return Multidegree(a=md._e("a"), q=R * md._e("Q") - tr + tc, tr=tr, tc=tc)
-
-    return p.map_exponents(fn)
+    return p.map_exponents(lambda md: _from_tilde_degree(md, R))
 
 
 # -- fixtures -----------------------------------------------------------------------

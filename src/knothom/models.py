@@ -1,13 +1,15 @@
 """Graded homology models: free superalgebras, quotient schemes, potentials.
 
 The models here present homology spaces as supercommutative algebras with
-multigraded generators.  Free models (unknot, stable torus limits) are given
-by generator tables; torus-knot quotients are cut out by the coefficients of
-fractional-power series and analyzed degree by degree with exact Macaulay
-matrices.  A presentation decides everything about its monomials: the
-grading of one is summed by :meth:`GradedPresentation.monomial_degree`, and
-its odd generators, if any, are the differential forms that the quotient
-carries.
+multigraded generators.  The free unknot model is a generator table and the
+stable torus model is shifted copies of it; the tilde grading ``Q`` of their
+generators is read by the one tilde map,
+:func:`knothom.fixtures._to_tilde_degree`.  Torus-knot quotients are cut out
+by the coefficients of fractional-power series and analyzed degree by degree
+with exact Macaulay matrices.  A presentation decides everything about its
+monomials: the grading of one is summed by
+:meth:`GradedPresentation.monomial_degree`, and its odd generators, if any,
+are the differential forms that the quotient carries.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from itertools import combinations
 from math import factorial, gcd, prod
 
 from .errors import UsageError
+from .fixtures import _to_tilde_degree
 from .laurent import (
     LaurentPoly,
     Multidegree,
@@ -271,66 +274,39 @@ def unknot_mirror_map(R: int, S: int):
 class StableTorusModel:
     """Free generators of the stable rectangle-colored torus homology.
 
-    Generators ``u_ij^(n)`` / ``xi_ij^(n)`` (named ``u{i}{j}n{n}``) for
-    ``n = 1..p`` (``2..p`` in the reduced model) carry the gradings
-
-        (a,q)[u]  = (0, 2(nS - i + R - j + 1)),
-        (tc,tr)[u]  = (2(nS - i), 2((n-1)R + j - 1)),
-        (a,q)[xi] = (2, 2((n-1)S + i - j)),
-        (tc,tr)[xi] = (2((n-1)S + i) - 1, 2((n-1)R + j) - 1),
-
-    so that ``Q[u^(n)] = 2n`` and ``Q[xi^(n)] = 2n - 2``.
+    Layer ``n = 1..p`` (``2..p`` in the reduced model) is the ``R x S``
+    unknot model, :func:`unknot_model` of ``[S] * R``, with each generator
+    renamed ``{name}n{n}`` and shifted by
+    ``(q, tc, tr) = (2(n-1)S, 2(n-1)S, 2(n-1)R)``.  The shift raises the
+    auxiliary grading ``Q`` (:func:`knothom.fixtures._to_tilde_degree`) by
+    ``2(n - 1)``, so ``Q[u^(n)] = 2n`` and ``Q[xi^(n)] = 2n - 2``.
     """
 
     def __init__(self, R: int, S: int, p: int, reduced=True):
         if p < 2:
             raise UsageError("need p >= 2 for a torus knot")
         self.R, self.S, self.p, self.reduced = R, S, p, reduced
-        gens = []
-        for n in range(2 if reduced else 1, p + 1):
-            for i in range(1, S + 1):
-                for j in range(1, R + 1):
-                    gens.append(Generator(
-                        f"u{i}{j}n{n}", EVEN,
-                        Multidegree(q=2 * (n * S - i + R - j + 1),
-                                    tc=2 * (n * S - i),
-                                    tr=2 * ((n - 1) * R + j - 1))))
-                    gens.append(Generator(
-                        f"xi{i}{j}n{n}", ODD,
-                        Multidegree(a=2, q=2 * ((n - 1) * S + i - j),
-                                    tc=2 * ((n - 1) * S + i) - 1,
-                                    tr=2 * ((n - 1) * R + j) - 1)))
-        self.presentation = GradedPresentation(gens)
-        for g in gens:
-            qq = g.degree._e("q") + g.degree._e("tr") - g.degree._e("tc")
-            if qq % R != 0:
-                raise ArithmeticError(f"noninteger auxiliary grading on {g.name}")
+        self._layers = range(2 if reduced else 1, p + 1)
+        unknot = unknot_model([S] * R).generators
+        self.presentation = GradedPresentation([
+            Generator(f"{g.name}n{n}", g.parity,
+                      g.degree + Multidegree(q=2 * (n - 1) * S, tc=2 * (n - 1) * S,
+                                             tr=2 * (n - 1) * R))
+            for n in self._layers for g in unknot])
 
     def q_aux(self, name) -> int:
-        """The auxiliary grading ``(q + tr - tc)/R`` of a generator."""
-        d = self.presentation.generator(name).degree
-        return (d._e("q") + d._e("tr") - d._e("tc")) // self.R
+        """The auxiliary grading ``Q = (q + tr - tc)/R`` of a generator."""
+        return _to_tilde_degree(self.presentation.generator(name).degree, self.R)._e("Q")
 
     def lefschetz_generator(self) -> str:
         """Multiplication by this generator realizes the self-symmetry flip."""
         return f"u{self.S}1n2"
 
     def mirror_map(self):
-        other = {}
-        for g in self.presentation.generators:
-            if g.parity == EVEN:
-                i, j, n = self._split(g.name, "u")
-                other[g.name] = f"u{self.R - j + 1}{self.S - i + 1}n{n}"
-            else:
-                i, j, n = self._split(g.name, "xi")
-                other[g.name] = f"xi{j}{i}n{n}"
-        return other
-
-    @staticmethod
-    def _split(name, prefix):
-        body = name[len(prefix):]
-        ij, n = body.split("n")
-        return int(ij[0]), int(ij[1]), int(n)
+        """Generator bijection onto the ``S x R`` model: :func:`unknot_mirror_map`
+        on each layer."""
+        return {f"{src}n{n}": f"{dst}n{n}" for n in self._layers
+                for src, dst in unknot_mirror_map(self.R, self.S).items()}
 
     def colored_images(self, kind, param):
         """Images of the odd generators under one colored differential.
@@ -341,17 +317,16 @@ class StableTorusModel:
         """
         R, S = self.R, self.S
         out = {}
-        lo = 2 if self.reduced else 1
         if kind == "+row":
             k = param
-            for n in range(lo, self.p + 1):
+            for n in self._layers:
                 for i in range(1, S + 1):
                     for j in range(k + 1, R + 1):
                         out[f"xi{i}{j}n{n}"] = LaurentPoly.var(
                             f"u{S + 1 - i}{j - k}n{n}")
         elif kind == "+col":
             l = param
-            for n in range(lo, self.p + 1):
+            for n in self._layers:
                 for i in range(l + 1, S + 1):
                     for j in range(1, R + 1):
                         out[f"xi{i}{j}n{n}"] = LaurentPoly.var(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, gcd
 from operator import index
 
@@ -153,14 +152,15 @@ def catalan_count(p: int, q: int) -> int:
 
 
 def h_plus(D: Partition, p: int, q: int) -> int:
-    """Count cells with ``arm/(leg+1) <= p/q < (arm+1)/leg`` (``x/0`` read as infinity)."""
+    """Count cells with ``arm/(leg+1) <= p/q < (arm+1)/leg`` (``x/0`` read as
+    infinity), cross-multiplied over the positive denominators."""
+    if p < 1 or q < 1:
+        raise UsageError(f"({p},{q}) must be positive")
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     count = 0
     for cell in D.cells():
         a, l = D.arm(cell), D.leg(cell)
-        if Fraction(a, l + 1) <= Fraction(p, q) and (
-            l == 0 or Fraction(p, q) < Fraction(a + 1, l)
-        ):
+        if a * q <= p * (l + 1) and p * l < (a + 1) * q:
             count += 1
     return count

@@ -471,7 +471,7 @@ SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 def _sl2(key):
     lam = [1] if key.endswith(":1") else [2]
-    survivors, window = rank_collapse(key, lam, 2, cutoff=30)
+    survivors, window = rank_collapse(key.split(":")[0], lam, 2, cutoff=30)
     expected = _sl2_expected(key, window)
     if key == "4_1:S2":
         gap = survivors - expected

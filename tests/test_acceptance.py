@@ -83,12 +83,12 @@ def test_criterion_10_vortex_bottom():
            f"{SL2_41S2_KNOWN_GAP}")
 def test_criterion_7_figure_eight_s2_literal():
     key = "4_1:S2"
-    survivors, window = rank_collapse(key, [2], 2, cutoff=30)
+    survivors, window = rank_collapse("4_1", [2], 2, cutoff=30)
     assert survivors == _sl2_expected(key, window)
 
 
 def test_known_gap_is_exactly_as_documented():
     key = "4_1:S2"
-    survivors, window = rank_collapse(key, [2], 2, cutoff=30)
+    survivors, window = rank_collapse("4_1", [2], 2, cutoff=30)
     gap = survivors - _sl2_expected(key, window)
     assert gap == parse_poly(SL2_41S2_KNOWN_GAP)

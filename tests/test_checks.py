@@ -30,6 +30,7 @@ from knothom.checks import (
     unreduced_from_reduced,
 )
 from knothom.fixtures import from_tilde, load_fixture, to_tilde
+from knothom.models import aqt_projection
 from knothom.suite import SL2_TARGETS
 
 P = parse_poly
@@ -128,7 +129,7 @@ def test_colored_labels_and_targets_follow_the_kind():
 
 
 def test_regrade_refuses_targets_off_the_lattice():
-    with pytest.raises(ValueError, match="Q-integrality"):
+    with pytest.raises(ValueError, match="is not divisible by 2"):
         colored_regrade("+row", 3, 2, 2, 2)(Multidegree(q=1))
     with pytest.raises(ValueError, match="empty-color"):
         colored_regrade("+row", 3, 2, 0, 2)(Multidegree(q=2))
@@ -228,14 +229,14 @@ def test_unreduced_from_reduced_trefoil_display():
 
 
 def test_sl_cancel_trefoil():
-    series = rank_collapse_input("3_1:1", [1], order=40)
+    series = rank_collapse_input("3_1", [1])
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=20)
     assert survivors == P("q + q^3 + q^5*t^2 + q^9*t^3").truncate("q", window)
 
 
 def test_sl_cancel_s2_unknot():
-    series = rank_collapse_input("unknot:S2", [2], order=60)
+    series = rank_collapse_input("unknot", [2])
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=24)
     tail = RationalSeries(P("q^2*t^2*(1 + q^4*t)"),
@@ -245,7 +246,7 @@ def test_sl_cancel_s2_unknot():
 
 
 def test_sl_cancel_figure_eight_fundamental():
-    series = rank_collapse_input("4_1:1", [1], order=40)
+    series = rank_collapse_input("4_1", [1])
     survivors, window = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2,
                                   cutoff=20)
     expect = P("q^5*t^2 + q*t + q + q^-1 + q^-1*t^-1 + q^-5*t^-2")
@@ -253,7 +254,7 @@ def test_sl_cancel_figure_eight_fundamental():
 
 
 def test_sl_cancel_stable_under_cutoff():
-    series = rank_collapse_input("3_1:S2", [2], order=80)
+    series = rank_collapse_input("3_1", [2])
     s1, w1 = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=26)
     s2, w2 = sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=32)
     assert w2 >= w1
@@ -261,15 +262,25 @@ def test_sl_cancel_stable_under_cutoff():
 
 
 def test_rank_collapse_is_the_cancel_pipeline(capsys):
-    """``rank_collapse`` is the input series, expanded 4 past the cutoff,
-    cancelled along ``a^-2 q^(2n) t^-1``; ``knothom cancel`` prints it."""
-    got = rank_collapse("3_1:S2", [2], 2, cutoff=30)
-    series = rank_collapse_input("3_1:S2", [2], order=34)
+    """``rank_collapse`` is the input series cancelled along
+    ``a^-2 q^(2n) t^-1``; ``knothom cancel`` prints it."""
+    got = rank_collapse("3_1", [2], 2, cutoff=30)
+    series = rank_collapse_input("3_1", [2])
     assert got == sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=30)
     argv = ["cancel", "--knot", "3_1", "--color", "S2", "--n", "2",
             "--cutoff", "30", "--format", "json"]
     assert main(argv) == 0
     assert LaurentPoly.from_json(json.loads(capsys.readouterr().out)) == got[0]
+
+
+def test_rank_collapse_names_the_fixture_from_the_colour():
+    """The knot and the colour name one fixture, so a fixture key cannot be
+    paired with another colour's unknot factor."""
+    got = rank_collapse("3_1", [1], 2, cutoff=20)
+    series = aqt_projection(unreduced_from_reduced(load_fixture("3_1:1").poincare, [1]))
+    assert got == sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=20)
+    with pytest.raises(UsageError, match="no fixture file"):
+        rank_collapse("3_1:S2", [1], 2, cutoff=20)
 
 
 def test_sl_cancel_expands_through_the_window_edge():
@@ -338,9 +349,10 @@ def test_sl_cancel_matches_probe_reference(key, lam, n, cutoff):
     """One expansion in ``w`` keeps exactly the survivors and the window of
     the probe-then-``big`` expansion in ``q``, or raises the same
     ``UsageError``."""
-    series = rank_collapse_input(key, lam, cutoff + 4)
+    knot = key.split(":")[0]
+    series = rank_collapse_input(knot, lam)
     diff = Multidegree(a=-2, q=2 * n, t=-1)
-    assert (_outcome(rank_collapse, key, lam, n, cutoff)
+    assert (_outcome(rank_collapse, knot, lam, n, cutoff)
             == _outcome(_reference_sl_cancel, series, diff, n, cutoff))
 
 
@@ -349,7 +361,7 @@ def test_t_top_bounds_the_probe(key, lam):
     """The knapsack bound is at least the largest ``t`` of the expansion to
     ``cutoff``, and on these series it is that largest ``t``."""
     for cutoff in (8, 16, 24, 30):
-        series = rank_collapse_input(key, lam, cutoff + 4)
+        series = rank_collapse_input(key.split(":")[0], lam)
         probe = series.expand(cutoff)
         assert _t_top(series, "t", cutoff) == max(
             (md._e("t") for md in probe.terms), default=0)

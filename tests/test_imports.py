@@ -146,7 +146,6 @@ UNREACHED_EXPORTS = {
                        "group of ROADMAP item 4",
     "sl_differential_images": "d_N images for the koszul check group of "
                               "ROADMAP item 4",
-    "unknot_mirror_map": "the column model of ROADMAP item 4",
     "universal_pair_homology": "column-removing differential; ROADMAP item 4",
     "extend_differential": "colored differentials; ROADMAP item 4",
 }

@@ -13,6 +13,8 @@ from knothom.laurent import LaurentPoly, Multidegree, parse_poly
 from knothom.models import (
     EVEN,
     ODD,
+    _scheme_degree_even,
+    _scheme_degree_odd,
     DegreeCeilingError,
     GradedPresentation,
     Generator,
@@ -33,6 +35,7 @@ from knothom.models import (
     unknot_model,
 )
 from knothom.checks import colored_degree
+from knothom.fixtures import _to_tilde_degree
 from knothom.partitions import Partition
 
 P = parse_poly
@@ -149,15 +152,64 @@ def test_stable_model_degrees_222():
 
 
 def test_stable_model_matches_scheme_gradings():
-    # u_{i,1}^{(n)} = u_{rn+1-i} for the one-row color
-    r = 2
-    model = StableTorusModel(1, r, 3, reduced=False)
-    for n in (1, 2, 3):
-        for i in range(1, r + 1):
-            d = model.presentation.generator(f"u{i}1n{n}").degree
-            j = r * n + 1 - i
-            from knothom.models import _scheme_degree_even
-            assert d == _scheme_degree_even(j, r)
+    # for the one-row color, u_{i,1}^{(n)} = u_{rn+1-i} and
+    # xi_{i,1}^{(n)} = du_{(n-1)r+i}
+    for r in range(1, 5):
+        model = StableTorusModel(1, r, 4, reduced=False)
+        for n in range(1, 5):
+            for i in range(1, r + 1):
+                u = model.presentation.generator(f"u{i}1n{n}").degree
+                xi = model.presentation.generator(f"xi{i}1n{n}").degree
+                assert u == _scheme_degree_even(r * n + 1 - i, r)
+                assert xi == _scheme_degree_odd((n - 1) * r + i, r)
+
+
+def test_unknot_model_tilde_gradings():
+    # the docstring's Q(u) = 2, Q(xi) = 0, through the shared tilde map
+    for R in range(1, 4):
+        for S in range(1, 4):
+            for g in unknot_model([S] * R).generators:
+                Q = _to_tilde_degree(g.degree, R)._e("Q")
+                assert Q == (2 if g.parity == EVEN else 0), (R, S, g.name)
+
+
+def _explicit_stable_generators(R, S, p, reduced):
+    """The stable model's generators from closed degree formulas, an oracle
+    that does not read :func:`unknot_model`."""
+    gens = []
+    for n in range(2 if reduced else 1, p + 1):
+        for i in range(1, S + 1):
+            for j in range(1, R + 1):
+                gens.append(Generator(
+                    f"u{i}{j}n{n}", EVEN,
+                    Multidegree(q=2 * (n * S - i + R - j + 1), tc=2 * (n * S - i),
+                                tr=2 * ((n - 1) * R + j - 1))))
+                gens.append(Generator(
+                    f"xi{i}{j}n{n}", ODD,
+                    Multidegree(a=2, q=2 * ((n - 1) * S + i - j),
+                                tc=2 * ((n - 1) * S + i) - 1,
+                                tr=2 * ((n - 1) * R + j) - 1)))
+    return gens
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_stable_model_matches_explicit_formulas(reduced):
+    for R in range(1, 4):
+        for S in range(1, 4):
+            for p in range(2, 4):
+                model = StableTorusModel(R, S, p, reduced=reduced)
+                want = _explicit_stable_generators(R, S, p, reduced)
+                assert sorted(model.presentation.generators, key=repr) == sorted(
+                    want, key=repr), (R, S, p)
+
+
+def test_stable_mirror_map_reads_two_digit_indices():
+    # box (10, 1) of the 1 x 10 model: u101n2 goes to u11n2 and xi101n2
+    # to xi110n2, both generators of the 10 x 1 model
+    bij = StableTorusModel(1, 10, 2).mirror_map()
+    names = {g.name for g in StableTorusModel(10, 1, 2).presentation.generators}
+    assert sorted(bij.values()) == sorted(names)
+    assert (bij["u101n2"], bij["xi101n2"]) == ("u11n2", "xi110n2")
 
 
 def test_lefschetz_generator_degree():

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 from knothom.errors import UsageError
@@ -79,3 +82,30 @@ def test_h_plus():
     assert h_plus(Partition([1]), 2, 3) == 1
     # count consistency: each path contributes exactly one tuple
     assert sum(1 for _ in dyck_paths(3, 4)) == catalan_count(3, 4)
+
+
+def _h_plus_fractions(D, p, q):
+    """``h_plus`` by ``Fraction`` comparisons, with ``x/0`` read as
+    infinity."""
+    return sum(1 for cell in D.cells()
+               if Fraction(D.arm(cell), D.leg(cell) + 1) <= Fraction(p, q)
+               and (D.leg(cell) == 0
+                    or Fraction(p, q) < Fraction(D.arm(cell) + 1, D.leg(cell))))
+
+
+def test_h_plus_matches_fraction_oracle():
+    paths = 0
+    for p in range(1, 10):
+        for q in range(1, 10):
+            if gcd(p, q) != 1:
+                continue
+            for D in dyck_paths(p, q):
+                assert h_plus(D, p, q) == _h_plus_fractions(D, p, q), (D, p, q)
+                paths += 1
+    assert paths == 6433
+
+
+def test_h_plus_needs_positive_slopes():
+    for p, q in [(0, 1), (1, 0), (-1, 2), (2, -3)]:
+        with pytest.raises(UsageError, match="positive"):
+            h_plus(Partition([1]), p, q)
