@@ -18,6 +18,7 @@ surviving part must be ``(1 + monomial(d))`` times a nonnegative polynomial.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import UsageError
 from .laurent import (
@@ -269,9 +270,16 @@ def rank_collapse_input(knot: str, lam) -> RationalSeries:
 
     ``knot`` is ``"unknot"`` or a fixture knot, whose table is the fixture
     :func:`knothom.fixtures.fixture_name` names for ``lam``.  The series
-    carries the default order; :func:`sl_cancel` sets its own.
+    carries the default order; :func:`sl_cancel` sets its own.  It is
+    memoised per ``(knot, Partition)`` (:func:`_collapse_input`), so a sweep
+    over ``n`` and the cutoff builds it once; every caller shares the one
+    series and must not mutate it.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return _collapse_input(knot, lam if isinstance(lam, Partition) else Partition(lam))
+
+
+@cache
+def _collapse_input(knot: str, lam: Partition) -> RationalSeries:
     if knot == "unknot":
         reduced = LaurentPoly.one()
     else:

@@ -62,7 +62,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat, zip_longest
 from math import factorial, floor, gcd, isqrt, lcm
-from operator import add as _add, mul as _mul, neg as _neg, not_ as _not, sub as _sub
+from operator import (add as _add, itemgetter, mul as _mul, neg as _neg, not_ as _not,
+                      sub as _sub)
 
 _new = tuple.__new__
 
@@ -1120,24 +1121,53 @@ def _integer_counts(p: LaurentPoly, message: str) -> list:
     return counts
 
 
-def _rays(terms: dict, counts: list, step: Multidegree) -> list:
-    """The terms as rows ``(base, k, n, md)``, sorted, one per term ``md``
-    with count ``n``, where ``md = base + k*step``.
+def _walk(terms: dict, counts: list, step: Multidegree, ahead: int, carried=None):
+    """Match the terms greedily along the rays of ``step``, level by level.
 
-    The level ``k`` is ``e // s``, with ``e`` and ``s`` the exponents of the
-    term and of the step in the step's first nonzero slot (the pivot), and
-    ``base`` is computed one exponent column at a time.  Two terms lie on
-    one ray (a coset of ``Z*step``) exactly when their bases agree, and
-    their levels then differ by their distance in steps.  Sorting compares
-    the base first and the level next, so each ray is one contiguous run of
-    rows in increasing level, where a missing level is a gap.
+    A term ``md`` with count ``n`` lies at level ``k = e // s``, with ``e``
+    and ``s`` the exponents of the term and of the step in the step's first
+    nonzero slot (the pivot), on the ray (a coset of ``Z*step``) of its
+    ``base = md - k*step``, computed one exponent column at a time.  The
+    rows go in increasing level for ``ahead = 1`` and in decreasing level
+    for ``ahead = -1``, and ``rays`` carries each ray's last row as
+    ``(level, rest, degree)``, keyed by its base.  A row one ``ahead`` past
+    that last row matches as much of the last row's rest as its own count
+    allows; after a gap it matches nothing.  What the last row has left then
+    survives, and so does each ray's rest at the end of the walk.
+
+    Returns ``(survivors, pairs)``, the survivors as a map of degree to
+    count.  A ``carried`` dict receives each degree's rest as its row
+    leaves it, before the next level matches it.
     """
     pivot, e_pivot = next(compress(enumerate(step), step))
     columns = _columns(terms, max(len(step), *map(len, terms)))
     levels = [*map(e_pivot.__rfloordiv__, columns[pivot])]
     bases = zip(*[[*map(_sub, column, map(e.__mul__, levels))] if e else column
                   for column, e in zip_longest(columns, step, fillvalue=0)])
-    return sorted(zip(bases, levels, counts, terms))
+    rows = sorted(zip(levels, bases, counts, terms), key=itemgetter(0),
+                  reverse=ahead < 0)
+    rays = {}
+    survivors = {}
+    pairs = 0
+    for k, base, n, md in rows:
+        last = rays.get(base)
+        if last is not None:
+            level, rest, prev = last
+            if rest:
+                if level + ahead == k:
+                    matched = rest if rest < n else n
+                    pairs += matched
+                    rest -= matched
+                    n -= matched
+                if rest:
+                    survivors[prev] = rest
+        if carried is not None and n:
+            carried[md] = n
+        rays[base] = (k, n, md)
+    for _, rest, md in rays.values():
+        if rest:
+            survivors[md] = rest
+    return survivors, pairs
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
@@ -1145,10 +1175,12 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
 
     Returns the unique witness ``X`` when it exists and ``None`` otherwise.
     ``p`` must have integer coefficients.  The search peels each ray of the
-    step from its lowest level, in one ascending pass over :func:`_rays`:
-    ``X`` at level ``k`` is ``p``'s count there less ``X`` at ``k - 1``,
-    and it must end at zero before a gap and at the top of each ray.  This
-    is complete because ``1 + mono(m)`` is not a zero divisor.
+    step from its lowest level, in one ascending :func:`_walk`: ``X`` at
+    level ``k`` is the rest of ``p``'s count there after its match with
+    ``X`` at ``k - 1``.  ``X`` exists exactly when every match is whole and
+    the rest is zero before a gap and at the top of each ray, that is, when
+    nothing survives.  This is complete because ``1 + mono(m)`` is not a
+    zero divisor.
     """
     counts = _integer_counts(p, "nonneg_divisibility requires integer coefficients")
     if not counts:
@@ -1157,20 +1189,11 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
         if any(n < 0 or n % 2 for n in counts):
             return None
         return LaurentPoly._wrap(dict(zip(p.terms, [n // 2 for n in counts])))
+    if any(n < 0 for n in counts):
+        return None
     witness = {}
-    ray = level = None
-    carry = 0
-    for base, k, n, md in _rays(p.terms, counts, m):
-        if base == ray and k == level + 1:
-            n -= carry
-        elif carry:
-            return None
-        if n < 0:
-            return None
-        if n:
-            witness[md] = n
-        ray, level, carry = base, k, n
-    return None if carry else LaurentPoly._wrap(witness)
+    survivors, _ = _walk(p.terms, counts, m, 1, witness)
+    return None if survivors else LaurentPoly._wrap(witness)
 
 
 def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
@@ -1185,10 +1208,10 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
 
     On a ray the greedy matching from one end is maximum: each level is
     matched as far as it can be with the next one in the direction of the
-    pass, after its matches with the level before.  :func:`_rays` makes each
-    ray one contiguous run in increasing level, so one pass over its rows,
-    descending for ``"early"`` and ascending for ``"late"``, matches every
-    ray; a gap or a new ray ends a run, and each row's rest survives.
+    pass, after its matches with the level before.  One :func:`_walk`,
+    in decreasing level for ``"early"`` and increasing level for
+    ``"late"``, matches every ray; a gap ends a run, and each row's rest
+    survives.
     """
     if keep not in ("early", "late"):
         raise ValueError("keep must be 'early' or 'late'")
@@ -1198,24 +1221,5 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
         raise ValueError(message)
     if not counts or m.is_zero():
         return p, 0
-    rows = _rays(p.terms, counts, m)
-    ahead = 1
-    if keep == "early":
-        rows.reverse()
-        ahead = -1
-    survivors = {}
-    pairs = 0
-    ray = level = last = None
-    rest = 0
-    for base, k, n, md in rows:
-        if base == ray and k == level + ahead:
-            matched = min(rest, n)
-            pairs += matched
-            rest -= matched
-            n -= matched
-        if rest:
-            survivors[last] = rest
-        ray, level, rest, last = base, k, n, md
-    if rest:
-        survivors[last] = rest
+    survivors, pairs = _walk(p.terms, counts, m, -1 if keep == "early" else 1)
     return LaurentPoly._wrap(survivors), pairs

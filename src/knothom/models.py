@@ -77,11 +77,17 @@ class GradedPresentation:
 
     ``relations`` are polynomials in the even generator names;
     ``form_relations`` are linear in the odd names with even-polynomial
-    coefficients.
+    coefficients.  Generator names must be distinct: a repeated name raises
+    ``ValueError`` naming it, since :meth:`generator` and
+    :meth:`degree_map` look generators up by name.
     """
 
     def __init__(self, generators: list, relations: list | None = None,
                  form_relations: list | None = None):
+        repeated = sorted(name for name, k in Counter(g.name for g in generators).items()
+                          if k > 1)
+        if repeated:
+            raise ValueError(f"repeated generator names: {', '.join(repeated)}")
         self.generators = generators
         self.relations = [] if relations is None else relations
         self.form_relations = [] if form_relations is None else form_relations

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from knothom import checks
 from knothom.cli import main
 from knothom.errors import UsageError
 from knothom.laurent import (
@@ -31,6 +32,7 @@ from knothom.checks import (
 )
 from knothom.fixtures import from_tilde, load_fixture, to_tilde
 from knothom.models import aqt_projection
+from knothom.partitions import Partition
 from knothom.suite import SL2_TARGETS
 
 P = parse_poly
@@ -281,6 +283,55 @@ def test_rank_collapse_names_the_fixture_from_the_colour():
     assert got == sl_cancel(series, Multidegree(a=-2, q=4, t=-1), 2, cutoff=20)
     with pytest.raises(UsageError, match="no fixture file"):
         rank_collapse("3_1:S2", [1], 2, cutoff=20)
+
+
+#: the ``(n, cutoff)`` of a rank-collapse sweep over one knot and colour
+SWEEP = [(n, cutoff) for n in (2, 3) for cutoff in (24, 30)]
+
+
+def test_rank_collapse_builds_its_input_once_per_knot_and_colour(monkeypatch):
+    """A sweep over ``n`` and the cutoff builds the unreduced series once,
+    and each result equals a run on a series built afresh for it; the shared
+    series is not changed by the sweep."""
+    fresh = {}
+    for n, cutoff in SWEEP:
+        checks._collapse_input.cache_clear()
+        fresh[n, cutoff] = rank_collapse("3_1", [2], n, cutoff=cutoff)
+    built = []
+    unreduced = checks.unreduced_from_reduced
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return unreduced(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "unreduced_from_reduced", counted)
+    checks._collapse_input.cache_clear()
+    series = rank_collapse_input("3_1", [2])
+    numerator, denominators = dict(series.numerator.terms), series.denominators
+    for n, cutoff in SWEEP:
+        assert rank_collapse("3_1", [2], n, cutoff=cutoff) == fresh[n, cutoff]
+    assert len(built) == 1
+    assert rank_collapse_input("3_1", [2]) is series
+    assert series.numerator.terms == numerator
+    assert series.denominators == denominators
+
+
+def test_rank_collapse_input_has_one_entry_per_knot_and_colour():
+    """``"unknot"`` and ``"3_1"``, and ``[1]`` and ``[2]``, never share an
+    entry; a list and its ``Partition`` do."""
+    checks._collapse_input.cache_clear()
+    inputs = {(knot, lam[0]): rank_collapse_input(knot, lam)
+              for knot in ("unknot", "3_1") for lam in ([1], [2])}
+    assert checks._collapse_input.cache_info().currsize == 4
+    assert len({id(series) for series in inputs.values()}) == 4
+    for (knot, size), series in inputs.items():
+        reduced = (LaurentPoly.one() if knot == "unknot"
+                   else load_fixture(f"3_1:{'1' if size == 1 else 'S2'}").poincare)
+        expect = aqt_projection(unreduced_from_reduced(reduced, [size]))
+        assert series.numerator == expect.numerator
+        assert series.denominators == expect.denominators
+        assert rank_collapse_input(knot, Partition([size])) is series
+    assert checks._collapse_input.cache_info().currsize == 4
 
 
 def test_sl_cancel_expands_through_the_window_edge():

@@ -703,6 +703,8 @@ def test_nonneg_divisibility(data):
                                       max_size=2).map(LaurentPoly))
     p = (LaurentPoly.one() + LaurentPoly.monomial(1, m)) * witness + noise
     ours = nonneg_divisibility(p, m)
+    if not m.is_zero():
+        assert ours == ray_by_ray_divide(p, m)
     quotient, nonneg = quotient_by_binomial(p, m)
     if ours is None:
         assert not nonneg
@@ -763,6 +765,30 @@ def ray_by_ray_cancel(p: LaurentPoly, m: Multidegree, keep: str):
     return LaurentPoly(survivors), pairs
 
 
+def ray_by_ray_divide(p: LaurentPoly, m: Multidegree):
+    """``nonneg_divisibility`` one ray at a time, as a reference: the terms
+    are filed by ray as in :func:`ray_by_ray_cancel`; on each ray, from its
+    lowest level to one past its highest, with gaps read as 0, ``X`` at a
+    level is the count there less ``X`` at the level before, and every one
+    must be nonnegative, so the last is 0.  Returns ``None`` when one is
+    negative."""
+    (pivot, e_pivot), *_ = m.items()
+    rays = {}
+    for md, c in p.terms.items():
+        k = int(md.e(pivot)) // int(e_pivot)
+        rays.setdefault(md - m.scale(k), {})[k] = int(c)
+    witness = {}
+    for base, ray in rays.items():
+        x = 0
+        for k in range(min(ray), max(ray) + 2):
+            x = ray.get(k, 0) - x
+            if x < 0:
+                return None
+            if x:
+                witness[base + m.scale(k)] = x
+    return LaurentPoly(witness)
+
+
 @oracle(100)
 @given(st.data())
 def test_max_cancel(data):
@@ -810,6 +836,29 @@ def test_max_cancel_survivors_match_the_ray_by_ray_reference(p, m, keep):
     assert max_cancel(p, m, keep) == ray_by_ray_cancel(p, m, keep)
     if keep == "late":  # each case leaves some survivor where keep matters
         assert max_cancel(p, m, "early")[0] != max_cancel(p, m, "late")[0]
+
+
+#: ``(p, m)``: rays whose peeling ends on a nonzero carry, meets a gap with
+#: or without a carry, or runs a level negative
+DIVISION_RAYS = {
+    "ends on a carry": ("1 + 2*q", "q"),
+    "gap after zero": ("1 + q + q^3 + q^4", "q"),
+    "gap after a carry": ("1 + q^2 + q^3", "q"),
+    "carry too large": ("2 + q + q^2", "q"),
+    "negative count": ("1 + q - q^2 + q^3", "q"),
+    "carry on one of two rays": ("1 + q + a + 2*a*q", "q"),
+    "floor levels": ("q^-1 + 2*q + q^3 + q^2 + q^4", "q^-2"),
+}
+
+
+@pytest.mark.parametrize("p, m", [*NAMED_RAYS.values(), *DIVISION_RAYS.values()],
+                         ids=[*NAMED_RAYS, *DIVISION_RAYS])
+def test_nonneg_divisibility_matches_the_ray_by_ray_reference(p, m):
+    """The level-order walk finds the reference's witness, or ``None`` with
+    it, on ``p`` and on ``(1 + mono(m)) * p``."""
+    p, m = parse_poly(p), parse_poly(m).as_monomial()[1]
+    for q in (p, (LaurentPoly.one() + LaurentPoly.monomial(1, m)) * p):
+        assert nonneg_divisibility(q, m) == ray_by_ray_divide(q, m)
 
 
 def _presentation(degree):

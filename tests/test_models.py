@@ -151,6 +151,28 @@ def test_stable_model_degrees_222():
         assert (d.e("a"), d.e("q"), d.e("tc"), d.e("tr")) == (a, q, tc, tr)
 
 
+def test_repeated_generator_names_are_refused():
+    """A presentation looks generators up by name, so a repeated name is an
+    error that names it.  A rectangle's boxes are named ``{col}{row}``, so
+    the 11 x 11 model names boxes (1, 11) and (11, 1) alike."""
+    x = Generator("x", EVEN, Multidegree(q=2))
+    with pytest.raises(ValueError, match="repeated generator names: x$"):
+        GradedPresentation([x, Generator("y", ODD, Multidegree(a=2)), x])
+    with pytest.raises(ValueError, match="repeated generator names: u111, xi111$"):
+        unknot_model([11] * 11)
+    with pytest.raises(ValueError, match="u111"):
+        StableTorusModel(11, 11, 2)
+
+
+def test_every_rectangle_to_10x10_builds():
+    """Every rectangle model up to 10 x 10 has distinct names, so it still
+    builds; ``test_basis_is_an_order_ideal`` builds every scheme
+    presentation of the ``scheme-basis`` benchmark pool."""
+    for R in range(1, 11):
+        for S in range(1, 11):
+            assert len(unknot_model([S] * R).generators) == 2 * R * S
+
+
 def test_stable_model_matches_scheme_gradings():
     # for the one-row color, u_{i,1}^{(n)} = u_{rn+1-i} and
     # xi_{i,1}^{(n)} = du_{(n-1)r+i}
