@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import factorial, gcd, prod
+from operator import mul, not_
 
 from .errors import UsageError
 from .fixtures import _to_tilde_degree
@@ -26,8 +27,11 @@ from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
+    _from_slots,
     _primitive,
     _series_terms,
+    _slot,
+    _slots,
     register_variables,
     series_log,
     series_pow_rational,
@@ -91,6 +95,7 @@ class GradedPresentation:
         self.generators = generators
         self.relations = [] if relations is None else relations
         self.form_relations = [] if form_relations is None else form_relations
+        self._weights = {}  # grading variable -> its weight per exponent slot
 
     def evens(self):
         return [g for g in self.generators if g.parity == EVEN]
@@ -126,14 +131,20 @@ class GradedPresentation:
         """The common grading of a homogeneous polynomial; None if mixed.
 
         With ``grading_var`` it is that one grading, the sum of exponent
-        times generator degree over each term; without, the full
+        times generator degree over each term, read as one dot product of
+        the term's exponent slots with a weight per slot that the
+        presentation builds once per variable, registering the generators'
+        names (a variable outside them weighs 0); without, the full
         :meth:`monomial_degree`.
         """
         if grading_var:
-            slot = {g.name: g.degree._e(grading_var) for g in self.generators}
+            if grading_var not in self._weights:
+                self._weights[grading_var] = _from_slots(
+                    {_slot(g.name): g.degree._e(grading_var) for g in self.generators})
+            weights = self._weights[grading_var]
 
             def degree(md):
-                return sum(e * slot[v] for v, e in md.items())
+                return sum(map(mul, md, weights))
         else:
             degree = self.monomial_degree
         seen = None
@@ -410,9 +421,9 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
     if with_forms:
         gens += [Generator(f"du{i}", ODD, _scheme_degree_odd(i, r)) for i in indices]
         # c*md gives c*e_i * md/u_i * du_i for each u_i in md; no two meet
-        moves = [(f"u{i}", Multidegree({f"u{i}": -1, f"du{i}": 1})) for i in indices]
-        form_rels = [LaurentPoly._wrap({md + move: c * e for md, c in rel.terms.items()
-                                        for u, move in moves if (e := md._e(u))})
+        moves = {f"u{i}": Multidegree({f"u{i}": -1, f"du{i}": 1}) for i in indices}
+        form_rels = [LaurentPoly._wrap({md + moves[u]: c * e for md, c in rel.terms.items()
+                                        for u, e in md.items()})
                      for rel in rels]
     pres = GradedPresentation(gens, rels, form_rels)
     for rel in rels:
@@ -525,8 +536,12 @@ class _KeySpace:
     by an even monomial adds its packed offset (by ``weight``), and taking
     an odd factor away adds its bit.  So a row of ``relation * u^e * du_S``,
     or the image of a monomial under a differential, is one dict of ``int``
-    sums, a block is one ``sorted`` list, and only the keys a caller keeps
-    are decoded.
+    sums, a block is one set, and only the keys a caller keeps are decoded.
+    A decoded monomial also gets its grading, the presentation's
+    :meth:`~GradedPresentation.monomial_degree` packed in one ``int`` as
+    ``sum((d_i + radix/2) * radix**i)`` over the ``width`` exponent slots
+    ``d_i`` of that ``Multidegree``: ``radix`` exceeds twice any ``|d_i|``
+    up to ``reach``, so each digit stays in its radix.
     """
 
     def __init__(self, pres: GradedPresentation, reach: int):
@@ -541,24 +556,34 @@ class _KeySpace:
         n_odd = len(self.odd_names)
         self.odd_bit = {o: 1 << (n_odd - 1 - i) for i, o in enumerate(self.odd_names)}
         self.odd_field = (1 << n_odd) - 1
-        self.digits = {}  # each even name but the cheapest -> (place, top)
-        unit = self.odd_field + 1  # the place of the leading digit, once all are set
+        # each even generator's largest exponent up to ``reach``; an odd one's is 1
+        tops = {n: max(reach - self.low, 0) // d for n, d in even_deg.items()}
+        degrees = {g.name: g.degree for g in pres.generators}
+        self.radix = 2 << sum(tops.get(n, 1) * max(map(abs, d), default=0)
+                              for n, d in degrees.items()).bit_length()
+        self.width = max(map(len, degrees.values()), default=0)
+        self.grading = {n: sum(e * self.radix ** i for i, e in enumerate(d))
+                        for n, d in degrees.items()}
+        bias = self.radix // 2 * (self.radix ** self.width - 1) // (self.radix - 1)
+        # (name, radix, top, packed grading) of each digit but the leading
+        # one, the least first; the key of 1 has each digit at its top
+        self.places, self.weight, self.origin = [], {}, self.odd_field
+        unit = self.odd_field + 1
         for n in reversed(by_desc_degree):
             if n != self.cheapest:
-                top = max(reach - self.low, 0) // even_deg[n]
-                self.digits[n] = (unit, top)
-                unit *= top + 1
-        self.unit = unit
-        self.weight = {n: -u for n, (u, _) in self.digits.items()}
+                self.places.append((n, tops[n] + 1, tops[n], self.grading[n]))
+                self.weight[n], self.origin = -unit, self.origin + tops[n] * unit
+                unit *= tops[n] + 1
         if self.cheapest is not None:
             self.weight[self.cheapest] = unit
-        # the key of 1
-        self.origin = sum(top * u for u, top in self.digits.values()) + self.odd_field
+        subsets = [list(combinations(self.odd_names, k)) for k in range(n_odd + 1)]
+        # mask -> (odd name tuple, packed grading with the bias) of each odd subset
+        self.odd_monomials = {sum(self.odd_bit[o] for o in odds):
+                              (odds, bias + sum(self.grading[o] for o in odds))
+                              for size in subsets for odds in size}
         # per odd count k: (bitmask, q-degree) of each odd subset of size k
-        self.odd_subsets = [
-            [(sum(self.odd_bit[o] for o in odds), sum(odd_deg[o] for o in odds))
-             for odds in combinations(self.odd_names, k)]
-            for k in range(n_odd + 1)]
+        self.odd_subsets = [[(sum(self.odd_bit[o] for o in odds), sum(odd_deg[o] for o in odds))
+                             for odds in size] for size in subsets]
         evens = [(even_deg[n], self.weight[n]) for n in by_desc_degree]
 
         @cache
@@ -583,18 +608,28 @@ class _KeySpace:
         return -1 if (mask & -(bit << 1)).bit_count() & 1 else 1
 
     def block(self, degree, k):
-        """The keys of q-degree ``degree`` with ``k`` odd factors, in order."""
-        return sorted(self.origin - mask + offset for mask, od in self.odd_subsets[k]
-                      for offset in self.even_offsets(degree - od))
+        """The set of keys of q-degree ``degree`` with ``k`` odd factors."""
+        return {self.origin - mask + offset for mask, od in self.odd_subsets[k]
+                for offset in self.even_offsets(degree - od)}
 
     def decode(self, key):
         """``(even exponent dict, odd name tuple)`` of a key."""
-        mask = self.mask(key)
-        exps = {n: top - key // u % (top + 1) for n, (u, top) in self.digits.items()}
-        if self.cheapest is not None:
-            exps[self.cheapest] = key // self.unit
-        return ({n: e for n, e in exps.items() if e},
-                tuple(o for o in self.odd_names if mask & self.odd_bit[o]))
+        return self.monomial(key)[:2]
+
+    def monomial(self, key):
+        """``(even exponent dict, odd name tuple, packed grading)`` of a key."""
+        rest, field = divmod(key, self.odd_field + 1)
+        odds, grading = self.odd_monomials[self.odd_field ^ field]
+        exps = {}
+        for n, radix, top, g in self.places:
+            rest, digit = divmod(rest, radix)
+            if digit != top:
+                exps[n] = e = top - digit
+                grading += e * g
+        if rest:
+            exps[self.cheapest] = rest
+            grading += rest * self.grading[self.cheapest]
+        return exps, odds, grading
 
     def terms(self, poly, n_odd):
         """``(key offset, odd bit or 0, int coefficient)`` per term of ``poly``.
@@ -611,7 +646,7 @@ class _KeySpace:
             odd = [self.odd_bit[v] for v, _ in items if v in self.odd_bit]
             if len(odd) != n_odd:
                 raise ArithmeticError(f"terms need {n_odd} odd factors")
-            if any(e < 0 for _, e in items):
+            if min(md, default=0) < 0:
                 raise ArithmeticError("terms need non-negative exponents")
             bit = odd[0] if odd else 0
             out.append((sum(e * self.weight[v] for v, e in items if v not in self.odd_bit)
@@ -623,43 +658,53 @@ class MacaulayBasis:
     """Monomial basis of an Artinian quotient with representative gradings.
 
     ``elements`` lists each basis monomial as ``(even exponent dict, odd
-    name tuple)``.
+    name tuple)``, and ``gradings`` the grading of each, the
+    presentation's :meth:`~GradedPresentation.monomial_degree`, packed in
+    one ``int`` as ``sum((d_i + radix/2) * radix**i)`` over its ``width``
+    exponent slots ``d_i``.  :meth:`poincare` counts these ints and unpacks
+    each distinct one once, in the requested variables only, and
+    :meth:`degrees` unpacks each in full.
     """
 
     def __init__(self, presentation: GradedPresentation, elements: list,
-                 top_degree: int):
+                 top_degree: int, gradings: list, radix: int, width: int):
         self.presentation = presentation
         self.elements = elements
         self.top_degree = top_degree
+        self.gradings, self.radix, self.width = gradings, radix, width
 
     def dimension(self) -> int:
         return len(self.elements)
 
+    def _degree(self, packed, slots):
+        """The ``Multidegree`` of one packed grading, read in ``slots`` only."""
+        half = self.radix >> 1
+        return _from_slots({i: packed // self.radix ** i % self.radix - half
+                            for i in slots if i < self.width})
+
     def degrees(self):
-        return [self.presentation.monomial_degree(exps, odds)
-                for exps, odds in self.elements]
+        return [self._degree(g, range(self.width)) for g in self.gradings]
 
     def poincare(self, variables=("a", "q", "tr")) -> LaurentPoly:
-        grading = {g.name: [g.degree._e(v) for v in variables]
-                   for g in self.presentation.generators}
-        counts = Counter()
-        for exps, odds in self.elements:
-            total = [0] * len(variables)
-            for n, e in exps.items():
-                total = [t + e * x for t, x in zip(total, grading[n])]
-            for o in odds:
-                total = [t + x for t, x in zip(total, grading[o])]
-            counts[tuple(total)] += 1
-        return LaurentPoly({Multidegree(zip(variables, t)): n for t, n in counts.items()})
+        slots, counts = _slots(variables), Counter()
+        for packed, n in Counter(self.gradings).items():
+            counts[self._degree(packed, slots)] += n
+        return LaurentPoly._wrap(counts)
 
     def monomial_names(self):
         names = []
         for exps, odds in self.elements:
             parts = [f"{n}^{e}" if e > 1 else n
                      for n, e in sorted(exps.items())]
-            parts += list(odds)
+            parts += odds
             names.append("*".join(parts) if parts else "1")
         return names
+
+
+def _candidates(counts):
+    """The keys of ``counts`` (key -> step divisors whose quotient is not
+    yet standard) with none left: a block's candidates."""
+    return set(compress(counts, map(not_, counts.values())))
 
 
 class DegreeCeilingError(ArithmeticError):
@@ -696,26 +741,35 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     is checked: a survivor that is not a candidate raises
     :class:`ArithmeticError`.
 
-    No row is built that is an even generator's multiple of a row that
+    No row is built that is a step generator's multiple of a row that
     reduced to zero, or of one not built (the syzygy criterion of F5).
     Such a row is recorded by its template and the key offset of its even
     monomial.  This keeps every pivot:
 
-    - a block's rows are read in template order, and a template's rows in
-      ``even_offsets`` order, descending lexicographic in the exponents;
-      multiplying by an even monomial keeps both orders;
+    - a block's rows are read in template order, relation order first and
+      then the odd subsets in lexicographic name order, and a template's
+      rows in ``even_offsets`` order, descending lexicographic in the
+      exponents; multiplying by an even monomial keeps these orders, and
+      so does multiplying by an odd step ``du_j``, which takes the row of
+      a relation times ``du_S`` to plus or minus the row of the same
+      relation and even monomial times ``du_(S+j)`` (to 0 if ``j`` is in
+      ``S``): inserting ``j`` into two odd subsets keeps their
+      lexicographic order;
+    - the starting basis of a form block (below) comes first, and a seed
+      of subset ``S`` times ``du_j`` is a seed of ``S+j``, whose q-degree
+      is ``od(S) + deg du_j >= 0``;
     - a row that reduces to zero lies in the span of the rows read before
-      it in its block, so its product with an even generator ``u`` lies in
+      it in its block, so its product with a step generator ``g`` lies in
       the span of the rows before that product in the block of degree
-      ``+ deg u``;
+      ``+ deg g``, which comes later;
     - by induction over the read order, a row not built lies in the span
       of the rows built before it, so no block's span changes, and the
       pivots, the survivors and the candidate check are as if every row
       were built.
 
-    Odd multiples are not recorded.  A multiple is recorded only up to the
-    ceiling, the key space's ``reach``: beyond it a digit of the key can
-    leave its radix, and the offset then names a different monomial.
+    A multiple is recorded only up to the ceiling, the key space's
+    ``reach``: beyond it a digit of the key can leave its radix, and the
+    offset then names a different monomial.
 
     A block with odd factors builds no row of an even relation times an odd
     subset ``S`` of q-degree ``od >= 0``, but starts from the basis of bottom
@@ -730,13 +784,24 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
       multiples, the pivots, the survivors and the candidate check are
       unchanged.  A subset of q-degree below 0 keeps its rows: its bottom
       block comes later.
+
+    The bookkeeping runs once per block or per basis monomial: a block
+    fetches each step's target map once, and a survivor is decoded once,
+    with its packed grading (:class:`MacaulayBasis`).
     """
     space = _KeySpace(pres, ceiling)
+    # (key shift, q-degree, odd count shift, name) of each step generator
+    steps = ([(space.weight[g.name], g.q_degree(), 0, g.name) for g in pres.evens()]
+             + [(-space.odd_bit[g.name], g.q_degree(), 1, g.name) for g in pres.odds()
+                if g.q_degree() >= 0])
+    step_bits = -sum(shift for shift, _, dk, _ in steps if dk)
     # per odd count k: (q-degree, key of du_S, signed packed terms, the even
-    # key offsets of its rows not to build) of each relation times each odd
-    # subset S; a form hitting a factor of S vanishes, and one moved past
-    # the factors before it changes sign.  A zero relation spans nothing.
-    # An even relation times a non-empty S of q-degree >= 0 is left to seeds.
+    # key offsets of its rows not to build, (that set of the template of
+    # S+j, deg du_j) per odd step j) of each relation times each odd subset
+    # S; a form hitting a factor of S vanishes, and one moved past an odd
+    # number of the factors before it changes sign.  A zero relation spans
+    # nothing.  An even relation times a non-empty S of q-degree >= 0 is
+    # left to seeds.
     templates = [[] for _ in space.odd_subsets]
     for rels, n_odd in ((pres.relations, 0), (pres.form_relations, 1)):
         for rel in rels:
@@ -746,38 +811,40 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
             if d is None:
                 raise ArithmeticError("inhomogeneous relation")
             terms = space.terms(rel, n_odd)
-            for k in range(n_odd, len(templates)):
-                templates[k] += [
-                    (d + od, space.origin - mask,
-                     [(t, space.sign(mask, bit) * c) for t, bit, c in terms
-                      if not bit & mask], set())
-                    for mask, od in space.odd_subsets[k - n_odd]
-                    if n_odd or not mask or od < 0]
+            skips = {}  # mask -> the skip set of its template, larger masks first
+            for k in reversed(range(n_odd, len(templates))):
+                for mask, od in space.odd_subsets[k - n_odd]:
+                    if n_odd or not mask or od < 0:
+                        skips[mask] = set()
+                        templates[k].append((
+                            d + od, space.origin - mask,
+                            [(t, -c if (mask & -(bit << 1)).bit_count() & 1 else c)
+                             for t, bit, c in terms if not bit & mask], skips[mask],
+                            [(skips[mask - shift], dj) for shift, dj, dk, _ in steps
+                             if dk and mask - shift in skips and not mask & -shift]))
     window = max((g.q_degree() for g in pres.generators), default=0)
     even_offsets = space.even_offsets
-    odd_deg = {g.name: g.q_degree() for g in pres.odds()}
-    # (key shift, q shift, odd count shift, name) of each step generator
-    steps = ([(space.weight[g.name], g.q_degree(), 0, g.name) for g in pres.evens()]
-             + [(-space.odd_bit[o], d, 1, o) for o, d in odd_deg.items() if d >= 0])
-    # (degree, k) -> {key: step divisors whose quotient is not yet standard}
-    unmet = {}
-    even_steps = [(shift, d) for shift, d, dk, _ in steps if not dk]
 
-    def skip_multiples(skip, offset, degree):
-        """Mark the row at ``offset`` of ``skip``'s template times each even
-        generator, up to the ceiling, as not to build."""
-        skip.update(offset + w for w, d in even_steps if degree + d <= ceiling)
+    def skip_multiples(template, offset, degree):
+        """Mark the multiples of the row at ``offset`` of ``template`` by
+        each step generator, up to the ceiling, as not to build."""
+        *_, skip, odd = template
+        skip.update([offset + w for w, d, dk, _ in steps if not dk and degree + d <= ceiling])
+        for target, d in odd:
+            if degree + d <= ceiling:
+                target.add(offset)
 
     def rows(degree, k, read):
         """The rows of block ``(degree, k)`` to build, in read order; ``read``
-        gets the template's ``skip`` set and the offset of each."""
-        for dg, odd_key, terms, skip in templates[k]:
+        gets the template and the offset of each."""
+        for template in templates[k]:
+            dg, odd_key, terms, skip, _ = template
             for offset in even_offsets(degree - dg):
                 if offset in skip:
                     skip.remove(offset)
-                    skip_multiples(skip, offset, degree)
+                    skip_multiples(template, offset, degree)
                     continue
-                read.append((skip, offset))
+                read.append((template, offset))
                 base = odd_key + offset
                 yield {base + t: c for t, c in terms}
 
@@ -786,56 +853,61 @@ def macaulay_basis(pres: GradedPresentation, ceiling=200) -> MacaulayBasis:
     def seeds(degree, k):
         """The basis of block ``(degree - od, 0)`` times ``du_S`` for each odd
         subset ``S`` of size ``k`` and q-degree ``od >= 0``, keys shifted."""
+        basis = {}
         for mask, od in space.odd_subsets[k]:
             below = bottom.get(degree - od, {}) if od >= 0 else {}
             if below is None:
                 below = dict.fromkeys(space.block(degree - od, 0), (1, {}))
             for p, (b, rest) in below.items():
-                yield p - mask, (b, {c - mask: v for c, v in rest.items()})
+                basis[p - mask] = b, rest and {c - mask: v for c, v in rest.items()}
+        return basis
 
-    elements = []
+    elements, gradings = [], []
+    unmet = {}  # (degree, k) -> {key: step divisors whose quotient is not yet standard}
     zero_run = 0
     degree = space.low
     while degree <= ceiling:
         dim_here = 0
         for k in range(len(templates)):
             if degree > 0:
-                candidates = {c for c, n in unmet.pop((degree, k), {}).items() if not n}
+                counts = unmet.pop((degree, k), None)
+                candidates = _candidates(counts) if counts else ()
                 if not candidates:
                     if not k:
                         bottom[degree] = None
                     continue
-            block = space.block(degree, k)
-            if not block:
+            columns = space.block(degree, k)
+            if not columns:
                 continue
-            read, zeros, basis = [], [], dict(seeds(degree, k)) if k else {}
-            _, pivots = _row_reduce(rows(degree, k, read), set(block), zeros, basis)
+            read, zeros, basis = [], [], seeds(degree, k) if k else {}
+            _, pivots = _row_reduce(rows(degree, k, read), columns, zeros, basis)
             if not k and space.odd_names:  # only form blocks read it
                 _back_substitute(basis)
                 bottom[degree] = basis
             for n in zeros:
                 skip_multiples(*read[n], degree)
-            survivors = [c for c in block if c not in pivots]
+            survivors = sorted(columns - pivots)
             if degree > 0 and not candidates.issuperset(survivors):
                 raise ArithmeticError(
                     f"a survivor of block ({degree}, {k}) has a non-standard quotient")
-            for c in survivors:
-                exps, odds = monomial = space.decode(c)
-                elements.append(monomial)
-                divisors = len(exps) + sum(odd_deg[o] >= 0 for o in odds)
-                for shift, d, dk, name in steps:
-                    if name in odds:
-                        continue
-                    target = unmet.setdefault((degree + d, k + dk), {})
-                    n = target.get(c + shift)
-                    if n is None:
-                        n = divisors + (name not in exps)
-                    target[c + shift] = n - 1
             dim_here += len(survivors)
+            # each step's target map, fetched once per block
+            targets = [(shift, unmet.setdefault((degree + d, k + dk), {}), name)
+                       for shift, d, dk, name in steps if survivors]
+            for c in survivors:
+                exps, odds, grading = space.monomial(c)
+                elements.append((exps, odds))
+                gradings.append(grading)
+                # c's step divisors; c*g has one more unless g divides c
+                n = len(exps) + (step_bits & ~c).bit_count()
+                for shift, target, name in targets:
+                    if name not in odds:
+                        target[c + shift] = target.get(c + shift, n + (name not in exps)) - 1
         if dim_here == 0 and degree > 0:
             zero_run += 1
             if zero_run >= window + 1:
-                return MacaulayBasis(pres, elements, degree)
+                return MacaulayBasis(pres, elements, degree, gradings, space.radix,
+                                     space.width)
         else:
             zero_run = 0
         degree += 1

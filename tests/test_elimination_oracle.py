@@ -420,7 +420,8 @@ def test_multiples_of_zero_rows_are_not_built(monkeypatch):
     multiple of a row that reduced to zero, or of one not built, is not.
     Skipping those made it 1,146.  A form block also builds no even
     relation's row: it starts from the reduced bases of the bottom blocks
-    it shifts, which span those rows, so 569 of them are read no more."""
+    it shifts, which span those rows, so 569 of them are read no more
+    (577 rows).  Skipping the odd multiples as well leaves 537."""
     real, read = models._row_reduce, []
 
     def counting(rows, columns, zeros=None, basis=None):
@@ -432,8 +433,48 @@ def test_multiples_of_zero_rows_are_not_built(monkeypatch):
 
     monkeypatch.setattr(models, "_row_reduce", counting)
     mb = macaulay_basis(scheme_presentation(3, 5, 2, with_forms=True))
-    assert len(read) == 577
+    assert len(read) == 537
     assert mb.dimension() == 289
+
+
+def test_odd_multiples_of_zero_rows_are_not_built(monkeypatch):
+    """No row read is a multiple of the product of a row that reduced to
+    zero with an odd step generator ``du_j`` (q-degree >= 0): it would lie
+    in the span of the rows before it and reduce to zero too.  Right
+    multiplication by ``du_j`` kills a monomial holding ``du_j`` and takes
+    the key ``c`` of any other to ``c - bit_j``, with the sign of moving
+    ``du_j`` past its odd factors after ``j`` in name order (the lower
+    bits).  On M(2,3,5) with forms, 821 rows were read and 199 reduced to
+    zero when only even multiples were skipped; skipping the odd ones too
+    leaves 733 and 111."""
+    real, read, zero = models._row_reduce, [], []
+
+    def recording(rows, columns, zeros=None, basis=None):
+        start = len(read)
+
+        def reading():
+            for row in rows:
+                read.append(row)
+                yield row
+        out = real(reading(), columns, zeros, basis)
+        zero.extend(start + n for n in zeros)
+        return out
+
+    monkeypatch.setattr(models, "_row_reduce", recording)
+    pres = scheme_presentation(2, 3, 5, with_forms=True)
+    mb = macaulay_basis(pres)
+    space = models._KeySpace(pres, 200)
+    bits = [space.odd_bit[g.name] for g in pres.odds() if g.q_degree() >= 0]
+
+    def ray(row):
+        """The row scaled to coprime entries, positive at its least key."""
+        g = sympy.igcd(0, *row.values()) * (1 if row[min(row)] > 0 else -1)
+        return frozenset((c, v // g) for c, v in row.items())
+
+    products = [{c - bit: -v if (space.mask(c) & (bit - 1)).bit_count() % 2 else v
+                 for c, v in read[n].items() if c & bit} for n in zero for bit in bits]
+    assert not {ray(row) for row in products if row} & {ray(row) for row in read if row}
+    assert (len(read), len(zero), mb.dimension()) == (733, 111, 243)
 
 
 def test_zero_rows_are_reported_in_read_order():
@@ -544,6 +585,71 @@ def test_a_survivor_with_a_non_standard_quotient_raises(monkeypatch):
     with pytest.raises(ArithmeticError, match="non-standard quotient"):
         macaulay_basis(pres)
     assert dropped
+
+
+@pytest.mark.parametrize("name", BASIS_CASES)
+def test_candidates_are_the_blocks_with_standard_step_quotients(name, monkeypatch):
+    """The bookkeeping's candidates of each block of positive q-degree are,
+    by definition, its monomials ``c`` whose every step-divisor quotient
+    ``c/g`` is a basis monomial, the steps being every even generator and
+    each odd one of q-degree >= 0.  Each block is enumerated whole and
+    checked against the set the elimination took its candidates from."""
+    pres = BASIS_CASES[name]()
+    real, recorded = models._candidates, []
+
+    def recording(counts):
+        found = real(counts)
+        recorded.append(found)
+        return found
+
+    monkeypatch.setattr(models, "_candidates", recording)
+    mb = macaulay_basis(pres)
+    standard = {monomial_id(*m) for m in mb.elements}
+    steps = [g.name for g in pres.generators if g.parity == EVEN or g.q_degree() >= 0]
+    space = models._KeySpace(pres, 200)
+    expected = {}
+    for degree in range(1, mb.top_degree + 1):
+        for k in range(len(space.odd_subsets)):
+            monomials = map(space.decode, space.block(degree, k))
+            found = {monomial_id(*m) for m in monomials
+                     if all(monomial_id(*d) in standard for d in quotients(*m, steps))}
+            if found:
+                expected[degree, k] = found
+    got = {}
+    for found in filter(None, recorded):
+        exps, odds = space.decode(next(iter(found)))
+        degree = (sum(pres.generator(n).q_degree() * e for n, e in exps.items())
+                  + sum(pres.generator(o).q_degree() for o in odds))
+        got[degree, len(odds)] = {monomial_id(*space.decode(c)) for c in found}
+    assert got == expected
+
+
+GRADED_CASES = {
+    **{f"{p}-{q}-{r}-{forms}": lambda p=p, q=q, r=r, forms=forms:
+       scheme_presentation(p, q, r, with_forms=forms) for p, q, r, forms in SCHEME_POOL},
+    # an odd generator of negative q-degree makes monomials below degree 0
+    "negative": lambda: GradedPresentation(
+        [Generator("u", EVEN, Multidegree(q=2)), Generator("x", ODD, Multidegree(q=-2))],
+        [LaurentPoly.var("u") ** 2]),
+}
+
+
+@pytest.mark.parametrize("name", GRADED_CASES)
+def test_packed_gradings_are_the_monomial_degrees(name):
+    """Each basis monomial's grading is packed into one ``int`` when it is
+    decoded; ``degrees`` and ``poincare`` unpack those.  They must equal
+    the presentation's own grading of each monomial, counted after
+    projecting to the chosen variables."""
+    pres = GRADED_CASES[name]()
+    mb = macaulay_basis(pres)
+    degrees = [pres.monomial_degree(exps, odds) for exps, odds in mb.elements]
+    assert mb.degrees() == degrees
+    for variables in (("a", "q", "tr"), ("a", "q", "tr", "tc")):
+        counts = {}
+        for md in degrees:
+            key = Multidegree(zip(variables, (md._e(v) for v in variables)))
+            counts[key] = counts.get(key, 0) + 1
+        assert mb.poincare(variables) == LaurentPoly(counts)
 
 
 # -- Koszul and pair homology against sympy ranks -------------------------------

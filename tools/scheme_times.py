@@ -16,6 +16,13 @@ its stdout captured, in milliseconds.  A ``scheme`` request is
   potentials and four antisymmetric ones, and ``check potentials --format
   json``.
 
+The host's speed drifts within a run, so each request's time is scaled as
+``bench/run.py`` scales it: by the calibration of ``bench/worker.py`` (a
+fixed sparse product of ``Fraction`` maps, copied here), timed in the same
+interpreter just before and just after the request, to the speed at which
+one calibration takes ``CALIBRATION_REF_S`` (1.5 ms).  A phase is the sum of
+its scaled requests.
+
 Every run also hashes each request's output (for a scheme: the basis, its
 Poincare polynomial and the presentation), and the script fails unless
 every run of both checkouts gives the same hash.  The probe runs through the runner of
@@ -33,8 +40,26 @@ PHASES = ("M(3,4,3)", "M(4,5,2)", "pool", "potentials", "total")
 #: and where ``knothom`` was imported from
 PROBE = """\
 import hashlib, io, json, sys, time
+from fractions import Fraction
 import knothom
 import knothom.cli
+CALIBRATION_REF_S = 0.0015
+def calibrate():
+    a = {(i, i % 3): Fraction(i + 1, 2 * i + 3) for i in range(20)}
+    b = {(i, i % 2): Fraction(3 - i, i + 5) for i in range(20)}
+    out = {}
+    for k2, c2 in b.items():
+        for k1, c1 in a.items():
+            k = (k1[0] + k2[0], k1[1] + k2[1])
+            s = out.get(k, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+def calibration():
+    start = time.perf_counter()
+    calibrate()
+    return time.perf_counter() - start
 FORMS = ((2, 3, 5), (2, 5, 3), (2, 7, 2), (3, 4, 2), (3, 5, 2), (4, 5, 1), (5, 6, 1))
 NO_FORMS = ((3, 4, 2), (3, 4, 3), (3, 5, 2), (4, 5, 1))
 def scheme(p, q, r, forms):
@@ -49,17 +74,22 @@ phases = {"M(3,4,3)": [scheme(3, 4, 3, True)], "M(4,5,2)": [scheme(4, 5, 2, True
                            for a in ("1,3", "2,3", "2,4", "3,5")]
                         + [["check", "potentials", "--format", "json"]]}
 digest, times = hashlib.sha256(), {"file": knothom.__file__}
+for _ in range(3):  # warm the calibration's specialised bytecode
+    calibrate()
 for phase, requests in phases.items():
-    outputs = []
-    start = time.perf_counter()
+    outputs, spent = [], 0.0
     for argv in requests:
+        before = calibration()
         stdout, sys.stdout = sys.stdout, io.StringIO()
+        start = time.perf_counter()
         try:
             code = knothom.cli.main(argv)
         finally:
+            took = time.perf_counter() - start
             printed, sys.stdout = sys.stdout.getvalue(), stdout
+        spent += took * CALIBRATION_REF_S / ((before + calibration()) / 2)
         outputs.append((code, printed))
-    times[phase] = 1000 * (time.perf_counter() - start)
+    times[phase] = 1000 * spent
     for code, printed in outputs:
         assert code == 0, (phase, code)
         digest.update(printed.encode())
@@ -70,4 +100,4 @@ print(json.dumps(times))
 
 
 if __name__ == "__main__":
-    script(doc=__doc__, probe=PROBE, phases=PHASES, runs=5, timeout=900)
+    script(doc=__doc__, probe=PROBE, phases=PHASES, runs=11, timeout=900)
