@@ -121,13 +121,18 @@ class HomologyFixture:
         form ``P``: ``P(tr=-1, tc=1)`` and ``P(tr=1, tc=-1)``.  Both equal
         the HOMFLY polynomial.  A table without ``tr`` has the one
         specialization ``P(tc=-1)`` (or ``P(t=-1)``), given as both sides."""
-        p = self.poincare
-        minus, one = LaurentPoly.const(-1), LaurentPoly.one()
+        lhs, rhs = map(LaurentPoly._wrap, self._specialized_terms())
+        return lhs, rhs
+
+    def _specialized_terms(self) -> list:
+        """The term maps of :meth:`specializations`, unwrapped, from one
+        pass over the table's exponent columns: the degrees drop the
+        ``tr``/``tc`` (or ``t``) slots, and each side's signs are the
+        parities of the exponents it sets to ``-1``."""
         if "tr" in self.gradings:
-            return (p.substitute("tr", minus).substitute("tc", one),
-                    p.substitute("tr", one).substitute("tc", minus))
-        specialization = p.substitute("tc" if "tc" in self.gradings else "t", minus)
-        return specialization, specialization
+            return self.poincare._substituted(("tr", "tc"), [("tr",), ("tc",)])
+        var = "tc" if "tc" in self.gradings else "t"
+        return self.poincare._substituted((var,), [(var,)]) * 2
 
     def homfly_specialization(self) -> LaurentPoly:
         """``P(a, q, tr=-1, tc=1)`` (or ``t=-1`` for triply-graded data)."""
@@ -149,10 +154,10 @@ def _validate(fix: HomologyFixture):
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
     if "tr" in fix.gradings or fix.homfly is not None:
-        specialization, mirrored = fix.specializations()
+        specialization, mirrored = fix._specialized_terms()
         if specialization != mirrored:
             raise FixtureError(f"{fix.name}: categorification mismatch")
-        if fix.homfly is not None and specialization != fix.homfly:
+        if fix.homfly is not None and specialization != fix.homfly.terms:
             raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 
@@ -163,6 +168,11 @@ def load_fixture(name: str) -> HomologyFixture:
         raise UnknownFixtureError(f"no fixture file for {name!r} at {path}")
     with open(path) as f:
         obj = json.load(f)
+    try:
+        poincare = LaurentPoly.from_json(obj["poincare"])
+        homfly = LaurentPoly.from_json(obj["homfly"]) if "homfly" in obj else None
+    except ValueError as err:
+        raise FixtureError(f"{name}: {err}") from err
     fix = HomologyFixture(
         name=name,
         knot=obj["knot"],
@@ -171,10 +181,9 @@ def load_fixture(name: str) -> HomologyFixture:
         S=obj["S"],
         sigma=obj["sigma"],
         gradings=tuple(obj["gradings"]),
-        poincare=LaurentPoly.from_json(obj["poincare"]),
+        poincare=poincare,
         dimension=obj.get("dimension", 0),
-        homfly=(LaurentPoly.from_json(obj["homfly"])
-                if "homfly" in obj else None),
+        homfly=homfly,
     )
     _validate(fix)
     return fix

@@ -98,13 +98,16 @@ def _exact(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _parse_exact(text: str):
-    """An exact rational from its string: ``int`` parses an integer literal
-    several times faster than ``Fraction``, which takes the rest."""
-    try:
-        return int(text)
-    except ValueError:
-        return Fraction(text)
+def _summed(degrees: list, values: list) -> dict:
+    """``values`` summed by their ``degrees``, in first-seen order, with
+    zero sums dropped: one ``dict(zip())`` when the degrees are distinct."""
+    out = dict(zip(degrees, values))
+    if len(out) < len(degrees):
+        out = {}
+        for md, c in zip(degrees, values):
+            s = out.get(md)
+            out[md] = c if s is None else s + c
+    return out if all(out.values()) else {md: c for md, c in out.items() if c}
 
 
 #: the variable of each exponent slot: entry ``i`` of a ``Multidegree`` is
@@ -384,8 +387,11 @@ def _indices(columns, strides, lows) -> list:
 
 def _degrees(columns) -> list:
     """The ``Multidegree`` of each term from its (at least one) exponent
-    columns, slot 0 first: the terms whose last exponent is zero are built
-    again from the columns before it, which trims the trailing zeros."""
+    columns, slot 0 first: trailing columns that are zero on every term are
+    dropped, and the terms whose last exponent is zero are built again from
+    the columns before it, which trims the trailing zeros."""
+    while len(columns) > 1 and not any(columns[-1]):
+        columns = columns[:-1]
     degrees = [*map(_new, repeat(Multidegree), zip(*columns))]
     if not all(columns[-1]):
         short = [*compress(count(), map(_not, columns[-1]))]
@@ -656,64 +662,52 @@ class LaurentPoly:
 
     def map_exponents(self, fn):
         """Apply ``fn: Multidegree -> Multidegree`` to every term (coefficients add)."""
-        out = {}
-        for md, c in self.terms.items():
-            md2 = fn(md)
-            s = out.get(md2)
-            if s is None:
-                out[md2] = c
-            else:
-                s += c
-                if s:
-                    out[md2] = s
-                else:
-                    del out[md2]
-        return LaurentPoly._of(out)
+        return LaurentPoly._of(_summed([*map(fn, self.terms)], [*self.terms.values()]))
 
     def substitute(self, var, image):
         """Replace ``var**e`` by ``image**e`` for a unit-monomial image.
 
         ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
-        so that exponent arithmetic stays closed.  One loop maps each term:
-        a term with ``var``-degree ``e != 0`` loses its ``var`` slot, gains
-        ``e`` times the image's degree unless that degree is zero, and
-        changes sign when the image is negative and ``e`` odd.  With a
-        constant image, ``var = +1`` or ``-1``, the map is an evaluation
-        and adds to no degree.  Coefficients are merged as ``int``
-        (``Fraction`` only where a value is not integral), and each
-        surviving sum is wrapped in a ``Fraction`` once at the end.
+        so that exponent arithmetic stays closed; with a constant image,
+        ``var = +1`` or ``-1``, the map is an evaluation.  The terms are
+        mapped by :meth:`_substituted` and wrapped once.
         """
-        image = self._coerce(image)
-        coeff, imd = image.as_monomial()
+        coeff, imd = self._coerce(image).as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
-        negate = coeff == -1
-        constant = imd.is_zero()
-        i = _INDEX.get(var, _ABSENT)
-        shifts = {}  # exponent -> imd.scale(exponent)
-        out = {}
-        for md, c in self.terms.items():
-            c = c.numerator if c.denominator == 1 else c
-            e = md[i] if i < len(md) else 0
-            if e:
-                md = md._without(var)
-                if not constant:
-                    shift = shifts.get(e)
-                    if shift is None:
-                        shift = shifts[e] = imd.scale(e)
-                    md = md + shift
-                if negate and e & 1:
-                    c = -c
-            s = out.get(md)
-            if s is None:
-                out[md] = c
-            else:
-                s += c
-                if s:
-                    out[md] = s
-                else:
-                    del out[md]
-        return LaurentPoly._wrap(out)
+        return LaurentPoly._wrap(self._substituted((var,), [(var,) * (coeff == -1)], imd)[0])
+
+    def _substituted(self, variables, sides, image=()) -> list:
+        """The term maps of this polynomial with each of ``variables``
+        replaced by the monomial of degree ``image`` (by ``+1`` when it is
+        the zero degree), one map for each entry of ``sides``: a tuple of
+        those variables, which that map replaces by minus the monomial.
+
+        The exponent columns are read once for every side.  A term whose
+        exponents in ``variables`` sum to ``e`` loses their slots and gains
+        ``e`` times ``image``, and a side's sign on it is the parity of the
+        exponents of that side's variables.  Values are summed as ``int``
+        (``Fraction`` only where a value is not integral) by
+        :func:`_summed`, and nothing is wrapped.
+        """
+        columns = _columns(self.terms, max(len(image), 1))
+        zero = (0,) * len(self.terms)
+
+        def summed(names):
+            """Each term's exponent sum over ``names``."""
+            return map(sum, zip(zero, *[columns[i] for i in _slots(names) if i < len(columns)]))
+
+        values = [c.numerator if c.denominator == 1 else c for c in self.terms.values()]
+        sided = [[-c if e & 1 else c for c, e in zip(values, summed(side))] for side in sides]
+        moved = [*summed(variables)]
+        for i in _slots(variables):
+            if i < len(columns):
+                columns[i] = zero
+        for i, k in enumerate(image):
+            if k:
+                columns[i] = [*map(_add, columns[i], map(k.__mul__, moved))]
+        degrees = _degrees(columns)
+        return [_summed(degrees, signed) for signed in sided]
 
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
@@ -859,31 +853,36 @@ class LaurentPoly:
     def from_json(cls, obj):
         """The polynomial of a :meth:`to_json` object.
 
-        Each degree is written straight into the slots of the listed
-        variables, which are registered first.  Terms of one degree are
-        summed as parsed (``int`` where integral) and wrapped once; a zero
-        sum is dropped, and a non-integral exponent raises ``ValueError``.
+        The listed variables are registered first.  Each variable's column
+        of exponents is read at once, by ``int``; the columns of a repeated
+        variable add, and :func:`_degrees` builds the degrees from the
+        columns.  Where an exponent is not an integer literal, the degrees
+        are built term by term instead, exactly, and a non-integral exponent
+        raises ``ValueError``.  The coefficients are read the same way, and
+        :func:`_summed` sums the terms of one degree, which is one
+        ``dict(zip())`` when the degrees are distinct; a zero sum is dropped,
+        and the map is wrapped once.  A term with more or fewer exponents
+        than variables raises ``ValueError``, naming the term.
         """
-        slots = [_slot(v) for v in obj["variables"]]
-        width = max(slots, default=-1) + 1
-        terms = {}
-        for t in obj["terms"]:
-            exps = [0] * width
-            for i, e in zip(slots, t["exp"]):
-                e = _parse_exact(e)
-                if type(e) is not int:
-                    if e.denominator != 1:
-                        raise ValueError(
-                            f"non-integral exponent {e} on variable {_VARS[i]!r}")
-                    e = e.numerator
-                exps[i] += e
-            while exps and not exps[-1]:
-                exps.pop()
-            md = _new(Multidegree, exps)
-            c = _parse_exact(t["coeff"])
-            s = terms.get(md)
-            terms[md] = c if s is None else s + c
-        return cls._wrap({md: c for md, c in terms.items() if c})
+        variables, terms = obj["variables"], obj["terms"]
+        exps = [*map(itemgetter("exp"), terms)]
+        for t, e in zip(terms, exps):
+            if len(e) != len(variables):
+                raise ValueError(f"term {t} does not have one exponent for each of {variables}")
+        slots = [_slot(v) for v in variables]
+        columns = [(0,) * len(terms)] * (max(slots, default=0) + 1)
+        try:
+            for i, texts in zip(slots, zip(*exps)):
+                columns[i] = [*map(_add, columns[i], map(int, texts))]
+            degrees = _degrees(columns)
+        except ValueError:  # a fraction: term by term, which checks each exponent
+            degrees = [Multidegree(zip(variables, e)) for e in exps]
+        coeffs = [*map(itemgetter("coeff"), terms)]
+        try:
+            values = [*map(int, coeffs)]
+        except ValueError:
+            values = [*map(Fraction, coeffs)]
+        return cls._wrap(_summed(degrees, values))
 
     def dumps(self, variables=None) -> str:
         return json.dumps(self.to_json(variables), separators=(",", ":"))

@@ -1,14 +1,17 @@
 import json
 import pathlib
 import runpy
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knothom.fixtures import (
     DIFFERENTIALS,
     FIXTURE_IDS,
     HOMOLOGY_FIXTURES,
     FixtureError,
+    HomologyFixture,
     fixture_name,
     from_tilde,
     load_fixture,
@@ -123,6 +126,16 @@ def _raise_one_tc(obj):
     obj["poincare"]["terms"][1]["exp"][3] = str(int(obj["poincare"]["terms"][1]["exp"][3]) + 1)
 
 
+def _raise_one_t(obj):
+    # a triply graded table: one exponent of t up by one flips that term's
+    # sign at t = -1, and only the tabled polynomial can see it
+    obj["poincare"]["terms"][1]["exp"][2] = str(int(obj["poincare"]["terms"][1]["exp"][2]) + 1)
+
+
+def _drop_one_exponent(obj):
+    del obj["poincare"]["terms"][1]["exp"][-1]
+
+
 def _double_one_homfly_coefficient(obj):
     obj["homfly"]["terms"][0]["coeff"] = str(2 * int(obj["homfly"]["terms"][0]["coeff"]))
 
@@ -132,6 +145,11 @@ def _double_one_homfly_coefficient(obj):
     # a table transcribed in the tilde gradings
     ("T3_4:S2", _raise_one_tc, "categorification mismatch"),
     ("3_1:S2", _double_one_homfly_coefficient, "specialization != tabled polynomial"),
+    ("3_1:2_1", _raise_one_t, "specialization != tabled polynomial"),
+    # a term one exponent short is refused while it is parsed, by name
+    ("3_1:S2", _drop_one_exponent,
+     r"term \{'coeff': '\d+', 'exp': \[('-?\d+', ){2}'-?\d+'\]\} does not have one exponent "
+     r"for each of \['a', 'q', 'tr', 'tc'\]"),
 ])
 def test_corrupted_table_names_the_failed_check(tmp_path, monkeypatch, name,
                                                 corrupt, message):
@@ -158,6 +176,93 @@ def test_homfly_specialization_matches_every_table():
     for name in tabled:
         fix = load_fixture(name)
         assert fix.homfly_specialization() == fix.homfly
+
+
+def substitute_chain(p, gradings):
+    """The two sides of the categorification identity as the chain of
+    ``substitute`` calls that computed them before they were read from the
+    exponent parities in one pass."""
+    minus, one = LaurentPoly.const(-1), LaurentPoly.one()
+    if "tr" in gradings:
+        return (p.substitute("tr", minus).substitute("tc", one),
+                p.substitute("tr", one).substitute("tc", minus))
+    side = p.substitute("tc" if "tc" in gradings else "t", minus)
+    return side, side
+
+
+def term_by_term(p, gradings):
+    """The same two sides, one monomial at a time through the public
+    constructors: each side sets one homological variable to -1 and the
+    others to +1."""
+    dropped = [v for v in ("tr", "tc", "t") if v in gradings]
+    negated = ["tr", "tc"] if "tr" in gradings else dropped * 2
+    sides = []
+    for minus in negated:
+        total = LaurentPoly.zero()
+        for md, c in p.terms.items():
+            sign = -1 if md.e(minus) % 2 else 1
+            kept = Multidegree({v: e for v, e in md.items() if v not in dropped})
+            total = total + LaurentPoly.monomial(sign * c, kept)
+        sides.append(total)
+    return tuple(sides)
+
+
+def _fixture_of(gradings, poincare):
+    return HomologyFixture(name="drawn", knot="drawn", color=Partition([1]), R=1, S=1,
+                           sigma=0, gradings=gradings, poincare=poincare, dimension=0)
+
+
+def assert_specializations(fix):
+    got = fix.specializations()
+    assert got == substitute_chain(fix.poincare, fix.gradings)
+    assert got == term_by_term(fix.poincare, fix.gradings)
+    # the unwrapped maps that _validate compares: the same values, no zeros
+    for terms, side in zip(fix._specialized_terms(), got):
+        assert terms == side.terms and all(terms.values())
+
+
+@pytest.mark.parametrize("name", FIXTURE_IDS)
+def test_specializations_match_the_substitute_chain(name):
+    assert_specializations(load_fixture(name))
+
+
+GRADINGS = (("a", "q", "tr", "tc"), ("a", "q", "t"), ("a", "q", "tc"))
+_COEFFS = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
+
+
+@st.composite
+def drawn_tables(draw):
+    """A polynomial in one of the tables' gradings, with ``Fraction``
+    coefficients, whose terms often cancel when specialized: each of some
+    terms gets a partner one step up in a drawn variable, with the same or
+    the opposite coefficient."""
+    gradings = draw(st.sampled_from(GRADINGS))
+    exps = st.tuples(*[st.integers(-3, 3)] * len(gradings))
+    terms = draw(st.lists(st.tuples(exps, _COEFFS), max_size=8))
+    for e, c in terms[:draw(st.integers(0, len(terms)))]:
+        k = draw(st.integers(0, len(gradings) - 1))
+        up = e[:k] + (e[k] + draw(st.sampled_from([1, 2])),) + e[k + 1:]
+        terms.append((up, c * draw(st.sampled_from([1, -1]))))
+    poincare = LaurentPoly.zero()
+    for e, c in terms:
+        poincare = poincare + LaurentPoly.monomial(c, Multidegree(zip(gradings, e)))
+    return _fixture_of(gradings, poincare)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(drawn_tables())
+def test_specializations_match_the_substitute_chain_on_drawn_tables(fix):
+    assert_specializations(fix)
+
+
+def test_specializations_cancel_to_zero():
+    # the two halves cancel at tr = -1 and add up to an integer at tc = -1
+    p = LaurentPoly({Multidegree(a=1, tr=1, tc=1): Fraction(1, 2),
+                     Multidegree(a=1, tr=2, tc=1): Fraction(1, 2)})
+    fix = _fixture_of(("a", "q", "tr", "tc"), p)
+    assert fix._specialized_terms() == [{}, {Multidegree(a=1): -1}]
+    assert_specializations(fix)
 
 
 def test_tilde_regrading_needs_divisibility():

@@ -314,6 +314,17 @@ def test_from_json_rejects_a_non_integral_exponent():
         from_json_oracle(obj)
 
 
+@pytest.mark.parametrize("exp", [("2",), ("2", "1", "0")], ids=["short", "long"])
+def test_from_json_rejects_a_term_of_the_wrong_length(exp):
+    """A term needs one exponent per variable: one more or one fewer is
+    refused, naming the term, where it used to be read short or cut."""
+    obj = _json(["a", "q"], ("1", ("1", "0")), ("1", exp))
+    message = f"term {obj['terms'][1]} does not have one exponent for each of ['a', 'q']"
+    with pytest.raises(ValueError) as err:
+        LaurentPoly.from_json(obj)
+    assert str(err.value) == message
+
+
 def test_public_exponents_and_coefficients_are_fractions():
     """Exponents are stored as ``int``, but every public reader returns ``Fraction``.
 

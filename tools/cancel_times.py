@@ -15,6 +15,11 @@ call with its stdout captured, in milliseconds.  The phases are:
 - ``sweep``: then the trefoil in L2, which the pool leaves out, at every
   n in 2, 3, 4 and cutoff in 20, 24, 30, in JSON.
 
+The host's speed drifts within a run, so each request's time is scaled by
+the calibration that the runner of ``tools/startup_times.py`` puts before
+every probe, timed in the same interpreter just before and just after the
+request (its ``timed``).  A phase is the sum of its scaled requests.
+
 Every run also hashes each request's output, and the script fails unless
 every run of both checkouts gives the same hash.  The probe runs through the
 runner of ``tools/startup_times.py``, which sets up the interpreters,
@@ -28,10 +33,10 @@ from startup_times import script
 
 PHASES = ("3x2", "pool", "sweep", "total")
 
-#: run in each fresh interpreter; prints the phase times, the output hash
-#: and where ``knothom`` was imported from
+#: run in each fresh interpreter after the runner's ``PRELUDE``; prints the
+#: phase times, the output hash and where ``knothom`` was imported from
 PROBE = """\
-import hashlib, io, json, sys, time
+import hashlib, json
 import knothom
 import knothom.cli
 LEFT_OUT = {("T3_4", "S2", 2), ("T3_4", "S2", 3), ("4_1", "S2", 3)}
@@ -47,17 +52,14 @@ phases = {"3x2": [["cancel", "--knot", "3_1", "--color", "3x2", "--cutoff", "16"
                     for cutoff in (20, 24, 30)]}
 assert len(phases["pool"]) == 26
 digest, times = hashlib.sha256(), {"file": knothom.__file__}
+warm()
 for phase, requests in phases.items():
-    outputs = []
-    start = time.perf_counter()
+    outputs, spent = [], 0.0
     for argv in requests:
-        stdout, sys.stdout = sys.stdout, io.StringIO()
-        try:
-            code = knothom.cli.main(argv)
-        finally:
-            printed, sys.stdout = sys.stdout.getvalue(), stdout
-        outputs.append((code, printed))
-    times[phase] = 1000 * (time.perf_counter() - start)
+        output, took = timed(request, argv)
+        outputs.append(output)
+        spent += took
+    times[phase] = 1000 * spent
     for code, printed in outputs:
         assert code == 0, (phase, code)
         digest.update(printed.encode())

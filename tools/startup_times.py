@@ -14,6 +14,15 @@ phases of start-up, in milliseconds:
   "--p", "2", "--q", "3", "--count"])`` with its stdout captured, which pays
   what the command line builds on first use.
 
+The host's speed drifts from run to run, so each phase is scaled as
+``bench/run.py`` scales its ``setup_s``: once the phases are timed, the
+probe warms and then times the calibration of ``bench/worker.py`` (a fixed
+sparse product of ``Fraction`` maps, copied into :data:`PRELUDE`) three
+times, and every phase is scaled to the speed at which one calibration
+takes ``CALIBRATION_REF_S`` (1.5 ms) by the median of those three.  The
+calibration runs only after the phases, so that its ``fractions`` import
+does not leave the ``import`` phase.
+
 The interpreters are set up as ``bench/run.py`` sets up its workers:
 ``PYTHONHASHSEED=0``, ``PYTHONPATH`` the checkout's ``src``, bytecode cached
 under one ``PYTHONPYCACHEPREFIX`` (a temporary directory, filled by one
@@ -23,8 +32,9 @@ starts first in even pairs and the change in odd ones, so that a drift in
 host speed favours neither side.  The script prints one JSON object: each
 side's median and quartiles of every phase and of their total, and in how
 many pairs the change was faster.  Give the same directory twice to check
-that the script runs.  ``tools/torus_times.py`` runs its own probe through
-the same runner (:func:`main`).
+that the script runs.  ``tools/torus_times.py``, ``tools/cancel_times.py``
+and ``tools/scheme_times.py`` run their own probes through the same runner
+(:func:`main`), which puts :data:`PRELUDE` before every probe.
 """
 
 import argparse
@@ -40,35 +50,89 @@ import tempfile
 SIDES = ("parent", "change")
 PHASES = ("import", "parse", "validate", "request", "total")
 
-#: run in each fresh interpreter; prints the phase times and where
-#: ``knothom`` was imported from (``io`` is loaded with the interpreter)
-PROBE = """\
+#: put before every probe: the calibration of ``bench/worker.py``, copied
+#: (``fractions`` is imported on its first call, not here), two ways to
+#: scale a time by it to the speed at which one calibration takes
+#: ``CALIBRATION_REF_S`` (``speed`` for times already taken, ``timed`` for a
+#: call timed between two calibrations), and ``request``, one CLI call
+PRELUDE = """\
 import io, sys, time
+CALIBRATION_REF_S = 0.0015
+def calibrate():
+    from fractions import Fraction
+    a = {(i, i % 3): Fraction(i + 1, 2 * i + 3) for i in range(20)}
+    b = {(i, i % 2): Fraction(3 - i, i + 5) for i in range(20)}
+    out = {}
+    for k2, c2 in b.items():
+        for k1, c1 in a.items():
+            k = (k1[0] + k2[0], k1[1] + k2[1])
+            s = out.get(k, Fraction(0)) + c1 * c2
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+def calibration():
+    start = time.perf_counter()
+    calibrate()
+    return time.perf_counter() - start
+def warm():
+    \"\"\"Three untimed calibrations, which specialise its bytecode.\"\"\"
+    for _ in range(3):
+        calibrate()
+def speed():
+    \"\"\"The factor that scales a time just taken to the reference speed,
+    by the median of three calibrations after :func:`warm`, as
+    ``bench/run.py`` scales ``setup_s``.\"\"\"
+    warm()
+    return CALIBRATION_REF_S / sorted(calibration() for _ in range(3))[1]
+def timed(run, *args):
+    \"\"\"``run(*args)`` and its time in seconds at the reference speed, by
+    the mean of the calibrations timed just before and just after it.\"\"\"
+    before = calibration()
+    start = time.perf_counter()
+    result = run(*args)
+    took = time.perf_counter() - start
+    return result, took * CALIBRATION_REF_S / ((before + calibration()) / 2)
+def request(argv):
+    \"\"\"``knothom.cli.main(argv)`` with its stdout captured: the exit code
+    and what it printed.\"\"\"
+    import knothom.cli
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        code = knothom.cli.main(argv)
+    finally:
+        printed, sys.stdout = sys.stdout.getvalue(), stdout
+    return code, printed
+"""
+
+#: run in each fresh interpreter after :data:`PRELUDE`; prints the phase
+#: times and where ``knothom`` was imported from (``io`` and ``sys`` are
+#: loaded with the interpreter)
+PROBE = """\
 start = time.perf_counter()
 import knothom
 import knothom.cli
 imported = time.perf_counter()
 from knothom import fixtures
 validate, spent = fixtures._validate, []
-def timed(fix):
+def timed_validate(fix):
     t = time.perf_counter()
     validate(fix)
     spent.append(time.perf_counter() - t)
-fixtures._validate = timed
+fixtures._validate = timed_validate
 for name in fixtures.FIXTURE_IDS:
     fixtures.load_fixture(name)
 loaded = time.perf_counter()
-stdout, sys.stdout = sys.stdout, io.StringIO()
-code = knothom.cli.main(["bottom", "--p", "2", "--q", "3", "--count"])
+code, printed = request(["bottom", "--p", "2", "--q", "3", "--count"])
 answered = time.perf_counter()
-printed, sys.stdout = sys.stdout.getvalue(), stdout
 assert code == 0 and printed == "2\\n", (code, printed)
+ms = 1000 * speed()
+validated = ms * sum(spent)
 import json
-ms = 1000 * sum(spent)
-print(json.dumps({"file": knothom.__file__, "import": 1000 * (imported - start),
-                  "parse": 1000 * (loaded - imported) - ms, "validate": ms,
-                  "request": 1000 * (answered - loaded),
-                  "total": 1000 * (answered - start)}))
+print(json.dumps({"file": knothom.__file__, "import": ms * (imported - start),
+                  "parse": ms * (loaded - imported) - validated, "validate": validated,
+                  "request": ms * (answered - loaded),
+                  "total": ms * (answered - start)}))
 """
 
 
@@ -83,7 +147,7 @@ def probe_env(checkout, pycache):
 def run_once(checkout, pycache, probe, timeout):
     """Run ``probe`` in a fresh interpreter on ``checkout`` and return the
     JSON object it prints, less its ``file``."""
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=checkout,
+    proc = subprocess.run([sys.executable, "-c", PRELUDE + probe], cwd=checkout,
                           capture_output=True, text=True, timeout=timeout,
                           env=probe_env(checkout, pycache))
     if proc.returncode != 0:

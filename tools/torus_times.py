@@ -12,6 +12,11 @@ milliseconds:
   torus knots of the benchmark's ``torus-table`` pool, T(2,3), T(2,5),
   T(2,7), T(2,9), T(3,4), T(3,5), T(3,7) and T(4,5), 56 calls.
 
+The host's speed drifts within a run, so each call's time is scaled by
+the calibration that the runner of ``tools/startup_times.py`` puts before
+every probe, timed in the same interpreter just before and just after the
+call (its ``timed``).  A phase is the sum of its scaled calls.
+
 Every run also hashes its outputs (each invariant's canonical JSON and its
 normalization report), and the script fails unless every run of both
 checkouts gives the same hash.  The probe runs through the runner of
@@ -25,10 +30,10 @@ from startup_times import script
 
 PHASES = ("S4-T3,4", "S3-T4,5", "pool", "total")
 
-#: run in each fresh interpreter; prints the phase times, the output hash
-#: and where ``knothom`` was imported from
+#: run in each fresh interpreter after the runner's ``PRELUDE``; prints the
+#: phase times, the output hash and where ``knothom`` was imported from
 PROBE = """\
-import hashlib, json, time
+import hashlib, json
 import knothom
 from knothom.invariants import torus_homfly
 from knothom.partitions import partitions_of
@@ -37,12 +42,14 @@ phases = {"S4-T3,4": [((4,), 3, 4)], "S3-T4,5": [((3,), 4, 5)],
           "pool": [(lam, n, m) for n, m in KNOTS for size in range(1, 8 // n + 1)
                    for lam in partitions_of(size)]}
 digest, times = hashlib.sha256(), {"file": knothom.__file__}
+warm()
 for phase, cases in phases.items():
-    outputs = []
-    start = time.perf_counter()
+    outputs, spent = [], 0.0
     for lam, n, m in cases:
-        outputs.append(torus_homfly(list(lam), n, m))
-    times[phase] = 1000 * (time.perf_counter() - start)
+        output, took = timed(torus_homfly, list(lam), n, m)
+        outputs.append(output)
+        spent += took
+    times[phase] = 1000 * spent
     for quotient, report in outputs:
         digest.update(json.dumps([quotient.dumps(), report.sign, report.sl1,
                                   str(report.fractional_offset),
