@@ -34,7 +34,7 @@ at index ``i*L_q + j - q_lo``, for a stride of ``B`` per power of ``q`` and
 ``B*L_q`` per power of ``a``, where ``[q_lo, q_lo + L_q)`` holds every ``q``
 exponent of every term.  Each factor is then one shift and one subtraction,
 done in C, and the integer is unpacked once, by the signed-slot codec of
-:mod:`knothom.laurent` that exact division also uses.  ``B`` is the least
+:mod:`knothom.kronecker` that exact division also uses.  ``B`` is the least
 multiple of 8 with
 
     sum_mu |c_mu| * 2^(cells(mu) + sum_k e_k) < 2^(B-1),
@@ -52,13 +52,13 @@ from functools import cache
 from math import gcd
 
 from .errors import UsageError
+from .kronecker import _slot_bits, _unpack
 from .laurent import (
     DivisionError,
     LaurentPoly,
     Multidegree,
     RationalSeries,
-    _slot_bits,
-    _unpack,
+    _Carried,
 )
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
@@ -196,18 +196,21 @@ def _torus_sum(lam: Partition, n: int, m: int):
     to ``total / prod_k (1 - q^k)^common[k]`` times ``q^offset``, where
     ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
     weight and ``total`` is the polynomial numerator of the module
-    docstring, built packed and unpacked once.  Weights with distinct
-    fractional offsets raise ``ValueError``.  The framing ``m`` enters
-    only through the weights: the plethysm coefficients, ``kappa``,
-    ``n_stat``, contents and binomials of every ``mu``, and ``common``,
-    come from the memo of :func:`_torus_terms` per ``(lam, n)``, and each
-    call gets a fresh ``common``.
+    docstring, built packed and unpacked once.  ``total`` is carried as its
+    unpacked ``q`` and ``a`` exponent columns and ``int`` coefficients
+    (``laurent._Carried``): the first exact division reads those columns,
+    and the ``Fraction`` term map is built only if ``terms`` is read.
+    Weights with distinct fractional offsets raise ``ValueError``.  The
+    framing ``m`` enters only through the weights: the plethysm
+    coefficients, ``kappa``, ``n_stat``, contents and binomials of every
+    ``mu``, and ``common``, come from the memo of :func:`_torus_terms` per
+    ``(lam, n)``, and each call gets a fresh ``common``.
     """
     packed, (bits, q_lo, q_len), common, offset = _packed_torus_sum(lam, n, m)
     indices, values = _unpack(packed, bits)
     a_exps = [*map(q_len.__rfloordiv__, indices)]
     q_exps = [*map(q_lo.__add__, map(q_len.__rmod__, indices))]
-    return LaurentPoly._from_aq(a_exps, q_exps, values), common, offset
+    return _Carried([q_exps, a_exps], values), common, offset
 
 
 def _one_minus(md: Multidegree) -> LaurentPoly:
@@ -259,6 +262,13 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     :class:`DivisionError`.  The quotient at ``a = q`` is read in one pass
     that sums its integer coefficients by ``a``- plus ``q``-exponent; the
     shift and sign apply when exactly one sum survives and it is ``+-1``.
+
+    No term map is built here.  The numerator is handed to the first
+    division as exponent columns, each division hands its quotient to the
+    next as columns (see :meth:`LaurentPoly.divide_exact`), and the
+    normalisation reads and shifts the last quotient's columns.  The
+    returned polynomial builds its ``Fraction`` term map once, when its
+    ``terms`` are first read.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
@@ -282,19 +292,20 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
             quotient = quotient.divide_exact(factor)
     except DivisionError as exc:
         raise DivisionError("non-polynomial reduced quotient") from exc
-    # P(a=q, q): the quotient is in a and q alone, so the entries of a
-    # degree sum to its a- plus q-exponent; its coefficients are integers
+    # P(a=q, q): the quotient is in a and q alone, so a term's exponent
+    # columns sum to its a- plus q-exponent; its coefficients are integers,
+    # since every divisor is 1 - x^k
+    columns, _, values = quotient._columnar()
     sums = {}
-    for md, c in quotient.terms.items():
-        d = sum(md)
-        sums[d] = sums.get(d, 0) + c.numerator
+    for d, c in zip(map(sum, zip(*columns)), values):
+        sums[d] = sums.get(d, 0) + c
     at_sl1 = [(d, c) for d, c in sums.items() if c]
     if len(at_sl1) == 1 and at_sl1[0][1] in (1, -1):
         ((d, sign),) = at_sl1
         shift = Multidegree(q=-d)
-        # one pass: a shift is one-to-one, so no two terms meet
-        quotient = LaurentPoly._of({md + shift: c if sign > 0 else -c
-                                    for md, c in quotient.terms.items()})
+        # the q column moves: a shift is one-to-one, so no two terms meet
+        quotient = _Carried([[*map((-d).__add__, columns[0])], *columns[1:]],
+                            values if sign > 0 else [-c for c in values])
         report.sign = sign
         report.monomial_shift = shift
         report.sl1 = True

@@ -20,11 +20,14 @@ a common width per point of the dividend's exponent box, and one ``divmod``
 divides them.  The quotient is unpacked once and certified before it is
 returned.  Its cost therefore scales with the dividend's exponent box, the
 product of its degree spans plus one, not with its number of terms.  The
-signed-slot codec (``_pack``, ``_unpack``) is shared with the packed
-plethysm sum of :mod:`knothom.invariants`.  It runs one exponent slot (a
-column of every term's exponents) at a time, in C-level ``map`` and
-``compress`` calls: terms are numbered, and degrees decoded, column by
-column, and ``_unpack`` gives the nonzero slots as two lists.
+signed-slot codec (``_pack``, ``_unpack``) is :mod:`knothom.kronecker`,
+which the packed plethysm sum of :mod:`knothom.invariants` shares.
+Division runs one exponent slot (a column of every term's exponents) at a
+time, in C-level ``map`` and ``compress`` calls: terms are numbered, and
+degrees decoded, column by column, and ``_unpack`` gives the nonzero slots
+as two lists.  An integral quotient is handed on in those columns, with
+its ``int`` coefficients (``_Carried``), so that the next division of a
+chain reads them as they are; its term map is built when first read.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -64,6 +67,8 @@ from itertools import accumulate, compress, count, repeat, zip_longest
 from math import factorial, floor, gcd, isqrt, lcm
 from operator import (add as _add, itemgetter, mul as _mul, neg as _neg, not_ as _not,
                       sub as _sub)
+
+from .kronecker import _pack, _slot_bits, _unpack
 
 _new = tuple.__new__
 
@@ -301,74 +306,6 @@ class DivisionError(ArithmeticError):
     """Raised when an exact polynomial division has a nonzero remainder."""
 
 
-# -- signed-slot integer codec (Kronecker substitution) --------------------------
-
-
-def _slot_bits(bound: int) -> int:
-    """The least multiple of 8 with ``bound < 2^(bits-1)``: a signed slot of
-    that many bits holds every integer of absolute value at most ``bound``."""
-    return -(-(bound.bit_length() + 1) // 8) * 8
-
-
-#: the ``memoryview`` format of an unsigned slot of each byte width that has
-#: one; it reads slots in place only where the machine is little-endian, as
-#: the byte order of a packed integer is
-_UNSIGNED = {memoryview(bytes(8)).cast(code).itemsize: code
-             for code in "BHIQ"} if sys.byteorder == "little" else {}
-
-
-def _pack(indices, values, bits: int, slots: int) -> int:
-    """``sum c * 2^(bits*index)`` over ``zip(indices, values)``, with distinct
-    indices in ``range(slots)`` and ``|c| < 2^(bits-1)``.
-
-    Each slot is written as the unsigned digit ``c + 2^(bits-1)`` of base
-    ``2^bits``, which never borrows from its neighbour, into one byte buffer;
-    one ``from_bytes`` call reads the buffer, and subtracting the digit
-    ``2^(bits-1)`` from every slot restores the signs.
-    """
-    width = bits // 8
-    half = 1 << (bits - 1)
-    zero = half.to_bytes(width, "little")
-    raw = bytearray(zero * slots)
-    code = _UNSIGNED.get(width)
-    if code:
-        view = memoryview(raw).cast(code)
-        # an empty deque drains the map: one store per term, in C
-        deque(map(view.__setitem__, indices, map(half.__add__, values)), 0)
-        view.release()
-    else:
-        for index, c in zip(indices, values):
-            at = index * width
-            raw[at:at + width] = (c + half).to_bytes(width, "little")
-    return int.from_bytes(raw, "little") - int.from_bytes(zero * slots, "little")
-
-
-def _unpack(packed: int, bits: int) -> tuple:
-    """``(indices, values)``: the indices, ascending, of the nonzero signed
-    digits of ``packed`` in base ``2^bits``, each in ``[-2^(bits-1),
-    2^(bits-1))``, and those digits, as two lists.
-
-    Every integer has exactly one such expansion, and it fits in the slots
-    counted below; when ``packed`` came from :func:`_pack` it gives back the
-    packed indices and values.  Adding ``2^(bits-1)`` to every slot makes
-    each digit unsigned, so one ``to_bytes`` call splits the whole integer.
-    """
-    width = bits // 8
-    # |packed| < 2^(bits*slots - 2), inside the range of signed digits
-    slots = (abs(packed).bit_length() + 1) // bits + 1
-    half = 1 << (bits - 1)
-    raw = (packed + int.from_bytes(half.to_bytes(width, "little") * slots,
-                                   "little")).to_bytes(slots * width, "little")
-    code = _UNSIGNED.get(width)
-    if code:
-        digits = memoryview(raw).cast(code)
-    else:
-        digits = [int.from_bytes(raw[at:at + width], "little")
-                  for at in range(0, slots * width, width)]
-    signed = [*map(half.__rsub__, digits)]
-    return [*compress(count(), signed)], [*compress(signed, signed)]
-
-
 def _columns(terms, n: int) -> list:
     """The exponents of the degrees of ``terms`` slot by slot: ``n`` tuples,
     entry ``k`` of tuple ``i`` the exponent of term ``k`` in slot ``i``."""
@@ -487,14 +424,6 @@ class LaurentPoly:
         every ``int`` a ``Fraction`` (a shared one when small)."""
         return cls._of(dict(zip(values, _fractions(values.values()))))
 
-    @classmethod
-    def _from_aq(cls, a_exps, q_exps, values):
-        """The polynomial ``sum c * a^i * q^j`` over the entries ``i``, ``j``,
-        ``c`` of three ``int`` lists, with distinct ``(i, j)`` and nonzero
-        ``c``.  The degrees are built from the two lists as exponent columns:
-        ``q`` and ``a`` hold slots 0 and 1 from import on."""
-        return cls._of(dict(zip(_degrees([q_exps, a_exps]), _fractions(values))))
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -552,6 +481,13 @@ class LaurentPoly:
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
+
+    def _columnar(self) -> tuple:
+        """``(columns, den, ints)``: the exponent columns of the terms (at
+        least one), their least common denominator, and the ``int``
+        coefficients of ``den`` times the polynomial, in term order."""
+        terms = self.terms
+        return (_columns(terms, 1), *_integral(terms))
 
     def _exponents(self, var):
         """The stored exponents of ``var`` over all terms, in term order."""
@@ -764,18 +700,27 @@ class LaurentPoly:
           inexact.
 
         The cost scales with the dividend's exponent box, the product of its
-        degree spans plus one, not with its number of terms.  Every
-        coefficient of the quotient is a ``Fraction``, from ``_SMALL`` when
-        it is a small integer.
+        degree spans plus one, not with its number of terms.
+
+        - **Columns in, columns out.**  The dividend is read as exponent
+          columns and ``int`` values (``_columnar``).  An integral quotient
+          is returned as it is decoded, a ``_Carried`` polynomial of those
+          columns and values, so the next division of a chain reads them
+          as they are; its term map is built when ``terms`` is first read.
+          A quotient with a non-integral coefficient is built at once.
+          Either way, every coefficient read from ``terms`` is a
+          ``Fraction``, from ``_SMALL`` when it is a small integer.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
+        f_cols, f_den, f_ints = self._columnar()
+        if not f_ints:
             return LaurentPoly.zero()
-        f, g = self.terms, divisor.terms
-        n = max(1, *map(len, f), *map(len, g))
-        f_cols, g_cols = _columns(f, n), _columns(g, n)
+        g = divisor.terms
+        n = max(len(f_cols), *map(len, g))
+        f_cols = f_cols + [(0,) * len(f_ints)] * (n - len(f_cols))
+        g_cols = _columns(g, n)
         f_lo, f_hi = [*map(min, f_cols)], [*map(max, f_cols)]
         g_lo, g_hi = [*map(min, g_cols)], [*map(max, g_cols)]
         strides, dims = [], []
@@ -790,7 +735,6 @@ class LaurentPoly:
             slots *= radix
         f_index = _indices(f_cols, strides, f_lo)
         g_index = _indices(g_cols, strides, g_lo)
-        f_den, f_ints = _integral(f)
         g_ints = [*_primitive(g).values()]
         g_norm = sum(map(abs, g_ints))
         bits = _slot_bits(max(map(abs, f_ints)) * g_norm)
@@ -828,9 +772,10 @@ class LaurentPoly:
         # g is g_ints times lead/g_ints[0], lead its first coefficient
         lead = next(iter(g.values()))
         num, den = g_ints[0] * lead.denominator, f_den * lead.numerator
-        values = _fractions(values) if num == den else [
-            Fraction(c * num, den) for c in values]
-        return LaurentPoly._of(dict(zip(_degrees(columns), values)))
+        if num == den:
+            return _Carried(columns, values)
+        return LaurentPoly._of(dict(zip(_degrees(columns),
+                                        [Fraction(c * num, den) for c in values])))
 
     # -- serialization ------------------------------------------------------
 
@@ -914,6 +859,49 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
+
+
+# -- carried quotients ---------------------------------------------------------
+
+#: the ``terms`` slot of every ``LaurentPoly``
+_TERMS = LaurentPoly.terms
+
+
+class _Carried(LaurentPoly):
+    """A polynomial with ``int`` coefficients, carried as the exponent
+    columns and values in which :meth:`LaurentPoly.divide_exact` and the
+    packed plethysm sum of :mod:`knothom.invariants` decode it.
+
+    A division reads the columns of its dividend (``_columnar``); the term
+    map of ``Multidegree`` to ``Fraction`` is built on the first read of
+    ``terms`` and kept in the slot that every ``LaurentPoly`` has.  So a
+    chain of divisions builds no map but the last, when it is read.
+    """
+
+    __slots__ = ("_cols", "_ints")
+
+    def __init__(self, columns, ints):
+        """``columns`` holds at least one exponent column, slot 0 first, and
+        ``ints`` the nonzero coefficients, term by term, of distinct degrees."""
+        self._cols, self._ints = columns, ints
+
+    @property
+    def terms(self):
+        """The term map, built and kept in the base slot on first read."""
+        try:
+            return _TERMS.__get__(self)
+        except AttributeError:
+            terms = dict(zip(_degrees(self._cols), _fractions(self._ints)))
+            _TERMS.__set__(self, terms)
+            return terms
+
+    def _columnar(self) -> tuple:
+        return self._cols, 1, self._ints
+
+    def __reduce__(self):
+        # ``terms`` has no setter to restore a slot with: pickle the plain
+        # polynomial, which compares, hashes and prints the same
+        return LaurentPoly._of, (self.terms,)
 
 
 # -- parsing ------------------------------------------------------------------

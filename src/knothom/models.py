@@ -1119,6 +1119,13 @@ def universal_pair_homology(pres: GradedPresentation, x: str, y: str,
 
     This is the universal column-removing differential on a two-generator
     block; its homology is the free algebra on ``x^2`` and ``xi_x xi_y``.
+    On a monomial ``x^a * y^b * omega``, with ``omega`` its odd factors, the
+    differential is ``d(x^a y^b) * omega + (-1)^a * x^a y^b * d(omega)``.
+    The sign ``(-1)^a`` makes it square to zero: ``d(x^a y^b)`` is nonzero
+    only for odd ``a`` and has ``x``-exponent ``a - 1``, so on
+    ``x^a y^b * omega`` the two paths to ``x^(a-1) y^(b+1) * d(omega)``
+    carry the signs ``(-1)^(a-1)`` and ``(-1)^a`` and cancel.  Without it,
+    ``d(d(x*xi_x)) = 4*y*xi_y``.
     """
     delta = pres.generator(y).degree - pres.generator(x).degree
     if delta != pres.generator(xi_y).degree - pres.generator(xi_x).degree:
@@ -1129,12 +1136,11 @@ def universal_pair_homology(pres: GradedPresentation, x: str, y: str,
     bit_x, bit_y = space.odd_bit[xi_x], space.odd_bit[xi_y]
 
     def row(key):
-        out = {}
-        if space.decode(key)[0].get(x, 0) % 2:
-            out[key + step] = 2
+        odd = space.decode(key)[0].get(x, 0) % 2
+        out = {key + step: 2} if odd else {}
         mask = space.mask(key)
         if mask & bit_x and not mask & bit_y:
-            out[key + bit_x - bit_y] = space.sign(mask, bit_x)
+            out[key + bit_x - bit_y] = (-1) ** odd * space.sign(mask, bit_x)
         return out
 
     return _block_homology(pres, space, row, delta, cutoff)

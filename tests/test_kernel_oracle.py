@@ -373,6 +373,98 @@ def test_divide_exact_packed_image_divides(f, g):
         f.divide_exact(g)
 
 
+def carried(p: LaurentPoly, pad=0):
+    """``p``, with integral coefficients, as a carried polynomial: its
+    exponent columns and ``int`` values, as a division hands its quotient
+    to the next, with ``pad`` more columns that are zero on every term."""
+    columns, den, ints = p._columnar()
+    assert den == 1
+    return laurent._Carried([*columns] + [(0,) * len(ints)] * pad, ints)
+
+
+def assert_same_poly(ours: LaurentPoly, eager: LaurentPoly):
+    """Equal term maps of ``Fraction`` values, canonical JSON, ``==`` both
+    ways, and hash."""
+    assert ours.terms == eager.terms
+    assert all(type(c) is Fraction for c in ours.terms.values())
+    assert all(type(x) is int and x for md in ours.terms for x in md[-1:])
+    assert ours.to_json() == eager.to_json()
+    assert ours == eager and eager == ours
+    assert hash(ours) == hash(eager)
+
+
+@oracle(60)
+@given(polys(max_terms=3, c=whole), binomial_factors(whole), st.integers(0, 2),
+       st.sampled_from([None, Fraction(1, 2), Fraction(-2, 3), 3]), st.data())
+def test_carried_chain_matches_eager_copies(cofactor, factors, pad, scale, data):
+    """A chain of divisions on a carried dividend, each quotient handed on
+    unread, against the same chain on plain copies (``LaurentPoly(q.terms)``)
+    between steps.  Exponents run negative, the dividend may carry trailing
+    zero columns (an ``a``-degree that is 0 on every row), one divisor may
+    be scaled by a rational (a non-integral quotient is built at once), and
+    the zero dividend is drawn too.  Every quotient matches, and survives
+    ``pickle``."""
+    dividend = cofactor * multiply_all(factors)
+    divisors = list(factors)
+    if scale is not None:
+        divisors[data.draw(st.integers(0, len(factors) - 1))] *= scale
+    order = data.draw(st.permutations(range(len(factors))))
+    ours, chain = [carried(dividend, pad)], []
+    for i in order:
+        ours.append(ours[-1].divide_exact(divisors[i]))
+    eager = LaurentPoly(dividend.terms)
+    for i in order:
+        eager = LaurentPoly(eager.divide_exact(divisors[i]).terms)
+        chain.append(eager)
+    if scale is None and not cofactor.is_zero():  # handed on as columns
+        assert all(type(q) is laurent._Carried for q in ours[1:])
+    assert_same_poly(ours[0], dividend)
+    for quotient, want in zip(ours[1:], chain):
+        assert_same_poly(quotient, want)
+        assert pickle.loads(pickle.dumps(quotient)) == want
+    assert ours[-1] == cofactor / (scale or 1)
+
+
+@pytest.mark.parametrize("f, g, message", [
+    ("1 + q", "1 - q^3", "no exact quotient: empty box on 'q'"),
+    ("1 + q^2", "1 + q", "no exact quotient"),  # a nonzero remainder
+    ("a + q", "q + 1", "no exact quotient"),  # a digit outside the quotient box
+    ("t - a", "1 - a", "no exact quotient"),
+])
+@pytest.mark.parametrize("pad", [0, 2])
+def test_carried_dividend_raises_as_eager(f, g, message, pad):
+    """Each way an inexact division is refused, from a carried dividend (with
+    and without trailing zero columns), raises the error the plain dividend
+    raises.  ``(a + q) / (q + 1)`` packs to ``(X^2 + X) / (X + 1)``, which
+    divides, and fails on the digit outside the box (see
+    ``test_divide_exact_packed_image_divides``)."""
+    f, g = parse_poly(f), parse_poly(g)
+    for dividend in (f, carried(f, pad)):
+        with pytest.raises(DivisionError) as err:
+            dividend.divide_exact(g)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_divisor_past_the_dividend_slots(pad):
+    """A divisor whose degrees reach slots past the dividend's last one:
+    ``(1 - q) / (t - q*t)`` is ``t^-1``, plain or carried, and the
+    dividend's columns are padded with zeros to the divisor's slots."""
+    f, g = parse_poly("1 - q"), parse_poly("t - q*t")
+    for dividend in (f, carried(f, pad)):
+        assert_same_poly(dividend.divide_exact(g), parse_poly("t^-1"))
+
+
+def test_carried_zero_dividend():
+    """A carried zero divides to the plain zero, and by zero it raises."""
+    zero = laurent._Carried([[], []], [])
+    assert zero.is_zero() and zero == 0 and hash(zero) == hash(0)
+    quotient = zero.divide_exact(parse_poly("1 - q"))
+    assert quotient.terms == {} and type(quotient) is LaurentPoly
+    with pytest.raises(ZeroDivisionError):
+        zero.divide_exact(LaurentPoly.zero())
+
+
 def trimmed(exps) -> tuple:
     """``exps`` without its trailing zeros."""
     exps = list(exps)
@@ -416,8 +508,9 @@ EDGE_COEFFS = [1, -1, 128, -128, 129, -129, 2 ** 70, -(3 ** 50), Fraction(1, 3),
 @pytest.mark.parametrize("c", EDGE_COEFFS, ids=str)
 def test_every_coefficient_is_a_fraction(c):
     """Mul, scaling, exact division, substitution, ``from_json`` and the
-    packed plethysm sum's ``_from_aq`` wrap ``int`` coefficients in ``Fraction``,
-    from the shared table where they are small: every coefficient they give
+    carried columns of the packed plethysm sum (``_Carried``) wrap ``int``
+    coefficients in ``Fraction``, from the shared table where they are
+    small, when ``terms`` is read: every coefficient they give
     is ``type(c) is Fraction``, of the right value, also outside the table
     and where it is not integral.  A ``float`` is still refused."""
     f = LaurentPoly({Multidegree(a=1, q=-2): c, Multidegree(q=3): 2 * c,
@@ -441,8 +534,8 @@ def test_every_coefficient_is_a_fraction(c):
         if s:
             results[f"f / {s}"] = (f / s, (f * LaurentPoly.const(1 / Fraction(s))).terms)
     if type(c) is int:
-        results["_from_aq"] = (LaurentPoly._from_aq([0, 1, 2, 0], [0, -1, 3, 5],
-                                                    [c, -c, 3 * c, 1]),
+        results["_Carried"] = (laurent._Carried([[0, -1, 3, 5], [0, 1, 2, 0]],
+                                                [c, -c, 3 * c, 1]),
                                {Multidegree(): c, Multidegree(a=1, q=-1): -c,
                                 Multidegree(a=2, q=3): 3 * c, Multidegree(q=5): 1})
     for name, (p, terms) in results.items():

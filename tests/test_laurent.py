@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from knothom.invariants import torus_homfly
 from knothom.laurent import (
     DivisionError,
     LaurentPoly,
@@ -330,16 +331,25 @@ def test_public_exponents_and_coefficients_are_fractions():
 
     Callers divide these values: ``bench/verify.py`` divides two leading
     coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``).  An
-    ``int`` there would silently turn into a ``float``.
+    ``int`` there would silently turn into a ``float``.  A quotient that a
+    division hands on as exponent columns, unread, and a ``torus_homfly``
+    result read the same.
     """
     md = Multidegree(a=2, q=-1)
     f = P("3*a^2*q^-1 - q^4*t + 2")
     g = P("1 - q")
     half = f / 2  # coefficients 3/2, -1/2 and 1
+    carried = (f * g * g).divide_exact(g).divide_exact(g)
+    homfly = torus_homfly([2, 1], 3, 4)[0]
     readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
                f.min_degree("q"), f.max_degree("q"), *f.degrees("q"),
                f.dimension(), half.dimension()]
+    for p in (carried, homfly):
+        readers += [p.min_degree("a"), p.max_degree("q"), *p.degrees("a"),
+                    p.dimension(), p.coefficient_sum(),
+                    *[m.e(v) for m in p.terms for v in ("a", "q")]]
     assert all(type(x) is Fraction for x in readers)
+    assert carried == f
     assert (f.dimension(), half.dimension()) == (6, 3)
     assert (half - 1).dimension() == 2 and (g / 4).dimension() == Fraction(1, 2)
     results = [
@@ -354,6 +364,7 @@ def test_public_exponents_and_coefficients_are_fractions():
         RationalSeries(f, (Multidegree(q=1, t=1), Multidegree(q=2)), "q", 3).expand(),
         RationalSeries(half, (), "q", 3).expand(),
         RationalSeries(half, (Multidegree(q=1, a=-1),), "q", 3).expand(),
+        carried, homfly,
     ]
     for p in results:
         assert p.terms and all(type(c) is Fraction for c in p.terms.values())

@@ -51,16 +51,12 @@ phases = {"3x2": [["cancel", "--knot", "3_1", "--color", "3x2", "--cutoff", "16"
           "sweep": [cancel("3_1", "L2", n, cutoff) for n in (2, 3, 4)
                     for cutoff in (20, 24, 30)]}
 assert len(phases["pool"]) == 26
-digest, times = hashlib.sha256(), {"file": knothom.__file__}
+digest = hashlib.sha256()
 warm()
-for phase, requests in phases.items():
-    outputs, spent = [], 0.0
-    for argv in requests:
-        output, took = timed(request, argv)
-        outputs.append(output)
-        spent += took
-    times[phase] = 1000 * spent
-    for code, printed in outputs:
+times, outputs = phased(phases, request)
+times["file"] = knothom.__file__
+for phase in phases:
+    for code, printed in outputs[phase]:
         assert code == 0, (phase, code)
         digest.update(printed.encode())
 times["total"] = sum(times[phase] for phase in phases)

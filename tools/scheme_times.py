@@ -53,16 +53,12 @@ phases = {"M(3,4,3)": [scheme(3, 4, 3, True)], "M(4,5,2)": [scheme(4, 5, 2, True
                         + [["potential", "--antisym", a, "--format", "json"]
                            for a in ("1,3", "2,3", "2,4", "3,5")]
                         + [["check", "potentials", "--format", "json"]]}
-digest, times = hashlib.sha256(), {"file": knothom.__file__}
+digest = hashlib.sha256()
 warm()
-for phase, requests in phases.items():
-    outputs, spent = [], 0.0
-    for argv in requests:
-        output, took = timed(request, argv)
-        outputs.append(output)
-        spent += took
-    times[phase] = 1000 * spent
-    for code, printed in outputs:
+times, outputs = phased(phases, request)
+times["file"] = knothom.__file__
+for phase in phases:
+    for code, printed in outputs[phase]:
         assert code == 0, (phase, code)
         digest.update(printed.encode())
 times["total"] = sum(times[phase] for phase in phases)

@@ -34,7 +34,9 @@ side's median and quartiles of every phase and of their total, and in how
 many pairs the change was faster.  Give the same directory twice to check
 that the script runs.  ``tools/torus_times.py``, ``tools/cancel_times.py``
 and ``tools/scheme_times.py`` run their own probes through the same runner
-(:func:`main`), which puts :data:`PRELUDE` before every probe.
+(:func:`main`), which puts :data:`PRELUDE` before every probe.  They time
+their phases with its ``phased``, which runs a full garbage collection,
+untimed, before each phase.
 """
 
 import argparse
@@ -54,9 +56,11 @@ PHASES = ("import", "parse", "validate", "request", "total")
 #: (``fractions`` is imported on its first call, not here), two ways to
 #: scale a time by it to the speed at which one calibration takes
 #: ``CALIBRATION_REF_S`` (``speed`` for times already taken, ``timed`` for a
-#: call timed between two calibrations), and ``request``, one CLI call
+#: call timed between two calibrations), ``phased``, which times the calls
+#: of each phase after a full garbage collection, and ``request``, one CLI
+#: call
 PRELUDE = """\
-import io, sys, time
+import gc, io, sys, time
 CALIBRATION_REF_S = 0.0015
 def calibrate():
     from fractions import Fraction
@@ -93,6 +97,22 @@ def timed(run, *args):
     result = run(*args)
     took = time.perf_counter() - start
     return result, took * CALIBRATION_REF_S / ((before + calibration()) / 2)
+def phased(phases, run):
+    \"\"\"``(times, outputs)``: for each phase of ``phases``, a list of
+    arguments, the outputs of ``run`` on each argument and their time in
+    milliseconds, each call timed by :func:`timed`.  A full garbage
+    collection, untimed, starts every phase, so where the collector's full
+    passes fall in a phase does not follow from the phases before it.\"\"\"
+    times, outputs = {}, {}
+    for phase, calls in phases.items():
+        gc.collect()
+        spent, outputs[phase] = 0.0, []
+        for arg in calls:
+            output, took = timed(run, arg)
+            outputs[phase].append(output)
+            spent += took
+        times[phase] = 1000 * spent
+    return times, outputs
 def request(argv):
     \"\"\"``knothom.cli.main(argv)`` with its stdout captured: the exit code
     and what it printed.\"\"\"
