@@ -251,17 +251,20 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     The reduced invariant is the exact quotient of ``total * prod_(lam
     hooks) (1 - q^k)`` by ``prod_common (1 - q^k)`` times the unknot
     numerator ``prod_(cells of lam) (1 - a*q^content)``.  The hooks of
-    ``lam`` that ``common`` also holds cancel first; the quotient is then
-    taken one factor at a time, every cell factor first and then the
-    binomials ``1 - q^k`` in descending ``k``.  Any order is exact: the
-    product of the divisors still to come divides each intermediate
-    quotient, by unique factorisation in ``Z[a, q^+-1]``.  This order is the
-    cheap one, since a division costs in proportion to its dividend's
-    exponent box: each cell factor removes an ``a``-row of the box, and a
-    larger ``k`` shrinks the ``q``-span sooner.  An inexact input raises
-    :class:`DivisionError`.  The quotient at ``a = q`` is read in one pass
-    that sums its integer coefficients by ``a``- plus ``q``-exponent; the
-    shift and sign apply when exactly one sum survives and it is ``+-1``.
+    ``lam`` cancel, and nothing is multiplied: ``common`` holds every one of
+    them for each pair ``(lam, n)`` that :func:`plethysm_pn` accepts, which
+    ``test_torus_sum`` checks pair by pair.  The quotient is taken one
+    factor at a time, every cell factor first and then the binomials
+    ``1 - q^k`` of ``common - hooks(lam)`` in descending ``k``.  Any order
+    is exact: the product of the divisors still to come divides each
+    intermediate quotient, by unique factorisation in ``Z[a, q^+-1]``.
+    This order is the cheap one, since a division costs in proportion to
+    its dividend's exponent box: each cell factor removes an ``a``-row of
+    the box, and a larger ``k`` shrinks the ``q``-span sooner.  An inexact
+    input raises :class:`DivisionError`.  The quotient at ``a = q`` is read
+    in one pass that sums its integer coefficients by ``a``- plus
+    ``q``-exponent; the shift and sign apply when exactly one sum survives
+    and it is ``+-1``.
 
     No term map is built here.  The numerator is handed to the first
     division as exponent columns, each division hands its quotient to the
@@ -280,13 +283,10 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         for k, e in sorted(common.items()):
             dens.extend([Multidegree(q=k)] * e)
         return RationalSeries(total, dens), report
-    lam_hooks = _hook_multiset(lam)
-    quotient = total
-    for k, e in (lam_hooks - common).items():
-        quotient = quotient * _one_minus(Multidegree(q=k)) ** e
     factors = [_one_minus(Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
     factors += [_one_minus(Multidegree(q=k))
-                for k in sorted((common - lam_hooks).elements(), reverse=True)]
+                for k in sorted((common - _hook_multiset(lam)).elements(), reverse=True)]
+    quotient = total
     try:
         for factor in factors:
             quotient = quotient.divide_exact(factor)

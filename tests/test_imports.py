@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every private
 function and class is read somewhere in the package, every name the
-package re-exports is reached by the package itself, and no module but
-``laurent`` reads an exponent as ``Fraction``.
+package re-exports is reached by the package itself, no module but
+``laurent`` reads an exponent as ``Fraction``, and the package, the demos
+and the replay tool import nothing outside the standard library.
 
 The package's ``__init__`` imports only to re-export, and ``from
 __future__`` imports change how a module compiles, so both are exempt from
@@ -21,7 +22,8 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "knothom"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "knothom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -54,6 +56,42 @@ def test_finder_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source: str) -> list:
+    """``module (line n)`` of each absolute import in ``source``, at any
+    depth, whose top-level package is neither in the standard library nor
+    ``knothom``."""
+    allowed = sys.stdlib_module_names | {"knothom"}
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append((node.module, node.lineno))
+    return sorted(f"{name} (line {line})" for name, line in names
+                  if name.partition(".")[0] not in allowed)
+
+
+def test_foreign_import_finder_flags_only_foreign_modules():
+    source = ("from __future__ import annotations\n"
+              "import os.path, sympy\nfrom . import laurent\nfrom .models import x\n"
+              "from knothom.models import y\nfrom hypothesis import strategies\n"
+              "def f():\n    import numpy.linalg as la\n    from collections import abc\n")
+    assert foreign_imports(source) == [
+        "hypothesis (line 6)", "numpy.linalg (line 8)", "sympy (line 2)"]
+
+
+#: what runs without pytest, hypothesis or sympy installed
+STDLIB_ONLY = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+               ROOT / "tools" / "replay_reference.py"]
+
+
+@pytest.mark.parametrize("path", STDLIB_ONLY, ids=lambda p: str(p.relative_to(ROOT)))
+def test_imports_only_the_standard_library(path):
+    """The package, every demo and the replay tool run on the standard
+    library alone, on every version that ``requires-python`` admits."""
+    assert foreign_imports(path.read_text()) == []
 
 
 def is_private(name: str) -> bool:
