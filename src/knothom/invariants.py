@@ -253,7 +253,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     numerator ``prod_(cells of lam) (1 - a*q^content)``.  The hooks of
     ``lam`` cancel, and nothing is multiplied: ``common`` holds every one of
     them for each pair ``(lam, n)`` that :func:`plethysm_pn` accepts, which
-    ``test_torus_sum`` checks pair by pair.  The quotient is taken one
+    ``test_symmetric`` checks pair by pair.  The quotient is taken one
     factor at a time, every cell factor first and then the binomials
     ``1 - q^k`` of ``common - hooks(lam)`` in descending ``k``.  Any order
     is exact: the product of the divisors still to come divides each

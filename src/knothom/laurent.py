@@ -874,11 +874,8 @@ class _Carried(LaurentPoly):
 
     A division reads the columns of its dividend (``_columnar``); the term
     map of ``Multidegree`` to ``Fraction`` is built on the first read of
-    ``terms`` and kept in the slot that every ``LaurentPoly`` has, and the
-    columns and values are then let go, so that a division reads the map
-    as it reads any polynomial's.  So a chain of divisions builds no map
-    but the last, when it is read, and a read polynomial keeps one copy of
-    its terms.
+    ``terms`` and kept in the slot that every ``LaurentPoly`` has.  So a
+    chain of divisions builds no map but the last, when it is read.
     """
 
     __slots__ = ("_cols", "_ints")
@@ -896,14 +893,10 @@ class _Carried(LaurentPoly):
         except AttributeError:
             terms = dict(zip(_degrees(self._cols), _fractions(self._ints)))
             _TERMS.__set__(self, terms)
-            del self._cols, self._ints
             return terms
 
     def _columnar(self) -> tuple:
-        try:
-            return self._cols, 1, self._ints
-        except AttributeError:  # let go when terms was read
-            return LaurentPoly._columnar(self)
+        return self._cols, 1, self._ints
 
     def __reduce__(self):
         # ``terms`` has no setter to restore a slot with: pickle the plain

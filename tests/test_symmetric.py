@@ -1,7 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from knothom.errors import UsageError
+from knothom.invariants import _hook_multiset
 from knothom.partitions import Partition, partitions_of
 from knothom.symmetric import (
     PLETHYSM_SIZE_CAP,
@@ -190,16 +193,30 @@ PLETHYSM_CASES = [(Partition(parts), n)
 def test_plethysm_against_jacobi_trudi():
     """``sum_mu c_mu s_mu(x) = s_lam(x_1^n, ..., x_k^n)`` at two integer
     points with ``k = |lam|*n`` variables, enough that the Schur polynomials
-    of degree ``k`` are linearly independent."""
+    of degree ``k`` are linearly independent.  The union of the hook
+    multisets of the ``mu`` holds every hook of ``lam``, so ``torus_homfly``
+    only divides; for ``n = 1`` the plethysm is ``s_lam`` itself."""
     assert len(PLETHYSM_CASES) == 58
     for lam, n in PLETHYSM_CASES:
+        coeffs = plethysm_pn(lam, n)
         k = lam.size() * n
         for xs in ([i + 1 for i in range(k)],
                    [(-1) ** i * (i + 2) for i in range(k)]):
             expansion = sum(c * _schur_at(mu.parts, xs)
-                            for mu, c in plethysm_pn(lam, n).items())
+                            for mu, c in coeffs.items())
             assert expansion == _schur_at(lam.parts, [x ** n for x in xs]), \
                 (lam, n, xs)
+        common = Counter()
+        for mu in coeffs:
+            common |= _hook_multiset(mu)
+        assert not _hook_multiset(lam) - common, (lam, n)
+
+
+def test_plethysm_refuses_past_the_cap():
+    for lam, n in [(Partition([PLETHYSM_SIZE_CAP + 1]), 1),
+                   (Partition([1]), PLETHYSM_SIZE_CAP + 1)]:
+        with pytest.raises(UsageError, match="exceeds cap"):
+            plethysm_pn(lam, n)
 
 
 def test_jacobi_trudi_helpers():
