@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports, every private
-function and class is read somewhere in the package, every name the
-package re-exports is reached by the package itself, no module but
+"""Every module of the package and every tool uses each name it imports,
+every private function and class is read somewhere in the package, every
+name the package re-exports is reached by the package itself, no module but
 ``laurent`` reads an exponent as ``Fraction``, and the package, the demos
-and the replay tool import nothing outside the standard library.
+and the tools import nothing outside the standard library but ``knothom``
+and, for a tool, its sibling tools.
 
 The package's ``__init__`` imports only to re-export, and ``from
 __future__`` imports change how a module compiles, so both are exempt from
@@ -25,6 +26,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "knothom"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -53,16 +55,17 @@ def test_finder_flags_only_unread_names():
     assert unused_imports(source) == ["factorial (line 4)", "sys (line 6)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"tools/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def foreign_imports(source: str) -> list:
+def foreign_imports(source: str, siblings=frozenset()) -> list:
     """``module (line n)`` of each absolute import in ``source``, at any
-    depth, whose top-level package is neither in the standard library nor
-    ``knothom``."""
-    allowed = sys.stdlib_module_names | {"knothom"}
+    depth, whose top-level package is not in the standard library, not
+    ``knothom`` and not one of ``siblings``."""
+    allowed = sys.stdlib_module_names | {"knothom"} | siblings
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -80,18 +83,21 @@ def test_foreign_import_finder_flags_only_foreign_modules():
               "def f():\n    import numpy.linalg as la\n    from collections import abc\n")
     assert foreign_imports(source) == [
         "hypothesis (line 6)", "numpy.linalg (line 8)", "sympy (line 2)"]
+    assert foreign_imports(source, {"sympy"}) == [
+        "hypothesis (line 6)", "numpy.linalg (line 8)"]
 
 
 #: what runs without pytest, hypothesis or sympy installed
-STDLIB_ONLY = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
-               ROOT / "tools" / "replay_reference.py"]
+STDLIB_ONLY = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")), *TOOLS]
 
 
 @pytest.mark.parametrize("path", STDLIB_ONLY, ids=lambda p: str(p.relative_to(ROOT)))
 def test_imports_only_the_standard_library(path):
-    """The package, every demo and the replay tool run on the standard
-    library alone, on every version that ``requires-python`` admits."""
-    assert foreign_imports(path.read_text()) == []
+    """The package, every demo and every tool run on the standard library
+    alone, on every version that ``requires-python`` admits; a tool may
+    import the tools beside it, which it runs with on ``sys.path``."""
+    siblings = {p.stem for p in TOOLS} if path in TOOLS else set()
+    assert foreign_imports(path.read_text(), siblings) == []
 
 
 def is_private(name: str) -> bool:

@@ -19,11 +19,10 @@ program.  It exits 1 if any run fails or reports ``"correct": false``.
 import argparse
 import json
 import pathlib
-import statistics
 import subprocess
 import sys
 
-SIDES = ("parent", "change")
+from times import SIDES, pair_order, quartiles, script
 
 
 def seed_range(text):
@@ -46,13 +45,6 @@ def run_once(checkout, workload, seed, seconds, trace=0):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4)
-    return q1, q2, q3
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=pathlib.Path)
@@ -68,7 +60,7 @@ def main(argv=None):
     runs = {side: [] for side in SIDES}
     all_correct = True
     for i, seed in enumerate(args.seeds):
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+        for side in pair_order(i):
             result = run_once(checkouts[side], args.workload, seed,
                               spec["run_seconds"])
             values = {name: result["metrics"][name]["value"] for name in metrics}
@@ -96,8 +88,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+    script(main)

@@ -8,30 +8,28 @@ prints the three work layers with the largest ``total_s`` and the ratio of
 the first to the second.  A traced run fails when its largest work layer is
 not the one ``bench/run.py`` predicts (``PREDICTED_TOP``), even when every
 output matches; a ratio near 1 shows a change that comes close to that.
-The script reads only ``bench/run.py``'s output, and exits 1 if a run fails
-or reports ``"correct": false``.
+The script reads only ``bench/run.py``'s output and the ``WORK_MODULES`` of
+each checkout's ``bench/tracer.py``, and exits 1 if a run fails or reports
+``"correct": false``.
 """
 
 import argparse
 import pathlib
-import sys
+import runpy
 
 from bench_pairs import run_once
+from times import script
 
-#: the modules whose layers ``bench/run.py`` ranks as work
-#: (``WORK_MODULES`` in ``bench/tracer.py``); the others, such as
-#: ``invariants``, ``checks`` and ``cli``, hold the work layers they call
-WORK_MODULES = ("laurent", "symmetric", "models", "fixtures", "bottom", "partitions")
 SEED = 5
 SECONDS = 20
 SHOWN = 3
 
 
-def work_layers(metrics):
-    """``(total_s, layer)`` of every work layer, largest first."""
+def work_layers(metrics, work_modules):
+    """``(total_s, layer)`` of every layer of ``work_modules``, largest first."""
     return sorted(((m["value"], name[:-len(".total_s")])
                    for name, m in metrics.items()
-                   if name.endswith(".total_s") and name.split(".")[0] in WORK_MODULES),
+                   if name.endswith(".total_s") and name.split(".")[0] in work_modules),
                   reverse=True)
 
 
@@ -44,7 +42,8 @@ def main(argv=None):
     for checkout in args.checkouts:
         result = run_once(checkout.resolve(), args.workload, SEED, SECONDS, trace=1)
         all_correct &= result["correct"]
-        layers = work_layers(result["metrics"])
+        tracer = runpy.run_path(str(checkout / "bench" / "tracer.py"))
+        layers = work_layers(result["metrics"], tracer["WORK_MODULES"])
         print(f"{checkout} {args.workload}: correct={result['correct']} "
               f"failed={result['failed']}/{result['attempted']}")
         for rank, (total, name) in enumerate(layers[:SHOWN], start=1):
@@ -56,8 +55,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    try:
-        sys.exit(main())
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
+    script(main)
