@@ -7,7 +7,6 @@ checked through a nonnegative witness division.
 """
 
 from knothom import (
-    DifferentialSpec,
     LaurentPoly,
     Multidegree,
     check_delta_thin,
@@ -15,6 +14,7 @@ from knothom import (
     check_growth,
     check_mirror,
     check_self_symmetry,
+    colored_differential,
     load_fixture,
 )
 
@@ -38,20 +38,20 @@ ok, deltas = check_delta_thin(s2.poincare, 2, s2.sigma)
 print(f"delta-thin with delta = {deltas}: {ok}")
 
 print("\nremoval differentials (nonnegative witness division):")
-spec = DifferentialSpec.colored("+row", s2.R, s2.S, 0, s2.sigma)
+spec = colored_differential("+row", s2.R, s2.S, 0, s2.sigma)
 ok, witness = check_differential(s2.poincare, LaurentPoly.one(), spec)
 survivor = spec.regrade(Multidegree())
 print(f"  canceling {spec.name}: {ok}; survivor degree "
       f"a^{survivor.e('a')} q^{survivor.e('q')}")
 
-spec = DifferentialSpec.colored("+col", s2.R, s2.S, 1, s2.sigma)
+spec = colored_differential("+col", s2.R, s2.S, 1, s2.sigma)
 ok, _ = check_differential(s2.poincare, unc.poincare, spec)
 print(f"  {spec.name} down to the uncolored homology: {ok}")
 
 big = load_fixture("3_1:3x2")
 print(f"\nthe (2,2,2)-colored trefoil has {big.dimension} generators "
       f"(= 3^6, exponential growth)")
-spec = DifferentialSpec.colored("+row", 3, 2, 2, big.sigma)
+spec = colored_differential("+row", 3, 2, 2, big.sigma)
 ok, _ = check_differential(big.poincare,
                            load_fixture("3_1:2x2").poincare,
                            spec, project=("a", "q", "tc"))

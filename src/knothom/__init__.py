@@ -79,9 +79,7 @@ from .checks import (
     check_hfk_growth,
     check_mirror,
     check_self_symmetry,
-    colored_degree,
     colored_differential,
-    colored_regrade,
     mirror_swap,
     rank_collapse,
     rank_collapse_input,

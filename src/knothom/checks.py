@@ -104,7 +104,7 @@ def check_delta_thin(p: LaurentPoly, r: int, sigma: int):
 #: One definition per kind of colored differential of an ``R x S`` colour
 #: (``R`` rows of ``S`` boxes) that keeps ``k`` rows or columns, as a map of
 #: ``(R, S, k)`` to ``(bound, degree, hat, target, label)``: ``k`` must lie
-#: in ``range(bound)``, or is ignored when ``bound`` is ``None``; ``degree``
+#: in ``range(bound)``, so a universal kind takes only ``k = 0``; ``degree``
 #: is in ``(a, q, tr, tc)``; ``hat(sigma, a, Q, tr, tc)`` sends a target
 #: generator's ``(a, Q, tr, tc)`` to the surviving generator's upstairs;
 #: ``target`` is the ``(rows, cols)`` of the surviving colour, empty when
@@ -133,78 +133,57 @@ _KINDS = {
                                  tc + R * (S - l) * (S + l) * s),
         (R, l), f"d0|{S + l}"),
     "up": lambda R, S, k: (
-        None, (0, 2, -2, 0), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 4 * tr, 2 * tc),
+        1, (0, 2, -2, 0), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 4 * tr, 2 * tc),
         (1, S), "d^"),
     "left": lambda R, S, k: (
-        None, (0, 2, 0, 2), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 2 * tr, 4 * tc),
+        1, (0, 2, 0, 2), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 2 * tr, 4 * tc),
         (R, S - 1), "d<-"),
 }
 
 
-def colored_differential(kind: str, R: int, S: int, param: int = 0) -> tuple:
-    """``(degree, hat, target, label)`` of a row/column-removing
-    differential, from its definition in :data:`_KINDS`.
+class DifferentialSpec:
+    """A differential known by its multidegree, with an optional regrade map
+    ``regrade: Multidegree -> Multidegree`` and, for a colored one, the
+    ``(rows, cols)`` of its ``target`` colour."""
+
+    def __init__(self, name: str, degree: Multidegree, regrade=None, target=None):
+        self.name = name
+        self.degree = degree
+        self.regrade = regrade
+        self.target = target
+
+
+def colored_differential(kind: str, R: int, S: int, param: int = 0,
+                         sigma: int = 0) -> DifferentialSpec:
+    """The row/column-removing differential ``kind`` of the ``R x S`` colour
+    (:data:`_KINDS`): its label, ``(a,q,tr,tc)``-degree, regrade and target.
 
     ``param`` is the number of rows (columns) kept: ``0`` gives the
-    canceling differentials.  The two universal differentials take no
-    parameter.
+    canceling differentials; the two universal differentials take none.
+    Only the regrade reads ``sigma``: it maps the ``(a,q,tr,tc)`` exponents
+    of a generator of the target homology to the degrees of the matching
+    surviving generator upstairs.  It reads the target in the tilde
+    gradings of its ``rows`` (:func:`knothom.fixtures._to_tilde_degree`);
+    the hat formulas fix ``(a, Q, tr, tc)``, and the source's ``q`` follows
+    from the inverse regrading with ``R`` rows, which keeps the five printed
+    degrees mutually consistent.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown differential kind {kind!r}")
     bound, degree, hat, target, label = _KINDS[kind](R, S, param)
-    if bound is not None and not 0 <= param < bound:
+    if not 0 <= param < bound:
         raise ValueError(f"{kind} needs 0 <= k < {bound}, got {param}")
-    return degree, hat, target, label
+    rows = target[0]
 
-
-def colored_degree(kind: str, R: int, S: int, param: int = 0) -> Multidegree:
-    """The ``(a,q,tr,tc)``-degree of a row/column-removing differential."""
-    a, q, tr, tc = colored_differential(kind, R, S, param)[0]
-    return Multidegree(a=a, q=q, tr=tr, tc=tc)
-
-
-def colored_regrade(kind: str, R: int, S: int, param: int, sigma: int):
-    """Exponent map sending target-homology degrees into the source homology.
-
-    The returned function maps the ``(a,q,tr,tc)`` exponents of a generator
-    of the smaller-color homology to the degrees of the matching surviving
-    generator upstairs.  It reads the target in the tilde gradings of its
-    ``rows`` (:func:`knothom.fixtures._to_tilde_degree`); the hat formulas
-    fix ``(a, Q, tr, tc)``, and the source's ``q`` follows from the inverse
-    regrading with ``R`` rows, which keeps the five printed degrees mutually
-    consistent.
-    """
-    _, hat, (rows, _), _ = colored_differential(kind, R, S, param)
-
-    def fn(md):
-        target = _to_tilde_degree(md, rows or 1)
+    def regrade(md):
+        tilde = _to_tilde_degree(md, rows or 1)
         if not rows and not md.is_zero():
             raise ValueError("empty-color target admits only the unit generator")
-        a, Q, tr, tc = hat(sigma, target._e("a"), target._e("Q"), target._e("tr"),
-                           target._e("tc"))
+        a, Q, tr, tc = hat(sigma, *(tilde._e(v) for v in ("a", "Q", "tr", "tc")))
         return _from_tilde_degree(Multidegree(a=a, Q=Q, tr=tr, tc=tc), R)
 
-    return fn
-
-
-class DifferentialSpec:
-    """A differential known by its multidegree, with an optional regrade map
-    ``regrade: Multidegree -> Multidegree``."""
-
-    def __init__(self, name: str, degree: Multidegree, regrade=None):
-        self.name = name
-        self.degree = degree
-        self.regrade = regrade
-
-    @classmethod
-    def colored(cls, kind, R, S, param, sigma, name=None):
-        """The ``kind`` differential of the ``R x S`` colour, named by its
-        label unless ``name`` is given."""
-        return cls(
-            name or colored_differential(kind, R, S, param)[3],
-            colored_degree(kind, R, S, param),
-            colored_regrade(kind, R, S, param, sigma),
-        )
+    return DifferentialSpec(label, Multidegree(zip(("a", "q", "tr", "tc"), degree)),
+                            regrade, target)
 
 
 def project_gradings(p: LaurentPoly, variables) -> LaurentPoly:

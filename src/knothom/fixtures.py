@@ -1,8 +1,9 @@
 """Packaged homology fixtures: quadruply-graded superpolynomial tables.
 
-Fixtures are stored as JSON files (schema: ``knot``, ``color``, ``R``, ``S``,
-``sigma``, ``gradings``, ``poincare``) under ``knothom/fixtures``; the
-environment variable ``HOMOLOGY_FIXTURE_DIR`` overrides the search path.
+Fixtures are stored as JSON files (schema: ``knot``, ``color``, ``sigma``,
+``gradings``, ``dimension``, ``poincare``, ``homfly``) under
+``knothom/fixtures``; the environment variable ``HOMOLOGY_FIXTURE_DIR``
+overrides the search path.
 Loading validates the generator count and both categorification
 specializations, so transcription errors fail loudly.  Every table is
 stored in the standard gradings ``(a, q, ...)``; :func:`to_tilde` gives the
@@ -80,19 +81,24 @@ class UnknownFixtureError(FixtureError, UsageError):
     """No fixture file for the requested name."""
 
 
+def rectangle(color: Partition) -> tuple:
+    """``(R, S)``: rows and columns of a rectangular ``color``, else ``(0, 0)``."""
+    parts = color.parts
+    return (len(parts), parts[0]) if parts and color.is_rectangle() else (0, 0)
+
+
 class HomologyFixture:
     """One transcribed table: its Poincare polynomial in the standard
     ``gradings``, the expected generator count ``dimension`` and, when
     tabled, the HOMFLY specialization."""
 
-    def __init__(self, name: str, knot: str, color: Partition, R: int, S: int,
-                 sigma: int, gradings: tuple, poincare: LaurentPoly,
-                 dimension: int, homfly: LaurentPoly | None = None):
+    def __init__(self, name: str, knot: str, color: Partition, sigma: int,
+                 gradings: tuple, poincare: LaurentPoly, dimension: int,
+                 homfly: LaurentPoly | None = None):
         self.name = name
         self.knot = knot
         self.color = color
-        self.R = R
-        self.S = S
+        self.R, self.S = rectangle(color)
         self.sigma = sigma
         self.gradings = gradings
         self.poincare = poincare
@@ -177,8 +183,6 @@ def load_fixture(name: str) -> HomologyFixture:
         name=name,
         knot=obj["knot"],
         color=Partition(obj["color"]),
-        R=obj["R"],
-        S=obj["S"],
         sigma=obj["sigma"],
         gradings=tuple(obj["gradings"]),
         poincare=poincare,

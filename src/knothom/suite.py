@@ -129,18 +129,17 @@ def mirror_rows():
     return rows
 
 
-def _delta(name, r, thin):
+def _delta(name, thin):
     fix = load_fixture(name)
-    ok, deltas = check_delta_thin(fix.poincare, r, fix.sigma)
+    ok, deltas = check_delta_thin(fix.poincare, fix.color.size(), fix.sigma)
     got = ok if thin else (not ok)
     return got, (f"deltas {deltas}" if not got else "")
 
 
 def delta_rows():
-    return {f"delta:{name}": partial(_delta, name, r, thin)
-            for name, r, thin in [("3_1:S2", 2, True), ("4_1:S2", 2, True),
-                                  ("T3_4:S2", 2, False), ("3_1:1", 1, True),
-                                  ("4_1:1", 1, True)]}
+    return {f"delta:{name}": partial(_delta, name, thin)
+            for name, thin in [("3_1:S2", True), ("4_1:S2", True), ("T3_4:S2", False),
+                               ("3_1:1", True), ("4_1:1", True)]}
 
 
 def _growth(name, base, exponent, side):
@@ -158,16 +157,18 @@ def growth_rows():
             ]}
 
 
-def _differential(fname, kind, R, S, param, target_name):
+def _differential(fname, kind, param):
     fix = load_fixture(fname)
-    spec = DifferentialSpec.colored(kind, R, S, param, fix.sigma)
+    spec = colored_differential(kind, fix.R, fix.S, param, fix.sigma)
     printed = PRINTED_DEGREES.get((fname, spec.name))
     if printed is not None:
         want = Multidegree(printed)
         got = Multidegree({v: spec.degree._e(v) for v in printed})
         if want != got:
             return False, f"degree {got!r} != printed {want!r}"
-    target = load_fixture(target_name).poincare if target_name else LaurentPoly.one()
+    rows, cols = spec.target
+    target = (load_fixture(fixture_name(fix.knot, Partition([cols] * rows))).poincare
+              if rows and cols else LaurentPoly.one())
     project = None if "tr" in fix.gradings else fix.gradings
     ok, _ = check_differential(fix.poincare, target, spec, project=project)
     surv = PRINTED_SURVIVORS.get((fname, spec.name))
@@ -186,11 +187,9 @@ def differential_rows():
     for (knot, R, S), diffs in DIFFERENTIALS.items():
         fname = fixture_name(knot, Partition([S] * R))
         for kind, param in diffs:
-            _, _, (height, width), label = colored_differential(kind, R, S, param)
-            target = (fixture_name(knot, Partition([width] * height))
-                      if height and width else None)
+            label = colored_differential(kind, R, S, param).name
             rows[f"differential:{fname}:{label}"] = partial(
-                _differential, fname, kind, R, S, param, target)
+                _differential, fname, kind, param)
     return rows
 
 
@@ -244,14 +243,10 @@ def hook_macdonald_rows():
     return {"hook-macdonald": _hook_macdonald}
 
 
-ROSSO_JONES_CASES = [
-    ("3_1:S2", [2], 2, 3),
-    ("3_1:L2", [1, 1], 2, 3),
-    ("3_1:2x2", [2, 2], 2, 3),
-    ("3_1:3x2", [2, 2, 2], 2, 3),
-    ("3_1:2_1", [2, 1], 2, 3),
-    ("T3_4:S2", [2], 3, 4),
-]
+#: the torus pair ``(n, m)`` of each fixture knot that is a torus knot
+TORUS = {"3_1": (2, 3), "T3_4": (3, 4)}
+
+ROSSO_JONES_CASES = ["3_1:S2", "3_1:L2", "3_1:2x2", "3_1:3x2", "3_1:2_1", "T3_4:S2"]
 
 
 def _halved_homfly(fix) -> LaurentPoly:
@@ -267,11 +262,11 @@ def _halved_homfly(fix) -> LaurentPoly:
     return spec.map_exponents(halve)
 
 
-def _rosso_jones(fname, color, n, m):
-    p, report = torus_homfly(color, n, m)
-    target = _halved_homfly(load_fixture(fname))
-    ok = match_up_to_monomial(p, target) is not None
-    if len(color) == 1:
+def _rosso_jones(fname):
+    fix = load_fixture(fname)
+    p, report = torus_homfly(fix.color, *TORUS[fix.knot])
+    ok = match_up_to_monomial(p, _halved_homfly(fix)) is not None
+    if len(fix.color.parts) == 1:
         # single-row colors exist over sl(1), so the canonical form is
         # pinned by P(a=q, q) = 1 there
         ok = ok and report.sl1
@@ -279,8 +274,8 @@ def _rosso_jones(fname, color, n, m):
 
 
 def rosso_jones_rows():
-    return {f"rosso-jones:{case[0]}": partial(_rosso_jones, *case)
-            for case in ROSSO_JONES_CASES}
+    return {f"rosso-jones:{name}": partial(_rosso_jones, name)
+            for name in ROSSO_JONES_CASES}
 
 
 def _stable_limit():
@@ -390,10 +385,11 @@ def _derivative_ideals():
 
 def _fixture_rows():
     ok = True
-    for name, (p, q), amin in [("3_1:1", (2, 3), 2), ("T3_4:1", (3, 4), 6)]:
-        fixpoly = load_fixture(name).poincare
+    for name in ("3_1:1", "T3_4:1"):
+        fix = load_fixture(name)
+        (p, q), amin = TORUS[fix.knot], min(fix.poincare._exponents("a"))
         for k in range(0, p):
-            row = fixpoly.coefficient_of("a", amin + 2 * k)
+            row = fix.poincare.coefficient_of("a", amin + 2 * k)
             ok = ok and row.dimension() == row_count(p, q, k)
     return ok
 

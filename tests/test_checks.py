@@ -21,9 +21,7 @@ from knothom.checks import (
     check_hfk_growth,
     check_mirror,
     check_self_symmetry,
-    colored_degree,
     colored_differential,
-    colored_regrade,
     mirror_swap,
     rank_collapse,
     rank_collapse_input,
@@ -102,58 +100,71 @@ def test_delta():
     assert not ok and len(deltas) > 1
 
 
-def test_colored_degree_table():
-    assert colored_degree("+row", 2, 2, 1) == Multidegree(a=-2, q=6, tr=-3, tc=-1)
-    assert colored_degree("-row", 2, 2, 1) == Multidegree(a=-2, q=-2, tr=-7, tc=-5)
-    assert colored_degree("-col", 2, 2, 1) == Multidegree(a=-2, q=-6, tr=-5, tc=-7)
-    assert colored_degree("+col", 2, 2, 1) == Multidegree(a=-2, q=2, tr=-1, tc=-3)
-    assert colored_degree("up", 2, 2) == Multidegree(q=2, tr=-2)
-    assert colored_degree("left", 2, 2) == Multidegree(q=2, tc=2)
-    with pytest.raises(ValueError):
-        colored_degree("+row", 2, 2, 2)
+#: every kind on a 3x4 colour, which has no fixture: the kept rows or
+#: columns, the label, the (a,q,tr,tc)-degree, the target rectangle, and
+#: the regrade at sigma = 2 of a^2 q^5 tr^3 tc^2, whose Q is an integer for
+#: target rows 1, 2 and 3
+COLORED_3X4 = [
+    ("+row", 2, "d5|0", (-2, 10, -5, -1), (2, 4), (10, -35, 22, 2)),
+    ("-row", 2, "d2|4", (-2, -4, -11, -9), (2, 4), (10, 24, 43, 34)),
+    ("+col", 3, "d3|3", (-2, 0, -1, -7), (3, 3), (8, 7, 3, 22)),
+    ("-col", 3, "d0|7", (-2, -14, -7, -15), (3, 3), (8, 47, 21, 44)),
+    ("up", 0, "d^", (0, 2, -2, 0), (1, 4), (4, 28, 12, 4)),
+    ("left", 0, "d<-", (0, 2, 0, 2), (3, 3), (4, 14, 6, 8)),
+]
 
 
-def test_colored_labels_and_targets_follow_the_kind():
-    # a 3x4 colour has no fixture; the rule still names each differential
-    # and its target rectangle, empty for a canceling one
-    R, S = 3, 4
-    cases = [("+row", 2), ("-row", 2), ("+col", 3), ("-col", 3), ("up", 0),
-             ("left", 0), ("+row", 0), ("-col", 0)]
-    derived = [colored_differential(kind, R, S, k) for kind, k in cases]
-    assert [(label, target) for _, _, target, label in derived] == [
-        ("d5|0", (2, 4)), ("d2|4", (2, 4)), ("d3|3", (3, 3)), ("d0|7", (3, 3)),
-        ("d^", (1, 4)), ("d<-", (3, 3)), ("d3|0", (0, 4)), ("d0|4", (3, 0))]
-    assert DifferentialSpec.colored("-col", R, S, 3, 2).name == "d0|7"
+def test_colored_differential_table():
+    gradings = ("a", "q", "tr", "tc")
+    source = Multidegree(a=2, q=5, tr=3, tc=2)
+    for kind, k, label, degree, target, image in COLORED_3X4:
+        spec = colored_differential(kind, 3, 4, k, sigma=2)
+        assert spec.name == label, kind
+        assert spec.degree == Multidegree(zip(gradings, degree)), kind
+        assert spec.target == target, kind
+        assert spec.regrade(source) == Multidegree(zip(gradings, image)), kind
+    # a canceling differential keeps nothing: its target rectangle is empty
+    canceling = [colored_differential(kind, 3, 4) for kind in ("+row", "-col")]
+    assert [(spec.name, spec.target) for spec in canceling] == [
+        ("d3|0", (0, 4)), ("d0|4", (3, 0))]
     with pytest.raises(ValueError, match="unknown differential kind"):
-        colored_differential("down", R, S)
+        colored_differential("down", 3, 4)
     with pytest.raises(ValueError, match="0 <= k < 4"):
-        colored_differential("+col", R, S, 4)
+        colored_differential("+col", 3, 4, 4)
+    with pytest.raises(ValueError, match="0 <= k < 2"):
+        colored_differential("+row", 2, 2, 2)
+
+
+@pytest.mark.parametrize("kind,param", [("up", 5), ("left", -3), ("up", 1)])
+def test_universal_differentials_take_no_parameter(kind, param):
+    with pytest.raises(ValueError, match=f"{kind} needs 0 <= k < 1, got {param}"):
+        colored_differential(kind, 2, 2, param)
 
 
 def test_regrade_refuses_targets_off_the_lattice():
     with pytest.raises(ValueError, match="is not divisible by 2"):
-        colored_regrade("+row", 3, 2, 2, 2)(Multidegree(q=1))
+        colored_differential("+row", 3, 2, 2, 2).regrade(Multidegree(q=1))
     with pytest.raises(ValueError, match="empty-color"):
-        colored_regrade("+row", 3, 2, 0, 2)(Multidegree(q=2))
+        colored_differential("+row", 3, 2, 0, 2).regrade(Multidegree(q=2))
 
 
 def test_canceling_survivors():
     # canceling differentials send the unit generator to the printed survivor
-    fn = colored_regrade("+row", 2, 2, 0, 2)
+    fn = colored_differential("+row", 2, 2, 0, 2).regrade
     assert fn(Multidegree()) == Multidegree(a=8, q=-16)
-    fn = colored_regrade("-row", 2, 2, 0, 2)
+    fn = colored_differential("-row", 2, 2, 0, 2).regrade
     assert fn(Multidegree()) == Multidegree(a=8, q=16, tr=16, tc=16)
-    fn = colored_regrade("+row", 3, 2, 0, 2)
+    fn = colored_differential("+row", 3, 2, 0, 2).regrade
     img = fn(Multidegree())
     assert (img.e("a"), img.e("q"), img.e("tc")) == (12, -36, 0)
-    fn = colored_regrade("-row", 3, 2, 0, 2)
+    fn = colored_differential("-row", 3, 2, 0, 2).regrade
     img = fn(Multidegree())
     assert (img.e("a"), img.e("q"), img.e("tc")) == (12, 24, 24)
 
 
 def test_regrade_sigma_zero_reduces_to_q_shifts():
     # with vanishing S-invariant only the Q-proportional terms remain
-    fn = colored_regrade("+col", 1, 2, 1, 0)
+    fn = colored_differential("+col", 1, 2, 1).regrade
     md = Multidegree(a=2, q=2, tr=2, tc=2)   # Q = 2
     img = fn(md)
     assert img.e("a") == 2 and img.e("tr") == 2
@@ -163,7 +174,8 @@ def test_regrade_sigma_zero_reduces_to_q_shifts():
 
 def test_check_differential_canceling_quad31():
     fix = load_fixture("3_1:S2")
-    spec = DifferentialSpec.colored("+row", 1, 2, 0, 2, name="d1|0")
+    spec = colored_differential("+row", 1, 2, 0, 2)
+    assert spec.name == "d1|0"
     ok, witness = check_differential(fix.poincare, LaurentPoly.one(), spec)
     assert ok
     # the witness reconstructs the residual exactly
@@ -183,7 +195,8 @@ def test_check_differential_t34_d12():
 def test_check_differential_222_to_22():
     fix = load_fixture("3_1:3x2")
     target = load_fixture("3_1:2x2")
-    spec = DifferentialSpec.colored("+row", 3, 2, 2, 2, name="d5|0")
+    spec = colored_differential("+row", 3, 2, 2, 2)
+    assert spec.name == "d5|0"
     ok, _ = check_differential(fix.poincare, target.poincare, spec,
                                project=("a", "q", "tc"))
     assert ok

@@ -15,6 +15,7 @@ from knothom.fixtures import (
     fixture_name,
     from_tilde,
     load_fixture,
+    rectangle,
     to_tilde,
 )
 from knothom.checks import colored_differential
@@ -69,10 +70,11 @@ def test_registry_targets_exist():
         fix = load_fixture(fname)
         assert (fix.knot, fix.R, fix.S) == (knot, R, S)
         # raises unless each kind and param is valid
-        derived = [colored_differential(kind, R, S, param) for kind, param in diffs]
-        labels = [label for *_, label in derived]
+        specs = [colored_differential(kind, R, S, param) for kind, param in diffs]
+        labels = [spec.name for spec in specs]
         assert len(set(labels)) == len(labels), fname
-        for (kind, param), (_, _, (rows, cols), _) in zip(diffs, derived):
+        for (kind, param), spec in zip(diffs, specs):
+            rows, cols = spec.target
             if rows and cols:
                 target = load_fixture(fixture_name(knot, Partition([cols] * rows)))
                 assert (target.knot, target.R, target.S) == (knot, rows, cols)
@@ -80,10 +82,28 @@ def test_registry_targets_exist():
                 assert param == 0 and kind in ("+row", "-row", "+col", "-col")
 
 
+#: each fixture's (R, S), as its JSON file carried it before the pair was
+#: derived from the colour
+RECTANGLES = {
+    "3_1:1": (1, 1), "4_1:1": (1, 1), "T3_4:1": (1, 1), "T3_4:1:d1|1": (1, 1),
+    "3_1:S2": (1, 2), "4_1:S2": (1, 2), "T3_4:S2": (1, 2), "T3_4:S2:d1|2": (1, 2),
+    "3_1:L2": (2, 1), "3_1:2x2": (2, 2), "3_1:3x2": (3, 2), "3_1:2_1": (0, 0),
+}
+
+
+def test_rectangle_follows_from_the_color():
+    assert sorted(RECTANGLES) == sorted(FIXTURE_IDS)
+    for name, pair in RECTANGLES.items():
+        fix = load_fixture(name)
+        assert (fix.R, fix.S) == rectangle(fix.color) == pair, name
+    assert rectangle(Partition()) == (0, 0)
+    assert rectangle(Partition([3, 3, 3, 3])) == (4, 3)
+
+
 def test_fixture_dir_override(tmp_path, monkeypatch):
     src = load_fixture("3_1:1")
     obj = {
-        "knot": "3_1", "color": [1], "R": 1, "S": 1, "sigma": 2,
+        "knot": "3_1", "color": [1], "sigma": 2,
         "gradings": ["a", "q", "tr", "tc"],
         "dimension": 3,
         "poincare": src.poincare.to_json(["a", "q", "tr", "tc"]),
@@ -104,7 +124,7 @@ def test_fixture_dir_override(tmp_path, monkeypatch):
 def test_corrupted_fixture_fails_loudly(tmp_path, monkeypatch):
     src = load_fixture("3_1:1")
     obj = {
-        "knot": "3_1", "color": [1], "R": 1, "S": 1, "sigma": 2,
+        "knot": "3_1", "color": [1], "sigma": 2,
         "gradings": ["a", "q", "tr", "tc"],
         "dimension": 4,  # wrong on purpose
         "poincare": src.poincare.to_json(["a", "q", "tr", "tc"]),
@@ -208,8 +228,8 @@ def term_by_term(p, gradings):
 
 
 def _fixture_of(gradings, poincare):
-    return HomologyFixture(name="drawn", knot="drawn", color=Partition([1]), R=1, S=1,
-                           sigma=0, gradings=gradings, poincare=poincare, dimension=0)
+    return HomologyFixture(name="drawn", knot="drawn", color=Partition([1]), sigma=0,
+                           gradings=gradings, poincare=poincare, dimension=0)
 
 
 def assert_specializations(fix):
@@ -301,3 +321,5 @@ def test_packaged_json_matches_transcriptions():
     packaged = {path.name: path.read_bytes()
                 for path in (root / "src" / "knothom" / "fixtures").glob("*.json")}
     assert rendered == packaged
+    # no file states a rectangle: (R, S) follows from the colour
+    assert [name for name, text in packaged.items() if {"R", "S"} & set(json.loads(text))] == []

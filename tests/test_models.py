@@ -34,7 +34,7 @@ from knothom.models import (
     unknot_mirror_map,
     unknot_model,
 )
-from knothom.checks import colored_degree
+from knothom.checks import colored_differential
 from knothom.fixtures import _to_tilde_degree
 from knothom.partitions import Partition
 
@@ -263,7 +263,7 @@ def test_colored_images_have_expected_degree(kind, param):
     R, S = 2, 2
     model = StableTorusModel(R, S, 2, reduced=True)
     images = model.colored_images(kind, param)
-    want = colored_degree(kind, R, S, param)
+    want = colored_differential(kind, R, S, param).degree
     degs = model.presentation.degree_map()
     for xi, img in images.items():
         got = model.presentation.monomial_degree(next(iter(img.terms)))

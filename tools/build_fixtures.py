@@ -15,8 +15,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from knothom.fixtures import from_tilde  # noqa: E402
+from knothom.fixtures import from_tilde, rectangle  # noqa: E402
 from knothom.laurent import LaurentPoly, parse_poly  # noqa: E402
+from knothom.partitions import Partition  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "src" / "knothom" / "fixtures"
 
@@ -234,39 +235,39 @@ def _rename(p, old, new):
 
 
 FIXTURES = {
-    "3_1:1": dict(knot="3_1", color=[1], R=1, S=1, sigma=2, dimension=3,
+    "3_1:1": dict(knot="3_1", color=[1], sigma=2, dimension=3,
                   gradings=["a", "q", "tr", "tc"],
                   poly=TREFOIL_FUND, homfly=TREFOIL_FUND_HOMFLY),
-    "3_1:S2": dict(knot="3_1", color=[2], R=1, S=2, sigma=2, dimension=9,
+    "3_1:S2": dict(knot="3_1", color=[2], sigma=2, dimension=9,
                    gradings=["a", "q", "tr", "tc"],
                    poly=TREFOIL_S2, homfly=TREFOIL_S2_HOMFLY),
-    "3_1:L2": dict(knot="3_1", color=[1, 1], R=2, S=1, sigma=2, dimension=9,
+    "3_1:L2": dict(knot="3_1", color=[1, 1], sigma=2, dimension=9,
                    gradings=["a", "q", "tr", "tc"],
                    poly=TREFOIL_L2, homfly=TREFOIL_L2_HOMFLY),
-    "3_1:2x2": dict(knot="3_1", color=[2, 2], R=2, S=2, sigma=2, dimension=81,
+    "3_1:2x2": dict(knot="3_1", color=[2, 2], sigma=2, dimension=81,
                     gradings=["a", "q", "tr", "tc"],
                     poly=TREFOIL_22, homfly=TREFOIL_22_HOMFLY),
-    "3_1:3x2": dict(knot="3_1", color=[2, 2, 2], R=3, S=2, sigma=2,
+    "3_1:3x2": dict(knot="3_1", color=[2, 2, 2], sigma=2,
                     dimension=729, gradings=["a", "q", "tc"],
                     poly=TREFOIL_222_TC, rename=("t", "tc")),
-    "3_1:2_1": dict(knot="3_1", color=[2, 1], R=0, S=0, sigma=2, dimension=41,
+    "3_1:2_1": dict(knot="3_1", color=[2, 1], sigma=2, dimension=41,
                     gradings=["a", "q", "t"],
                     poly=TREFOIL_21, homfly=TREFOIL_21_HOMFLY),
-    "4_1:1": dict(knot="4_1", color=[1], R=1, S=1, sigma=0, dimension=5,
+    "4_1:1": dict(knot="4_1", color=[1], sigma=0, dimension=5,
                   gradings=["a", "q", "tr", "tc"],
                   poly=FIG8_FUND, homfly=FIG8_FUND_HOMFLY),
-    "4_1:S2": dict(knot="4_1", color=[2], R=1, S=2, sigma=0, dimension=25,
+    "4_1:S2": dict(knot="4_1", color=[2], sigma=0, dimension=25,
                    gradings=["a", "q", "tr", "tc"],
                    poly=FIG8_S2, homfly=FIG8_S2_HOMFLY),
-    "T3_4:1": dict(knot="T3_4", color=[1], R=1, S=1, sigma=6, dimension=11,
+    "T3_4:1": dict(knot="T3_4", color=[1], sigma=6, dimension=11,
                    gradings=["a", "q", "tr", "tc"],
                    poly=T34_FUND),
-    "T3_4:1:d1|1": dict(knot="T3_4", color=[1], R=1, S=1, sigma=6, dimension=5,
+    "T3_4:1:d1|1": dict(knot="T3_4", color=[1], sigma=6, dimension=5,
                         gradings=["a", "q", "tr", "tc"],
                         poly=T34_FUND_D11),
-    "T3_4:S2": dict(knot="T3_4", color=[2], R=1, S=2, sigma=6, dimension=121,
+    "T3_4:S2": dict(knot="T3_4", color=[2], sigma=6, dimension=121,
                     gradings=["a", "q", "tr", "tc"], poly=T34_S2_TILDE),
-    "T3_4:S2:d1|2": dict(knot="T3_4", color=[2], R=1, S=2, sigma=6,
+    "T3_4:S2:d1|2": dict(knot="T3_4", color=[2], sigma=6,
                          dimension=25, gradings=["a", "q", "tr", "tc"],
                          poly=T34_S2_D12_TILDE),
 }
@@ -280,7 +281,7 @@ def render():
         if "rename" in spec:
             p = _rename(p, *spec["rename"])
         if "Q" in p.variables():  # a tilde transcription, stored standard
-            p = from_tilde(p, spec["R"])
+            p = from_tilde(p, rectangle(Partition(spec["color"]))[0])
         dim = p.dimension()
         if dim != spec["dimension"]:
             raise SystemExit(
@@ -289,8 +290,6 @@ def render():
         obj = {
             "knot": spec["knot"],
             "color": spec["color"],
-            "R": spec["R"],
-            "S": spec["S"],
             "sigma": spec["sigma"],
             "gradings": spec["gradings"],
             "dimension": spec["dimension"],

@@ -8,8 +8,9 @@ their ``total``, the ``file`` ``knothom`` came from and the ``digest`` of
 its outputs, as one JSON object.  ``startup`` takes no arguments, and
 ``json`` and ``hashlib`` are imported only after it returns, so that its
 ``import`` phase pays for everything ``import knothom`` loads.  The
-calibration is copied from ``bench/worker.py``, whose import would load
-``traceback``, ``pathlib``, ``argparse`` and ``json`` before that phase.
+calibration is ``bench/worker.py``'s, loaded by :func:`warm` after that
+phase, since loading ``worker.py`` imports ``traceback``, ``pathlib``,
+``argparse`` and ``json``.
 """
 
 import gc
@@ -19,21 +20,8 @@ import time
 
 CALIBRATION_REF_S = 0.0015
 
-
-def calibrate():
-    """``bench/worker.py``'s calibration; it imports ``fractions`` when called."""
-    from fractions import Fraction
-    a = {(i, i % 3): Fraction(i + 1, 2 * i + 3) for i in range(20)}
-    b = {(i, i % 2): Fraction(3 - i, i + 5) for i in range(20)}
-    out = {}
-    for k2, c2 in b.items():
-        for k1, c1 in a.items():
-            k = (k1[0] + k2[0], k1[1] + k2[1])
-            s = out.get(k, Fraction(0)) + c1 * c2
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
+#: ``bench/worker.py``'s calibration, once :func:`warm` has loaded it
+calibrate = None
 
 
 def calibration():
@@ -43,7 +31,14 @@ def calibration():
 
 
 def warm():
-    """Three untimed calibrations, which specialise its bytecode."""
+    """Load ``bench/worker.py``'s calibration, then run it three times
+    untimed, which specialises its bytecode.  Every probe gets here only
+    after its timed import."""
+    global calibrate
+    import os
+    import runpy
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+    calibrate = runpy.run_path(os.path.join(bench, "worker.py"))["calibrate"]
     for _ in range(3):
         calibrate()
 
