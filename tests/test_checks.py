@@ -100,6 +100,20 @@ def test_delta():
     assert not ok and len(deltas) > 1
 
 
+def test_colored_degree_table():
+    def degree(kind, k=0):
+        return colored_differential(kind, 2, 2, k).degree
+
+    assert degree("+row", 1) == Multidegree(a=-2, q=6, tr=-3, tc=-1)
+    assert degree("-row", 1) == Multidegree(a=-2, q=-2, tr=-7, tc=-5)
+    assert degree("-col", 1) == Multidegree(a=-2, q=-6, tr=-5, tc=-7)
+    assert degree("+col", 1) == Multidegree(a=-2, q=2, tr=-1, tc=-3)
+    assert degree("up") == Multidegree(q=2, tr=-2)
+    assert degree("left") == Multidegree(q=2, tc=2)
+    with pytest.raises(ValueError, match="0 <= k < 2"):
+        degree("+row", 2)
+
+
 #: every kind on a 3x4 colour, which has no fixture: the kept rows or
 #: columns, the label, the (a,q,tr,tc)-degree, the target rectangle, and
 #: the regrade at sigma = 2 of a^2 q^5 tr^3 tc^2, whose Q is an integer for
@@ -114,7 +128,7 @@ COLORED_3X4 = [
 ]
 
 
-def test_colored_differential_table():
+def test_colored_labels_and_targets_follow_the_kind():
     gradings = ("a", "q", "tr", "tc")
     source = Multidegree(a=2, q=5, tr=3, tc=2)
     for kind, k, label, degree, target, image in COLORED_3X4:
@@ -131,8 +145,6 @@ def test_colored_differential_table():
         colored_differential("down", 3, 4)
     with pytest.raises(ValueError, match="0 <= k < 4"):
         colored_differential("+col", 3, 4, 4)
-    with pytest.raises(ValueError, match="0 <= k < 2"):
-        colored_differential("+row", 2, 2, 2)
 
 
 @pytest.mark.parametrize("kind,param", [("up", 5), ("left", -3), ("up", 1)])
