@@ -214,6 +214,20 @@ def fixture_name(knot: str, color: Partition) -> str:
     return f"{knot}:{tail}"
 
 
+def fixture_color(name: str) -> Partition:
+    """The colour that ``name``, as :func:`fixture_name` names it, gives
+    after its knot: ``1``, ``S<n>``, ``L<n>``, ``<rows>x<cols>`` or the
+    parts joined by ``_``."""
+    tail = name.split(":")[1]
+    if tail[0] in "SL":
+        n = int(tail[1:])
+        return Partition([n] if tail[0] == "S" else [1] * n)
+    if "x" in tail:
+        rows, cols = map(int, tail.split("x"))
+        return Partition([cols] * rows)
+    return Partition([*map(int, tail.split("_"))])
+
+
 # -- differential registry ----------------------------------------------------------
 
 #: the colored differentials acting on each fixture, keyed by ``(knot, R,

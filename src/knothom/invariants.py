@@ -213,9 +213,13 @@ def _torus_sum(lam: Partition, n: int, m: int):
     return _Carried([q_exps, a_exps], values), common, offset
 
 
-def _one_minus(md: Multidegree) -> LaurentPoly:
-    """``1 - x^md`` as a two-term map of shared constants."""
-    return LaurentPoly._of({_UNIT: _ONE, md: _MINUS_ONE})
+@cache
+def _one_minus(a: int, q: int) -> LaurentPoly:
+    """``1 - a^a q^q`` as a two-term map of shared constants, memoised on
+    the two ``int`` exponents: :func:`torus_homfly` builds each of its cell
+    and binomial divisors once per process.  Polynomials are never mutated,
+    so every call shares the one divisor."""
+    return LaurentPoly._of({_UNIT: _ONE, Multidegree(a=a, q=q): _MINUS_ONE})
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
@@ -271,7 +275,7 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     next as columns (see :meth:`LaurentPoly.divide_exact`), and the
     normalisation reads and shifts the last quotient's columns.  The
     returned polynomial builds its ``Fraction`` term map once, when its
-    ``terms`` are first read.
+    ``terms`` are first read; ``to_json`` writes it from its columns.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     if gcd(n, m) != 1:
@@ -283,8 +287,8 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         for k, e in sorted(common.items()):
             dens.extend([Multidegree(q=k)] * e)
         return RationalSeries(total, dens), report
-    factors = [_one_minus(Multidegree(a=1, q=lam.content(cell))) for cell in lam.cells()]
-    factors += [_one_minus(Multidegree(q=k))
+    factors = [_one_minus(1, lam.content(cell)) for cell in lam.cells()]
+    factors += [_one_minus(0, k)
                 for k in sorted((common - _hook_multiset(lam)).elements(), reverse=True)]
     quotient = total
     try:

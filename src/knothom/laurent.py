@@ -289,13 +289,9 @@ class Multidegree(tuple):
         # k*step keeps step's trailing zeros trimmed and needs no check
         return self + _new(Multidegree, [k * e for e in step])
 
-    def _key(self, slots):
-        """``key`` over the variables in the given slots."""
-        return sum(self), self._exps(slots)
-
     def key(self, variables):
         """Graded-lexicographic sort key over the given variable list."""
-        return self._key(_slots(variables))
+        return sum(self), self._exps(_slots(variables))
 
     def __repr__(self):
         body = ", ".join(f"{v}={e}" for v, e in self.items())
@@ -336,6 +332,18 @@ def _degrees(columns) -> list:
                            ) if len(columns) > 1 else repeat(_new(Multidegree, ()))
         deque(map(degrees.__setitem__, short, trimmed), 0)
     return degrees
+
+
+def _graded(columns, variables) -> tuple:
+    """``(order, chosen)`` for the terms of the exponent ``columns`` (at
+    least one): ``chosen`` holds the column of each of ``variables``, zeros
+    where it has none, and ``order`` the term indices in graded-lexicographic
+    order over them, by the sum of every column and then by ``chosen`` in
+    turn; ties keep term order."""
+    n, width = len(columns[0]), len(columns)
+    chosen = [columns[i] if i < width else (0,) * n for i in _slots(variables)]
+    key = [*zip(map(sum, zip(*columns)), *chosen)]
+    return sorted(range(n), key=key.__getitem__), chosen
 
 
 def _integral(terms) -> tuple:
@@ -779,20 +787,26 @@ class LaurentPoly:
 
     # -- serialization ------------------------------------------------------
 
-    def sorted_terms(self, variables=None):
-        variables = list(variables) if variables else self.variables()
-        slots = _slots(variables)
-        return sorted(self.terms.items(), key=lambda kv: kv[0]._key(slots))
-
     def to_json(self, variables=None):
-        """Canonical JSON form with graded-lexicographically sorted terms."""
-        variables = list(variables) if variables else self.variables()
-        slots = _slots(variables)
-        terms = [
-            {"coeff": str(c), "exp": [str(e) for e in md._exps(slots)]}
-            for md, c in self.sorted_terms(variables)
-        ]
-        return {"variables": variables, "terms": terms}
+        """Canonical JSON form: ``variables``, by default every variable
+        with a nonzero exponent sorted by name, and the terms in
+        graded-lexicographic order over them (:func:`_graded`), each
+        coefficient and exponent as text.
+
+        It reads the exponent columns and ``int`` values of ``_columnar``,
+        so a carried quotient is written without building its term map;
+        the ``Fraction`` values are read only when a coefficient is not
+        integral.
+        """
+        columns, den, ints = self._columnar()
+        variables = list(variables) if variables else sorted(
+            [_VARS[i] for i, col in enumerate(columns) if any(col)])
+        order, chosen = _graded(columns, variables)
+        coeffs = [*map(str, ints if den == 1 else self.terms.values())]
+        texts = [[*map(str, col)] for col in chosen]
+        return {"variables": variables,
+                "terms": [{"coeff": coeffs[k], "exp": [col[k] for col in texts]}
+                          for k in order]}
 
     @classmethod
     def from_json(cls, obj):
@@ -841,9 +855,10 @@ class LaurentPoly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        variables = self.variables()
+        items = [*self.terms.items()]
+        order, _ = _graded(_columns(self.terms, 1), self.variables())
         pieces = []
-        for md, c in reversed(self.sorted_terms(variables)):
+        for md, c in map(items.__getitem__, reversed(order)):
             factors = []
             for v, e in md.items():
                 factors.append(v if e == 1 else f"{v}^{e}")

@@ -51,9 +51,11 @@ from .checks import (
 )
 from .fixtures import (
     DIFFERENTIALS,
+    FIXTURE_IDS,
     HOMOLOGY_FIXTURES,
     PRINTED_DEGREES,
     PRINTED_SURVIVORS,
+    fixture_color,
     fixture_name,
     load_fixture,
 )
@@ -142,18 +144,21 @@ def delta_rows():
                                ("3_1:1", True), ("4_1:1", True)]}
 
 
-def _growth(name, base, exponent, side):
+def _growth(name, base, side):
+    """The growth of ``name`` over ``base``, to the power of the ratio of
+    their colour sizes."""
     fix, bfix = load_fixture(name), load_fixture(base)
+    exponent = fix.color.size() // bfix.color.size()
     return check_growth(fix.tilde(), bfix.tilde(), exponent, side)
 
 
 def growth_rows():
-    return {f"growth:{name}": partial(_growth, name, base, exponent, side)
-            for name, base, exponent, side in [
-                ("3_1:S2", "3_1:1", 2, "tr"),
-                ("4_1:S2", "4_1:1", 2, "tr"),
-                ("T3_4:S2", "T3_4:1", 2, "tr"),
-                ("3_1:2x2", "3_1:L2", 2, "tr"),
+    return {f"growth:{name}": partial(_growth, name, base, side)
+            for name, base, side in [
+                ("3_1:S2", "3_1:1", "tr"),
+                ("4_1:S2", "4_1:1", "tr"),
+                ("T3_4:S2", "T3_4:1", "tr"),
+                ("3_1:2x2", "3_1:L2", "tr"),
             ]}
 
 
@@ -466,7 +471,9 @@ SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 
 def _sl2(key):
-    lam = [1] if key.endswith(":1") else [2]
+    """The rank-2 collapse of ``key``, in the fixture's colour where there
+    is a fixture, else in the colour its name gives (:func:`fixture_color`)."""
+    lam = load_fixture(key).color if key in FIXTURE_IDS else fixture_color(key)
     survivors, window = rank_collapse(key.split(":")[0], lam, 2, cutoff=30)
     expected = _sl2_expected(key, window)
     if key == "4_1:S2":

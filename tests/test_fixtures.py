@@ -12,6 +12,7 @@ from knothom.fixtures import (
     HOMOLOGY_FIXTURES,
     FixtureError,
     HomologyFixture,
+    fixture_color,
     fixture_name,
     from_tilde,
     load_fixture,
@@ -21,7 +22,7 @@ from knothom.fixtures import (
 from knothom.checks import colored_differential
 from knothom.errors import UsageError
 from knothom.laurent import LaurentPoly, Multidegree
-from knothom.partitions import Partition
+from knothom.partitions import Partition, partitions_of
 
 EXPECTED_DIMS = {
     "3_1:1": 3, "3_1:S2": 9, "3_1:L2": 9, "3_1:2x2": 81, "3_1:3x2": 729,
@@ -36,9 +37,15 @@ def test_all_fixtures_load_and_validate():
 
 
 def test_fixture_name_from_knot_and_color():
+    """``fixture_name`` names each fixture from its knot and colour, and
+    ``fixture_color`` reads the colour back from any name it gives."""
     for name in HOMOLOGY_FIXTURES:
         fix = load_fixture(name)
         assert fixture_name(fix.knot, fix.color) == name
+        assert fixture_color(name) == fix.color
+    for size in range(1, 7):
+        for parts in partitions_of(size):
+            assert fixture_color(fixture_name("unknot", Partition(parts))) == Partition(parts)
     with pytest.raises(UsageError):
         fixture_name("3_1", Partition())
 

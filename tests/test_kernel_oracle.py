@@ -14,12 +14,14 @@ divide.  The truncated
 power series ``base**alpha``, ``log`` and ``exp`` are checked against
 sympy's ring series, over bases with symbolic coefficients.  Polynomial
 literals drawn from the grammar of ``parse_poly`` are checked against
-sympy's parser.
+sympy's parser.  ``to_json`` and ``__str__`` are checked byte for byte
+against the per-term serialisation they replaced.
 ``Multidegree`` itself is checked against a plain ``{var: int}`` model,
 over the kernel's own variables, scheme generator names and fresh names.
 The runs are derandomized, so every run checks the same examples.
 """
 
+import json
 import pickle
 import random
 import signal
@@ -29,7 +31,7 @@ from itertools import accumulate, product
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.parsing.sympy_parser import (
     convert_xor,
     parse_expr,
@@ -463,6 +465,79 @@ def test_carried_zero_dividend():
     assert quotient.terms == {} and type(quotient) is LaurentPoly
     with pytest.raises(ZeroDivisionError):
         zero.divide_exact(LaurentPoly.zero())
+
+
+def per_term_json(p: LaurentPoly, variables=None):
+    """The per-term serialisation ``to_json`` had before it read exponent
+    columns: the terms sorted by each degree's (total, chosen exponents),
+    each exponent and coefficient stringified term by term."""
+    variables = list(variables) if variables else p.variables()
+    slots = laurent._slots(variables)
+    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]._exps(slots)))
+    return {"variables": variables,
+            "terms": [{"coeff": str(c), "exp": [str(e) for e in md._exps(slots)]}
+                      for md, c in items]}
+
+
+def per_term_str(p: LaurentPoly) -> str:
+    """The per-term printing ``__str__`` had, in the reverse of that order."""
+    if p.is_zero():
+        return "0"
+    slots = laurent._slots(p.variables())
+    pieces = []
+    for md, c in reversed(sorted(p.terms.items(),
+                                 key=lambda kv: (sum(kv[0]), kv[0]._exps(slots)))):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in md.items()]
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(c))] + factors)
+        pieces.append(("- " if c < 0 else "+ ") + body)
+    out = " ".join(pieces)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]
+
+
+#: a name no test registers, so its slot is absent and its exponents read 0
+UNREGISTERED = "never_registered_by_any_test"
+
+
+def serialised_polys():
+    """Plain polynomials with integral or rational coefficients, the zero
+    polynomial, carried copies of integral ones (with trailing zero
+    columns), and carried quotients of divisions."""
+    plain = integer_or_rational(lambda c: polys(max_terms=8, c=c))
+    copies = st.builds(carried, polys(max_terms=8, c=whole), st.integers(0, 2))
+    quotients = st.builds(lambda f, g: carried(f * g).divide_exact(g),
+                          polys(max_terms=5, c=whole), binomial_factors(whole).map(
+                              lambda factors: factors[0]))
+    zeros = st.sampled_from([LaurentPoly.zero(), laurent._Carried([[], []], [])])
+    return st.one_of(plain, copies, quotients, zeros)
+
+
+@oracle(300)
+@given(serialised_polys(), st.one_of(
+    st.none(), st.just([]),
+    st.lists(st.sampled_from(VARS), min_size=1, max_size=2, unique=True),
+    st.permutations([*VARS, "tr", UNREGISTERED])))
+@example(LaurentPoly({Multidegree(a=1, q=1): 2, Multidegree(a=1, t=1): 3,
+                      Multidegree(a=2): -1, Multidegree(a=1, q=2, t=-1): 5}), ["a"])
+@example(carried(parse_poly("a*t - 2*a*q + 3*a^2 + 4*a*q^2*t^-1")), ["a"])
+def test_to_json_and_str_match_the_per_term_reference(p, variables):
+    """``to_json`` reads exponent columns and ``int`` values, and ``__str__``
+    shares its term order; both equal the per-term serialisation byte for
+    byte.  The variables are the default, a subset (whose terms tie on total
+    and chosen exponents, as in the two examples, where order among ties is
+    term order), or a superset with a variable that no term has and one
+    that is not registered.  A carried polynomial's term map is read only
+    after it is serialised."""
+    got, text = p.to_json(variables), str(p)
+    assert got == per_term_json(p, variables)
+    assert text == per_term_str(p)
+    assert p.dumps(variables) == json.dumps(per_term_json(p, variables),
+                                            separators=(",", ":"))
+    assert UNREGISTERED not in laurent._INDEX
 
 
 def trimmed(exps) -> tuple:

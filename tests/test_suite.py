@@ -1,3 +1,7 @@
+import pytest
+
+from knothom import suite
+from knothom.partitions import Partition
 from knothom.suite import CHECK_GROUPS, run_all, run_group
 
 
@@ -17,3 +21,34 @@ def test_groups_are_independent():
         "growth", "differentials", "hfk", "rosso-jones", "stable", "hirota",
         "schemes", "potentials", "counting", "vortex", "sl2",
     }
+
+
+@pytest.mark.parametrize("key, color", [
+    ("3_1:L2", [1, 1]), ("unknot:L2", [1, 1]), ("3_1:2x2", [2, 2]),
+    ("unknot:S2", [2]), ("3_1:1", [1]), ("unknot:2_1", [2, 1]),
+])
+def test_sl2_runs_in_the_color_of_its_key(monkeypatch, key, color):
+    """An ``sl2`` key runs in its fixture's colour, or in the one its name
+    gives where there is no fixture: ``3_1:L2`` runs in the exterior square,
+    not in the symmetric one."""
+    seen = []
+
+    def collapse(knot, lam, n, cutoff):
+        seen.append((knot, lam, n))
+        raise LookupError  # no expected table for most of these keys
+
+    monkeypatch.setattr(suite, "rank_collapse", collapse)
+    with pytest.raises(LookupError):
+        suite._sl2(key)
+    assert seen == [(key.split(":")[0], Partition(color), 2)]
+
+
+def test_growth_exponent_is_the_ratio_of_color_sizes(monkeypatch):
+    """A growth check raises its base to the ratio of the colour sizes: 2
+    for every row, and 4 for the 2x2 square over one box."""
+    exponents = []
+    monkeypatch.setattr(suite, "check_growth",
+                        lambda p, base, exponent, side: exponents.append(exponent) or True)
+    assert all(r.ok for r in run_group("growth"))
+    suite._growth("3_1:2x2", "3_1:1", "tr")
+    assert exponents == [2, 2, 2, 2, 4]

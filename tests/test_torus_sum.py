@@ -10,7 +10,9 @@ range and against the proven slot-width bound.  The signed-slot codec
 The half of the sum that does not depend on ``m`` is memoised per ``(lam,
 n)``; the memo is pinned to one plethysm per sweep over ``m`` and to a fresh
 ``common`` per call.  The ``sl(1)`` normalisation of ``torus_homfly`` is
-checked against ``LaurentPoly.substitute`` on the benchmark's pool.
+checked against ``LaurentPoly.substitute`` on the benchmark's pool.  The
+reduced quotient's JSON is pinned to build no term map, and each divisor to
+be built once per process.
 """
 
 from collections import Counter
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from knothom import invariants
+from knothom import invariants, laurent
 from knothom.invariants import (
     _hook_multiset,
     _packed_torus_sum,
@@ -260,6 +262,38 @@ def test_each_call_gets_its_own_common():
     assert again[1] == kept
     assert again[2] == offset
     assert _torus_sum(lam, 2, 5)[1] == kept
+
+
+@pytest.mark.parametrize("case", [(Partition([4]), 3, 4), (Partition([3]), 4, 5),
+                                  (Partition([2, 1]), 2, 5)], ids=_case_id)
+def test_torus_json_builds_no_term_map(case):
+    """``torus_homfly`` hands on its quotient as exponent columns, and
+    ``to_json`` writes it from them: the carried quotient's base ``terms``
+    slot is still empty afterwards, so a term map built by accident fails
+    here instead of only costing time.  The JSON is the plain copy's."""
+    quotient, _ = torus_homfly(*case)
+    obj = quotient.to_json()
+    with pytest.raises(AttributeError):
+        laurent._TERMS.__get__(quotient)
+    assert obj == LaurentPoly(quotient.terms).to_json()
+
+
+def test_divisors_are_built_once_per_process(monkeypatch):
+    """``torus_homfly`` takes each cell and binomial divisor from the memo
+    of ``_one_minus``, so a second call divides by the same objects."""
+    real, divisors = LaurentPoly.divide_exact, []
+
+    def recording(self, divisor):
+        divisors.append(divisor)
+        return real(self, divisor)
+
+    monkeypatch.setattr(LaurentPoly, "divide_exact", recording)
+    torus_homfly([2, 1], 3, 4)
+    first = divisors[:]
+    torus_homfly([2, 1], 3, 4)
+    assert len(divisors) == 2 * len(first)
+    assert all(a is b for a, b in zip(first, divisors[len(first):]))
+    assert first[0] == LaurentPoly.one() - LaurentPoly.monomial(1, Multidegree(a=1))
 
 
 @pytest.mark.parametrize("case", POOL, ids=_case_id)
