@@ -13,7 +13,7 @@ import sys
 from types import SimpleNamespace
 
 from .laurent import LaurentPoly, RationalSeries
-from .partitions import Partition, catalan_count
+from .partitions import catalan_count, parse_color
 from .invariants import torus_homfly, unknot_homfly, unknot_super
 from .models import (
     DegreeCeilingError,
@@ -24,27 +24,9 @@ from .models import (
 )
 from .checks import rank_collapse
 from .errors import UsageError
-from .fixtures import FIXTURE_IDS, fixture_name, load_fixture
+from .fixtures import fixture_name, knot_name, load_fixture
 from .bottom import bottom_poincare, row_count, vortex_character
 from . import suite
-
-
-def parse_color(text: str) -> Partition:
-    """``S2``, ``L3``, ``2x3`` (rows x cols) or an explicit ``[4,2]``."""
-    text = text.strip()
-    try:
-        if text.startswith("S") and text[1:].isdigit():
-            return Partition([int(text[1:])])
-        if text.startswith("L") and text[1:].isdigit():
-            return Partition([1] * int(text[1:]))
-        if "x" in text:
-            rows, cols = text.split("x")
-            return Partition([int(cols)] * int(rows))
-        if text.startswith("["):
-            return Partition(json.loads(text))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"cannot parse color {text!r}: {exc}") from None
-    raise UsageError(f"cannot parse color {text!r}")
 
 
 def parse_pair(text: str, what: str):
@@ -59,15 +41,10 @@ def parse_pair(text: str, what: str):
 
 def parse_knot(text: str):
     """``torus:p,q``, ``unknot`` or a fixture knot name like ``3_1``."""
-    if text == "unknot":
-        return ("unknot", None)
     if text.startswith("torus:"):
         return ("torus", parse_pair(text[len("torus:"):], "a torus knot"))
-    if text in {n.partition(":")[0] for n in FIXTURE_IDS}:
-        return ("fixture", text)
-    if text == "8_19":
-        return ("fixture", "T3_4")
-    raise UsageError(f"unknown knot {text!r}")
+    name = knot_name(text)
+    return ("unknot", None) if name == "unknot" else ("fixture", name)
 
 
 def emit_poly(p: LaurentPoly, fmt: str, variables=None):
@@ -239,16 +216,17 @@ def cmd_cancel(args):
 #: the default of an option that every request of its verb must give
 REQUIRED = object()
 FORMAT = {"--format": (("text", "json"), "text")}
+COLOR = "1, S<n>, L<n>, <rows>x<cols>, 2_1 or [2,1]"
 TORUS = {"--p": (1, None), "--q": (1, None), "--r": (0, 1)}
 #: verb -> (command, help, {option: (kind, default[, help])}); a kind is ``str``,
 #: ``int``, an ``int`` n (an integer of at least n), a tuple of choices or ``bool``
 #: (a flag, given without a value); ``check``'s ``what`` is an optional positional
 VERBS = {
     "homfly": (cmd_homfly, "colored torus-knot invariants", {
-        "--knot": (str, REQUIRED), "--color": (str, "S1"), "--reduced": (bool, False),
+        "--knot": (str, REQUIRED), "--color": (str, "S1", COLOR), "--reduced": (bool, False),
         "--cutoff": (int, 30), **FORMAT}),
     "super": (cmd_super, "unknot superpolynomial products", {
-        "--color": (str, REQUIRED), "--expand": (bool, False), "--cutoff": (int, 12), **FORMAT}),
+        "--color": (str, REQUIRED, COLOR), "--expand": (bool, False), "--cutoff": (int, 12), **FORMAT}),
     "check": (cmd_check, "structural verification", {
         "what": (("all", *suite.CHECK_GROUPS), "all"),
         "--fixture": (str, None, "restrict to checks naming this fixture"), **FORMAT}),
@@ -262,7 +240,7 @@ VERBS = {
     "potential": (cmd_potential, "Landau-Ginzburg potentials", {
         **TORUS, "--antisym": (str, None, "k,N for the antisymmetric potential"), **FORMAT}),
     "cancel": (cmd_cancel, "rank collapse of unreduced series", {
-        "--knot": (str, REQUIRED), "--color": (str, "S1"), "--n": (1, 2), "--cutoff": (int, 30),
+        "--knot": (str, REQUIRED), "--color": (str, "S1", COLOR), "--n": (1, 2), "--cutoff": (int, 30),
         **FORMAT}),
 }
 HELP = ("-h", "--help")
@@ -338,7 +316,7 @@ def usage(verb=None) -> str:
                  if isinstance(kind, tuple) else name[2:].upper() if kind is str
                  else "INT" if kind is int else f"INT>={kind}")
         note = "required" if default is REQUIRED else f"default {default}" * bool(default)
-        text += f"\n  {name + ' ' + value:22s}  {' '.join(helps) or note}".rstrip()
+        text += f"\n  {name + ' ' + value:22s}  {'; '.join(filter(None, (*helps, note)))}".rstrip()
     return text
 
 

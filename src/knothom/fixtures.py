@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree
-from .partitions import Partition
+from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
 
@@ -61,6 +61,21 @@ def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
 
 
 # -- fixtures -----------------------------------------------------------------------
+
+
+#: every knot known by name: its torus pair ``(p, q)``, or None for the
+#: unknot and ``4_1``; the fixtures of a knot are named ``<knot>:<colour>``
+KNOTS = {"unknot": None, "3_1": (2, 3), "4_1": None, "T3_4": (3, 4)}
+#: other names of knots in :data:`KNOTS`
+KNOT_ALIASES = {"8_19": "T3_4"}
+
+
+def knot_name(text: str) -> str:
+    """The :data:`KNOTS` name of the knot that ``text`` names."""
+    name = KNOT_ALIASES.get(text, text)
+    if name not in KNOTS:
+        raise UsageError(f"unknown knot {text!r}")
+    return name
 
 
 FIXTURE_IDS = (
@@ -194,38 +209,10 @@ def load_fixture(name: str) -> HomologyFixture:
 
 
 def fixture_name(knot: str, color: Partition) -> str:
-    """The fixture of ``knot`` in ``color``, named from the partition alone:
-    ``1`` for one box, ``S<n>`` for one row, ``L<n>`` for one column,
-    ``<rows>x<cols>`` for another rectangle, else the parts joined by ``_``.
-    """
-    parts = color.parts
-    if not parts:
+    """The fixture of ``knot`` in ``color``, ``<knot>:<color_name(color)>``."""
+    if not color.parts:
         raise UsageError(f"the empty color has no fixture of {knot}")
-    if color.size() == 1:
-        tail = "1"
-    elif len(parts) == 1:
-        tail = f"S{parts[0]}"
-    elif parts[0] == 1:
-        tail = f"L{len(parts)}"
-    elif color.is_rectangle():
-        tail = f"{len(parts)}x{parts[0]}"
-    else:
-        tail = "_".join(map(str, parts))
-    return f"{knot}:{tail}"
-
-
-def fixture_color(name: str) -> Partition:
-    """The colour that ``name``, as :func:`fixture_name` names it, gives
-    after its knot: ``1``, ``S<n>``, ``L<n>``, ``<rows>x<cols>`` or the
-    parts joined by ``_``."""
-    tail = name.split(":")[1]
-    if tail[0] in "SL":
-        n = int(tail[1:])
-        return Partition([n] if tail[0] == "S" else [1] * n)
-    if "x" in tail:
-        rows, cols = map(int, tail.split("x"))
-        return Partition([cols] * rows)
-    return Partition([*map(int, tail.split("_"))])
+    return f"{knot}:{color_name(color)}"
 
 
 # -- differential registry ----------------------------------------------------------

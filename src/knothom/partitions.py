@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from math import factorial, gcd
 from operator import index
 
@@ -107,6 +108,40 @@ class Partition:
 
     def __str__(self):
         return "[" + ",".join(str(p) for p in self.parts) + "]"
+
+
+def parse_color(text: str) -> Partition:
+    """The colour ``text`` spells: ``S<n>`` (one row), ``L<n>`` (one column),
+    ``<rows>x<cols>``, the parts joined by ``_`` (``1``, ``2_1``) or listed
+    as in ``[2,1]``, with blanks around it ignored; else a :class:`UsageError`.
+    """
+    text = text.strip()
+    try:
+        if text.startswith("["):
+            return Partition(json.loads(text))
+        if text[:1] in ("S", "L") and text[1:].isdigit():
+            n = int(text[1:])
+            return Partition([n] if text[0] == "S" else [1] * n)
+        if "x" in text:
+            rows, cols = map(int, text.split("x"))
+            return Partition([cols] * rows)
+        return Partition([int(part) for part in text.split("_")])
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise UsageError(f"cannot parse color {text!r}: {exc}") from None
+
+
+def color_name(color: Partition) -> str:
+    """The one spelling of ``color`` that names fixtures: ``1`` for one box,
+    ``S<n>`` for one row, ``L<n>`` for one column, ``<rows>x<cols>`` for
+    another rectangle, else the parts joined by ``_`` (``0`` if none)."""
+    parts = color.parts
+    if color.size() <= 1:
+        return str(color.size())
+    if len(parts) == 1:
+        return f"S{parts[0]}"
+    if not color.is_rectangle():
+        return "_".join(map(str, parts))
+    return f"L{len(parts)}" if parts[0] == 1 else f"{len(parts)}x{parts[0]}"
 
 
 def partitions_of(n: int, max_part=None):

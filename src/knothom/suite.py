@@ -18,7 +18,7 @@ from functools import cache, partial
 from math import gcd
 
 from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
-from .partitions import Partition, catalan_count, partitions_of
+from .partitions import Partition, catalan_count, parse_color, partitions_of
 from .invariants import (
     hirota_check,
     macdonald_dim,
@@ -51,11 +51,10 @@ from .checks import (
 )
 from .fixtures import (
     DIFFERENTIALS,
-    FIXTURE_IDS,
     HOMOLOGY_FIXTURES,
+    KNOTS,
     PRINTED_DEGREES,
     PRINTED_SURVIVORS,
-    fixture_color,
     fixture_name,
     load_fixture,
 )
@@ -248,9 +247,6 @@ def hook_macdonald_rows():
     return {"hook-macdonald": _hook_macdonald}
 
 
-#: the torus pair ``(n, m)`` of each fixture knot that is a torus knot
-TORUS = {"3_1": (2, 3), "T3_4": (3, 4)}
-
 ROSSO_JONES_CASES = ["3_1:S2", "3_1:L2", "3_1:2x2", "3_1:3x2", "3_1:2_1", "T3_4:S2"]
 
 
@@ -269,7 +265,7 @@ def _halved_homfly(fix) -> LaurentPoly:
 
 def _rosso_jones(fname):
     fix = load_fixture(fname)
-    p, report = torus_homfly(fix.color, *TORUS[fix.knot])
+    p, report = torus_homfly(fix.color, *KNOTS[fix.knot])
     ok = match_up_to_monomial(p, _halved_homfly(fix)) is not None
     if len(fix.color.parts) == 1:
         # single-row colors exist over sl(1), so the canonical form is
@@ -392,7 +388,7 @@ def _fixture_rows():
     ok = True
     for name in ("3_1:1", "T3_4:1"):
         fix = load_fixture(name)
-        (p, q), amin = TORUS[fix.knot], min(fix.poincare._exponents("a"))
+        (p, q), amin = KNOTS[fix.knot], min(fix.poincare._exponents("a"))
         for k in range(0, p):
             row = fix.poincare.coefficient_of("a", amin + 2 * k)
             ok = ok and row.dimension() == row_count(p, q, k)
@@ -471,10 +467,10 @@ SL2_41S2_KNOWN_GAP = "-q^10*t^6 - q^10*t^7"
 
 
 def _sl2(key):
-    """The rank-2 collapse of ``key``, in the fixture's colour where there
-    is a fixture, else in the colour its name gives (:func:`fixture_color`)."""
-    lam = load_fixture(key).color if key in FIXTURE_IDS else fixture_color(key)
-    survivors, window = rank_collapse(key.split(":")[0], lam, 2, cutoff=30)
+    """The rank-2 collapse of ``key``, ``<knot>:<colour>``, in the colour
+    its name spells."""
+    knot, color = key.split(":")
+    survivors, window = rank_collapse(knot, parse_color(color), 2, cutoff=30)
     expected = _sl2_expected(key, window)
     if key == "4_1:S2":
         gap = survivors - expected

@@ -12,11 +12,11 @@ import pytest
 import knothom
 
 from knothom import cli, suite
-from knothom.cli import main, parse_color, parse_knot, UsageError
+from knothom.cli import main, parse_knot, UsageError
 from knothom.fixtures import load_fixture
 from knothom.invariants import torus_homfly
 from knothom.laurent import LaurentPoly, parse_poly
-from knothom.partitions import Partition
+from knothom.partitions import Partition, parse_color
 
 
 def test_parse_color():
@@ -24,6 +24,8 @@ def test_parse_color():
     assert parse_color("L3") == Partition([1, 1, 1])
     assert parse_color("2x3") == Partition([3, 3])
     assert parse_color("[4,2]") == Partition([4, 2])
+    assert parse_color("1") == Partition([1])
+    assert parse_color("2_1") == Partition([2, 1])
     with pytest.raises(UsageError):
         parse_color("wat")
 
@@ -33,6 +35,8 @@ def test_parse_knot():
     assert parse_knot("torus:2,3") == ("torus", (2, 3))
     assert parse_knot("3_1") == ("fixture", "3_1")
     assert parse_knot("8_19") == ("fixture", "T3_4")
+    assert parse_knot("T3_4") == ("fixture", "T3_4")
+    assert parse_knot("4_1") == ("fixture", "4_1")
     with pytest.raises(UsageError):
         parse_knot("granny")
 
@@ -182,6 +186,8 @@ SPELLINGS = [
         ("[2,2]", "2x2"), ("[2,2,2]", "3x2"), ("L1", "S1")]],
     ("cancel", "[2]", "S2"), ("cancel", "[1,1]", "L2"), ("cancel", "L1", "S1"),
     ("cancel", "[2,2]", "2x2"),
+    ("homfly", "1", "S1"), ("homfly", "2_1", "[2,1]"), ("homfly", "2_2", "2x2"),
+    ("cancel", "1", "S1"), ("cancel", "1x1", "S1"),
 ]
 
 

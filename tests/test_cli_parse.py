@@ -213,7 +213,7 @@ FUZZ_VALUES = {
     "--knot": (["unknot", "3_1", "4_1", "T3_4", "8_19", "torus:2,3", "torus:2,5",
                 "torus:3,2", "torus:2,4", "torus:2", "torus:a,b", "granny", ""], []),
     "--color": (["S1", "S2", "L2", "[2,1]", "2x1", "[]", "S0", "[1,2]", "[1.5]", "wat",
-                 "S9"], []),
+                 "S9", "1", "2_1", "1x1", "2_2", "1_2", "_", "2_"], []),
     "--cutoff": (["-1", "0", "1", "3", "6"], ["x"]),
     "--ceiling": (["-1", "0", "3", "8", "12", "20"], ["1.5"]),
     "--p": (["1", "2", "3"], ["0", "x"]),

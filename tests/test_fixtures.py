@@ -10,11 +10,13 @@ from knothom.fixtures import (
     DIFFERENTIALS,
     FIXTURE_IDS,
     HOMOLOGY_FIXTURES,
+    KNOT_ALIASES,
+    KNOTS,
     FixtureError,
     HomologyFixture,
-    fixture_color,
     fixture_name,
     from_tilde,
+    knot_name,
     load_fixture,
     rectangle,
     to_tilde,
@@ -22,7 +24,7 @@ from knothom.fixtures import (
 from knothom.checks import colored_differential
 from knothom.errors import UsageError
 from knothom.laurent import LaurentPoly, Multidegree
-from knothom.partitions import Partition, partitions_of
+from knothom.partitions import Partition, parse_color, partitions_of
 
 EXPECTED_DIMS = {
     "3_1:1": 3, "3_1:S2": 9, "3_1:L2": 9, "3_1:2x2": 81, "3_1:3x2": 729,
@@ -38,16 +40,37 @@ def test_all_fixtures_load_and_validate():
 
 def test_fixture_name_from_knot_and_color():
     """``fixture_name`` names each fixture from its knot and colour, and
-    ``fixture_color`` reads the colour back from any name it gives."""
+    ``parse_color`` reads the colour back from any name it gives."""
     for name in HOMOLOGY_FIXTURES:
         fix = load_fixture(name)
         assert fixture_name(fix.knot, fix.color) == name
-        assert fixture_color(name) == fix.color
+        assert parse_color(name.split(":")[1]) == fix.color
     for size in range(1, 7):
         for parts in partitions_of(size):
-            assert fixture_color(fixture_name("unknot", Partition(parts))) == Partition(parts)
+            name = fixture_name("unknot", Partition(parts))
+            assert parse_color(name.split(":")[1]) == Partition(parts)
     with pytest.raises(UsageError):
         fixture_name("3_1", Partition())
+
+
+def test_every_fixture_is_a_table_knot_in_a_color():
+    """Each fixture name is ``<knot>:<colour>[:<differential>]``, its knot is
+    in the knot table and its colour parses to the fixture's colour."""
+    for name in FIXTURE_IDS:
+        knot, color, *_ = name.split(":")
+        fix = load_fixture(name)
+        assert knot_name(knot) == knot == fix.knot
+        assert parse_color(color) == fix.color, name
+
+
+def test_knot_table_names_each_knot_once():
+    assert {knot_name(name) for name in KNOTS} == set(KNOTS)
+    assert knot_name("8_19") == "T3_4"
+    assert set(KNOT_ALIASES.values()) <= set(KNOTS)
+    assert not set(KNOT_ALIASES) & set(KNOTS)
+    for text in ("granny", "", "3_1:S2", "torus:2,3", "t3_4"):
+        with pytest.raises(UsageError, match="unknown knot"):
+            knot_name(text)
 
 
 def test_expected_dimensions():

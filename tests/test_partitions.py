@@ -7,8 +7,10 @@ from knothom.errors import UsageError
 from knothom.partitions import (
     Partition,
     catalan_count,
+    color_name,
     dyck_paths,
     h_plus,
+    parse_color,
     partitions_of,
 )
 
@@ -109,3 +111,56 @@ def test_h_plus_needs_positive_slopes():
     for p, q in [(0, 1), (1, 0), (-1, 2), (2, -3)]:
         with pytest.raises(UsageError, match="positive"):
             h_plus(Partition([1]), p, q)
+
+
+def test_color_grammar_round_trips_every_partition():
+    """Each partition of 1 to 8 reads back from its name and from its
+    bracketed ``str``."""
+    count = 0
+    for n in range(1, 9):
+        for parts in partitions_of(n):
+            lam = Partition(parts)
+            assert parse_color(color_name(lam)) == lam, lam
+            assert parse_color(str(lam)) == lam, lam
+            count += 1
+    assert count == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
+
+
+#: every shape of name that ``color_name`` prints, with its partition
+CANONICAL_COLOR_NAMES = {
+    "1": [1], "S2": [2], "S8": [8], "L2": [1, 1], "L8": [1] * 8, "2x2": [2, 2],
+    "3x2": [2, 2, 2], "2x4": [4, 4], "2_1": [2, 1], "3_2_1": [3, 2, 1],
+    "4_1_1_1": [4, 1, 1, 1], "0": [],
+}
+
+
+def test_canonical_color_names_round_trip():
+    for name, parts in CANONICAL_COLOR_NAMES.items():
+        assert parse_color(name) == Partition(parts), name
+        assert color_name(parse_color(name)) == name
+    assert {color_name(Partition(p)) for n in range(1, 9) for p in partitions_of(n)} >= {
+        name for name, parts in CANONICAL_COLOR_NAMES.items() if parts}
+
+
+@pytest.mark.parametrize("spelled, parts", [
+    (" S2 ", [2]), ("1x2", [2]), ("2x1", [1, 1]), ("[2, 2]", [2, 2]), ("2", [2]),
+    ("S0", []), ("L0", []), ("[]", []), ("2_0", [2]),
+])
+def test_other_color_spellings(spelled, parts):
+    assert parse_color(spelled) == Partition(parts)
+
+
+@pytest.mark.parametrize("text", [
+    "", "_", "2_", "1_2", "x2", "2x", "S", "[1.5]", "[true]", "wat", "[2,1", "1x2x3",
+    "S-1", "2x-1", "[[1]]", '["1"]',
+])
+def test_color_grammar_refuses(text):
+    with pytest.raises(UsageError, match="cannot parse color"):
+        parse_color(text)
+
+
+def test_deeply_nested_color_is_a_usage_error():
+    """``json`` raises ``RecursionError`` on deep nesting; it is refused as
+    any other bad spelling is, not left to surface as an internal error."""
+    with pytest.raises(UsageError, match="cannot parse color"):
+        parse_color("[" * 100000)
