@@ -314,9 +314,12 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     ``e``; then its ``t``-degree is at most ``t_top`` and its ``w``-degree
     at most ``top``, and its ray lies in that one ``w``-level.  The
     expansion is cancelled in ``w`` along the image of ``diff``, which fixes
-    ``w``; only the survivors are mapped back to ``q``.  Ambiguous survivors
-    sit at the early end of their rays, matching the tabulated
-    computations.  Returns ``(survivors, window)``.
+    ``w``; only the survivors are mapped back to ``q`` (:func:`_collapsed`).
+    Ambiguous survivors sit at the early end of their rays, matching the
+    tabulated computations.  The expansion, the survivors and the result
+    are all carried as exponent columns with ``int`` counts, so no term map
+    is built between the expansion and ``to_json``.  Returns ``(survivors,
+    window)``.
     """
     tvar = "t" if diff._e("t") else "tc"
     step_q = diff._e("q")
@@ -341,10 +344,18 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
         "q", top)
     survivors, _ = max_cancel(regraded.expand(), diff._shift(lift, diff._e(tvar)),
                               keep="early")
-    survivors = survivors.map_exponents(
-        lambda md: md._shift(lift, -md._e(tvar))).truncate("q", cutoff)
-    collapsed = survivors.substitute("a", LaurentPoly.var("q", n))
-    return collapsed.truncate("q", window), window
+    return _collapsed(survivors, tvar, step_q, n, cutoff, window), window
+
+
+def _collapsed(survivors: LaurentPoly, tvar: str, step_q: int, n: int, cutoff, window):
+    """The survivors of :func:`sl_cancel` back in ``q``, through ``q^cutoff``,
+    then with ``a -> q^n`` through ``q^window``.  ``q -> q - step_q*tvar``
+    undoes the lift ``w = q + step_q*tvar``, as the substitution of
+    ``tvar`` by ``tvar*q^-step_q``.  Each step reads and gives exponent
+    columns, so no term map is built from carried survivors."""
+    unlift = LaurentPoly.monomial(1, Multidegree({tvar: 1, "q": -step_q}))
+    kept = survivors.substitute(tvar, unlift).truncate("q", cutoff)
+    return kept.substitute("a", LaurentPoly.var("q", n)).truncate("q", window)
 
 
 def rank_collapse(knot: str, lam, n: int, cutoff=30):

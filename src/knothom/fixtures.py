@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree
+from .laurent import LaurentPoly, Multidegree, _degrees, _summed
 from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
@@ -146,14 +147,20 @@ class HomologyFixture:
         return lhs, rhs
 
     def _specialized_terms(self) -> list:
-        """The term maps of :meth:`specializations`, unwrapped, from one
-        pass over the table's exponent columns: the degrees drop the
-        ``tr``/``tc`` (or ``t``) slots, and each side's signs are the
-        parities of the exponents it sets to ``-1``."""
+        """The term maps of :meth:`specializations`, from one pass over the
+        table's exponent columns: the degrees drop the ``tr``/``tc`` (or
+        ``t``) slots, and each side's signs are the parities of the
+        exponents it sets to ``-1``.  Values are ``int`` where the table's
+        coefficients are all integral."""
         if "tr" in self.gradings:
-            return self.poincare._substituted(("tr", "tc"), [("tr",), ("tc",)])
-        var = "tc" if "tc" in self.gradings else "t"
-        return self.poincare._substituted((var,), [(var,)]) * 2
+            columns, den, sided = self.poincare._substituted(("tr", "tc"), [("tr",), ("tc",)])
+        else:
+            var = "tc" if "tc" in self.gradings else "t"
+            columns, den, sided = self.poincare._substituted((var,), [(var,)])
+            sided *= 2
+        degrees = _degrees(columns)
+        return [_summed(degrees, [Fraction(c, den) for c in ints] if den > 1 else ints)
+                for ints in sided]
 
     def homfly_specialization(self) -> LaurentPoly:
         """``P(a, q, tr=-1, tc=1)`` (or ``t=-1`` for triply-graded data)."""

@@ -9,7 +9,9 @@ the two exactly.  ``LaurentPoly.__mul__`` wraps each value of the product in
 a ``Fraction`` once on the way out, taken from one shared table
 (``_SMALL``) when it is an ``int`` of absolute value at most 128.
 ``RationalSeries.expand`` carries one unwrapped map through all of its
-products and wraps once, at the end.  Powers and logarithms of a series
+products and, when every value is an ``int``, hands the result on as
+exponent columns (below); else it wraps once, at the end.  Powers and
+logarithms of a series
 (``series_pow_rational``, ``series_log``, the scheme relations) all come
 from one recurrence, J. C. P. Miller's, in ``_series_terms``.
 Exponents are integers on every variable.
@@ -27,7 +29,11 @@ time, in C-level ``map`` and ``compress`` calls: terms are numbered, and
 degrees decoded, column by column, and ``_unpack`` gives the nonzero slots
 as two lists.  An integral quotient is handed on in those columns, with
 its ``int`` coefficients (``_Carried``), so that the next division of a
-chain reads them as they are; its term map is built when first read.
+chain reads them as they are; its term map is built when first read.  The
+rank-collapse path carries the same way: ``expand`` ends in columns,
+``max_cancel`` walks them and keeps its survivors in them, ``substitute``
+reads columns and gives them, a carried polynomial truncates its columns,
+and ``to_json`` reads them.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -307,6 +313,12 @@ def _columns(terms, n: int) -> list:
     entry ``k`` of tuple ``i`` the exponent of term ``k`` in slot ``i``."""
     columns = list(zip_longest(*terms, fillvalue=0))
     return columns + [(0,) * len(terms)] * (n - len(columns))
+
+
+def _padded(columns, n: int) -> list:
+    """The exponent ``columns`` (at least one) and, after them, as many
+    columns of zeros as make ``n``."""
+    return [*columns, *[(0,) * len(columns[0])] * (n - len(columns))]
 
 
 def _indices(columns, strides, lows) -> list:
@@ -614,35 +626,43 @@ class LaurentPoly:
         ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
         so that exponent arithmetic stays closed; with a constant image,
         ``var = +1`` or ``-1``, the map is an evaluation.  The terms are
-        mapped by :meth:`_substituted` and wrapped once.
+        mapped by :meth:`_substituted`, and the images are summed by degree
+        (:func:`_summed` on the rows of their columns) with zero sums
+        dropped, so the result is carried (``_Carried``), divided by the
+        common denominator unless it is 1.
         """
         coeff, imd = self._coerce(image).as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
-        return LaurentPoly._wrap(self._substituted((var,), [(var,) * (coeff == -1)], imd)[0])
+        columns, den, (ints,) = self._substituted((var,), [(var,) * (coeff == -1)], imd)
+        summed = _summed([*zip(*columns)], ints)
+        carried = _Carried([*zip(*summed)] or [()], [*summed.values()])
+        return carried if den == 1 else carried / den
 
-    def _substituted(self, variables, sides, image=()) -> list:
-        """The term maps of this polynomial with each of ``variables``
-        replaced by the monomial of degree ``image`` (by ``+1`` when it is
-        the zero degree), one map for each entry of ``sides``: a tuple of
-        those variables, which that map replaces by minus the monomial.
+    def _substituted(self, variables, sides, image=()) -> tuple:
+        """``(columns, den, sided)``: the exponent ``columns`` of this
+        polynomial's terms with each of ``variables`` replaced by the
+        monomial of degree ``image`` (by ``+1`` when it is the zero degree),
+        and, for each entry of ``sides`` (a tuple of those variables, which
+        that side replaces by minus the monomial), the ``int`` coefficients
+        of ``den`` times the image, term by term and not yet summed by
+        degree.
 
-        The exponent columns are read once for every side.  A term whose
-        exponents in ``variables`` sum to ``e`` loses their slots and gains
-        ``e`` times ``image``, and a side's sign on it is the parity of the
-        exponents of that side's variables.  Values are summed as ``int``
-        (``Fraction`` only where a value is not integral) by
-        :func:`_summed`, and nothing is wrapped.
+        The exponent columns and ``int`` values are read once
+        (``_columnar``), for every side.  A term whose exponents in
+        ``variables`` sum to ``e`` loses their slots and gains ``e`` times
+        ``image``, and a side's sign on it is the parity of the exponents of
+        that side's variables.
         """
-        columns = _columns(self.terms, max(len(image), 1))
-        zero = (0,) * len(self.terms)
+        columns, den, ints = self._columnar()
+        zero = (0,) * len(ints)
+        columns = _padded(columns, len(image))
 
         def summed(names):
             """Each term's exponent sum over ``names``."""
             return map(sum, zip(zero, *[columns[i] for i in _slots(names) if i < len(columns)]))
 
-        values = [c.numerator if c.denominator == 1 else c for c in self.terms.values()]
-        sided = [[-c if e & 1 else c for c, e in zip(values, summed(side))] for side in sides]
+        sided = [[-c if e & 1 else c for c, e in zip(ints, summed(side))] for side in sides]
         moved = [*summed(variables)]
         for i in _slots(variables):
             if i < len(columns):
@@ -650,8 +670,7 @@ class LaurentPoly:
         for i, k in enumerate(image):
             if k:
                 columns[i] = [*map(_add, columns[i], map(k.__mul__, moved))]
-        degrees = _degrees(columns)
-        return [_summed(degrees, signed) for signed in sided]
+        return columns, den, sided
 
     def coefficient_of(self, var, exp):
         """The coefficient of ``var**exp`` as a polynomial in the other variables."""
@@ -727,7 +746,7 @@ class LaurentPoly:
             return LaurentPoly.zero()
         g = divisor.terms
         n = max(len(f_cols), *map(len, g))
-        f_cols = f_cols + [(0,) * len(f_ints)] * (n - len(f_cols))
+        f_cols = _padded(f_cols, n)
         g_cols = _columns(g, n)
         f_lo, f_hi = [*map(min, f_cols)], [*map(max, f_cols)]
         g_lo, g_hi = [*map(min, g_cols)], [*map(max, g_cols)]
@@ -883,14 +902,18 @@ _TERMS = LaurentPoly.terms
 
 
 class _Carried(LaurentPoly):
-    """A polynomial with ``int`` coefficients, carried as the exponent
-    columns and values in which :meth:`LaurentPoly.divide_exact` and the
-    packed plethysm sum of :mod:`knothom.invariants` decode it.
+    """A polynomial with ``int`` coefficients, carried as exponent columns
+    and values: as :meth:`LaurentPoly.divide_exact` and the packed plethysm
+    sum of :mod:`knothom.invariants` decode it, as
+    :meth:`RationalSeries.expand` ends, and as :func:`max_cancel`,
+    :func:`nonneg_divisibility`, ``truncate`` and ``substitute`` hand on
+    what they keep.
 
-    A division reads the columns of its dividend (``_columnar``); the term
-    map of ``Multidegree`` to ``Fraction`` is built on the first read of
-    ``terms`` and kept in the slot that every ``LaurentPoly`` has.  So a
-    chain of divisions builds no map but the last, when it is read.
+    Each of those, and ``to_json``, reads the columns of its input
+    (``_columnar``); the term map of ``Multidegree`` to ``Fraction`` is
+    built on the first read of ``terms`` and kept in the slot that every
+    ``LaurentPoly`` has.  So a chain of these operations builds no map but
+    the last, when it is read.
     """
 
     __slots__ = ("_cols", "_ints")
@@ -912,6 +935,13 @@ class _Carried(LaurentPoly):
 
     def _columnar(self) -> tuple:
         return self._cols, 1, self._ints
+
+    def truncate(self, var, order):
+        """:meth:`LaurentPoly.truncate` on the exponent columns: the kept
+        terms are handed on carried, and no term map is built."""
+        cols, i = self._cols, _INDEX.get(var, _ABSENT)
+        keep = [*map(_exact(order).__ge__, cols[i] if i < len(cols) else [0] * len(self._ints))]
+        return _Carried([[*compress(c, keep)] for c in cols], [*compress(self._ints, keep)])
 
     def __reduce__(self):
         # ``terms`` has no setter to restore a slot with: pickle the plain
@@ -1028,7 +1058,11 @@ class RationalSeries:
         ``order``.  Its ``K + 1`` degrees ``k*m`` are distinct and built by
         adding ``m`` to itself.  Each product (:func:`_product`) gives a term
         map with ``int`` values where they are integral, which the next one
-        takes as it is; the result is wrapped once, at the end.
+        takes as it is.  When every value of the last one is an ``int``, the
+        result is handed on as its exponent columns and values
+        (``_Carried``), so that :func:`max_cancel` and ``to_json`` read them
+        as they are and no ``Fraction`` is made unless ``terms`` is read;
+        otherwise it is wrapped once, at the end.
         """
         order = floor(_exact(self.order if order is None else order))
         if self.numerator.is_zero():
@@ -1040,7 +1074,9 @@ class RationalSeries:
             powers = accumulate(repeat(md, (order - base) // md[i]))
             factor = dict.fromkeys([_new(Multidegree, ()), *powers], 1)
             result = _truncated(_product(result, factor), i, order)
-        return LaurentPoly._wrap(result)
+        ints = [*result.values()]
+        integral = {*map(type, ints)} <= {int}
+        return _Carried(_columns(result, 1), ints) if integral else LaurentPoly._wrap(result)
 
     def __str__(self):
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"
@@ -1114,44 +1150,38 @@ def series_log(base: LaurentPoly, order, var="z") -> LaurentPoly:
 # -- rays, witness division, maximal cancellation -------------------------------
 
 
-def _integer_counts(p: LaurentPoly, message: str) -> list:
-    """The coefficients of ``p`` as ``int``, in term order; raises
-    ``ValueError(message)`` unless every one is integral."""
-    den, counts = _integral(p.terms)
-    if den != 1:
-        raise ValueError(message)
-    return counts
-
-
-def _walk(terms: dict, counts: list, step: Multidegree, ahead: int, carried=None):
+def _walk(columns, counts: list, step: Multidegree, ahead: int, witness=None):
     """Match the terms greedily along the rays of ``step``, level by level.
 
-    A term ``md`` with count ``n`` lies at level ``k = e // s``, with ``e``
-    and ``s`` the exponents of the term and of the step in the step's first
-    nonzero slot (the pivot), on the ray (a coset of ``Z*step``) of its
-    ``base = md - k*step``, computed one exponent column at a time.  The
-    rows go in increasing level for ``ahead = 1`` and in decreasing level
-    for ``ahead = -1``, and ``rays`` carries each ray's last row as
-    ``(level, rest, degree)``, keyed by its base.  A row one ``ahead`` past
-    that last row matches as much of the last row's rest as its own count
-    allows; after a gap it matches nothing.  What the last row has left then
-    survives, and so does each ray's rest at the end of the walk.
+    The terms are given by their exponent ``columns`` (at least one, slot 0
+    first) and their ``counts``, and are known by their number.  A term with
+    count ``n`` lies at level ``k = e // s``, with ``e`` and ``s`` the
+    exponents of the term and of the step in the step's first nonzero slot
+    (the pivot), on the ray (a coset of ``Z*step``) of its ``base = md -
+    k*step``, computed one exponent column at a time; columns shorter than
+    the step read as zero.  The rows go in increasing level for ``ahead =
+    1`` and in decreasing level for ``ahead = -1``, and ``rays`` carries
+    each ray's last row as ``(level, rest, term)``, keyed by its base.  A
+    row one ``ahead`` past that last row matches as much of the last row's
+    rest as its own count allows; after a gap it matches nothing.  What the
+    last row has left then survives, and so does each ray's rest at the end
+    of the walk.
 
-    Returns ``(survivors, pairs)``, the survivors as a map of degree to
-    count.  A ``carried`` dict receives each degree's rest as its row
+    Returns ``(survivors, pairs)``, the survivors as a map of term number
+    to count.  A ``witness`` dict receives each term's rest as its row
     leaves it, before the next level matches it.
     """
     pivot, e_pivot = next(compress(enumerate(step), step))
-    columns = _columns(terms, max(len(step), *map(len, terms)))
+    columns = _padded(columns, len(step))
     levels = [*map(e_pivot.__rfloordiv__, columns[pivot])]
     bases = zip(*[[*map(_sub, column, map(e.__mul__, levels))] if e else column
                   for column, e in zip_longest(columns, step, fillvalue=0)])
-    rows = sorted(zip(levels, bases, counts, terms), key=itemgetter(0),
+    rows = sorted(zip(levels, bases, counts, count()), key=itemgetter(0),
                   reverse=ahead < 0)
     rays = {}
     survivors = {}
     pairs = 0
-    for k, base, n, md in rows:
+    for k, base, n, term in rows:
         last = rays.get(base)
         if last is not None:
             level, rest, prev = last
@@ -1163,20 +1193,29 @@ def _walk(terms: dict, counts: list, step: Multidegree, ahead: int, carried=None
                     n -= matched
                 if rest:
                     survivors[prev] = rest
-        if carried is not None and n:
-            carried[md] = n
-        rays[base] = (k, n, md)
-    for _, rest, md in rays.values():
+        if witness is not None and n:
+            witness[term] = n
+        rays[base] = (k, n, term)
+    for _, rest, term in rays.values():
         if rest:
-            survivors[md] = rest
+            survivors[term] = rest
     return survivors, pairs
+
+
+def _picked(columns, counts: dict) -> "_Carried":
+    """The carried polynomial of the terms of the exponent ``columns`` that
+    ``counts`` numbers, each with its count there."""
+    return _Carried([[*map(column.__getitem__, counts)] for column in columns],
+                    [*counts.values()])
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     """Find ``X`` with nonnegative coefficients and ``p == (1 + mono(m)) * X``.
 
     Returns the unique witness ``X`` when it exists and ``None`` otherwise.
-    ``p`` must have integer coefficients.  The search peels each ray of the
+    ``p`` must have integer coefficients; they are read as exponent columns
+    and ``int`` values (``_columnar``), and the witness is handed on in
+    those columns (``_Carried``).  The search peels each ray of the
     step from its lowest level, in one ascending :func:`_walk`: ``X`` at
     level ``k`` is the rest of ``p``'s count there after its match with
     ``X`` at ``k - 1``.  ``X`` exists exactly when every match is whole and
@@ -1184,18 +1223,18 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     nothing survives.  This is complete because ``1 + mono(m)`` is not a
     zero divisor.
     """
-    counts = _integer_counts(p, "nonneg_divisibility requires integer coefficients")
-    if not counts:
-        return LaurentPoly.zero()
+    columns, den, counts = p._columnar()
+    if den != 1:
+        raise ValueError("nonneg_divisibility requires integer coefficients")
     if m.is_zero():
         if any(n < 0 or n % 2 for n in counts):
             return None
-        return LaurentPoly._wrap(dict(zip(p.terms, [n // 2 for n in counts])))
-    if any(n < 0 for n in counts):
+        return _Carried(columns, [n // 2 for n in counts])
+    if min(counts, default=0) < 0:
         return None
     witness = {}
-    survivors, _ = _walk(p.terms, counts, m, 1, witness)
-    return None if survivors else LaurentPoly._wrap(witness)
+    survivors, _ = _walk(columns, counts, m, 1, witness)
+    return None if survivors else _picked(columns, witness)
 
 
 def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
@@ -1213,15 +1252,16 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
     pass, after its matches with the level before.  One :func:`_walk`,
     in decreasing level for ``"early"`` and increasing level for
     ``"late"``, matches every ray; a gap ends a run, and each row's rest
-    survives.
+    survives.  The walk reads the exponent columns and ``int`` counts of
+    ``p`` (``_columnar``), so a carried expansion is read as it is, and the
+    survivors are handed on in those columns (``_Carried``).
     """
     if keep not in ("early", "late"):
         raise ValueError("keep must be 'early' or 'late'")
-    message = "max_cancel requires nonnegative integer multiplicities"
-    counts = _integer_counts(p, message)
-    if any(n < 0 for n in counts):
-        raise ValueError(message)
-    if not counts or m.is_zero():
+    columns, den, counts = p._columnar()
+    if den != 1 or min(counts, default=0) < 0:
+        raise ValueError("max_cancel requires nonnegative integer multiplicities")
+    if m.is_zero():
         return p, 0
-    survivors, pairs = _walk(p.terms, counts, m, -1 if keep == "early" else 1)
-    return LaurentPoly._wrap(survivors), pairs
+    survivors, pairs = _walk(columns, counts, m, -1 if keep == "early" else 1)
+    return _picked(columns, survivors), pairs

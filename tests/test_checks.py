@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knothom import checks
+from knothom import checks, laurent
 from knothom.cli import main
 from knothom.errors import UsageError
 from knothom.laurent import (
@@ -369,6 +370,102 @@ def test_sl_cancel_expands_through_the_window_edge():
     got = sl_cancel(series, diff, 2, cutoff=10)
     assert got == (P("q^-4 + q^-2*t + t^2 + q^2*t^3"), 2)
     assert got == _reference_sl_cancel(series, diff, 2, 10)
+
+
+def survivor_pass_by_term(survivors, tvar, step_q, n, cutoff, window):
+    """:func:`checks._collapsed` one term at a time: ``q -> q -
+    step_q*tvar``, kept through ``q^cutoff``; then ``a -> q^n``, kept
+    through ``q^window``; the images summed by degree."""
+    out = {}
+    for md, c in survivors.terms.items():
+        e = dict(md.items())
+        q = e.pop("q", 0) - step_q * e.get(tvar, 0)
+        if q <= cutoff and q + n * e.get("a", 0) <= window:
+            e["q"] = q + n * e.pop("a", 0)
+            image = Multidegree(e)
+            out[image] = out.get(image, 0) + c
+    return LaurentPoly(out)
+
+
+def survivor_pass_chain(survivors, tvar, step_q, n, cutoff, window):
+    """The chain :func:`checks._collapsed` replaced, on a plain copy:
+    ``map_exponents``, ``truncate``, ``substitute``, ``truncate``."""
+    lift = Multidegree(q=step_q)
+    back = LaurentPoly(survivors.terms).map_exponents(lambda md: md._shift(lift, -md._e(tvar)))
+    collapsed = back.truncate("q", cutoff).substitute("a", LaurentPoly.var("q", n))
+    return collapsed.truncate("q", window)
+
+
+@st.composite
+def survivor_cases(draw):
+    """Survivors in ``(a, q, tvar)`` with negative ``a``-degrees, and the
+    parameters of the pass: ``n`` in 2..4, a lift step, a cutoff and a
+    window at most the cutoff.  Some terms get a partner one ``a`` lower and
+    ``n`` higher in ``q``, whose image under ``a -> q^n`` is the same; the
+    partner's count may be the negative, so that the two cancel."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    tvar = draw(st.sampled_from(["t", "tc"]))
+    exps = st.tuples(st.integers(-4, 2), st.integers(-6, 12), st.integers(-2, 4))
+    terms = draw(st.lists(st.tuples(exps, st.integers(1, 3)), max_size=10))
+    for (a, q, t), c in terms[:draw(st.integers(0, len(terms)))]:
+        terms.append(((a - 1, q + n, t), draw(st.sampled_from([c, -c, 2]))))
+    survivors = LaurentPoly.zero()
+    for (a, q, t), c in terms:
+        survivors = survivors + LaurentPoly.monomial(c, Multidegree({"a": a, "q": q, tvar: t}))
+    cutoff = draw(st.integers(-4, 14))
+    window = cutoff - draw(st.integers(0, 12))
+    return survivors, tvar, draw(st.sampled_from([2 * n, 1, 3])), n, cutoff, window
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(survivor_cases())
+def test_survivor_pass_matches_the_term_by_term_chain(case):
+    """``sl_cancel``'s pass over the survivors reads and hands on exponent
+    columns, on a plain or a carried input; it equals the term-by-term
+    reference and the chain it replaced, colliding images summed and zero
+    sums dropped, and ``to_json`` writes it without a term map.  The input
+    is left as it was."""
+    survivors, *args = case
+    want = survivor_pass_by_term(survivors, *args)
+    assert survivor_pass_chain(survivors, *args) == want
+    columns, den, ints = survivors._columnar()
+    assert den == 1
+    for given_ in (survivors, laurent._Carried(columns, ints)):
+        got = checks._collapsed(given_, *args)
+        obj = got.to_json()
+        with pytest.raises(AttributeError):
+            laurent._TERMS.__get__(got)
+        assert type(got) is laurent._Carried and all(got._ints)
+        assert obj == want.to_json()
+        assert got == want
+        assert given_ == survivors
+
+
+@pytest.mark.parametrize("knot, lam, n, cutoff", [("3_1", [2], 2, 24), ("unknot", [2], 3, 30)])
+def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
+    """``rank_collapse`` hands its expansion to ``max_cancel``, and the
+    survivors on through the survivor pass, as exponent columns, and
+    ``to_json`` writes the result from them: the base ``terms`` slot of the
+    expansion, of the survivors and of the result is still empty
+    afterwards, so a term map built by accident fails here instead of only
+    costing time.  The JSON is the plain copy's."""
+    seen = []
+    real = checks.max_cancel
+
+    def recording(p, m, keep="early"):
+        out = real(p, m, keep)
+        seen.extend([p, out[0]])
+        return out
+
+    monkeypatch.setattr(checks, "max_cancel", recording)
+    survivors, _ = rank_collapse(knot, lam, n, cutoff=cutoff)
+    obj = survivors.to_json()
+    assert len(seen) == 2
+    for p in (*seen, survivors):
+        assert type(p) is laurent._Carried
+        with pytest.raises(AttributeError):
+            laurent._TERMS.__get__(p)
+    assert obj == LaurentPoly(survivors.terms).to_json()
 
 
 def test_sl_cancel_needs_decreasing_t():

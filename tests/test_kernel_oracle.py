@@ -540,6 +540,35 @@ def test_to_json_and_str_match_the_per_term_reference(p, variables):
     assert UNREGISTERED not in laurent._INDEX
 
 
+@oracle(200)
+@given(serialised_polys(), st.sampled_from([*VARS, "tr", UNREGISTERED]),
+       st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)),
+       st.sampled_from([(1, Multidegree()), (-1, Multidegree()), (1, Multidegree(q=2)),
+                        (-1, Multidegree(a=-1, q=3))]))
+@example(carried(parse_poly("1 + 2*q*t - a^-1")), "tr", 0, (-1, Multidegree(q=2)))
+@example(carried(parse_poly("1 + 2*q*t - a^-1")), UNREGISTERED, Fraction(1, 2),
+         (1, Multidegree()))
+def test_carried_truncate_and_substitute_match_the_term_map(p, var, order, image):
+    """``truncate`` and ``substitute`` of a polynomial, carried or not, equal
+    the same operations on a plain copy; a carried polynomial is truncated
+    on its columns and stays carried, and an integral one is substituted
+    into carried columns.  The variable may lie past the columns, be one no
+    term has, or be unregistered, and the order may be negative or not an
+    integer."""
+    plain = LaurentPoly(p.terms)
+    got = p.truncate(var, order)
+    assert_same_poly(got, LaurentPoly._of(
+        {md: c for md, c in plain.terms.items() if md.e(var) <= order}))
+    if type(p) is laurent._Carried:
+        assert type(got) is laurent._Carried
+    coeff, md = image
+    got = p.substitute(var, LaurentPoly.monomial(coeff, md))
+    assert_same_poly(got, plain.substitute(var, LaurentPoly.monomial(coeff, md)))
+    assert type(got) is laurent._Carried or any(
+        c.denominator > 1 for c in plain.terms.values())
+    assert UNREGISTERED not in laurent._INDEX
+
+
 def trimmed(exps) -> tuple:
     """``exps`` without its trailing zeros."""
     exps = list(exps)
@@ -997,13 +1026,40 @@ NAMED_RAYS = {
 }
 
 
+#: ``(p, m)``: steps with a nonzero exponent past the last exponent column
+#: of ``p``, on a variable that ``p`` lacks, so that no two terms of ``p``
+#: differ by the step; in the first the pivot itself lies past the columns
+PAST_THE_COLUMNS = {
+    "pivot past the columns": ("1 + q + 2*q^2 + a*q", "t"),
+    "step past the columns": ("1 + 2*q + q^2 + q^3*t", "q*tc"),
+}
+
+
+def carried_copies(p: LaurentPoly):
+    """``p`` as it is, and carried with and without trailing zero columns."""
+    return p, carried(p), carried(p, 2)
+
+
 @pytest.mark.parametrize("keep", ["early", "late"])
-@pytest.mark.parametrize("p, m", NAMED_RAYS.values(), ids=NAMED_RAYS)
+@pytest.mark.parametrize("p, m", [*NAMED_RAYS.values(), *PAST_THE_COLUMNS.values()],
+                         ids=[*NAMED_RAYS, *PAST_THE_COLUMNS])
 def test_max_cancel_survivors_match_the_ray_by_ray_reference(p, m, keep):
+    """The walk's survivors and pairs are the reference's, from a term map
+    and from carried columns alike, and are handed on carried.  Each
+    ``NAMED_RAYS`` case leaves some survivor where ``keep`` matters; on
+    ``PAST_THE_COLUMNS`` every term survives."""
+    named = (p, m) in NAMED_RAYS.values()
     p, m = parse_poly(p), parse_poly(m).as_monomial()[1]
-    assert max_cancel(p, m, keep) == ray_by_ray_cancel(p, m, keep)
-    if keep == "late":  # each case leaves some survivor where keep matters
+    want = ray_by_ray_cancel(p, m, keep)
+    for given in carried_copies(p):
+        survivors, pairs = max_cancel(given, m, keep)
+        assert type(survivors) is laurent._Carried
+        assert_same_poly(survivors, want[0])
+        assert pairs == want[1]
+    if named and keep == "late":
         assert max_cancel(p, m, "early")[0] != max_cancel(p, m, "late")[0]
+    if not named:
+        assert want == (p, 0)
 
 
 #: ``(p, m)``: rays whose peeling ends on a nonzero carry, meets a gap with
@@ -1019,14 +1075,41 @@ DIVISION_RAYS = {
 }
 
 
-@pytest.mark.parametrize("p, m", [*NAMED_RAYS.values(), *DIVISION_RAYS.values()],
-                         ids=[*NAMED_RAYS, *DIVISION_RAYS])
+@pytest.mark.parametrize("p, m", [*NAMED_RAYS.values(), *DIVISION_RAYS.values(),
+                                  *PAST_THE_COLUMNS.values()],
+                         ids=[*NAMED_RAYS, *DIVISION_RAYS, *PAST_THE_COLUMNS])
 def test_nonneg_divisibility_matches_the_ray_by_ray_reference(p, m):
     """The level-order walk finds the reference's witness, or ``None`` with
-    it, on ``p`` and on ``(1 + mono(m)) * p``."""
+    it, on ``p`` and on ``(1 + mono(m)) * p``, each as a term map and as
+    carried columns; a witness is handed on carried."""
     p, m = parse_poly(p), parse_poly(m).as_monomial()[1]
     for q in (p, (LaurentPoly.one() + LaurentPoly.monomial(1, m)) * p):
-        assert nonneg_divisibility(q, m) == ray_by_ray_divide(q, m)
+        want = ray_by_ray_divide(q, m)
+        for given in carried_copies(q):
+            got = nonneg_divisibility(given, m)
+            if want is None:
+                assert got is None
+            else:
+                assert type(got) is laurent._Carried
+                assert_same_poly(got, want)
+
+
+def test_ray_walks_refuse_what_is_not_a_count():
+    """``max_cancel`` refuses a non-integral or negative count, and
+    ``nonneg_divisibility`` a non-integral one, with their messages, from a
+    term map or from carried columns; a negative count has no witness."""
+    m = Multidegree(q=1)
+    half, negative = parse_poly("1 + q") / 2, parse_poly("1 - q")
+    for p in (half, negative, carried(negative)):
+        with pytest.raises(ValueError) as err:
+            max_cancel(p, m)
+        assert str(err.value) == "max_cancel requires nonnegative integer multiplicities"
+    with pytest.raises(ValueError) as err:
+        nonneg_divisibility(half, m)
+    assert str(err.value) == "nonneg_divisibility requires integer coefficients"
+    for p in (negative, carried(negative)):
+        assert nonneg_divisibility(p, m) is None
+        assert nonneg_divisibility(p, Multidegree()) is None
 
 
 def _presentation(degree):

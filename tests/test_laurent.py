@@ -8,6 +8,7 @@ import pytest
 from knothom.invariants import torus_homfly
 from knothom.laurent import (
     DivisionError,
+    _Carried,
     LaurentPoly,
     Multidegree,
     RationalSeries,
@@ -332,8 +333,9 @@ def test_public_exponents_and_coefficients_are_fractions():
     Callers divide these values: ``bench/verify.py`` divides two leading
     coefficients (``pc / tc``) and halves exponents (``md.e("a") / 2``).  An
     ``int`` there would silently turn into a ``float``.  A quotient that a
-    division hands on as exponent columns, unread, and a ``torus_homfly``
-    result read the same.
+    division hands on as exponent columns, unread, a ``torus_homfly``
+    result, and an expansion and ``max_cancel`` survivors, which are handed
+    on as exponent columns too, read the same.
     """
     md = Multidegree(a=2, q=-1)
     f = P("3*a^2*q^-1 - q^4*t + 2")
@@ -341,15 +343,19 @@ def test_public_exponents_and_coefficients_are_fractions():
     half = f / 2  # coefficients 3/2, -1/2 and 1
     carried = (f * g * g).divide_exact(g).divide_exact(g)
     homfly = torus_homfly([2, 1], 3, 4)[0]
+    expansion = RationalSeries(f, (Multidegree(q=1, t=1), Multidegree(q=2)), "q", 3).expand()
+    survivors = max_cancel(P("2*q + a*q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0]
     readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
                f.min_degree("q"), f.max_degree("q"), *f.degrees("q"),
                f.dimension(), half.dimension()]
-    for p in (carried, homfly):
+    assert all(type(p) is _Carried for p in (carried, expansion, survivors))
+    for p in (carried, homfly, expansion, survivors):
         readers += [p.min_degree("a"), p.max_degree("q"), *p.degrees("a"),
                     p.dimension(), p.coefficient_sum(),
                     *[m.e(v) for m in p.terms for v in ("a", "q")]]
     assert all(type(x) is Fraction for x in readers)
     assert carried == f
+    assert survivors == P("2*q + a*q^2*t + q^3*t^2")
     assert (f.dimension(), half.dimension()) == (6, 3)
     assert (half - 1).dimension() == 2 and (g / 4).dimension() == Fraction(1, 2)
     results = [
