@@ -58,7 +58,6 @@ from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
-    _Carried,
 )
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
@@ -196,10 +195,11 @@ def _torus_sum(lam: Partition, n: int, m: int):
     to ``total / prod_k (1 - q^k)^common[k]`` times ``q^offset``, where
     ``offset`` in ``[0, 1)`` is the fractional ``q``-offset shared by every
     weight and ``total`` is the polynomial numerator of the module
-    docstring, built packed and unpacked once.  ``total`` is carried as its
+    docstring, built packed and unpacked once.  ``total`` is held as its
     unpacked ``q`` and ``a`` exponent columns and ``int`` coefficients
-    (``laurent._Carried``): the first exact division reads those columns,
-    and the ``Fraction`` term map is built only if ``terms`` is read.
+    (``LaurentPoly._carried``): the first exact division reads those
+    columns, and the ``Fraction`` term map is built only if ``terms`` is
+    read.
     Weights with distinct fractional offsets raise ``ValueError``.  The
     framing ``m`` enters only through the weights: the plethysm
     coefficients, ``kappa``, ``n_stat``, contents and binomials of every
@@ -210,7 +210,7 @@ def _torus_sum(lam: Partition, n: int, m: int):
     indices, values = _unpack(packed, bits)
     a_exps = [*map(q_len.__rfloordiv__, indices)]
     q_exps = [*map(q_lo.__add__, map(q_len.__rmod__, indices))]
-    return _Carried([q_exps, a_exps], values), common, offset
+    return LaurentPoly._carried([q_exps, a_exps], values), common, offset
 
 
 @cache
@@ -218,7 +218,8 @@ def _one_minus(a: int, q: int) -> LaurentPoly:
     """``1 - a^a q^q`` as a two-term map of shared constants, memoised on
     the two ``int`` exponents: :func:`torus_homfly` builds each of its cell
     and binomial divisors once per process.  Polynomials are never mutated,
-    so every call shares the one divisor."""
+    so every call shares the one divisor, and its column view, built on
+    its first division, is kept for the next."""
     return LaurentPoly._of({_UNIT: _ONE, Multidegree(a=a, q=q): _MINUS_ONE})
 
 
@@ -308,8 +309,8 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         ((d, sign),) = at_sl1
         shift = Multidegree(q=-d)
         # the q column moves: a shift is one-to-one, so no two terms meet
-        quotient = _Carried([[*map((-d).__add__, columns[0])], *columns[1:]],
-                            values if sign > 0 else [-c for c in values])
+        quotient = LaurentPoly._carried([[*map((-d).__add__, columns[0])], *columns[1:]],
+                                        values if sign > 0 else [-c for c in values])
         report.sign = sign
         report.monomial_shift = shift
         report.sl1 = True

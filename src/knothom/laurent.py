@@ -28,12 +28,12 @@ Division runs one exponent slot (a column of every term's exponents) at a
 time, in C-level ``map`` and ``compress`` calls: terms are numbered, and
 degrees decoded, column by column, and ``_unpack`` gives the nonzero slots
 as two lists.  An integral quotient is handed on in those columns, with
-its ``int`` coefficients (``_Carried``), so that the next division of a
-chain reads them as they are; its term map is built when first read.  The
-rank-collapse path carries the same way: ``expand`` ends in columns,
-``max_cancel`` walks them and keeps its survivors in them, ``substitute``
-reads columns and gives them, a carried polynomial truncates its columns,
-and ``to_json`` reads them.
+its ``int`` coefficients (``LaurentPoly._carried``), so that the next
+division of a chain reads them as they are; its term map is built when
+first read.  The rank-collapse path carries the same way: ``expand`` ends
+in columns, ``max_cancel`` walks them and keeps its survivors in them,
+``substitute`` reads columns and gives them, ``truncate`` cuts the columns
+of a polynomial that has no term map, and ``to_json`` reads them.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -53,8 +53,10 @@ the stored ``int`` through ``Multidegree._e`` and ``LaurentPoly._exponents``.
 The two carrier types are:
 
 ``LaurentPoly``
-    a finite sum of monomials ``coeff * prod(var**exp)``, stored as a map
-    from exponent vectors (``Multidegree``) to coefficients.
+    a finite sum of monomials ``coeff * prod(var**exp)``, held as a map
+    from exponent vectors (``Multidegree``) to coefficients, as exponent
+    columns and ``int`` coefficients, or both: each form is built from the
+    other when first read, and kept.
 
 ``RationalSeries``
     a Laurent polynomial numerator together with a multiset of denominator
@@ -416,11 +418,19 @@ def _truncated(terms: dict, i: int, order) -> dict:
 class LaurentPoly:
     """A multivariate Laurent polynomial with exact rational coefficients.
 
-    The term map never stores zero coefficients.  Instances are immutable in
-    practice: all operations return new polynomials.
+    It is held in one or both of two forms, each in its own slot: the term
+    map, from ``Multidegree`` to nonzero ``Fraction``, and the column view
+    ``(columns, den, ints)`` of :meth:`_columnar`.  An operation that
+    decodes or walks exponent columns hands its integral result on in the
+    column view alone (:meth:`_carried`).  The ``terms`` property builds
+    the map from the columns on its first read, and ``_columnar`` the
+    columns from the map, and each keeps what it built.  A built form is
+    never released, so two threads that read at once at worst build the
+    same form twice.  Instances are immutable in practice: all operations
+    return new polynomials.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_map", "_view")
 
     def __init__(self, terms=None):
         clean = {}
@@ -429,14 +439,37 @@ class LaurentPoly:
                 c = _frac(c)
                 if c != 0:
                     clean[md] = c
-        self.terms = clean
+        self._map, self._view = clean, None
 
     @classmethod
     def _of(cls, terms):
         """Wrap a term map that has no zero coefficients, skipping validation."""
         res = cls.__new__(cls)
-        res.terms = terms
+        res._map, res._view = terms, None
         return res
+
+    @classmethod
+    def _carried(cls, columns, ints):
+        """The polynomial of the exponent ``columns`` (at least one, slot 0
+        first) and the nonzero ``int`` coefficients ``ints``, term by term,
+        of distinct degrees, held as that column view alone."""
+        res = cls.__new__(cls)
+        res._map, res._view = None, (columns, 1, ints)
+        return res
+
+    @property
+    def terms(self) -> dict:
+        """The term map, built from the column view on first read and kept."""
+        terms = self._map
+        if terms is None:
+            columns, _, ints = self._view
+            terms = self._map = dict(zip(_degrees(columns), _fractions(ints)))
+        return terms
+
+    def __reduce__(self):
+        # the columns number variables by this process's slots: pickle the
+        # term map, whose degrees pickle by variable name
+        return LaurentPoly._of, (self.terms,)
 
     @classmethod
     def _wrap(cls, values):
@@ -494,10 +527,10 @@ class LaurentPoly:
 
     def dimension(self) -> Fraction:
         """Sum of absolute values of coefficients (generator count), added
-        as ``int``: the numerators when every coefficient is integral, else
-        the coefficients over their common denominator."""
-        den, values = _integral(self.terms)
-        return Fraction(sum(map(abs, values)), den)
+        as the ``int`` coefficients of the column view over their common
+        denominator."""
+        _, den, ints = self._columnar()
+        return Fraction(sum(map(abs, ints)), den)
 
     def coefficient_sum(self) -> Fraction:
         return sum(self.terms.values(), Fraction(0))
@@ -505,9 +538,13 @@ class LaurentPoly:
     def _columnar(self) -> tuple:
         """``(columns, den, ints)``: the exponent columns of the terms (at
         least one), their least common denominator, and the ``int``
-        coefficients of ``den`` times the polynomial, in term order."""
-        terms = self.terms
-        return (_columns(terms, 1), *_integral(terms))
+        coefficients of ``den`` times the polynomial, in term order; built
+        from the term map on first read and kept.  No reader changes it."""
+        view = self._view
+        if view is None:
+            terms = self._map
+            view = self._view = (_columns(terms, 1), *_integral(terms))
+        return view
 
     def _exponents(self, var):
         """The stored exponents of ``var`` over all terms, in term order."""
@@ -628,15 +665,15 @@ class LaurentPoly:
         ``var = +1`` or ``-1``, the map is an evaluation.  The terms are
         mapped by :meth:`_substituted`, and the images are summed by degree
         (:func:`_summed` on the rows of their columns) with zero sums
-        dropped, so the result is carried (``_Carried``), divided by the
-        common denominator unless it is 1.
+        dropped, so the result is handed on in columns (:meth:`_carried`),
+        divided by the common denominator unless it is 1.
         """
         coeff, imd = self._coerce(image).as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
         columns, den, (ints,) = self._substituted((var,), [(var,) * (coeff == -1)], imd)
         summed = _summed([*zip(*columns)], ints)
-        carried = _Carried([*zip(*summed)] or [()], [*summed.values()])
+        carried = LaurentPoly._carried([*zip(*summed)] or [()], [*summed.values()])
         return carried if den == 1 else carried / den
 
     def _substituted(self, variables, sides, image=()) -> tuple:
@@ -680,8 +717,16 @@ class LaurentPoly:
                                 if e == exp})
 
     def truncate(self, var, order):
-        """Drop all terms of ``var``-degree greater than ``order``."""
-        return LaurentPoly._of(_truncated(self.terms, _INDEX.get(var, _ABSENT), _exact(order)))
+        """Drop all terms of ``var``-degree greater than ``order``: from the
+        term map when there is one, else from the exponent columns, whose
+        kept terms are handed on in columns."""
+        i, order = _INDEX.get(var, _ABSENT), _exact(order)
+        if self._map is not None:
+            return LaurentPoly._of(_truncated(self._map, i, order))
+        columns, _, ints = self._view
+        keep = [*map(order.__ge__, columns[i] if i < len(columns) else repeat(0, len(ints)))]
+        return LaurentPoly._carried([[*compress(c, keep)] for c in columns],
+                                    [*compress(ints, keep)])
 
     def derivative(self, var):
         # lowering every monomial by ``var**1`` is injective: no two terms meet
@@ -698,8 +743,10 @@ class LaurentPoly:
         slot, in the box ``[min(f)-min(g), max(f)-max(g)]``; an empty box
         proves the division inexact.
 
-        - **Integral operands.**  The dividend is cleared of denominators,
-          and the divisor made primitive (``_primitive``).  A primitive divisor
+        - **Integral operands.**  Both operands are read as exponent columns
+          and ``int`` values over a common denominator (``_columnar``), and
+          the divisor's values are divided by their content, their greatest
+          common divisor, which makes the divisor primitive.  A primitive divisor
           that divides an integral polynomial over the rationals divides it
           over the integers (Gauss's lemma), so the integer quotient is
           exact whenever the rational one is.
@@ -729,25 +776,24 @@ class LaurentPoly:
         The cost scales with the dividend's exponent box, the product of its
         degree spans plus one, not with its number of terms.
 
-        - **Columns in, columns out.**  The dividend is read as exponent
-          columns and ``int`` values (``_columnar``).  An integral quotient
-          is returned as it is decoded, a ``_Carried`` polynomial of those
-          columns and values, so the next division of a chain reads them
+        - **Columns in, columns out.**  An integral quotient is returned
+          as it is decoded, in those columns and values
+          (:meth:`_carried`), so the next division of a chain reads them
           as they are; its term map is built when ``terms`` is first read.
-          A quotient with a non-integral coefficient is built at once.
-          Either way, every coefficient read from ``terms`` is a
-          ``Fraction``, from ``_SMALL`` when it is a small integer.
+          A divisor keeps its columns once read, so a divisor used again
+          is read once.  A quotient with a non-integral coefficient is
+          built at once.  Either way, every coefficient read from
+          ``terms`` is a ``Fraction``, from ``_SMALL`` when it is a small
+          integer.
         """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
+        g_cols, g_den, g_ints = self._coerce(divisor)._columnar()
+        if not g_ints:
             raise ZeroDivisionError("division by zero polynomial")
         f_cols, f_den, f_ints = self._columnar()
         if not f_ints:
             return LaurentPoly.zero()
-        g = divisor.terms
-        n = max(len(f_cols), *map(len, g))
-        f_cols = _padded(f_cols, n)
-        g_cols = _columns(g, n)
+        n = max(len(f_cols), len(g_cols))
+        f_cols, g_cols = _padded(f_cols, n), _padded(g_cols, n)
         f_lo, f_hi = [*map(min, f_cols)], [*map(max, f_cols)]
         g_lo, g_hi = [*map(min, g_cols)], [*map(max, g_cols)]
         strides, dims = [], []
@@ -762,7 +808,9 @@ class LaurentPoly:
             slots *= radix
         f_index = _indices(f_cols, strides, f_lo)
         g_index = _indices(g_cols, strides, g_lo)
-        g_ints = [*_primitive(g).values()]
+        content = gcd(*g_ints)
+        if content > 1:
+            g_ints = [c // content for c in g_ints]
         g_norm = sum(map(abs, g_ints))
         bits = _slot_bits(max(map(abs, f_ints)) * g_norm)
         stop = None
@@ -796,11 +844,10 @@ class LaurentPoly:
                 raise DivisionError("no exact quotient")
             if lo:
                 columns[k] = [*map(lo.__add__, columns[k])]
-        # g is g_ints times lead/g_ints[0], lead its first coefficient
-        lead = next(iter(g.values()))
-        num, den = g_ints[0] * lead.denominator, f_den * lead.numerator
+        # f is f_ints / f_den and g is content * g_ints / g_den
+        num, den = g_den, content * f_den
         if num == den:
-            return _Carried(columns, values)
+            return LaurentPoly._carried(columns, values)
         return LaurentPoly._of(dict(zip(_degrees(columns),
                                         [Fraction(c * num, den) for c in values])))
 
@@ -813,13 +860,21 @@ class LaurentPoly:
         coefficient and exponent as text.
 
         It reads the exponent columns and ``int`` values of ``_columnar``,
-        so a carried quotient is written without building its term map;
-        the ``Fraction`` values are read only when a coefficient is not
-        integral.
+        so a polynomial held in columns is written without building its
+        term map; the ``Fraction`` values are read only when a coefficient
+        is not integral.  A list of ``variables`` that leaves out a
+        variable with a nonzero exponent raises ``ValueError``, naming it,
+        since its exponents would be lost.
         """
         columns, den, ints = self._columnar()
-        variables = list(variables) if variables else sorted(
-            [_VARS[i] for i, col in enumerate(columns) if any(col)])
+        present = [_VARS[i] for i, col in enumerate(columns) if any(col)]
+        if not variables:
+            variables = sorted(present)
+        else:
+            variables = list(variables)
+            missing = sorted({*present} - {*variables})
+            if missing:
+                raise ValueError(f"variables {variables} leave out {missing}")
         order, chosen = _graded(columns, variables)
         coeffs = [*map(str, ints if den == 1 else self.terms.values())]
         texts = [[*map(str, col)] for col in chosen]
@@ -893,60 +948,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self})"
-
-
-# -- carried quotients ---------------------------------------------------------
-
-#: the ``terms`` slot of every ``LaurentPoly``
-_TERMS = LaurentPoly.terms
-
-
-class _Carried(LaurentPoly):
-    """A polynomial with ``int`` coefficients, carried as exponent columns
-    and values: as :meth:`LaurentPoly.divide_exact` and the packed plethysm
-    sum of :mod:`knothom.invariants` decode it, as
-    :meth:`RationalSeries.expand` ends, and as :func:`max_cancel`,
-    :func:`nonneg_divisibility`, ``truncate`` and ``substitute`` hand on
-    what they keep.
-
-    Each of those, and ``to_json``, reads the columns of its input
-    (``_columnar``); the term map of ``Multidegree`` to ``Fraction`` is
-    built on the first read of ``terms`` and kept in the slot that every
-    ``LaurentPoly`` has.  So a chain of these operations builds no map but
-    the last, when it is read.
-    """
-
-    __slots__ = ("_cols", "_ints")
-
-    def __init__(self, columns, ints):
-        """``columns`` holds at least one exponent column, slot 0 first, and
-        ``ints`` the nonzero coefficients, term by term, of distinct degrees."""
-        self._cols, self._ints = columns, ints
-
-    @property
-    def terms(self):
-        """The term map, built and kept in the base slot on first read."""
-        try:
-            return _TERMS.__get__(self)
-        except AttributeError:
-            terms = dict(zip(_degrees(self._cols), _fractions(self._ints)))
-            _TERMS.__set__(self, terms)
-            return terms
-
-    def _columnar(self) -> tuple:
-        return self._cols, 1, self._ints
-
-    def truncate(self, var, order):
-        """:meth:`LaurentPoly.truncate` on the exponent columns: the kept
-        terms are handed on carried, and no term map is built."""
-        cols, i = self._cols, _INDEX.get(var, _ABSENT)
-        keep = [*map(_exact(order).__ge__, cols[i] if i < len(cols) else [0] * len(self._ints))]
-        return _Carried([[*compress(c, keep)] for c in cols], [*compress(self._ints, keep)])
-
-    def __reduce__(self):
-        # ``terms`` has no setter to restore a slot with: pickle the plain
-        # polynomial, which compares, hashes and prints the same
-        return LaurentPoly._of, (self.terms,)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -1028,15 +1029,7 @@ class RationalSeries:
         return out
 
     def __mul__(self, other):
-        if isinstance(other, RationalSeries):
-            if other.var != self.var:
-                raise ValueError("mismatched expansion variables")
-            return RationalSeries(
-                self.numerator * other.numerator,
-                self.denominators + other.denominators,
-                self.var,
-                min(self.order, other.order),
-            )
+        """The series times a polynomial or a scalar."""
         return RationalSeries(
             self.numerator * LaurentPoly._coerce(other),
             self.denominators,
@@ -1060,9 +1053,9 @@ class RationalSeries:
         map with ``int`` values where they are integral, which the next one
         takes as it is.  When every value of the last one is an ``int``, the
         result is handed on as its exponent columns and values
-        (``_Carried``), so that :func:`max_cancel` and ``to_json`` read them
-        as they are and no ``Fraction`` is made unless ``terms`` is read;
-        otherwise it is wrapped once, at the end.
+        (:meth:`LaurentPoly._carried`), so that :func:`max_cancel` and
+        ``to_json`` read them as they are and no ``Fraction`` is made unless
+        ``terms`` is read; otherwise it is wrapped once, at the end.
         """
         order = floor(_exact(self.order if order is None else order))
         if self.numerator.is_zero():
@@ -1075,8 +1068,9 @@ class RationalSeries:
             factor = dict.fromkeys([_new(Multidegree, ()), *powers], 1)
             result = _truncated(_product(result, factor), i, order)
         ints = [*result.values()]
-        integral = {*map(type, ints)} <= {int}
-        return _Carried(_columns(result, 1), ints) if integral else LaurentPoly._wrap(result)
+        if {*map(type, ints)} <= {int}:
+            return LaurentPoly._carried(_columns(result, 1), ints)
+        return LaurentPoly._wrap(result)
 
     def __str__(self):
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"
@@ -1202,11 +1196,11 @@ def _walk(columns, counts: list, step: Multidegree, ahead: int, witness=None):
     return survivors, pairs
 
 
-def _picked(columns, counts: dict) -> "_Carried":
-    """The carried polynomial of the terms of the exponent ``columns`` that
-    ``counts`` numbers, each with its count there."""
-    return _Carried([[*map(column.__getitem__, counts)] for column in columns],
-                    [*counts.values()])
+def _picked(columns, counts: dict) -> LaurentPoly:
+    """The polynomial, held in columns, of the terms of the exponent
+    ``columns`` that ``counts`` numbers, each with its count there."""
+    return LaurentPoly._carried([[*map(column.__getitem__, counts)] for column in columns],
+                                [*counts.values()])
 
 
 def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
@@ -1215,8 +1209,8 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     Returns the unique witness ``X`` when it exists and ``None`` otherwise.
     ``p`` must have integer coefficients; they are read as exponent columns
     and ``int`` values (``_columnar``), and the witness is handed on in
-    those columns (``_Carried``).  The search peels each ray of the
-    step from its lowest level, in one ascending :func:`_walk`: ``X`` at
+    those columns (``LaurentPoly._carried``).  The search peels each ray of
+    the step from its lowest level, in one ascending :func:`_walk`: ``X`` at
     level ``k`` is the rest of ``p``'s count there after its match with
     ``X`` at ``k - 1``.  ``X`` exists exactly when every match is whole and
     the rest is zero before a gap and at the top of each ray, that is, when
@@ -1229,7 +1223,7 @@ def nonneg_divisibility(p: LaurentPoly, m: Multidegree):
     if m.is_zero():
         if any(n < 0 or n % 2 for n in counts):
             return None
-        return _Carried(columns, [n // 2 for n in counts])
+        return LaurentPoly._carried(columns, [n // 2 for n in counts])
     if min(counts, default=0) < 0:
         return None
     witness = {}
@@ -1253,8 +1247,9 @@ def max_cancel(p: LaurentPoly, m: Multidegree, keep="early"):
     in decreasing level for ``"early"`` and increasing level for
     ``"late"``, matches every ray; a gap ends a run, and each row's rest
     survives.  The walk reads the exponent columns and ``int`` counts of
-    ``p`` (``_columnar``), so a carried expansion is read as it is, and the
-    survivors are handed on in those columns (``_Carried``).
+    ``p`` (``_columnar``), so an expansion held in columns is read as it
+    is, and the survivors are handed on in those columns
+    (``LaurentPoly._carried``).
     """
     if keep not in ("early", "late"):
         raise ValueError("keep must be 'early' or 'late'")

@@ -83,6 +83,12 @@ def test_mirror_pair():
     assert mirror_swap(s2.tilde()) == l2.tilde()
 
 
+def test_mirror_refuses_a_colour_paired_with_itself():
+    """S^2 is not its own transpose, and its table is not its own mirror."""
+    s2 = load_fixture("3_1:S2").tilde()
+    assert not check_mirror(s2, s2, 1, 2)
+
+
 def test_growth_trefoil():
     unc = load_fixture("3_1:1")
     assert check_growth(TILQUAD31, unc.tilde(), 2, "tr")
@@ -205,6 +211,17 @@ def test_check_differential_t34_d12():
     assert ok
 
 
+def test_check_differential_refuses_a_shifted_target():
+    """The ``d1|2`` target times ``Q^2`` leaves a residual with no
+    nonnegative witness, so the check fails and hands on the residual."""
+    t34 = load_fixture("T3_4:S2")
+    target = load_fixture("T3_4:S2:d1|2").tilde() * LaurentPoly.monomial(1, Multidegree(Q=2))
+    spec = DifferentialSpec("d1|2", Multidegree(a=-2, Q=0, tr=-3, tc=-5))
+    ok, residual = check_differential(t34.tilde(), target, spec)
+    assert ok is False
+    assert residual == t34.tilde() - target
+
+
 def test_check_differential_222_to_22():
     fix = load_fixture("3_1:3x2")
     target = load_fixture("3_1:2x2")
@@ -221,6 +238,17 @@ def test_hfk_r1_tautology():
         lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
     ok, _ = check_hfk_growth(unc, d11, 1, Multidegree(a=-2, Q=0, tr=-3, tc=-3))
     assert ok
+
+
+def test_hfk_growth_refuses_a_shifted_table():
+    """The ``d1|1`` table times ``q^2`` is not what maximal cancellation of
+    T3_4:1 leaves."""
+    unc = load_fixture("T3_4:1").tilde()
+    d11 = load_fixture("T3_4:1:d1|1").poincare.map_exponents(
+        lambda md: Multidegree(a=md.e("a"), q=md.e("q"), t=md.e("tr")))
+    ok, _ = check_hfk_growth(unc, d11 * LaurentPoly.var("q", 2), 1,
+                             Multidegree(a=-2, Q=0, tr=-3, tc=-3))
+    assert ok is False
 
 
 def test_hfk_thin_reduces_to_growth():
@@ -430,12 +458,10 @@ def test_survivor_pass_matches_the_term_by_term_chain(case):
     assert survivor_pass_chain(survivors, *args) == want
     columns, den, ints = survivors._columnar()
     assert den == 1
-    for given_ in (survivors, laurent._Carried(columns, ints)):
+    for given_ in (survivors, LaurentPoly._carried(columns, ints)):
         got = checks._collapsed(given_, *args)
         obj = got.to_json()
-        with pytest.raises(AttributeError):
-            laurent._TERMS.__get__(got)
-        assert type(got) is laurent._Carried and all(got._ints)
+        assert got._map is None and all(got._columnar()[2])
         assert obj == want.to_json()
         assert got == want
         assert given_ == survivors
@@ -445,7 +471,7 @@ def test_survivor_pass_matches_the_term_by_term_chain(case):
 def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
     """``rank_collapse`` hands its expansion to ``max_cancel``, and the
     survivors on through the survivor pass, as exponent columns, and
-    ``to_json`` writes the result from them: the base ``terms`` slot of the
+    ``to_json`` writes the result from them: the term map slot of the
     expansion, of the survivors and of the result is still empty
     afterwards, so a term map built by accident fails here instead of only
     costing time.  The JSON is the plain copy's."""
@@ -462,9 +488,7 @@ def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
     obj = survivors.to_json()
     assert len(seen) == 2
     for p in (*seen, survivors):
-        assert type(p) is laurent._Carried
-        with pytest.raises(AttributeError):
-            laurent._TERMS.__get__(p)
+        assert p._map is None
     assert obj == LaurentPoly(survivors.terms).to_json()
 
 
@@ -474,6 +498,18 @@ def test_sl_cancel_needs_decreasing_t():
                  Multidegree(a=-2, t=-1), Multidegree(a=-2, q=4)):
         with pytest.raises(ValueError):
             sl_cancel(series, diff, 2)
+
+
+def test_sl_cancel_needs_a_series_in_q_and_passes_zero_through():
+    """A series expanded in ``t`` is refused, and a zero numerator gives the
+    zero polynomial with the cutoff as its window."""
+    diff = Multidegree(a=-2, q=4, t=-1)
+    with pytest.raises(ValueError) as err:
+        sl_cancel(RationalSeries(P("1"), (), "t", 10), diff, 2)
+    assert str(err.value) == "sl_cancel needs a series expanded in q"
+    survivors, window = sl_cancel(RationalSeries(P("0"), (Multidegree(q=2),), "q", 10),
+                                  diff, 2, cutoff=12)
+    assert survivors.is_zero() and window == 12
 
 
 def _reference_sl_cancel(series, diff, n, cutoff):

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from knothom.laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
+from knothom import invariants
+from knothom.laurent import DivisionError, LaurentPoly, Multidegree, RationalSeries, parse_poly
 from knothom.invariants import (
     _torus_sum,
     hirota_check,
@@ -257,3 +258,20 @@ def test_hirota_identity():
 def test_hirota_boundary_convention():
     # the R = 1 row needs P_(0,S) = 1 and already holds above; spot-check 1x1
     assert hirota_check(1, 1) == [((1, 1), True)]
+
+
+def test_an_inexact_reduced_quotient_is_refused(monkeypatch):
+    """A ``common`` with one binomial more than the sum holds leaves no
+    polynomial quotient, and ``torus_homfly`` says so."""
+    real = invariants._torus_sum
+
+    def one_more(lam, n, m):
+        total, common, offset = real(lam, n, m)
+        common[7] += 1
+        return total, common, offset
+
+    monkeypatch.setattr(invariants, "_torus_sum", one_more)
+    with pytest.raises(DivisionError) as err:
+        torus_homfly([2], 2, 3)
+    assert str(err.value) == "non-polynomial reduced quotient"
+    assert isinstance(err.value.__cause__, DivisionError)

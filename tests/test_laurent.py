@@ -1,5 +1,7 @@
+import copy
 import json
 import pathlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,6 @@ import pytest
 from knothom.invariants import torus_homfly
 from knothom.laurent import (
     DivisionError,
-    _Carried,
     LaurentPoly,
     Multidegree,
     RationalSeries,
@@ -236,6 +237,15 @@ def test_max_cancel_ray():
     assert pairs2 == 2 and survivors2.is_zero()
 
 
+def test_max_cancel_refuses_a_bad_keep_and_passes_a_zero_step_through():
+    p = P("1 + q")
+    with pytest.raises(ValueError) as err:
+        max_cancel(p, Multidegree(q=1), keep="middle")
+    assert str(err.value) == "keep must be 'early' or 'late'"
+    survivors, pairs = max_cancel(p, Multidegree())
+    assert survivors is p and pairs == 0
+
+
 def test_rational_series_expand():
     s = RationalSeries(P("1"), (Multidegree(q=2),), "q", 7)
     assert s.expand() == P("1 + q^2 + q^4 + q^6")
@@ -243,6 +253,50 @@ def test_rational_series_expand():
     assert t.expand() == P("q^-2 + 1 + q^2 + q^4 + q^6")
     with pytest.raises(ValueError):
         RationalSeries(P("1"), (Multidegree(t=2),), "q", 5)
+
+
+def test_series_multiply_by_polynomials_and_scalars_only():
+    """A series times a polynomial or a scalar, on either side, scales its
+    numerator; a product of two series is refused."""
+    s = RationalSeries(P("1 + a"), (Multidegree(q=2),), "q", 4)
+    for product in (s * 2, 2 * s, s * Fraction(2), s * P("2")):
+        assert product.denominators == s.denominators and product.order == 4
+        assert product.expand() == P("2 + 2*a + 2*q^2 + 2*a*q^2 + 2*q^4 + 2*a*q^4")
+    with pytest.raises(TypeError) as err:
+        s * s
+    assert str(err.value) == "cannot combine LaurentPoly with RationalSeries"
+
+
+def test_to_json_refuses_variables_that_leave_one_out():
+    """``dumps(["a"])`` of ``a*q + a*q^2 + q`` would drop every ``q``
+    exponent, and two terms would share the exponents ``["1"]``, which
+    ``loads`` reads back as ``2*a + 1``: the list is refused, naming ``q``,
+    from a term map and from columns alike.  A complete list, in any order
+    and with a variable the polynomial lacks, gives the polynomial back."""
+    p = P("a*q + a*q^2 + q")
+    held = max_cancel(p, Multidegree(t=1))[0]  # every term survives, in columns
+    assert held._map is None
+    for given in (p, held):
+        with pytest.raises(ValueError) as err:
+            given.dumps(["a"])
+        assert str(err.value) == "variables ['a'] leave out ['q']"
+        for variables in (["a", "q"], ["q", "t", "a"], None):
+            assert LaurentPoly.loads(given.dumps(variables)) == p
+    assert held._map is None
+
+
+def test_column_only_polynomial_pickles_and_copies():
+    """A polynomial held in columns alone pickles, and deep-copies, to an
+    equal polynomial with the same JSON; what is pickled is its term map,
+    whose degrees pickle by variable name."""
+    p = P("3*a*q^-2 - q^5*t + 7")
+    g = P("1 - q")
+    survivors = max_cancel(P("2*q + a*q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0]
+    for held in ((p * g).divide_exact(g), survivors):
+        want = held.to_json()
+        assert held._map is None
+        for copied in (pickle.loads(pickle.dumps(held)), copy.deepcopy(held)):
+            assert copied == held and copied.to_json() == want
 
 
 def test_json_sorted_graded_lex():
@@ -348,7 +402,7 @@ def test_public_exponents_and_coefficients_are_fractions():
     readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
                f.min_degree("q"), f.max_degree("q"), *f.degrees("q"),
                f.dimension(), half.dimension()]
-    assert all(type(p) is _Carried for p in (carried, expansion, survivors))
+    assert all(p._map is None for p in (carried, expansion, survivors))
     for p in (carried, homfly, expansion, survivors):
         readers += [p.min_degree("a"), p.max_degree("q"), *p.degrees("a"),
                     p.dimension(), p.coefficient_sum(),

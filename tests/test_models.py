@@ -502,6 +502,8 @@ def test_koszul_sl2_unknot():
     pres = unknot_model([1])
     h = koszul_homology(pres, sl_differential_images(pres, 2), 16)
     assert h.dims == {(0, 0): 1, (0, 2): 1}
+    assert h.poincare() == P("1 + q^2")
+    assert h.poincare(qmax=1) == P("1")
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import pytest
 
 from knothom import suite
+from knothom.laurent import parse_poly
 from knothom.partitions import Partition
 from knothom.suite import CHECK_GROUPS, run_all, run_group
 
@@ -52,3 +55,31 @@ def test_growth_exponent_is_the_ratio_of_color_sizes(monkeypatch):
     assert all(r.ok for r in run_group("growth"))
     suite._growth("3_1:2x2", "3_1:1", "tr")
     assert exponents == [2, 2, 2, 2, 4]
+
+
+@pytest.mark.parametrize("row, key, wrong", [
+    ("differential:3_1:2x2:d2|0", "PRINTED_DEGREES", {"a": -2, "q": 6, "tr": -1, "tc": -1}),
+    ("differential:3_1:S2:d1|0", "PRINTED_SURVIVORS", {"a": 4, "q": -2}),
+], ids=["degree", "survivor"])
+def test_differential_rows_check_the_printed_tables(monkeypatch, row, key, wrong):
+    """A differential row fails when its degree or its survivor differs
+    from the paper's printed one, even though the cancellation itself
+    succeeds; the degree row says which degree it found."""
+    rows = suite.differential_rows()
+    assert rows[row]() in (True, (True, ""))
+    fname, label = row.removeprefix("differential:").rsplit(":", 1)
+    monkeypatch.setitem(getattr(suite, key), (fname, label), wrong)
+    got = rows[row]()
+    if key == "PRINTED_DEGREES":
+        assert got[0] is False and got[1].startswith("degree Multidegree(")
+    else:
+        assert got is False
+
+
+def test_halved_homfly_refuses_an_odd_exponent():
+    """Halving needs even ``a`` and ``q`` exponents; an odd one is refused,
+    naming the fixture."""
+    fix = SimpleNamespace(name="odd", homfly_specialization=lambda: parse_poly("a^2*q + 1"))
+    with pytest.raises(ValueError) as err:
+        suite._halved_homfly(fix)
+    assert str(err.value) == "odd exponent in odd specialization"

@@ -268,13 +268,12 @@ def test_each_call_gets_its_own_common():
                                   (Partition([2, 1]), 2, 5)], ids=_case_id)
 def test_torus_json_builds_no_term_map(case):
     """``torus_homfly`` hands on its quotient as exponent columns, and
-    ``to_json`` writes it from them: the carried quotient's base ``terms``
-    slot is still empty afterwards, so a term map built by accident fails
-    here instead of only costing time.  The JSON is the plain copy's."""
+    ``to_json`` writes it from them: the quotient's term map slot is still
+    empty afterwards, so a term map built by accident fails here instead of
+    only costing time.  The JSON is the plain copy's."""
     quotient, _ = torus_homfly(*case)
     obj = quotient.to_json()
-    with pytest.raises(AttributeError):
-        laurent._TERMS.__get__(quotient)
+    assert quotient._map is None
     assert obj == LaurentPoly(quotient.terms).to_json()
 
 
