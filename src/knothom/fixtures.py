@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree, _degrees, _summed
+from .laurent import LaurentPoly, Multidegree
 from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
@@ -142,25 +141,17 @@ class HomologyFixture:
         """The two sides of the categorification identity on the standard
         form ``P``: ``P(tr=-1, tc=1)`` and ``P(tr=1, tc=-1)``.  Both equal
         the HOMFLY polynomial.  A table without ``tr`` has the one
-        specialization ``P(tc=-1)`` (or ``P(t=-1)``), given as both sides."""
-        lhs, rhs = map(LaurentPoly._wrap, self._specialized_terms())
-        return lhs, rhs
-
-    def _specialized_terms(self) -> list:
-        """The term maps of :meth:`specializations`, from one pass over the
-        table's exponent columns: the degrees drop the ``tr``/``tc`` (or
-        ``t``) slots, and each side's signs are the parities of the
-        exponents it sets to ``-1``.  Values are ``int`` where the table's
-        coefficients are all integral."""
+        specialization ``P(tc=-1)`` (or ``P(t=-1)``), given as both sides.
+        One pass over the table's exponent columns drops the ``tr``/``tc``
+        (or ``t``) slots, each side's signs the parities of the exponents it
+        sets to ``-1``, and each side is handed on in columns."""
         if "tr" in self.gradings:
             columns, den, sided = self.poincare._substituted(("tr", "tc"), [("tr",), ("tc",)])
         else:
             var = "tc" if "tc" in self.gradings else "t"
             columns, den, sided = self.poincare._substituted((var,), [(var,)])
-            sided *= 2
-        degrees = _degrees(columns)
-        return [_summed(degrees, [Fraction(c, den) for c in ints] if den > 1 else ints)
-                for ints in sided]
+        sides = [LaurentPoly._from_rows(columns, ints, den) for ints in sided]
+        return sides[0], sides[-1]
 
     def homfly_specialization(self) -> LaurentPoly:
         """``P(a, q, tr=-1, tc=1)`` (or ``t=-1`` for triply-graded data)."""
@@ -177,15 +168,17 @@ def _file_for(name: str) -> str:
 
 
 def _validate(fix: HomologyFixture):
+    """Refuse a table whose generator count is not its ``dimension`` or
+    whose specializations differ from each other or from its ``homfly``."""
     if fix.poincare.dimension() != fix.dimension:
         raise FixtureError(
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
     if "tr" in fix.gradings or fix.homfly is not None:
-        specialization, mirrored = fix._specialized_terms()
+        specialization, mirrored = fix.specializations()
         if specialization != mirrored:
             raise FixtureError(f"{fix.name}: categorification mismatch")
-        if fix.homfly is not None and specialization != fix.homfly.terms:
+        if fix.homfly is not None and specialization != fix.homfly:
             raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 
@@ -199,12 +192,17 @@ def load_fixture(name: str) -> HomologyFixture:
     try:
         poincare = LaurentPoly.from_json(obj["poincare"])
         homfly = LaurentPoly.from_json(obj["homfly"]) if "homfly" in obj else None
+        knot, color = obj["knot"], Partition(obj["color"])
+        stated = fixture_name(knot, color)
     except ValueError as err:
         raise FixtureError(f"{name}: {err}") from err
+    # the file must name the fixture asked for, less any differential suffix
+    if stated != ":".join(name.split(":")[:2]):
+        raise FixtureError(f"{path} holds the fixture {stated}, not {name}")
     fix = HomologyFixture(
         name=name,
-        knot=obj["knot"],
-        color=Partition(obj["color"]),
+        knot=knot,
+        color=color,
         sigma=obj["sigma"],
         gradings=tuple(obj["gradings"]),
         poincare=poincare,

@@ -321,12 +321,15 @@ def stable_limit_check(lam, n: int, m_list, order=10):
     """Compare normalized ``T(m, n)`` invariants against the ``n*lam`` unknot.
 
     Each unreduced invariant is aligned to ``unknot_homfly(n*lam)`` by a
-    single monomial fixed at the lowest ``q``-slice, expanded to ``order``
-    and compared slice by slice.  Returns a report whose agreement orders
-    must be nondecreasing in ``m`` (the stable-limit property).
+    single monomial fixed at the lowest ``q``-slice and expanded to
+    ``order``.  Its agreement order is the highest ``q``-degree of the
+    target, at most ``order``, below the lowest ``q``-degree at which the
+    two differ, or -1 if there is none.  Returns a report whose agreement
+    orders must be nondecreasing in ``m`` (the stable-limit property).
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     target = unknot_homfly(lam.scale(n)).expand(order + 1)
+    q_degrees = set(target._exponents("q"))
     rows = []
     for m in m_list:
         if gcd(n, m) != 1:
@@ -336,15 +339,8 @@ def stable_limit_check(lam, n: int, m_list, order=10):
         shifted = _align_lowest(approx, target)
         agree = -1
         if shifted is not None:
-            q_degrees = sorted(set(target._exponents("q")) | set(shifted._exponents("q")))
-            agree = None
-            for d in q_degrees:
-                if d > order:
-                    break
-                if shifted.coefficient_of("q", d) != target.coefficient_of("q", d):
-                    break
-                agree = d
-            agree = -1 if agree is None else agree
+            differs = min((shifted - target)._exponents("q"), default=order + 1)
+            agree = max([d for d in q_degrees if d <= order and d < differs], default=-1)
         rows.append({"m": m, "agreement_order": agree})
     orders = [r["agreement_order"] for r in rows]
     return {

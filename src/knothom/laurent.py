@@ -1,7 +1,7 @@
 """Exact multivariate Laurent polynomial and truncated series arithmetic.
 
 Every coefficient is exact; there is no floating point anywhere in this
-package.  The values of ``LaurentPoly.terms`` are always
+package.  Every value that ``LaurentPoly.terms`` gives is a
 ``fractions.Fraction``.  Multiplication is ``_product`` on two term maps:
 its inner loop reads integral values as ``int`` (``Fraction`` only where a
 value is not integral), computes on them, and wraps nothing; Python mixes
@@ -9,9 +9,8 @@ the two exactly.  ``LaurentPoly.__mul__`` wraps each value of the product in
 a ``Fraction`` once on the way out, taken from one shared table
 (``_SMALL``) when it is an ``int`` of absolute value at most 128.
 ``RationalSeries.expand`` carries one unwrapped map through all of its
-products and, when every value is an ``int``, hands the result on as
-exponent columns (below); else it wraps once, at the end.  Powers and
-logarithms of a series
+products and hands the result on as exponent columns (below), integral or
+not.  Powers and logarithms of a series
 (``series_pow_rational``, ``series_log``, the scheme relations) all come
 from one recurrence, J. C. P. Miller's, in ``_series_terms``.
 Exponents are integers on every variable.
@@ -27,13 +26,14 @@ which the packed plethysm sum of :mod:`knothom.invariants` shares.
 Division runs one exponent slot (a column of every term's exponents) at a
 time, in C-level ``map`` and ``compress`` calls: terms are numbered, and
 degrees decoded, column by column, and ``_unpack`` gives the nonzero slots
-as two lists.  An integral quotient is handed on in those columns, with
-its ``int`` coefficients (``LaurentPoly._carried``), so that the next
-division of a chain reads them as they are; its term map is built when
-first read.  The rank-collapse path carries the same way: ``expand`` ends
-in columns, ``max_cancel`` walks them and keeps its survivors in them,
-``substitute`` reads columns and gives them, ``truncate`` cuts the columns
-of a polynomial that has no term map, and ``to_json`` reads them.
+as two lists.  The quotient is handed on in those columns, with its
+``int`` coefficients over their common denominator
+(``LaurentPoly._carried``), so that the next division of a chain reads them
+as they are; its term map is built when first read.  The rank-collapse path
+carries the same way: ``expand`` ends in columns, ``max_cancel`` walks them
+and keeps its survivors in them, ``substitute`` reads columns and gives
+them, ``truncate`` cuts the columns of a polynomial that has no term map,
+``to_json`` reads them and ``from_json`` gives them.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -55,8 +55,8 @@ The two carrier types are:
 ``LaurentPoly``
     a finite sum of monomials ``coeff * prod(var**exp)``, held as a map
     from exponent vectors (``Multidegree``) to coefficients, as exponent
-    columns and ``int`` coefficients, or both: each form is built from the
-    other when first read, and kept.
+    columns and ``int`` coefficients over a common denominator, or both:
+    each form is built from the other when first read, and kept.
 
 ``RationalSeries``
     a Laurent polynomial numerator together with a multiset of denominator
@@ -310,11 +310,10 @@ class DivisionError(ArithmeticError):
     """Raised when an exact polynomial division has a nonzero remainder."""
 
 
-def _columns(terms, n: int) -> list:
-    """The exponents of the degrees of ``terms`` slot by slot: ``n`` tuples,
-    entry ``k`` of tuple ``i`` the exponent of term ``k`` in slot ``i``."""
-    columns = list(zip_longest(*terms, fillvalue=0))
-    return columns + [(0,) * len(terms)] * (n - len(columns))
+def _columns(terms) -> list:
+    """The exponents of the degrees of ``terms`` slot by slot, at least one
+    tuple: entry ``k`` of tuple ``i`` the exponent of term ``k`` in slot ``i``."""
+    return list(zip_longest(*terms, fillvalue=0)) or [(0,) * len(terms)]
 
 
 def _padded(columns, n: int) -> list:
@@ -360,25 +359,24 @@ def _graded(columns, variables) -> tuple:
     return sorted(range(n), key=key.__getitem__), chosen
 
 
-def _integral(terms) -> tuple:
-    """``(den, values)``: the least common denominator of the coefficients
-    and the ``int`` coefficients of ``den`` times the term map, in term order."""
-    den = lcm(*[c.denominator for c in terms.values()])
+def _integral(values) -> tuple:
+    """``(den, ints)``: the least common denominator of ``values`` (``int``
+    or ``Fraction``, a list or a dict view) and the ``int`` values of ``den``
+    times each, in order."""
+    den = lcm(*[c.denominator for c in values])
     if den == 1:
-        return 1, [c.numerator for c in terms.values()]
-    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+        return 1, [c.numerator for c in values]
+    return den, [c.numerator * (den // c.denominator) for c in values]
 
 
 def _primitive(terms: dict) -> dict:
     """``terms`` times the positive rational that makes its values coprime
-    integers.  Values may be ``int`` or ``Fraction``; the result holds
+    integers: :func:`_integral`'s ``int`` values divided by their greatest
+    common divisor.  Values may be ``int`` or ``Fraction``; the result holds
     ``int`` only."""
-    den = lcm(*[v.denominator for v in terms.values()])
-    out = {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
-    g = gcd(*out.values())
-    if g > 1:
-        out = {k: v // g for k, v in out.items()}
-    return out
+    _, ints = _integral(terms.values())
+    g = gcd(*ints)
+    return dict(zip(terms, [c // g for c in ints] if g > 1 else ints))
 
 
 def _product(f: dict, g: dict) -> dict:
@@ -421,9 +419,9 @@ class LaurentPoly:
     It is held in one or both of two forms, each in its own slot: the term
     map, from ``Multidegree`` to nonzero ``Fraction``, and the column view
     ``(columns, den, ints)`` of :meth:`_columnar`.  An operation that
-    decodes or walks exponent columns hands its integral result on in the
-    column view alone (:meth:`_carried`).  The ``terms`` property builds
-    the map from the columns on its first read, and ``_columnar`` the
+    decodes or walks exponent columns hands its result on in the column
+    view alone, integral or not (:meth:`_carried`).  The ``terms`` property
+    builds the map from the columns on its first read, and ``_columnar`` the
     columns from the map, and each keeps what it built.  A built form is
     never released, so two threads that read at once at worst build the
     same form twice.  Instances are immutable in practice: all operations
@@ -449,21 +447,36 @@ class LaurentPoly:
         return res
 
     @classmethod
-    def _carried(cls, columns, ints):
+    def _carried(cls, columns, ints, den=1):
         """The polynomial of the exponent ``columns`` (at least one, slot 0
-        first) and the nonzero ``int`` coefficients ``ints``, term by term,
-        of distinct degrees, held as that column view alone."""
+        first) and the nonzero ``int`` coefficients ``ints`` over ``den``,
+        term by term, of distinct degrees, held as that column view alone.
+        A factor that ``den`` shares with every value is divided out, so
+        that ``den`` is the least common denominator."""
+        g = gcd(den, *ints) if den > 1 else 1
+        if g > 1:
+            den, ints = den // g, [c // g for c in ints]
         res = cls.__new__(cls)
-        res._map, res._view = None, (columns, 1, ints)
+        res._map, res._view = None, (columns, den, ints)
         return res
+
+    @classmethod
+    def _from_rows(cls, columns, ints, den=1):
+        """:meth:`_carried` of the terms of the exponent ``columns`` and
+        ``int`` coefficients ``ints`` over ``den``, those of one exponent
+        row (one degree) summed, in first-seen order, and zero sums dropped
+        (:func:`_summed` on the rows)."""
+        summed = _summed([*zip(*columns)], ints)
+        return cls._carried([*zip(*summed)] or [()], [*summed.values()], den)
 
     @property
     def terms(self) -> dict:
         """The term map, built from the column view on first read and kept."""
         terms = self._map
         if terms is None:
-            columns, _, ints = self._view
-            terms = self._map = dict(zip(_degrees(columns), _fractions(ints)))
+            columns, den, ints = self._view
+            values = _fractions(ints) if den == 1 else map(Fraction, ints, repeat(den))
+            terms = self._map = dict(zip(_degrees(columns), values))
         return terms
 
     def __reduce__(self):
@@ -543,7 +556,7 @@ class LaurentPoly:
         view = self._view
         if view is None:
             terms = self._map
-            view = self._view = (_columns(terms, 1), *_integral(terms))
+            view = self._view = (_columns(terms), *_integral(terms.values()))
         return view
 
     def _exponents(self, var):
@@ -663,18 +676,15 @@ class LaurentPoly:
         ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
         so that exponent arithmetic stays closed; with a constant image,
         ``var = +1`` or ``-1``, the map is an evaluation.  The terms are
-        mapped by :meth:`_substituted`, and the images are summed by degree
-        (:func:`_summed` on the rows of their columns) with zero sums
-        dropped, so the result is handed on in columns (:meth:`_carried`),
-        divided by the common denominator unless it is 1.
+        mapped by :meth:`_substituted`, and :meth:`_from_rows` sums the
+        images by degree, over the common denominator, and hands the result
+        on in columns.
         """
         coeff, imd = self._coerce(image).as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
         columns, den, (ints,) = self._substituted((var,), [(var,) * (coeff == -1)], imd)
-        summed = _summed([*zip(*columns)], ints)
-        carried = LaurentPoly._carried([*zip(*summed)] or [()], [*summed.values()])
-        return carried if den == 1 else carried / den
+        return LaurentPoly._from_rows(columns, ints, den)
 
     def _substituted(self, variables, sides, image=()) -> tuple:
         """``(columns, den, sided)``: the exponent ``columns`` of this
@@ -719,14 +729,14 @@ class LaurentPoly:
     def truncate(self, var, order):
         """Drop all terms of ``var``-degree greater than ``order``: from the
         term map when there is one, else from the exponent columns, whose
-        kept terms are handed on in columns."""
+        kept terms are handed on in columns over the common denominator."""
         i, order = _INDEX.get(var, _ABSENT), _exact(order)
         if self._map is not None:
             return LaurentPoly._of(_truncated(self._map, i, order))
-        columns, _, ints = self._view
+        columns, den, ints = self._view
         keep = [*map(order.__ge__, columns[i] if i < len(columns) else repeat(0, len(ints)))]
         return LaurentPoly._carried([[*compress(c, keep)] for c in columns],
-                                    [*compress(ints, keep)])
+                                    [*compress(ints, keep)], den)
 
     def derivative(self, var):
         # lowering every monomial by ``var**1`` is injective: no two terms meet
@@ -776,15 +786,14 @@ class LaurentPoly:
         The cost scales with the dividend's exponent box, the product of its
         degree spans plus one, not with its number of terms.
 
-        - **Columns in, columns out.**  An integral quotient is returned
-          as it is decoded, in those columns and values
+        - **Columns in, columns out.**  The quotient is returned as it is
+          decoded, in those columns and values over the denominator that
+          the operands' denominators and the divisor's content give
           (:meth:`_carried`), so the next division of a chain reads them
           as they are; its term map is built when ``terms`` is first read.
           A divisor keeps its columns once read, so a divisor used again
-          is read once.  A quotient with a non-integral coefficient is
-          built at once.  Either way, every coefficient read from
-          ``terms`` is a ``Fraction``, from ``_SMALL`` when it is a small
-          integer.
+          is read once.  Every coefficient read from ``terms`` is a
+          ``Fraction``, from ``_SMALL`` when it is a small integer.
         """
         g_cols, g_den, g_ints = self._coerce(divisor)._columnar()
         if not g_ints:
@@ -845,11 +854,9 @@ class LaurentPoly:
             if lo:
                 columns[k] = [*map(lo.__add__, columns[k])]
         # f is f_ints / f_den and g is content * g_ints / g_den
-        num, den = g_den, content * f_den
-        if num == den:
-            return LaurentPoly._carried(columns, values)
-        return LaurentPoly._of(dict(zip(_degrees(columns),
-                                        [Fraction(c * num, den) for c in values])))
+        if g_den > 1:
+            values = [*map(g_den.__mul__, values)]
+        return LaurentPoly._carried(columns, values, content * f_den)
 
     # -- serialization ------------------------------------------------------
 
@@ -859,12 +866,10 @@ class LaurentPoly:
         graded-lexicographic order over them (:func:`_graded`), each
         coefficient and exponent as text.
 
-        It reads the exponent columns and ``int`` values of ``_columnar``,
-        so a polynomial held in columns is written without building its
-        term map; the ``Fraction`` values are read only when a coefficient
-        is not integral.  A list of ``variables`` that leaves out a
-        variable with a nonzero exponent raises ``ValueError``, naming it,
-        since its exponents would be lost.
+        It reads the column view of ``_columnar``, so a polynomial held in
+        columns is written without building its term map.  A list of
+        ``variables`` that leaves out a variable with a nonzero exponent
+        raises ``ValueError``, naming it, since its exponents would be lost.
         """
         columns, den, ints = self._columnar()
         present = [_VARS[i] for i, col in enumerate(columns) if any(col)]
@@ -876,7 +881,7 @@ class LaurentPoly:
             if missing:
                 raise ValueError(f"variables {variables} leave out {missing}")
         order, chosen = _graded(columns, variables)
-        coeffs = [*map(str, ints if den == 1 else self.terms.values())]
+        coeffs = [*map(str, ints if den == 1 else map(Fraction, ints, repeat(den)))]
         texts = [[*map(str, col)] for col in chosen]
         return {"variables": variables,
                 "terms": [{"coeff": coeffs[k], "exp": [col[k] for col in texts]}
@@ -887,15 +892,14 @@ class LaurentPoly:
         """The polynomial of a :meth:`to_json` object.
 
         The listed variables are registered first.  Each variable's column
-        of exponents is read at once, by ``int``; the columns of a repeated
-        variable add, and :func:`_degrees` builds the degrees from the
-        columns.  Where an exponent is not an integer literal, the degrees
-        are built term by term instead, exactly, and a non-integral exponent
-        raises ``ValueError``.  The coefficients are read the same way, and
-        :func:`_summed` sums the terms of one degree, which is one
-        ``dict(zip())`` when the degrees are distinct; a zero sum is dropped,
-        and the map is wrapped once.  A term with more or fewer exponents
-        than variables raises ``ValueError``, naming the term.
+        of exponents is read at once, by ``int``, and the columns of a
+        repeated variable add.  Where an exponent is not an integer literal,
+        the degrees are built term by term instead, exactly, and a
+        non-integral exponent raises ``ValueError``.  The coefficients are
+        read by ``int`` too, or else over their common denominator
+        (:func:`_integral`), and :meth:`_from_rows` sums the terms of one
+        degree and hands the result on in columns.  A term with more or
+        fewer exponents than variables raises ``ValueError``, naming the term.
         """
         variables, terms = obj["variables"], obj["terms"]
         exps = [*map(itemgetter("exp"), terms)]
@@ -907,15 +911,14 @@ class LaurentPoly:
         try:
             for i, texts in zip(slots, zip(*exps)):
                 columns[i] = [*map(_add, columns[i], map(int, texts))]
-            degrees = _degrees(columns)
         except ValueError:  # a fraction: term by term, which checks each exponent
-            degrees = [Multidegree(zip(variables, e)) for e in exps]
+            columns = _columns([Multidegree(zip(variables, e)) for e in exps])
         coeffs = [*map(itemgetter("coeff"), terms)]
         try:
-            values = [*map(int, coeffs)]
+            den, ints = 1, [*map(int, coeffs)]
         except ValueError:
-            values = [*map(Fraction, coeffs)]
-        return cls._wrap(_summed(degrees, values))
+            den, ints = _integral([*map(Fraction, coeffs)])
+        return cls._from_rows(columns, ints, den)
 
     def dumps(self, variables=None) -> str:
         return json.dumps(self.to_json(variables), separators=(",", ":"))
@@ -930,7 +933,7 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         items = [*self.terms.items()]
-        order, _ = _graded(_columns(self.terms, 1), self.variables())
+        order, _ = _graded(_columns(self.terms), self.variables())
         pieces = []
         for md, c in map(items.__getitem__, reversed(order)):
             factors = []
@@ -1051,26 +1054,23 @@ class RationalSeries:
         ``order``.  Its ``K + 1`` degrees ``k*m`` are distinct and built by
         adding ``m`` to itself.  Each product (:func:`_product`) gives a term
         map with ``int`` values where they are integral, which the next one
-        takes as it is.  When every value of the last one is an ``int``, the
-        result is handed on as its exponent columns and values
-        (:meth:`LaurentPoly._carried`), so that :func:`max_cancel` and
-        ``to_json`` read them as they are and no ``Fraction`` is made unless
-        ``terms`` is read; otherwise it is wrapped once, at the end.
+        takes as it is.  The result is handed on as its exponent columns and
+        ``int`` values over their common denominator, 1 when every value is
+        an ``int`` (:meth:`LaurentPoly._carried`), so that :func:`max_cancel`
+        and ``to_json`` read them as they are and no ``Fraction`` is made
+        unless ``terms`` is read.
         """
         order = floor(_exact(self.order if order is None else order))
-        if self.numerator.is_zero():
-            return LaurentPoly.zero()
         i = _INDEX.get(self.var, _ABSENT)
-        base = min(self.numerator._exponents(self.var))
+        base = min(self.numerator._exponents(self.var), default=order)
         result = _truncated(self.numerator.terms, i, order)
         for md in self.denominators:
             powers = accumulate(repeat(md, (order - base) // md[i]))
             factor = dict.fromkeys([_new(Multidegree, ()), *powers], 1)
             result = _truncated(_product(result, factor), i, order)
         ints = [*result.values()]
-        if {*map(type, ints)} <= {int}:
-            return LaurentPoly._carried(_columns(result, 1), ints)
-        return LaurentPoly._wrap(result)
+        den, ints = (1, ints) if {*map(type, ints)} <= {int} else _integral(ints)
+        return LaurentPoly._carried(_columns(result), ints, den)
 
     def __str__(self):
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"

@@ -22,6 +22,7 @@ from knothom.fixtures import (
     to_tilde,
 )
 from knothom.checks import colored_differential
+from knothom.cli import main
 from knothom.errors import UsageError
 from knothom.laurent import LaurentPoly, Multidegree
 from knothom.partitions import Partition, parse_color, partitions_of
@@ -170,6 +171,37 @@ def test_corrupted_fixture_fails_loudly(tmp_path, monkeypatch):
         load_fixture.cache_clear()
 
 
+def test_a_file_of_another_fixture_is_refused(tmp_path, monkeypatch, capsys):
+    """A file whose own knot and colour name another fixture than the one
+    asked for is refused, naming both, where it used to load under the
+    asked name and fail later as an internal error of the colored
+    differentials; the command line still exits 3.  A file whose colour is
+    no partition is refused as a broken fixture too, not as a usage error."""
+    packaged = pathlib.Path(__file__).resolve().parents[1] / "src" / "knothom" / "fixtures"
+    for path in packaged.glob("*.json"):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "3_1-S2.json").write_bytes((packaged / "3_1-L2.json").read_bytes())
+    monkeypatch.setenv("HOMOLOGY_FIXTURE_DIR", str(tmp_path))
+    load_fixture.cache_clear()
+    try:
+        with pytest.raises(FixtureError, match=r"3_1-S2\.json holds the fixture 3_1:L2, "
+                                               r"not 3_1:S2$"):
+            load_fixture("3_1:S2")
+        # the differential tables name their fixture in the first two fields
+        assert load_fixture("T3_4:S2:d1|2").color == Partition([2])
+        assert main(["check", "all", "--fixture", "3_1:S2"]) == 3
+        assert "holds the fixture 3_1:L2, not 3_1:S2" in capsys.readouterr().err
+        obj = json.loads((packaged / "3_1-S2.json").read_text())
+        obj["color"] = [1, 2]
+        (tmp_path / "3_1-S2.json").write_text(json.dumps(obj))
+        load_fixture.cache_clear()
+        with pytest.raises(FixtureError, match=r"^3_1:S2: parts must weakly decrease"):
+            load_fixture("3_1:S2")
+    finally:
+        monkeypatch.delenv("HOMOLOGY_FIXTURE_DIR")
+        load_fixture.cache_clear()
+
+
 def _raise_one_tc(obj):
     # one exponent of tc up by one: no term meets another and the generator
     # count holds, but that term's sign at tc = -1 flips
@@ -266,9 +298,11 @@ def assert_specializations(fix):
     got = fix.specializations()
     assert got == substitute_chain(fix.poincare, fix.gradings)
     assert got == term_by_term(fix.poincare, fix.gradings)
-    # the unwrapped maps that _validate compares: the same values, no zeros
-    for terms, side in zip(fix._specialized_terms(), got):
-        assert terms == side.terms and all(terms.values())
+    # handed on in columns, which _validate compares: no zeros, and every
+    # value a Fraction once read
+    sides = fix.specializations()
+    assert all(side._map is None for side in sides)
+    assert all(type(c) is Fraction and c for side in sides for c in side.terms.values())
 
 
 @pytest.mark.parametrize("name", FIXTURE_IDS)
@@ -311,7 +345,7 @@ def test_specializations_cancel_to_zero():
     p = LaurentPoly({Multidegree(a=1, tr=1, tc=1): Fraction(1, 2),
                      Multidegree(a=1, tr=2, tc=1): Fraction(1, 2)})
     fix = _fixture_of(("a", "q", "tr", "tc"), p)
-    assert fix._specialized_terms() == [{}, {Multidegree(a=1): -1}]
+    assert [side.terms for side in fix.specializations()] == [{}, {Multidegree(a=1): -1}]
     assert_specializations(fix)
 
 

@@ -232,6 +232,18 @@ def test_stable_limit_fundamental():
     assert orders[0] < orders[1] < orders[2]
 
 
+@pytest.mark.parametrize("lam, n, ms, orders", [
+    ([1], 2, [5, 7, 9], [4, 6, 8]),
+    ([1], 2, [3, 5, 7, 9, 11], [2, 4, 6, 8, 10]),
+    ([2], 2, [3, 5, 7], [5, 9, 10]),
+    ([1], 3, [4, 5, 7, 8], [3, 4, 6, 7]),
+    ([1, 1], 2, [3, 5, 7], [0, 2, 4]),
+])
+def test_stable_limit_agreement_orders(lam, n, ms, orders):
+    rep = stable_limit_check(lam, n, ms, order=10)
+    assert [r["agreement_order"] for r in rep["rows"]] == orders
+
+
 def test_stable_limit_n1_exact():
     rep = stable_limit_check([2, 1], 1, [2, 3], order=8)
     assert all(r["agreement_order"] >= 8 for r in rep["rows"])

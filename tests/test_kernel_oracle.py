@@ -21,6 +21,7 @@ over the kernel's own variables, scheme generator names and fresh names.
 The runs are derandomized, so every run checks the same examples.
 """
 
+import copy
 import json
 import pickle
 import random
@@ -28,6 +29,7 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, product
+from math import gcd
 
 import pytest
 import sympy
@@ -577,6 +579,111 @@ def test_carried_truncate_and_substitute_match_the_term_map(p, var, order, image
     assert UNREGISTERED not in laurent._INDEX
 
 
+#: rational coefficients with denominators up to 4, integers among them
+fractional = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+def column_only(p: LaurentPoly) -> LaurentPoly:
+    """``p`` held in its column view alone, over its common denominator."""
+    columns, den, ints = p._columnar()
+    return LaurentPoly._carried(columns, ints, den)
+
+
+def assert_column_result(got: LaurentPoly, want: LaurentPoly):
+    """``got`` holds no term map until ``terms`` is read, its JSON and
+    ``terms`` equal those of ``want``, built term by term, its denominator
+    is the least one, and ``max_cancel`` takes its nonnegative copy over
+    that denominator exactly when it is integral."""
+    assert got._map is None
+    columns, den, ints = got._view
+    assert gcd(den, *ints) == 1
+    assert got.to_json() == per_term_json(want)
+    assert got._map is None
+    assert got.terms == want.terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+    integral = all(c.denominator == 1 for c in want.terms.values())
+    counts = LaurentPoly._carried(columns, [*map(abs, ints)], den)
+    if integral:
+        max_cancel(counts, Multidegree(q=1))
+    else:
+        with pytest.raises(ValueError, match="integer multiplicities"):
+            max_cancel(counts, Multidegree(q=1))
+
+
+def substituted_by_terms(p: LaurentPoly, var, sign, image) -> LaurentPoly:
+    """``p`` with ``var**e`` replaced by ``(sign * x^image)**e``, term by term."""
+    out = LaurentPoly.zero()
+    for md, c in p.terms.items():
+        e = md._e(var)
+        out = out + LaurentPoly.monomial(c * sign ** (e % 2), md._without(var) + image.scale(e))
+    return out
+
+
+@st.composite
+def meeting_terms(draw):
+    """``(p, var, sign, image)``: a polynomial with rational coefficients and
+    negative exponents, and a substitution ``var -> sign * x^image``, the
+    image free of ``var``, under which some of its terms meet a partner,
+    drawn to cancel it or to add to it."""
+    var, sign = draw(st.sampled_from(VARS)), draw(st.sampled_from([1, -1]))
+    image = draw(multidegrees())._without(var)
+    p = draw(polys(max_terms=6, c=fractional))
+    meet = Multidegree({var: 1}) - image
+    for md, c in [*p.terms.items()]:
+        k = draw(st.integers(0, 2))
+        if not k:
+            continue
+        # the partner's image has the degree of md's and the sign sign^k
+        partner = -c * sign ** k * draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+        p = p + LaurentPoly.monomial(partner, md + meet.scale(k))
+    return p, var, sign, image
+
+
+@oracle(200)
+@given(meeting_terms(), st.sampled_from(VARS), st.integers(-3, 3),
+       polys(max_terms=3, c=fractional).filter(lambda g: not g.is_zero()),
+       st.lists(multidegrees(q=st.sampled_from([1, 2])), max_size=2))
+@example((parse_poly("q^2 - 1") / 2, "a", 1, Multidegree(q=1)), "q", 0,
+         parse_poly("q - 1") / 2, [])
+def test_non_integral_results_stay_in_columns(case, cut, order, g, denominators):
+    """``substitute``, ``truncate`` of a polynomial held in columns only,
+    ``divide_exact``, ``expand`` and ``from_json(to_json(p))`` on rational
+    coefficients each hand their result on in columns over the least common
+    denominator, integral or not, equal to a reference built term by term.
+    Terms meet and cancel under the substitution, and the division is drawn
+    with a quotient and a divisor that are both rational, so that the
+    quotient may be integral though the operands are not (as in the example,
+    ``(q^2 - 1)/2`` divided by ``(q - 1)/2``)."""
+    p, var, sign, image = case
+    assert_column_result(column_only(p).substitute(var, LaurentPoly.monomial(sign, image)),
+                         substituted_by_terms(p, var, sign, image))
+    assert_column_result(column_only(p).truncate(cut, order), LaurentPoly._of(
+        {md: c for md, c in p.terms.items() if md._e(cut) <= order}))
+    if not p.is_zero():
+        assert_column_result((p * g).divide_exact(g), p)
+        assert_column_result(column_only(p * g).divide_exact(column_only(g)), p)
+    # each geometric sum reaches past order from the least q-degree of p
+    top = order - min(p._exponents("q"), default=order)
+    geometric = LaurentPoly.one()
+    for md in denominators:
+        geometric = geometric * sum((LaurentPoly.monomial(1, md.scale(k))
+                                     for k in range(top + 1)), LaurentPoly.zero())
+    assert_column_result(RationalSeries(p, denominators, "q").expand(order),
+                         (p * geometric).truncate("q", order))
+    assert_column_result(LaurentPoly.from_json(p.to_json()), p)
+
+
+def test_a_column_polynomial_over_a_denominator_pickles_and_copies():
+    """A polynomial held in columns over a denominator above 1 pickles, and
+    deep-copies, to an equal polynomial with the same JSON."""
+    held = (parse_poly("q^2 - 1") / 3).divide_exact(parse_poly("q - 1"))
+    assert held._map is None and held._view[1] == 3
+    want = held.to_json()
+    for copied in (pickle.loads(pickle.dumps(held)), copy.deepcopy(held)):
+        assert copied == held and copied.to_json() == want
+    assert held == parse_poly("q + 1") / 3
+
+
 def trimmed(exps) -> tuple:
     """``exps`` without its trailing zeros."""
     exps = list(exps)
@@ -597,7 +704,7 @@ def test_codec_columns_match_per_term_indices(case):
     ``_degrees`` builds each degree back from its columns, trimmed."""
     n, rows = case
     degrees = [trimmed(row) for row in rows]
-    columns = laurent._columns(degrees, n)
+    columns = laurent._padded(laurent._columns(degrees), n)
     assert len(columns) == n and all(len(c) == len(degrees) for c in columns)
     lows, highs = [*map(min, columns)], [*map(max, columns)]
     strides = [*accumulate([h - lo + 1 for lo, h in zip(lows, highs)][:-1],
