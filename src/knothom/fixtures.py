@@ -21,7 +21,7 @@ import os
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree
+from .laurent import LaurentPoly, Multidegree, _padded
 from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
@@ -167,18 +167,29 @@ def _file_for(name: str) -> str:
     return os.path.join(fixture_dir(), name.replace(":", "-").replace("|", "") + ".json")
 
 
+def _same(p: LaurentPoly, q: LaurentPoly) -> bool:
+    """``p == q``, read from the two column views: the same least common
+    denominator and the same ``int`` value at each exponent row, the rows
+    padded to one width, so that neither builds its term map."""
+    (pc, pd, pi), (qc, qd, qi) = p._columnar(), q._columnar()
+    width = max(len(pc), len(qc))
+    return pd == qd and (dict(zip(zip(*_padded(pc, width)), pi))
+                         == dict(zip(zip(*_padded(qc, width)), qi)))
+
+
 def _validate(fix: HomologyFixture):
     """Refuse a table whose generator count is not its ``dimension`` or
-    whose specializations differ from each other or from its ``homfly``."""
+    whose specializations differ from each other or from its ``homfly``
+    (:func:`_same`)."""
     if fix.poincare.dimension() != fix.dimension:
         raise FixtureError(
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
     if "tr" in fix.gradings or fix.homfly is not None:
         specialization, mirrored = fix.specializations()
-        if specialization != mirrored:
+        if not _same(specialization, mirrored):
             raise FixtureError(f"{fix.name}: categorification mismatch")
-        if fix.homfly is not None and specialization != fix.homfly:
+        if fix.homfly is not None and not _same(specialization, fix.homfly):
             raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 

@@ -8,11 +8,12 @@ value is not integral), computes on them, and wraps nothing; Python mixes
 the two exactly.  ``LaurentPoly.__mul__`` wraps each value of the product in
 a ``Fraction`` once on the way out, taken from one shared table
 (``_SMALL``) when it is an ``int`` of absolute value at most 128.
-``RationalSeries.expand`` carries one unwrapped map through all of its
-products and hands the result on as exponent columns (below), integral or
-not.  Powers and logarithms of a series
-(``series_pow_rational``, ``series_log``, the scheme relations) all come
-from one recurrence, J. C. P. Miller's, in ``_series_terms``.
+``RationalSeries.expand`` builds only the products it keeps, each term
+times the powers of a denominator that stay within the order, on ``int``
+values, and hands the result on as exponent columns (below).  Powers and
+logarithms of a series (``series_pow_rational``, ``series_log``, the scheme
+relations) all come from one recurrence, J. C. P. Miller's, in
+``_series_terms``.
 Exponents are integers on every variable.
 
 Exact division is Kronecker division: the dividend and the divisor, made
@@ -71,7 +72,7 @@ import sys
 import threading
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, compress, count, repeat, zip_longest
+from itertools import compress, count, repeat, zip_longest
 from math import factorial, floor, gcd, isqrt, lcm
 from operator import (add as _add, itemgetter, mul as _mul, neg as _neg, not_ as _not,
                       sub as _sub)
@@ -408,11 +409,6 @@ def _product(f: dict, g: dict) -> dict:
     return out
 
 
-def _truncated(terms: dict, i: int, order) -> dict:
-    """The terms of ``terms`` whose exponent in slot ``i`` is at most ``order``."""
-    return {md: c for md, c in terms.items() if (md[i] if i < len(md) else 0) <= order}
-
-
 class LaurentPoly:
     """A multivariate Laurent polynomial with exact rational coefficients.
 
@@ -732,7 +728,8 @@ class LaurentPoly:
         kept terms are handed on in columns over the common denominator."""
         i, order = _INDEX.get(var, _ABSENT), _exact(order)
         if self._map is not None:
-            return LaurentPoly._of(_truncated(self._map, i, order))
+            return LaurentPoly._of({md: c for md, c in self._map.items()
+                                    if (md[i] if i < len(md) else 0) <= order})
         columns, den, ints = self._view
         keep = [*map(order.__ge__, columns[i] if i < len(columns) else repeat(0, len(ints)))]
         return LaurentPoly._carried([[*compress(c, keep)] for c in columns],
@@ -1046,31 +1043,33 @@ class RationalSeries:
         """The truncated expansion, exact through ``order`` in ``self.var``.
 
         Exponents are integers, so ``order`` is taken down to its floor.  No
-        factor lowers a ``var``-degree, so the numerator is truncated first,
-        and so is each product.  The factor ``1/(1 - m)``, with ``m`` of
-        ``var``-degree ``step > 0``, is the geometric sum ``1 + m + ... +
-        m^K`` with ``K = (order - base) // step``, ``base`` the numerator's
-        least ``var``-degree: a higher power of ``m`` puts every term past
-        ``order``.  Its ``K + 1`` degrees ``k*m`` are distinct and built by
-        adding ``m`` to itself.  Each product (:func:`_product`) gives a term
-        map with ``int`` values where they are integral, which the next one
-        takes as it is.  The result is handed on as its exponent columns and
-        ``int`` values over their common denominator, 1 when every value is
-        an ``int`` (:meth:`LaurentPoly._carried`), so that :func:`max_cancel`
-        and ``to_json`` read them as they are and no ``Fraction`` is made
-        unless ``terms`` is read.
+        factor lowers a ``var``-degree, so no term past ``order`` is ever
+        made: the numerator is truncated first, and the factor ``1/(1 -
+        m)``, with ``m`` of ``var``-degree ``step > 0``, multiplies a term of
+        ``var``-degree ``v`` by ``1, m, ..., m^K`` only, ``K = (order - v) //
+        step``, its degrees built by adding ``m`` again and again.  The
+        products are summed by degree, and a zero sum dropped, factor by
+        factor.  The expansion reads the numerator's column view
+        (``_columnar``), ``int`` values over a common denominator ``den``;
+        every product keeps that ``den``, and the result is handed on in
+        columns over it (:meth:`LaurentPoly._carried`), so that
+        :func:`max_cancel` and ``to_json`` read it as it is and no
+        ``Fraction`` is made unless ``terms`` is read.
         """
         order = floor(_exact(self.order if order is None else order))
+        columns, den, ints = self.numerator._columnar()
         i = _INDEX.get(self.var, _ABSENT)
-        base = min(self.numerator._exponents(self.var), default=order)
-        result = _truncated(self.numerator.terms, i, order)
+        levels = columns[i] if i < len(columns) else repeat(0)
+        result = {md: c for md, c, v in zip(_degrees(columns), ints, levels) if v <= order}
         for md in self.denominators:
-            powers = accumulate(repeat(md, (order - base) // md[i]))
-            factor = dict.fromkeys([_new(Multidegree, ()), *powers], 1)
-            result = _truncated(_product(result, factor), i, order)
-        ints = [*result.values()]
-        den, ints = (1, ints) if {*map(type, ints)} <= {int} else _integral(ints)
-        return LaurentPoly._carried(_columns(result), ints, den)
+            step, out = md[i], {}
+            for d, c in result.items():
+                for _ in range((order - (d[i] if i < len(d) else 0)) // step + 1):
+                    s = out.get(d)
+                    out[d] = c if s is None else s + c
+                    d += md
+            result = {d: c for d, c in out.items() if c}
+        return LaurentPoly._carried(_columns(result), [*result.values()], den)
 
     def __str__(self):
         dens = " * ".join(f"(1 - {LaurentPoly.monomial(1, md)})"

@@ -810,6 +810,43 @@ def test_rational_series_expand(numerator, denominators, order):
     assert all(degree_in(t, "q") > order for t in sympy_terms(residual))
 
 
+@oracle(150)
+@given(polys(), st.booleans(), st.sampled_from(VARS),
+       st.lists(st.tuples(small, small, st.integers(1, 3)), max_size=4), st.integers(-5, 5))
+@example(parse_poly("1 - q"), False, "q", [(0, 0, 1)], 4)
+@example(parse_poly("1 - q^2*t^-1") / 6, True, "q", [(0, -1, 2), (0, 0, 1)], 5)
+@example(parse_poly("q^2 - a*q^3") / 3, True, "q", [(0, -1, 1)], 1)
+@example(parse_poly("3*q^-1 - a^-1") / 2, False, "q", [], 0)
+@example(parse_poly("q - 2*q^2"), True, "t", [(1, 0, 1), (0, -2, 2)], 2)
+@example(LaurentPoly.zero(), True, "q", [(0, 0, 1)], 3)
+def test_expand_stops_each_term_at_the_order(numerator, held, var, steps, order):
+    """``expand(order)`` equals the numerator times each denominator's whole
+    geometric sum ``1 + m + ... + m^K``, ``K`` reaching past ``order`` from
+    the numerator's least ``var``-degree, then truncated, as a column result
+    over its least common denominator.  Numerators are drawn with rational
+    coefficients, held in a term map or in columns only, with up to four
+    denominators, each of ``var``-degree 1 to 3 and with the other two
+    exponents negative too, as ``sl_cancel``'s lift ``q -> q + s*t`` leaves
+    a ``t^-1``; where ``order`` is below every ``var``-degree the result is
+    empty.  The examples cancel every product past the constant (``(1 - q)
+    / (1 - q)``), cancel two numerator terms' products under a lifted
+    ``t^-1`` denominator, cut below the least degree, take no denominator,
+    expand in ``t`` a numerator without ``t``, and expand zero."""
+    others = [v for v in VARS if v != var]
+    denominators = [Multidegree({others[0]: x, others[1]: y, var: step}) for x, y, step in steps]
+    least = min(numerator._exponents(var), default=order + 1)
+    geometric = LaurentPoly.one()
+    for md, (*_, step) in zip(denominators, steps):
+        geometric = geometric * sum((LaurentPoly.monomial(1, md.scale(k))
+                                     for k in range((order - least) // step + 1)),
+                                    LaurentPoly.zero())
+    got = RationalSeries(column_only(numerator) if held else numerator, denominators,
+                         var).expand(order)
+    assert_column_result(got, (numerator * geometric).truncate(var, order))
+    if order < least:
+        assert got.is_zero()
+
+
 #: the series variable ``z`` and the symbols of the series coefficients
 SERIES_VARS = ("z", "u1", "u2", "u3")
 SERIES_RING, Z, *_ = ring(",".join(SERIES_VARS), sympy.QQ)
