@@ -19,12 +19,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import compress
+from operator import add, sub
 
 from .errors import UsageError
 from .laurent import (
     LaurentPoly,
     Multidegree,
     RationalSeries,
+    _padded,
+    _slot,
     max_cancel,
     nonneg_divisibility,
 )
@@ -275,12 +279,13 @@ def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
     ``reach[r]`` the largest over ``q``-degrees at most ``r``.  A term of the
     expansion is a numerator term times such a product, so the bound is the
     largest ``t(x) + reach[cutoff - q(x)]`` over numerator terms ``x`` with
-    ``q(x) <= cutoff``; it ignores cancellation, so it may exceed the
-    largest ``tvar``-degree the expansion really has.  It is 0 when no
-    numerator term is that low.
+    ``q(x) <= cutoff``, read from the numerator's ``q`` and ``tvar``
+    exponent columns (``_columnar``); it ignores cancellation, so it may
+    exceed the largest ``tvar``-degree the expansion really has.  It is 0
+    when no numerator term is that low.
     """
-    low = [(md._e("q"), md._e(tvar)) for md in series.numerator.terms
-           if md._e("q") <= cutoff]
+    columns = _padded(series.numerator._columnar()[0], _slot(tvar) + 1)
+    low = [(q, t) for q, t in zip(columns[_slot("q")], columns[_slot(tvar)]) if q <= cutoff]
     if not low:
         return 0
     steps = [(md._e("q"), md._e(tvar)) for md in series.denominators]
@@ -301,7 +306,9 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     Removes a maximum matching of generator pairs differing by ``diff``,
     substitutes ``a -> q^n`` and truncates to the degrees unaffected by the
     cutoff.  ``diff`` must lower the homological grading ``t`` by one and
-    raise ``q`` by some ``s > 0``, and ``series`` must expand in ``q``.
+    raise ``q`` by some ``s > 0``, and ``series`` must expand in ``q`` over
+    denominators of nonnegative ``a``-degree, so that no term of the
+    expansion has an ``a``-degree below the numerator's least, ``a_min``.
     Every cancellation ray then lies in one level of ``w = q + s*t``, and a
     denominator of nonnegative ``t``-degree has positive ``w``-degree (the
     regraded series rejects any other), so the series is expanded exactly
@@ -316,9 +323,15 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     expansion is cancelled in ``w`` along the image of ``diff``, which fixes
     ``w``; only the survivors are mapped back to ``q`` (:func:`_collapsed`).
     Ambiguous survivors sit at the early end of their rays, matching the
-    tabulated computations.  The expansion, the survivors and the result
-    are all carried as exponent columns with ``int`` counts, so no term map
-    is built between the expansion and ``to_json``.  Returns ``(survivors,
+    tabulated computations.
+
+    The numerator is read as exponent columns and ``int`` values
+    (``_columnar``): ``a_min`` is the least entry of its ``a`` column, and
+    the lift to ``w`` is one column operation, ``q += s*t``, whose result
+    goes to the regraded series in columns (:meth:`LaurentPoly._carried`);
+    the lift is one to one, so no degrees meet.  The expansion, the
+    survivors and the result are carried the same way, with ``int`` counts,
+    so no term map is built after the input's.  Returns ``(survivors,
     window)``.
     """
     tvar = "t" if diff._e("t") else "tc"
@@ -327,19 +340,24 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
         raise ValueError("cancellation direction must lower t by one and raise q")
     if series.var != "q":
         raise ValueError("sl_cancel needs a series expanded in q")
-    num = series.numerator
-    if num.is_zero():
+    if any(md._e("a") < 0 for md in series.denominators):
+        raise ValueError("sl_cancel needs denominators of nonnegative a-degree")
+    columns, den, ints = series.numerator._columnar()
+    if not ints:
         return LaurentPoly.zero(), cutoff
+    q, a, t = _slot("q"), _slot("a"), _slot(tvar)
+    columns = _padded(columns, max(a, t) + 1)
     den_margin = max((md._e("q") for md in series.denominators), default=0)
-    a_min = min(num._exponents("a"))
+    a_min = min(columns[a])
     edge = cutoff - 2 * den_margin
     window = edge - n * max(0, -a_min)
     if window < 0:
         raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
     top = edge + step_q * _t_top(series, tvar, edge)
     lift = Multidegree(q=step_q)
+    columns[q] = [*map(add, columns[q], map(step_q.__mul__, columns[t]))]
     regraded = RationalSeries(
-        num.map_exponents(lambda md: md._shift(lift, md._e(tvar))),
+        LaurentPoly._carried(columns, ints, den),
         tuple(md._shift(lift, md._e(tvar)) for md in series.denominators),
         "q", top)
     survivors, _ = max_cancel(regraded.expand(), diff._shift(lift, diff._e(tvar)),
@@ -349,13 +367,25 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
 
 def _collapsed(survivors: LaurentPoly, tvar: str, step_q: int, n: int, cutoff, window):
     """The survivors of :func:`sl_cancel` back in ``q``, through ``q^cutoff``,
-    then with ``a -> q^n`` through ``q^window``.  ``q -> q - step_q*tvar``
-    undoes the lift ``w = q + step_q*tvar``, as the substitution of
-    ``tvar`` by ``tvar*q^-step_q``.  Each step reads and gives exponent
-    columns, so no term map is built from carried survivors."""
-    unlift = LaurentPoly.monomial(1, Multidegree({tvar: 1, "q": -step_q}))
-    kept = survivors.substitute(tvar, unlift).truncate("q", cutoff)
-    return kept.substitute("a", LaurentPoly.var("q", n)).truncate("q", window)
+    then with ``a -> q^n`` through ``q^window``, in one pass over their
+    exponent columns (``_columnar``).  ``q' = q - step_q*tvar`` undoes the
+    lift ``w = q + step_q*tvar``, and ``q'' = q' + n*a`` substitutes ``a``;
+    a term is kept when ``q' <= cutoff`` and ``q'' <= window``.  Both tests
+    stay, so that the pass is exact on any survivors: the first follows
+    from the second only where no term's ``a``-degree is below the least
+    that the window allows for.  The ``a`` column is zeroed, and
+    :meth:`LaurentPoly._from_rows` sums the images of one degree and hands
+    the result on in columns, so no term map is built; the input is left
+    as it was."""
+    columns, den, ints = survivors._columnar()
+    q, a, t = _slot("q"), _slot("a"), _slot(tvar)
+    columns = _padded(columns, max(a, t) + 1)
+    back = [*map(sub, columns[q], map(step_q.__mul__, columns[t]))]
+    columns[q] = [*map(add, back, map(n.__mul__, columns[a]))]
+    columns[a] = (0,) * len(ints)
+    keep = [x <= cutoff and y <= window for x, y in zip(back, columns[q])]
+    return LaurentPoly._from_rows([[*compress(c, keep)] for c in columns],
+                                  [*compress(ints, keep)], den)
 
 
 def rank_collapse(knot: str, lam, n: int, cutoff=30):

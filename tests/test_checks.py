@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -469,24 +470,39 @@ def test_survivor_pass_matches_the_term_by_term_chain(case):
 
 @pytest.mark.parametrize("knot, lam, n, cutoff", [("3_1", [2], 2, 24), ("unknot", [2], 3, 30)])
 def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
-    """``rank_collapse`` hands its expansion to ``max_cancel``, and the
-    survivors on through the survivor pass, as exponent columns, and
-    ``to_json`` writes the result from them: the term map slot of the
-    expansion, of the survivors and of the result is still empty
-    afterwards, so a term map built by accident fails here instead of only
-    costing time.  The JSON is the plain copy's."""
+    """``rank_collapse`` hands its lifted numerator to ``expand``, its
+    expansion to ``max_cancel``, and the survivors on through the survivor
+    pass, as exponent columns, and ``to_json`` writes the result from them:
+    the term map slot of the lifted numerator, of the expansion, of the
+    survivors and of the result is still empty afterwards, so a term map
+    built by accident fails here instead of only costing time.  After the
+    memoised input, no ``substitute``, ``truncate`` or ``map_exponents``
+    runs.  The JSON is the plain copy's."""
+    series = rank_collapse_input(knot, lam)
     seen = []
     real = checks.max_cancel
+    real_expand = RationalSeries.expand
 
     def recording(p, m, keep="early"):
         out = real(p, m, keep)
         seen.extend([p, out[0]])
         return out
 
+    def expanding(self, order=None):
+        seen.append(self.numerator)
+        return real_expand(self, order)
+
+    def refused(*args):
+        raise AssertionError("the cancel path ran a term-map pass")
+
     monkeypatch.setattr(checks, "max_cancel", recording)
+    monkeypatch.setattr(RationalSeries, "expand", expanding)
+    for name in ("substitute", "truncate", "map_exponents"):
+        monkeypatch.setattr(LaurentPoly, name, refused)
     survivors, _ = rank_collapse(knot, lam, n, cutoff=cutoff)
     obj = survivors.to_json()
-    assert len(seen) == 2
+    monkeypatch.undo()
+    assert len(seen) == 3 and seen[0] is not series.numerator
     for p in (*seen, survivors):
         assert p._map is None
     assert obj == LaurentPoly(survivors.terms).to_json()
@@ -510,6 +526,18 @@ def test_sl_cancel_needs_a_series_in_q_and_passes_zero_through():
     survivors, window = sl_cancel(RationalSeries(P("0"), (Multidegree(q=2),), "q", 10),
                                   diff, 2, cutoff=12)
     assert survivors.is_zero() and window == 12
+
+
+def test_sl_cancel_needs_denominators_of_nonnegative_a_degree():
+    """A denominator of negative ``a``-degree makes expansion terms below the
+    numerator's least ``a``-degree, which the window does not allow for:
+    on this series the expansion in ``w`` would miss ``q*t^4 + q^-3*t^4``
+    of the probe reference's window.  It is refused."""
+    series = RationalSeries(P("a*q^2*t^-1 + a*q^-3*t^2 + 3*a*q^-2 + 2*q^3"),
+                            (Multidegree(q=4, t=2), Multidegree(a=-2, q=4)), "q", 30)
+    with pytest.raises(ValueError) as err:
+        sl_cancel(series, Multidegree(a=-2, q=8, t=-1), 4, cutoff=11)
+    assert str(err.value) == "sl_cancel needs denominators of nonnegative a-degree"
 
 
 def _reference_sl_cancel(series, diff, n, cutoff):
@@ -574,3 +602,81 @@ def test_t_top_bounds_the_probe(key, lam):
         probe = series.expand(cutoff)
         assert _t_top(series, "t", cutoff) == max(
             (md._e("t") for md in probe.terms), default=0)
+
+
+def _monomials(terms, tvar="t"):
+    """The polynomial of ``((a, q, t), count)`` pairs, ``t`` named ``tvar``."""
+    out = LaurentPoly.zero()
+    for (a, q, t), c in terms:
+        out = out + LaurentPoly.monomial(c, Multidegree({"a": a, "q": q, tvar: t}))
+    return out
+
+
+@st.composite
+def small_series(draw):
+    """A series in ``q`` of a few numerator terms in ``(a, q, t)``, with
+    positive counts and ``a``-degrees down to -3, over one or two
+    denominators of positive ``q``-degree and nonnegative ``t``- and
+    ``a``-degree; a rank ``n`` in 1..4; and a cutoff whose window (see
+    :func:`sl_cancel`) is -1, 0, 1 or 2, so that it sits at the edge where
+    the window opens."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(st.integers(-3, 1), st.integers(-3, 4), st.integers(-1, 2))
+    num = _monomials(draw(st.lists(st.tuples(exps, st.integers(1, 3)),
+                                   min_size=1, max_size=4)))
+    dens = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 4), st.integers(0, 2)),
+                         min_size=1, max_size=2))
+    dens = tuple(Multidegree(a=a, q=q, t=t) for a, q, t in dens)
+    a_min = min(num._exponents("a"))
+    margin = 2 * max(md._e("q") for md in dens) + n * max(0, -a_min)
+    cutoff = margin + draw(st.integers(-1, 2))
+    return RationalSeries(num, dens, "q", 30), n, cutoff
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(small_series())
+def test_sl_cancel_matches_probe_reference_on_random_series(case):
+    """On random small series, with the window at its edge, the expansion in
+    ``w`` and the column passes around it keep exactly the survivors and
+    the window of the probe-then-``big`` expansion in ``q``, or raise the
+    same ``UsageError``."""
+    series, n, cutoff = case
+    diff = Multidegree(a=-2, q=2 * n, t=-1)
+    assert (_outcome(sl_cancel, series, diff, n, cutoff)
+            == _outcome(_reference_sl_cancel, series, diff, n, cutoff))
+
+
+def _t_top_by_products(series, tvar, cutoff):
+    """The largest ``tvar``-degree of a numerator term of ``q``-degree at most
+    ``cutoff`` times a product of denominator monomials that stays within
+    ``cutoff``, every product enumerated; 0 when no numerator term is that
+    low."""
+    dens = series.denominators
+    best = None
+    for md in series.numerator.terms:
+        room = cutoff - md._e("q")
+        if room < 0:
+            continue
+        for ks in itertools.product(*[range(room // d._e("q") + 1) for d in dens]):
+            if sum(k * d._e("q") for k, d in zip(ks, dens)) <= room:
+                t = md._e(tvar) + sum(k * d._e(tvar) for k, d in zip(ks, dens))
+                best = t if best is None else max(best, t)
+    return 0 if best is None else best
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.sampled_from(["t", "tc"]),
+       st.lists(st.tuples(st.tuples(st.integers(-2, 1), st.integers(-4, 8), st.integers(-3, 3)),
+                          st.integers(1, 2)), min_size=1, max_size=5),
+       st.lists(st.tuples(st.integers(1, 4), st.integers(-2, 3)), max_size=3),
+       st.integers(-5, 12))
+def test_t_top_matches_the_products_enumerated(tvar, terms, dens, cutoff):
+    """:func:`_t_top`'s knapsack equals the brute force over numerator terms
+    and products of denominator monomials, whether the numerator holds a
+    term map or only exponent columns."""
+    num = _monomials(terms, tvar)
+    dens = tuple(Multidegree({"q": q, tvar: t}) for q, t in dens)
+    want = _t_top_by_products(RationalSeries(num, dens, "q", 30), tvar, cutoff)
+    columns, den, ints = num._columnar()
+    for numerator in (num, LaurentPoly._carried(columns, ints, den)):
+        assert _t_top(RationalSeries(numerator, dens, "q", 30), tvar, cutoff) == want
