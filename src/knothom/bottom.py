@@ -9,11 +9,13 @@ unreduced symmetric bottom row of ``(2, 2p+1)`` torus knots as an explicit
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
 from itertools import combinations_with_replacement
-from math import factorial, gcd, prod
+from math import factorial, gcd
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree, RationalSeries
+from .laurent import LaurentPoly, Multidegree, RationalSeries, _slot
 from .partitions import dyck_paths, h_plus
 
 
@@ -27,33 +29,58 @@ def row_count(p: int, q: int, k: int) -> int:
         p * q * factorial(k) * factorial(p - k - 1) * factorial(q - k - 1))
 
 
+def _poly(counts: dict, names) -> LaurentPoly:
+    """The polynomial of ``counts``, a map from exponent tuples over the
+    variables ``names`` to nonzero ``int`` coefficients, built once in
+    exponent columns."""
+    slots = [*map(_slot, names)]
+    columns = [(0,) * len(counts)] * (max(slots) + 1)
+    for i, column in zip(slots, zip(*counts)):
+        columns[i] = column
+    return LaurentPoly._carried(columns, [*counts.values()])
+
+
 def bottom_poincare(p: int, q: int, r: int) -> LaurentPoly:
     """Sum over ``r``-tuples of Dyck paths with their ``(Q, tr)`` gradings.
 
     Each path ``D`` carries ``Q = 2(|D| + 2 h_plus(D))`` and ``tr = 2|D|``;
     tuples multiply, so the result is the ``r``-th power of the single-path
-    sum and has ``catalan_count(p, q)**r`` terms with multiplicity.
+    sum and has ``catalan_count(p, q)**r`` terms with multiplicity.  The
+    paths are counted by degree, and the single-path sum is built once.
     """
-    single = LaurentPoly.zero()
+    counts = Counter()
     for D in dyck_paths(p, q):
         size = D.size()
-        single = single + LaurentPoly.monomial(
-            1, Multidegree(Q=2 * (size + 2 * h_plus(D, p, q)), tr=2 * size))
-    return single ** r
+        counts[2 * (size + 2 * h_plus(D, p, q)), 2 * size] += 1
+    return _poly(counts, ("Q", "tr")) ** r
+
+
+@cache
+def _qbinom_ints(n: int, k: int) -> tuple:
+    """The coefficients of ``qbinom(n, k)``, ``q^0`` first: with ``k`` the
+    smaller of ``k`` and ``n - k``, the product over ``i = 1..k`` of
+    ``(1 - q^(n-k+i)) / (1 - q^i)``, each factor taken on ``int``
+    coefficients below ``q^(k(n-k)+1)``, where a division by ``1 - q^i`` is
+    the running sum ``c[j] += c[j-i]``.  Each partial product is the
+    binomial ``[n-k+i, i]``, of degree at most ``k(n-k)``, so every step is
+    exact.  A row is kept once built, and never changed."""
+    if k < 0 or k > n:
+        return ()
+    k = min(k, n - k)
+    row = [1] + [0] * (k * (n - k))
+    for i in range(1, k + 1):
+        for j in range(len(row) - 1, n - k + i - 1, -1):
+            row[j] -= row[j - (n - k + i)]
+        for j in range(i, len(row)):
+            row[j] += row[j - i]
+    return tuple(row)
 
 
 def qbinom(n: int, k: int) -> LaurentPoly:
-    """Unbalanced Gaussian binomial ``(q;q)_n / ((q;q)_k (q;q)_(n-k))``.
-
-    The binomial is symmetric in ``k`` and ``n - k``; with ``k`` the smaller
-    of the two, it is ``prod_(i=n-k+1..n) (1 - q^i)`` divided exactly, once,
-    by ``prod_(i=1..k) (1 - q^i)``.
-    """
-    if k < 0 or k > n:
-        return LaurentPoly.zero()
-    k = min(k, n - k)
-    factors = [LaurentPoly.one() - LaurentPoly.var("q", i) for i in range(1, n + 1)]
-    return prod(factors[n - k:]).divide_exact(prod(factors[:k])) if k else LaurentPoly.one()
+    """Unbalanced Gaussian binomial ``(q;q)_n / ((q;q)_k (q;q)_(n-k))``,
+    from its coefficients :func:`_qbinom_ints`."""
+    row = _qbinom_ints(n, k)
+    return _poly({(i,): c for i, c in enumerate(row)}, ("q",))
 
 
 def vortex_character(p: int, m: int) -> RationalSeries:
@@ -62,25 +89,34 @@ def vortex_character(p: int, m: int) -> RationalSeries:
     ``q^(-pm)/(q;q)_m`` times the nested q-binomial sum over
     ``0 <= k_p <= ... <= k_1 <= m`` (with ``k_0 = m``) weighted by
     ``q^((2m+1) sum k_i - sum k_(i-1) k_i) t^(2 sum k_i)``.  At ``p = 0``
-    this is the plain ``1/(q;q)_m``.
+    this is the plain ``1/(q;q)_m``.  The products of q-binomials are taken
+    on their ``int`` coefficients, which are positive, so no term cancels,
+    and the numerator is built once.
     """
     if p < 0 or m < 0:
         raise UsageError("p and m must be nonnegative")
-    total = LaurentPoly.zero()
+    counts = {}
     for ks in combinations_with_replacement(range(m, -1, -1), p):
-        coeff = LaurentPoly.one()
-        prev = m
+        row, prev = (1,), m
         for k in ks:
-            coeff = coeff * qbinom(prev, k)
+            row = _times(row, _qbinom_ints(prev, k))
             prev = k
         s = sum(ks)
-        cross = sum(a * b for a, b in zip((m,) + ks, ks))
-        coeff = coeff * LaurentPoly.monomial(
-            1, Multidegree(q=(2 * m + 1) * s - cross, t=2 * s))
-        total = total + coeff
-    total = total * LaurentPoly.var("q", -p * m)
+        low = (2 * m + 1) * s - sum(a * b for a, b in zip((m,) + ks, ks)) - p * m
+        for i, c in enumerate(row, start=low):
+            counts[i, 2 * s] = counts.get((i, 2 * s), 0) + c
     dens = tuple(Multidegree(q=i) for i in range(1, m + 1))
-    return RationalSeries(total, dens, "q", 40)
+    return RationalSeries(_poly(counts, ("q", "t")), dens, "q", 40)
+
+
+def _times(f: tuple, g: tuple) -> list:
+    """The coefficients of the product of two polynomials in one variable,
+    each given by its coefficients, lowest degree first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, c in enumerate(f):
+        for j, d in enumerate(g, start=i):
+            out[j] += c * d
+    return out
 
 
 def _recursion_c1(n: int) -> LaurentPoly:

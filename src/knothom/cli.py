@@ -152,7 +152,18 @@ def cmd_scheme(args):
     return 0
 
 
+def refuse_together(args, option, *others):
+    """A usage error when ``option`` is given with any of ``others``, each a
+    choice of what the verb computes; an option counts as given when its
+    value is true, as the commands read it."""
+    clash = [other for other in others if getattr(args, other[2:])]
+    if getattr(args, option[2:]) and clash:
+        raise UsageError(f"{option} cannot be combined with {', '.join(clash)}")
+
+
 def cmd_bottom(args):
+    refuse_together(args, "--vortex", "--p", "--q", "--count", "--rows")
+    refuse_together(args, "--count", "--rows")
     if args.vortex:
         p, m = parse_pair(args.vortex, "--vortex")
         series = vortex_character(p, m)
@@ -173,7 +184,7 @@ def cmd_bottom(args):
         return 0
     if args.rows:
         counts = [row_count(args.p, args.q, k) for k in range(args.p)]
-        print(" ".join(str(c) for c in counts))
+        print(json.dumps(counts) if args.format == "json" else " ".join(map(str, counts)))
         return 0
     emit_poly(bottom_poincare(args.p, args.q, args.r), args.format,
               ["Q", "tr"])
@@ -181,6 +192,7 @@ def cmd_bottom(args):
 
 
 def cmd_potential(args):
+    refuse_together(args, "--antisym", "--p", "--q")
     if args.antisym:
         k, N = parse_pair(args.antisym, "--antisym")
         pot = potential_antisym(k, N)

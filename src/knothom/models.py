@@ -33,7 +33,6 @@ from .laurent import (
     _slot,
     _slots,
     register_variables,
-    series_log,
     series_pow_rational,
 )
 from .partitions import Partition
@@ -204,10 +203,19 @@ class Potential:
                 for v in self.variables}
 
     def with_super(self) -> "Potential":
-        sb = LaurentPoly.zero()
-        for xi, img in self.jacobi_images().items():
-            sb = sb + img * LaurentPoly.var(xi)
-        return Potential(self.body, self.variables, sb)
+        """With ``super_body = sum_i dW/du_i * xi_i``, the total differential
+        of the body, whose terms are the :meth:`jacobi_images`."""
+        return Potential(self.body, self.variables,
+                         *_total_differentials([self.body], self.variables, "xi"))
+
+
+def _total_differentials(polys, variables, d):
+    """``sum_v dp/dv * dv`` for each ``p`` of ``polys``, over ``variables``
+    named ``u<i>``, ``dv`` named ``d + "<i>"``: a term ``c*m`` with ``v^e``
+    in ``m`` gives ``c*e * (m/v) * dv``, and no two such terms meet."""
+    moves = {v: Multidegree({v: -1, d + v.lstrip("u"): 1}) for v in variables}
+    return [LaurentPoly._of({md + moves[v]: c * e for md, c in p.terms.items()
+                             for v, e in md.items() if v in moves}) for p in polys]
 
 
 def poly_substitute(p: LaurentPoly, images: dict) -> LaurentPoly:
@@ -377,19 +385,31 @@ def scheme_relations(p: int, q: int, r: int, reduced=True):
     Coefficients of ``z^(qr+1) .. z^((p+q)r)`` in
     ``(1 + sum u_i z^i)**(q/p)``; the unreduced scheme uses ``u_1..u_pr``,
     the reduced one ``u_(r+1)..u_pr``.  Zero coefficients are dropped; each
-    relation is homogeneous for ``q-degree(u_i) = 2i``.
-
-    The kernel's series recurrence, :func:`knothom.laurent._series_terms`,
-    on ``f_k = u_k`` gives them in ``int`` as ``n! * p**n * h_n``, sums of
-    monomial shifts, and only those kept are divided.
+    relation is homogeneous for ``q-degree(u_i) = 2i``.  They are
+    :func:`_unit_coefficients` of ``q/p``.
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     _register_scheme_family(p, r)
-    f = {k: {Multidegree({f"u{k}": 1}): 1} for k in range(r + 1 if reduced else 1, r * p + 1)}
-    H = _series_terms(f, (p + q) * r, Fraction(q, p))
-    return [LaurentPoly._wrap({md: Fraction(v, factorial(n) * p ** n) for md, v in H[n].items()})
-            for n in range(q * r + 1, (p + q) * r + 1) if H[n]]
+    return [rel for rel in _unit_coefficients(range(r + 1 if reduced else 1, r * p + 1),
+                                              Fraction(q, p), q * r + 1, (p + q) * r)
+            if rel.terms]
+
+
+def _unit_coefficients(indices, exponent, first, top) -> list:
+    """The coefficients of ``z^first .. z^top`` in ``U**exponent``, or in
+    ``ln(U)`` when ``exponent`` is ``None``, for ``U = 1 + sum u_i z^i``
+    over ``indices``.
+
+    The kernel's series recurrence, :func:`knothom.laurent._series_terms`,
+    on ``f_k = u_k`` gives them in ``int`` as ``n! * den**n * h_n``, sums
+    of monomial shifts, and only these are divided; no truncated series
+    in ``z`` is built.
+    """
+    f = {k: {Multidegree({f"u{k}": 1}): 1} for k in indices}
+    H, den = _series_terms(f, top, exponent), 1 if exponent is None else exponent.denominator
+    return [LaurentPoly._of({md: Fraction(v, factorial(n) * den ** n) for md, v in H[n].items()})
+            for n in range(first, top + 1)]
 
 
 def _scheme_degree_even(i: int, r: int) -> Multidegree:
@@ -419,12 +439,8 @@ def scheme_presentation(p: int, q: int, r: int, reduced=True,
     rels = scheme_relations(p, q, r, reduced)
     form_rels = []
     if with_forms:
+        form_rels = _total_differentials(rels, [g.name for g in gens], "du")
         gens += [Generator(f"du{i}", ODD, _scheme_degree_odd(i, r)) for i in indices]
-        # c*md gives c*e_i * md/u_i * du_i for each u_i in md; no two meet
-        moves = {f"u{i}": Multidegree({f"u{i}": -1, f"du{i}": 1}) for i in indices}
-        form_rels = [LaurentPoly._wrap({md + moves[u]: c * e for md, c in rel.terms.items()
-                                        for u, e in md.items()})
-                     for rel in rels]
     pres = GradedPresentation(gens, rels, form_rels)
     for rel in rels:
         if pres.poly_degree(rel, "q") is None:
@@ -921,9 +937,7 @@ def potential_antisym(k: int, N: int) -> Potential:
     """Antisymmetric-color potential: the ``z^(N+1)`` coefficient of a log."""
     if not (N >= k >= 1):
         raise UsageError("need N >= k >= 1")
-    names = tuple(f"u{i}" for i in range(1, k + 1))
-    body = series_log(1 + _generating_function(names, "z"), N + 1)
-    return Potential(body.coefficient_of("z", N + 1), names)
+    return _unit_potential(k, None, N + 1)
 
 
 def split_potential_check(k: int, j: int):
@@ -1018,11 +1032,14 @@ def torus_potential(p: int, q: int, r: int) -> Potential:
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
     _register_scheme_family(p, r)
-    names = tuple(f"u{i}" for i in range(1, r * p + 1))
-    order = (p + q) * r + 1
-    series = series_pow_rational(1 + _generating_function(names, "z"),
-                                 Fraction(q + p, p), order)
-    return Potential(series.coefficient_of("z", order), names).with_super()
+    return _unit_potential(r * p, Fraction(q + p, p), (p + q) * r + 1).with_super()
+
+
+def _unit_potential(n, exponent, order) -> Potential:
+    """The potential in ``u_1 .. u_n`` that is the ``z^order`` coefficient
+    of ``U**exponent``, or of ``ln(U)`` (:func:`_unit_coefficients`)."""
+    return Potential(*_unit_coefficients(range(1, n + 1), exponent, order, order),
+                     tuple(f"u{i}" for i in range(1, n + 1)))
 
 
 # -- differential homology ----------------------------------------------------------

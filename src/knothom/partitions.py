@@ -42,7 +42,7 @@ class Partition:
         for p in self.parts:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return _diagram(tuple(cols))
 
     def is_rectangle(self) -> bool:
         return len(set(self.parts)) <= 1
@@ -110,6 +110,14 @@ class Partition:
         return "[" + ",".join(str(p) for p in self.parts) + "]"
 
 
+def _diagram(parts: tuple) -> Partition:
+    """The :class:`Partition` of ``parts``, positive and weakly decreasing,
+    which the caller guarantees and which is not checked again."""
+    D = Partition.__new__(Partition)
+    D.parts = parts
+    return D
+
+
 def parse_color(text: str) -> Partition:
     """The colour ``text`` spells: ``S<n>`` (one row), ``L<n>`` (one column),
     ``<rows>x<cols>``, the parts joined by ``_`` (``1``, ``2_1``) or listed
@@ -161,22 +169,22 @@ def dyck_paths(p: int, q: int):
 
     With coprime ``p`` and ``q`` the diagrams are exactly those with at most
     ``q - 1`` rows and ``D[i] <= floor(p*(q−i)/q)``; their number is
-    ``(p+q-1)!/(p!*q!)``.
+    ``(p+q-1)!/(p!*q!)``.  Each row is at most the one above it, so a
+    diagram ends at its first empty row: the diagrams are grown row by row,
+    each kept as it stands and extended by every shorter nonempty row, and
+    listed in decreasing lexicographic order of their rows.
     """
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime: the diagonal meets the lattice")
-    bounds = [(p * (q - i)) // q for i in range(1, q)]
-    results = []
-
-    def rec(row, prev, acc):
-        if row == len(bounds):
-            results.append(Partition(acc))
-            return
-        for val in range(min(prev, bounds[row]), -1, -1):
-            rec(row + 1, val, acc + [val])
-
-    rec(0, p, [])
-    return results
+    results, level = [], [()]
+    for i in range(1, q):
+        bound = (p * (q - i)) // q
+        results += level
+        level = [acc + (val,) for acc in level
+                 for val in range(min(acc[-1] if acc else p, bound), 0, -1)]
+    results += level
+    results.sort(reverse=True)
+    return [_diagram(parts) for parts in results]
 
 
 def catalan_count(p: int, q: int) -> int:
@@ -193,9 +201,11 @@ def h_plus(D: Partition, p: int, q: int) -> int:
         raise UsageError(f"({p},{q}) must be positive")
     if gcd(p, q) != 1:
         raise UsageError(f"({p},{q}) not coprime")
+    cols = D.transpose().parts
     count = 0
-    for cell in D.cells():
-        a, l = D.arm(cell), D.leg(cell)
-        if a * q <= p * (l + 1) and p * l < (a + 1) * q:
-            count += 1
+    for i, row in enumerate(D.parts, start=1):
+        for j in range(1, row + 1):
+            a, l = row - j, cols[j - 1] - i
+            if a * q <= p * (l + 1) and p * l < (a + 1) * q:
+                count += 1
     return count

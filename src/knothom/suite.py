@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache, partial
 from math import gcd
 
-from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly
+from .laurent import LaurentPoly, Multidegree, RationalSeries, parse_poly, series_log
 from .partitions import Partition, catalan_count, parse_color, partitions_of
 from .invariants import (
     hirota_check,
@@ -58,7 +58,7 @@ from .fixtures import (
     fixture_name,
     load_fixture,
 )
-from .bottom import bottom_poincare, row_count, trefoil_recursion_check, vortex_character
+from .bottom import bottom_poincare, qbinom, row_count, trefoil_recursion_check, vortex_character
 
 
 class CheckResult:
@@ -341,13 +341,20 @@ def scheme_rows():
     }
 
 
+def _log_coefficient(k: int) -> LaurentPoly:
+    """The ``z^4`` coefficient of the truncated series ``ln(1 + u_1 z + ... +
+    u_k z^k)``, the route that ``potential_antisym`` skips."""
+    base = parse_poly(" + ".join(["1", *(f"u{i}*z^{i}" for i in range(1, k + 1))]))
+    return series_log(base, 4).coefficient_of("z", 4)
+
+
 def potential_rows():
     w = cache(lambda k: potential_antisym(k, 3).body)
     zero = LaurentPoly.zero()
     return {
-        "potential:L1,3": lambda: w(1) == parse_poly("-u1^4")/4,
+        "potential:L1,3": lambda: w(1) == parse_poly("-u1^4")/4 == _log_coefficient(1),
         "potential:L2,3": lambda: w(2) == parse_poly("-u1^4")/4
-        + parse_poly("u1^2*u2") - parse_poly("u2^2")/2,
+        + parse_poly("u1^2*u2") - parse_poly("u2^2")/2 == _log_coefficient(2),
         "potential:split-example": lambda: w(2) == -w(1) - parse_poly("(u2 - u1^2)^2")/2,
         "potential:split-quadratic": lambda: all(
             split_potential_check(k, j)[0] for k, j in [(2, 1), (3, 1), (3, 2)]),
@@ -408,7 +415,11 @@ def counting_rows():
 def _vortex_trefoil():
     v12 = vortex_character(1, 2)
     printed = parse_poly("q^-2*(1 + q^3*t^2 + q^4*t^2 + q^6*t^4)")
-    return (v12.numerator == printed
+    # the nested sum at p = 1, m = 2 from the q-binomial polynomials:
+    # q^(5k - 2k - 2) t^(2k) [2, k] over k = 0, 1, 2
+    summed = sum((qbinom(2, k) * parse_poly(f"q^{3 * k - 2}*t^{2 * k}") for k in range(3)),
+                 LaurentPoly.zero())
+    return (v12.numerator == printed == summed
             and list(v12.denominators) == [Multidegree(q=1), Multidegree(q=2)])
 
 

@@ -1,9 +1,10 @@
-from math import gcd
+from itertools import combinations_with_replacement
+from math import gcd, prod
 
 import pytest
 
 from knothom.laurent import LaurentPoly, Multidegree, parse_poly
-from knothom.partitions import catalan_count
+from knothom.partitions import catalan_count, dyck_paths, h_plus
 from knothom.bottom import (
     bottom_poincare,
     qbinom,
@@ -92,3 +93,54 @@ def test_trefoil_recursion():
 def test_trefoil_recursion_m0():
     (m, ok, residual) = trefoil_recursion_check(0)[0]
     assert m == 0 and ok and residual.is_zero()
+
+
+def _fresh_qbinom(n, k):
+    """``qbinom`` built anew each time: the top factors of ``(q;q)_n``
+    divided exactly by ``(q;q)_k``."""
+    if k < 0 or k > n:
+        return LaurentPoly.zero()
+    k = min(k, n - k)
+    factors = [LaurentPoly.one() - LaurentPoly.var("q", i) for i in range(1, n + 1)]
+    return prod(factors[n - k:]).divide_exact(prod(factors[:k])) if k else LaurentPoly.one()
+
+
+def test_qbinom_is_the_quotient_of_q_factorials():
+    for n in range(0, 14):
+        for k in range(-1, n + 2):
+            assert qbinom(n, k) == _fresh_qbinom(n, k), (n, k)
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 6) for q in range(1, 8)
+                                 if gcd(p, q) == 1])
+def test_bottom_poincare_is_the_per_path_sum(p, q):
+    """The paths counted by degree give the sum of one monomial per path,
+    and its ``r``-th power has coefficients summing to the count of
+    ``r``-tuples of paths."""
+    single = LaurentPoly.zero()
+    for D in dyck_paths(p, q):
+        single = single + LaurentPoly.monomial(
+            1, Multidegree(Q=2 * (D.size() + 2 * h_plus(D, p, q)), tr=2 * D.size()))
+    for r in (0, 1, 2, 3):
+        bp = bottom_poincare(p, q, r)
+        assert bp == single ** r
+        assert sum(bp.terms.values()) == catalan_count(p, q) ** r
+
+
+@pytest.mark.parametrize("p,m", [(p, m) for p in range(0, 4) for m in range(0, 6)])
+def test_vortex_character_is_the_sum_of_fresh_qbinomial_products(p, m):
+    """The numerator equals the nested sum built term by term from fresh
+    q-binomials, one polynomial product and one addition per term."""
+    total = LaurentPoly.zero()
+    for ks in combinations_with_replacement(range(m, -1, -1), p):
+        coeff, prev = LaurentPoly.one(), m
+        for k in ks:
+            coeff, prev = coeff * _fresh_qbinom(prev, k), k
+        s = sum(ks)
+        cross = sum(a * b for a, b in zip((m,) + ks, ks))
+        total = total + coeff * LaurentPoly.monomial(
+            1, Multidegree(q=(2 * m + 1) * s - cross - p * m, t=2 * s))
+    v = vortex_character(p, m)
+    assert v.numerator == total
+    assert v.denominators == tuple(Multidegree(q=i) for i in range(1, m + 1))
+    assert (v.var, v.order) == ("q", 40)

@@ -154,6 +154,30 @@ def test_bottom_rows(capsys):
     assert capsys.readouterr().out.strip() == "5 5 1"
 
 
+def test_bottom_rows_json(capsys):
+    assert main(["bottom", "--p", "3", "--q", "4", "--rows", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [5, 5, 1]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["bottom", "--vortex", "1,2", "--p", "2", "--q", "3"], "--vortex"),
+    (["bottom", "--vortex", "1,2", "--q", "3"], "--vortex"),
+    (["bottom", "--vortex", "1,2", "--count"], "--vortex"),
+    (["bottom", "--vortex", "1,2", "--rows"], "--vortex"),
+    (["bottom", "--p", "2", "--q", "3", "--count", "--rows"], "--count"),
+    (["potential", "--antisym", "2,3", "--p", "2", "--q", "3"], "--antisym"),
+    (["potential", "--antisym", "2,3", "--q", "3"], "--antisym"),
+])
+def test_conflicting_selectors_are_refused(capsys, argv, option):
+    """Two options that each choose what the verb computes are refused
+    together, with one ``error:`` line that names the first."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} cannot be combined with ")
+    assert captured.err.count("\n") == 1
+
+
 def test_potential_json(capsys):
     rc = main(["potential", "--p", "2", "--q", "3", "--r", "1",
                "--format", "json"])

@@ -1,15 +1,23 @@
 import os
 import pathlib
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import gcd
 
 import pytest
 
 import knothom
 
-from knothom.laurent import LaurentPoly, Multidegree, parse_poly
+from knothom.laurent import (
+    LaurentPoly,
+    Multidegree,
+    parse_poly,
+    series_log,
+    series_pow_rational,
+)
 from knothom.models import (
     EVEN,
     ODD,
@@ -18,6 +26,7 @@ from knothom.models import (
     DegreeCeilingError,
     GradedPresentation,
     Generator,
+    Potential,
     StableTorusModel,
     extend_differential,
     extend_potential,
@@ -423,6 +432,74 @@ def test_torus_potential_super_body():
     for i in (1, 2):
         expect = expect + pot.body.derivative(f"u{i}") * LaurentPoly.var(f"xi{i}")
     assert pot.super_body == expect
+
+
+def _unit_series_base(n):
+    """``1 + u_1 z + ... + u_n z^n``."""
+    return LaurentPoly.one() + sum(
+        (LaurentPoly.var(f"u{i}") * LaurentPoly.var("z", i) for i in range(1, n + 1)),
+        LaurentPoly.zero())
+
+
+def _per_variable_super_body(pot):
+    """``sum_i dW/du_i * xi_i``, one product and one sum per variable."""
+    out = LaurentPoly.zero()
+    for xi, image in pot.jacobi_images().items():
+        out = out + image * LaurentPoly.var(xi)
+    return out
+
+
+TORUS_POTENTIAL_GRID = [(p, q, r) for p in (1, 2, 3, 4) for q in range(1, 8)
+                        for r in (1, 2, 3) if gcd(p, q) == 1 and p * r <= 6]
+
+
+@pytest.mark.parametrize("p,q,r", TORUS_POTENTIAL_GRID)
+def test_torus_potential_is_the_truncated_series_coefficient(p, q, r):
+    """The body read off the series recurrence equals the ``z^order``
+    coefficient of the whole truncated series, and the super body the sum
+    of the per-variable products."""
+    order = (p + q) * r + 1
+    pot = torus_potential(p, q, r)
+    series = series_pow_rational(_unit_series_base(p * r), Fraction(p + q, p), order)
+    assert pot.body == series.coefficient_of("z", order)
+    assert pot.variables == tuple(f"u{i}" for i in range(1, p * r + 1))
+    assert pot.super_body == _per_variable_super_body(pot)
+
+
+@pytest.mark.parametrize("k,N", [(k, N) for N in range(1, 9) for k in range(1, N + 1)])
+def test_potential_antisym_is_the_truncated_log_coefficient(k, N):
+    pot = potential_antisym(k, N)
+    assert pot.body == series_log(_unit_series_base(k), N + 1).coefficient_of("z", N + 1)
+    assert pot.variables == tuple(f"u{i}" for i in range(1, k + 1))
+    assert pot.super_body is None
+    assert pot.with_super().super_body == _per_variable_super_body(pot)
+
+
+def test_with_super_treats_other_variables_as_parameters():
+    pot = Potential(P("s*u1^2*u2 + s^2 + u2^3"), ("u1", "u2")).with_super()
+    assert pot.super_body == _per_variable_super_body(pot)
+    assert pot.super_body == P("2*s*u1*u2*xi1 + s*u1^2*xi2 + 3*u2^2*xi2")
+
+
+def _scheme_forms_cases():
+    """``(p, q, r)`` of every presentation with forms that the scheme-basis
+    benchmark requests."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    forms = runpy.run_path(str(root / "bench" / "workloads.py"))["SCHEME_FORMS"]
+    return [(p, q, r) for p, q, rmax in forms for r in range(1, rmax + 1)]
+
+
+@pytest.mark.parametrize("p,q,r", _scheme_forms_cases())
+def test_form_relations_are_the_total_differentials(p, q, r):
+    """Each form relation is its relation's total differential, built term
+    map by term map as ``c*e * (m/u_i) * du_i``."""
+    pres = scheme_presentation(p, q, r, reduced=True)
+    assert pres.relations == scheme_relations(p, q, r, reduced=True)
+    moves = {f"u{i}": Multidegree({f"u{i}": -1, f"du{i}": 1}) for i in range(r + 1, p * r + 1)}
+    assert pres.form_relations == [
+        LaurentPoly({md + moves[u]: c * e for md, c in rel.terms.items() for u, e in md.items()})
+        for rel in pres.relations]
+    assert all(not rel.is_zero() for rel in pres.relations)
 
 
 def test_scheme_family_takes_low_slots():

@@ -74,6 +74,21 @@ def test_dyck_path_counts():
             assert len(dyck_paths(p, q)) == catalan_count(p, q)
 
 
+def test_dyck_paths_are_every_diagram_under_the_bounds():
+    """Every partition with at most ``q - 1`` rows and row ``i`` at most
+    ``floor(p*(q-i)/q)``, each once, in decreasing lexicographic order of
+    the rows (a diagram after its extensions)."""
+    for p in range(1, 8):
+        for q in range(1, 8):
+            if gcd(p, q) != 1:
+                continue
+            bounds = [p * (q - i) // q for i in range(1, q)]
+            expected = [parts for n in range(sum(bounds) + 1) for parts in partitions_of(n)
+                        if len(parts) <= len(bounds)
+                        and all(map(int.__le__, parts, bounds))]
+            assert [D.parts for D in dyck_paths(p, q)] == sorted(expected, reverse=True)
+
+
 def test_dyck_paths_non_coprime_raises():
     with pytest.raises(ValueError):
         dyck_paths(2, 4)
