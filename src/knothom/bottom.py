@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 from math import factorial, gcd
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree, RationalSeries, _slot
+from .laurent import LaurentPoly, Multidegree, RationalSeries
 from .partitions import dyck_paths, h_plus
 
 
@@ -32,12 +32,8 @@ def row_count(p: int, q: int, k: int) -> int:
 def _poly(counts: dict, names) -> LaurentPoly:
     """The polynomial of ``counts``, a map from exponent tuples over the
     variables ``names`` to nonzero ``int`` coefficients, built once in
-    exponent columns."""
-    slots = [*map(_slot, names)]
-    columns = [(0,) * len(counts)] * (max(slots) + 1)
-    for i, column in zip(slots, zip(*counts)):
-        columns[i] = column
-    return LaurentPoly._carried(columns, [*counts.values()])
+    exponent columns (``LaurentPoly.from_columns``)."""
+    return LaurentPoly.from_columns(dict(zip(names, zip(*counts))), [*counts.values()])
 
 
 def bottom_poincare(p: int, q: int, r: int) -> LaurentPoly:

@@ -7,8 +7,8 @@ count generators with multiplicity.
 
 The auxiliary grading ``Q = (q + tr - tc) / R`` replaces ``q`` in the
 "tilde" regrading, defined once by :func:`knothom.fixtures._to_tilde_degree`
-and its inverse, in which the self-symmetry and mirror maps are plain
-monomial substitutions.
+and its inverse, in which the self-symmetry and mirror maps are
+integer-linear maps of the exponents, each one ``LaurentPoly.regrade``.
 Differentials known only by their multidegree are checked through
 nonnegative witness division: a differential of degree ``d`` cancels
 generator pairs ``x, x*d``, so the difference between a homology and the
@@ -19,19 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import compress
-from operator import add, sub
 
 from .errors import UsageError
-from .laurent import (
-    LaurentPoly,
-    Multidegree,
-    RationalSeries,
-    _padded,
-    _slot,
-    max_cancel,
-    nonneg_divisibility,
-)
+from .laurent import LaurentPoly, Multidegree, RationalSeries, max_cancel, nonneg_divisibility
 from .fixtures import _from_tilde_degree, _to_tilde_degree, fixture_name, load_fixture
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
@@ -42,12 +32,7 @@ from .partitions import Partition
 
 def self_symmetry_image(p: LaurentPoly, R: int, S: int) -> LaurentPoly:
     """Image under ``(i,j,k,l) -> (i,-j,k-Rj,l-Sj)`` in tilde gradings."""
-    def fn(md):
-        j = md._e("Q")
-        return Multidegree(a=md._e("a"), Q=-j, tr=md._e("tr") - R * j,
-                           tc=md._e("tc") - S * j)
-
-    return p.map_exponents(fn)
+    return p.regrade({"Q": {"Q": -1}, "tr": {"tr": 1, "Q": -R}, "tc": {"tc": 1, "Q": -S}})
 
 
 def check_self_symmetry(p_tilde: LaurentPoly, R: int, S: int) -> bool:
@@ -56,11 +41,7 @@ def check_self_symmetry(p_tilde: LaurentPoly, R: int, S: int) -> bool:
 
 def mirror_swap(p_tilde: LaurentPoly) -> LaurentPoly:
     """Exchange the two homological gradings."""
-    def fn(md):
-        return Multidegree(a=md._e("a"), Q=md._e("Q"), tr=md._e("tc"),
-                           tc=md._e("tr"))
-
-    return p_tilde.map_exponents(fn)
+    return p_tilde.regrade({"tr": {"tc": 1}, "tc": {"tr": 1}})
 
 
 def check_mirror(p_tilde_lam: LaurentPoly, p_tilde_lamt: LaurentPoly,
@@ -192,8 +173,7 @@ def colored_differential(kind: str, R: int, S: int, param: int = 0,
 
 def project_gradings(p: LaurentPoly, variables) -> LaurentPoly:
     """Forget all gradings not listed (multiplicities accumulate)."""
-    return p.map_exponents(
-        lambda md: Multidegree({v: md._e(v) for v in variables}))
+    return p.regrade({v: {} for v in p.variables() if v not in variables})
 
 
 def check_differential(source: LaurentPoly, target: LaurentPoly,
@@ -227,8 +207,7 @@ def check_hfk_growth(p_tilde: LaurentPoly, uncolored_d11: LaurentPoly,
     ``(a, q, t)``.  Returns ``(ok, survivors)``.
     """
     survivors, _ = max_cancel(p_tilde, degree_tilde, keep="late")
-    collapsed = survivors.map_exponents(
-        lambda md: Multidegree(a=md._e("a"), q=md._e("Q"), t=md._e("tr")))
+    collapsed = survivors.regrade({"q": {"Q": 1}, "t": {"tr": 1}, "Q": {}, "tr": {}, "tc": {}})
     return collapsed == uncolored_d11 ** r, survivors
 
 
@@ -274,28 +253,27 @@ def _t_top(series: RationalSeries, tvar: str, cutoff) -> int:
     """A bound on the ``tvar``-degree of every term of ``q``-degree at most
     ``cutoff`` in the expansion of ``series``, which must expand in ``q``.
 
-    ``best[r]`` is the largest ``tvar``-degree of a product of denominator
-    monomials of ``q``-degree exactly ``r`` (an unbounded knapsack), and
-    ``reach[r]`` the largest over ``q``-degrees at most ``r``.  A term of the
+    ``reach[r]`` is the largest ``tvar``-degree of a product of denominator
+    monomials of ``q``-degree at most ``r`` (an unbounded knapsack).  A
+    monomial of ``tvar``-degree at most 0 never raises it, since leaving it
+    out lowers the ``q``-degree, so only the others are packed, each any
+    number of times, over ascending ``r``.  A term of the
     expansion is a numerator term times such a product, so the bound is the
     largest ``t(x) + reach[cutoff - q(x)]`` over numerator terms ``x`` with
     ``q(x) <= cutoff``, read from the numerator's ``q`` and ``tvar``
-    exponent columns (``_columnar``); it ignores cancellation, so it may
-    exceed the largest ``tvar``-degree the expansion really has.  It is 0
-    when no numerator term is that low.
+    exponents (``_exponents``); it ignores cancellation, so it may exceed
+    the largest ``tvar``-degree the expansion really has.  It is 0 when no
+    numerator term is that low.
     """
-    columns = _padded(series.numerator._columnar()[0], _slot(tvar) + 1)
-    low = [(q, t) for q, t in zip(columns[_slot("q")], columns[_slot(tvar)]) if q <= cutoff]
+    num = series.numerator
+    low = [(q, t) for q, t in zip(num._exponents("q"), num._exponents(tvar)) if q <= cutoff]
     if not low:
         return 0
-    steps = [(md._e("q"), md._e(tvar)) for md in series.denominators]
-    best = {0: 0}
-    reach = [0]
-    for r in range(1, cutoff - min(q for q, _ in low) + 1):
-        ts = [best[r - q] + t for q, t in steps if r - q in best]
-        if ts:
-            best[r] = max(ts)
-        reach.append(max(reach[-1], best.get(r, reach[-1])))
+    reach = [0] * (cutoff - min(q for q, _ in low) + 1)
+    for q, t in {(md._e("q"), md._e(tvar)) for md in series.denominators}:
+        for r in range(q, len(reach)) if t > 0 else ():
+            if reach[r - q] + t > reach[r]:
+                reach[r] = reach[r - q] + t
     return max(t + reach[cutoff - q] for q, t in low)
 
 
@@ -325,14 +303,13 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
     Ambiguous survivors sit at the early end of their rays, matching the
     tabulated computations.
 
-    The numerator is read as exponent columns and ``int`` values
-    (``_columnar``): ``a_min`` is the least entry of its ``a`` column, and
-    the lift to ``w`` is one column operation, ``q += s*t``, whose result
-    goes to the regraded series in columns (:meth:`LaurentPoly._carried`);
-    the lift is one to one, so no degrees meet.  The expansion, the
-    survivors and the result are carried the same way, with ``int`` counts,
-    so no term map is built after the input's.  Returns ``(survivors,
-    window)``.
+    ``a_min`` is the least of the numerator's ``a`` exponents
+    (``_exponents``), and the lift to ``w`` is the
+    :meth:`~LaurentPoly.regrade` ``q -> q + s*t``, which is one to one, so
+    no degrees meet and no rows are summed.  The lifted numerator, the
+    expansion, the survivors and the result are each handed on in exponent
+    columns, with ``int`` counts, so no term map is built after the
+    input's.  Returns ``(survivors, window)``.
     """
     tvar = "t" if diff._e("t") else "tc"
     step_q = diff._e("q")
@@ -342,22 +319,19 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
         raise ValueError("sl_cancel needs a series expanded in q")
     if any(md._e("a") < 0 for md in series.denominators):
         raise ValueError("sl_cancel needs denominators of nonnegative a-degree")
-    columns, den, ints = series.numerator._columnar()
-    if not ints:
+    a_exps = series.numerator._exponents("a")
+    if not a_exps:
         return LaurentPoly.zero(), cutoff
-    q, a, t = _slot("q"), _slot("a"), _slot(tvar)
-    columns = _padded(columns, max(a, t) + 1)
     den_margin = max((md._e("q") for md in series.denominators), default=0)
-    a_min = min(columns[a])
+    a_min = min(a_exps)
     edge = cutoff - 2 * den_margin
     window = edge - n * max(0, -a_min)
     if window < 0:
         raise UsageError(f"cutoff {cutoff} leaves no safe degrees")
     top = edge + step_q * _t_top(series, tvar, edge)
     lift = Multidegree(q=step_q)
-    columns[q] = [*map(add, columns[q], map(step_q.__mul__, columns[t]))]
     regraded = RationalSeries(
-        LaurentPoly._carried(columns, ints, den),
+        series.numerator.regrade({"q": {"q": 1, tvar: step_q}}),
         tuple(md._shift(lift, md._e(tvar)) for md in series.denominators),
         "q", top)
     survivors, _ = max_cancel(regraded.expand(), diff._shift(lift, diff._e(tvar)),
@@ -367,25 +341,17 @@ def sl_cancel(series: RationalSeries, diff: Multidegree, n: int,
 
 def _collapsed(survivors: LaurentPoly, tvar: str, step_q: int, n: int, cutoff, window):
     """The survivors of :func:`sl_cancel` back in ``q``, through ``q^cutoff``,
-    then with ``a -> q^n`` through ``q^window``, in one pass over their
-    exponent columns (``_columnar``).  ``q' = q - step_q*tvar`` undoes the
-    lift ``w = q + step_q*tvar``, and ``q'' = q' + n*a`` substitutes ``a``;
-    a term is kept when ``q' <= cutoff`` and ``q'' <= window``.  Both tests
-    stay, so that the pass is exact on any survivors: the first follows
-    from the second only where no term's ``a``-degree is below the least
-    that the window allows for.  The ``a`` column is zeroed, and
-    :meth:`LaurentPoly._from_rows` sums the images of one degree and hands
-    the result on in columns, so no term map is built; the input is left
-    as it was."""
-    columns, den, ints = survivors._columnar()
-    q, a, t = _slot("q"), _slot("a"), _slot(tvar)
-    columns = _padded(columns, max(a, t) + 1)
-    back = [*map(sub, columns[q], map(step_q.__mul__, columns[t]))]
-    columns[q] = [*map(add, back, map(n.__mul__, columns[a]))]
-    columns[a] = (0,) * len(ints)
-    keep = [x <= cutoff and y <= window for x, y in zip(back, columns[q])]
-    return LaurentPoly._from_rows([[*compress(c, keep)] for c in columns],
-                                  [*compress(ints, keep)], den)
+    then with ``a -> q^n`` through ``q^window``: four column passes
+    (:meth:`~LaurentPoly.regrade` and :meth:`~LaurentPoly.truncate`).
+    ``q' = q - step_q*tvar`` undoes the lift ``w = q + step_q*tvar``, one to
+    one, and ``q'' = q' + n*a`` substitutes ``a``, summing the terms that
+    meet; a term is kept when ``q' <= cutoff`` and ``q'' <= window``.  Both
+    cuts stay, so that the result is exact on any survivors: the first
+    follows from the second only where no term's ``a``-degree is below the
+    least that the window allows for.  No term map is built, and the input
+    is left as it was."""
+    back = survivors.regrade({"q": {"q": 1, tvar: -step_q}}).truncate("q", cutoff)
+    return back.regrade({"q": {"q": 1, "a": n}, "a": {}}).truncate("q", window)
 
 
 def rank_collapse(knot: str, lam, n: int, cutoff=30):

@@ -154,16 +154,18 @@ def cmd_scheme(args):
 
 def refuse_together(args, option, *others):
     """A usage error when ``option`` is given with any of ``others``, each a
-    choice of what the verb computes; an option counts as given when its
-    value is true, as the commands read it."""
-    clash = [other for other in others if getattr(args, other[2:])]
-    if getattr(args, option[2:]) and clash:
+    choice of what the verb computes or an option that ``option`` leaves
+    unread; an option counts as given when the argv names it
+    (``args.given``), whatever its value."""
+    clash = [other for other in others if other in args.given]
+    if option in args.given and clash:
         raise UsageError(f"{option} cannot be combined with {', '.join(clash)}")
 
 
 def cmd_bottom(args):
-    refuse_together(args, "--vortex", "--p", "--q", "--count", "--rows")
+    refuse_together(args, "--vortex", "--p", "--q", "--r", "--count", "--rows")
     refuse_together(args, "--count", "--rows")
+    refuse_together(args, "--rows", "--r")
     if args.vortex:
         p, m = parse_pair(args.vortex, "--vortex")
         series = vortex_character(p, m)
@@ -192,7 +194,7 @@ def cmd_bottom(args):
 
 
 def cmd_potential(args):
-    refuse_together(args, "--antisym", "--p", "--q")
+    refuse_together(args, "--antisym", "--p", "--q", "--r")
     if args.antisym:
         k, N = parse_pair(args.antisym, "--antisym")
         pot = potential_antisym(k, N)
@@ -277,10 +279,11 @@ def convert(option: str, kind, text: str):
 
 
 def parse(argv):
-    """``(verb, args)``, ``args`` holding each option of ``VERBS[verb]``, or
-    ``(verb, None)`` for ``-h``/``--help`` (``verb`` None: the verb list).
-    As in argparse, a bad or missing value is refused and help is answered
-    at once, an unknown token or a missing option after the last token."""
+    """``(verb, args)``, ``args`` holding each option of ``VERBS[verb]`` and,
+    as ``given``, the set of options that ``argv`` names, or ``(verb,
+    None)`` for ``-h``/``--help`` (``verb`` None: the verb list).  As in
+    argparse, a bad or missing value is refused and help is answered at
+    once, an unknown token or a missing option after the last token."""
     verb = argv[0] if argv else None
     if verb in HELP:
         return None, None
@@ -290,7 +293,7 @@ def parse(argv):
     options = VERBS[verb][2]
     values = {name.lstrip("-"): default for name, (_, default, *_) in options.items()}
     positional = [name for name in options if name[0] != "-"]
-    unknown, tokens = [], iter(argv[1:])
+    unknown, given, tokens = [], set(), iter(argv[1:])
     for token in tokens:
         name, eq, text = token.partition("=")
         if is_value(token) and positional:
@@ -310,11 +313,12 @@ def parse(argv):
                 if not is_value(text):
                     raise UsageError(f"argument {name}: expected one argument")
             values[name[2:]] = convert(name, options[name][0], text)
+        given.add(name)
     missing = [name for name in options if values[name.lstrip("-")] is REQUIRED]
     if missing or unknown:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}"
                          if missing else f"unrecognized arguments: {unknown}")
-    return verb, SimpleNamespace(**values)
+    return verb, SimpleNamespace(**values, given=given)
 
 
 def usage(verb=None) -> str:

@@ -21,7 +21,7 @@ import os
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree, _padded
+from .laurent import LaurentPoly, Multidegree
 from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
@@ -142,15 +142,12 @@ class HomologyFixture:
         form ``P``: ``P(tr=-1, tc=1)`` and ``P(tr=1, tc=-1)``.  Both equal
         the HOMFLY polynomial.  A table without ``tr`` has the one
         specialization ``P(tc=-1)`` (or ``P(t=-1)``), given as both sides.
-        One pass over the table's exponent columns drops the ``tr``/``tc``
-        (or ``t``) slots, each side's signs the parities of the exponents it
-        sets to ``-1``, and each side is handed on in columns."""
-        if "tr" in self.gradings:
-            columns, den, sided = self.poincare._substituted(("tr", "tc"), [("tr",), ("tc",)])
-        else:
-            var = "tc" if "tc" in self.gradings else "t"
-            columns, den, sided = self.poincare._substituted((var,), [(var,)])
-        sides = [LaurentPoly._from_rows(columns, ints, den) for ints in sided]
+        Each side is one :meth:`~LaurentPoly.regrade` that drops the
+        ``tr``/``tc`` (or ``t``) exponents, its signs the parities of the
+        exponents it sets to ``-1``, and is handed on in columns."""
+        dropped = (("tr", "tc") if "tr" in self.gradings
+                   else ("tc" if "tc" in self.gradings else "t",))
+        sides = [self.poincare.regrade(dict.fromkeys(dropped, {}), odd=(v,)) for v in dropped]
         return sides[0], sides[-1]
 
     def homfly_specialization(self) -> LaurentPoly:
@@ -167,29 +164,20 @@ def _file_for(name: str) -> str:
     return os.path.join(fixture_dir(), name.replace(":", "-").replace("|", "") + ".json")
 
 
-def _same(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """``p == q``, read from the two column views: the same least common
-    denominator and the same ``int`` value at each exponent row, the rows
-    padded to one width, so that neither builds its term map."""
-    (pc, pd, pi), (qc, qd, qi) = p._columnar(), q._columnar()
-    width = max(len(pc), len(qc))
-    return pd == qd and (dict(zip(zip(*_padded(pc, width)), pi))
-                         == dict(zip(zip(*_padded(qc, width)), qi)))
-
-
 def _validate(fix: HomologyFixture):
     """Refuse a table whose generator count is not its ``dimension`` or
-    whose specializations differ from each other or from its ``homfly``
-    (:func:`_same`)."""
+    whose specializations differ from each other or from its ``homfly``,
+    compared on their column views (``LaurentPoly.__eq__``), so that no
+    table builds its term map."""
     if fix.poincare.dimension() != fix.dimension:
         raise FixtureError(
             f"{fix.name}: {fix.poincare.dimension()} generators, "
             f"expected {fix.dimension}")
     if "tr" in fix.gradings or fix.homfly is not None:
         specialization, mirrored = fix.specializations()
-        if not _same(specialization, mirrored):
+        if specialization != mirrored:
             raise FixtureError(f"{fix.name}: categorification mismatch")
-        if fix.homfly is not None and not _same(specialization, fix.homfly):
+        if fix.homfly is not None and specialization != fix.homfly:
             raise FixtureError(f"{fix.name}: specialization != tabled polynomial")
 
 

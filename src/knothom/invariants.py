@@ -197,7 +197,7 @@ def _torus_sum(lam: Partition, n: int, m: int):
     weight and ``total`` is the polynomial numerator of the module
     docstring, built packed and unpacked once.  ``total`` is held as its
     unpacked ``q`` and ``a`` exponent columns and ``int`` coefficients
-    (``LaurentPoly._carried``): the first exact division reads those
+    (``LaurentPoly.from_columns``): the first exact division reads those
     columns, and the ``Fraction`` term map is built only if ``terms`` is
     read.
     Weights with distinct fractional offsets raise ``ValueError``.  The
@@ -210,7 +210,7 @@ def _torus_sum(lam: Partition, n: int, m: int):
     indices, values = _unpack(packed, bits)
     a_exps = [*map(q_len.__rfloordiv__, indices)]
     q_exps = [*map(q_lo.__add__, map(q_len.__rmod__, indices))]
-    return LaurentPoly._carried([q_exps, a_exps], values), common, offset
+    return LaurentPoly.from_columns({"q": q_exps, "a": a_exps}, values), common, offset
 
 
 @cache
@@ -221,6 +221,19 @@ def _one_minus(a: int, q: int) -> LaurentPoly:
     so every call shares the one divisor, and its column view, built on
     its first division, is kept for the next."""
     return LaurentPoly._of({_UNIT: _ONE, Multidegree(a=a, q=q): _MINUS_ONE})
+
+
+@cache
+def _divisors(lam: Partition, common: tuple) -> tuple:
+    """The divisors of :func:`torus_homfly`'s reduced quotient, in the order
+    it divides by them: every cell factor ``1 - a*q^content`` of ``lam``,
+    then the binomials ``1 - q^k`` of ``common``, the ``(k, multiplicity)``
+    pairs of the shared denominator, less the hooks of ``lam``, in
+    descending ``k``; memoised per ``(lam, common)``, so that the colours
+    of one ``(lam, n)`` build the list once."""
+    common = Counter(dict(common)) - _hook_multiset(lam)
+    return (*[_one_minus(1, lam.content(cell)) for cell in lam.cells()],
+            *[_one_minus(0, k) for k in sorted(common.elements(), reverse=True)])
 
 
 def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
@@ -237,7 +250,7 @@ def match_up_to_monomial(p: LaurentPoly, target: LaurentPoly):
     if pc not in (tc, -tc):
         return None
     shift, sign = pmd - tmd, 1 if pc == tc else -1
-    if target.map_exponents(lambda md: md + shift) * sign == p:
+    if target.regrade({}, shift) * sign == p:
         return shift, sign
     return None
 
@@ -260,21 +273,24 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
     them for each pair ``(lam, n)`` that :func:`plethysm_pn` accepts, which
     ``test_symmetric`` checks pair by pair.  The quotient is taken one
     factor at a time, every cell factor first and then the binomials
-    ``1 - q^k`` of ``common - hooks(lam)`` in descending ``k``.  Any order
+    ``1 - q^k`` of ``common - hooks(lam)`` in descending ``k``; that list is
+    built once per ``(lam, common)`` (:func:`_divisors`).  Any order
     is exact: the product of the divisors still to come divides each
     intermediate quotient, by unique factorisation in ``Z[a, q^+-1]``.
     This order is the cheap one, since a division costs in proportion to
     its dividend's exponent box: each cell factor removes an ``a``-row of
     the box, and a larger ``k`` shrinks the ``q``-span sooner.  An inexact
-    input raises :class:`DivisionError`.  The quotient at ``a = q`` is read
-    in one pass that sums its integer coefficients by ``a``- plus
-    ``q``-exponent; the shift and sign apply when exactly one sum survives
-    and it is ``+-1``.
+    input raises :class:`DivisionError`.  The quotient at ``a = q`` is the
+    :meth:`~LaurentPoly.regrade` that adds the ``a``-exponent to the
+    ``q``-exponent and drops ``a``, summing the terms that meet; the shift
+    and sign apply when exactly one term survives and its coefficient is
+    ``+-1``.
 
     No term map is built here.  The numerator is handed to the first
     division as exponent columns, each division hands its quotient to the
     next as columns (see :meth:`LaurentPoly.divide_exact`), and the
-    normalisation reads and shifts the last quotient's columns.  The
+    normalisation reads the quotient at ``a = q`` from its columns and
+    shifts (and negates) the last quotient in columns.  The
     returned polynomial builds its ``Fraction`` term map once, when its
     ``terms`` are first read; ``to_json`` writes it from its columns.
     """
@@ -288,29 +304,20 @@ def torus_homfly(lam, n: int, m: int, reduced=True):
         for k, e in sorted(common.items()):
             dens.extend([Multidegree(q=k)] * e)
         return RationalSeries(total, dens), report
-    factors = [_one_minus(1, lam.content(cell)) for cell in lam.cells()]
-    factors += [_one_minus(0, k)
-                for k in sorted((common - _hook_multiset(lam)).elements(), reverse=True)]
     quotient = total
     try:
-        for factor in factors:
+        for factor in _divisors(lam, tuple(common.items())):
             quotient = quotient.divide_exact(factor)
     except DivisionError as exc:
         raise DivisionError("non-polynomial reduced quotient") from exc
-    # P(a=q, q): the quotient is in a and q alone, so a term's exponent
-    # columns sum to its a- plus q-exponent; its coefficients are integers,
-    # since every divisor is 1 - x^k
-    columns, _, values = quotient._columnar()
-    sums = {}
-    for d, c in zip(map(sum, zip(*columns)), values):
-        sums[d] = sums.get(d, 0) + c
-    at_sl1 = [(d, c) for d, c in sums.items() if c]
-    if len(at_sl1) == 1 and at_sl1[0][1] in (1, -1):
-        ((d, sign),) = at_sl1
-        shift = Multidegree(q=-d)
-        # the q column moves: a shift is one-to-one, so no two terms meet
-        quotient = LaurentPoly._carried([[*map((-d).__add__, columns[0])], *columns[1:]],
-                                        values if sign > 0 else [-c for c in values])
+    at_sl1 = quotient.regrade({"q": {"q": 1, "a": 1}, "a": {}})
+    degrees = at_sl1._exponents("q")
+    if len(degrees) == 1 and (sign := at_sl1.coefficient_sum()) in (1, -1):
+        shift = Multidegree(q=-degrees[0])
+        quotient = quotient.regrade({}, shift)
+        sign = sign.numerator
+        if sign < 0:
+            quotient = -quotient
         report.sign = sign
         report.monomial_shift = shift
         report.sl1 = True
@@ -370,7 +377,7 @@ def _align_lowest(p: LaurentPoly, target: LaurentPoly):
     if tc not in (pc, -pc):
         return None
     shift = tmd - pmd
-    return p.map_exponents(lambda md: md + shift) * (1 if tc == pc else -1)
+    return p.regrade({}, shift) * (1 if tc == pc else -1)
 
 
 # -- Hirota bilinear identity -----------------------------------------------------

@@ -32,9 +32,21 @@ as two lists.  The quotient is handed on in those columns, with its
 (``LaurentPoly._carried``), so that the next division of a chain reads them
 as they are; its term map is built when first read.  The rank-collapse path
 carries the same way: ``expand`` ends in columns, ``max_cancel`` walks them
-and keeps its survivors in them, ``substitute`` reads columns and gives
-them, ``truncate`` cuts the columns of a polynomial that has no term map,
-``to_json`` reads them and ``from_json`` gives them.
+and keeps its survivors in them, and ``to_json`` reads them and
+``from_json`` gives them.
+
+The column view stays in this module.  Every grading map of the paper that
+is integer-affine in the exponents (the self-symmetry and mirror maps, a
+specialization ``t = -1``, a substitution ``a = q^n``, a lift or a shift) is
+one :meth:`LaurentPoly.regrade` by variable name, which reads columns and
+gives them and sums terms only where the map can merge them;
+``substitute`` is one such regrade.  ``truncate`` and ``coefficient_of``
+cut the columns, equality compares the two column views, and
+``LaurentPoly.from_columns`` builds a polynomial from exponent columns
+keyed by variable name.  Other modules read a variable's exponents through
+``_exponents`` and never a slot number.  The maps that divide exponents, or
+that another module writes as a function on degrees, stay on
+``map_exponents``, which walks the term map.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
 of Monagan and Pearce (ISSAC 2009) but with one tuple entry per variable
@@ -119,8 +131,7 @@ def _summed(degrees: list, values: list) -> dict:
     if len(out) < len(degrees):
         out = {}
         for md, c in zip(degrees, values):
-            s = out.get(md)
-            out[md] = c if s is None else s + c
+            out[md] = out.get(md, 0) + c
     return out if all(out.values()) else {md: c for md, c in out.items() if c}
 
 
@@ -228,11 +239,6 @@ class Multidegree(tuple):
         i = _INDEX.get(var, _ABSENT)
         return self[i] if i < len(self) else 0
 
-    def _exps(self, slots) -> tuple:
-        """The stored exponents in the given slots."""
-        n = len(self)
-        return tuple([self[i] if i < n else 0 for i in slots])
-
     def e(self, var) -> Fraction:
         """Exponent of ``var`` (zero when absent)."""
         return Fraction(self._e(var))
@@ -281,16 +287,6 @@ class Multidegree(tuple):
         k = _exact(k)
         return _from_slots({i: e * k for i, e in compress(enumerate(self), self)})
 
-    def _without(self, var):
-        i = _INDEX.get(var, _ABSENT)
-        if i >= len(self) or not self[i]:
-            return self
-        out = list(self)
-        out[i] = 0
-        while out and not out[-1]:
-            out.pop()
-        return _new(Multidegree, out)
-
     def _shift(self, step, k: int):
         """``self + k*step`` for an integer ``k``."""
         if not k:
@@ -300,7 +296,7 @@ class Multidegree(tuple):
 
     def key(self, variables):
         """Graded-lexicographic sort key over the given variable list."""
-        return sum(self), self._exps(_slots(variables))
+        return sum(self), tuple(map(self._e, variables))
 
     def __repr__(self):
         body = ", ".join(f"{v}={e}" for v, e in self.items())
@@ -418,9 +414,10 @@ class LaurentPoly:
     decodes or walks exponent columns hands its result on in the column
     view alone, integral or not (:meth:`_carried`).  The ``terms`` property
     builds the map from the columns on its first read, and ``_columnar`` the
-    columns from the map, and each keeps what it built.  A built form is
-    never released, so two threads that read at once at worst build the
-    same form twice.  Instances are immutable in practice: all operations
+    columns from the map, and each keeps what it built.  Equality, negation,
+    ``regrade``, ``truncate``, ``coefficient_of`` and the coefficient sums
+    read the column view.  A built form is never released, so two threads
+    that read at once at worst build the same form twice.  Instances are immutable in practice: all operations
     return new polynomials.
     """
 
@@ -461,9 +458,26 @@ class LaurentPoly:
         """:meth:`_carried` of the terms of the exponent ``columns`` and
         ``int`` coefficients ``ints`` over ``den``, those of one exponent
         row (one degree) summed, in first-seen order, and zero sums dropped
-        (:func:`_summed` on the rows)."""
+        (:func:`_summed` on the rows); the columns are rebuilt from the rows
+        only where two of them met or a value is zero."""
         summed = _summed([*zip(*columns)], ints)
-        return cls._carried([*zip(*summed)] or [()], [*summed.values()], den)
+        if len(summed) < len(ints):
+            columns, ints = [*zip(*summed)] or [()], [*summed.values()]
+        return cls._carried(columns, ints, den)
+
+    @classmethod
+    def from_columns(cls, columns: dict, ints):
+        """The polynomial whose term ``k`` has the exponent ``columns[v][k]``
+        in each named variable ``v`` and the coefficient ``ints[k]``, a
+        nonzero ``int``, for terms of distinct degrees, held as that column
+        view: the variables are registered and their columns put in their
+        slots, with zeros in the others."""
+        out = [(0,) * len(ints)]
+        for v, column in columns.items():
+            i = _slot(v)
+            out = _padded(out, i + 1)
+            out[i] = column
+        return cls._carried(out, ints)
 
     @property
     def terms(self) -> dict:
@@ -528,8 +542,9 @@ class LaurentPoly:
         return c, md
 
     def variables(self):
-        columns = zip_longest(*self.terms, fillvalue=0)
-        return sorted([_VARS[i] for i, col in enumerate(columns) if any(col)])
+        """Every variable with a nonzero exponent, sorted by name, read from
+        the column view."""
+        return sorted([_VARS[i] for i, col in enumerate(self._columnar()[0]) if any(col)])
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -542,7 +557,9 @@ class LaurentPoly:
         return Fraction(sum(map(abs, ints)), den)
 
     def coefficient_sum(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
+        """Sum of the coefficients, read from the column view."""
+        _, den, ints = self._columnar()
+        return Fraction(sum(ints), den)
 
     def _columnar(self) -> tuple:
         """``(columns, den, ints)``: the exponent columns of the terms (at
@@ -556,9 +573,11 @@ class LaurentPoly:
         return view
 
     def _exponents(self, var):
-        """The stored exponents of ``var`` over all terms, in term order."""
+        """The stored exponents of ``var`` over all terms, in term order: the
+        column of the column view itself, which no reader changes."""
+        columns, _, ints = self._columnar()
         i = _INDEX.get(var, _ABSENT)
-        return [md[i] if i < len(md) else 0 for md in self.terms]
+        return columns[i] if i < len(columns) else (0,) * len(ints)
 
     def degrees(self, var):
         return sorted(map(Fraction, set(self._exponents(var))))
@@ -593,7 +612,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._of({md: -c for md, c in self.terms.items()})
+        columns, den, ints = self._columnar()
+        return LaurentPoly._carried(columns, [*map(_neg, ints)], den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -602,14 +622,7 @@ class LaurentPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a scalar scales the values, read as ``int`` where integral as
-            # in _product, and sums no degrees
-            if not other:
-                return LaurentPoly._of({})
-            c = other.numerator if other.denominator == 1 else other
-            return LaurentPoly._wrap({md: (v.numerator if v.denominator == 1 else v) * c
-                                      for md, v in self.terms.items()})
+        # a scalar is the constant polynomial: _product reads its value once
         return LaurentPoly._wrap(_product(self.terms, self._coerce(other).terms))
 
     __rmul__ = __mul__
@@ -622,8 +635,7 @@ class LaurentPoly:
             if abs(c) != 1:
                 raise ValueError("negative powers only for unit monomials")
             return LaurentPoly.monomial(c ** n, md.scale(n))
-        result = LaurentPoly.one()
-        base = self
+        result, base = LaurentPoly.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -643,21 +655,21 @@ class LaurentPoly:
         raise TypeError(f"cannot combine LaurentPoly with {type(x).__name__}")
 
     def __eq__(self, other):
+        """The same least common denominator and the same ``int`` value at
+        each exponent row of the two column views, padded to one width."""
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.terms == other.terms
+        (pc, pd, pi), (qc, qd, qi) = self._columnar(), other._columnar()
+        n = max(len(pc), len(qc))
+        return pd == qd and dict(zip(zip(*_padded(pc, n)), pi)) == dict(zip(zip(*_padded(qc, n)), qi))
 
     def __hash__(self):
         # a constant, zero included, equals its number, so it hashes as it
         terms = self.terms
-        if not terms:
-            return hash(0)
-        if len(terms) == 1:
-            ((md, c),) = terms.items()
-            if md.is_zero():
-                return hash(c)
+        if len(terms) < 2 and not any(map(len, terms)):
+            return hash(sum(terms.values()))
         return hash(frozenset(terms.items()))
 
     # -- structural operations ----------------------------------------------
@@ -666,74 +678,78 @@ class LaurentPoly:
         """Apply ``fn: Multidegree -> Multidegree`` to every term (coefficients add)."""
         return LaurentPoly._of(_summed([*map(fn, self.terms)], [*self.terms.values()]))
 
+    def regrade(self, images, shift=(), odd=()):
+        """The integer-affine image of the exponents, by variable name.
+
+        Each variable ``v`` of ``images`` gets the exponent ``sum k*e_w``
+        over the pairs ``w: k`` of ``images[v]`` (``{}`` drops it), read
+        before any is changed; every other variable keeps its own.  Then the
+        degree ``shift`` is added, and a term changes sign where its
+        exponents in the variables ``odd`` sum to an odd number.  It reads
+        the column view and hands the result on in columns.  Rows are summed
+        by degree (:meth:`_from_rows`) only where the map can merge terms:
+        it cannot when each image reads its own variable by ``+-1`` and no
+        other variable of ``images``.  A variable that the map only reads
+        or drops is not registered.
+        """
+        columns, den, ints = self._view or self._columnar()
+        width = len(columns)
+        out, merge = _padded(columns, len(shift)), False
+        for v, image in images.items():
+            new = None
+            for w, k in image.items():
+                i = _INDEX.get(w, width)
+                if i < width:
+                    new = [*map(k.__mul__, columns[i])] if new is None else [
+                        *map(_add, new, map(k.__mul__, columns[i]))]
+            i = _slot(v) if image else _INDEX.get(v, _ABSENT)
+            if i < _ABSENT:
+                if i >= len(out):
+                    out += [(0,) * len(ints)] * (i + 1 - len(out))
+                out[i] = new or (0,) * len(ints)
+            merge = merge or images.keys() & image.keys() != {v} or image[v] ** 2 != 1
+        for i, k in enumerate(shift):
+            if k:
+                out[i] = [*map(k.__add__, out[i])]
+        if odd:
+            ints = [-c if e & 1 else c
+                    for c, e in zip(ints, map(sum, zip(*map(self._exponents, odd))))]
+        return (LaurentPoly._from_rows if merge else LaurentPoly._carried)(out, ints, den)
+
     def substitute(self, var, image):
         """Replace ``var**e`` by ``image**e`` for a unit-monomial image.
 
         ``image`` must be a single monomial with coefficient ``+1`` or ``-1``,
         so that exponent arithmetic stays closed; with a constant image,
-        ``var = +1`` or ``-1``, the map is an evaluation.  The terms are
-        mapped by :meth:`_substituted`, and :meth:`_from_rows` sums the
-        images by degree, over the common denominator, and hands the result
-        on in columns.
+        ``var = +1`` or ``-1``, the map is an evaluation.  It is the
+        :meth:`regrade` that drops ``var``, adds ``k*e_var`` to each
+        variable of exponent ``k`` in the image, and, for the image ``-1``
+        times a monomial, flips the sign of the terms of odd ``var``-degree.
         """
         coeff, imd = self._coerce(image).as_monomial()
         if abs(coeff) != 1:
             raise ValueError("substitution image must be a monomial times +-1")
-        columns, den, (ints,) = self._substituted((var,), [(var,) * (coeff == -1)], imd)
-        return LaurentPoly._from_rows(columns, ints, den)
+        return self.regrade({var: {}, **{w: {w: 1, var: k} for w, k in imd.items()}},
+                            odd=(var,) * (coeff == -1))
 
-    def _substituted(self, variables, sides, image=()) -> tuple:
-        """``(columns, den, sided)``: the exponent ``columns`` of this
-        polynomial's terms with each of ``variables`` replaced by the
-        monomial of degree ``image`` (by ``+1`` when it is the zero degree),
-        and, for each entry of ``sides`` (a tuple of those variables, which
-        that side replaces by minus the monomial), the ``int`` coefficients
-        of ``den`` times the image, term by term and not yet summed by
-        degree.
-
-        The exponent columns and ``int`` values are read once
-        (``_columnar``), for every side.  A term whose exponents in
-        ``variables`` sum to ``e`` loses their slots and gains ``e`` times
-        ``image``, and a side's sign on it is the parity of the exponents of
-        that side's variables.
-        """
-        columns, den, ints = self._columnar()
-        zero = (0,) * len(ints)
-        columns = _padded(columns, len(image))
-
-        def summed(names):
-            """Each term's exponent sum over ``names``."""
-            return map(sum, zip(zero, *[columns[i] for i in _slots(names) if i < len(columns)]))
-
-        sided = [[-c if e & 1 else c for c, e in zip(ints, summed(side))] for side in sides]
-        moved = [*summed(variables)]
-        for i in _slots(variables):
-            if i < len(columns):
-                columns[i] = zero
-        for i, k in enumerate(image):
-            if k:
-                columns[i] = [*map(_add, columns[i], map(k.__mul__, moved))]
-        return columns, den, sided
+    def _kept(self, var, keep):
+        """The terms whose exponent of ``var`` passes ``keep``, cut from the
+        column view and handed on in columns over their least common
+        denominator."""
+        columns, den, ints = self._view or self._columnar()
+        i = _INDEX.get(var, _ABSENT)
+        mask = [*map(keep, columns[i] if i < len(columns) else repeat(0, len(ints)))]
+        return LaurentPoly._carried([*map(list, map(compress, columns, repeat(mask)))],
+                                    [*compress(ints, mask)], den)
 
     def coefficient_of(self, var, exp):
-        """The coefficient of ``var**exp`` as a polynomial in the other variables."""
-        exp = _exact(exp)
-        return LaurentPoly._of({md._without(var): c for (md, c), e
-                                in zip(self.terms.items(), self._exponents(var))
-                                if e == exp})
+        """The coefficient of ``var**exp`` as a polynomial in the other
+        variables: the terms of ``var``-degree ``exp``, ``var`` dropped."""
+        return self._kept(var, _exact(exp).__eq__).regrade({var: {}})
 
     def truncate(self, var, order):
-        """Drop all terms of ``var``-degree greater than ``order``: from the
-        term map when there is one, else from the exponent columns, whose
-        kept terms are handed on in columns over the common denominator."""
-        i, order = _INDEX.get(var, _ABSENT), _exact(order)
-        if self._map is not None:
-            return LaurentPoly._of({md: c for md, c in self._map.items()
-                                    if (md[i] if i < len(md) else 0) <= order})
-        columns, den, ints = self._view
-        keep = [*map(order.__ge__, columns[i] if i < len(columns) else repeat(0, len(ints)))]
-        return LaurentPoly._carried([[*compress(c, keep)] for c in columns],
-                                    [*compress(ints, keep)], den)
+        """Drop all terms of ``var``-degree greater than ``order``."""
+        return self._kept(var, _exact(order).__ge__)
 
     def derivative(self, var):
         # lowering every monomial by ``var**1`` is injective: no two terms meet
@@ -869,9 +885,9 @@ class LaurentPoly:
         raises ``ValueError``, naming it, since its exponents would be lost.
         """
         columns, den, ints = self._columnar()
-        present = [_VARS[i] for i, col in enumerate(columns) if any(col)]
+        present = self.variables()
         if not variables:
-            variables = sorted(present)
+            variables = present
         else:
             variables = list(variables)
             missing = sorted({*present} - {*variables})
@@ -879,10 +895,9 @@ class LaurentPoly:
                 raise ValueError(f"variables {variables} leave out {missing}")
         order, chosen = _graded(columns, variables)
         coeffs = [*map(str, ints if den == 1 else map(Fraction, ints, repeat(den)))]
-        texts = [[*map(str, col)] for col in chosen]
+        texts = [*zip(*[map(str, col) for col in chosen])] or [()] * len(ints)
         return {"variables": variables,
-                "terms": [{"coeff": coeffs[k], "exp": [col[k] for col in texts]}
-                          for k in order]}
+                "terms": [{"coeff": coeffs[k], "exp": [*texts[k]]} for k in order]}
 
     @classmethod
     def from_json(cls, obj):
@@ -930,18 +945,11 @@ class LaurentPoly:
         if self.is_zero():
             return "0"
         items = [*self.terms.items()]
-        order, _ = _graded(_columns(self.terms), self.variables())
+        order, _ = _graded(self._columnar()[0], self.variables())
         pieces = []
         for md, c in map(items.__getitem__, reversed(order)):
-            factors = []
-            for v, e in md.items():
-                factors.append(v if e == 1 else f"{v}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in md.items()]
+            body = "*".join([str(abs(c))] * (abs(c) != 1 or not factors) + factors)
             pieces.append(("- " if c < 0 else "+ ") + body)
         out = " ".join(pieces)
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
@@ -1116,14 +1124,14 @@ def _unit_series(base: LaurentPoly, exponent, order, var) -> LaurentPoly:
     of ``base``, each coefficient of the result divided once."""
     if _frac(order) < 0:
         raise ValueError("order must be nonnegative")
-    i, f, out = _slot(var), {}, {}
-    for md, c in base.terms.items():
-        f.setdefault(md[i] if i < len(md) else 0, {})[md._without(var)] = _exact(c)
-    if f.pop(0, None) != {_new(Multidegree, ()): 1} or min(f, default=1) <= 0:
+    out = {}
+    f = {k: {md: _exact(c) for md, c in base.coefficient_of(var, k).terms.items()}
+         for k in {*base._exponents(var)}}
+    if f.pop(0, None) != {(): 1} or min(f, default=1) <= 0:
         raise ValueError(f"series base must be 1 plus terms of positive {var!r}-degree")
     den = 1 if exponent is None else exponent.denominator
     for n, H in enumerate(_series_terms(f, floor(_frac(order)), exponent)):
-        step, scale = _from_slots({i: n}), factorial(n) * den ** n
+        step, scale = Multidegree({var: n}), factorial(n) * den ** n
         out.update({md + step: Fraction(v, scale) for md, v in H.items()})
     return LaurentPoly._of(out)
 

@@ -476,8 +476,10 @@ def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
     the term map slot of the lifted numerator, of the expansion, of the
     survivors and of the result is still empty afterwards, so a term map
     built by accident fails here instead of only costing time.  After the
-    memoised input, no ``substitute``, ``truncate`` or ``map_exponents``
-    runs.  The JSON is the plain copy's."""
+    memoised input, ``map_exponents``, the one grading pass that still reads
+    ``terms``, does not run, and no polynomial builds its term map: the
+    ``regrade`` and ``truncate`` passes of the survivor pass read and give
+    columns.  The JSON is the plain copy's."""
     series = rank_collapse_input(knot, lam)
     seen = []
     real = checks.max_cancel
@@ -495,10 +497,15 @@ def test_cancel_json_builds_no_term_map(monkeypatch, knot, lam, n, cutoff):
     def refused(*args):
         raise AssertionError("the cancel path ran a term-map pass")
 
+    def held(self):
+        if self._map is None:
+            raise AssertionError("the cancel path built a term map")
+        return self._map
+
     monkeypatch.setattr(checks, "max_cancel", recording)
     monkeypatch.setattr(RationalSeries, "expand", expanding)
-    for name in ("substitute", "truncate", "map_exponents"):
-        monkeypatch.setattr(LaurentPoly, name, refused)
+    monkeypatch.setattr(LaurentPoly, "map_exponents", refused)
+    monkeypatch.setattr(LaurentPoly, "terms", property(held))
     survivors, _ = rank_collapse(knot, lam, n, cutoff=cutoff)
     obj = survivors.to_json()
     monkeypatch.undo()

@@ -167,15 +167,31 @@ def test_bottom_rows_json(capsys):
     (["bottom", "--p", "2", "--q", "3", "--count", "--rows"], "--count"),
     (["potential", "--antisym", "2,3", "--p", "2", "--q", "3"], "--antisym"),
     (["potential", "--antisym", "2,3", "--q", "3"], "--antisym"),
+    (["bottom", "--p", "3", "--q", "4", "--rows", "--r", "5"], "--rows"),
+    (["bottom", "--vortex", "1,1", "--r", "3"], "--vortex"),
+    (["potential", "--antisym", "1,2", "--r", "4"], "--antisym"),
 ])
 def test_conflicting_selectors_are_refused(capsys, argv, option):
-    """Two options that each choose what the verb computes are refused
-    together, with one ``error:`` line that names the first."""
+    """Two options that each choose what the verb computes, or an option
+    and a ``--r`` that it leaves unread, are refused together, with one
+    ``error:`` line that names the first."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} cannot be combined with ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["bottom", "--p", "2", "--q", "3", "--r", "2", "--count"], "4"),
+    (["bottom", "--p", "2", "--q", "3", "--count"], "2"),
+    (["potential", "--antisym", "1,2"], "W = 1/3*u1^3"),
+])
+def test_r_is_refused_only_where_it_is_given_and_unread(capsys, argv, out):
+    """``--r`` counts as given only when the argv names it, so its default
+    1 refuses nothing, and a request that reads it takes it."""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip() == out
 
 
 def test_potential_json(capsys):

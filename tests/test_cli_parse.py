@@ -80,11 +80,21 @@ def argparse_outcome(argv):
 
 
 def table_outcome(argv):
+    """The table parser's decision and values.  Its record of the options
+    that ``argv`` names, which argparse does not keep, is checked here and
+    left out of the values: it holds every option token of ``argv`` and
+    nothing that is not an option of the verb."""
     try:
         verb, args = cli.parse(argv)
     except UsageError:
         return "usage error"
-    return "help" if args is None else (verb, vars(args))
+    if args is None:
+        return "help"
+    values = dict(vars(args))
+    given, options = values.pop("given"), VERBS[verb][2]
+    named = {token.partition("=")[0] for token in argv[1:]} & {*options}
+    assert {name for name in named if name[0] == "-"} <= given <= {*options}
+    return verb, values
 
 
 #: option names drawn as junk: every verb's (so that a verb meets the other

@@ -1,9 +1,10 @@
 """Every module of the package and every tool uses each name it imports,
 every private function and class is read somewhere in the package, every
 name the package re-exports is reached by the package itself, no module but
-``laurent`` reads an exponent as ``Fraction``, and the package, the demos
-and the tools import nothing outside the standard library but ``knothom``
-and, for a tool, its sibling tools.
+``laurent`` reads an exponent as ``Fraction`` or names the kernel's column
+view and its slot helpers (``models`` may name ``_slot``), and the package,
+the demos and the tools import nothing outside the standard library but
+``knothom`` and, for a tool, its sibling tools.
 
 The package's ``__init__`` imports only to re-export, and ``from
 __future__`` imports change how a module compiles, so both are exempt from
@@ -179,6 +180,48 @@ def test_exponents_are_read_as_int_outside_laurent(path):
     ``Fraction``, so every other module reads them through ``Multidegree._e``
     and ``LaurentPoly._exponents``."""
     assert fraction_reader_calls(path.read_text()) == []
+
+
+#: the kernel's private column view and what builds or reads it by slot
+#: number; only ``laurent`` names them.  ``_slot`` is the one exception:
+#: ``models`` packs its own monomial keys by slot
+COLUMN_PRIVATES = {"_columnar", "_carried", "_from_rows", "_substituted", "_padded", "_slot"}
+SLOT_READERS = {"laurent.py", "models.py"}
+
+
+def column_private_names(source: str) -> list:
+    """``name (line n)`` of each name, attribute or import in ``source``
+    that is one of :data:`COLUMN_PRIVATES`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([node.id] if isinstance(node, ast.Name)
+                 else [node.attr] if isinstance(node, ast.Attribute)
+                 else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+                 else [])
+        found += [f"{name} (line {node.lineno})" for name in names if name in COLUMN_PRIVATES]
+    return sorted(found)
+
+
+def test_column_name_finder_flags_only_the_privates():
+    source = ("from .laurent import LaurentPoly, _padded\n"
+              "x = p._columnar()[0] + LaurentPoly._carried(c, v)\n"
+              "y = _slot('q'), p._columns, p.columnar, _from_rows_like\n")
+    assert column_private_names(source) == [
+        "_carried (line 2)", "_columnar (line 2)", "_padded (line 1)", "_slot (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "laurent.py"], ids=lambda p: p.name)
+def test_the_column_view_stays_in_laurent(path):
+    """No module but ``laurent`` names the column view (``_columnar``), its
+    constructors (``_carried``, ``_from_rows``) or its slot helpers
+    (``_padded``, ``_substituted``); they read exponents through
+    ``_exponents``, build polynomials with ``LaurentPoly.from_columns`` and
+    map gradings with ``LaurentPoly.regrade``.  ``_slot`` is named only by
+    ``laurent`` and ``models``."""
+    allowed = {"_slot"} if path.name in SLOT_READERS else set()
+    assert [n for n in column_private_names(path.read_text())
+            if n.split()[0] not in allowed] == []
 
 
 #: re-exports that no module reads yet, each with the reason it stays; a

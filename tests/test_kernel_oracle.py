@@ -474,10 +474,9 @@ def per_term_json(p: LaurentPoly, variables=None):
     columns: the terms sorted by each degree's (total, chosen exponents),
     each exponent and coefficient stringified term by term."""
     variables = list(variables) if variables else p.variables()
-    slots = laurent._slots(variables)
-    items = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]._exps(slots)))
+    items = sorted(p.terms.items(), key=lambda kv: kv[0].key(variables))
     return {"variables": variables,
-            "terms": [{"coeff": str(c), "exp": [str(e) for e in md._exps(slots)]}
+            "terms": [{"coeff": str(c), "exp": [str(e) for e in md.key(variables)[1]]}
                       for md, c in items]}
 
 
@@ -485,10 +484,9 @@ def per_term_str(p: LaurentPoly) -> str:
     """The per-term printing ``__str__`` had, in the reverse of that order."""
     if p.is_zero():
         return "0"
-    slots = laurent._slots(p.variables())
+    variables = p.variables()
     pieces = []
-    for md, c in reversed(sorted(p.terms.items(),
-                                 key=lambda kv: (sum(kv[0]), kv[0]._exps(slots)))):
+    for md, c in reversed(sorted(p.terms.items(), key=lambda kv: kv[0].key(variables))):
         factors = [v if e == 1 else f"{v}^{e}" for v, e in md.items()]
         if not factors:
             body = str(abs(c))
@@ -610,12 +608,17 @@ def assert_column_result(got: LaurentPoly, want: LaurentPoly):
             max_cancel(counts, Multidegree(q=1))
 
 
+def without(md: Multidegree, var) -> Multidegree:
+    """``md`` with no exponent of ``var``, built from its named items."""
+    return Multidegree({v: e for v, e in md.items() if v != var})
+
+
 def substituted_by_terms(p: LaurentPoly, var, sign, image) -> LaurentPoly:
     """``p`` with ``var**e`` replaced by ``(sign * x^image)**e``, term by term."""
     out = LaurentPoly.zero()
     for md, c in p.terms.items():
         e = md._e(var)
-        out = out + LaurentPoly.monomial(c * sign ** (e % 2), md._without(var) + image.scale(e))
+        out = out + LaurentPoly.monomial(c * sign ** (e % 2), without(md, var) + image.scale(e))
     return out
 
 
@@ -626,7 +629,7 @@ def meeting_terms(draw):
     image free of ``var``, under which some of its terms meet a partner,
     drawn to cancel it or to add to it."""
     var, sign = draw(st.sampled_from(VARS)), draw(st.sampled_from([1, -1]))
-    image = draw(multidegrees())._without(var)
+    image = without(draw(multidegrees()), var)
     p = draw(polys(max_terms=6, c=fractional))
     meet = Multidegree({var: 1}) - image
     for md, c in [*p.terms.items()]:
@@ -671,6 +674,142 @@ def test_non_integral_results_stay_in_columns(case, cut, order, g, denominators)
     assert_column_result(RationalSeries(p, denominators, "q").expand(order),
                          (p * geometric).truncate("q", order))
     assert_column_result(LaurentPoly.from_json(p.to_json()), p)
+
+
+#: integer-affine exponent maps for ``regrade``, each with a degree that it
+#: sends to zero, so that a term and its partner ``md + j*kernel`` meet, or
+#: ``None`` for a map that is one to one on polynomials in ``a, q, t``: a
+#: reflection, a lift, a swap, a map that reads a named variable, a doubling,
+#: a move onto an absent variable, and maps that drop, read or drop an
+#: unregistered variable
+REGRADINGS = [
+    ({}, None),
+    ({"q": {"q": -1}}, None),
+    ({"q": {"q": 1, "t": 2}}, None),
+    ({"a": {"t": 1}, "t": {"a": 1}}, None),
+    ({"q": {"q": -1}, "t": {"t": 1, "q": -1}}, None),
+    ({"q": {"q": 2}}, None),
+    ({"tr": {"t": 1}, "t": {}}, None),
+    ({UNREGISTERED: {}}, None),
+    ({"q": {"q": 1, UNREGISTERED: 3}}, None),
+    ({"a": {}}, Multidegree(a=1)),
+    ({"q": {"q": 1, "a": 1}, "a": {}}, Multidegree(a=1, q=-1)),
+    ({"a": {"a": 1, "q": 1}, "q": {"a": 1, "q": 1}}, Multidegree(a=1, q=-1)),
+    ({"t": {}, "tr": {}, UNREGISTERED: {}}, Multidegree(t=1)),
+    ({"q": {"a": 1, "t": -1}}, Multidegree(q=1)),
+]
+
+
+def regraded_by_terms(p: LaurentPoly, images, shift, odd) -> LaurentPoly:
+    """``regrade`` written as a closure for ``map_exponents``, after the
+    signs of ``odd`` are set term by term."""
+    def image(md):
+        exps = dict(md.items())
+        for v, row in images.items():
+            exps[v] = sum(k * md._e(w) for w, k in row.items())
+        return Multidegree(exps) + shift
+
+    signed = LaurentPoly({md: -c if sum(md._e(w) for w in odd) % 2 else c
+                          for md, c in p.terms.items()})
+    return signed.map_exponents(image)
+
+
+@st.composite
+def regrade_cases(draw):
+    """``(p, images, shift, odd, kernel)``: a polynomial of
+    :func:`serialised_polys`, held in columns or as a term map, with
+    partner terms that meet its terms under a merging map, drawn to cancel
+    them, to add to them or to leave half of them."""
+    images, kernel = draw(st.sampled_from(REGRADINGS))
+    shift = draw(st.one_of(st.just(()), multidegrees()))
+    odd = tuple(draw(st.lists(st.sampled_from([*VARS, UNREGISTERED]), max_size=2, unique=True)))
+    p = draw(serialised_polys())
+    if kernel is not None:
+        flip = sum(kernel._e(w) for w in odd) % 2
+        for md, c in [*p.terms.items()]:
+            j = draw(st.integers(-1, 2))
+            if j:
+                # the partner's image has md's degree and the sign (-1)^(j*flip)
+                factor = draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+                p = p + LaurentPoly.monomial(-c * (-1) ** (j * flip % 2) * factor,
+                                             md + kernel.scale(j))
+        if draw(st.booleans()):
+            p = column_only(p)
+    return p, images, shift, odd, kernel
+
+
+@oracle(300)
+@given(regrade_cases())
+@example((column_only(parse_poly("a - q + 2*a^2*t")), {"q": {"q": 1, "a": 1}, "a": {}}, (), (),
+          Multidegree(a=1, q=-1)))
+@example((column_only(parse_poly("a*q^-2 - 3*a^-1*t") / 6), {"a": {}}, Multidegree(q=-1),
+          ("a", UNREGISTERED), Multidegree(a=1)))
+def test_regrade_matches_the_term_map(case):
+    """``regrade`` equals the same map written as a closure for
+    ``map_exponents``, on integral and rational coefficients, negative
+    exponents, a shift and the signs of ``odd``: one-to-one maps, and
+    merging maps whose sums cancel (the first example sums to ``2*q^2*t``)
+    or not.  The result is handed on in columns over its least common
+    denominator, a one-to-one map keeps every term, and a variable that the
+    map only drops or reads, or that ``odd`` names, is not registered."""
+    p, images, shift, odd, kernel = case
+    got = p.regrade(images, shift, odd)
+    assert_column_result(got, regraded_by_terms(LaurentPoly(p.terms), images, shift, odd))
+    if kernel is None:
+        assert len(got.terms) == len(p.terms)
+    assert UNREGISTERED not in laurent._INDEX
+
+
+def padded(p: LaurentPoly, pad: int) -> LaurentPoly:
+    """``p`` held in its column view alone, with ``pad`` more columns that
+    are zero on every term."""
+    columns, den, ints = p._columnar()
+    return LaurentPoly._carried([*columns, *[(0,) * len(ints)] * pad], ints, den)
+
+
+@st.composite
+def compared_pairs(draw):
+    """Two polynomials: a plain polynomial and the same one held in columns
+    with trailing zero columns, as a term map, halved, with a term added,
+    the zero polynomial, or another drawn polynomial."""
+    p = draw(serialised_polys())
+    how = draw(st.sampled_from(["padded", "map", "halved", "plus", "zero", "other"]))
+    if how == "padded":
+        q = padded(p, draw(st.integers(1, 3)))
+    elif how == "map":
+        q = LaurentPoly(p.terms)
+    elif how == "halved":
+        q = column_only(p / 2)
+    elif how == "plus":
+        q = p + LaurentPoly.monomial(draw(coeffs), draw(multidegrees()))
+    elif how == "zero":
+        q = draw(st.sampled_from([LaurentPoly.zero(), LaurentPoly._carried([[], []], [])]))
+    else:
+        q = draw(serialised_polys())
+    if draw(st.booleans()):
+        p = padded(p, draw(st.integers(0, 2)))
+    return (p, q) if draw(st.booleans()) else (q, p)
+
+
+@oracle(300)
+@given(compared_pairs())
+@example((padded(parse_poly("q - 2"), 3), parse_poly("q - 2")))
+@example((column_only(parse_poly("q + 1") / 2), column_only(parse_poly("q + 1") / 4)))
+def test_column_equality_matches_the_term_maps(pair):
+    """``==`` compares the two column views, padded to one width, by least
+    common denominator and ``int`` value at each exponent row: it agrees
+    with term-map equality over different widths, trailing zero columns,
+    different denominators, the zero polynomial, and one side held as a
+    term map with the other in columns, both ways round, and builds no
+    term map.  Equal polynomials hash alike."""
+    p, q = pair
+    held = [x._map is None for x in (p, q)]
+    got = (p == q, q == p, p != q)
+    assert [x._map is None for x in (p, q)] == held
+    want = LaurentPoly(p.terms).terms == LaurentPoly(q.terms).terms
+    assert got == (want, want, not want)
+    if want:
+        assert hash(p) == hash(q)
 
 
 def test_a_column_polynomial_over_a_denominator_pickles_and_copies():
@@ -970,7 +1109,8 @@ def test_multidegree_matches_model(x, y, k, var, variables):
     assert_matches(-X, model_sum({}, mx, -1))
     assert_matches(X.scale(k), model_sum({}, mx, k))
     assert_matches(X._shift(Y, k), model_sum(mx, my, k))
-    assert_matches(X._without(var), {v: e for v, e in mx.items() if v != var})
+    dropped = LaurentPoly.monomial(1, X).regrade({var: {}})
+    assert_matches(dropped.as_monomial()[1], {v: e for v, e in mx.items() if v != var})
     total, exps = X.key(variables)
     assert total == sum(mx.values()) and type(total) is int
     assert exps == tuple(mx.get(v, 0) for v in variables)
