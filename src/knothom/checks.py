@@ -6,9 +6,10 @@ generator degrees: a generator of degree ``(i, j, k, l)`` in the gradings
 count generators with multiplicity.
 
 The auxiliary grading ``Q = (q + tr - tc) / R`` replaces ``q`` in the
-"tilde" regrading, defined once by :func:`knothom.fixtures._to_tilde_degree`
-and its inverse, in which the self-symmetry and mirror maps are
-integer-linear maps of the exponents, each one ``LaurentPoly.regrade``.
+"tilde" regrading, defined once by :func:`knothom.fixtures.to_tilde` and
+its inverse, in which the self-symmetry and mirror maps and the hat maps of
+the colored differentials are integer-affine maps of the exponents, each
+one ``LaurentPoly.regrade``.
 Differentials known only by their multidegree are checked through
 nonnegative witness division: a differential of degree ``d`` cancels
 generator pairs ``x, x*d``, so the difference between a homology and the
@@ -22,7 +23,7 @@ from functools import cache
 
 from .errors import UsageError
 from .laurent import LaurentPoly, Multidegree, RationalSeries, max_cancel, nonneg_divisibility
-from .fixtures import _from_tilde_degree, _to_tilde_degree, fixture_name, load_fixture
+from .fixtures import fixture_name, from_tilde, load_fixture, to_tilde
 from .models import aqt_projection, unknot_model
 from .partitions import Partition
 
@@ -88,87 +89,84 @@ def check_delta_thin(p: LaurentPoly, r: int, sigma: int):
 
 #: One definition per kind of colored differential of an ``R x S`` colour
 #: (``R`` rows of ``S`` boxes) that keeps ``k`` rows or columns, as a map of
-#: ``(R, S, k)`` to ``(bound, degree, hat, target, label)``: ``k`` must lie
-#: in ``range(bound)``, so a universal kind takes only ``k = 0``; ``degree``
-#: is in ``(a, q, tr, tc)``; ``hat(sigma, a, Q, tr, tc)`` sends a target
-#: generator's ``(a, Q, tr, tc)`` to the surviving generator's upstairs;
-#: ``target`` is the ``(rows, cols)`` of the surviving colour, empty when
-#: ``k = 0`` cancels; ``label`` is the paper's name.
+#: ``(R, S, k)`` to ``(bound, degree, images, step, target, label)``: ``k``
+#: must lie in ``range(bound)``, so a universal kind takes only ``k = 0``;
+#: ``degree`` is in ``(a, q, tr, tc)``; the hat map is the regrade by
+#: ``images`` and then the shift ``sigma * step``, and it sends a target
+#: generator's tilde gradings ``(a, Q, tr, tc)`` to the surviving
+#: generator's upstairs; ``target`` is the ``(rows, cols)`` of the surviving
+#: colour, empty when ``k = 0`` cancels; ``label`` is the paper's name.
 _KINDS = {
     "+row": lambda R, S, k: (
-        R, (-2, 2 * R + 2 * k, -2 * k - 1, -1),
-        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q - S * (R - k) * s,
-                                 tr + (R - k) * Q + S * k * (R - k) * s, tc),
+        R, (-2, 2 * R + 2 * k, -2 * k - 1, -1), {"tr": {"tr": 1, "Q": R - k}},
+        Multidegree(a=S * (R - k), Q=-S * (R - k), tr=S * k * (R - k)),
         (k, S), f"d{R + k}|0"),
     "+col": lambda R, S, l: (
-        S, (-2, 2 * R - 2 * l, -1, -2 * l - 1),
-        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q - R * (S - l) * s,
-                                 tr, tc + (S - l) * Q + R * l * (S - l) * s),
+        S, (-2, 2 * R - 2 * l, -1, -2 * l - 1), {"tc": {"tc": 1, "Q": S - l}},
+        Multidegree(a=R * (S - l), Q=-R * (S - l), tc=R * l * (S - l)),
         (R, l), f"d{R}|{l}"),
     "-row": lambda R, S, k: (
-        R, (-2, 2 * k - 2 * S, -2 * k - 2 * R - 1, -2 * S - 1),
-        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q + S * (R - k) * s,
-                                 tr + S * (R - k) * (R + k) * s,
-                                 tc + S * S * (R - k) * s),
+        R, (-2, 2 * k - 2 * S, -2 * k - 2 * R - 1, -2 * S - 1), {},
+        Multidegree(a=1, Q=1, tr=R + k, tc=S).scale(S * (R - k)),
         (k, S), f"d{k}|{S}"),
     "-col": lambda R, S, l: (
-        S, (-2, -2 * l - 2 * S, -2 * R - 1, -2 * l - 2 * S - 1),
-        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q + R * (S - l) * s,
-                                 tr + R * R * (S - l) * s,
-                                 tc + R * (S - l) * (S + l) * s),
+        S, (-2, -2 * l - 2 * S, -2 * R - 1, -2 * l - 2 * S - 1), {},
+        Multidegree(a=1, Q=1, tr=R, tc=S + l).scale(R * (S - l)),
         (R, l), f"d0|{S + l}"),
     "up": lambda R, S, k: (
-        1, (0, 2, -2, 0), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 4 * tr, 2 * tc),
-        (1, S), "d^"),
+        1, (0, 2, -2, 0), {"a": {"a": 2}, "Q": {"Q": 2}, "tr": {"tr": 4}, "tc": {"tc": 2}},
+        Multidegree(), (1, S), "d^"),
     "left": lambda R, S, k: (
-        1, (0, 2, 0, 2), lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 2 * tr, 4 * tc),
-        (R, S - 1), "d<-"),
+        1, (0, 2, 0, 2), {"a": {"a": 2}, "Q": {"Q": 2}, "tr": {"tr": 2}, "tc": {"tc": 4}},
+        Multidegree(), (R, S - 1), "d<-"),
 }
 
 
 class DifferentialSpec:
-    """A differential known by its multidegree, with an optional regrade map
-    ``regrade: Multidegree -> Multidegree`` and, for a colored one, the
-    ``(rows, cols)`` of its ``target`` colour."""
+    """A differential known by its multidegree and, for a colored one, the
+    ``(rows, cols)`` of its ``target`` colour and the ``hat`` map, the
+    ``(images, shift)`` of a regrade in tilde gradings (:data:`_KINDS`), of
+    a source colour with ``R`` rows."""
 
-    def __init__(self, name: str, degree: Multidegree, regrade=None, target=None):
+    def __init__(self, name: str, degree: Multidegree, target=None, hat=None, R=1):
         self.name = name
         self.degree = degree
-        self.regrade = regrade
         self.target = target
+        self.hat = hat
+        self.R = R
+
+    def regrade(self, p: LaurentPoly) -> LaurentPoly:
+        """The target homology ``p`` in ``(a, q, tr, tc)`` mapped to its
+        survivors upstairs (``p`` itself without a hat map): read in the
+        tilde gradings of the target's rows, which refuses a target off that
+        lattice, sent by the hat map, and read back with the source's ``R``
+        rows, which keeps the five printed degrees mutually consistent.  An
+        empty target colour admits only the unit generator."""
+        if self.hat is None:
+            return p
+        rows = self.target[0]
+        if not rows and p.variables():
+            raise ValueError("empty-color target admits only the unit generator")
+        return from_tilde(to_tilde(p, rows or 1).regrade(*self.hat), self.R)
 
 
 def colored_differential(kind: str, R: int, S: int, param: int = 0,
                          sigma: int = 0) -> DifferentialSpec:
     """The row/column-removing differential ``kind`` of the ``R x S`` colour
-    (:data:`_KINDS`): its label, ``(a,q,tr,tc)``-degree, regrade and target.
+    (:data:`_KINDS`): its label, ``(a,q,tr,tc)``-degree, target and hat map.
 
     ``param`` is the number of rows (columns) kept: ``0`` gives the
     canceling differentials; the two universal differentials take none.
-    Only the regrade reads ``sigma``: it maps the ``(a,q,tr,tc)`` exponents
-    of a generator of the target homology to the degrees of the matching
-    surviving generator upstairs.  It reads the target in the tilde
-    gradings of its ``rows`` (:func:`knothom.fixtures._to_tilde_degree`);
-    the hat formulas fix ``(a, Q, tr, tc)``, and the source's ``q`` follows
-    from the inverse regrading with ``R`` rows, which keeps the five printed
-    degrees mutually consistent.
+    Only the hat map reads ``sigma``, as the shift ``sigma * step``
+    (:meth:`DifferentialSpec.regrade`).
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown differential kind {kind!r}")
-    bound, degree, hat, target, label = _KINDS[kind](R, S, param)
+    bound, degree, images, step, target, label = _KINDS[kind](R, S, param)
     if not 0 <= param < bound:
         raise ValueError(f"{kind} needs 0 <= k < {bound}, got {param}")
-    rows = target[0]
-
-    def regrade(md):
-        tilde = _to_tilde_degree(md, rows or 1)
-        if not rows and not md.is_zero():
-            raise ValueError("empty-color target admits only the unit generator")
-        a, Q, tr, tc = hat(sigma, *(tilde._e(v) for v in ("a", "Q", "tr", "tc")))
-        return _from_tilde_degree(Multidegree(a=a, Q=Q, tr=tr, tc=tc), R)
-
     return DifferentialSpec(label, Multidegree(zip(("a", "q", "tr", "tc"), degree)),
-                            regrade, target)
+                            target, (images, step.scale(sigma)), R)
 
 
 def project_gradings(p: LaurentPoly, variables) -> LaurentPoly:
@@ -184,7 +182,7 @@ def check_differential(source: LaurentPoly, target: LaurentPoly,
     grading subset, and divides the residual by ``1 + monomial(degree)``
     demanding a nonnegative witness.  Returns ``(ok, witness_or_residual)``.
     """
-    mapped = target if spec.regrade is None else target.map_exponents(spec.regrade)
+    mapped = spec.regrade(target)
     src = source
     degree = spec.degree
     if project:
@@ -231,8 +229,11 @@ def rank_collapse_input(knot: str, lam) -> RationalSeries:
     ``t`` the column grading.
 
     ``knot`` is ``"unknot"`` or a fixture knot, whose table is the fixture
-    :func:`knothom.fixtures.fixture_name` names for ``lam``.  The series
-    carries the default order; :func:`sl_cancel` sets its own.  It is
+    :func:`knothom.fixtures.fixture_name` names for ``lam``.  That table
+    must carry the column grading ``tc``: one without it, such as
+    ``3_1:2_1`` in ``(a, q, t)``, raises ``UsageError``, since no table says
+    which homological grading its ``t`` is.  The series carries the default
+    order; :func:`sl_cancel` sets its own.  It is
     memoised per ``(knot, Partition)`` (:func:`_collapse_input`), so a sweep
     over ``n`` and the cutoff builds it once; every caller shares the one
     series and must not mutate it.
@@ -245,7 +246,12 @@ def _collapse_input(knot: str, lam: Partition) -> RationalSeries:
     if knot == "unknot":
         reduced = LaurentPoly.one()
     else:
-        reduced = load_fixture(fixture_name(knot, lam)).poincare
+        fix = load_fixture(fixture_name(knot, lam))
+        if "tc" not in fix.gradings:
+            # a table's t may be either homological grading
+            raise UsageError(f"{fix.name} is graded ({', '.join(fix.gradings)}); "
+                             "rank collapse needs its column grading tc")
+        reduced = fix.poincare
     return aqt_projection(unreduced_from_reduced(reduced, lam))
 
 

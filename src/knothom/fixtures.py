@@ -7,9 +7,9 @@ overrides the search path.
 Loading validates the generator count and both categorification
 specializations, so transcription errors fail loudly.  Every table is
 stored in the standard gradings ``(a, q, ...)``; :func:`to_tilde` gives the
-"tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.  The
-degree-level pair :func:`_to_tilde_degree` and :func:`_from_tilde_degree`
-is the package's one definition of that regrading and its inverse.
+"tilde" gradings, in which ``Q = (q + tr - tc)/R`` replaces ``q``.  It and
+:func:`from_tilde` are the package's one definition of that regrading and
+its inverse, each one ``LaurentPoly.regrade``.
 
 The registry also knows which colored differentials act on each fixture.
 """
@@ -18,46 +18,27 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 from functools import lru_cache
 
 from .errors import UsageError
-from .laurent import LaurentPoly, Multidegree
+from .laurent import LaurentPoly
 from .partitions import Partition, color_name
 
 # -- tilde regrading ----------------------------------------------------------------
 
 
-def _to_tilde_degree(md: Multidegree, R: int) -> Multidegree:
-    """``md`` in the tilde gradings ``(a, Q, tr, tc)``, ``Q = (q + tr - tc)/R``.
-
-    The one definition of ``Q``: :func:`to_tilde`, the colored regradings
-    of :mod:`knothom.checks` and :class:`knothom.models.StableTorusModel`
-    all read it here.  Raises when ``q + tr - tc`` is not divisible by
-    ``R``, naming the monomial.
-    """
-    a, q, tr, tc = md._e("a"), md._e("q"), md._e("tr"), md._e("tc")
-    Q, rest = divmod(q + tr - tc, R)
-    if rest:
-        raise ValueError(
-            f"monomial a^{a} q^{q} tr^{tr} tc^{tc}: "
-            f"(q + tr - tc) = {q + tr - tc} is not divisible by {R}")
-    return Multidegree(a=a, Q=Q, tr=tr, tc=tc)
-
-
-def _from_tilde_degree(md: Multidegree, R: int) -> Multidegree:
-    """Inverse of :func:`_to_tilde_degree`: ``q = R*Q - tr + tc``."""
-    tr, tc = md._e("tr"), md._e("tc")
-    return Multidegree(a=md._e("a"), q=R * md._e("Q") - tr + tc, tr=tr, tc=tc)
-
-
 def to_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
-    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R`` in every monomial."""
-    return p.map_exponents(lambda md: _to_tilde_degree(md, R))
+    """Replace the ``q``-grading by ``Q = (q + tr - tc)/R`` in every monomial,
+    keeping every other variable; raises ``ValueError``, naming ``Q`` and
+    its value, where ``q + tr - tc`` is not divisible by ``R``."""
+    w = Fraction(1, R)
+    return p.regrade({"Q": {"q": w, "tr": w, "tc": -w}, "q": {}})
 
 
 def from_tilde(p: LaurentPoly, R: int) -> LaurentPoly:
     """Inverse of :func:`to_tilde`: ``q = R*Q - tr + tc``."""
-    return p.map_exponents(lambda md: _from_tilde_degree(md, R))
+    return p.regrade({"q": {"Q": R, "tr": -1, "tc": 1}, "Q": {}})
 
 
 # -- fixtures -----------------------------------------------------------------------

@@ -35,17 +35,18 @@ carries the same way: ``expand`` ends in columns, ``max_cancel`` walks them
 and keeps its survivors in them, and ``to_json`` reads them and
 ``from_json`` gives them.
 
-The column view stays in this module.  Every grading map of the paper that
-is integer-affine in the exponents (the self-symmetry and mirror maps, a
-specialization ``t = -1``, a substitution ``a = q^n``, a lift or a shift) is
-one :meth:`LaurentPoly.regrade` by variable name, which reads columns and
-gives them and sums terms only where the map can merge them;
-``substitute`` is one such regrade.  ``truncate`` and ``coefficient_of``
-cut the columns, equality compares the two column views, and
-``LaurentPoly.from_columns`` builds a polynomial from exponent columns
-keyed by variable name.  Other modules read a variable's exponents through
-``_exponents`` and never a slot number.  The maps that divide exponents, or
-that another module writes as a function on degrees, stay on
+The column view stays in this module.  Every grading map of the paper (the
+self-symmetry and mirror maps, a specialization ``t = -1``, a substitution
+``a = q^n``, a lift or a shift, the tilde grading ``Q = (q + tr - tc)/R``,
+the hat maps of the colored differentials, the halving of a HOMFLY
+specialization and the projection to ``(a, q, t = tc)``) is one :meth:`LaurentPoly.regrade` by variable name, which
+reads columns and gives them and sums terms only where the map can merge
+them; a map that divides exponents takes ``Fraction`` weights and refuses
+a non-integral image.  ``substitute`` is one such regrade.  ``truncate``
+and ``coefficient_of`` cut the columns, equality compares the two column
+views, and ``LaurentPoly.from_columns`` builds a polynomial from exponent
+columns keyed by variable name.  Other modules read a variable's exponents
+through ``_exponents`` and never a slot number, and none calls
 ``map_exponents``, which walks the term map.
 
 ``Multidegree`` is a dense exponent vector, after the monomial representation
@@ -58,7 +59,7 @@ trailing zeros trimmed, each an ``int``.  Equal degrees are therefore equal
 tuples: hashing and equality are ``tuple``'s own C code, and addition maps
 ``operator.add`` over two tuples.  Slot order never reaches output, since
 every reader that names variables sorts them by name.  The public readers
-(``e``, ``total``, and the degree queries of ``LaurentPoly``) return
+(``e`` and the degree queries of ``LaurentPoly``) return
 ``Fraction``, so callers that divide exponents stay exact.  They are the
 package's only ``Fraction`` boundary on exponents: every other module reads
 the stored ``int`` through ``Multidegree._e`` and ``LaurentPoly._exponents``.
@@ -214,8 +215,8 @@ class Multidegree(tuple):
     equality are ``tuple``'s own.  A ``Multidegree`` therefore also equals
     a plain tuple of the same slots; no code mixes the two.  Slot order is
     private: ``items``, ``variables``, ``key`` and ``repr`` name variables
-    and sort them by name, and the public readers ``e`` and ``total``
-    return ``Fraction``.
+    and sort them by name, and the public reader ``e`` returns
+    ``Fraction``.
     """
 
     __slots__ = ()
@@ -252,9 +253,6 @@ class Multidegree(tuple):
 
     def is_zero(self) -> bool:
         return not len(self)
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self))
 
     def __bool__(self):
         return True
@@ -531,9 +529,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def as_monomial(self):
         """Return ``(coeff, multidegree)``; raises unless exactly one term."""
         if len(self.terms) != 1:
@@ -545,9 +540,6 @@ class LaurentPoly:
         """Every variable with a nonzero exponent, sorted by name, read from
         the column view."""
         return sorted([_VARS[i] for i, col in enumerate(self._columnar()[0]) if any(col)])
-
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     def dimension(self) -> Fraction:
         """Sum of absolute values of coefficients (generator count), added
@@ -679,11 +671,13 @@ class LaurentPoly:
         return LaurentPoly._of(_summed([*map(fn, self.terms)], [*self.terms.values()]))
 
     def regrade(self, images, shift=(), odd=()):
-        """The integer-affine image of the exponents, by variable name.
+        """The affine image of the exponents, by variable name.
 
         Each variable ``v`` of ``images`` gets the exponent ``sum k*e_w``
         over the pairs ``w: k`` of ``images[v]`` (``{}`` drops it), read
-        before any is changed; every other variable keeps its own.  Then the
+        before any is changed; every other variable keeps its own.  A weight
+        ``k`` may be a ``Fraction``: each new exponent must then be an
+        integer, else ``ValueError`` names the variable and the value.  Then the
         degree ``shift`` is added, and a term changes sign where its
         exponents in the variables ``odd`` sum to an odd number.  It reads
         the column view and hands the result on in columns.  Rows are summed
@@ -702,6 +696,12 @@ class LaurentPoly:
                 if i < width:
                     new = [*map(k.__mul__, columns[i])] if new is None else [
                         *map(_add, new, map(k.__mul__, columns[i]))]
+            # a Fraction weight makes every value of the column a Fraction
+            if new and type(new[0]) is not int:
+                for x in new:
+                    if x.denominator != 1:
+                        raise ValueError(f"non-integral exponent {x} on variable {v!r}")
+                new = [x.numerator for x in new]
             i = _slot(v) if image else _INDEX.get(v, _ABSENT)
             if i < _ABSENT:
                 if i >= len(out):

@@ -4,7 +4,7 @@ The models here present homology spaces as supercommutative algebras with
 multigraded generators.  The free unknot model is a generator table and the
 stable torus model is shifted copies of it; the tilde grading ``Q`` of their
 generators is read by the one tilde map,
-:func:`knothom.fixtures._to_tilde_degree`.  Torus-knot quotients are cut out
+:func:`knothom.fixtures.to_tilde`.  Torus-knot quotients are cut out
 by the coefficients of fractional-power series and analyzed degree by degree
 with exact Macaulay matrices.  A presentation decides everything about its
 monomials: the grading of one is summed by
@@ -22,7 +22,7 @@ from math import factorial, gcd, prod
 from operator import mul, not_
 
 from .errors import UsageError
-from .fixtures import _to_tilde_degree
+from .fixtures import to_tilde
 from .laurent import (
     LaurentPoly,
     Multidegree,
@@ -82,7 +82,7 @@ class GradedPresentation:
     ``form_relations`` are linear in the odd names with even-polynomial
     coefficients.  Generator names must be distinct: a repeated name raises
     ``ValueError`` naming it, since :meth:`generator` and
-    :meth:`degree_map` look generators up by name.
+    :meth:`monomial_degree` look generators up by name.
     """
 
     def __init__(self, generators: list, relations: list | None = None,
@@ -108,9 +108,6 @@ class GradedPresentation:
                 return g
         raise KeyError(name)
 
-    def degree_map(self):
-        return {g.name: g.degree for g in self.generators}
-
     def monomial_degree(self, exps, odds=()) -> Multidegree:
         """Grading of the monomial ``prod(name**e) * prod(odds)``.
 
@@ -118,7 +115,7 @@ class GradedPresentation:
         generator variables works too), and ``odds`` lists odd generator
         names, each taken once.  Every grading of a monomial is summed here.
         """
-        degs = self.degree_map()
+        degs = {g.name: g.degree for g in self.generators}
         out = Multidegree()
         for v, e in exps.items():
             out = out + degs[v].scale(e)
@@ -272,13 +269,11 @@ def unknot_model(lam) -> GradedPresentation:
 
 
 def aqt_projection(series: RationalSeries) -> RationalSeries:
-    """``series`` in ``(a, q, t)``, with ``t`` the column grading ``tc``; every
-    other grading is forgotten."""
-    def fn(md):
-        return Multidegree(a=md._e("a"), q=md._e("q"), t=md._e("tc"))
-
-    return RationalSeries(series.numerator.map_exponents(fn),
-                          tuple(map(fn, series.denominators)),
+    """``series`` in ``(a, q, t)``, with ``t`` the column grading ``tc``:
+    ``tr`` is forgotten, and the numerator keeps every other variable."""
+    return RationalSeries(series.numerator.regrade({"t": {"tc": 1}, "tc": {}, "tr": {}}),
+                          [Multidegree(a=md._e("a"), q=md._e("q"), t=md._e("tc"))
+                           for md in series.denominators],
                           series.var, series.order)
 
 
@@ -303,7 +298,7 @@ class StableTorusModel:
     unknot model, :func:`unknot_model` of ``[S] * R``, with each generator
     renamed ``{name}n{n}`` and shifted by
     ``(q, tc, tr) = (2(n-1)S, 2(n-1)S, 2(n-1)R)``.  The shift raises the
-    auxiliary grading ``Q`` (:func:`knothom.fixtures._to_tilde_degree`) by
+    auxiliary grading ``Q`` (:func:`knothom.fixtures.to_tilde`) by
     ``2(n - 1)``, so ``Q[u^(n)] = 2n`` and ``Q[xi^(n)] = 2n - 2``.
     """
 
@@ -321,7 +316,8 @@ class StableTorusModel:
 
     def q_aux(self, name) -> int:
         """The auxiliary grading ``Q = (q + tr - tc)/R`` of a generator."""
-        return _to_tilde_degree(self.presentation.generator(name).degree, self.R)._e("Q")
+        return to_tilde(LaurentPoly.monomial(1, self.presentation.generator(name).degree),
+                        self.R)._exponents("Q")[0]
 
     def lefschetz_generator(self) -> str:
         """Multiplication by this generator realizes the self-symmetry flip."""

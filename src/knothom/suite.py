@@ -176,7 +176,7 @@ def _differential(fname, kind, param):
     ok, _ = check_differential(fix.poincare, target, spec, project=project)
     surv = PRINTED_SURVIVORS.get((fname, spec.name))
     if ok and surv is not None:
-        image = spec.regrade(Multidegree())
+        _, image = spec.regrade(LaurentPoly.one()).as_monomial()
         want = Multidegree(surv)
         ok = all(image._e(v) == want._e(v) for v in surv)
     return ok
@@ -250,15 +250,11 @@ ROSSO_JONES_CASES = ["3_1:S2", "3_1:L2", "3_1:2x2", "3_1:3x2", "3_1:2_1", "T3_4:
 
 def _halved_homfly(fix) -> LaurentPoly:
     """Fixture HOMFLY specialization mapped to hook variables (a^2->a, q^2->q)."""
-    spec = fix.homfly_specialization()
-
-    def halve(md):
-        ea, eq = md._e("a"), md._e("q")
-        if ea % 2 or eq % 2:
-            raise ValueError(f"odd exponent in {fix.name} specialization")
-        return Multidegree(a=ea // 2, q=eq // 2)
-
-    return spec.map_exponents(halve)
+    half = Fraction(1, 2)
+    try:
+        return fix.homfly_specialization().regrade({"a": {"a": half}, "q": {"q": half}})
+    except ValueError as err:
+        raise ValueError(f"odd exponent in {fix.name} specialization") from err
 
 
 def _rosso_jones(fname):

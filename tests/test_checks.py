@@ -144,7 +144,8 @@ def test_colored_labels_and_targets_follow_the_kind():
         assert spec.name == label, kind
         assert spec.degree == Multidegree(zip(gradings, degree)), kind
         assert spec.target == target, kind
-        assert spec.regrade(source) == Multidegree(zip(gradings, image)), kind
+        assert spec.regrade(LaurentPoly.monomial(1, source)) == LaurentPoly.monomial(
+            1, Multidegree(zip(gradings, image))), kind
     # a canceling differential keeps nothing: its target rectangle is empty
     canceling = [colored_differential(kind, 3, 4) for kind in ("+row", "-col")]
     assert [(spec.name, spec.target) for spec in canceling] == [
@@ -162,23 +163,25 @@ def test_universal_differentials_take_no_parameter(kind, param):
 
 
 def test_regrade_refuses_targets_off_the_lattice():
-    with pytest.raises(ValueError, match="is not divisible by 2"):
-        colored_differential("+row", 3, 2, 2, 2).regrade(Multidegree(q=1))
+    with pytest.raises(ValueError, match="non-integral exponent 1/2 on variable 'Q'"):
+        colored_differential("+row", 3, 2, 2, 2).regrade(LaurentPoly.var("q"))
     with pytest.raises(ValueError, match="empty-color"):
-        colored_differential("+row", 3, 2, 0, 2).regrade(Multidegree(q=2))
+        colored_differential("+row", 3, 2, 0, 2).regrade(LaurentPoly.var("q", 2))
+
+
+def survivor(kind, R, S, param, sigma) -> Multidegree:
+    """The degree of the image of the unit generator under the regrade."""
+    return colored_differential(kind, R, S, param, sigma).regrade(
+        LaurentPoly.one()).as_monomial()[1]
 
 
 def test_canceling_survivors():
     # canceling differentials send the unit generator to the printed survivor
-    fn = colored_differential("+row", 2, 2, 0, 2).regrade
-    assert fn(Multidegree()) == Multidegree(a=8, q=-16)
-    fn = colored_differential("-row", 2, 2, 0, 2).regrade
-    assert fn(Multidegree()) == Multidegree(a=8, q=16, tr=16, tc=16)
-    fn = colored_differential("+row", 3, 2, 0, 2).regrade
-    img = fn(Multidegree())
+    assert survivor("+row", 2, 2, 0, 2) == Multidegree(a=8, q=-16)
+    assert survivor("-row", 2, 2, 0, 2) == Multidegree(a=8, q=16, tr=16, tc=16)
+    img = survivor("+row", 3, 2, 0, 2)
     assert (img.e("a"), img.e("q"), img.e("tc")) == (12, -36, 0)
-    fn = colored_differential("-row", 3, 2, 0, 2).regrade
-    img = fn(Multidegree())
+    img = survivor("-row", 3, 2, 0, 2)
     assert (img.e("a"), img.e("q"), img.e("tc")) == (12, 24, 24)
 
 
@@ -186,10 +189,118 @@ def test_regrade_sigma_zero_reduces_to_q_shifts():
     # with vanishing S-invariant only the Q-proportional terms remain
     fn = colored_differential("+col", 1, 2, 1).regrade
     md = Multidegree(a=2, q=2, tr=2, tc=2)   # Q = 2
-    img = fn(md)
+    _, img = fn(LaurentPoly.monomial(1, md)).as_monomial()
     assert img.e("a") == 2 and img.e("tr") == 2
     assert img.e("tc") == 2 + 2  # tc + (S-l)*Q
     assert img.e("q") == 2 + 2
+
+
+# -- the hat maps as they were written on degrees, the reference for the
+# regrades of colored_differential
+
+def tilde_degree(md: Multidegree, R: int) -> Multidegree:
+    """``md`` in ``(a, Q, tr, tc)``, ``Q = (q + tr - tc)/R``, every other
+    variable dropped; raises where ``R`` does not divide ``q + tr - tc``."""
+    a, q, tr, tc = md._e("a"), md._e("q"), md._e("tr"), md._e("tc")
+    Q, rest = divmod(q + tr - tc, R)
+    if rest:
+        raise ValueError(f"(q + tr - tc) = {q + tr - tc} is not divisible by {R}")
+    return Multidegree(a=a, Q=Q, tr=tr, tc=tc)
+
+
+def untilde_degree(md: Multidegree, R: int) -> Multidegree:
+    """The inverse of :func:`tilde_degree`: ``q = R*Q - tr + tc``."""
+    tr, tc = md._e("tr"), md._e("tc")
+    return Multidegree(a=md._e("a"), q=R * md._e("Q") - tr + tc, tr=tr, tc=tc)
+
+
+#: kind -> ``(R, S, k)`` -> ``(hat, target rows)``: ``hat(sigma, a, Q, tr,
+#: tc)`` sends a target generator's tilde gradings to the survivor's
+HATS = {
+    "+row": lambda R, S, k: (
+        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q - S * (R - k) * s,
+                                 tr + (R - k) * Q + S * k * (R - k) * s, tc), k),
+    "+col": lambda R, S, l: (
+        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q - R * (S - l) * s,
+                                 tr, tc + (S - l) * Q + R * l * (S - l) * s), R),
+    "-row": lambda R, S, k: (
+        lambda s, a, Q, tr, tc: (a + S * (R - k) * s, Q + S * (R - k) * s,
+                                 tr + S * (R - k) * (R + k) * s,
+                                 tc + S * S * (R - k) * s), k),
+    "-col": lambda R, S, l: (
+        lambda s, a, Q, tr, tc: (a + R * (S - l) * s, Q + R * (S - l) * s,
+                                 tr + R * R * (S - l) * s,
+                                 tc + R * (S - l) * (S + l) * s), R),
+    "up": lambda R, S, k: (lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 4 * tr, 2 * tc), 1),
+    "left": lambda R, S, k: (lambda s, a, Q, tr, tc: (2 * a, 2 * Q, 2 * tr, 4 * tc), R),
+}
+
+
+def hat_by_terms(kind, R, S, k, sigma, p: LaurentPoly) -> LaurentPoly:
+    """The target ``p`` mapped upstairs term by term, through the tilde
+    gradings of the target's rows and back with ``R`` rows."""
+    hat, rows = HATS[kind](R, S, k)
+
+    def image(md):
+        tilde = tilde_degree(md, rows or 1)
+        if not rows and not md.is_zero():
+            raise ValueError("empty-color target admits only the unit generator")
+        a, Q, tr, tc = hat(sigma, *(tilde._e(v) for v in ("a", "Q", "tr", "tc")))
+        return untilde_degree(Multidegree(a=a, Q=Q, tr=tr, tc=tc), R)
+
+    return p.map_exponents(image)
+
+
+#: every colored differential of a colour of at most 4 rows and 4 columns,
+#: with every ``k`` and ``sigma`` in -2..2
+DIFFERENTIAL_CASES = [(kind, R, S, k, sigma)
+                      for kind, bound in [("+row", "R"), ("-row", "R"), ("+col", "S"),
+                                          ("-col", "S"), ("up", 1), ("left", 1)]
+                      for R in range(1, 5) for S in range(1, 5)
+                      for k in range({"R": R, "S": S}.get(bound, 1))
+                      for sigma in range(-2, 3)]
+
+
+@st.composite
+def tilde_targets(draw):
+    """A polynomial in ``(a, Q, tr, tc)`` summed from up to 8 terms over at
+    most 4 degrees, so that terms of one degree add or cancel."""
+    degrees = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * 4), min_size=1, max_size=4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(degrees), st.sampled_from([1, -1, 2, -3])),
+                          max_size=8))
+    return sum((LaurentPoly.monomial(c, Multidegree(zip(("a", "Q", "tr", "tc"), e)))
+                for e, c in terms), LaurentPoly.zero())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=10)
+@given(tilde_targets(), st.integers(-3, 3).filter(bool))
+def test_colored_regrades_match_the_hat_maps(tilde, unit):
+    """``colored_differential(...).regrade`` equals the hat map written on
+    degrees for every kind, colour and ``sigma`` of
+    :data:`DIFFERENTIAL_CASES`.  The target is drawn in ``(a, Q, tr, tc)``
+    (:func:`tilde_targets`) and read in ``(a, q, tr, tc)`` on the lattice of
+    the target's rows; the same target moved one step of ``q`` is off the
+    lattice where there are at least two rows, and both sides refuse it.
+    An empty target colour takes a constant and refuses every other target
+    on both sides."""
+    for kind, R, S, k, sigma in DIFFERENTIAL_CASES:
+        spec = colored_differential(kind, R, S, k, sigma)
+        rows = spec.target[0]
+        on = from_tilde(tilde, rows or 1)
+        off = on * LaurentPoly.var("q")
+        for target, refused in [(on, not rows and on.variables()),
+                                (off, rows != 1 and not off.is_zero()),
+                                (LaurentPoly.const(unit), False)]:
+            try:
+                want = hat_by_terms(kind, R, S, k, sigma, target)
+            except ValueError:
+                assert refused, (kind, R, S, k, sigma)
+                with pytest.raises(ValueError, match="empty-color" if not rows
+                                   else "^non-integral exponent .* on variable 'Q'$"):
+                    spec.regrade(target)
+            else:
+                assert not refused, (kind, R, S, k, sigma)
+                assert spec.regrade(target) == want, (kind, R, S, k, sigma)
 
 
 def test_check_differential_canceling_quad31():
@@ -387,6 +498,20 @@ def test_rank_collapse_input_has_one_entry_per_knot_and_colour():
         assert series.denominators == expect.denominators
         assert rank_collapse_input(knot, Partition([size])) is series
     assert checks._collapse_input.cache_info().currsize == 4
+
+
+def test_rank_collapse_input_refuses_a_table_without_the_column_grading():
+    """``3_1:2_1`` is tabled in ``(a, q, t)``, and no table says which
+    homological grading its ``t`` is, so the input is refused, naming the
+    table and its gradings, instead of dropping ``t`` for the unknot
+    factor's ``tc``; every other fixture colour of ``3_1`` carries ``tc``."""
+    assert load_fixture("3_1:2_1").gradings == ("a", "q", "t")
+    with pytest.raises(UsageError) as err:
+        rank_collapse_input("3_1", [2, 1])
+    assert str(err.value) == ("3_1:2_1 is graded (a, q, t); "
+                              "rank collapse needs its column grading tc")
+    for lam in ([1], [2], [1, 1], [2, 2], [2, 2, 2]):
+        assert "t" in rank_collapse_input("3_1", lam).numerator.variables()
 
 
 def test_sl_cancel_expands_through_the_window_edge():

@@ -200,7 +200,7 @@ def test_potential_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     body = LaurentPoly.from_json(out["body"])
-    assert body.coefficient_of("u2", 3).num_terms() == 1
+    assert len(body.coefficient_of("u2", 3).terms) == 1
     assert "superBody" in out
 
 
@@ -267,6 +267,17 @@ def test_cancel_rejects_torus_knot(capsys):
     assert main(["cancel", "--knot", "torus:2,3", "--color", "S1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cancel needs a fixture knot or unknot")
+
+
+def test_cancel_refuses_a_table_without_the_column_grading(capsys):
+    """``3_1:2_1`` is tabled in ``(a, q, t)``: ``cancel`` exits 2 with one
+    ``error:`` line naming it, where it used to print survivors that had
+    lost the table's ``t``."""
+    assert main(["cancel", "--knot", "3_1", "--color", "2_1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: 3_1:2_1 is graded (a, q, t); "
+                   "rank collapse needs its column grading tc\n")
 
 
 def test_unknown_verb_exits_2():

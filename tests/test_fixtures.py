@@ -354,8 +354,28 @@ def test_tilde_regrading_needs_divisibility():
     p = LaurentPoly.monomial(3, Multidegree(a=2, q=2, tr=1))
     with pytest.raises(ValueError) as err:
         to_tilde(p, 2)
-    assert str(err.value) == ("monomial a^2 q^2 tr^1 tc^0: "
-                              "(q + tr - tc) = 3 is not divisible by 2")
+    assert str(err.value) == "non-integral exponent 3/2 on variable 'Q'"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.integers(1, 4), st.dictionaries(
+    st.tuples(*[st.integers(-6, 6)] * 4), st.integers(-3, 3).filter(bool), max_size=8),
+    st.integers(-2, 2))
+def test_tilde_regrading_round_trips_on_the_lattice(R, exponents, t):
+    """Random polynomials in ``(a, Q, tr, tc)``, times a power of ``t``,
+    which both regradings keep, go to ``q = R*Q - tr + tc`` and back, and
+    ``to_tilde`` refuses a term moved one step of ``q`` off the lattice
+    when ``R > 1``."""
+    tilde = LaurentPoly({Multidegree(dict(zip(("a", "Q", "tr", "tc"), e)), t=t): c
+                         for e, c in exponents.items()})
+    p = from_tilde(tilde, R)
+    assert not any(p._exponents("Q"))
+    assert to_tilde(p, R) == tilde
+    assert from_tilde(to_tilde(p, R), R) == p
+    off = p * LaurentPoly.var("q")
+    if R > 1 and exponents:
+        with pytest.raises(ValueError, match="^non-integral exponent .* on variable 'Q'$"):
+            to_tilde(off, R)
 
 
 def test_tilde_regrading_round_trips_on_int_exponents():

@@ -1,8 +1,9 @@
 """Every module of the package and every tool uses each name it imports,
 every private function and class is read somewhere in the package, every
 name the package re-exports is reached by the package itself, no module but
-``laurent`` reads an exponent as ``Fraction`` or names the kernel's column
-view and its slot helpers (``models`` may name ``_slot``), and the package,
+``laurent`` reads an exponent as ``Fraction``, names the kernel's column
+view and its slot helpers (``models`` may name ``_slot``) or maps exponents
+through ``map_exponents``, and the package,
 the demos and the tools import nothing outside the standard library but
 ``knothom`` and, for a tool, its sibling tools.
 
@@ -148,10 +149,10 @@ def test_no_unread_private_definitions():
     assert unread_private_definitions(sources) == []
 
 
-#: the ``Fraction`` readers of exponents (``Multidegree.e`` and ``total``,
-#: and the degree queries of ``LaurentPoly``); ``degrees`` counts only with an
+#: the ``Fraction`` readers of exponents (``Multidegree.e`` and the degree
+#: queries of ``LaurentPoly``); ``degrees`` counts only with an
 #: argument, since ``MacaulayBasis.degrees()`` takes none
-FRACTION_READERS = {"e", "total", "min_degree", "max_degree"}
+FRACTION_READERS = {"e", "min_degree", "max_degree"}
 
 
 def fraction_reader_calls(source: str) -> list:
@@ -165,12 +166,12 @@ def fraction_reader_calls(source: str) -> list:
 
 
 def test_reader_finder_flags_only_fraction_readers():
-    source = ("x = md.e('a') + md._e('q') + md.total()\n"
+    source = ("x = md.e('a') + md._e('q') + sum(md)\n"
               "y = p.min_degree('q'), p.max_degree(var='a'), p._exponents('q')\n"
               "z = p.degrees('q'), basis.degrees(), e(1)\n")
     assert fraction_reader_calls(source) == [
         "degrees (line 3)", "e (line 1)", "max_degree (line 2)",
-        "min_degree (line 2)", "total (line 1)"]
+        "min_degree (line 2)"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "laurent.py"],
@@ -185,7 +186,7 @@ def test_exponents_are_read_as_int_outside_laurent(path):
 #: the kernel's private column view and what builds or reads it by slot
 #: number; only ``laurent`` names them.  ``_slot`` is the one exception:
 #: ``models`` packs its own monomial keys by slot
-COLUMN_PRIVATES = {"_columnar", "_carried", "_from_rows", "_substituted", "_padded", "_slot"}
+COLUMN_PRIVATES = {"_columnar", "_carried", "_from_rows", "_padded", "_slot"}
 SLOT_READERS = {"laurent.py", "models.py"}
 
 
@@ -215,13 +216,38 @@ def test_column_name_finder_flags_only_the_privates():
 def test_the_column_view_stays_in_laurent(path):
     """No module but ``laurent`` names the column view (``_columnar``), its
     constructors (``_carried``, ``_from_rows``) or its slot helpers
-    (``_padded``, ``_substituted``); they read exponents through
+    (``_padded``); they read exponents through
     ``_exponents``, build polynomials with ``LaurentPoly.from_columns`` and
     map gradings with ``LaurentPoly.regrade``.  ``_slot`` is named only by
     ``laurent`` and ``models``."""
     allowed = {"_slot"} if path.name in SLOT_READERS else set()
     assert [n for n in column_private_names(path.read_text())
             if n.split()[0] not in allowed] == []
+
+
+def term_map_calls(source: str) -> list:
+    """``map_exponents (line n)`` of each call in ``source`` to the term-map
+    exponent pass, by name or as an attribute."""
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return sorted(f"map_exponents (line {f.lineno})" for f in calls
+                  if getattr(f, "attr", getattr(f, "id", None)) == "map_exponents")
+
+
+def test_term_map_finder_flags_only_calls():
+    source = ("q = p.map_exponents(fn)\n"
+              "r = map_exponents(p, fn), p.regrade({}), p.map_exponents\n"
+              "s = LaurentPoly.map_exponents(p, fn)\n")
+    assert term_map_calls(source) == [
+        "map_exponents (line 1)", "map_exponents (line 2)", "map_exponents (line 3)"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "laurent.py"], ids=lambda p: p.name)
+def test_grading_maps_are_regrades_outside_laurent(path):
+    """Every grading map of the package is one ``LaurentPoly.regrade`` on
+    the column view: no module but ``laurent`` calls ``map_exponents``,
+    which walks the term map and builds a ``Multidegree`` per term."""
+    assert term_map_calls(path.read_text()) == []
 
 
 #: re-exports that no module reads yet, each with the reason it stays; a

@@ -201,7 +201,7 @@ def test_divide_exact(f, g, m, c):
     quotient = h.divide_exact(g)
     assert sympy.expand(to_sympy(quotient) * to_sympy(g) - to_sympy(h)) == 0
     assert quotient == f
-    if g.num_terms() > 1:
+    if len(g.terms) > 1:
         r = h + LaurentPoly.monomial(c, m)
         _, den = sympy.fraction(sympy.cancel(to_sympy(r) / to_sympy(g)))
         assert len(sympy_terms(den)) > 1  # r / g is no Laurent polynomial
@@ -212,7 +212,7 @@ def test_divide_exact(f, g, m, c):
 @pytest.mark.parametrize("lead", [2, -3])
 @oracle(40)
 @given(polys(max_terms=4, c=whole),
-       multidegrees().filter(lambda md: md.total() > 0))
+       multidegrees().filter(lambda md: sum(md) > 0))
 def test_divide_exact_by_non_unit_lead(lead, f, m):
     """``f * (x^m - 1)`` over ``lead * (x^m - 1)``, with ``f`` integral: the
     leading coefficient ``lead`` need not divide the remainder's, and the
@@ -301,7 +301,7 @@ def test_divide_exact_big_coefficients(pair, m, c):
     quotient is sympy's exact quotient, and one more term makes the
     division inexact for sympy too."""
     f, g = pair
-    assume(not f.is_zero() and g.num_terms() > 1)
+    assume(not f.is_zero() and len(g.terms) > 1)
     h = f * g
     quotient = h.divide_exact(g)
     assert quotient == f
@@ -700,6 +700,22 @@ REGRADINGS = [
 ]
 
 
+#: exponent maps with ``Fraction`` weights, as ``(images, kernel, onto)``:
+#: ``onto`` sends a degree to one whose image is integral (the lattice of
+#: the map), and ``kernel`` is as in :data:`REGRADINGS` and keeps the
+#: lattice: a tilde grading, a halving, a merging map by thirds, and a
+#: ``Fraction`` weight of denominator 1
+RATIONAL_REGRADINGS = [
+    ({"Q": {"q": Fraction(1, 2), "t": Fraction(1, 2)}, "q": {}}, None,
+     lambda md: md + Multidegree(q=md._e("q") - md._e("t"))),
+    ({"a": {"a": Fraction(1, 2)}, "q": {"q": Fraction(1, 2)}}, None,
+     lambda md: md + Multidegree(a=md._e("a"), q=md._e("q"))),
+    ({"q": {"q": Fraction(1, 3), "a": Fraction(2, 3)}, "a": {}}, Multidegree(a=1, q=-2),
+     lambda md: md + Multidegree(q=2 * md._e("q") - 2 * md._e("a"))),
+    ({"t": {"t": Fraction(-2), "q": Fraction(1)}}, None, lambda md: md),
+]
+
+
 def regraded_by_terms(p: LaurentPoly, images, shift, odd) -> LaurentPoly:
     """``regrade`` written as a closure for ``map_exponents``, after the
     signs of ``odd`` are set term by term."""
@@ -720,10 +736,14 @@ def regrade_cases(draw):
     :func:`serialised_polys`, held in columns or as a term map, with
     partner terms that meet its terms under a merging map, drawn to cancel
     them, to add to them or to leave half of them."""
-    images, kernel = draw(st.sampled_from(REGRADINGS))
+    images, kernel, onto = draw(st.one_of(
+        st.sampled_from(REGRADINGS).map(lambda case: (*case, None)),
+        st.sampled_from(RATIONAL_REGRADINGS)))
     shift = draw(st.one_of(st.just(()), multidegrees()))
     odd = tuple(draw(st.lists(st.sampled_from([*VARS, UNREGISTERED]), max_size=2, unique=True)))
     p = draw(serialised_polys())
+    if onto is not None and draw(st.booleans()):
+        p = LaurentPoly(p.terms).map_exponents(onto)
     if kernel is not None:
         flip = sum(kernel._e(w) for w in odd) % 2
         for md, c in [*p.terms.items()]:
@@ -744,6 +764,9 @@ def regrade_cases(draw):
           Multidegree(a=1, q=-1)))
 @example((column_only(parse_poly("a*q^-2 - 3*a^-1*t") / 6), {"a": {}}, Multidegree(q=-1),
           ("a", UNREGISTERED), Multidegree(a=1)))
+@example((column_only(parse_poly("a*q^-2 - a^2*q^-4 + 3*q^3*t + a^-1*q^2") / 2),
+          *RATIONAL_REGRADINGS[2][:1], Multidegree(t=1), ("q",), RATIONAL_REGRADINGS[2][1]))
+@example((parse_poly("a^2*q^2 + q*t"), *RATIONAL_REGRADINGS[1][:1], (), (), None))
 def test_regrade_matches_the_term_map(case):
     """``regrade`` equals the same map written as a closure for
     ``map_exponents``, on integral and rational coefficients, negative
@@ -751,10 +774,19 @@ def test_regrade_matches_the_term_map(case):
     merging maps whose sums cancel (the first example sums to ``2*q^2*t``)
     or not.  The result is handed on in columns over its least common
     denominator, a one-to-one map keeps every term, and a variable that the
-    map only drops or reads, or that ``odd`` names, is not registered."""
+    map only drops or reads, or that ``odd`` names, is not registered.
+    With ``Fraction`` weights, a polynomial on the map's lattice has an
+    integral image and one off it raises ``ValueError`` on both sides (the
+    third and fourth examples), naming the variable and the value."""
     p, images, shift, odd, kernel = case
+    try:
+        want = regraded_by_terms(LaurentPoly(p.terms), images, shift, odd)
+    except ValueError:
+        with pytest.raises(ValueError, match=r"^non-integral exponent -?\d+/\d+ on variable '\w+'$"):
+            p.regrade(images, shift, odd)
+        return
     got = p.regrade(images, shift, odd)
-    assert_column_result(got, regraded_by_terms(LaurentPoly(p.terms), images, shift, odd))
+    assert_column_result(got, want)
     if kernel is None:
         assert len(got.terms) == len(p.terms)
     assert UNREGISTERED not in laurent._INDEX
@@ -1087,7 +1119,7 @@ def assert_matches(md: Multidegree, model: dict):
     assert md.variables() == tuple(sorted(model))
     for v in (*model, "q", "a", "fresh"):
         assert type(md.e(v)) is Fraction and md.e(v) == model.get(v, 0)
-    assert type(md.total()) is Fraction and md.total() == sum(model.values())
+    assert sum(md) == sum(model.values())
     assert md.is_zero() == (not model)
     # the normal form: trailing zeros trimmed, so equal degrees are equal tuples
     assert len(md) == 0 or md[-1] != 0

@@ -88,7 +88,7 @@ def test_parse_poly_reads_a_long_flat_sum():
     for term in terms:
         expected = expected + P(term)
     assert P(" + ".join(terms)) == expected
-    assert expected.num_terms() == 2000
+    assert len(expected.terms) == 2000
 
 
 def test_ring_axioms_random():
@@ -399,7 +399,7 @@ def test_public_exponents_and_coefficients_are_fractions():
     homfly = torus_homfly([2, 1], 3, 4)[0]
     expansion = RationalSeries(f, (Multidegree(q=1, t=1), Multidegree(q=2)), "q", 3).expand()
     survivors = max_cancel(P("2*q + a*q^2*t + q^3*t^2"), Multidegree(q=1, t=1))[0]
-    readers = [md.e("a"), md.e("q"), md.e("t"), md.total(),
+    readers = [md.e("a"), md.e("q"), md.e("t"),
                f.min_degree("q"), f.max_degree("q"), *f.degrees("q"),
                f.dimension(), half.dimension()]
     assert all(p._map is None for p in (carried, expansion, survivors))

@@ -44,7 +44,7 @@ from knothom.models import (
     unknot_model,
 )
 from knothom.checks import colored_differential
-from knothom.fixtures import _to_tilde_degree
+from knothom.fixtures import to_tilde
 from knothom.partitions import Partition
 
 P = parse_poly
@@ -200,7 +200,7 @@ def test_unknot_model_tilde_gradings():
     for R in range(1, 4):
         for S in range(1, 4):
             for g in unknot_model([S] * R).generators:
-                Q = _to_tilde_degree(g.degree, R)._e("Q")
+                Q = to_tilde(LaurentPoly.monomial(1, g.degree), R).as_monomial()[1]._e("Q")
                 assert Q == (2 if g.parity == EVEN else 0), (R, S, g.name)
 
 
@@ -273,7 +273,7 @@ def test_colored_images_have_expected_degree(kind, param):
     model = StableTorusModel(R, S, 2, reduced=True)
     images = model.colored_images(kind, param)
     want = colored_differential(kind, R, S, param).degree
-    degs = model.presentation.degree_map()
+    degs = {g.name: g.degree for g in model.presentation.generators}
     for xi, img in images.items():
         got = model.presentation.monomial_degree(next(iter(img.terms)))
         step = got - degs[xi]
